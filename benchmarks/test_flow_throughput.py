@@ -6,28 +6,88 @@ cycle-simulated against the kernel Python reference — and records the
 points/s plus the per-stage breakdown (emit, elaborate, reference,
 simulate, verify) as a CI artifact, so regressions in the pure-Python
 backend's speed are visible run over run.
+
+The same grid is simulated once more by the recursive interpreter kept
+as a test oracle (``tests/flows/netlist_oracle.py``).  The gates are
+ratios of the two runs' times, which hold on any machine: the
+``simulate`` stage (which includes compiling each netlist) and the whole
+flow.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import statistics
+from pathlib import Path
 
 from repro.cost.cache import redirected_cache_dir
-from repro.flows import run_flow_suite
+from repro.flows import rtlsim, run_flow_suite
 from repro.kernels import kernel_names
 from repro.suite.golden import golden_config
 
 #: conservative CI gates; recorded throughput lives in the artifact
 MIN_ITEMS_PER_SECOND = 100.0
 MIN_FAMILIES_PER_SECOND = 1.0
+#: the compiled simulator must run the golden grid's ``simulate`` stage
+#: at least this many times faster than the interpreter oracle
+MIN_SIMULATE_SPEEDUP = 5.0
+#: ... and the whole flow, emit to verify, at least this many times faster
+MIN_FLOW_SPEEDUP = 4.0
+#: timed runs of the compiled path (the oracle's single run takes longer
+#: than all of them together)
+COMPILED_TRIALS = 3
+
+ORACLE_PATH = Path(__file__).resolve().parents[1] / "tests" / "flows" / "netlist_oracle.py"
 
 
-def test_flow_suite_throughput_artifact(results_dir, tmp_path):
+def _oracle_class():
+    spec = importlib.util.spec_from_file_location("netlist_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.InterpretedSimulator
+
+
+def _cold_run(cache_dir: Path):
+    """One golden-grid flow run that parses and compiles every kernel."""
+    with redirected_cache_dir(cache_dir):
+        return run_flow_suite(golden_config())
+
+
+def _spread(values: list[float]) -> dict:
+    return {"trials": values, "median": statistics.median(values),
+            "spread": max(values) - min(values)}
+
+
+def test_flow_suite_throughput_artifact(results_dir, tmp_path, monkeypatch):
     """Record the golden-grid RTL verification rates in BENCH_flows.json."""
-    with redirected_cache_dir(tmp_path / "flow-bench-cache"):
-        run = run_flow_suite(golden_config())
+    trials = [_cold_run(tmp_path / f"compiled-{i}") for i in range(COMPILED_TRIALS)]
+    run = trials[0]
     assert run.ok, run.failures
     assert run.families == 3 * len(kernel_names())
+
+    oracle_class = _oracle_class()
+    monkeypatch.setattr(rtlsim, "NetlistSimulator",
+                        oracle_class)
+    oracle = _cold_run(tmp_path / "oracle")
+    monkeypatch.undo()
+    # same verdicts, bit for bit, from either simulator
+    assert oracle.report.to_json() == run.report.to_json()
+
+    simulate = _spread([t.stage_seconds["simulate"] for t in trials])
+    flow = _spread([t.flow_seconds for t in trials])
+    simulator = {
+        "compiled_simulate_seconds": simulate,
+        "compiled_elaborate_seconds": _spread(
+            [t.stage_seconds["elaborate"] for t in trials]),
+        "compiled_flow_seconds": flow,
+        "oracle_simulate_seconds": oracle.stage_seconds["simulate"],
+        "oracle_flow_seconds": oracle.flow_seconds,
+        "simulate_speedup": oracle.stage_seconds["simulate"] / simulate["median"],
+        "min_simulate_speedup": MIN_SIMULATE_SPEEDUP,
+        "flow_speedup": oracle.flow_seconds / flow["median"],
+        "min_flow_speedup": MIN_FLOW_SPEEDUP,
+    }
 
     payload = {
         "kernels": kernel_names(),
@@ -42,11 +102,14 @@ def test_flow_suite_throughput_artifact(results_dir, tmp_path):
             "items_per_second": run.items_per_second,
         },
         "stage_seconds": run.stage_seconds,
+        "simulator": simulator,
         "totals": run.report.totals,
     }
     (results_dir / "BENCH_flows.json").write_text(
         json.dumps(payload, indent=2) + "\n")
 
+    assert simulator["simulate_speedup"] >= MIN_SIMULATE_SPEEDUP, payload
+    assert simulator["flow_speedup"] >= MIN_FLOW_SPEEDUP, payload
     assert run.items_per_second > MIN_ITEMS_PER_SECOND, payload
     assert run.families_per_second > MIN_FAMILIES_PER_SECOND, payload
     # the breakdown covers the whole pipeline of every flow

@@ -1,14 +1,21 @@
-"""Structural netlists elaborated from generated Verilog, and their
-cycle simulation.
+"""Structural netlists elaborated from generated Verilog, compiled to
+Python for cycle simulation.
 
 :func:`elaborate` turns one parsed :class:`~repro.flows.verilog.VerilogModule`
 into a :class:`Netlist`: a signal table with widths, the continuous
 assignments in dependency (topological) order, and the clocked processes.
-:class:`NetlistSimulator` then advances the netlist one clock cycle at a
-time with Verilog semantics — continuous assigns settle combinationally,
-non-blocking assignments all read pre-edge state and commit together —
-which is what lets the pure-Python RTL backend reproduce exactly what an
-event-driven simulator would print for this subset.
+
+:func:`compile_netlist` then generates, once per netlist, one
+straight-line Python function that performs a whole clock cycle with
+Verilog semantics — continuous assigns settle combinationally, every
+process reads pre-edge state, non-blocking assignments commit together
+in program order — with widths, masks and signedness folded to
+constants and signals held in locals.  :class:`NetlistSimulator` runs
+that function one cycle per :meth:`~NetlistSimulator.step`, which is
+what lets the pure-Python RTL backend reproduce exactly what an
+event-driven simulator would print for this subset.  Each simulator
+compiles its netlist once, when it is built; the recursive interpreter
+the compiler replaced is kept under ``tests/flows`` as its test oracle.
 
 :func:`lint_module` runs the structural checks the satellite tests pin
 for every generated file: legal identifiers and balanced ``begin``/``end``
@@ -18,9 +25,10 @@ signal is declared *before* use and that no signal has two drivers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from repro.flows.numeric import as_signed, truncdiv
+from repro.flows.numeric import truncdiv
 from repro.flows.verilog import (
     AlwaysBlock,
     ArrayDecl,
@@ -37,6 +45,7 @@ __all__ = [
     "ElaborationError",
     "Netlist",
     "NetlistSimulator",
+    "compile_netlist",
     "elaborate",
     "lint_module",
     "lint_source",
@@ -191,12 +200,500 @@ def elaborate(module: VerilogModule) -> Netlist:
 
 
 # ----------------------------------------------------------------------
+# Compilation
+# ----------------------------------------------------------------------
+
+#: iterations after which a ``for`` loop is reported as runaway
+MAX_LOOP_ITERATIONS = 1_000_000
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+_PLAIN_OPERATORS = ("+", "-", "*", "&", "|", "^", "<<")
+#: operators that reinterpret both operands as two's complement when
+#: either one is written ``$signed(...)``
+_SIGNED_OPERATORS = ("<", "<=", ">", ">=", "/", "%")
+
+
+def _undriven(name: str) -> int:
+    raise ElaborationError(f"undriven signal {name!r}")
+
+
+def _fail(message: str) -> int:
+    raise ElaborationError(message)
+
+
+def _truncmod(a: int, b: int) -> int:
+    return 0 if b == 0 else a - b * truncdiv(a, b)
+
+
+#: the globals every compiled step function runs against
+_RUNTIME = {
+    "_undriven": _undriven,
+    "_fail": _fail,
+    "_truncdiv": truncdiv,
+    "_truncmod": _truncmod,
+    **_FUNCTIONAL_UNITS,
+}
+
+
+@dataclass(frozen=True)
+class _ShiftLoop:
+    """A ``for`` loop that copies a run of one array into another —
+    the generator's delay-line idiom — compiled to one slice copy."""
+
+    var: str
+    target: str
+    target_start: int
+    source: str
+    source_start: int
+    count: int
+    #: the loop variable's value after the loop
+    final: int
+
+
+def _loop_offset(expr: Expr, var: str) -> int | None:
+    """``k`` when ``expr`` is ``var``, ``var + k`` or ``var - k``."""
+    if expr == ("id", var):
+        return 0
+    if (expr[0] == "binary" and expr[1] in ("+", "-")
+            and expr[2] == ("id", var) and expr[3][0] == "const"):
+        return expr[3][1] if expr[1] == "+" else -expr[3][1]
+    return None
+
+
+def _always_assigned(statements) -> set[str]:
+    """Scalar NBA targets every run of ``statements`` assigns."""
+    out: set[str] = set()
+    for stmt in statements:
+        if stmt[0] == "nba" and stmt[1][0] == "id":
+            out.add(stmt[1][1])
+        elif stmt[0] == "if":
+            out |= _always_assigned(stmt[2]) & _always_assigned(stmt[3])
+    return out
+
+
+def _blocking_names(statements, out: dict[str, None]) -> dict[str, None]:
+    """Loop variables (blocking-assignment targets), in first-use order."""
+    for stmt in statements:
+        kind = stmt[0]
+        if kind == "blocking":
+            out.setdefault(stmt[1])
+        elif kind == "if":
+            _blocking_names(stmt[2], out)
+            _blocking_names(stmt[3], out)
+        elif kind == "for":
+            _blocking_names((stmt[1], stmt[3]) + tuple(stmt[4]), out)
+    return out
+
+
+class _StepCompiler:
+    """Generates the Python source of one netlist's step function.
+
+    Signals live in locals ``v<i>`` and arrays in ``a<i>``, loaded from
+    the simulator's dicts on entry and stored back on exit.  Every process
+    reads pre-edge state: a register's non-blocking assignments write its
+    temporary ``n<i>``, committed after every process ran.  Array writes
+    with constant indices and delay-line loops at process top level
+    commit statically in program order; an array written anywhere else
+    queues ``(value, index)`` pairs in ``q<i>``.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.netlist = netlist
+        self.widths = netlist.widths
+        self.arrays = netlist.arrays
+        self.local = {name: f"v{i}" for i, name in enumerate(netlist.widths)}
+        self.array_local = {name: f"a{i}" for i, name in enumerate(netlist.arrays)}
+        self.temps = 0
+        #: loop variables of the process being compiled -> their locals
+        self.env: dict[str, str] = {}
+        #: loop variables definitely assigned at the point being compiled
+        self.assigned: set[str] = set()
+        #: loop variables read where they may not be assigned yet
+        self.read_unassigned: set[str] = set()
+        self.registers: dict[str, None] = {}
+        self.queued: set[str] = set()
+        always: set[str] = set()
+        for process in netlist.processes:
+            self._scan(process.statements, top=True)
+            always |= _always_assigned(process.statements)
+        self.next_local = {name: f"n{i}" for i, name in enumerate(
+            n for n in self.registers if n in self.widths)}
+        self.next_init = [n for n in self.next_local if n not in always]
+        self.queue_local = {n: f"q{i}" for i, n in enumerate(self.arrays)
+                            if n in self.queued}
+
+    def _scan(self, statements, top: bool) -> None:
+        """Note every scalar NBA target, and every array written other than
+        at a constant index or by a delay-line loop at process top level."""
+        for stmt in statements:
+            kind = stmt[0]
+            if kind == "nba":
+                target = stmt[1]
+                if target[0] == "id":
+                    self.registers.setdefault(target[1])
+                elif not (top and target[2][0] == "const"):
+                    self.queued.add(target[1])
+            elif kind == "if":
+                self._scan(stmt[2] + stmt[3], top=False)
+            elif kind == "for" and not (top and self._shift_loop(stmt)):
+                self._scan(stmt[4], top=False)
+
+    def _shift_loop(self, stmt) -> _ShiftLoop | None:
+        """Match ``for (i = c0; i < c1; i = i + 1) dst[i+j] <= src[i+k];``
+        with both index runs inside their arrays."""
+        _, init, cond, update, body = stmt
+        var = init[1]
+        if (init[2][0] != "const" or cond[0] != "binary"
+                or cond[1] not in ("<", "<=") or cond[2] != ("id", var)
+                or cond[3][0] != "const" or update[1] != var
+                or _loop_offset(update[2], var) != 1
+                or len(body) != 1 or body[0][0] != "nba"):
+            return None
+        target, value = body[0][1], body[0][2]
+        if target[0] != "index" or value[0] != "index":
+            return None
+        dst, src = target[1], value[1]
+        if dst not in self.arrays or src not in self.arrays:
+            return None
+        dst_offset = _loop_offset(target[2], var)
+        src_offset = _loop_offset(value[2], var)
+        if dst_offset is None or src_offset is None:
+            return None
+        if self.arrays[src][0] > self.arrays[dst][0]:
+            return None  # values would need masking on the way
+        start = init[2][1]
+        stop = cond[3][1] + (1 if cond[1] == "<=" else 0)
+        count = max(0, stop - start)
+        loop = _ShiftLoop(var, dst, start + dst_offset, src, start + src_offset,
+                          count, max(start, stop))
+        if count and not (
+                0 <= loop.target_start and loop.target_start + count <= self.arrays[dst][1]
+                and 0 <= loop.source_start
+                and loop.source_start + count <= self.arrays[src][1]):
+            return None
+        return loop
+
+    # -- expressions -----------------------------------------------------
+    def temp(self, prefix: str = "t") -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    def width(self, expr: Expr) -> int:
+        """Self-determined width of ``expr``; unsized constants, loop
+        variables and undeclared names count as 32 bits."""
+        kind = expr[0]
+        if kind == "const":
+            return expr[2] or 32
+        if kind == "id":
+            return self.widths.get(expr[1], 32)
+        if kind == "index":
+            return self.arrays[expr[1]][0] if expr[1] in self.arrays else 1
+        if kind == "slice":
+            return expr[2] - expr[3] + 1
+        if kind == "concat":
+            return sum(self.width(part) for part in expr[1])
+        if kind in ("unary", "signed"):
+            return self.width(expr[-1])
+        if kind in ("binary", "ternary"):
+            return max(self.width(expr[-2]), self.width(expr[-1]))
+        return 32
+
+    def masked(self, expr: Expr, width: int) -> str:
+        """``expr`` truncated to ``width`` bits; a plain read of a signal
+        or array element no wider than that needs no mask."""
+        kind = expr[0]
+        plain = ((kind == "id" and expr[1] in self.widths and expr[1] not in self.env)
+                 or (kind == "index" and expr[1] in self.arrays))
+        if plain and self.width(expr) <= width:
+            return self.expr(expr)
+        return f"({self.expr(expr)} & {(1 << width) - 1})"
+
+    def signed(self, expr: Expr) -> str:
+        """``expr`` reinterpreted as a two's-complement number of its width."""
+        width = self.width(expr)
+        sign = 1 << (width - 1)
+        return f"(({self.masked(expr, width)} ^ {sign}) - {sign})"
+
+    def read(self, name: str) -> str:
+        local = self.env.get(name)
+        if local is not None:
+            if name in self.assigned:
+                return local
+            # before its assignment a loop variable reads as its signal
+            self.read_unassigned.add(name)
+            if name in self.widths:
+                return local
+            return f"({local} if {local} is not None else _undriven({name!r}))"
+        if name in self.widths:
+            return self.local[name]
+        return f"_undriven({name!r})"
+
+    def expr(self, expr: Expr) -> str:
+        kind = expr[0]
+        if kind == "const":
+            return repr(expr[1])
+        if kind == "id":
+            return self.read(expr[1])
+        if kind == "index":
+            name, index = expr[1], expr[2]
+            if name not in self.arrays:
+                return f"(({self.read(name)} >> {self.expr(index)}) & 1)"
+            data, size = self.array_local[name], self.arrays[name][1]
+            if index[0] == "const":
+                return f"{data}[{index[1]}]" if 0 <= index[1] < size else "0"
+            t = self.temp()
+            return f"({data}[{t}] if 0 <= ({t} := {self.expr(index)}) < {size} else 0)"
+        if kind == "slice":
+            _, name, msb, lsb = expr
+            if msb < lsb:
+                raise ElaborationError(f"part-select [{msb}:{lsb}] of {name!r}")
+            value = self.read(name)
+            if lsb:
+                value = f"({value} >> {lsb})"
+            return f"({value} & {(1 << (msb - lsb + 1)) - 1})"
+        if kind == "concat":
+            shift = self.width(expr)
+            terms = []
+            for part in expr[1]:
+                width = self.width(part)
+                shift -= width
+                term = self.masked(part, width)
+                terms.append(f"({term} << {shift})" if shift else term)
+            return "(" + " | ".join(terms) + ")"
+        if kind == "signed":
+            return self.expr(expr[1])
+        if kind == "unary":
+            op, inner = expr[1], expr[2]
+            if op == "~":
+                return f"(~{self.expr(inner)} & {(1 << self.width(inner)) - 1})"
+            if op == "-":
+                return f"(-{self.expr(inner)})"
+            return f"(0 if {self.expr(inner)} else 1)"
+        if kind == "binary":
+            return self._binary(expr)
+        if kind == "ternary":
+            return (f"({self.expr(expr[2])} if {self.expr(expr[1])} "
+                    f"else {self.expr(expr[3])})")
+        if kind == "call":
+            if expr[1] not in _FUNCTIONAL_UNITS:
+                message = (f"unknown functional unit {expr[1]!r} "
+                           f"(supported: {sorted(_FUNCTIONAL_UNITS)})")
+                return f"_fail({message!r})"
+            return f"{expr[1]}({', '.join(self.expr(arg) for arg in expr[2])})"
+        raise ElaborationError(f"unknown expression node {kind!r}")
+
+    def _binary(self, expr: Expr) -> str:
+        _, op, left, right = expr
+        if op in _SIGNED_OPERATORS and "signed" in (left[0], right[0]):
+            a, b = self.signed(left), self.signed(right)
+        else:
+            a, b = self.expr(left), self.expr(right)
+        if op in _PLAIN_OPERATORS:
+            return f"({a} {op} {b})"
+        if op in _COMPARISONS:
+            return f"(1 if {a} {op} {b} else 0)"
+        if op == "/":
+            return f"_truncdiv({a}, {b})"
+        if op == "%":
+            return f"_truncmod({a}, {b})"
+        if op in ("&&", "||"):
+            # both sides evaluate, as in the hardware (no short circuit)
+            join = "&" if op == "&&" else "|"
+            return f"(1 if ({a} != 0) {join} ({b} != 0) else 0)"
+        if op == ">>":
+            # a negative value shifts as its 64-bit two's complement
+            t = self.temp()
+            return (f"(({t} >> {b}) if ({t} := {a}) >= 0 "
+                    f"else (({t} & {(1 << 64) - 1}) >> {b}))")
+        if op == ">>>":
+            return f"({self.signed(left) if left[0] == 'signed' else a} >> {b})"
+        raise ElaborationError(f"unknown operator {op!r}")
+
+    # -- statements ------------------------------------------------------
+    def statements(self, statements, depth: int, top: bool, out: list[str]) -> None:
+        pad = "    " * depth
+        if not statements:
+            out.append(pad + "pass")
+        for stmt in statements:
+            kind = stmt[0]
+            if kind == "nba":
+                self.nba(stmt, pad, out)
+            elif kind == "blocking":
+                out.append(f"{pad}{self.env[stmt[1]]} = {self.expr(stmt[2])}")
+                self.assigned.add(stmt[1])
+            elif kind == "if":
+                before = set(self.assigned)
+                out.append(f"{pad}if {self.expr(stmt[1])}:")
+                self.statements(stmt[2], depth + 1, False, out)
+                then, self.assigned = self.assigned, set(before)
+                if stmt[3]:
+                    out.append(pad + "else:")
+                    self.statements(stmt[3], depth + 1, False, out)
+                self.assigned = before | (then & self.assigned)
+            elif kind == "for":
+                self.loop(stmt, depth, top, out)
+            else:
+                raise ElaborationError(f"unknown statement {kind!r}")
+
+    def nba(self, stmt, pad: str, out: list[str]) -> None:
+        target, rhs = stmt[1], stmt[2]
+        name = target[1]
+        if target[0] == "id":
+            if name not in self.widths:
+                out.append(f"{pad}_fail({f'non-blocking assignment to undeclared {name!r}'!r})")
+                return
+            out.append(f"{pad}{self.next_local[name]} = {self.masked(rhs, self.widths[name])}")
+            return
+        if name not in self.arrays:
+            out.append(f"{pad}_fail({f'element assignment to non-array {name!r}'!r})")
+            return
+        width, size = self.arrays[name]
+        value = self.masked(rhs, width)
+        if name in self.queued:
+            out.append(f"{pad}{self.queue_local[name]}.append(({value}, "
+                       f"{self.expr(target[2])}))")
+            return
+        index = target[2][1]
+        if not 0 <= index < size:
+            out.append(pad + value)  # evaluated, then dropped
+        else:
+            t = self.temp()
+            out.append(f"{pad}{t} = {value}")
+            self.commits.append(f"{self.array_local[name]}[{index}] = {t}")
+
+    def loop(self, stmt, depth: int, top: bool, out: list[str]) -> None:
+        pad = "    " * depth
+        shift = self._shift_loop(stmt) if top else None
+        if shift is not None and shift.target not in self.queued:
+            if shift.count:
+                dst = (f"{self.array_local[shift.target]}[{shift.target_start}:"
+                       f"{shift.target_start + shift.count}]")
+                src = (f"{self.array_local[shift.source]}[{shift.source_start}:"
+                       f"{shift.source_start + shift.count}]")
+                t = self.temp()
+                out.append(f"{pad}{t} = {src}")
+                self.commits.append(f"{dst} = {t}")
+            out.append(f"{pad}{self.env[shift.var]} = {shift.final}")
+            self.assigned.add(shift.var)
+            return
+        _, init, cond, update, body = stmt
+        self.statements((init,), depth, False, out)
+        before = set(self.assigned)
+        guard = self.temp("g")
+        out.append(f"{pad}{guard} = 0")
+        out.append(f"{pad}while {self.expr(cond)}:")
+        self.statements(tuple(body) + (update,), depth + 1, False, out)
+        out.append(f"{pad}    {guard} += 1")
+        out.append(f"{pad}    if {guard} > {MAX_LOOP_ITERATIONS}:")
+        out.append(f"{pad}        _fail('runaway for loop')")
+        self.assigned = before
+
+    # -- functions -------------------------------------------------------
+    def _settle(self, out: list[str]) -> list[str]:
+        """Settle code; returns the declared targets it assigns."""
+        targets = []
+        for assign in self.netlist.assigns:
+            name = assign.target
+            if name not in self.widths:
+                out.append(f"    _fail({f'assignment to undeclared {name!r}'!r})")
+                continue
+            out.append(f"    {self.local[name]} = {self.masked(assign.expr, self.widths[name])}")
+            targets.append(name)
+        return targets
+
+    def _edge(self, out: list[str]) -> None:
+        self.commits: list[str] = []
+        for name in self.next_init:
+            out.append(f"    {self.next_local[name]} = {self.local[name]}")
+        for local in self.queue_local.values():
+            out.append(f"    {local} = []")
+        for index, process in enumerate(self.netlist.processes):
+            self.env = {name: f"e{index}_{k}" for k, name in
+                        enumerate(_blocking_names(process.statements, {}))}
+            self.assigned, self.read_unassigned = set(), set()
+            body: list[str] = []
+            self.statements(process.statements, 1, True, body)
+            for name, local in self.env.items():
+                if name in self.read_unassigned:
+                    initial = self.local[name] if name in self.widths else None
+                    out.append(f"    {local} = {initial}")
+            out.extend(body)
+        self.env = {}
+        for name, local in self.next_local.items():
+            self.commits.append(f"{self.local[name]} = {local}")
+        out.extend("    " + line for line in self.commits)
+        for name, local in self.queue_local.items():
+            out.append(f"    for value, index in {local}:")
+            out.append(f"        if 0 <= index < {self.arrays[name][1]}:")
+            out.append(f"            {self.array_local[name]}[index] = value")
+
+    def _function(self, name: str, body: list[str], stored: list[str]) -> list[str]:
+        used = set(re.findall(r"\b[va]\d+\b", "\n".join(body)))
+        head = [f"def {name}(values, arrays):"]
+        head += [f"    {self.local[n]} = values[{n!r}]" for n in self.widths
+                 if self.local[n] in used and n not in self.settled]
+        head += [f"    {self.array_local[n]} = arrays[{n!r}]" for n in self.arrays
+                 if self.array_local[n] in used]
+        tail = [f"    values[{n!r}] = {self.local[n]}" for n in stored]
+        return head + body + tail
+
+    def source(self) -> str:
+        settle: list[str] = []
+        self.settled = self._settle(settle)
+        step = list(settle)
+        outputs = ", ".join(f"{n!r}: {self.read(n)}" for n in self.netlist.outputs)
+        step.append(f"    sampled = {{{outputs}}}")
+        self._edge(step)
+        registers = [n for n in self.next_local if n not in self.settled]
+        lines = self._function("settle", settle, self.settled)
+        lines += self._function("step", step, self.settled + registers)
+        lines.append("    return sampled")
+        return "\n".join(lines) + "\n"
+
+
+def _require_leaf(netlist: Netlist) -> None:
+    if netlist.instances:
+        raise ElaborationError(
+            f"module {netlist.name!r} instantiates sub-modules; the "
+            "pure-Python backend simulates leaf kernel modules")
+
+
+def compile_netlist(netlist: Netlist):
+    """Compile ``netlist`` to one Python function performing a full step.
+
+    ``step(values, arrays)`` reads the signal and array dicts of a
+    :class:`NetlistSimulator` (inputs already applied), settles the
+    continuous assigns, samples the outputs, runs the clock edge, writes
+    the new state back into the dicts and returns the sampled outputs.
+    Its ``settle`` attribute is the settle-only counterpart and its
+    ``source`` attribute the generated code.  Widths, masks and
+    signedness are folded into the code; the design errors an
+    interpreter would meet mid-cycle (an undriven signal, an unknown
+    functional unit, a runaway loop) still raise
+    :class:`ElaborationError` when that code runs.
+    """
+    _require_leaf(netlist)
+    try:
+        source = _StepCompiler(netlist).source()
+        namespace = dict(_RUNTIME)
+        exec(compile(source, f"<netlist {netlist.name}>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ElaborationError(
+            f"cannot compile netlist {netlist.name!r}: {exc}") from exc
+    step = namespace["step"]
+    step.settle = namespace["settle"]
+    step.source = source
+    return step
+
+
+# ----------------------------------------------------------------------
 # Simulation
 # ----------------------------------------------------------------------
 
 
 class NetlistSimulator:
-    """Two-phase (combinational settle, then clock edge) cycle simulation.
+    """Two-phase (combinational settle, then clock edge) cycle simulation,
+    run by the netlist's compiled step function.
 
     Registers and delay lines power up at zero — the deterministic
     counterpart of an event-driven simulator's ``x`` state after the
@@ -204,222 +701,35 @@ class NetlistSimulator:
     """
 
     def __init__(self, netlist: Netlist):
-        if netlist.instances:
-            raise ElaborationError(
-                f"module {netlist.name!r} instantiates sub-modules; the "
-                "pure-Python backend simulates leaf kernel modules")
+        _require_leaf(netlist)
         self.netlist = netlist
         self.values: dict[str, int] = {name: 0 for name in netlist.widths}
         self.arrays: dict[str, list[int]] = {
             name: [0] * size for name, (_, size) in netlist.arrays.items()
         }
         self._masks = {name: (1 << w) - 1 for name, w in netlist.widths.items()}
-        self._array_masks = {name: (1 << w) - 1
-                             for name, (w, _) in netlist.arrays.items()}
+        self._step = compile_netlist(netlist)
 
-    # -- expression evaluation ------------------------------------------
-    def _width_of(self, expr: Expr) -> int:
-        kind = expr[0]
-        if kind == "const":
-            return expr[2] or 32
-        if kind == "id":
-            return self.netlist.widths.get(expr[1], 32)
-        if kind == "index":
-            name = expr[1]
-            if name in self.netlist.arrays:
-                return self.netlist.arrays[name][0]
-            return 1
-        if kind == "slice":
-            return expr[2] - expr[3] + 1
-        if kind == "concat":
-            return sum(self._width_of(part) for part in expr[1])
-        if kind in ("unary", "signed"):
-            return self._width_of(expr[-1])
-        if kind in ("binary", "ternary"):
-            return max(self._width_of(expr[-2]), self._width_of(expr[-1]))
-        return 32
-
-    def _eval(self, expr: Expr, env: dict[str, int] | None = None) -> int:
-        kind = expr[0]
-        if kind == "const":
-            return expr[1]
-        if kind == "id":
-            name = expr[1]
-            if env is not None and name in env:
-                return env[name]
-            try:
-                return self.values[name]
-            except KeyError as exc:
-                raise ElaborationError(f"undriven signal {name!r}") from exc
-        if kind == "index":
-            name = expr[1]
-            index = self._eval(expr[2], env)
-            if name in self.arrays:
-                data = self.arrays[name]
-                return data[index] if 0 <= index < len(data) else 0
-            value = env[name] if env is not None and name in env else self.values[name]
-            return (value >> index) & 1
-        if kind == "slice":
-            _, name, msb, lsb = expr
-            value = env[name] if env is not None and name in env else self.values[name]
-            return (value >> lsb) & ((1 << (msb - lsb + 1)) - 1)
-        if kind == "concat":
-            value = 0
-            for part in expr[1]:
-                width = self._width_of(part)
-                value = (value << width) | (self._eval(part, env) & ((1 << width) - 1))
-            return value
-        if kind == "signed":
-            return self._eval(expr[1], env)
-        if kind == "unary":
-            op, inner = expr[1], expr[2]
-            value = self._eval(inner, env)
-            if op == "~":
-                width = self._width_of(inner)
-                return (~value) & ((1 << width) - 1)
-            if op == "-":
-                return -value
-            return 0 if value else 1  # '!'
-        if kind == "binary":
-            return self._eval_binary(expr, env)
-        if kind == "ternary":
-            return (self._eval(expr[2], env) if self._eval(expr[1], env)
-                    else self._eval(expr[3], env))
-        if kind == "call":
-            fn = _FUNCTIONAL_UNITS.get(expr[1])
-            if fn is None:
-                raise ElaborationError(
-                    f"unknown functional unit {expr[1]!r} (supported: "
-                    f"{sorted(_FUNCTIONAL_UNITS)})")
-            return fn(*[self._eval(a, env) for a in expr[2]])
-        raise ElaborationError(f"unknown expression node {kind!r}")  # pragma: no cover
-
-    def _eval_binary(self, expr: Expr, env: dict[str, int] | None) -> int:
-        _, op, left, right = expr
-        # signedness follows Verilog: a comparison/division/shift is
-        # signed only when its operands are $signed
-        if op in ("<", "<=", ">", ">=", "/", "%") and (
-                left[0] == "signed" or right[0] == "signed"):
-            a = as_signed(self._eval(left, env) & ((1 << self._width_of(left)) - 1),
-                                self._width_of(left))
-            b = as_signed(self._eval(right, env) & ((1 << self._width_of(right)) - 1),
-                                self._width_of(right))
-        else:
-            a = self._eval(left, env)
-            b = self._eval(right, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return truncdiv(a, b)
-        if op == "%":
-            if b == 0:
-                return 0
-            return a - b * truncdiv(a, b)
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "&&":
-            return 1 if (a and b) else 0
-        if op == "||":
-            return 1 if (a or b) else 0
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        if op == "<<":
-            return a << b
-        if op == ">>":
-            return a >> b if a >= 0 else (a & ((1 << 64) - 1)) >> b
-        if op == ">>>":
-            if left[0] == "signed":
-                a = as_signed(a & ((1 << self._width_of(left)) - 1),
-                                    self._width_of(left))
-                return a >> b
-            return a >> b
-        raise ElaborationError(f"unknown operator {op!r}")  # pragma: no cover
-
-    # -- statement interpretation ---------------------------------------
-    def _run_statements(self, statements, env: dict[str, int], nba: list) -> None:
-        for stmt in statements:
-            kind = stmt[0]
-            if kind == "nba":
-                target, rhs = stmt[1], stmt[2]
-                value = self._eval(rhs, env)
-                if target[0] == "id":
-                    nba.append((target[1], None, value))
-                else:  # ("index", name, index_expr)
-                    nba.append((target[1], self._eval(target[2], env), value))
-            elif kind == "blocking":
-                env[stmt[1]] = self._eval(stmt[2], env)
-            elif kind == "if":
-                branch = stmt[2] if self._eval(stmt[1], env) else stmt[3]
-                self._run_statements(branch, env, nba)
-            elif kind == "for":
-                init, cond, update, body = stmt[1], stmt[2], stmt[3], stmt[4]
-                env[init[1]] = self._eval(init[2], env)
-                guard = 0
-                while self._eval(cond, env):
-                    self._run_statements(body, env, nba)
-                    env[update[1]] = self._eval(update[2], env)
-                    guard += 1
-                    if guard > 1_000_000:  # pragma: no cover - defensive
-                        raise ElaborationError("runaway for loop")
-            else:  # pragma: no cover - defensive
-                raise ElaborationError(f"unknown statement {kind!r}")
-
-    # -- public stepping -------------------------------------------------
     def settle(self) -> None:
         """Propagate the continuous assignments (combinational settle)."""
-        for assign in self.netlist.assigns:
-            width_mask = self._masks.get(assign.target)
-            if width_mask is None:
-                raise ElaborationError(f"assignment to undeclared {assign.target!r}")
-            self.values[assign.target] = self._eval(assign.expr) & width_mask
+        self._step.settle(self.values, self.arrays)
 
     def step(self, inputs: dict[str, int]) -> dict[str, int]:
         """Advance one clock cycle.
 
         Applies ``inputs``, settles the combinational network, samples
         every output port (the values an observer sees *during* this
-        cycle) and then performs the clock edge.  Returns the sampled
-        outputs.
+        cycle) and then performs the clock edge: every process evaluates
+        against pre-edge state and all non-blocking assignments commit
+        together.  Returns the sampled outputs.
         """
+        values, masks = self.values, self._masks
         for name, value in inputs.items():
-            if name not in self.values:
+            mask = masks.get(name)
+            if mask is None:
                 raise ElaborationError(f"unknown input {name!r}")
-            self.values[name] = value & self._masks[name]
-        self.settle()
-        sampled = {name: self.values[name] for name in self.netlist.outputs}
-
-        # clock edge: every process evaluates against pre-edge state, all
-        # non-blocking assignments commit together
-        nba: list[tuple[str, int | None, int]] = []
-        for process in self.netlist.processes:
-            env: dict[str, int] = {}
-            self._run_statements(process.statements, env, nba)
-        for name, index, value in nba:
-            if index is None:
-                self.values[name] = value & self._masks[name]
-            else:
-                data = self.arrays[name]
-                if 0 <= index < len(data):
-                    data[index] = value & self._array_masks[name]
-        return sampled
+            values[name] = value & mask
+        return self._step(values, self.arrays)
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ import re
 
 from repro.ir.errors import IRParseError
 from repro.ir.functions import (
+    AccessPatternKind,
     FunctionKind,
     IRFunction,
     MemoryObject,
@@ -149,6 +150,16 @@ def _symbolic(text: str) -> str:
     return text
 
 
+def _parse_pattern(text: str, lineno: int) -> AccessPatternKind:
+    try:
+        return AccessPatternKind(text)
+    except ValueError:
+        choices = ", ".join(repr(kind.value) for kind in AccessPatternKind)
+        raise IRParseError(
+            f"unknown access pattern {text!r} (expected one of {choices})",
+            lineno) from None
+
+
 def _parse_body_line(line: str, lineno: int):
     """Parse a single statement inside a function body."""
     m = _RE_OFFSET.match(line)
@@ -250,7 +261,7 @@ def parse_module(text: str, name: str = "design") -> Module:
                     name=m.group("name"),
                     memory=m.group("mem"),
                     direction=m.group("dir"),
-                    pattern=m.group("pattern"),
+                    pattern=_parse_pattern(m.group("pattern"), lineno),
                     stride=int(m.group("stride")),
                 )
             )
@@ -263,7 +274,7 @@ def parse_module(text: str, name: str = "design") -> Module:
                     port=m.group("port"),
                     element_type=parse_type(m.group("type")),
                     direction=m.group("dir"),
-                    pattern=m.group("pattern"),
+                    pattern=_parse_pattern(m.group("pattern"), lineno),
                     base_offset=int(m.group("offset")),
                     stream_object=m.group("strobj") or None,
                     addr_space=int(m.group("aspace")),

@@ -69,6 +69,8 @@ _HEADLINES: dict[str, list[tuple[str, str | None]]] = {
     ],
     "flows": [
         ("totals.failing", "== 0"),
+        ("simulator.simulate_speedup", ">= @simulator.min_simulate_speedup"),
+        ("simulator.flow_speedup", ">= @simulator.min_flow_speedup"),
         ("throughput.families_per_second", None),
         ("throughput.items_per_second", None),
     ],

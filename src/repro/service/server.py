@@ -124,14 +124,14 @@ def suite_config_from_spec(spec: dict) -> SuiteConfig:
             f"unknown suite field(s) {unknown}; known: {sorted(known)} "
             f"(plus 'tiny' and 'dense')"
         )
-    for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
-        if name in spec and spec[name] is not None:
-            spec[name] = tuple(spec[name])
-    if spec.get("lanes") is not None:
-        spec["lanes"] = tuple(spec["lanes"])
-    if "grids" in spec:
-        spec["grids"] = {k: tuple(v) for k, v in dict(spec["grids"]).items()}
     try:
+        for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
+            if name in spec and spec[name] is not None:
+                spec[name] = tuple(spec[name])
+        if spec.get("lanes") is not None:
+            spec["lanes"] = tuple(spec["lanes"])
+        if "grids" in spec:
+            spec["grids"] = {k: tuple(v) for k, v in dict(spec["grids"]).items()}
         if tiny:
             config = SuiteConfig.tiny(
                 kernels=spec.pop("kernels", ()),
@@ -144,7 +144,7 @@ def suite_config_from_spec(spec: dict) -> SuiteConfig:
         config.resolved_kernels()          # validate kernel names now
         for device in config.devices:      # and device names
             get_device(device)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
     return config
 

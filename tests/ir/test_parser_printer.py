@@ -146,6 +146,20 @@ define void @main () {
                 "define void @main () {\n  call @f0(%x) sideways\n}"
             )
 
+    @pytest.mark.parametrize("kind", ["streamobj", "addrSpace"])
+    def test_unknown_access_pattern_is_a_parse_error(self, kind):
+        # a printed kernel with one stream or port pattern misspelt
+        from repro.kernels import SORKernel
+
+        lines = print_module(SORKernel().build_module(lanes=1, grid=(8, 8, 8))).splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if kind in line and '!"CONT"' in line)
+        lines[lineno - 1] = lines[lineno - 1].replace('!"CONT"', '!"CON0T"')
+        with pytest.raises(IRParseError, match="CON0T") as info:
+            parse_module("\n".join(lines))
+        assert info.value.line == lineno
+        assert str(info.value).startswith(f"line {lineno}: ")
+
     def test_comments_and_blank_lines_ignored(self):
         text = """
 

@@ -261,6 +261,22 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError, match="no such endpoint"):
             client._json("POST", "/nowhere", {})
 
+    @pytest.mark.parametrize("body", [{"grids": ["A"]}, {"kernels": [[1]]}])
+    def test_ill_typed_suite_fields_are_400(self, server, body):
+        # the field coercion itself fails on these: answered, not dropped
+        import http.client
+        import json
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("POST", "/suite", body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+
     def test_metrics_shape(self, client):
         client.suite(dict(TINY_SPEC))
         metrics = client.metrics()
