@@ -26,9 +26,10 @@ from repro.service.server import DEFAULT_PORT, TRACE_HEADER
 __all__ = ["ServiceClient", "ServiceError", "ServiceResponse"]
 
 #: connect-level retry budget: refused/reset connections (a daemon
-#: restarting, a listen backlog burst) are retried with backoff; anything
-#: the server actually *answered* is not — replaying an answered request
-#: is the coalescer's job, not the transport's
+#: restarting, a listen backlog burst) are retried with backoff; once
+#: connected, a request is sent once — a disconnect after the body went
+#: out may mean the server saw it, and replaying answered work is the
+#: coalescer's job, not the transport's
 DEFAULT_CONNECT_POLICY = RetryPolicy(max_attempts=3, base_delay=0.1,
                                      max_delay=1.0)
 
@@ -77,24 +78,30 @@ class ServiceClient:
             # every streamed event it stamps) joins this client's trace
             headers[TRACE_HEADER] = trace_id
 
-        def _attempt(attempt: int):
+        def _connect(attempt: int) -> http.client.HTTPConnection:
             conn = http.client.HTTPConnection(self.host, self.port,
                                               timeout=self.timeout)
             try:
-                conn.request(method, path, body=payload, headers=headers)
-                return conn, conn.getresponse()
+                conn.connect()
             except ConnectionError:
                 conn.close()
                 raise
+            return conn
 
         try:
-            return self.retry_policy.call(
-                _attempt, key="client.connect", what=f"{method} {path}",
+            conn = self.retry_policy.call(
+                _connect, key="client.connect", what=f"{method} {path}",
                 classify=lambda exc: isinstance(exc, ConnectionError))
         except RetryBudgetExceededError as exc:
             # callers (and the CLI) handle ConnectionError; the exhausted
             # budget re-raises the underlying refusal, not the wrapper
             raise exc.last from exc
+        try:
+            conn.request(method, path, body=payload, headers=headers)
+            return conn, conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
 
     def _json(self, method: str, path: str, body: dict | None = None) -> dict:
         conn, response = self._request(method, path, body)

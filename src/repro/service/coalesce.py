@@ -7,10 +7,11 @@ underlying computation executes and every client streams its results.
 Two layers make that hold regardless of how the requests interleave:
 
 :class:`CoalescedTask`
-    One underlying computation.  The *leader* (the request that arrived
-    first) publishes progress events as points complete and finishes the
-    task with the final report payload; *followers* attach to the task
-    and replay its event stream — events already published arrive
+    One underlying computation.  Its event log holds each event's
+    canonical NDJSON line as bytes, encoded once by the *leader* (the
+    request that arrived first), which publishes lines as points complete
+    and finishes the task with the final report line; *followers* attach
+    to the task and replay its log — lines already published arrive
     immediately, later ones as the leader lands them (a
     ``threading.Condition`` broadcast per publish).
 
@@ -61,7 +62,7 @@ class CoalescedTask:
     def __init__(self, key: str):
         self.key = key
         self._cond = threading.Condition()
-        self._events: list[dict] = []
+        self._events: list[bytes] = []
         self._done = False
         self._error: str | None = None
         #: the leadership is up for grabs (the leader failed transiently)
@@ -70,32 +71,32 @@ class CoalescedTask:
         self._skip = 0
         #: leadership claims consumed so far (the original lease is #1)
         self.claims = 1
-        #: the final report event (set by :meth:`finish`)
-        self.result: dict | None = None
+        #: the final report line (set by :meth:`finish`)
+        self.result: bytes | None = None
         #: clients that attached instead of computing (leader excluded)
         self.followers = 0
 
     # ------------------------------------------------------------------
     # leader side
     # ------------------------------------------------------------------
-    def publish(self, event: dict) -> bool:
-        """Append one progress event and wake every streaming follower.
+    def publish(self, line: bytes) -> bool:
+        """Append one encoded progress event and wake every follower.
 
-        Returns whether the event was actually appended: a promoted
+        Returns whether the line was actually appended: a promoted
         leader recomputes from scratch, and the deterministic prefix it
-        regenerates — events the dead leader already published — is
+        regenerates — lines the dead leader already published — is
         skipped, so no client ever sees a duplicate.
         """
         with self._cond:
             if self._skip > 0:
                 self._skip -= 1
                 return False
-            self._events.append(event)
+            self._events.append(line)
             self._cond.notify_all()
         return True
 
-    def finish(self, result: dict) -> None:
-        """Mark the computation complete with its final payload."""
+    def finish(self, result: bytes) -> None:
+        """Mark the computation complete with its final report line."""
         with self._cond:
             self.result = result
             self._done = True
@@ -159,34 +160,36 @@ class CoalescedTask:
         with self._cond:
             return self._error
 
-    def next_events(self, cursor: int) -> tuple[list[dict], str]:
-        """Block for progress past ``cursor``; return it plus the state.
+    def next_events(self, cursor: int) -> tuple[list[bytes], str]:
+        """Block for lines past ``cursor``; return them plus the state.
 
-        States: ``running`` (events follow, more may come), ``done``
-        (stream complete, ``result`` is set), ``failed`` (stream
-        complete, ``error_message`` is set) and ``leader_lost`` (the
-        leader died transiently — the caller may :meth:`claim_leadership`
-        and recompute, or loop to wait for whoever does).  Pending events
-        always drain before ``leader_lost`` is reported, so a successful
-        claimant's cursor equals the published-event count.
+        States: ``running`` (more lines may come), ``done`` (the batch
+        is the rest of the log and ``result`` is set), ``failed`` (the
+        batch is the rest of the log and ``error_message`` is set) and
+        ``leader_lost`` (the leader died transiently — the caller may
+        :meth:`claim_leadership` and recompute, or loop to wait for
+        whoever does).  A finished task hands back its whole remaining
+        log at once, so a replay takes one call.  Pending lines always
+        drain before ``leader_lost`` is reported, so a successful
+        claimant's cursor equals the published-line count.
         """
         with self._cond:
             while (cursor >= len(self._events) and not self._done
                    and not self._leader_lost):
                 self._cond.wait()
             batch = self._events[cursor:]
+            if self._done:
+                return batch, "failed" if self._error is not None else "done"
             if batch:
                 return batch, "running"
-            if self._done:
-                return [], "failed" if self._error is not None else "done"
             return [], "leader_lost"
 
-    def stream(self) -> Iterator[dict]:
-        """Yield every progress event, blocking until the task finishes.
+    def stream(self) -> Iterator[bytes]:
+        """Yield every progress line, blocking until the task finishes.
 
-        Events published before the follower attached replay immediately;
+        Lines published before the follower attached replay immediately;
         later ones arrive as the leader lands them.  Raises
-        :class:`TaskFailedError` after the last event when the leader
+        :class:`TaskFailedError` after the last line when the leader
         failed.
         """
         cursor = 0
@@ -204,8 +207,8 @@ class CoalescedTask:
                     raise TaskFailedError(error)
                 return
 
-    def wait(self) -> dict:
-        """Block until the task completes; return the final payload."""
+    def wait(self) -> bytes:
+        """Block until the task completes; return the final report line."""
         with self._cond:
             while not self._done:
                 self._cond.wait()
@@ -256,8 +259,8 @@ class RequestCoalescer:
             self._inflight[key] = task
             return task, "leader"
 
-    def complete(self, task: CoalescedTask, result: dict) -> None:
-        """Publish the leader's final payload and cache the task."""
+    def complete(self, task: CoalescedTask, result: bytes) -> None:
+        """Publish the leader's final report line and cache the task."""
         task.finish(result)
         with self._lock:
             self._results.put(task.key, task)

@@ -33,8 +33,10 @@ Identical in-flight requests are coalesced on their content fingerprint
 (the module hash for ``/cost``, the canonical configuration for
 ``/suite``): one underlying sweep runs, every client streams it, and a
 bounded results cache replays recently-completed sweeps so the guarantee
-does not depend on microsecond arrival order.  A semaphore bounds
-concurrent sweeps; waiters are the reported queue depth.
+does not depend on microsecond arrival order.  The leader encodes each
+event once; followers and replays write the stored lines, joined into
+one chunk, without re-encoding.  A semaphore bounds concurrent sweeps;
+waiters are the reported queue depth.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -61,7 +64,12 @@ from repro.explore.engine import (
     canonical_report_dict,
     merge_stats,
 )
-from repro.models import KernelInstance, NDRange, PatternKind
+from repro.models import (
+    KernelInstance,
+    MemoryExecutionForm,
+    NDRange,
+    PatternKind,
+)
 from repro.resilience import (
     COUNTERS,
     Deadline,
@@ -98,6 +106,10 @@ TRACE_HEADER = "X-Tybec-Trace"
 #: endpoints with their own latency-histogram label; anything else is
 #: folded into "other" so hostile paths cannot explode label cardinality
 _KNOWN_ENDPOINTS = ("/healthz", "/metrics", "/suite", "/dse", "/cost")
+
+#: the names the ``forms`` and ``patterns`` suite axes accept
+_FORMS = ("auto", *(form.value for form in MemoryExecutionForm))
+_PATTERNS = tuple(pattern.value for pattern in PatternKind)
 
 _LOG = get_logger("service")
 _ACCESS_LOG = get_logger("service.access")
@@ -144,9 +156,31 @@ def suite_config_from_spec(spec: dict) -> SuiteConfig:
         config.resolved_kernels()          # validate kernel names now
         for device in config.devices:      # and device names
             get_device(device)
+        _check_axis_values(config)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
     return config
+
+
+def _check_axis_values(config: SuiteConfig) -> None:
+    """Refuse axis values that would only fail mid-sweep."""
+    if config.lanes is not None and not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in config.lanes):
+        raise BadRequestError(f"lanes must be integers, got {list(config.lanes)}")
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+               and math.isfinite(c) for c in config.clocks_mhz):
+        raise BadRequestError(
+            f"clocks_mhz must be finite numbers, got {list(config.clocks_mhz)}")
+    for axis, known in (("forms", _FORMS), ("patterns", _PATTERNS)):
+        unknown = [v for v in getattr(config, axis) if v not in known]
+        if unknown:
+            raise BadRequestError(
+                f"unknown {axis} {unknown}; known: {list(known)}")
+
+
+def _encode(event: dict) -> bytes:
+    """One event's canonical NDJSON line: the service's only encode."""
+    return canonical_json_line(event).encode()
 
 
 def _fingerprint(kind: str, payload: dict) -> str:
@@ -368,7 +402,9 @@ class ExplorationService:
         final ``report`` event.  The report payload goes through
         :func:`~repro.suite.runner.build_suite_report`, so it is
         byte-identical to what ``WorkloadSuite.run()`` — and therefore
-        ``tybec suite run`` — produces for the same configuration.
+        ``tybec suite run`` — produces for the same configuration.  It is
+        returned raw: the leader's one encode of the event canonicalizes
+        it.
         """
         config: SuiteConfig = request["config"]
         backend = self._dense if request["dense"] else self._backend
@@ -411,7 +447,7 @@ class ExplorationService:
         return {
             "event": "report",
             "kind": "suite",
-            "payload": report.canonical_dict(),
+            "payload": report.payload,
             "evaluated": sweep.evaluated,
         }
 
@@ -486,7 +522,7 @@ class ExplorationService:
         return {
             "event": "report",
             "kind": "dse",
-            "payload": dse.report.canonical_dict(),
+            "payload": dse.report.payload,
             "evaluated": dse.evaluated,
         }
 
@@ -579,6 +615,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _start_stream(self) -> None:
         self._broken = False
+        #: what replaces a line's closing ``}\n`` to stamp the trace id
+        self._trace_tail = (b',"trace":' + json.dumps(self._trace_id).encode()
+                            + b"}\n") if self._trace_id else None
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -586,23 +625,26 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self.send_header(TRACE_HEADER, self._trace_id)
         self.end_headers()
 
-    def _stream_event(self, event: dict) -> None:
-        """Write one NDJSON line as an HTTP chunk.
+    def _write_lines(self, lines: list[bytes]) -> None:
+        """Write encoded NDJSON lines as one HTTP chunk.
 
         A client hanging up must not kill the computation — followers
         (and the results cache) still need it — so write failures just
         stop this connection's output.  When the request carries a trace
-        id, every event is stamped with it under a top-level ``trace``
+        id, every line is stamped with it under a top-level ``trace``
         key — a sibling of the canonical ``payload``, never inside it,
-        so report bytes stay identical to an untraced run's.
+        so report bytes stay identical to an untraced run's.  Stamping
+        splices ``,"trace":"<id>"`` before the line's closing brace,
+        which is byte-identical to encoding the event with that key
+        because ``trace`` sorts after every event key.
         """
         if self._broken:
             return
-        if self._trace_id:
-            event = {**event, "trace": self._trace_id}
-        data = canonical_json_line(event).encode()
+        if self._trace_tail:
+            lines = [line[:-2] + self._trace_tail for line in lines]
+        size = sum(map(len, lines))
         try:
-            self.wfile.write(f"{len(data):X}\r\n".encode() + data + b"\r\n")
+            self.wfile.write(b"".join([b"%X\r\n" % size, *lines, b"\r\n"]))
             self.wfile.flush()
         except OSError:
             self._broken = True
@@ -683,8 +725,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_json({"error": str(exc)}, 400)
             return
         self._start_stream()
-        self._stream_event({"event": "meta", "fingerprint": task.key,
-                            "role": role})
+        self._write_lines([_encode({"event": "meta", "fingerprint": task.key,
+                                    "role": role})])
         if self.path == "/suite":
             runner = self.service.run_suite
         elif self.path == "/dse":
@@ -703,8 +745,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         for grabs, so followers are never stranded by a dead leader), a
         waiter that sees the leadership lost claims it and recomputes.
         ``task.publish`` deduplicates the deterministic prefix a promoted
-        leader regenerates, so ``cursor`` — events already sent to *this*
+        leader regenerates, so ``cursor`` — lines already sent to *this*
         client — stays aligned with the task's event log throughout.
+        The leader encodes each event once and writes it as its own
+        chunk; everyone else writes the stored lines they catch up on
+        (a replay: the whole log plus the report) as one chunk.
         """
         service = self.service
         cursor = 0
@@ -712,8 +757,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             if role == "leader":
                 def _publish(event: dict) -> None:
                     nonlocal cursor
-                    if task.publish(event):
-                        self._stream_event(event)
+                    line = _encode(event)
+                    if task.publish(line):
+                        self._write_lines([line])
                         cursor += 1
 
                 try:
@@ -724,25 +770,27 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         role = "waiter"   # demoted; may re-claim below
                         continue
                     service.count_request("errors")
-                    self._stream_event({"event": "error", "message": str(exc)})
+                    self._write_lines([_encode({"event": "error",
+                                                "message": str(exc)})])
                     return
-                service.coalescer.complete(task, result)
-                self._stream_event(result)
+                line = _encode(result)
+                service.coalescer.complete(task, line)
+                self._write_lines([line])
                 return
-            # follower (or demoted ex-leader): stream the task's events
+            # follower, replay or demoted ex-leader: write the stored lines
             batch, state = task.next_events(cursor)
             cursor += len(batch)
-            for event in batch:
-                self._stream_event(event)
             if state == "done":
-                self._stream_event(task.result)
+                self._write_lines(batch + [task.result])
                 return
             if state == "failed":
                 service.count_request("errors")
-                self._stream_event({"event": "error",
-                                    "message": task.error_message
-                                    or "service error"})
+                self._write_lines(batch + [_encode({
+                    "event": "error",
+                    "message": task.error_message or "service error"})])
                 return
+            if batch:
+                self._write_lines(batch)
             if state == "leader_lost" and task.claim_leadership():
                 COUNTERS.bump("service.leaders_promoted")
                 # pause before recomputing so a sweep that keeps dying

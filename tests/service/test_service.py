@@ -9,6 +9,8 @@ against a real :class:`ThreadingHTTPServer` on an ephemeral port.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -24,10 +26,16 @@ from repro.service import (
     TaskFailedError,
     suite_config_from_spec,
 )
+from repro.service.server import TRACE_HEADER
 from repro.suite import SuiteConfig, WorkloadSuite
-from repro.suite.report import canonical_json
+from repro.suite.report import canonical_json, canonical_json_line
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
+
+
+def encode(event: dict) -> bytes:
+    """An event as the coalescer's log stores it: its canonical line."""
+    return canonical_json_line(event).encode()
 
 
 @pytest.fixture
@@ -52,6 +60,38 @@ def batch_report_json(spec: dict) -> str:
     return WorkloadSuite(config).run().report.to_json()
 
 
+def raw_post(port: int, path: str, body: dict,
+             headers: dict | None = None) -> tuple[int, list[bytes]]:
+    """POST over a plain socket; return the status and the body's chunks
+    exactly as the server framed them."""
+    payload = json.dumps(body).encode()
+    lines = [f"POST {path} HTTP/1.1", f"Host: 127.0.0.1:{port}",
+             "Connection: close", "Content-Type: application/json",
+             f"Content-Length: {len(payload)}"]
+    lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+    received = []
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+                     + payload)
+        while data := sock.recv(1 << 16):
+            received.append(data)
+    head, _, rest = b"".join(received).partition(b"\r\n\r\n")
+    status = int(head.split()[1])
+    chunks = []
+    while True:
+        size_line, _, rest = rest.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            return status, chunks
+        chunks.append(rest[:size])
+        assert rest[size:size + 2] == b"\r\n"
+        rest = rest[size + 2:]
+
+
+def ndjson_lines(chunks: list[bytes]) -> list[bytes]:
+    return b"".join(chunks).splitlines(keepends=True)
+
+
 # ----------------------------------------------------------------------
 # the coalescer, deterministically
 # ----------------------------------------------------------------------
@@ -60,43 +100,52 @@ def batch_report_json(spec: dict) -> str:
 class TestCoalescedTask:
     def test_follower_replays_and_then_streams_live(self):
         task = CoalescedTask("key")
-        task.publish({"event": "entry", "index": 0})
-        seen: list[dict] = []
+        task.publish(encode({"event": "entry", "index": 0}))
+        seen: list[bytes] = []
         attached = threading.Event()
 
         def follow() -> None:
-            for event in task.stream():
-                seen.append(event)
+            for line in task.stream():
+                seen.append(line)
                 attached.set()
 
         thread = threading.Thread(target=follow)
         thread.start()
         assert attached.wait(5), "follower never saw the replayed event"
-        task.publish({"event": "entry", "index": 1})
-        task.finish({"event": "report"})
+        task.publish(encode({"event": "entry", "index": 1}))
+        task.finish(encode({"event": "report"}))
         thread.join(5)
         assert not thread.is_alive()
-        assert [e["index"] for e in seen] == [0, 1]
-        assert task.wait() == {"event": "report"}
+        assert [json.loads(line)["index"] for line in seen] == [0, 1]
+        assert task.wait() == encode({"event": "report"})
 
     def test_failure_reaches_followers(self):
         task = CoalescedTask("key")
-        task.publish({"event": "entry", "index": 0})
+        task.publish(encode({"event": "entry", "index": 0}))
         task.fail(RuntimeError("sweep exploded"))
-        events = []
+        lines = []
         with pytest.raises(TaskFailedError, match="sweep exploded"):
-            for event in task.stream():
-                events.append(event)
-        assert len(events) == 1
+            for line in task.stream():
+                lines.append(line)
+        assert len(lines) == 1
         with pytest.raises(TaskFailedError):
             task.wait()
 
     def test_replay_after_finish_is_complete(self):
         task = CoalescedTask("key")
         for index in range(3):
-            task.publish({"index": index})
-        task.finish({"event": "report"})
-        assert [e["index"] for e in task.stream()] == [0, 1, 2]
+            task.publish(encode({"index": index}))
+        task.finish(encode({"event": "report"}))
+        assert [json.loads(line)["index"] for line in task.stream()] == [0, 1, 2]
+
+    def test_finished_task_hands_back_its_whole_log_at_once(self):
+        task = CoalescedTask("key")
+        lines = [encode({"index": index}) for index in range(3)]
+        for line in lines:
+            task.publish(line)
+        task.finish(encode({"event": "report"}))
+        assert task.next_events(0) == (lines, "done")
+        assert task.next_events(1) == (lines[1:], "done")
 
 
 class TestRequestCoalescer:
@@ -108,11 +157,11 @@ class TestRequestCoalescer:
         assert role2 == "follower"
         assert same is task
         assert coalescer.in_flight() == 1
-        coalescer.complete(task, {"event": "report"})
+        coalescer.complete(task, encode({"event": "report"}))
         assert coalescer.in_flight() == 0
         cached, role3 = coalescer.lease("fp")
         assert role3 == "replay"
-        assert cached.wait() == {"event": "report"}
+        assert cached.wait() == encode({"event": "report"})
         info = coalescer.info()
         assert info["joined"] == 1
         assert info["replayed"] == 1
@@ -261,12 +310,22 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError, match="no such endpoint"):
             client._json("POST", "/nowhere", {})
 
-    @pytest.mark.parametrize("body", [{"grids": ["A"]}, {"kernels": [[1]]}])
-    def test_ill_typed_suite_fields_are_400(self, server, body):
+    @pytest.mark.parametrize("body", [
         # the field coercion itself fails on these: answered, not dropped
+        {"grids": ["A"]},
+        {"kernels": [[1]]},
+        # these survive coercion; the value checks refuse them before a
+        # task is leased or a sweep starts
+        {"tiny": True, "lanes": [[1]]},
+        {"tiny": True, "lanes": [True]},
+        {"tiny": True, "clocks_mhz": ["x"]},
+        {"tiny": True, "forms": [[1]]},
+        {"tiny": True, "patterns": ["zigzag"]},
+    ])
+    def test_ill_typed_suite_fields_are_400(self, server, body):
         import http.client
-        import json
 
+        before = server.service.metrics()
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
             conn.request("POST", "/suite", body=json.dumps(body),
@@ -276,6 +335,9 @@ class TestServiceHTTP:
             assert "error" in json.loads(response.read())
         finally:
             conn.close()
+        after = server.service.metrics()
+        assert after["sweeps"] == before["sweeps"]
+        assert after["coalesce"]["in_flight"] == 0
 
     def test_metrics_shape(self, client):
         client.suite(dict(TINY_SPEC))
@@ -298,7 +360,7 @@ class TestServiceDirect:
         assert role == "leader"
         events: list[dict] = []
         result = service.run_suite(request, events.append)
-        service.coalescer.complete(task, result)
+        service.coalescer.complete(task, encode(result))
         assert canonical_json(result["payload"]) == batch_report_json(TINY_SPEC)
         assert len(events) == result["evaluated"]
         assert service.sweeps == {"started": 1, "completed": 1}
@@ -310,27 +372,118 @@ class TestServiceDirect:
         task, role, request = service.lease_suite(dict(TINY_SPEC))
         assert role == "leader"
         first_entry = threading.Event()
-        follower_events: list[dict] = []
+        follower_lines: list[bytes] = []
         follower_done = threading.Event()
 
         def follow() -> None:
             first_entry.wait(60)
             joined, follower_role = service.coalescer.lease(task.key)
             assert follower_role in ("follower", "replay")
-            for event in joined.stream():
-                follower_events.append(event)
+            for line in joined.stream():
+                follower_lines.append(line)
             follower_done.set()
 
         thread = threading.Thread(target=follow)
         thread.start()
+        leader_lines: list[bytes] = []
 
         def publish(event: dict) -> None:
-            task.publish(event)
+            leader_lines.append(encode(event))
+            task.publish(leader_lines[-1])
             first_entry.set()
 
         result = service.run_suite(request, publish)
-        service.coalescer.complete(task, result)
+        service.coalescer.complete(task, encode(result))
         assert follower_done.wait(60)
         thread.join(5)
-        assert len(follower_events) == result["evaluated"]
+        assert len(follower_lines) == result["evaluated"]
+        assert follower_lines == leader_lines
         assert service.sweeps["started"] == 1
+
+
+class TestStoredBytes:
+    """Replays and followers write the leader's stored canonical lines;
+    every body is checked byte for byte, over real sockets."""
+
+    #: a trace id that needs JSON escaping (quote, backslash, non-ASCII)
+    TRACE = 'req-"7"\\\xe9'
+
+    def test_replay_writes_the_leaders_bytes_in_one_chunk(self, server):
+        status, leader = raw_post(server.port, "/suite", TINY_SPEC)
+        assert status == 200
+        status, replay = raw_post(server.port, "/suite", TINY_SPEC)
+        assert status == 200
+        assert json.loads(leader[0])["role"] == "leader"
+        assert json.loads(replay[0])["role"] == "replay"
+        assert b"".join(replay[1:]) == b"".join(leader[1:])
+        # the leader streams one chunk per event; the replay writes the
+        # whole stored log plus the report as one chunk after its meta line
+        assert all(chunk.count(b"\n") == 1 for chunk in leader)
+        assert len(replay) == 2
+        report = json.loads(ndjson_lines(replay)[-1])
+        assert canonical_json(report["payload"]) == batch_report_json(TINY_SPEC)
+
+    def test_follower_attached_mid_sweep_gets_the_same_bytes(self, server):
+        service = server.service
+        run_suite = service.run_suite
+        first_entry, release = threading.Event(), threading.Event()
+
+        def gated_run_suite(request, publish):
+            def gated(event):
+                publish(event)
+                first_entry.set()
+                release.wait(60)    # the leader holds after its first entry
+            return run_suite(request, gated)
+
+        service.run_suite = gated_run_suite
+        bodies: dict[str, list[bytes]] = {}
+
+        def post(name: str) -> None:
+            bodies[name] = raw_post(server.port, "/suite", TINY_SPEC)[1]
+
+        leader = threading.Thread(target=post, args=("leader",))
+        leader.start()
+        try:
+            assert first_entry.wait(60)
+            follower = threading.Thread(target=post, args=("follower",))
+            follower.start()
+            while service.coalescer.info()["joined"] == 0:
+                assert follower.is_alive()
+                follower.join(0.005)
+        finally:
+            release.set()
+        leader.join(60)
+        follower.join(60)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert json.loads(bodies["leader"][0])["role"] == "leader"
+        assert json.loads(bodies["follower"][0])["role"] == "follower"
+        assert b"".join(bodies["follower"][1:]) == b"".join(bodies["leader"][1:])
+        assert service.sweeps["started"] == 1
+
+    def _traced_lines(self, port: int, body: dict) -> list[bytes]:
+        status, chunks = raw_post(port, "/suite", body,
+                                  {TRACE_HEADER: self.TRACE})
+        assert status == 200
+        lines = ndjson_lines(chunks)
+        for line in lines:
+            event = json.loads(line)
+            assert event.pop("trace") == self.TRACE
+            # stamping a stored line == encoding the event with the key
+            assert line == encode({**event, "trace": self.TRACE})
+        return lines
+
+    def test_traced_lines_equal_encoding_with_the_trace_key(self, server):
+        leader = self._traced_lines(server.port, TINY_SPEC)
+        replay = self._traced_lines(server.port, TINY_SPEC)
+        # a budget is not fingerprinted: other work, or this would replay
+        failed = self._traced_lines(server.port, dict(
+            TINY_SPEC, max_lanes=1, deadline_seconds=1e-9))
+        assert replay[1:] == leader[1:]
+        kinds = {json.loads(line)["event"] for line in leader + failed}
+        assert kinds == {"meta", "entry", "report", "error"}
+        # the stamp is all that differs from an untraced stream
+        status, untraced = raw_post(server.port, "/suite", TINY_SPEC)
+        assert status == 200
+        unstamped = [encode({k: v for k, v in json.loads(line).items()
+                             if k != "trace"}) for line in replay[1:]]
+        assert unstamped == ndjson_lines(untraced)[1:]

@@ -8,6 +8,8 @@ with faults injected deterministically through :class:`FaultPlan`.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -24,8 +26,14 @@ from repro.service import (
     suite_config_from_spec,
 )
 from repro.suite import WorkloadSuite
+from repro.suite.report import canonical_json_line
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
+
+
+def encode(event: dict) -> bytes:
+    """An event as the coalescer's log stores it: its canonical line."""
+    return canonical_json_line(event).encode()
 
 
 @pytest.fixture
@@ -68,22 +76,23 @@ class TestLeaderPromotion:
 
     def test_publish_dedups_the_republished_prefix(self):
         task = CoalescedTask("fp")
-        assert task.publish({"event": "entry", "index": 0})
-        assert task.publish({"event": "entry", "index": 1})
+        lines = [encode({"event": "entry", "index": i}) for i in range(3)]
+        assert task.publish(lines[0])
+        assert task.publish(lines[1])
         assert task.leader_failed(RuntimeError("died mid-sweep"))
         assert task.claim_leadership()
         # the promoted leader recomputes from scratch; the deterministic
         # prefix it regenerates is skipped, the rest appends
-        assert not task.publish({"event": "entry", "index": 0})
-        assert not task.publish({"event": "entry", "index": 1})
-        assert task.publish({"event": "entry", "index": 2})
+        assert not task.publish(lines[0])
+        assert not task.publish(lines[1])
+        assert task.publish(lines[2])
         batch, state = task.next_events(0)
-        assert [e["index"] for e in batch] == [0, 1, 2]
+        assert batch == lines
         assert state == "running"
 
     def test_next_events_drains_before_reporting_leader_lost(self):
         task = CoalescedTask("fp")
-        task.publish({"event": "entry", "index": 0})
+        task.publish(encode({"event": "entry", "index": 0}))
         task.leader_failed(RuntimeError("boom"))
         batch, state = task.next_events(0)
         assert state == "running" and len(batch) == 1
@@ -239,8 +248,9 @@ class TestGracefulDrain:
         assert not drained, "drain must wait for the in-flight follower"
 
         # the "leader" finishes its sweep; the follower streams and exits
-        result = service.run_suite(request, task.publish)
-        service.coalescer.complete(task, result)
+        result = service.run_suite(
+            request, lambda event: task.publish(encode(event)))
+        service.coalescer.complete(task, encode(result))
         drainer.join(120)
         follower.join(10)
         assert drained == [True]
@@ -282,3 +292,46 @@ class TestClientConnectRetry:
             port=server.port,
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01))
         assert client.health()["ok"] is True
+
+    def test_response_phase_disconnect_is_not_resent(self):
+        """A server that reads the request and hangs up unanswered: the
+        request went out, so the client raises at once, never resends."""
+        COUNTERS.reset()
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        requests: list[bytes] = []
+        stop = threading.Event()
+
+        def read_one_request_and_close() -> None:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with conn:
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(4096)
+                    head, _, body = data.partition(b"\r\n\r\n")
+                    length = int(head.lower().split(b"content-length:")[1]
+                                 .split(b"\r\n")[0])
+                    while len(body) < length:
+                        body += conn.recv(4096)
+                    requests.append(body)
+
+        thread = threading.Thread(target=read_one_request_and_close)
+        thread.start()
+        try:
+            client = ServiceClient(
+                port=listener.getsockname()[1],
+                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01,
+                                         max_delay=0.02))
+            with pytest.raises(ConnectionError):
+                client.suite(dict(TINY_SPEC))
+        finally:
+            stop.set()
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+        assert [json.loads(body) for body in requests] == [TINY_SPEC]
+        assert COUNTERS.get("retries.client.connect") == 0
