@@ -22,7 +22,12 @@ import pytest
 
 from repro.compiler import CompilationOptions, TybecCompiler
 from repro.cost.throughput import LimitingFactor, estimate_throughput
-from repro.explore import exhaustive_search, generate_lane_variants
+from repro.explore import (
+    CostJob,
+    ExplorationEngine,
+    SerialBackend,
+    generate_lane_variants,
+)
 from repro.kernels import SORKernel
 from repro.models import MemoryExecutionForm
 from repro.substrate import FPGADevice
@@ -66,7 +71,8 @@ def variants():
 
 
 def _sweep(compiler, variants):
-    return exhaustive_search(compiler, variants)
+    engine = ExplorationEngine(SerialBackend(pipeline=compiler))
+    return engine.cost_many([CostJob.from_variant(v, compiler.options) for v in variants])
 
 
 def test_fig15_variant_sweep(benchmark, compiler, variants, write_result):
@@ -100,7 +106,7 @@ def test_fig15_variant_sweep(benchmark, compiler, variants, write_result):
         ),
     )
 
-    reports = result.reports
+    reports = {entry.point.lanes: entry.report for entry in result.entries}
 
     # --- resource utilisation grows linearly with lanes -----------------------
     util = {l: reports[l].utilization["alut"] for l in LANE_COUNTS}

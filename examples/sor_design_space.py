@@ -12,13 +12,13 @@ Run with:  python examples/sor_design_space.py [--device small|stratix-v]
 
 import argparse
 
-from repro.compiler import CompilationOptions, TybecCompiler
+from repro.compiler import CompilationOptions
 from repro.explore import (
+    CostJob,
     DesignSpace,
     ExplorationEngine,
     ProcessPoolBackend,
     SerialBackend,
-    exhaustive_search,
     generate_lane_variants,
     roofline_analysis,
 )
@@ -40,11 +40,14 @@ def main() -> None:
     kernel = SORKernel()
     device = get_device(args.device)
     grid = (args.grid, args.grid, args.grid)
-    compiler = TybecCompiler(CompilationOptions(device=device))
+    options = CompilationOptions(device=device)
 
     variants = generate_lane_variants(kernel, grid=grid, iterations=args.iterations,
                                       max_lanes=args.max_lanes)
-    result = exhaustive_search(compiler, variants)
+    result = ExplorationEngine().cost_many(
+        [CostJob.from_variant(variant, options) for variant in variants])
+    reports = {entry.point.lanes: entry.report for entry in result.entries}
+    best = result.best()
 
     print(f"SOR variant sweep on {device.name} (grid {grid}, {args.iterations} iterations)")
     header = (f"{'lanes':>5} {'EWGT/s':>12} {'ALUT%':>7} {'REG%':>7} {'BRAM%':>7} "
@@ -59,12 +62,12 @@ def main() -> None:
     walls = [row["lanes"] for row in result.summary_rows() if not row["feasible"]]
     if walls:
         print(f"\ncomputation wall: the design no longer fits beyond {walls[0] - 1} lane(s)")
-    print(f"best feasible variant: {result.best_lanes} lane(s)")
+    print(f"best feasible variant: {best.point.lanes if best else None} lane(s)")
     print(f"total estimation time for {result.evaluated} variants: "
           f"{result.estimation_seconds:.3f} s")
 
     print("\nroofline view (operations per byte vs attainable GOP/s):")
-    for point in roofline_analysis(result.reports, ops_per_item=kernel.ops_per_item):
+    for point in roofline_analysis(reports, ops_per_item=kernel.ops_per_item):
         print(f"  {point.lanes:>2} lanes: OI={point.operational_intensity:5.2f} op/B  "
               f"attainable={point.attainable_gops:7.3f} GOP/s  "
               f"(compute roof {point.compute_roof_gops:7.3f}, "

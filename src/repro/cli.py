@@ -89,6 +89,7 @@ from repro.compiler import CompilationOptions, TybecCompiler
 from repro.cost import SustainedBandwidthModel, calibrate_device
 from repro.explore import (
     OPTIMIZERS,
+    CostJob,
     DenseBackend,
     DenseUnsupportedError,
     DesignSpace,
@@ -101,11 +102,11 @@ from repro.explore import (
     SurrogatePrunedOptimizer,
     SweepResult,
     clock_range,
-    exhaustive_search,
     generate_lane_variants,
 )
 from repro.kernels import ALL_KERNELS, get_kernel
 from repro.models import KernelInstance, NDRange, PatternKind
+from repro.resilience import COUNTERS
 from repro.substrate import MemorySystemSimulator, SyntheticSynthesizer, get_device
 
 __all__ = ["main", "build_parser"]
@@ -659,8 +660,10 @@ def _cmd_explore_space(args, kernel, grid) -> int:
         try:
             return _render_dense_sweep(args, space, engine.explore_dense(space))
         except DenseUnsupportedError as exc:
+            COUNTERS.bump("fallbacks.dense")
             print(f"dense path unavailable ({exc}); using the per-point path",
                   file=sys.stderr)
+            engine = ExplorationEngine()
     sweep = engine.explore(space)
     frontier = sweep.pareto_frontier() if args.pareto else []
     best = sweep.best()
@@ -829,17 +832,21 @@ def _cmd_explore(args) -> int:
     if multi_axis:
         return _cmd_explore_space(args, kernel, grid)
 
-    compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
+    options = CompilationOptions(device=get_device(args.device))
+    lane_counts = sorted(set(args.lanes)) if args.lanes else None
     variants = generate_lane_variants(kernel, grid=grid, iterations=args.iterations,
-                                      max_lanes=args.max_lanes, lane_counts=args.lanes)
+                                      max_lanes=args.max_lanes, lane_counts=lane_counts)
     if not variants:
         print(f"no valid lane counts for grid {grid} "
               f"(lanes must divide the NDRange size)", file=sys.stderr)
         return 2
-    result = exhaustive_search(compiler, variants, backend=_explore_backend(args))
-    rows = result.summary_rows()
+    sweep = ExplorationEngine(_explore_backend(args)).cost_many(
+        [CostJob.from_variant(variant, options) for variant in variants])
+    rows = sweep.summary_rows()
+    best = sweep.best()
+    best_lanes = best.point.lanes if best is not None else None
     if args.json:
-        print(json.dumps({"rows": rows, "best_lanes": result.best_lanes}, indent=2))
+        print(json.dumps({"rows": rows, "best_lanes": best_lanes}, indent=2))
         return 0
     header = f"{'lanes':>5} {'EWGT/s':>12} {'ALUT%':>7} {'BRAM%':>7} {'DSP%':>6} {'limiting':>16} {'ok':>3}"
     print(f"exploring {args.kernel} on {args.device}, grid {grid}, {args.iterations} iterations")
@@ -851,8 +858,8 @@ def _cmd_explore(args) -> int:
             f"{row['bram_pct']:>7.2f} {row['dsp_pct']:>6.2f} {row['limiting_factor']:>16} "
             f"{'y' if row['feasible'] else 'n':>3}"
         )
-    print(f"best feasible variant: {result.best_lanes} lane(s); "
-          f"estimation took {result.estimation_seconds:.3f} s for {result.evaluated} variants")
+    print(f"best feasible variant: {best_lanes} lane(s); "
+          f"estimation took {sweep.estimation_seconds:.3f} s for {sweep.evaluated} variants")
     return 0
 
 

@@ -9,9 +9,9 @@ preliminary estimate — and the driver records its own wall-clock time so
 the estimator-speed experiment can be reproduced.
 
 The estimation flow itself lives in
-:class:`repro.compiler.pipeline.EstimationPipeline`; the driver is the
-facade that combines it with code generation and the ground-truth
-substrates (synthesis, cycle simulation).
+:class:`repro.compiler.pipeline.EstimationPipeline`; the driver is a
+subclass of it that adds code generation and the ground-truth substrates
+(synthesis, cycle simulation).
 """
 
 from __future__ import annotations
@@ -23,86 +23,27 @@ from repro.compiler.pipeline import (
     CompiledVariant,
     EstimationPipeline,
 )
-from repro.cost.bandwidth import SustainedBandwidthModel
-from repro.cost.calibration import DeviceCostDB
 from repro.cost.report import CostReport
 from repro.cost.resource_model import ModuleStructure
 from repro.ir.functions import Module
 from repro.ir.validator import validate_module
 from repro.models.execution import KernelInstance
-from repro.models.memory_execution import FormSelection, MemoryExecutionForm
+from repro.models.memory_execution import MemoryExecutionForm
 from repro.models.streaming import AccessPattern, PatternKind
-from repro.substrate.memory_sim import MemorySystemSimulator
 from repro.substrate.pipeline_sim import PipelineSimulator, SimulationResult
 from repro.substrate.synthesis import ResourceUsage, SyntheticSynthesizer
-from repro.cost.throughput import EKITParameters
 
 __all__ = ["CompilationOptions", "CompiledVariant", "TybecCompiler"]
 
 
-class TybecCompiler:
-    """Back-end compiler: costing and code generation for TyTra-IR designs."""
+class TybecCompiler(EstimationPipeline):
+    """Back-end compiler: costing and code generation for TyTra-IR designs.
 
-    def __init__(self, options: CompilationOptions | None = None):
-        self.options = options or CompilationOptions()
-        self.pipeline = EstimationPipeline(self.options)
-
-    # ------------------------------------------------------------------
-    # One-time per-device inputs (lazily built and process-wide cached)
-    # ------------------------------------------------------------------
-    @property
-    def memory_simulator(self) -> MemorySystemSimulator:
-        return self.pipeline.memory_simulator
-
-    @property
-    def cost_db(self) -> DeviceCostDB:
-        return self.pipeline.cost_db
-
-    @property
-    def dram_bandwidth(self) -> SustainedBandwidthModel:
-        return self.pipeline.dram_bandwidth
-
-    @property
-    def host_bandwidth(self) -> SustainedBandwidthModel:
-        return self.pipeline.host_bandwidth
-
-    # ------------------------------------------------------------------
-    # Front door: parsing and analysis
-    # ------------------------------------------------------------------
-    def parse(self, text: str, name: str = "design") -> Module:
-        return self.pipeline.parse(text, name)
-
-    def analyze(self, module: Module) -> CompiledVariant:
-        """Run the structural part of the estimation flow."""
-        return self.pipeline.analyze(module)
-
-    # ------------------------------------------------------------------
-    # Parameter extraction and costing
-    # ------------------------------------------------------------------
-    def _select_form(self, footprint_bytes: int) -> FormSelection:
-        return self.pipeline.select_form(footprint_bytes)
-
-    def extract_parameters(
-        self,
-        variant: CompiledVariant,
-        workload: KernelInstance,
-        pattern: AccessPattern | PatternKind = PatternKind.CONTIGUOUS,
-    ) -> tuple[EKITParameters, FormSelection]:
-        """Derive the Table-I parameters for a variant and a workload."""
-        return self.pipeline.extract_parameters(variant, workload, pattern)
-
-    def cost(
-        self,
-        module: Module | str,
-        workload: KernelInstance,
-        pattern: AccessPattern | PatternKind = PatternKind.CONTIGUOUS,
-    ) -> CostReport:
-        """Cost one design variant for one workload (the Figure-2 use-case)."""
-        return self.pipeline.cost(module, workload, pattern)
-
-    def cost_many(self, jobs) -> list[CostReport]:
-        """Cost a batch of (module, workload[, pattern]) jobs in order."""
-        return self.pipeline.cost_many(jobs)
+    Costing (``parse``, ``analyze``, ``extract_parameters``, ``cost``,
+    ``cost_many`` and the calibration properties) is inherited from
+    :class:`EstimationPipeline`; the compiler adds HDL emission and the
+    ground-truth substrates.
+    """
 
     # ------------------------------------------------------------------
     # Code generation
@@ -140,7 +81,7 @@ class TybecCompiler:
         """Cycle-simulate one kernel instance of the compiled design."""
         word_bytes = variant.pipeline_spec.element_bytes
         footprint = workload.global_size * variant.structure.words_per_item * word_bytes
-        form = self._select_form(footprint).form
+        form = self.select_form(footprint).form
         access = (
             pattern
             if isinstance(pattern, AccessPattern)

@@ -23,11 +23,18 @@ of modern EDA runners:
     Module → :class:`~repro.cost.resource_model.ModuleResourceEstimate`
     including the scheduler-implied pipeline-balancing registers, memoized
     on the same content key (and derived per lane for family members).
+    :meth:`ResourceStage.estimate` is the one fold of those registers; the
+    dense engine's per-lane estimates go through it too.
 ``ThroughputStage``
     Variant + workload → Table-I parameters, memory-execution form and the
     EKIT estimate (cheap, computed per workload).
 ``FeasibilityStage``
     Resources + parameters → the Figure-2 validity verdict.
+
+The EKIT time legs and the full-rate bandwidth demand behind the last two
+stages are written once, in :mod:`repro.cost.throughput`
+(``time_legs``, ``bandwidth_demand``); the dense engine evaluates the
+same functions on broadcast arrays, so the two paths cannot drift.
 
 The expensive one-time per-device inputs (synthetic-synthesis
 characterisation, DRAM/host sustained-bandwidth fits) are shared across
@@ -83,7 +90,7 @@ from repro.cost.cache import BoundedCache, default_disk_cache, env_int
 from repro.cost.calibration import DeviceCostDB, calibrate_device
 from repro.cost.report import CostReport, FeasibilityCheck
 from repro.cost.resource_model import ModuleResourceEstimate, ModuleStructure, ResourceEstimator
-from repro.cost.throughput import EKITParameters, estimate_throughput
+from repro.cost.throughput import EKITParameters, bandwidth_demand, estimate_throughput
 from repro.ir import parse_module
 from repro.ir.functions import Module
 from repro.obs.trace import span as trace_span
@@ -111,10 +118,6 @@ __all__ = [
     "clear_calibration_cache",
     "pipeline_cache_info",
 ]
-
-# backward-compatible alias: the bounded LRU now lives with the caches
-_BoundedCache = BoundedCache
-
 
 def _lane_scaling_default() -> bool:
     """Lane scaling is on unless ``TYBEC_LANE_SCALING`` disables it."""
@@ -778,6 +781,25 @@ class ResourceStage:
             register_family(family)
         return usage
 
+    @staticmethod
+    def estimate(
+        estimator: ResourceEstimator,
+        structure: ModuleStructure,
+        leaf_usages: dict,
+        design: str,
+        balancing_register_bits: int,
+    ) -> ModuleResourceEstimate:
+        """``estimate_from_structure`` plus the balancing registers.
+
+        The estimation flow of Figure 11 also accounts for the data/control
+        delay lines the scheduler implies (pipeline balancing registers),
+        replicated once per lane.  The dense path folds its per-lane
+        estimates through here too.
+        """
+        estimate = estimator.estimate_from_structure(structure, leaf_usages, design=design)
+        estimate.total += ResourceUsage(reg=balancing_register_bits * structure.lanes)
+        return estimate
+
     def _compute(
         self,
         variant: CompiledVariant,
@@ -790,9 +812,8 @@ class ResourceStage:
             leaf_usages = {variant.family.pe_name: usage}
         else:
             leaf_usages = estimator.leaf_usages(variant.module, variant.structure)
-        return estimator.estimate_from_structure(
-            variant.structure, leaf_usages, design=variant.name
-        )
+        return self.estimate(estimator, variant.structure, leaf_usages,
+                             variant.name, variant.balancing_register_bits)
 
     def run(
         self,
@@ -822,12 +843,6 @@ class ResourceStage:
         with trace_span("pipeline.resource", design=variant.name):
             estimator = ResourceEstimator(calibration.cost_db)
             estimate = self._compute(variant, estimator, options, calibration)
-        # the estimation flow of Figure 11 also accounts for the data/control
-        # delay lines the scheduler implies (pipeline balancing registers),
-        # replicated once per lane
-        estimate.total += ResourceUsage(
-            reg=variant.balancing_register_bits * variant.structure.lanes
-        )
         self._cache.put(key, estimate)
         if shared_key is not None:
             _RESOURCE_CACHE.put(shared_key, estimate)
@@ -895,22 +910,9 @@ class FeasibilityStage:
         device = options.device
         limiting, util = usage.limiting_resource(device)
 
-        # bandwidth demanded when the pipelines run at full rate
-        words_per_second = params.knl * params.dv * params.fd_hz
-        full_rate = words_per_second * params.nwpt * params.word_bytes / 1e9
-        if form is MemoryExecutionForm.C:
-            # data resident in on-chip local memory: both the DRAM and the
-            # host link only see the one-off staging transfer, which
-            # stretches the fill time (already in the throughput model) but
-            # is never a sustained-rate constraint
-            required_dram = 0.0
-            required_host = 0.0
-        elif form is MemoryExecutionForm.B:
-            required_dram = full_rate
-            required_host = full_rate / params.nki
-        else:
-            required_dram = full_rate
-            required_host = full_rate
+        required_dram, required_host = bandwidth_demand(
+            params, form, params.fd_hz, params.knl
+        )
         return FeasibilityCheck(
             fits_resources=usage.fits(device),
             limiting_resource=limiting,

@@ -58,6 +58,10 @@ __all__ = [
     "ekit_form_b",
     "ekit_form_c",
     "estimate_throughput",
+    "time_legs",
+    "dram_bound",
+    "instance_time",
+    "bandwidth_demand",
 ]
 
 
@@ -266,13 +270,8 @@ class TimeBreakdown:
 
     @property
     def total(self) -> float:
-        return (
-            self.host_transfer
-            + self.offset_fill
-            + self.pipeline_fill
-            + self.streaming_or_compute
-            + self.reconfiguration
-        )
+        return instance_time(self.host_transfer, self.offset_fill, self.pipeline_fill,
+                             self.streaming_or_compute, self.reconfiguration)
 
     @property
     def device_total(self) -> float:
@@ -344,85 +343,120 @@ class EKITEstimate:
 
 
 # ----------------------------------------------------------------------
+# The shared arithmetic
+# ----------------------------------------------------------------------
+#
+# Written with arithmetic operators only, so the same lines cost one
+# design point on Python floats and a whole lanes x clocks plane on
+# broadcast numpy arrays (:func:`repro.cost.vector.evaluate_group`): the
+# dense and scalar paths agree because they run this code, not a copy.
+# ``fd_hz`` and ``knl`` are the clock and lane axes of a sweep, so they
+# are passed apart from ``p``; the dense path reads only the
+# lane/clock-invariant fields of its ``p``.
+
+
+def time_legs(p: EKITParameters, form: MemoryExecutionForm, fd_hz, knl) -> tuple:
+    """The EKIT time legs of one kernel instance, in seconds.
+
+    Returns ``(host_transfer, offset_fill, pipeline_fill, dram_streaming,
+    compute)`` — the positional fields of :class:`TimeBreakdown`.  Form A
+    pays the host transfer on every kernel instance, Forms B and C
+    amortise it over the ``NKI`` repetitions, and Form C has no DRAM
+    streaming leg (data resident on chip).
+    """
+    stream_bytes = p.total_stream_bytes
+    host_scaling = 1.0 if form is MemoryExecutionForm.A else 1.0 / p.nki
+    host_transfer = stream_bytes / (p.sustained_host_gbps * 1e9) * host_scaling
+    offset_fill = (p.noff * p.word_bytes) / (p.sustained_dram_gbps * 1e9)
+    pipeline_fill = p.kpd / fd_hz
+    if form is MemoryExecutionForm.C:
+        dram_streaming = 0.0
+    else:
+        dram_streaming = stream_bytes / (p.sustained_dram_gbps * 1e9)
+    compute = (p.ngs * p.nwpt * p.nto * p.ni) / (fd_hz * knl * p.dv)
+    return host_transfer, offset_fill, pipeline_fill, dram_streaming, compute
+
+
+def dram_bound(form: MemoryExecutionForm, dram_streaming, compute):
+    """Whether the ``max`` term names the DRAM bandwidth as limiting.
+
+    Ties go to the DRAM bandwidth (the ``>=`` rule); Form C is always
+    compute bound.
+    """
+    return form is not MemoryExecutionForm.C and dram_streaming >= compute
+
+
+def instance_time(host_transfer, offset_fill, pipeline_fill, streaming_or_compute,
+                  reconfiguration):
+    """The kernel-instance time: the legs summed left to right."""
+    return (host_transfer + offset_fill + pipeline_fill + streaming_or_compute
+            + reconfiguration)
+
+
+def bandwidth_demand(p: EKITParameters, form: MemoryExecutionForm, fd_hz, knl) -> tuple:
+    """``(required_dram, required_host)`` in GB/s with the pipelines at full rate.
+
+    Under Form C the data sits in on-chip local memory: the DRAM and the
+    host link only see the one-off staging transfer, which stretches the
+    fill time (already in the throughput model) but is never a
+    sustained-rate constraint.
+    """
+    if form is MemoryExecutionForm.C:
+        return 0.0, 0.0
+    words_per_second = knl * p.dv * fd_hz
+    full_rate = words_per_second * p.nwpt * p.word_bytes / 1e9
+    if form is MemoryExecutionForm.B:
+        return full_rate, full_rate / p.nki
+    return full_rate, full_rate
+
+
+# ----------------------------------------------------------------------
 # The three expressions
 # ----------------------------------------------------------------------
 
 
-def _breakdown(p: EKITParameters, host_scaling: float) -> TimeBreakdown:
-    stream_bytes = p.total_stream_bytes
-    host_transfer = stream_bytes / (p.sustained_host_gbps * 1e9) * host_scaling
-    offset_fill = (p.noff * p.word_bytes) / (p.sustained_dram_gbps * 1e9)
-    pipeline_fill = p.kpd / p.fd_hz
-    dram_streaming = stream_bytes / (p.sustained_dram_gbps * 1e9)
-    compute = (p.ngs * p.nwpt * p.nto * p.ni) / (p.fd_hz * p.knl * p.dv)
-    return TimeBreakdown(
-        host_transfer=host_transfer,
-        offset_fill=offset_fill,
-        pipeline_fill=pipeline_fill,
-        dram_streaming=dram_streaming,
-        compute=compute,
-        reconfiguration=p.reconfiguration_s,
-    )
+def _breakdown(p: EKITParameters, form: MemoryExecutionForm) -> TimeBreakdown:
+    return TimeBreakdown(*time_legs(p, form, p.fd_hz, p.knl),
+                         reconfiguration=p.reconfiguration_s)
 
 
-def _limiting_factor(b: TimeBreakdown, compute_bound_only: bool) -> LimitingFactor:
+def _limiting_factor(b: TimeBreakdown, form: MemoryExecutionForm) -> LimitingFactor:
     candidates = {
         LimitingFactor.HOST_BANDWIDTH: b.host_transfer,
         LimitingFactor.OFFSET_FILL: b.offset_fill,
         LimitingFactor.PIPELINE_FILL: b.pipeline_fill,
     }
-    if compute_bound_only:
-        candidates[LimitingFactor.COMPUTE] = b.compute
+    if dram_bound(form, b.dram_streaming, b.compute):
+        candidates[LimitingFactor.DRAM_BANDWIDTH] = b.dram_streaming
     else:
-        if b.dram_streaming >= b.compute:
-            candidates[LimitingFactor.DRAM_BANDWIDTH] = b.dram_streaming
-        else:
-            candidates[LimitingFactor.COMPUTE] = b.compute
+        candidates[LimitingFactor.COMPUTE] = b.compute
     return max(candidates, key=candidates.get)
+
+
+def _estimate(p: EKITParameters, form: MemoryExecutionForm) -> EKITEstimate:
+    breakdown = _breakdown(p, form)
+    return EKITEstimate(
+        form=form,
+        parameters=p,
+        breakdown=breakdown,
+        ekit=1.0 / breakdown.total,
+        limiting_factor=_limiting_factor(breakdown, form),
+    )
 
 
 def ekit_form_a(p: EKITParameters) -> EKITEstimate:
     """Equation 1: host transfer paid on every kernel instance."""
-    breakdown = _breakdown(p, host_scaling=1.0)
-    return EKITEstimate(
-        form=MemoryExecutionForm.A,
-        parameters=p,
-        breakdown=breakdown,
-        ekit=1.0 / breakdown.total,
-        limiting_factor=_limiting_factor(breakdown, compute_bound_only=False),
-    )
+    return _estimate(p, MemoryExecutionForm.A)
 
 
 def ekit_form_b(p: EKITParameters) -> EKITEstimate:
     """Equation 2: host transfer amortised over the ``NKI`` repetitions."""
-    breakdown = _breakdown(p, host_scaling=1.0 / p.nki)
-    return EKITEstimate(
-        form=MemoryExecutionForm.B,
-        parameters=p,
-        breakdown=breakdown,
-        ekit=1.0 / breakdown.total,
-        limiting_factor=_limiting_factor(breakdown, compute_bound_only=False),
-    )
+    return _estimate(p, MemoryExecutionForm.B)
 
 
 def ekit_form_c(p: EKITParameters) -> EKITEstimate:
     """Equation 3: on-chip data; always compute bound (no DRAM max term)."""
-    base = _breakdown(p, host_scaling=1.0 / p.nki)
-    breakdown = TimeBreakdown(
-        host_transfer=base.host_transfer,
-        offset_fill=base.offset_fill,
-        pipeline_fill=base.pipeline_fill,
-        dram_streaming=0.0,
-        compute=base.compute,
-        reconfiguration=base.reconfiguration,
-    )
-    return EKITEstimate(
-        form=MemoryExecutionForm.C,
-        parameters=p,
-        breakdown=breakdown,
-        ekit=1.0 / breakdown.total,
-        limiting_factor=_limiting_factor(breakdown, compute_bound_only=True),
-    )
+    return _estimate(p, MemoryExecutionForm.C)
 
 
 _FORM_DISPATCH = {

@@ -9,13 +9,16 @@ become numpy array axes: resource totals, feasibility masks, time
 breakdowns, limiting factors and EKIT all come out as arrays in one
 broadcast pass.
 
-The contract with the scalar path is absolute: every array expression
-here mirrors the scalar expression tree *operation for operation* (same
-association order, same int->float promotions, ``np.rint`` for the
-banker's rounding of ``round()``), so a dense sweep re-costed pointwise
-produces byte-identical canonical reports after the suite's 9-significant
--digit rounding.  The scalar path stays on as the differential oracle —
-see ``tests/explore/test_dense.py``.
+The contract with the scalar path is absolute: a dense sweep re-costed
+pointwise produces byte-identical canonical reports.  The EKIT time legs,
+the limiting-factor rule and the bandwidth demand are not restated here:
+:func:`evaluate_group` calls the scalar path's own functions in
+:mod:`repro.cost.throughput` with the lane and clock axes as broadcast
+arrays.  Only the resource fold of :func:`lane_axis` still mirrors its
+scalar counterpart (same association order, same int->float promotions,
+``np.rint`` for the banker's rounding of ``round()``), because the scalar
+fold works on per-leaf ``ResourceUsage`` objects.  The scalar path stays
+on as the differential oracle — see ``tests/explore/test_dense.py``.
 
 This module deliberately imports no compiler machinery (the compiler
 package imports :mod:`repro.cost`); family extraction and report
@@ -29,7 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cost.throughput import LimitingFactor
+from repro.cost.throughput import (
+    EKITParameters,
+    LimitingFactor,
+    bandwidth_demand,
+    dram_bound,
+    instance_time,
+    time_legs,
+)
 from repro.models.memory_execution import MemoryExecutionForm
 
 __all__ = [
@@ -185,69 +195,51 @@ def evaluate_group(
 ) -> GroupArrays:
     """Evaluate one EKIT form over the lane x clock plane.
 
-    Mirrors ``_breakdown`` / ``_limiting_factor`` / ``FeasibilityStage.run``
-    expression for expression; scalars are computed in Python floats with
-    the scalar path's association order, arrays only carry the axes.
+    The time legs, the limiting-factor rule, the kernel-instance time and
+    the bandwidth demand are the scalar path's own functions from
+    :mod:`repro.cost.throughput`, called once with the lane axis as an
+    ``(L, 1)`` array and the clock axis as a ``(1, C)`` array.  Only the
+    array-specific steps live here: ``np.maximum`` for the ``max`` term,
+    the first-maximum ``argmax`` over :data:`LIMITING_ORDER` and the
+    resource mask.
     """
-    k = np.asarray(lanes, dtype=np.int64)
-    fd_hz = np.asarray(fd_mhz, dtype=np.float64) * 1e6  # (C,)
+    knl = np.asarray(lanes, dtype=np.int64)[:, None]
+    fd_hz = (np.asarray(fd_mhz, dtype=np.float64) * 1e6)[None, :]
+    # the group's lane/clock-invariant scalars; the record's own knl and
+    # fd_mhz are placeholders that the axes above replace
+    p = EKITParameters.for_pipelined_design(
+        hpb_gbps=hpb_gbps, rho_h=rho_h, gpb_gbps=gpb_gbps, rho_g=rho_g,
+        ngs=ngs, nwpt=fv.nwpt, nki=nki, noff=fv.noff, kpd=fv.kpd, fd_mhz=1.0,
+        ni=fv.ni, dv=fv.dv, word_bytes=fv.word_bytes,
+    )
 
-    # -- lane/clock-invariant scalars (Python float arithmetic) --------
-    sustained_host = hpb_gbps * rho_h
-    sustained_dram = gpb_gbps * rho_g
-    stream_bytes = float(ngs) * fv.nwpt * fv.word_bytes
-    host_scaling = 1.0 if form is MemoryExecutionForm.A else 1.0 / nki
-    host_transfer = stream_bytes / (sustained_host * 1e9) * host_scaling
-    offset_fill = (fv.noff * fv.word_bytes) / (sustained_dram * 1e9)
-    dram_streaming = stream_bytes / (sustained_dram * 1e9)
-    nto = 1.0 / (fv.ni * fv.nwpt)
-    compute_num = ngs * fv.nwpt * nto * fv.ni
-
-    # -- the broadcast axes --------------------------------------------
-    pipeline_fill = fv.kpd / fd_hz  # (C,)
-    compute = compute_num / (fd_hz[None, :] * k[:, None].astype(np.float64) * fv.dv)
-
-    if form is MemoryExecutionForm.C:
-        # Equation 3: dram_streaming is zeroed; the max collapses to compute
-        soc = compute
-        leg4 = compute
-        leg4_code = np.int64(LIMITING_ORDER.index(LimitingFactor.COMPUTE))
-        limiting4 = np.broadcast_to(leg4_code, compute.shape)
-    else:
-        soc = np.maximum(dram_streaming, compute)
-        leg4 = soc
-        limiting4 = np.where(
-            dram_streaming >= compute,
-            np.int64(LIMITING_ORDER.index(LimitingFactor.DRAM_BANDWIDTH)),
-            np.int64(LIMITING_ORDER.index(LimitingFactor.COMPUTE)),
-        )
-
-    # TimeBreakdown.total's left-associated sum (+ 0.0 reconfiguration)
-    total = (host_transfer + offset_fill + pipeline_fill)[None, :] + soc + 0.0
+    host_transfer, offset_fill, pipeline_fill, dram_streaming, compute = \
+        time_legs(p, form, fd_hz, knl)
+    soc = np.maximum(dram_streaming, compute)
+    total = instance_time(host_transfer, offset_fill, pipeline_fill, soc,
+                          p.reconfiguration_s)
     ekit = 1.0 / total
 
     # the scalar candidate dict in insertion order; argmax = first max
     legs = np.empty((4,) + total.shape, dtype=np.float64)
     legs[0] = host_transfer
     legs[1] = offset_fill
-    legs[2] = pipeline_fill[None, :]
-    legs[3] = leg4
+    legs[2] = pipeline_fill
+    legs[3] = soc
     first = np.argmax(legs, axis=0)
+    limiting4 = np.where(
+        dram_bound(form, dram_streaming, compute),
+        np.int64(LIMITING_ORDER.index(LimitingFactor.DRAM_BANDWIDTH)),
+        np.int64(LIMITING_ORDER.index(LimitingFactor.COMPUTE)),
+    )
     limiting = np.where(first == 3, limiting4, first).astype(np.int64)
 
-    # -- FeasibilityStage.run's bandwidth demand -----------------------
-    wps = (k * fv.dv)[:, None].astype(np.float64) * fd_hz[None, :]
-    full_rate = wps * fv.nwpt * fv.word_bytes / 1e9
-    if form is MemoryExecutionForm.C:
-        required_dram = np.zeros_like(full_rate)
-        required_host = required_dram
-    elif form is MemoryExecutionForm.B:
-        required_dram = full_rate
-        required_host = full_rate / nki
-    else:
-        required_dram = full_rate
-        required_host = full_rate
-    fits_bandwidth = (required_dram <= sustained_dram) & (required_host <= sustained_host)
+    required_dram, required_host = bandwidth_demand(p, form, fd_hz, knl)
+    fits_bandwidth = np.broadcast_to(
+        (required_dram <= p.sustained_dram_gbps)
+        & (required_host <= p.sustained_host_gbps),
+        total.shape,
+    )
     feasible = np.asarray(fits_resources, dtype=bool)[:, None] & fits_bandwidth
 
     return GroupArrays(

@@ -14,15 +14,13 @@ multi-axis design spaces evaluated in parallel.
     backends, ``cost_many`` and sweep results with Pareto selection.
 ``optimizer``
     Incremental exploration: the ``Optimizer`` protocol
-    (``next_batch``/``process_outcome``) and the exhaustive, fmax
+    (``next_batch``/``process_outcome``), the exhaustive, fmax
     binary-search, successive-halving and surrogate-pruned optimizers the
-    engine's driver loop runs.
+    engine's driver loop runs, and the guided (wall-following) lane walk.
 ``variants``
-    Generation of lane-count variant families for a kernel.
-``search``
-    Exhaustive, guided (wall-following) and Pareto-frontier searches over
-    variants using the TyBEC compiler's cost reports (thin shims over the
-    optimizer loop).
+    Generation of lane-count variant families for a kernel; a variant
+    list is costed with ``ExplorationEngine.cost_many`` over
+    ``CostJob.from_variant`` jobs.
 ``roofline``
     A roofline-style view of variants (operational intensity vs attainable
     performance), following the paper's pointer to the FPGA roofline
@@ -65,12 +63,6 @@ from repro.explore.optimizer import (
     SurrogatePrunedOptimizer,
     drive_optimizer,
 )
-from repro.explore.search import (
-    ExplorationResult,
-    exhaustive_search,
-    guided_search,
-    pareto_search,
-)
 from repro.explore.roofline import RooflinePoint, roofline_analysis
 from repro.explore.case_study import CaseStudyConfig, CaseStudyPoint, run_sor_case_study
 
@@ -109,10 +101,6 @@ __all__ = [
     "canonical_report_dict",
     "merge_stats",
     "pareto_frontier",
-    "ExplorationResult",
-    "exhaustive_search",
-    "guided_search",
-    "pareto_search",
     "RooflinePoint",
     "roofline_analysis",
     "CaseStudyConfig",

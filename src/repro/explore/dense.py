@@ -163,14 +163,13 @@ class _DeviceContext:
             if cached is None:
                 if self._estimator is None:
                     self._estimator = ResourceEstimator(self.pipeline.cost_db)
-                structure = derive_structure(self.family, lanes)
-                estimate = self._estimator.estimate_from_structure(
-                    structure,
+                cached = self._estimates[lanes] = ResourceStage.estimate(
+                    self._estimator,
+                    derive_structure(self.family, lanes),
                     {self.fv.pe_name: self.pe_usage},
-                    design=f"{self.fv.kernel}_l{lanes}",
+                    f"{self.fv.kernel}_l{lanes}",
+                    self.fv.balancing_bits,
                 )
-                estimate.total += ResourceUsage(reg=self.fv.balancing_bits * lanes)
-                cached = self._estimates[lanes] = estimate
             return cached
 
 

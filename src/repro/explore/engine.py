@@ -658,7 +658,7 @@ class ExplorationEngine:
             try:
                 return dense(space).materialize_all()
             except DenseUnsupportedError:
-                pass
+                COUNTERS.bump("fallbacks.dense")
         from repro.explore.optimizer import ExhaustiveOptimizer
 
         run = self.run_optimizer(ExhaustiveOptimizer(space))

@@ -62,7 +62,7 @@ from repro.explore.space import (
     iter_jobs,
 )
 from repro.models.streaming import PatternKind
-from repro.resilience import Deadline
+from repro.resilience import COUNTERS, Deadline
 
 __all__ = [
     "Optimizer",
@@ -805,6 +805,7 @@ class SurrogatePrunedOptimizer(OptimizerBase):
         try:
             sweep = self._dense_backend.explore_space(self.space)
         except DenseUnsupportedError as exc:
+            COUNTERS.bump("fallbacks.dense")
             self._fallback = str(exc)
             points = self.space.points()
             self._survivors = len(points)

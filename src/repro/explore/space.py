@@ -335,9 +335,10 @@ class CostJob:
     when the design family is cold or not lane-separable.
 
     ``options`` overrides the options the point itself implies — the
-    bridge for callers (e.g. the classic lane-sweep searches) whose
-    compiler carries injected cost databases, custom synthesis noise or a
-    custom latency model that a bare :class:`DesignPoint` cannot express.
+    bridge for callers (e.g. lane-variant sweeps through
+    :meth:`from_variant`) whose compiler carries injected cost databases,
+    custom synthesis noise or a custom latency model that a bare
+    :class:`DesignPoint` cannot express.
     """
 
     point: DesignPoint
@@ -347,6 +348,13 @@ class CostJob:
 
     def resolved_options(self) -> CompilationOptions:
         return self.options if self.options is not None else self.point.compilation_options()
+
+    @staticmethod
+    def from_variant(record, options: CompilationOptions) -> "CostJob":
+        """Cost a lane-only :class:`VariantRecord` with exactly ``options``."""
+        return CostJob(point=DesignPoint.from_variant(record, options),
+                       module=record.module, workload=record.workload,
+                       options=options)
 
 
 def iter_jobs(space: DesignSpace, lazy: bool = True):

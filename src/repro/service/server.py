@@ -324,17 +324,21 @@ class ExplorationService:
         # report bytes, so sharing the computation stays sound)
         deadline_seconds = spec.pop("deadline_seconds", None)
         device = str(spec.get("device", "stratix-v"))
-        grid = tuple(int(d) for d in spec.get("grid", (24, 24, 24)))
-        iterations = int(spec.get("iterations", 1000))
         pattern = str(spec.get("pattern", "contiguous"))
         name = str(spec.get("name", "design"))
+        # every field is checked before a task is leased: a bad body must
+        # get its 400 without leaving an in-flight task behind
         try:
             get_device(device)
             pattern_kind = PatternKind(pattern)
+            grid = tuple(int(d) for d in spec.get("grid", (24, 24, 24)))
+            iterations = int(spec.get("iterations", 1000))
             from repro.compiler import TybecCompiler
 
             module = TybecCompiler(CompilationOptions()).parse(
                 spec["design"], name=name)
+            workload = KernelInstance(kernel=module.name, ndrange=NDRange(grid),
+                                      repetitions=iterations)
         except Exception as exc:
             raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
         key = _fingerprint("cost", {
@@ -348,8 +352,7 @@ class ExplorationService:
         request = {
             "module": module,
             "device": device,
-            "workload": KernelInstance(kernel=module.name, ndrange=NDRange(grid),
-                                       repetitions=iterations),
+            "workload": workload,
             "pattern": pattern_kind,
             "deadline_seconds": deadline_seconds,
         }

@@ -24,6 +24,7 @@ from repro.kernels import REGISTRY, KernelWorkload, get_kernel
 from repro.models.streaming import PatternKind
 from repro.obs.profile import maybe_profile
 from repro.obs.trace import span as trace_span
+from repro.resilience import COUNTERS
 from repro.suite.report import DSE_SCHEMA, SCHEMA, SuiteReport
 from repro.substrate import get_device
 
@@ -278,6 +279,7 @@ class WorkloadSuite:
             try:
                 result = dense(space).materialize_all()
             except DenseUnsupportedError:
+                COUNTERS.bump("fallbacks.dense")
                 result = self.engine.cost_many(build_jobs(space),
                                                deadline=deadline)
             entries.extend(result.entries)

@@ -11,10 +11,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cost.throughput import EKITParameters, estimate_throughput
+from repro.compiler.pipeline import CompilationOptions, FeasibilityStage
+from repro.cost.resource_model import ModuleResourceEstimate
+from repro.cost.throughput import (
+    EKITParameters,
+    LimitingFactor,
+    bandwidth_demand,
+    estimate_throughput,
+)
 from repro.cost.vector import (
     LIMITING_ORDER,
     RESOURCE_ORDER,
@@ -24,6 +31,7 @@ from repro.cost.vector import (
     pareto_mask,
 )
 from repro.models.memory_execution import MemoryExecutionForm
+from repro.substrate.synthesis import ResourceUsage
 
 
 def _params(**overrides) -> EKITParameters:
@@ -118,30 +126,102 @@ class TestLaneAxis:
         assert not bool(axis.fits_resources[1])
 
 
+#: the fixed case the property started from (the ``fv`` fixture's scalars)
+FIXED_CASE = dict(nwpt=4, noff=17, kpd=120, ni=12, dv=1, word_bytes=3, ngs=512,
+                  nki=10, hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8)
+
+table_i = st.fixed_dictionaries({
+    "nwpt": st.integers(1, 8),
+    "noff": st.integers(0, 1 << 14),
+    "kpd": st.integers(0, 2000),
+    "ni": st.integers(1, 64),
+    "dv": st.integers(1, 4),
+    "word_bytes": st.integers(1, 8),
+    "ngs": st.integers(1, 1 << 24),
+    "nki": st.integers(1, 10_000),
+    "hpb_gbps": st.floats(0.25, 64.0),
+    "rho_h": st.floats(0.01, 1.0),
+    "gpb_gbps": st.floats(1.0, 512.0),
+    "rho_g": st.floats(0.01, 1.0),
+})
+
+
+def _family(case: dict) -> FamilyVector:
+    return FamilyVector(
+        kernel="toy", device="toy-device", pe_name="toy_pe",
+        pe_usage=(0.0, 0.0, 0.0, 0.0), buffer_usage=(0.0, 0.0, 0.0, 0.0),
+        balancing_bits=0, in_streams_per_lane=1, out_streams_per_lane=1,
+        element_width=8 * case["word_bytes"], word_bytes=case["word_bytes"],
+        nwpt=case["nwpt"], noff=case["noff"], kpd=case["kpd"],
+        ni=case["ni"], dv=case["dv"],
+    )
+
+
+def _group(case: dict, lanes, clocks, form, fits):
+    return evaluate_group(
+        _family(case), np.array(lanes, dtype=np.int64), np.array(clocks), form=form,
+        ngs=case["ngs"], nki=case["nki"], hpb_gbps=case["hpb_gbps"],
+        rho_h=case["rho_h"], gpb_gbps=case["gpb_gbps"], rho_g=case["rho_g"],
+        fits_resources=np.array(fits, dtype=bool),
+    )
+
+
+def _scalar_params(case: dict, lanes: int, mhz: float) -> EKITParameters:
+    return EKITParameters.for_pipelined_design(
+        hpb_gbps=case["hpb_gbps"], rho_h=case["rho_h"], gpb_gbps=case["gpb_gbps"],
+        rho_g=case["rho_g"], ngs=case["ngs"], nwpt=case["nwpt"], nki=case["nki"],
+        noff=case["noff"], kpd=case["kpd"], fd_mhz=float(mhz), ni=case["ni"],
+        knl=int(lanes), dv=case["dv"], word_bytes=case["word_bytes"],
+    )
+
+
 class TestEvaluateGroup:
-    @pytest.mark.parametrize("form", list(MemoryExecutionForm))
-    def test_mirrors_scalar_breakdown(self, fv, form):
-        lanes = np.array([1, 2, 8], dtype=np.int64)
-        clocks = np.array([150.0, 250.0])
-        fits = np.array([True, True, False])
-        group = evaluate_group(
-            fv, lanes, clocks, form=form, ngs=512, nki=10,
-            hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8,
-            fits_resources=fits,
-        )
-        assert group.ekit.shape == (3, 2)
+    @settings(max_examples=60, deadline=None)
+    @given(case=table_i,
+           lanes=st.lists(st.integers(1, 4096), min_size=1, max_size=4),
+           clocks=st.lists(st.floats(10.0, 800.0), min_size=1, max_size=3),
+           form=st.sampled_from(list(MemoryExecutionForm)))
+    @example(case=FIXED_CASE, lanes=[1, 2, 8], clocks=[150.0, 250.0],
+             form=MemoryExecutionForm.A)
+    @example(case=FIXED_CASE, lanes=[1, 2, 8], clocks=[150.0, 250.0],
+             form=MemoryExecutionForm.B)
+    @example(case=FIXED_CASE, lanes=[1, 2, 8], clocks=[150.0, 250.0],
+             form=MemoryExecutionForm.C)
+    def test_mirrors_scalar_breakdown(self, case, lanes, clocks, form):
+        fits = [True] * (len(lanes) - 1) + [False]
+        group = _group(case, lanes, clocks, form, fits)
+        assert group.ekit.shape == (len(lanes), len(clocks))
+        # the dense bandwidth demand, on the same broadcast axes
+        dense_dram, dense_host = (
+            np.broadcast_to(a, group.ekit.shape) for a in bandwidth_demand(
+                _scalar_params(case, 1, clocks[0]), form,
+                (np.array(clocks) * 1e6)[None, :],
+                np.array(lanes, dtype=np.int64)[:, None]))
+        estimate = ModuleResourceEstimate(design="toy", total=ResourceUsage())
         for li, k in enumerate(lanes):
             for ci, mhz in enumerate(clocks):
-                params = EKITParameters.for_pipelined_design(
-                    hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8,
-                    ngs=512, nwpt=fv.nwpt, nki=10, noff=fv.noff, kpd=fv.kpd,
-                    fd_mhz=float(mhz), ni=fv.ni, knl=int(k), dv=fv.dv,
-                    word_bytes=fv.word_bytes,
-                )
+                params = _scalar_params(case, k, mhz)
                 est = estimate_throughput(params, form)
                 assert group.ekit[li, ci] == est.ekit
                 assert group.total_s[li, ci] == est.breakdown.total
                 assert LIMITING_ORDER[group.limiting[li, ci]] is est.limiting_factor
+                check = FeasibilityStage().run(estimate, params, form, CompilationOptions())
+                assert dense_dram[li, ci] == check.required_dram_gbps
+                assert dense_host[li, ci] == check.required_host_gbps
+                assert bool(group.fits_bandwidth[li, ci]) == check.fits_bandwidth
+                assert bool(group.feasible[li, ci]) == (fits[li] and check.fits_bandwidth)
+
+    @pytest.mark.parametrize("form", [MemoryExecutionForm.A, MemoryExecutionForm.B])
+    def test_streaming_compute_tie_names_dram_bandwidth(self, form):
+        # 1 GHz x 4 lanes consumes 4 G words/s; 32 GB/s x 0.5 of 4-byte
+        # words streams exactly as many, so dram_streaming == compute
+        case = dict(nwpt=1, noff=0, kpd=0, ni=1, dv=1, word_bytes=4, ngs=1 << 20,
+                    nki=10_000, hpb_gbps=64.0, rho_h=1.0, gpb_gbps=32.0, rho_g=0.5)
+        est = estimate_throughput(_scalar_params(case, 4, 1000.0), form)
+        assert est.breakdown.dram_streaming == est.breakdown.compute
+        assert est.limiting_factor is LimitingFactor.DRAM_BANDWIDTH
+        group = _group(case, [4], [1000.0], form, [True])
+        assert LIMITING_ORDER[group.limiting[0, 0]] is LimitingFactor.DRAM_BANDWIDTH
 
     def test_feasibility_combines_resources_and_bandwidth(self, fv):
         lanes = np.array([1, 64], dtype=np.int64)

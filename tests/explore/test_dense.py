@@ -23,6 +23,7 @@ from repro.explore import DenseBackend, ExplorationEngine
 from repro.explore.space import DesignSpace, linspace_clocks
 from repro.kernels import REGISTRY, get_kernel
 from repro.models.streaming import PatternKind
+from repro.resilience import COUNTERS
 from repro.substrate import get_device
 from repro.suite import SuiteConfig, WorkloadSuite, tiny_grid
 
@@ -226,7 +227,9 @@ def test_non_separable_design_falls_back_to_scalar(monkeypatch):
 
     monkeypatch.setattr(dense_mod, "extract_family_vector", refuse)
     space = _space("sor", clocks_mhz=(200.0,))
+    before = COUNTERS.get("fallbacks.dense")
     result = ExplorationEngine(DenseBackend()).explore(space)
+    assert COUNTERS.get("fallbacks.dense") == before + 1
     scalar = ExplorationEngine().explore(space)
     assert result.canonical_dicts() == scalar.canonical_dicts()
 

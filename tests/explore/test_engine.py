@@ -169,39 +169,38 @@ class TestParallelBackend:
 
 
 class TestOptionsFidelity:
-    def test_exhaustive_search_honours_compiler_options(self):
-        """Regression: the shim must cost with the compiler's own options
-        (synthesis noise, injected models), not point-derived defaults."""
+    def test_variant_jobs_honour_compiler_options(self):
+        """Regression: lane-variant jobs must cost with the compiler's own
+        options (synthesis noise, injected models), not point-derived
+        defaults."""
         from repro.compiler import CompilationOptions, TybecCompiler
-        from repro.explore import canonical_report_dict, exhaustive_search, generate_lane_variants
+        from repro.explore import CostJob, canonical_report_dict, generate_lane_variants
 
         compiler = TybecCompiler(
             CompilationOptions(device=SMALL_EDU_DEVICE, synthesis_noise=0.4)
         )
         variants = generate_lane_variants(SORKernel(), grid=GRID, iterations=10, max_lanes=2)
-        result = exhaustive_search(compiler, variants)
-        for variant in variants:
+        result = ExplorationEngine().cost_many(
+            [CostJob.from_variant(v, compiler.options) for v in variants])
+        for variant, entry in zip(variants, result.entries):
             direct = compiler.cost(variant.module, variant.workload)
-            assert canonical_report_dict(result.reports[variant.lanes]) == (
+            assert entry.point.lanes == variant.lanes
+            assert canonical_report_dict(entry.report) == (
                 canonical_report_dict(direct)
             )
 
     def test_explicit_options_survive_the_pool_boundary(self):
         from repro.compiler import CompilationOptions, TybecCompiler
-        from repro.explore import canonical_report_dict, exhaustive_search, generate_lane_variants
+        from repro.explore import CostJob, canonical_report_dict, generate_lane_variants
 
         compiler = TybecCompiler(
             CompilationOptions(device=SMALL_EDU_DEVICE, synthesis_noise=0.4)
         )
         variants = generate_lane_variants(SORKernel(), grid=GRID, iterations=10, max_lanes=2)
-        serial = exhaustive_search(compiler, variants)
-        pooled = exhaustive_search(
-            compiler, variants, backend=ProcessPoolBackend(max_workers=2)
-        )
-        for lanes in serial.reports:
-            assert canonical_report_dict(pooled.reports[lanes]) == (
-                canonical_report_dict(serial.reports[lanes])
-            )
+        jobs = [CostJob.from_variant(v, compiler.options) for v in variants]
+        serial = ExplorationEngine(SerialBackend(pipeline=compiler)).cost_many(jobs)
+        pooled = ExplorationEngine(ProcessPoolBackend(max_workers=2)).cost_many(jobs)
+        assert serial.canonical_dicts() == pooled.canonical_dicts()
 
 
 class TestParetoFrontier:

@@ -5,9 +5,14 @@ import pytest
 from repro.compiler import CompilationOptions, TybecCompiler
 from repro.explore import (
     CaseStudyConfig,
-    exhaustive_search,
+    CostJob,
+    ExplorationEngine,
+    GuidedLaneOptimizer,
+    SerialBackend,
+    SweepEntry,
+    SweepResult,
+    drive_optimizer,
     generate_lane_variants,
-    guided_search,
     roofline_analysis,
     run_sor_case_study,
     sweep_lane_counts,
@@ -17,6 +22,26 @@ from repro.substrate import MAIA_STRATIX_V_GSD8, SMALL_EDU_DEVICE
 
 
 GRID = (8, 8, 8)
+
+
+def exhaustive(compiler, variants) -> SweepResult:
+    """Cost every variant through the compiler's own pipeline."""
+    engine = ExplorationEngine(SerialBackend(pipeline=compiler))
+    return engine.cost_many([CostJob.from_variant(v, compiler.options) for v in variants])
+
+
+def guided(compiler, variants) -> SweepResult:
+    """The guided lane walk, costed directly by ``compiler``."""
+    optimizer = GuidedLaneOptimizer(variants, options=compiler.options)
+    entries, _ = drive_optimizer(optimizer, lambda points: [
+        SweepEntry(p, compiler.cost(optimizer.variant_for(p).module,
+                                    optimizer.variant_for(p).workload))
+        for p in points])
+    return SweepResult(entries=entries)
+
+
+def by_lanes(result: SweepResult) -> dict:
+    return {e.point.lanes: e.report for e in result.entries}
 
 
 @pytest.fixture(scope="module")
@@ -47,20 +72,22 @@ class TestVariantGeneration:
 
 
 class TestSearch:
-    def test_exhaustive_search_finds_best(self, compiler, variants):
-        result = exhaustive_search(compiler, variants)
+    def test_exhaustive_sweep_finds_best(self, compiler, variants):
+        result = exhaustive(compiler, variants)
+        reports = by_lanes(result)
         assert result.evaluated == len(variants)
-        assert result.best_lanes in {v.lanes for v in variants}
-        assert result.best_report is not None
-        assert result.best_report.feasible
+        best = result.best()
+        assert best is not None
+        assert best.point.lanes in {v.lanes for v in variants}
+        assert best.report.feasible
         # on a large device with generous bandwidth, widening never hurts:
         # the best variant is at least as fast as the single-lane baseline
-        assert result.reports[result.best_lanes].ekit >= result.reports[1].ekit
-        assert result.best_lanes >= 1
+        assert best.report.ekit >= reports[1].ekit
+        assert best.point.lanes >= 1
         assert result.estimation_seconds < 5.0
 
     def test_summary_rows(self, compiler, variants):
-        result = exhaustive_search(compiler, variants)
+        result = exhaustive(compiler, variants)
         rows = result.summary_rows()
         assert len(rows) == len(variants)
         assert rows[0]["lanes"] == 1
@@ -68,29 +95,30 @@ class TestSearch:
         # resource utilisation grows with lanes
         assert rows[-1]["alut_pct"] > rows[0]["alut_pct"]
 
-    def test_exhaustive_requires_variants(self, compiler):
-        with pytest.raises(ValueError):
-            exhaustive_search(compiler, [])
+    def test_exhaustive_sweep_of_no_variants_is_empty(self, compiler):
+        result = exhaustive(compiler, [])
+        assert result.evaluated == 0
+        assert result.best() is None
 
-    def test_guided_search_stops_at_computation_wall(self, variants):
+    def test_guided_walk_stops_at_computation_wall(self, variants):
         tiny = TybecCompiler(CompilationOptions(device=SMALL_EDU_DEVICE))
-        result = guided_search(tiny, variants)
+        reports = by_lanes(guided(tiny, variants))
         # the small device cannot fit many lanes, so the search stops early
-        assert result.evaluated <= len(variants)
-        infeasible = [l for l, r in result.reports.items() if not r.feasibility.fits_resources]
+        assert len(reports) <= len(variants)
+        infeasible = [l for l, r in reports.items() if not r.feasibility.fits_resources]
         if infeasible:
-            assert max(result.reports) == min(infeasible)
+            assert max(reports) == min(infeasible)
 
-    def test_guided_search_matches_exhaustive_best_on_big_device(self, compiler, variants):
-        guided = guided_search(compiler, variants)
-        exhaustive = exhaustive_search(compiler, variants)
-        assert guided.best_lanes == exhaustive.best_lanes
+    def test_guided_walk_matches_exhaustive_best_on_big_device(self, compiler, variants):
+        walked = guided(compiler, variants).best()
+        swept = exhaustive(compiler, variants).best()
+        assert walked.point.lanes == swept.point.lanes
 
 
 class TestRoofline:
     def test_roofline_points(self, compiler, variants):
-        result = exhaustive_search(compiler, variants)
-        points = roofline_analysis(result.reports, ops_per_item=SORKernel.ops_per_item)
+        points = roofline_analysis(by_lanes(exhaustive(compiler, variants)),
+                                   ops_per_item=SORKernel.ops_per_item)
         assert len(points) == len(variants)
         for point in points:
             assert point.operational_intensity > 0

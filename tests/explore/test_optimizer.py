@@ -332,16 +332,16 @@ class TestDriverLoop:
             on_round=lambda r, entries: rounds.append((r.index, len(entries))))
         assert rounds == [(i, 1) for i in range(run.evaluated)]
 
-    def test_guided_optimizer_matches_guided_search(self):
+    def test_guided_optimizer_through_engine_matches_direct_drive(self):
         from repro.compiler import CompilationOptions, TybecCompiler
-        from repro.explore import generate_lane_variants
-        from repro.explore.search import guided_search
+        from repro.explore import canonical_report_dict, generate_lane_variants
         from repro.kernels import get_kernel
 
         compiler = TybecCompiler(CompilationOptions())
         variants = generate_lane_variants(get_kernel("sor"), grid=GRID,
                                           iterations=10, max_lanes=4)
-        result = guided_search(compiler, variants)
+        run = ExplorationEngine(SerialBackend(pipeline=compiler)).run_optimizer(
+            GuidedLaneOptimizer(variants, options=compiler.options))
 
         optimizer = GuidedLaneOptimizer(variants,
                                         options=compiler.options)
@@ -349,6 +349,8 @@ class TestDriverLoop:
             SweepEntry(p, compiler.cost(
                 optimizer.variant_for(p).module,
                 optimizer.variant_for(p).workload)) for p in points])
-        assert {e.point.lanes for e in optimizer.entries} == \
-            set(result.reports)
+        assert [e.point.lanes for e in optimizer.entries] == \
+            [e.point.lanes for e in run.entries]
+        assert [canonical_report_dict(e.report) for e in optimizer.entries] == \
+            [canonical_report_dict(e.report) for e in run.entries]
         assert optimizer.result()["optimizer"] == "guided"

@@ -1,10 +1,11 @@
-"""Edge-case tests for the guided search's wall detection.
+"""Edge-case tests for the guided lane walk's wall detection.
 
-The guided search stops expanding the lane axis on two conditions: the
-variant no longer fits the device (computation wall) or throughput stops
-improving while the design is bandwidth bound (communication wall).  These
-tests drive the decision logic with crafted cost reports so each boundary
-is exercised exactly.
+The :class:`~repro.explore.optimizer.GuidedLaneOptimizer` stops expanding
+the lane axis on two conditions: the variant no longer fits the device
+(computation wall) or throughput stops improving while the design is
+bandwidth bound (communication wall).  These tests drive the decision
+logic with crafted cost reports through ``drive_optimizer`` so each
+boundary is exercised exactly.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,14 @@ from dataclasses import dataclass
 import pytest
 
 from repro.cost.throughput import LimitingFactor
-from repro.explore import VariantRecord, guided_search
-from repro.explore.search import _select_best
+from repro.explore import (
+    DesignPoint,
+    GuidedLaneOptimizer,
+    SweepEntry,
+    SweepResult,
+    VariantRecord,
+    drive_optimizer,
+)
 
 
 @dataclass
@@ -61,6 +68,25 @@ def make_variants(lanes: list[int]) -> list[VariantRecord]:
     ]
 
 
+def guided_walk(compiler: FakeCompiler, variants, **kwargs) -> SweepResult:
+    """Drive a guided lane walk through ``compiler``; the costed entries."""
+    optimizer = GuidedLaneOptimizer(variants, **kwargs)
+
+    def evaluate(points):
+        return [
+            SweepEntry(p, compiler.cost(optimizer.variant_for(p).module, None))
+            for p in points
+        ]
+
+    entries, _ = drive_optimizer(optimizer, evaluate)
+    return SweepResult(entries=entries)
+
+
+def best_lanes(result: SweepResult) -> int | None:
+    best = result.best()
+    return best.point.lanes if best is not None else None
+
+
 class TestComputationWall:
     def test_stops_at_first_infeasible_variant(self):
         compiler = FakeCompiler({
@@ -69,12 +95,12 @@ class TestComputationWall:
             4: FakeReport(ekit=3.0, fits_resources=False),
             8: FakeReport(ekit=4.0),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4, 8]))
+        result = guided_walk(compiler, make_variants([1, 2, 4, 8]))
         # the infeasible variant is evaluated (that is how the wall is
         # found) but nothing beyond it
         assert compiler.costed == [1, 2, 4]
         assert result.evaluated == 3
-        assert result.best_lanes == 2
+        assert best_lanes(result) == 2
 
     def test_computation_wall_wins_even_when_still_scaling(self):
         compiler = FakeCompiler({
@@ -82,13 +108,13 @@ class TestComputationWall:
             2: FakeReport(ekit=10.0, fits_resources=False),
             4: FakeReport(ekit=100.0),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]))
+        result = guided_walk(compiler, make_variants([1, 2, 4]))
         assert compiler.costed == [1, 2]
-        assert result.best_lanes == 1
+        assert best_lanes(result) == 1
 
     def test_variants_walked_in_lane_order(self):
         compiler = FakeCompiler({l: FakeReport(ekit=float(l)) for l in (1, 2, 4)})
-        guided_search(compiler, make_variants([4, 1, 2]))
+        guided_walk(compiler, make_variants([4, 1, 2]))
         assert compiler.costed == [1, 2, 4]
 
 
@@ -99,10 +125,10 @@ class TestCommunicationWall:
             2: FakeReport(ekit=103.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
             4: FakeReport(ekit=104.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]), min_gain=1.05)
+        result = guided_walk(compiler, make_variants([1, 2, 4]), min_gain=1.05)
         # 103 < 100 * 1.05 while host-bandwidth bound: the wall
         assert compiler.costed == [1, 2]
-        assert result.best_lanes == 2
+        assert best_lanes(result) == 2
 
     def test_dram_wall_detected_like_host_wall(self):
         compiler = FakeCompiler({
@@ -110,7 +136,7 @@ class TestCommunicationWall:
             2: FakeReport(ekit=101.0, limiting_factor=LimitingFactor.DRAM_BANDWIDTH),
             4: FakeReport(ekit=102.0),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]), min_gain=1.05)
+        result = guided_walk(compiler, make_variants([1, 2, 4]), min_gain=1.05)
         assert compiler.costed == [1, 2]
         assert result.evaluated == 2
 
@@ -122,9 +148,9 @@ class TestCommunicationWall:
             2: FakeReport(ekit=101.0, limiting_factor=LimitingFactor.COMPUTE),
             4: FakeReport(ekit=200.0),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]), min_gain=1.05)
+        result = guided_walk(compiler, make_variants([1, 2, 4]), min_gain=1.05)
         assert compiler.costed == [1, 2, 4]
-        assert result.best_lanes == 4
+        assert best_lanes(result) == 4
 
 
 class TestMinGainBoundary:
@@ -135,7 +161,7 @@ class TestMinGainBoundary:
             2: FakeReport(ekit=105.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
             4: FakeReport(ekit=110.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]), min_gain=1.05)
+        result = guided_walk(compiler, make_variants([1, 2, 4]), min_gain=1.05)
         # 105 == 100 * 1.05 -> not a wall; 110 < 105 * 1.05 -> wall
         assert compiler.costed == [1, 2, 4]
         assert result.evaluated == 3
@@ -146,34 +172,40 @@ class TestMinGainBoundary:
             2: FakeReport(ekit=100.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
             4: FakeReport(ekit=99.0, limiting_factor=LimitingFactor.HOST_BANDWIDTH),
         })
-        result = guided_search(compiler, make_variants([1, 2, 4]), min_gain=1.0)
+        result = guided_walk(compiler, make_variants([1, 2, 4]), min_gain=1.0)
         # equal throughput is not below min_gain=1.0; the regression at 4 is
         assert compiler.costed == [1, 2, 4]
         assert result.evaluated == 3
 
     def test_requires_nonempty_variants(self):
         with pytest.raises(ValueError):
-            guided_search(FakeCompiler({}), [])
+            guided_walk(FakeCompiler({}), [])
 
 
 class TestBestSelection:
-    def test_best_ignores_infeasible(self):
-        from repro.explore.search import ExplorationResult
+    @staticmethod
+    def _sweep(reports: dict[int, FakeReport]) -> SweepResult:
+        return SweepResult(entries=[
+            SweepEntry(DesignPoint(kernel="fake", lanes=l, grid=(), iterations=0), r)
+            for l, r in reports.items()
+        ])
 
-        result = ExplorationResult(kernel="fake")
-        result.reports = {
+    def test_best_ignores_infeasible(self):
+        result = self._sweep({
             1: FakeReport(ekit=1.0),
             2: FakeReport(ekit=50.0, fits_resources=False),
             4: FakeReport(ekit=10.0),
-        }
-        _select_best(result)
-        assert result.best_lanes == 4
+        })
+        assert best_lanes(result) == 4
 
     def test_no_feasible_variant_leaves_best_none(self):
-        from repro.explore.search import ExplorationResult
+        result = self._sweep({1: FakeReport(ekit=1.0, fits_resources=False)})
+        assert best_lanes(result) is None
+        assert result.best() is None
 
-        result = ExplorationResult(kernel="fake")
-        result.reports = {1: FakeReport(ekit=1.0, fits_resources=False)}
-        _select_best(result)
-        assert result.best_lanes is None
-        assert result.best_report is None
+    def test_ties_keep_the_first_in_sweep_order(self):
+        result = self._sweep({
+            1: FakeReport(ekit=5.0),
+            2: FakeReport(ekit=5.0),
+        })
+        assert best_lanes(result) == 1

@@ -339,6 +339,33 @@ class TestServiceHTTP:
         assert after["sweeps"] == before["sweeps"]
         assert after["coalesce"]["in_flight"] == 0
 
+    @pytest.mark.parametrize("fields", [
+        {"iterations": "x"},
+        {"iterations": 0},
+        {"iterations": None},
+        {"grid": [-1, 0, 8]},
+        {"grid": "A"},
+        {"grid": 5},
+    ])
+    def test_ill_typed_cost_fields_are_400(self, server, fields):
+        import http.client
+
+        from repro.ir import print_module
+        from tests.conftest import build_stencil_module
+
+        body = {"design": print_module(build_stencil_module(lanes=1, grid=(8, 8, 8))),
+                **fields}
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("POST", "/cost", body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+        assert server.service.metrics()["coalesce"]["in_flight"] == 0
+
     def test_metrics_shape(self, client):
         client.suite(dict(TINY_SPEC))
         metrics = client.metrics()
