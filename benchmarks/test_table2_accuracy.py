@@ -108,7 +108,10 @@ def test_table2_full_table(benchmark, maia_compiler, write_result):
         format_table(
             ["kernel", "quantity", "estimated", "actual", "error"],
             rows,
-            title="Table II: estimated vs actual utilisation and cycles-per-kernel-instance",
+            title="Table II: estimated vs actual utilisation and cycles-per-kernel-instance "
+                  "(\"actual\" = this repo's substrate/synthesis.py and pipeline "
+                  "simulator, so this is a consistency check, not an external "
+                  "validation)",
         ),
     )
     # the paper's worst error is 13%; allow a little slack for the simulated tools

@@ -84,32 +84,51 @@ import json
 import os
 import sys
 from pathlib import Path
-
-from repro.compiler import CompilationOptions, TybecCompiler
-from repro.cost import SustainedBandwidthModel, calibrate_device
-from repro.explore import (
-    OPTIMIZERS,
-    CostJob,
-    DenseBackend,
-    DenseUnsupportedError,
-    DesignSpace,
-    ExhaustiveOptimizer,
-    ExplorationEngine,
-    FmaxBinarySearchOptimizer,
-    ProcessPoolBackend,
-    SerialBackend,
-    SuccessiveHalvingOptimizer,
-    SurrogatePrunedOptimizer,
-    SweepResult,
-    clock_range,
-    generate_lane_variants,
-)
-from repro.kernels import ALL_KERNELS, get_kernel
-from repro.models import KernelInstance, NDRange, PatternKind
-from repro.resilience import COUNTERS
-from repro.substrate import MemorySystemSimulator, SyntheticSynthesizer, get_device
+from collections.abc import Callable, Iterator
 
 __all__ = ["main", "build_parser"]
+
+
+class _Registered:
+    """Argparse ``choices`` read from a registry when a value is checked.
+
+    Building the parser then imports no kernel, optimizer or model
+    module; only a sub-command that takes such an argument pays for it.
+    Pass a ``metavar`` too, or argparse lists the choices while it builds
+    the parser.
+    """
+
+    def __init__(self, names: Callable[[], list[str]]):
+        self._names = names
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+
+def _kernel_names() -> list[str]:
+    from repro.kernels import REGISTRY
+
+    return REGISTRY.names()
+
+
+def _optimizer_names() -> list[str]:
+    from repro.explore.optimizer import OPTIMIZERS
+
+    return list(OPTIMIZERS)
+
+
+def _pattern_names() -> list[str]:
+    from repro.models.streaming import PatternKind
+
+    return [p.value for p in PatternKind]
+
+
+_KERNEL_CHOICES = _Registered(_kernel_names)
+_OPTIMIZER_CHOICES = _Registered(_optimizer_names)
+_PATTERN_CHOICES = _Registered(_pattern_names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--no-wrapper", action="store_true")
 
     explore = sub.add_parser("explore", help="explore design variants of a kernel")
-    explore.add_argument("--kernel", choices=sorted(ALL_KERNELS), default="sor")
+    explore.add_argument("--kernel", choices=_KERNEL_CHOICES, default="sor",
+                         metavar="KERNEL",
+                         help="registered kernel: %(choices)s "
+                              "(default: %(default)s)")
     explore.add_argument("--device", default="stratix-v")
     explore.add_argument("--grid", type=int, nargs="+", default=None)
     explore.add_argument("--iterations", type=int, default=1000)
@@ -157,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["auto", "A", "B", "C"],
                          help="memory-execution form axis")
     explore.add_argument("--patterns", nargs="+", default=None,
-                         choices=[p.value for p in PatternKind],
-                         help="access-pattern axis")
+                         choices=_PATTERN_CHOICES, metavar="PATTERN",
+                         help="access-pattern axis: %(choices)s")
     explore.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                          help="cost variants on N worker processes")
     explore.add_argument("--dense", action="store_true",
@@ -177,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rows to show for dense sweeps (default: 12)")
     explore.add_argument("--pareto", action="store_true",
                          help="report the throughput/utilisation Pareto frontier")
-    explore.add_argument("--optimizer", choices=list(OPTIMIZERS), default=None,
+    explore.add_argument("--optimizer", choices=_OPTIMIZER_CHOICES, default=None,
+                         metavar="OPTIMIZER",
                          help="drive the sweep through an incremental "
                               "optimizer loop: exhaustive (every point), "
                               "fmax (binary-search the highest feasible "
@@ -205,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = sub.add_parser("stream-bench", help="run the sustained-bandwidth benchmark")
     stream.add_argument("--device", default="virtex-7")
-    stream.add_argument("--sides", type=int, nargs="+",
-                        default=list(MemorySystemSimulator.DEFAULT_SIDES))
+    stream.add_argument("--sides", type=int, nargs="+", default=None,
+                        help="array sides to measure (default: the "
+                             "simulator's STREAM suite sides)")
 
     flow = sub.add_parser(
         "flow",
@@ -245,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     flow_sim = flow_sub.add_parser(
         "sim", help="verify a registered kernel's generated RTL")
-    flow_sim.add_argument("--kernel", choices=sorted(ALL_KERNELS), default="sor")
+    flow_sim.add_argument("--kernel", choices=_KERNEL_CHOICES, default="sor",
+                          metavar="KERNEL",
+                          help="registered kernel: %(choices)s "
+                               "(default: %(default)s)")
     flow_sim.add_argument("--lanes", type=int, default=1)
     flow_sim.add_argument("--grid", type=int, nargs="+", default=None)
     _add_flow_sim_args(flow_sim)
@@ -280,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["auto", "A", "B", "C"],
                             help="memory-execution form axis")
         parser.add_argument("--patterns", nargs="+", default=["contiguous"],
-                            choices=[p.value for p in PatternKind],
-                            help="access-pattern axis")
+                            choices=_PATTERN_CHOICES, metavar="PATTERN",
+                            help="access-pattern axis: %(choices)s")
         parser.add_argument("--clocks", type=float, nargs="+", default=None,
                             metavar="MHZ", help="clock axis (device fmax when omitted)")
         parser.add_argument("--iterations", type=int, default=None,
@@ -362,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimizer concluded.",
     )
     _add_suite_sweep_args(suite_dse)
-    suite_dse.add_argument("--optimizer", choices=list(OPTIMIZERS),
-                           default="fmax",
-                           help="search strategy (default: fmax)")
+    suite_dse.add_argument("--optimizer", choices=_OPTIMIZER_CHOICES,
+                           default="fmax", metavar="OPTIMIZER",
+                           help="search strategy: %(choices)s "
+                                "(default: %(default)s)")
     suite_dse.add_argument("--resolution", type=float, default=None,
                            metavar="MHZ",
                            help="fmax bracket resolution (--optimizer fmax)")
@@ -460,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     client_cost.add_argument("--grid", type=int, nargs="+", default=[24, 24, 24])
     client_cost.add_argument("--iterations", type=int, default=1000)
     client_cost.add_argument("--pattern", default="contiguous",
-                             choices=[p.value for p in PatternKind])
+                             choices=_PATTERN_CHOICES, metavar="PATTERN",
+                             help="access pattern: %(choices)s "
+                                  "(default: %(default)s)")
     client_cost.add_argument("--json", action="store_true",
                              help="print the full canonical report")
 
@@ -512,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_from_args(args, name: str) -> KernelInstance:
+def _workload_from_args(args, name: str):
+    from repro.models.execution import KernelInstance, NDRange
+
     return KernelInstance(
         kernel=name,
         ndrange=NDRange(tuple(args.grid)),
@@ -521,6 +553,9 @@ def _workload_from_args(args, name: str) -> KernelInstance:
 
 
 def _cmd_cost(args) -> int:
+    from repro.compiler.driver import CompilationOptions, TybecCompiler
+    from repro.substrate.fpga_device import get_device
+
     compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
     text = args.design.read_text()
     module = compiler.parse(text, name=args.design.stem)
@@ -533,6 +568,9 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_emit(args) -> int:
+    from repro.compiler.driver import CompilationOptions, TybecCompiler
+    from repro.substrate.fpga_device import get_device
+
     compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
     module = compiler.parse(args.design.read_text(), name=args.design.stem)
     files = compiler.emit_hdl(module, include_wrapper=not args.no_wrapper)
@@ -552,6 +590,8 @@ def _explore_backend(args, optimizer: str | None = None):
     other path evaluates each point exactly once, so the flags name two
     mutually exclusive ways of doing the same work.
     """
+    from repro.explore.engine import ProcessPoolBackend
+
     if getattr(args, "dense", False):
         if args.jobs and args.jobs > 1:
             if optimizer == "surrogate":
@@ -562,6 +602,8 @@ def _explore_backend(args, optimizer: str | None = None):
                 "To prune densely and cost the survivors on worker "
                 "processes, use --optimizer surrogate"
             )
+        from repro.explore.dense import DenseBackend
+
         return DenseBackend()
     if args.jobs and args.jobs > 1:
         return ProcessPoolBackend(max_workers=args.jobs)
@@ -575,6 +617,8 @@ def _render_dense_sweep(args, space, sweep) -> int:
     of the dense path; ``--emit-all`` takes the ordinary full-sweep
     rendering instead.
     """
+    from repro.explore.engine import SweepResult
+
     best = sweep.best()
     frontier = sweep.pareto_frontier() if args.pareto else []
     top = sweep.top(args.top)
@@ -623,6 +667,12 @@ def _render_dense_sweep(args, space, sweep) -> int:
 
 def _cmd_explore_space(args, kernel, grid) -> int:
     """Multi-axis exploration through the engine (clock/form/pattern axes)."""
+    from repro.explore.engine import ExplorationEngine
+    from repro.explore.space import DesignSpace, clock_range
+    from repro.models.streaming import PatternKind
+    from repro.resilience.policy import COUNTERS
+    from repro.substrate.fpga_device import get_device
+
     clocks = tuple(args.clocks) if args.clocks else (None,)
     if args.clock_range:
         if args.clocks:
@@ -657,6 +707,8 @@ def _cmd_explore_space(args, kernel, grid) -> int:
         return 2
     engine = ExplorationEngine(backend)
     if args.dense and not args.emit_all:
+        from repro.cost.vector import DenseUnsupportedError
+
         try:
             return _render_dense_sweep(args, space, engine.explore_dense(space))
         except DenseUnsupportedError as exc:
@@ -715,6 +767,17 @@ def _describe_best(best: dict | None) -> str | None:
 
 def _cmd_explore_optimizer(args, kernel, grid) -> int:
     """Incremental optimizer-driven exploration (``--optimizer ...``)."""
+    from repro.explore.engine import ExplorationEngine
+    from repro.explore.optimizer import (
+        ExhaustiveOptimizer,
+        FmaxBinarySearchOptimizer,
+        SuccessiveHalvingOptimizer,
+        SurrogatePrunedOptimizer,
+    )
+    from repro.explore.space import DesignSpace, clock_range
+    from repro.models.streaming import PatternKind
+    from repro.substrate.fpga_device import get_device
+
     clocks = tuple(args.clocks) if args.clocks else (None,)
     if args.clock_range:
         if args.clocks:
@@ -765,6 +828,8 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
         optimizer = SuccessiveHalvingOptimizer(
             arms, budget=args.budget if args.budget else 64)
     else:
+        from repro.explore.dense import DenseBackend
+
         optimizer = SurrogatePrunedOptimizer(
             space, keep_fraction=args.keep if args.keep else 0.1,
             dense_backend=DenseBackend())
@@ -823,6 +888,8 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from repro.kernels import get_kernel
+
     kernel = get_kernel(args.kernel)
     grid = tuple(args.grid) if args.grid else kernel.default_grid
     if args.optimizer:
@@ -831,6 +898,12 @@ def _cmd_explore(args) -> int:
                   or args.pareto or args.dense)
     if multi_axis:
         return _cmd_explore_space(args, kernel, grid)
+
+    from repro.compiler.pipeline import CompilationOptions
+    from repro.explore.engine import ExplorationEngine
+    from repro.explore.space import CostJob
+    from repro.explore.variants import generate_lane_variants
+    from repro.substrate.fpga_device import get_device
 
     options = CompilationOptions(device=get_device(args.device))
     lane_counts = sorted(set(args.lanes)) if args.lanes else None
@@ -864,6 +937,10 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from repro.cost.calibration import calibrate_device
+    from repro.substrate.fpga_device import get_device
+    from repro.substrate.synthesis import SyntheticSynthesizer
+
     device = get_device(args.device)
     synthesizer = SyntheticSynthesizer(device)
     dataset = synthesizer.characterize()
@@ -1245,6 +1322,7 @@ def _run_sim_flow(module, args, function_name=None) -> int:
 
 
 def _cmd_flow_run(args) -> int:
+    from repro.compiler.driver import CompilationOptions, TybecCompiler
     from repro.ir.errors import IRError
 
     compiler = TybecCompiler(CompilationOptions())
@@ -1258,6 +1336,7 @@ def _cmd_flow_run(args) -> int:
 
 def _cmd_flow_sim(args) -> int:
     from repro.functional.typetrans import TransformationError
+    from repro.kernels import get_kernel
 
     kernel = get_kernel(args.kernel)
     grid = tuple(args.grid) if args.grid else kernel.default_grid
@@ -1343,7 +1422,8 @@ def _cmd_cache_warm(args) -> int:
     from repro.compiler import CompilationOptions, EstimationPipeline, LaneFamilyHandle
     from repro.cost.cache import cache_location, default_disk_cache
     from repro.kernels import REGISTRY
-    from repro.suite import tiny_grid
+    from repro.substrate.fpga_device import get_device
+    from repro.suite.runner import tiny_grid
 
     if cache_location() is None:
         print("persistent cache: disabled — set TYBEC_CACHE_DIR to enable",
@@ -1525,12 +1605,17 @@ def _cmd_client(args) -> int:
 
 
 def _cmd_stream_bench(args) -> int:
+    from repro.cost.bandwidth import SustainedBandwidthModel
+    from repro.substrate.fpga_device import get_device
+    from repro.substrate.memory_sim import MemorySystemSimulator
+
     device = get_device(args.device)
     sim = MemorySystemSimulator(device)
-    model = SustainedBandwidthModel.from_simulator(sim, sides=tuple(args.sides))
+    sides = tuple(args.sides) if args.sides else MemorySystemSimulator.DEFAULT_SIDES
+    model = SustainedBandwidthModel.from_simulator(sim, sides=sides)
     print(f"sustained bandwidth on {device.name} (peak {model.peak_gbps:.1f} GB/s)")
     print(f"{'side':>6} {'contiguous GB/s':>16} {'strided GB/s':>14}")
-    for side in args.sides:
+    for side in sides:
         nbytes = side * side * 4
         cont = model.sustained_gbps(nbytes)
         strided = model.sustained_gbps(nbytes, "strided")
@@ -1602,11 +1687,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.obs.logs import parse_level, setup_logging
+    args = build_parser().parse_args(argv)
     from repro.obs.trace import TRACE_ENV, activate_from_env, uninstall_tracer
 
-    args = build_parser().parse_args(argv)
     if args.log_level:
+        from repro.obs.logs import parse_level, setup_logging
+
         setup_logging(parse_level(args.log_level))
     prior_env = os.environ.get(TRACE_ENV)
     if args.trace is not None:

@@ -22,33 +22,29 @@ synthesizeable HDL plus an HLS-framework wrapper
 :class:`repro.compiler.driver.TybecCompiler` orchestrates both flows.
 """
 
-from repro.compiler.analysis import (
-    ConfigurationNode,
-    ConfigurationTree,
-    build_configuration_tree,
-    classify_module,
-)
-from repro.compiler.scheduling import (
-    DataflowGraph,
-    OperatorLatencyModel,
-    ScheduledPipeline,
-    schedule_function,
-)
-from repro.compiler.lanescale import (
-    FamilyAnalysis,
-    LaneFamilyHandle,
-    check_lane_separable,
-    family_fingerprint,
-)
-from repro.compiler.pipeline import (
-    CalibrationArtifacts,
-    EstimationPipeline,
-    PipelineCacheStats,
-    clear_calibration_cache,
-    module_content_key,
-    pipeline_cache_info,
-)
-from repro.compiler.driver import CompilationOptions, CompiledVariant, TybecCompiler
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compiler.analysis": (
+        "ConfigurationNode", "ConfigurationTree", "build_configuration_tree",
+        "classify_module",
+    ),
+    "repro.compiler.scheduling": (
+        "DataflowGraph", "OperatorLatencyModel", "ScheduledPipeline",
+        "schedule_function",
+    ),
+    "repro.compiler.lanescale": (
+        "FamilyAnalysis", "LaneFamilyHandle", "check_lane_separable",
+        "family_fingerprint",
+    ),
+    "repro.compiler.pipeline": (
+        "CalibrationArtifacts", "EstimationPipeline", "PipelineCacheStats",
+        "clear_calibration_cache", "module_content_key", "pipeline_cache_info",
+    ),
+    "repro.compiler.driver": (
+        "CompilationOptions", "CompiledVariant", "TybecCompiler",
+    ),
+})
 
 __all__ = [
     "ConfigurationNode",

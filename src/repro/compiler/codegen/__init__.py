@@ -10,9 +10,15 @@
     API stub (Figure 16's division of labour).
 """
 
-from repro.compiler.codegen.verilog import VerilogGenerator
-from repro.compiler.codegen.wrapper import generate_host_stub, generate_maxj_wrapper
-from repro.compiler.codegen.testbench import generate_testbench
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.compiler.codegen.verilog": ("VerilogGenerator",),
+    "repro.compiler.codegen.wrapper": (
+        "generate_host_stub", "generate_maxj_wrapper",
+    ),
+    "repro.compiler.codegen.testbench": ("generate_testbench",),
+})
 
 __all__ = [
     "VerilogGenerator",

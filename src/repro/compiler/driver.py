@@ -16,8 +16,6 @@ subclass of it that adds code generation and the ground-truth substrates
 
 from __future__ import annotations
 
-from repro.compiler.codegen.verilog import VerilogGenerator
-from repro.compiler.codegen.wrapper import generate_host_stub, generate_maxj_wrapper
 from repro.compiler.pipeline import (
     CompilationOptions,
     CompiledVariant,
@@ -50,6 +48,9 @@ class TybecCompiler(EstimationPipeline):
     # ------------------------------------------------------------------
     def emit_hdl(self, module: Module, include_wrapper: bool = True) -> dict[str, str]:
         """Generate synthesizeable HDL plus HLS-framework integration glue."""
+        from repro.compiler.codegen.verilog import VerilogGenerator
+        from repro.compiler.codegen.wrapper import generate_host_stub, generate_maxj_wrapper
+
         validate_module(module)
         structure = ModuleStructure.from_module(module)
         generator = VerilogGenerator(

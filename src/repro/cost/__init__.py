@@ -30,30 +30,23 @@ Sub-modules
     Aggregation of everything into a single cost report for a variant.
 """
 
-from repro.cost.cache import BoundedCache, DiskCache, default_disk_cache
-from repro.cost.calibration import (
-    CostExpression,
-    DeviceCostDB,
-    PiecewiseLinearCost,
-    PolynomialCost,
-    StepCost,
-    calibrate_device,
-    fit_piecewise_linear,
-    fit_polynomial,
-    fit_step,
-)
-from repro.cost.resource_model import ResourceEstimator
-from repro.cost.bandwidth import BandwidthTable, SustainedBandwidthModel
-from repro.cost.throughput import (
-    EKITEstimate,
-    EKITParameters,
-    LimitingFactor,
-    ekit_form_a,
-    ekit_form_b,
-    ekit_form_c,
-    estimate_throughput,
-)
-from repro.cost.report import CostReport, FeasibilityCheck
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cost.cache": ("BoundedCache", "DiskCache", "default_disk_cache"),
+    "repro.cost.calibration": (
+        "CostExpression", "DeviceCostDB", "PiecewiseLinearCost",
+        "PolynomialCost", "StepCost", "calibrate_device",
+        "fit_piecewise_linear", "fit_polynomial", "fit_step",
+    ),
+    "repro.cost.resource_model": ("ResourceEstimator",),
+    "repro.cost.bandwidth": ("BandwidthTable", "SustainedBandwidthModel"),
+    "repro.cost.throughput": (
+        "EKITEstimate", "EKITParameters", "LimitingFactor", "ekit_form_a",
+        "ekit_form_b", "ekit_form_c", "estimate_throughput",
+    ),
+    "repro.cost.report": ("CostReport", "FeasibilityCheck"),
+})
 
 __all__ = [
     "BoundedCache",

@@ -22,10 +22,10 @@ fallback and in the ablation experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.cost.numerics import interp, sorted_axis
 from repro.models.streaming import AccessPattern, PatternKind
 from repro.substrate.memory_sim import MemorySystemSimulator, StreamMeasurement
 
@@ -42,9 +42,8 @@ class BandwidthTable:
     def __post_init__(self) -> None:
         if len(self.sizes_bytes) != len(self.gbps) or not self.sizes_bytes:
             raise ValueError("bandwidth table needs matching, non-empty size/bandwidth lists")
-        order = np.argsort(self.sizes_bytes)
-        self.sizes_bytes = [float(self.sizes_bytes[i]) for i in order]
-        self.gbps = [float(self.gbps[i]) for i in order]
+        self.sizes_bytes, self.gbps = sorted_axis(
+            "bandwidth table", "sizes_bytes", self.sizes_bytes, "gbps", self.gbps)
         if any(s <= 0 for s in self.sizes_bytes) or any(b <= 0 for b in self.gbps):
             raise ValueError("sizes and bandwidths must be positive")
 
@@ -54,8 +53,8 @@ class BandwidthTable:
             return self.gbps[0]
         if len(self.sizes_bytes) == 1:
             return self.gbps[0]
-        log_sizes = np.log10(self.sizes_bytes)
-        return float(np.interp(np.log10(nbytes), log_sizes, self.gbps))
+        log_sizes = [math.log10(s) for s in self.sizes_bytes]
+        return interp(math.log10(nbytes), log_sizes, self.gbps)
 
     @property
     def plateau_gbps(self) -> float:

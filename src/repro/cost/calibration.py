@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.cost.numerics import interp, polyval, sorted_axis
 from repro.ir.instructions import OPCODES
 from repro.substrate.synthesis import CalibrationDataset, ResourceUsage
 
@@ -82,7 +81,7 @@ class PolynomialCost(CostExpression):
     kind: str = field(default="polynomial", init=False)
 
     def evaluate(self, width: float) -> float:
-        return float(np.polynomial.polynomial.polyval(width, self.coefficients))
+        return polyval(width, self.coefficients)
 
     @property
     def degree(self) -> int:
@@ -117,9 +116,8 @@ class PiecewiseLinearCost(CostExpression):
     def __post_init__(self) -> None:
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("piecewise-linear cost needs >= 2 (x, y) pairs")
-        order = np.argsort(self.xs)
-        self.xs = [float(self.xs[i]) for i in order]
-        self.ys = [float(self.ys[i]) for i in order]
+        self.xs, self.ys = sorted_axis("piecewise-linear cost", "xs", self.xs,
+                                       "ys", self.ys)
 
     def evaluate(self, width: float) -> float:
         xs, ys = self.xs, self.ys
@@ -129,7 +127,7 @@ class PiecewiseLinearCost(CostExpression):
         if width >= xs[-1]:
             slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
             return ys[-1] + slope * (width - xs[-1])
-        return float(np.interp(width, xs, ys))
+        return interp(width, xs, ys)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "xs": self.xs, "ys": self.ys}
@@ -173,6 +171,8 @@ def fit_polynomial(points: list[tuple[float, float]], degree: int) -> Polynomial
     """
     if len(points) < degree + 1:
         raise ValueError(f"need at least {degree + 1} points for a degree-{degree} fit")
+    import numpy as np
+
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     coeffs = np.polynomial.polynomial.polyfit(xs, ys, degree)
@@ -192,6 +192,8 @@ def fit_step(points: list[tuple[float, float]], unit_width: float = 18.0) -> Ste
     """Fit the per-tile-pair scale of a step cost from calibration points."""
     if not points:
         raise ValueError("need at least 1 point for a step fit")
+    import numpy as np
+
     ratios = []
     for width, value in points:
         tiles = math.ceil(width / unit_width)

@@ -27,44 +27,34 @@ multi-axis design spaces evaluated in parallel.
     extension of da Silva et al.
 """
 
-from repro.cost.vector import DenseUnsupportedError, pareto_mask
-from repro.explore.variants import VariantRecord, generate_lane_variants, sweep_lane_counts
-from repro.explore.space import (
-    CostJob,
-    DenseGrid,
-    DesignPoint,
-    DesignSpace,
-    build_jobs,
-    clock_range,
-    iter_jobs,
-    linspace_clocks,
-)
-from repro.explore.engine import (
-    ExplorationEngine,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepEntry,
-    SweepResult,
-    canonical_report_dict,
-    merge_stats,
-    pareto_frontier,
-)
-from repro.explore.dense import DenseBackend, DenseSweep
-from repro.explore.optimizer import (
-    OPTIMIZERS,
-    ExhaustiveOptimizer,
-    FmaxBinarySearchOptimizer,
-    GuidedLaneOptimizer,
-    JobFactory,
-    Optimizer,
-    OptimizerRound,
-    OptimizerRun,
-    SuccessiveHalvingOptimizer,
-    SurrogatePrunedOptimizer,
-    drive_optimizer,
-)
-from repro.explore.roofline import RooflinePoint, roofline_analysis
-from repro.explore.case_study import CaseStudyConfig, CaseStudyPoint, run_sor_case_study
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cost.vector": ("DenseUnsupportedError", "pareto_mask"),
+    "repro.explore.variants": (
+        "VariantRecord", "generate_lane_variants", "sweep_lane_counts",
+    ),
+    "repro.explore.space": (
+        "CostJob", "DenseGrid", "DesignPoint", "DesignSpace", "build_jobs",
+        "clock_range", "iter_jobs", "linspace_clocks",
+    ),
+    "repro.explore.engine": (
+        "ExplorationEngine", "ProcessPoolBackend", "SerialBackend",
+        "SweepEntry", "SweepResult", "canonical_report_dict", "merge_stats",
+        "pareto_frontier",
+    ),
+    "repro.explore.dense": ("DenseBackend", "DenseSweep"),
+    "repro.explore.optimizer": (
+        "OPTIMIZERS", "ExhaustiveOptimizer", "FmaxBinarySearchOptimizer",
+        "GuidedLaneOptimizer", "JobFactory", "Optimizer", "OptimizerRound",
+        "OptimizerRun", "SuccessiveHalvingOptimizer",
+        "SurrogatePrunedOptimizer", "drive_optimizer",
+    ),
+    "repro.explore.roofline": ("RooflinePoint", "roofline_analysis"),
+    "repro.explore.case_study": (
+        "CaseStudyConfig", "CaseStudyPoint", "run_sor_case_study",
+    ),
+})
 
 __all__ = [
     "DenseBackend",

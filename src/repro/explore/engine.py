@@ -36,8 +36,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -67,10 +65,6 @@ from repro.resilience import (
     maybe_fail,
     register_transient,
 )
-
-# a dead pool is the canonical transient failure: the work is fine, the
-# substrate died under it
-register_transient(BrokenProcessPool)
 
 __all__ = [
     "SerialBackend",
@@ -301,6 +295,11 @@ class ProcessPoolBackend:
 
     def __init__(self, max_workers: int | None = None, batches_per_worker: int = 2,
                  retry_policy: RetryPolicy | None = None):
+        from concurrent.futures.process import BrokenProcessPool
+
+        # a dead pool is the canonical transient failure: the work is
+        # fine, the substrate died under it
+        register_transient(BrokenProcessPool)
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.batches_per_worker = max(1, batches_per_worker)
         self.retry_policy = retry_policy or RetryPolicy(
@@ -341,6 +340,8 @@ class ProcessPoolBackend:
 
     def _run(self, jobs: Sequence[CostJob], deadline: Deadline | None,
              pool_span) -> list[CostReport]:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         trace_ctx = worker_trace_context(pool_span)
         payloads = self._payloads(jobs)
         reports: list[CostReport | None] = [None] * len(jobs)

@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.compiler.lanescale import LaneFamilyHandle
 from repro.compiler.pipeline import CompilationOptions
+from repro.cost.numerics import linspace
 from repro.functional.typetrans import valid_lane_counts
 from repro.ir.functions import Module
 from repro.kernels.base import ScientificKernel
@@ -233,7 +232,7 @@ def linspace_clocks(lo: float, hi: float, n: int) -> tuple[float, ...]:
         raise ValueError(f"clock frequencies must be positive, got {lo}:{hi}")
     if hi < lo:
         raise ValueError(f"clock range is inverted: {lo} > {hi}")
-    return tuple(float(x) for x in np.linspace(lo, hi, n))
+    return tuple(linspace(lo, hi, n))
 
 
 def clock_range(spec: str) -> tuple[float, ...]:

@@ -11,52 +11,41 @@ netlist, cycle simulator) plus optional iverilog/verilator/yosys
 adapters discovered on PATH.
 """
 
-from repro.flows.base import Flow, FlowResult, FlowSettings, SimFlow, SynthFlow
-from repro.flows.flows import (
-    FLOW_CLASSES,
-    ElaborateFlow,
-    IcarusSimFlow,
-    RTLSimFlow,
-    VerilatorLintFlow,
-    YosysSynthFlow,
-    default_sim_flow,
-)
-from repro.flows.netlist import (
-    ElaborationError,
-    Netlist,
-    NetlistSimulator,
-    elaborate,
-    lint_module,
-    lint_source,
-)
-from repro.flows.refmodel import ReferenceResult, kernel_stimulus, reference_outputs
-from repro.flows.rtlsim import (
-    RTLSimOutcome,
-    RTLSimulationError,
-    compare_outcome,
-    simulate_stream,
-)
-from repro.flows.suite import (
-    DEFAULT_MAX_ITEMS,
-    FLOW_SCHEMA,
-    FlowReport,
-    FlowSuiteRun,
-    check_flow_goldens,
-    flow_golden_dir,
-    kernel_verilog_bundle,
-    record_flow_goldens,
-    record_verilog_snapshots,
-    run_flow_suite,
-    run_golden_flows,
-    verilog_snapshot_dir,
-)
-from repro.flows.tools import ToolUnavailableError, available_tools, find_tool
-from repro.flows.verilog import (
-    VerilogModule,
-    VerilogParseError,
-    parse_module_text,
-    parse_modules,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.flows.base": (
+        "Flow", "FlowResult", "FlowSettings", "SimFlow", "SynthFlow",
+    ),
+    "repro.flows.flows": (
+        "FLOW_CLASSES", "ElaborateFlow", "IcarusSimFlow", "RTLSimFlow",
+        "VerilatorLintFlow", "YosysSynthFlow", "default_sim_flow",
+    ),
+    "repro.flows.netlist": (
+        "ElaborationError", "Netlist", "NetlistSimulator", "elaborate",
+        "lint_module", "lint_source",
+    ),
+    "repro.flows.refmodel": (
+        "ReferenceResult", "kernel_stimulus", "reference_outputs",
+    ),
+    "repro.flows.rtlsim": (
+        "RTLSimOutcome", "RTLSimulationError", "compare_outcome",
+        "simulate_stream",
+    ),
+    "repro.flows.suite": (
+        "DEFAULT_MAX_ITEMS", "FLOW_SCHEMA", "FlowReport", "FlowSuiteRun",
+        "check_flow_goldens", "flow_golden_dir", "kernel_verilog_bundle",
+        "record_flow_goldens", "record_verilog_snapshots", "run_flow_suite",
+        "run_golden_flows", "verilog_snapshot_dir",
+    ),
+    "repro.flows.tools": (
+        "ToolUnavailableError", "available_tools", "find_tool",
+    ),
+    "repro.flows.verilog": (
+        "VerilogModule", "VerilogParseError", "parse_module_text",
+        "parse_modules",
+    ),
+})
 
 __all__ = [
     # base

@@ -30,15 +30,19 @@ Modules
     Lowering a (possibly transformed) program to a TyTra-IR module.
 """
 
-from repro.functional.vector import Vect
-from repro.functional.program import Input, KernelSpec, Map, Parallelism, Program, Reshape
-from repro.functional.typetrans import (
-    TransformationError,
-    enumerate_lane_variants,
-    reshape_transform,
-    verify_variant_equivalence,
-)
-from repro.functional.lower import lower_program
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.functional.vector": ("Vect",),
+    "repro.functional.program": (
+        "Input", "KernelSpec", "Map", "Parallelism", "Program", "Reshape",
+    ),
+    "repro.functional.typetrans": (
+        "TransformationError", "enumerate_lane_variants", "reshape_transform",
+        "verify_variant_equivalence",
+    ),
+    "repro.functional.lower": ("lower_program",),
+})
 
 __all__ = [
     "Vect",

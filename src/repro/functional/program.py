@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.functional.vector import Vect
 from repro.ir.types import ScalarType
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.vector import Vect
 
 __all__ = ["Parallelism", "KernelSpec", "Input", "Reshape", "Map", "Program", "TupleValue"]
 
@@ -100,6 +102,8 @@ class KernelSpec:
         return f"{source}@{rendered}"
 
     def apply_golden(self, components: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         missing = [name for name in self.inputs if name not in components]
         if missing:
             raise ValueError(f"kernel {self.name!r}: missing input components {missing}")
@@ -160,6 +164,10 @@ class Input:
     size: int
 
     def evaluate(self, bindings: dict[str, np.ndarray]) -> TupleValue:
+        import numpy as np
+
+        from repro.functional.vector import Vect
+
         components = {
             key: Vect.of(np.asarray(value).reshape(-1))
             for key, value in bindings.items()
@@ -194,6 +202,10 @@ class Map:
     nesting: int = 1
 
     def evaluate(self, bindings: dict[str, np.ndarray]) -> TupleValue:
+        import numpy as np
+
+        from repro.functional.vector import Vect
+
         value = self.child.evaluate(bindings)
         if self.nesting == 1:
             # elemental map over a flat tuple vector

@@ -22,9 +22,12 @@ dependent-type guarantee (and is exercised by property-based tests).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.functional.program import Input, Map, Parallelism, Program, Reshape
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TransformationError",
@@ -117,6 +120,8 @@ def verify_variant_equivalence(
     guarantee: both programs are evaluated on the same inputs and every
     output component must match.
     """
+    import numpy as np
+
     a = baseline.evaluate(bindings)
     b = variant.evaluate(bindings)
     if set(a) != set(b):

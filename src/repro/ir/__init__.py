@@ -38,30 +38,26 @@ The public surface of this package:
     Structural / SSA / type validation.
 """
 
-from repro.ir.errors import IRError, IRParseError, IRTypeError, IRValidationError
-from repro.ir.types import ScalarType, TypeKind, parse_type
-from repro.ir.instructions import (
-    OPCODES,
-    CallInstruction,
-    Instruction,
-    OffsetInstruction,
-    OpcodeInfo,
-    Operand,
-    opcode_info,
-)
-from repro.ir.functions import (
-    FunctionKind,
-    IRFunction,
-    MemoryObject,
-    Module,
-    PortDeclaration,
-    StreamDirection,
-    StreamObject,
-)
-from repro.ir.builder import IRBuilder, FunctionBuilder
-from repro.ir.parser import parse_module
-from repro.ir.printer import print_module
-from repro.ir.validator import validate_module
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ir.errors": (
+        "IRError", "IRParseError", "IRTypeError", "IRValidationError",
+    ),
+    "repro.ir.types": ("ScalarType", "TypeKind", "parse_type"),
+    "repro.ir.instructions": (
+        "OPCODES", "CallInstruction", "Instruction", "OffsetInstruction",
+        "OpcodeInfo", "Operand", "opcode_info",
+    ),
+    "repro.ir.functions": (
+        "FunctionKind", "IRFunction", "MemoryObject", "Module",
+        "PortDeclaration", "StreamDirection", "StreamObject",
+    ),
+    "repro.ir.builder": ("IRBuilder", "FunctionBuilder"),
+    "repro.ir.parser": ("parse_module",),
+    "repro.ir.printer": ("print_module",),
+    "repro.ir.validator": ("validate_module",),
+})
 
 __all__ = [
     "IRError",

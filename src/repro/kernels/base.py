@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.functional.program import KernelSpec, Program
-from repro.functional.typetrans import reshape_transform
-from repro.functional.lower import lower_program
-from repro.ir.functions import Module
 from repro.models.execution import KernelInstance, NDRange
-from repro.substrate.hls_baseline import HLSKernelCharacteristics
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec, Program
+    from repro.ir.functions import Module
+    from repro.substrate.hls_baseline import HLSKernelCharacteristics
 
 __all__ = ["KernelWorkload", "ScientificKernel", "fixed_point_constant"]
 
@@ -114,14 +115,20 @@ class ScientificKernel:
 
     # -- derived functionality ----------------------------------------------
     def baseline_program(self, grid: tuple[int, ...] | None = None) -> Program:
+        from repro.functional.program import Program
+
         grid = grid or self.default_grid
         return Program.baseline(self.spec(), size=math.prod(grid), name=f"{self.name}_baseline")
 
     def variant_program(self, lanes: int, grid: tuple[int, ...] | None = None) -> Program:
+        from repro.functional.typetrans import reshape_transform
+
         return reshape_transform(self.baseline_program(grid), lanes)
 
     def build_module(self, lanes: int = 1, grid: tuple[int, ...] | None = None) -> Module:
         """Build the TyTra-IR design variant with ``lanes`` kernel pipelines."""
+        from repro.functional.lower import lower_program
+
         grid = grid or self.default_grid
         program = self.variant_program(lanes, grid)
         return lower_program(program, grid=grid, name=f"{self.name}_l{lanes}")
@@ -135,6 +142,8 @@ class ScientificKernel:
         return validated.instance(words_per_item=self.spec().words_per_item)
 
     def hls_characteristics(self, grid: tuple[int, ...] | None = None) -> HLSKernelCharacteristics:
+        from repro.substrate.hls_baseline import HLSKernelCharacteristics
+
         grid = grid or self.default_grid
         spec = self.spec()
         max_offset = 0
@@ -174,6 +183,8 @@ class ScientificKernel:
         rtol: float = 1e-6,
     ) -> bool:
         """Check the gathered/elementwise golden against the full-grid reference."""
+        import numpy as np
+
         grid = grid or self.default_grid
         arrays = self.generate_inputs(grid, seed)
         gathered = self.gather(arrays)

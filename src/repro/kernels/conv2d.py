@@ -16,12 +16,16 @@ suite relative to its compute.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel, fixed_point_constant
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["Conv2DKernel"]
 
@@ -60,6 +64,8 @@ class Conv2DKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
 
         def golden(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -95,11 +101,15 @@ class Conv2DKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         rng = np.random.default_rng(seed)
         return {"src": rng.random(grid, dtype=np.float64)}
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         src = np.asarray(arrays["src"])
         if src.ndim != 2:
             raise ValueError("conv2d expects a 2-D image")
@@ -122,6 +132,8 @@ class Conv2DKernel(ScientificKernel):
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
         """Repeatedly convolve the full image (periodic boundaries)."""
+        import numpy as np
+
         src = np.asarray(arrays["src"], dtype=np.float64).copy()
         for _ in range(max(1, iterations)):
             edge = (

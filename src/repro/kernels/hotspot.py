@@ -19,12 +19,16 @@ formulation), unlike SOR whose multiplies are all by constants.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel, fixed_point_constant
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["HotspotKernel"]
 
@@ -54,6 +58,8 @@ class HotspotKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
 
         def golden(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -96,6 +102,8 @@ class HotspotKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         rng = np.random.default_rng(seed)
         return {
@@ -105,6 +113,8 @@ class HotspotKernel(ScientificKernel):
         }
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         temp = np.asarray(arrays["temp"])
         if temp.ndim != 2:
             raise ValueError("Hotspot expects a 2-D temperature grid")
@@ -123,6 +133,8 @@ class HotspotKernel(ScientificKernel):
         }
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
+        import numpy as np
+
         temp = np.asarray(arrays["temp"], dtype=np.float64).copy()
         power = np.asarray(arrays["power"], dtype=np.float64)
         cap_inv = np.asarray(arrays["cap_inv"], dtype=np.float64)

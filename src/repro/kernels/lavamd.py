@@ -20,12 +20,16 @@ no block RAM at all.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel, fixed_point_constant
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["LavaMDKernel"]
 
@@ -53,6 +57,8 @@ class LavaMDKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
 
         def golden(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -93,6 +99,8 @@ class LavaMDKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         rng = np.random.default_rng(seed)
         return {
@@ -103,9 +111,13 @@ class LavaMDKernel(ScientificKernel):
         }
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         return {key: np.asarray(value).reshape(-1) for key, value in arrays.items()}
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
+        import numpy as np
+
         rx = np.asarray(arrays["rx"], dtype=np.float64)
         ry = np.asarray(arrays["ry"], dtype=np.float64)
         rz = np.asarray(arrays["rz"], dtype=np.float64)

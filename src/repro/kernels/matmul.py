@@ -17,12 +17,16 @@ the sweep over k-tiles (plus output reuse across a batched workload).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["MatMulKernel"]
 
@@ -44,6 +48,8 @@ class MatMulKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
         a_names = [f"a{k}" for k in range(TILE_K)]
         b_names = [f"b{k}" for k in range(TILE_K)]
@@ -78,6 +84,8 @@ class MatMulKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         if len(grid) != 2:
             raise ValueError("matmul expects a 2-D output grid (rows, cols)")
@@ -89,6 +97,8 @@ class MatMulKernel(ScientificKernel):
         }
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         a = np.asarray(arrays["a"])
         b = np.asarray(arrays["b"])
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != TILE_K or b.shape[0] != TILE_K:
@@ -103,6 +113,8 @@ class MatMulKernel(ScientificKernel):
         return gathered
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
+        import numpy as np
+
         a = np.asarray(arrays["a"], dtype=np.float64)
         b = np.asarray(arrays["b"], dtype=np.float64)
         c = a @ b

@@ -25,12 +25,16 @@ data-dependent multiplies).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel, fixed_point_constant
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["NeedlemanWunschKernel"]
 
@@ -59,9 +63,13 @@ class NeedlemanWunschKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
 
         def golden(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+            import numpy as np
+
             west = c["h@-1"] - GAP
             north = c["h@-ND1"] - GAP
             diag = c["h@-ND1-1"] + c["sub"]
@@ -90,6 +98,8 @@ class NeedlemanWunschKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         rng = np.random.default_rng(seed)
         # synthetic substitution scores: mostly mismatches, some matches
@@ -100,6 +110,8 @@ class NeedlemanWunschKernel(ScientificKernel):
         }
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        import numpy as np
+
         h = np.asarray(arrays["h"])
         if h.ndim != 2:
             raise ValueError("nw expects a 2-D score matrix")
@@ -117,6 +129,8 @@ class NeedlemanWunschKernel(ScientificKernel):
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
         """Jacobi-style relaxation of the NW recurrence, periodic boundaries."""
+        import numpy as np
+
         h = np.asarray(arrays["h"], dtype=np.float64).copy()
         sub = np.asarray(arrays["sub"], dtype=np.float64)
         for _ in range(max(1, iterations)):

@@ -26,12 +26,16 @@ Two views are provided, consistent with the paper's methodology:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.functional.program import KernelSpec
 from repro.ir.types import ScalarType
 from repro.kernels.base import ScientificKernel, fixed_point_constant
 from repro.kernels.registry import register_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.functional.program import KernelSpec
 
 __all__ = ["SORKernel"]
 
@@ -62,6 +66,8 @@ class SORKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def spec(self) -> KernelSpec:
+        from repro.functional.program import KernelSpec
+
         ty = self.ELEMENT_TYPE
 
         def golden(c: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -106,6 +112,8 @@ class SORKernel(ScientificKernel):
 
     # ------------------------------------------------------------------
     def generate_inputs(self, grid: tuple[int, ...] | None = None, seed: int = 0) -> dict[str, np.ndarray]:
+        import numpy as np
+
         grid = grid or self.default_grid
         rng = np.random.default_rng(seed)
         return {
@@ -115,6 +123,8 @@ class SORKernel(ScientificKernel):
 
     def gather(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Gather the per-point tuple components (flattened, periodic)."""
+        import numpy as np
+
         p = np.asarray(arrays["p"])
         rhs = np.asarray(arrays["rhs"])
         if p.ndim != 3:
@@ -137,6 +147,8 @@ class SORKernel(ScientificKernel):
 
     def reference(self, arrays: dict[str, np.ndarray], iterations: int = 1) -> dict[str, np.ndarray]:
         """Full-grid Jacobi-style SOR sweep with periodic boundaries."""
+        import numpy as np
+
         p = np.asarray(arrays["p"], dtype=np.float64).copy()
         rhs = np.asarray(arrays["rhs"], dtype=np.float64)
         residual = 0.0

@@ -22,12 +22,22 @@ largely adopted from the OpenCL standard where possible:
    contiguous vs. strided access and its effect on sustained bandwidth.
 """
 
-from repro.models.platform import ComputeUnit, PlatformModel, ProcessingElement, StreamControl
-from repro.models.memory import AddressSpace, MemoryHierarchy, MemoryLevel
-from repro.models.execution import KernelInstance, NDRange, WorkGroup
-from repro.models.design_space import ConfigurationClass, DesignPoint, classify_design_point
-from repro.models.memory_execution import MemoryExecutionForm, select_memory_execution_form
-from repro.models.streaming import AccessPattern, PatternKind
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.models.platform": (
+        "ComputeUnit", "PlatformModel", "ProcessingElement", "StreamControl",
+    ),
+    "repro.models.memory": ("AddressSpace", "MemoryHierarchy", "MemoryLevel"),
+    "repro.models.execution": ("KernelInstance", "NDRange", "WorkGroup"),
+    "repro.models.design_space": (
+        "ConfigurationClass", "DesignPoint", "classify_design_point",
+    ),
+    "repro.models.memory_execution": (
+        "MemoryExecutionForm", "select_memory_execution_form",
+    ),
+    "repro.models.streaming": ("AccessPattern", "PatternKind"),
+})
 
 __all__ = [
     "PlatformModel",

@@ -1,8 +1,9 @@
 """Unified observability: tracing, metrics, structured logging, profiling.
 
 This package is deliberately stdlib-only and imports nothing from the rest
-of ``repro`` so every layer (compiler, cost, explore, flows, service) can
-instrument itself without creating import cycles.
+of ``repro`` but the lazy-export helper, so every layer (compiler, cost,
+explore, flows, service) can instrument itself without creating import
+cycles.
 
 Three pillars:
 
@@ -22,35 +23,24 @@ channels only, so golden reports stay byte-identical whether or not
 telemetry is enabled.
 """
 
-from .logs import get_logger, log_event, setup_logging
-from .metrics import (
-    MetricSample,
-    MetricsRegistry,
-    render_prometheus,
-    samples_from_counter_snapshot,
-    samples_from_disk_cache_stats,
-    samples_from_pipeline_stats,
-    samples_from_service_metrics,
-)
-from .profile import PROFILE_ENV, maybe_profile
-from .trace import (
-    TRACE_ENV,
-    TRACE_SCHEMA,
-    WORKER_SPANS_KEY,
-    Tracer,
-    activate_from_env,
-    current_trace_id,
-    current_tracer,
-    format_trace_summary,
-    install_tracer,
-    load_trace,
-    new_trace_id,
-    span,
-    summarize_trace,
-    uninstall_tracer,
-    validate_trace,
-    worker_trace_context,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.logs": ("get_logger", "log_event", "setup_logging"),
+    "repro.obs.metrics": (
+        "MetricSample", "MetricsRegistry", "render_prometheus",
+        "samples_from_counter_snapshot", "samples_from_disk_cache_stats",
+        "samples_from_pipeline_stats", "samples_from_service_metrics",
+    ),
+    "repro.obs.profile": ("PROFILE_ENV", "maybe_profile"),
+    "repro.obs.trace": (
+        "TRACE_ENV", "TRACE_SCHEMA", "WORKER_SPANS_KEY", "Tracer",
+        "activate_from_env", "current_trace_id", "current_tracer",
+        "format_trace_summary", "install_tracer", "load_trace", "new_trace_id",
+        "span", "summarize_trace", "uninstall_tracer", "validate_trace",
+        "worker_trace_context",
+    ),
+})
 
 __all__ = [
     "MetricSample",

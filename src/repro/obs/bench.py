@@ -52,6 +52,15 @@ _HEADLINES: dict[str, list[tuple[str, str | None]]] = {
         ("traced_wall_seconds", None),
         ("spans", "> 0"),
     ],
+    "cli": [
+        ("numpy_imports", "== 0"),
+        ("help.repro_modules", "<= @help.module_ceiling"),
+        ("cost.repro_modules", "<= @cost.module_ceiling"),
+        ("suite_run.repro_modules", "<= @suite_run.module_ceiling"),
+        ("help.median_ms", None),
+        ("cost.median_ms", None),
+        ("suite_run.points_per_s", None),
+    ],
     "dense": [
         ("suite_grid.speedup", ">= 1"),
         ("suite_grid.dense_points_per_second", None),

@@ -6,27 +6,19 @@ engine, flows, cache and service lean on to survive worker death, hung
 tools and dying leaders without ever changing a report byte.
 """
 
-from repro.resilience.faults import (
-    FAULT_PLAN_ENV,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    current_fault_plan,
-    maybe_fail,
-)
-from repro.resilience.policy import (
-    COUNTERS,
-    Deadline,
-    DeadlineExceededError,
-    PermanentError,
-    ResilienceCounters,
-    RetryBudgetExceededError,
-    RetryPolicy,
-    TransientError,
-    is_transient,
-    register_transient,
-    seeded_unit,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.faults": (
+        "FAULT_PLAN_ENV", "FaultPlan", "FaultSpec", "InjectedFault",
+        "current_fault_plan", "maybe_fail",
+    ),
+    "repro.resilience.policy": (
+        "COUNTERS", "Deadline", "DeadlineExceededError", "PermanentError",
+        "ResilienceCounters", "RetryBudgetExceededError", "RetryPolicy",
+        "TransientError", "is_transient", "register_transient", "seeded_unit",
+    ),
+})
 
 __all__ = [
     "COUNTERS",

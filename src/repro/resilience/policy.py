@@ -40,7 +40,6 @@ from typing import Callable, Iterable
 import threading
 
 from repro.obs.logs import get_logger, log_event
-from repro.obs.metrics import samples_from_counter_snapshot
 
 _LOG = get_logger("resilience")
 
@@ -315,6 +314,8 @@ class ResilienceCounters:
         registers so Prometheus exposition covers these counters without
         the hot ``bump`` path ever touching the registry.
         """
+        from repro.obs.metrics import samples_from_counter_snapshot
+
         return samples_from_counter_snapshot(self.snapshot())
 
 

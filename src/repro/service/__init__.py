@@ -8,16 +8,20 @@ the endpoint contract and :mod:`repro.service.client` for the stdlib
 client.
 """
 
-from repro.service.client import ServiceClient, ServiceError, ServiceResponse
-from repro.service.coalesce import CoalescedTask, RequestCoalescer, TaskFailedError
-from repro.service.server import (
-    DEFAULT_PORT,
-    BadRequestError,
-    ExplorationService,
-    ServiceServer,
-    serve,
-    suite_config_from_spec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.client": (
+        "ServiceClient", "ServiceError", "ServiceResponse",
+    ),
+    "repro.service.coalesce": (
+        "CoalescedTask", "RequestCoalescer", "TaskFailedError",
+    ),
+    "repro.service.server": (
+        "DEFAULT_PORT", "BadRequestError", "ExplorationService",
+        "ServiceServer", "serve", "suite_config_from_spec",
+    ),
+})
 
 __all__ = [
     "BadRequestError",

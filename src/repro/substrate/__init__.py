@@ -33,38 +33,31 @@ same functional behaviour (see DESIGN.md §2 for the substitution table):
     single-pipeline HLS flow and a CPU execution model.
 """
 
-from repro.substrate.fpga_device import (
-    DEVICES,
-    FPGADevice,
-    MAIA_STRATIX_V_GSD8,
-    SMALL_EDU_DEVICE,
-    VIRTEX7_ADM_PCIE_7V3,
-    get_device,
-)
-from repro.substrate.synthesis import (
-    CalibrationDataset,
-    CalibrationPoint,
-    DesignNetlist,
-    NetlistOperator,
-    ResourceUsage,
-    SyntheticSynthesizer,
-)
-from repro.substrate.memory_sim import (
-    DRAMConfig,
-    MemorySystemSimulator,
-    PCIeConfig,
-    StreamMeasurement,
-)
-from repro.substrate.pipeline_sim import (
-    CYCLE_AGREEMENT_SLACK,
-    PipelineSimulator,
-    PipelineSpec,
-    SimulationDivergedError,
-    SimulationResult,
-)
-from repro.substrate.power import NodePowerModel, EnergyReport
-from repro.substrate.cpu_baseline import CPUModel, CPURunEstimate
-from repro.substrate.hls_baseline import BaselineHLSFlow, HLSKernelCharacteristics
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.substrate.fpga_device": (
+        "DEVICES", "FPGADevice", "MAIA_STRATIX_V_GSD8", "SMALL_EDU_DEVICE",
+        "VIRTEX7_ADM_PCIE_7V3", "get_device",
+    ),
+    "repro.substrate.synthesis": (
+        "CalibrationDataset", "CalibrationPoint", "DesignNetlist",
+        "NetlistOperator", "ResourceUsage", "SyntheticSynthesizer",
+    ),
+    "repro.substrate.memory_sim": (
+        "DRAMConfig", "MemorySystemSimulator", "PCIeConfig",
+        "StreamMeasurement",
+    ),
+    "repro.substrate.pipeline_sim": (
+        "CYCLE_AGREEMENT_SLACK", "PipelineSimulator", "PipelineSpec",
+        "SimulationDivergedError", "SimulationResult",
+    ),
+    "repro.substrate.power": ("NodePowerModel", "EnergyReport"),
+    "repro.substrate.cpu_baseline": ("CPUModel", "CPURunEstimate"),
+    "repro.substrate.hls_baseline": (
+        "BaselineHLSFlow", "HLSKernelCharacteristics",
+    ),
+})
 
 __all__ = [
     "FPGADevice",

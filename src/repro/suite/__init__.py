@@ -19,34 +19,23 @@ first-class workflow on top of the exploration engine:
     ``suite record-golden`` when a change is intentional.
 """
 
-from repro.suite.report import (
-    DSE_SCHEMA,
-    FLOAT_SIGNIFICANT_DIGITS,
-    SCHEMA,
-    SuiteReport,
-    canonical_json,
-    canonicalize,
-    load_report,
-)
-from repro.suite.diff import FieldDiff, diff_payloads, format_diffs
-from repro.suite.runner import (
-    DSE_OPTIMIZERS,
-    DseRun,
-    SuiteConfig,
-    SuiteRun,
-    WorkloadSuite,
-    build_dse_report,
-    resolve_dse_params,
-    run_dse,
-    tiny_grid,
-)
-from repro.suite.golden import (
-    check_goldens,
-    golden_config,
-    golden_dir,
-    record_goldens,
-    run_golden_suite,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.suite.report": (
+        "DSE_SCHEMA", "FLOAT_SIGNIFICANT_DIGITS", "SCHEMA", "SuiteReport",
+        "canonical_json", "canonicalize", "load_report",
+    ),
+    "repro.suite.diff": ("FieldDiff", "diff_payloads", "format_diffs"),
+    "repro.suite.runner": (
+        "DSE_OPTIMIZERS", "DseRun", "SuiteConfig", "SuiteRun", "WorkloadSuite",
+        "build_dse_report", "resolve_dse_params", "run_dse", "tiny_grid",
+    ),
+    "repro.suite.golden": (
+        "check_goldens", "golden_config", "golden_dir", "record_goldens",
+        "run_golden_suite",
+    ),
+})
 
 __all__ = [
     "SCHEMA",

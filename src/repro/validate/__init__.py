@@ -17,23 +17,19 @@ costed design point through both and reports per-point agreement:
     surfaced as ``tybec suite validate`` on the CLI and gated in CI.
 """
 
-from repro.validate.crossval import (
-    DEFAULT_MEMORY_TOLERANCE,
-    DEFAULT_TOLERANCE,
-    CrossValidator,
-    LegComparison,
-    ValidationRecord,
-)
-from repro.validate.suite import (
-    VALIDATION_SCHEMA,
-    ValidationReport,
-    ValidationRun,
-    check_validation_goldens,
-    record_validation_goldens,
-    run_golden_validation,
-    validate_suite,
-    validation_golden_dir,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.validate.crossval": (
+        "DEFAULT_MEMORY_TOLERANCE", "DEFAULT_TOLERANCE", "CrossValidator",
+        "LegComparison", "ValidationRecord",
+    ),
+    "repro.validate.suite": (
+        "VALIDATION_SCHEMA", "ValidationReport", "ValidationRun",
+        "check_validation_goldens", "record_validation_goldens",
+        "run_golden_validation", "validate_suite", "validation_golden_dir",
+    ),
+})
 
 __all__ = [
     "DEFAULT_TOLERANCE",

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir import IRBuilder, ScalarType
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -14,6 +21,22 @@ def _isolated_disk_cache(tmp_path_factory):
 
     with redirected_cache_dir(tmp_path_factory.mktemp("tybec-cache")):
         yield
+
+
+def tybec_env(cache_dir: Path) -> dict:
+    """The environment of a fresh ``tybec`` process using ``cache_dir``."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                TYBEC_CACHE_DIR=str(cache_dir))
+
+
+@pytest.fixture(scope="session")
+def warm_cache_dir(tmp_path_factory) -> Path:
+    """A persistent store filled by ``tybec cache warm``, as after a first run."""
+    cache_dir = tmp_path_factory.mktemp("tybec-warm-cache")
+    subprocess.run([sys.executable, "-m", "repro.cli", "cache", "warm"], cwd=ROOT,
+                   env=tybec_env(cache_dir), check=True, capture_output=True,
+                   timeout=300)
+    return cache_dir
 
 
 @pytest.fixture

@@ -29,6 +29,30 @@ class TestBandwidthTable:
         with pytest.raises(ValueError):
             BandwidthTable([0, 1], [1, 1])
 
+    def test_nan_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="gbps must be finite"):
+            BandwidthTable([1e3, 1e6], [0.5, float("nan")])
+
+    def test_infinite_size_rejected(self):
+        with pytest.raises(ValueError, match="sizes_bytes must be finite"):
+            BandwidthTable([1e3, float("inf")], [0.5, 3.0])
+
+    def test_duplicate_sizes_rejected(self):
+        with pytest.raises(ValueError, match="sizes_bytes must be strictly increasing"):
+            BandwidthTable([1e3, 1e6, 1e3], [0.5, 3.0, 0.7])
+
+    def test_unsorted_sizes_are_sorted_with_their_bandwidths(self):
+        t = BandwidthTable([1e6, 1e3], [3.0, 0.5])
+        assert t.sizes_bytes == [1e3, 1e6]
+        assert t.gbps == [0.5, 3.0]
+
+    def test_from_dict_validates(self):
+        """Cache entries are rebuilt through ``from_dict``: a corrupt one
+        fails at load, not as a NaN in every later estimate."""
+        with pytest.raises(ValueError, match="gbps"):
+            BandwidthTable.from_dict({"sizes_bytes": [1e3, 1e6],
+                                      "gbps": [0.5, float("nan")]})
+
     def test_roundtrip(self):
         t = BandwidthTable([1e3, 1e6], [0.5, 3.0])
         back = BandwidthTable.from_dict(t.as_dict())

@@ -51,6 +51,22 @@ class TestExpressions:
         with pytest.raises(ValueError):
             PiecewiseLinearCost([1], [1])
 
+    def test_piecewise_duplicate_xs_rejected(self):
+        """Two equal breakpoints used to divide by zero at the lower end."""
+        with pytest.raises(ValueError, match="xs must be strictly increasing"):
+            PiecewiseLinearCost([18, 18, 36], [9, 10, 36])
+
+    def test_piecewise_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="ys must be finite"):
+            PiecewiseLinearCost([18, 36], [9, float("nan")])
+        with pytest.raises(ValueError, match="xs must be finite"):
+            PiecewiseLinearCost([18, float("inf")], [9, 36])
+
+    def test_piecewise_from_dict_validates(self):
+        with pytest.raises(ValueError, match="xs"):
+            CostExpression.from_dict({"kind": "piecewise-linear",
+                                      "xs": [18, 18], "ys": [9, 36]})
+
     def test_step_cost(self):
         step = StepCost(unit_width=18)
         assert step.evaluate(18) == 1

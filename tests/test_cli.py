@@ -1,6 +1,7 @@
 """Tests for the tybec command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,40 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_registry_choices_checked_at_parse_time(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["explore", "--kernel", "nw"]).kernel == "nw"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["explore", "--kernel", "nope"])
+        assert "choose from 'conv2d'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            parser.parse_args(["suite", "dse", "--optimizer", "nope"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["suite", "run", "--patterns", "nope"])
+
+    def test_registry_choices_listed_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["explore", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "conv2d, hotspot, lavamd, matmul, nw, sor" in out
+        assert "contiguous, strided, random" in out
+
+
+class TestQuickstartDesign:
+    """``examples/sor.tirl`` is the README quickstart's input."""
+
+    PATH = Path(__file__).resolve().parents[1] / "examples" / "sor.tirl"
+
+    def test_example_matches_the_generator(self):
+        from repro.kernels import get_kernel
+
+        expected = print_module(get_kernel("sor").build_module(lanes=4))
+        assert self.PATH.read_text() == expected
+
+    def test_example_costs(self, capsys):
+        assert main(["cost", str(self.PATH)]) == 0
+        assert "sor_l4" in capsys.readouterr().out
 
 
 class TestCostCommand:
