@@ -610,6 +610,17 @@ def _explore_backend(args, optimizer: str | None = None):
     return None
 
 
+def _print_best_and_frontier(args, best, frontier) -> None:
+    if best is not None:
+        print(f"best feasible point: {best.point.label}")
+    if args.pareto:
+        print("Pareto frontier (EKIT vs limiting-resource utilisation):")
+        for entry in frontier:
+            print(f"  {entry.point.label}: EKIT {entry.report.ekit:.3f}/s, "
+                  f"worst utilisation "
+                  f"{entry.report.feasibility.limiting_resource_utilization*100:.1f}%")
+
+
 def _render_dense_sweep(args, space, sweep) -> int:
     """Render a dense sweep: top-k rows, best point, optional frontier.
 
@@ -652,58 +663,40 @@ def _render_dense_sweep(args, space, sweep) -> int:
     if sweep.evaluated > len(top):
         print(f"(showing the top {len(top)} of {sweep.evaluated} points by EKIT; "
               f"--emit-all materializes every row)")
-    if best is not None:
-        print(f"best feasible point: {best.point.label}")
-    if args.pareto:
-        print("Pareto frontier (EKIT vs limiting-resource utilisation):")
-        for entry in frontier:
-            print(f"  {entry.point.label}: EKIT {entry.report.ekit:.3f}/s, "
-                  f"worst utilisation "
-                  f"{entry.report.feasibility.limiting_resource_utilization*100:.1f}%")
+    _print_best_and_frontier(args, best, frontier)
     print(f"costed {sweep.evaluated} points ({sweep.feasible_count} feasible) "
           f"in {sweep.wall_seconds:.3f} s ({sweep.points_per_second:,.0f} points/s)")
     return 0
 
 
+def _explore_config(args, kernel, grid, forms):
+    """The one-kernel suite config an ``explore`` command's axis flags
+    spell, checked like every suite input."""
+    from repro.explore.space import clock_range
+
+    clocks = args.clocks
+    if args.clock_range:
+        if args.clocks:
+            raise ValueError("--clock-range cannot be combined with --clocks")
+        clocks = clock_range(args.clock_range)
+    return _suite_config(
+        kernels=[kernel.name], devices=[args.device], lanes=args.lanes,
+        max_lanes=args.max_lanes, forms=forms, patterns=args.patterns,
+        clocks_mhz=clocks, grids={kernel.name: grid},
+        iterations=args.iterations)
+
+
 def _cmd_explore_space(args, kernel, grid) -> int:
     """Multi-axis exploration through the engine (clock/form/pattern axes)."""
     from repro.explore.engine import ExplorationEngine
-    from repro.explore.space import DesignSpace, clock_range
-    from repro.models.streaming import PatternKind
     from repro.resilience.policy import COUNTERS
-    from repro.substrate.fpga_device import get_device
 
-    clocks = tuple(args.clocks) if args.clocks else (None,)
-    if args.clock_range:
-        if args.clocks:
-            print("--clock-range cannot be combined with --clocks",
-                  file=sys.stderr)
-            return 2
-        try:
-            clocks = clock_range(args.clock_range)
-        except ValueError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
     try:
+        space = _explore_config(args, kernel, grid, args.forms).space_for(
+            kernel.name)
         backend = _explore_backend(args)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
-        return 2
-    space = DesignSpace(
-        kernel=kernel,
-        grid=grid,
-        iterations=args.iterations,
-        lanes=args.lanes,
-        max_lanes=args.max_lanes,
-        clocks_mhz=clocks,
-        forms=tuple(args.forms) if args.forms else ("auto",),
-        devices=(get_device(args.device),),
-        patterns=tuple(PatternKind(p) for p in args.patterns) if args.patterns else (
-            PatternKind.CONTIGUOUS,),
-    )
-    if len(space) == 0:
-        print(f"no valid lane counts for grid {grid} "
-              f"(lanes must divide the NDRange size)", file=sys.stderr)
         return 2
     engine = ExplorationEngine(backend)
     if args.dense and not args.emit_all:
@@ -743,14 +736,7 @@ def _cmd_explore_space(args, kernel, grid) -> int:
         print(f"{row['lanes']:>5} {row['clock_mhz']:>6.0f} {row['form']:>4} "
               f"{row['pattern']:>10} {row['ewgt_per_s']:>12.2f} {row['alut_pct']:>7.2f} "
               f"{row['limiting_factor']:>16} {'y' if row['feasible'] else 'n':>3}")
-    if best is not None:
-        print(f"best feasible point: {best.point.label}")
-    if args.pareto:
-        print("Pareto frontier (EKIT vs limiting-resource utilisation):")
-        for entry in frontier:
-            print(f"  {entry.point.label}: EKIT {entry.report.ekit:.3f}/s, "
-                  f"worst utilisation "
-                  f"{entry.report.feasibility.limiting_resource_utilization*100:.1f}%")
+    _print_best_and_frontier(args, best, frontier)
     print(f"estimated {sweep.evaluated} variants in {sweep.wall_seconds:.3f} s "
           f"({sweep.variants_per_second:.1f} variants/s)")
     return 0
@@ -768,32 +754,8 @@ def _describe_best(best: dict | None) -> str | None:
 def _cmd_explore_optimizer(args, kernel, grid) -> int:
     """Incremental optimizer-driven exploration (``--optimizer ...``)."""
     from repro.explore.engine import ExplorationEngine
-    from repro.explore.optimizer import (
-        ExhaustiveOptimizer,
-        FmaxBinarySearchOptimizer,
-        SuccessiveHalvingOptimizer,
-        SurrogatePrunedOptimizer,
-    )
-    from repro.explore.space import DesignSpace, clock_range
-    from repro.models.streaming import PatternKind
-    from repro.substrate.fpga_device import get_device
+    from repro.suite.runner import dse_optimizers, resolve_dse_params
 
-    clocks = tuple(args.clocks) if args.clocks else (None,)
-    if args.clock_range:
-        if args.clocks:
-            print("--clock-range cannot be combined with --clocks",
-                  file=sys.stderr)
-            return 2
-        try:
-            clocks = clock_range(args.clock_range)
-        except ValueError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    try:
-        backend = _explore_backend(args, optimizer=args.optimizer)
-    except ValueError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
     forms = tuple(args.forms) if args.forms else None
     if forms is None:
         # form C (and "auto", which picks C on small footprints) needs no
@@ -801,38 +763,14 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
         # search just walks to the cap — bracket the bandwidth-bound
         # forms by default instead
         forms = ("A", "B") if args.optimizer == "fmax" else ("auto",)
-    space = DesignSpace(
-        kernel=kernel,
-        grid=grid,
-        iterations=args.iterations,
-        lanes=args.lanes,
-        max_lanes=args.max_lanes,
-        clocks_mhz=clocks,
-        forms=forms,
-        devices=(get_device(args.device),),
-        patterns=tuple(PatternKind(p) for p in args.patterns) if args.patterns
-        else (PatternKind.CONTIGUOUS,),
-    )
-    if len(space) == 0:
-        print(f"no valid lane counts for grid {grid} "
-              f"(lanes must divide the NDRange size)", file=sys.stderr)
+    try:
+        params = resolve_dse_params(args.optimizer, _dse_params(args))
+        config = _explore_config(args, kernel, grid, forms)
+        backend = _explore_backend(args, optimizer=args.optimizer)
+        optimizer, = dse_optimizers(config, args.optimizer, params).values()
+    except ValueError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
-    if args.optimizer == "exhaustive":
-        optimizer = ExhaustiveOptimizer([space])
-    elif args.optimizer == "fmax":
-        optimizer = FmaxBinarySearchOptimizer(
-            [space], resolution=args.resolution if args.resolution else 1.0)
-    elif args.optimizer == "halving":
-        arms = [(f"{kernel.name}:{form}", space.subspace(forms=(form,)))
-                for form in forms]
-        optimizer = SuccessiveHalvingOptimizer(
-            arms, budget=args.budget if args.budget else 64)
-    else:
-        from repro.explore.dense import DenseBackend
-
-        optimizer = SurrogatePrunedOptimizer(
-            space, keep_fraction=args.keep if args.keep else 0.1,
-            dense_backend=DenseBackend())
     run = ExplorationEngine(backend).run_optimizer(optimizer)
     result = run.result
 
@@ -954,30 +892,21 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _suite_config_from_args(args):
-    import dataclasses
-
+def _suite_config(**flags):
+    """``SuiteConfig.from_spec`` of a command's flags; a flag left at
+    ``None`` is an omitted field."""
     from repro.suite import SuiteConfig
 
-    kernels = tuple(args.kernels) if args.kernels else ()
-    if args.tiny:
-        config = SuiteConfig.tiny(kernels=kernels, devices=tuple(args.devices),
-                                  max_lanes=args.max_lanes)
-        if args.iterations is not None:
-            config = dataclasses.replace(config, iterations=args.iterations)
-    else:
-        config = SuiteConfig(
-            kernels=kernels,
-            devices=tuple(args.devices),
-            max_lanes=args.max_lanes,
-            iterations=args.iterations,
-        )
-    overrides = {"forms": tuple(args.forms), "patterns": tuple(args.patterns)}
-    if args.lanes is not None:
-        overrides["lanes"] = tuple(args.lanes)
-    if args.clocks is not None:
-        overrides["clocks_mhz"] = tuple(args.clocks)
-    return dataclasses.replace(config, **overrides)
+    return SuiteConfig.from_spec(
+        {name: value for name, value in flags.items() if value is not None})
+
+
+def _suite_config_from_args(args):
+    return _suite_config(
+        tiny=args.tiny, kernels=args.kernels, devices=args.devices,
+        lanes=args.lanes, max_lanes=args.max_lanes, forms=args.forms,
+        patterns=args.patterns, clocks_mhz=args.clocks,
+        iterations=args.iterations)
 
 
 def _cmd_suite_run(args) -> int:
@@ -1198,21 +1127,22 @@ def _cmd_suite_record_golden(args) -> int:
     return 0
 
 
+def _dse_params(args) -> dict:
+    """The optimizer knobs an invocation's ``--resolution``, ``--budget``
+    and ``--keep`` flags name (checked by ``resolve_dse_params``)."""
+    flags = {"resolution": args.resolution, "budget": args.budget,
+             "keep_fraction": args.keep}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _cmd_suite_dse(args) -> int:
     from repro.suite import run_dse
 
-    params = {}
-    if args.resolution is not None:
-        params["resolution"] = args.resolution
-    if args.budget is not None:
-        params["budget"] = args.budget
-    if args.keep is not None:
-        params["keep_fraction"] = args.keep
     try:
         config = _suite_config_from_args(args)
         backend = _explore_backend(args, optimizer=args.optimizer)
         run = run_dse(config, args.optimizer, backend=backend,
-                      params=params or None)
+                      params=_dse_params(args))
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -1471,12 +1401,17 @@ def _cmd_serve(args) -> int:
     import threading
 
     from repro.service import serve
+    from repro.suite.runner import check_deadline_seconds
 
     try:
+        check_deadline_seconds(args.request_deadline, "--request-deadline")
         server = serve(host=args.host, port=args.port,
                        max_concurrency=args.max_concurrency,
                        verbose=args.verbose,
                        request_deadline=args.request_deadline)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 2

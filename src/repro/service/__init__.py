@@ -19,7 +19,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.service.server": (
         "DEFAULT_PORT", "BadRequestError", "ExplorationService",
-        "ServiceServer", "serve", "suite_config_from_spec",
+        "ServiceServer", "serve",
     ),
 })
 
@@ -35,5 +35,4 @@ __all__ = [
     "ServiceServer",
     "TaskFailedError",
     "serve",
-    "suite_config_from_spec",
 ]

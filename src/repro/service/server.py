@@ -17,6 +17,10 @@ Endpoints (all JSON):
     one final ``report`` event whose payload is the *byte-identical*
     canonical ``repro-suite-report/1`` a batch run would produce.
 
+``POST /dse``
+    Body: a suite spec plus ``"optimizer"`` and ``"params"``.  One
+    ``round`` event per optimizer round, then the DSE ``report`` event.
+
 ``POST /cost``
     Body: ``{"design": "<.tirl text>", "device": ..., "grid": [...],
     "iterations": N, "pattern": ...}``.  One ``report`` event with the
@@ -28,6 +32,9 @@ Endpoints (all JSON):
 
 ``GET /healthz``
     Liveness probe.
+
+:func:`~repro.suite.runner.parse_request` checks every body before it
+leases a task: a bad field gets a 400 naming it, a handler bug a JSON 500.
 
 Identical in-flight requests are coalesced on their content fingerprint
 (the module hash for ``/cost``, the canonical configuration for
@@ -41,11 +48,9 @@ waiters are the reported queue depth.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
-import math
 import threading
 import time
 from contextlib import contextmanager
@@ -64,12 +69,7 @@ from repro.explore.engine import (
     canonical_report_dict,
     merge_stats,
 )
-from repro.models import (
-    KernelInstance,
-    MemoryExecutionForm,
-    NDRange,
-    PatternKind,
-)
+from repro.models import KernelInstance, NDRange, PatternKind
 from repro.resilience import (
     COUNTERS,
     Deadline,
@@ -85,7 +85,8 @@ from repro.suite.runner import (
     SuiteConfig,
     WorkloadSuite,
     build_suite_report,
-    resolve_dse_params,
+    check_deadline_seconds,
+    parse_request,
     run_dse,
 )
 
@@ -94,7 +95,6 @@ __all__ = [
     "ExplorationService",
     "ServiceServer",
     "serve",
-    "suite_config_from_spec",
 ]
 
 DEFAULT_PORT = 8731
@@ -107,10 +107,6 @@ TRACE_HEADER = "X-Tybec-Trace"
 #: folded into "other" so hostile paths cannot explode label cardinality
 _KNOWN_ENDPOINTS = ("/healthz", "/metrics", "/suite", "/dse", "/cost")
 
-#: the names the ``forms`` and ``patterns`` suite axes accept
-_FORMS = ("auto", *(form.value for form in MemoryExecutionForm))
-_PATTERNS = tuple(pattern.value for pattern in PatternKind)
-
 _LOG = get_logger("service")
 _ACCESS_LOG = get_logger("service.access")
 
@@ -119,63 +115,12 @@ class BadRequestError(ValueError):
     """A malformed or unsatisfiable request body (HTTP 400)."""
 
 
-def suite_config_from_spec(spec: dict) -> SuiteConfig:
-    """Build a :class:`SuiteConfig` from a request body.
-
-    Mirrors the ``tybec suite run`` flag handling: ``"tiny": true``
-    starts from the golden smoke configuration, every other field
-    overrides the corresponding config axis.  Unknown fields are an
-    error — a typo must not silently cost a different grid.
-    """
-    spec = dict(spec)
-    tiny = bool(spec.pop("tiny", False))
-    known = {f.name for f in dataclasses.fields(SuiteConfig)}
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise BadRequestError(
-            f"unknown suite field(s) {unknown}; known: {sorted(known)} "
-            f"(plus 'tiny' and 'dense')"
-        )
+def _parse(endpoint: str, body) -> dict:
+    """:func:`~repro.suite.runner.parse_request`, its refusal a 400."""
     try:
-        for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
-            if name in spec and spec[name] is not None:
-                spec[name] = tuple(spec[name])
-        if spec.get("lanes") is not None:
-            spec["lanes"] = tuple(spec["lanes"])
-        if "grids" in spec:
-            spec["grids"] = {k: tuple(v) for k, v in dict(spec["grids"]).items()}
-        if tiny:
-            config = SuiteConfig.tiny(
-                kernels=spec.pop("kernels", ()),
-                devices=spec.pop("devices", ("stratix-v",)),
-                max_lanes=spec.pop("max_lanes", 4),
-            )
-            config = dataclasses.replace(config, **spec) if spec else config
-        else:
-            config = SuiteConfig(**spec)
-        config.resolved_kernels()          # validate kernel names now
-        for device in config.devices:      # and device names
-            get_device(device)
-        _check_axis_values(config)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
-    return config
-
-
-def _check_axis_values(config: SuiteConfig) -> None:
-    """Refuse axis values that would only fail mid-sweep."""
-    if config.lanes is not None and not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in config.lanes):
-        raise BadRequestError(f"lanes must be integers, got {list(config.lanes)}")
-    if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-               and math.isfinite(c) for c in config.clocks_mhz):
-        raise BadRequestError(
-            f"clocks_mhz must be finite numbers, got {list(config.clocks_mhz)}")
-    for axis, known in (("forms", _FORMS), ("patterns", _PATTERNS)):
-        unknown = [v for v in getattr(config, axis) if v not in known]
-        if unknown:
-            raise BadRequestError(
-                f"unknown {axis} {unknown}; known: {list(known)}")
+        return parse_request(endpoint, body)
+    except ValueError as exc:
+        raise BadRequestError(str(exc)) from exc
 
 
 def _encode(event: dict) -> bytes:
@@ -202,7 +147,8 @@ class ExplorationService:
                  default_deadline_seconds: float | None = None):
         self.max_concurrency = max(1, max_concurrency)
         #: per-request compute budget when the body names none
-        self.default_deadline_seconds = default_deadline_seconds
+        self.default_deadline_seconds = check_deadline_seconds(
+            default_deadline_seconds, "default_deadline_seconds")
         self._backend = SerialBackend()
         self._dense = DenseBackend()
         self.coalescer = RequestCoalescer(results_capacity=results_capacity)
@@ -315,58 +261,40 @@ class ExplorationService:
         Returns ``(task, role, request)`` where ``request`` carries the
         parsed module and workload a leader needs to compute.
         """
-        if not isinstance(spec, dict) or "design" not in spec:
-            raise BadRequestError("body must be a JSON object with a 'design' "
-                                  "field holding the .tirl text")
-        spec = dict(spec)
-        # popped before fingerprinting: the same work coalesces whatever
-        # budgets the individual clients brought (budgets cannot change
-        # report bytes, so sharing the computation stays sound)
-        deadline_seconds = spec.pop("deadline_seconds", None)
-        device = str(spec.get("device", "stratix-v"))
-        pattern = str(spec.get("pattern", "contiguous"))
-        name = str(spec.get("name", "design"))
         # every field is checked before a task is leased: a bad body must
         # get its 400 without leaving an in-flight task behind
+        request = _parse("cost", spec)
         try:
-            get_device(device)
-            pattern_kind = PatternKind(pattern)
-            grid = tuple(int(d) for d in spec.get("grid", (24, 24, 24)))
-            iterations = int(spec.get("iterations", 1000))
             from repro.compiler import TybecCompiler
 
             module = TybecCompiler(CompilationOptions()).parse(
-                spec["design"], name=name)
-            workload = KernelInstance(kernel=module.name, ndrange=NDRange(grid),
-                                      repetitions=iterations)
+                request["design"], name=request["name"])
         except Exception as exc:
             raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
+        # the deadline is not fingerprinted: the same work coalesces
+        # whatever budgets the individual clients brought (budgets cannot
+        # change report bytes, so sharing the computation stays sound)
         key = _fingerprint("cost", {
             "module": module.content_fingerprint(),
-            "device": device,
-            "grid": list(grid),
-            "iterations": iterations,
-            "pattern": pattern,
+            **{name: request[name]
+               for name in ("device", "grid", "iterations", "pattern")},
         })
         task, role = self.coalescer.lease(key)
-        request = {
-            "module": module,
-            "device": device,
-            "workload": workload,
-            "pattern": pattern_kind,
-            "deadline_seconds": deadline_seconds,
-        }
+        request.update(module=module, pattern=PatternKind(request["pattern"]),
+                       workload=KernelInstance(
+                           kernel=module.name, ndrange=NDRange(request["grid"]),
+                           repetitions=request["iterations"]))
         return task, role, request
 
     def _deadline_for(self, request: dict) -> Deadline:
         """A fresh per-attempt budget (a promoted leader starts over)."""
-        seconds = request.get("deadline_seconds")
-        if seconds is None:
-            seconds = self.default_deadline_seconds
-        return Deadline(float(seconds)) if seconds else Deadline.none()
+        # a checked budget is never 0, so ``or`` only falls back on None
+        seconds = request["deadline_seconds"] or self.default_deadline_seconds
+        return Deadline(seconds) if seconds else Deadline.none()
 
-    def run_cost(self, request: dict) -> dict:
-        """Leader path of one ``/cost`` request: cost the variant."""
+    def run_cost(self, request: dict, publish=None) -> dict:
+        """Leader path of one ``/cost`` request: cost the variant (one
+        event, so nothing is published before the report)."""
         deadline = self._deadline_for(request)
         with self._slot():
             deadline.check("cost request queued too long")
@@ -385,17 +313,11 @@ class ExplorationService:
     # ------------------------------------------------------------------
     def lease_suite(self, spec: dict) -> tuple[CoalescedTask, str, dict]:
         """Parse a ``/suite`` body; lease its coalesced task."""
-        if not isinstance(spec, dict):
-            raise BadRequestError("body must be a JSON object")
-        spec = dict(spec)
-        dense = bool(spec.pop("dense", False))
-        # popped before fingerprinting — see :meth:`lease_cost`
-        deadline_seconds = spec.pop("deadline_seconds", None)
-        config = suite_config_from_spec(spec)
-        key = _fingerprint("suite", {"config": config.as_dict(), "dense": dense})
+        request = _parse("suite", spec)
+        key = _fingerprint("suite", {"config": request["config"].as_dict(),
+                                     "dense": request["dense"]})
         task, role = self.coalescer.lease(key)
-        return task, role, {"config": config, "dense": dense,
-                            "deadline_seconds": deadline_seconds}
+        return task, role, request
 
     def run_suite(self, request: dict, publish) -> dict:
         """Leader path of one ``/suite`` request.
@@ -425,11 +347,6 @@ class ExplorationService:
             else:
                 spaces = suite.spaces()
                 jobs = suite.jobs(spaces)
-                if not jobs:
-                    raise BadRequestError(
-                        "suite has no design points (no valid lane counts "
-                        "for the configured grids?)"
-                    )
                 started = time.perf_counter()
 
                 def _progress(index: int, report) -> None:
@@ -469,30 +386,14 @@ class ExplorationService:
         covers the *resolved* parameters, so two requests differing only
         in an omitted default coalesce onto the same search.
         """
-        if not isinstance(spec, dict):
-            raise BadRequestError("body must be a JSON object")
-        spec = dict(spec)
-        # popped before fingerprinting — see :meth:`lease_cost`
-        deadline_seconds = spec.pop("deadline_seconds", None)
-        optimizer = spec.pop("optimizer", "fmax")
-        raw_params = spec.pop("params", None)
-        if not isinstance(optimizer, str):
-            raise BadRequestError("'optimizer' must be a string")
-        if raw_params is not None and not isinstance(raw_params, dict):
-            raise BadRequestError("'params' must be a JSON object")
-        try:
-            params = resolve_dse_params(optimizer, raw_params)
-        except ValueError as exc:
-            raise BadRequestError(str(exc)) from exc
-        config = suite_config_from_spec(spec)
+        request = _parse("dse", spec)
         key = _fingerprint("dse", {
-            "config": config.as_dict(),
-            "optimizer": {"name": optimizer, "params": params},
+            "config": request["config"].as_dict(),
+            "optimizer": {"name": request["optimizer"],
+                          "params": request["params"]},
         })
         task, role = self.coalescer.lease(key)
-        return task, role, {"config": config, "optimizer": optimizer,
-                            "params": params,
-                            "deadline_seconds": deadline_seconds}
+        return task, role, request
 
     def run_dse(self, request: dict, publish) -> dict:
         """Leader path of one ``/dse`` request.
@@ -576,6 +477,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._trace_id = sp.trace_id if sp is not None else incoming
             try:
                 route()
+            except Exception as exc:  # noqa: BLE001 - the last-resort answer
+                self._internal_error(exc)
             finally:
                 elapsed = time.perf_counter() - started
                 self.service.observe_request(
@@ -594,8 +497,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 )
                 self._trace_id = None
 
+    def _internal_error(self, exc: Exception) -> None:
+        """The last-resort answer: a JSON 500, or a close if half-sent."""
+        COUNTERS.bump("service.internal_errors")
+        log_event(_LOG, "internal_error", level=logging.ERROR,
+                  path=self.path, error=repr(exc), trace=self._trace_id or "-")
+        if self._status:
+            self.service.count_request("errors")
+            self.close_connection = True
+        else:
+            self._send_json({"error": f"internal error: {type(exc).__name__}"},
+                            500)
+
     # -- plumbing ------------------------------------------------------
     def _send_json(self, payload: dict, status: int = 200) -> None:
+        if status >= 400:
+            self.service.count_request("errors")
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -626,7 +543,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         if self._trace_id:
             self.send_header(TRACE_HEADER, self._trace_id)
-        self.end_headers()
+        try:
+            self.end_headers()
+        except OSError:     # hung up: the leased task still runs, see below
+            self._broken = True
 
     def _write_lines(self, lines: list[bytes]) -> None:
         """Write encoded NDJSON lines as one HTTP chunk.
@@ -661,17 +581,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except OSError:
             self._broken = True
 
-    def _read_body(self) -> dict:
+    def _read_body(self):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
         try:
-            payload = json.loads(raw or b"null")
+            return json.loads(raw or b"null")
         except ValueError as exc:
             raise BadRequestError(f"request body is not valid JSON: {exc}") \
                 from exc
-        if not isinstance(payload, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return payload
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -693,12 +610,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             elif fmt == "json":
                 self._send_json(self.service.metrics())
             else:
-                self.service.count_request("errors")
                 self._send_json(
                     {"error": f"unknown metrics format {fmt!r}; "
                      "use 'json' or 'prometheus'"}, 400)
         else:
-            self.service.count_request("errors")
             self._send_json({"error": f"no such endpoint {parts.path!r}"},
                             404)
 
@@ -707,36 +622,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._handle("POST", self._do_post)
 
     def _do_post(self) -> None:
+        endpoint = self.path.lstrip("/")
         try:
             spec = self._read_body()
-            if self.path == "/suite":
-                self.service.count_request("suite")
-                task, role, request = self.service.lease_suite(spec)
-            elif self.path == "/dse":
-                self.service.count_request("dse")
-                task, role, request = self.service.lease_dse(spec)
-            elif self.path == "/cost":
-                self.service.count_request("cost")
-                task, role, request = self.service.lease_cost(spec)
-            else:
-                self.service.count_request("errors")
+            if endpoint not in ("suite", "dse", "cost"):
                 self._send_json({"error": f"no such endpoint {self.path!r}"},
                                 404)
                 return
+            self.service.count_request(endpoint)
+            task, role, request = getattr(self.service, f"lease_{endpoint}")(spec)
         except BadRequestError as exc:
-            self.service.count_request("errors")
             self._send_json({"error": str(exc)}, 400)
             return
         self._start_stream()
         self._write_lines([_encode({"event": "meta", "fingerprint": task.key,
                                     "role": role})])
-        if self.path == "/suite":
-            runner = self.service.run_suite
-        elif self.path == "/dse":
-            runner = self.service.run_dse
-        else:
-            runner = lambda req, publish: self.service.run_cost(req)  # noqa: E731
-        self._drive(task, role, request, runner)
+        self._drive(task, role, request, getattr(self.service, f"run_{endpoint}"))
         self._end_stream()
 
     def _drive(self, task: CoalescedTask, role: str, request: dict,

@@ -16,26 +16,114 @@ against checked-in goldens, the other times the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from repro.explore.engine import ExplorationEngine, SweepResult
 from repro.explore.space import DesignSpace, build_jobs
 from repro.kernels import REGISTRY, KernelWorkload, get_kernel
+from repro.models.memory_execution import MemoryExecutionForm
 from repro.models.streaming import PatternKind
 from repro.obs.profile import maybe_profile
 from repro.obs.trace import span as trace_span
 from repro.resilience import COUNTERS
 from repro.suite.report import DSE_SCHEMA, SCHEMA, SuiteReport
-from repro.substrate import get_device
+from repro.substrate import DEVICES, get_device
 
 __all__ = ["SuiteConfig", "SuiteRun", "WorkloadSuite", "build_suite_report",
            "tiny_grid", "DseRun", "run_dse", "build_dse_report",
-           "resolve_dse_params", "DSE_OPTIMIZERS"]
+           "resolve_dse_params", "DSE_OPTIMIZERS", "dse_optimizers",
+           "parse_request", "check_deadline_seconds"]
+
+#: the names the ``forms`` and ``patterns`` suite axes accept
+_FORMS = ("auto", *(form.value for form in MemoryExecutionForm))
+_PATTERNS = tuple(pattern.value for pattern in PatternKind)
+
+_NO_POINTS = ("suite has no design points (no valid lane counts for the "
+              "configured grids?)")
 
 
 def tiny_grid(default_grid: tuple[int, ...], cap: int = 8) -> tuple[int, ...]:
     """Shrink a kernel's default grid to a smoke-test size (each dim <= cap)."""
     return tuple(min(int(d), cap) for d in default_grid)
+
+
+# ----------------------------------------------------------------------
+# The request schema: the one check of every CLI and service input
+# ----------------------------------------------------------------------
+
+
+def _positive(value) -> bool:
+    """A finite number > 0; a bool is no number."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float)
+        and math.isfinite(value)) and value > 0
+
+
+def _count(value) -> bool:
+    return isinstance(value, int) and _positive(value)
+
+
+def _check(name: str, value, ok, expected: str):
+    if not ok(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def _items(name: str, value, ok, expected: str, empty: bool = False) -> tuple:
+    """A list (never a bare string) of items passing ``ok``, as a tuple."""
+    return tuple(_check(name, value, lambda v: isinstance(v, (list, tuple))
+                        and (empty or len(v) > 0) and all(map(ok, v)), expected))
+
+
+def _names(name: str, value, known, fold=str, empty: bool = False) -> tuple:
+    """A list of names, each in ``known`` once passed through ``fold``."""
+    names = _items(name, value, lambda v: isinstance(v, str),
+                   "a list of names" if empty else "a non-empty list of names",
+                   empty)
+    unknown = [n for n in names if fold(n) not in known]
+    if unknown:
+        raise ValueError(f"unknown {name} {unknown}; known: {sorted(known)}")
+    return names
+
+
+def _flag(spec: dict, name: str) -> bool:
+    """Pop the boolean field ``name`` (default false) from ``spec``."""
+    return _check(name, spec.pop(name, False), lambda v: isinstance(v, bool),
+                  "true or false")
+
+
+def check_deadline_seconds(value, name: str = "deadline_seconds"):
+    """A compute budget: ``None`` or a finite number of seconds > 0."""
+    return _check(name, value, lambda v: v is None or _positive(v),
+                  "a finite number of seconds > 0")
+
+
+def _grids(name: str, value) -> dict:
+    _check(name, value, lambda v: isinstance(v, dict),
+           "an object mapping kernel names to grids")
+    _names(name, list(value), REGISTRY.names(), str.lower, True)
+    return {kernel: _items(name, grid, lambda _: True, "lists of dimensions", True)
+            for kernel, grid in value.items()}
+
+
+#: how :meth:`SuiteConfig.from_spec` checks each field: ``check(name,
+#: value)`` returns the config value or raises a ``ValueError`` naming it;
+#: grid dimensions are left to :class:`KernelWorkload`
+_SUITE_FIELDS = {
+    "kernels": lambda n, v: _names(n, v, REGISTRY.names(), str.lower, True),
+    "devices": lambda n, v: _names(n, v, DEVICES),
+    "forms": lambda n, v: _names(n, v, _FORMS),
+    "patterns": lambda n, v: _names(n, v, _PATTERNS),
+    "lanes": lambda n, v: v if v is None else _items(
+        n, v, _count, "null or a non-empty list of integers > 0"),
+    "max_lanes": lambda n, v: _check(n, v, _count, "an integer > 0"),
+    "clocks_mhz": lambda n, v: _items(n, v, _positive,
+                                      "a list of finite numbers > 0", True),
+    "grids": _grids,
+    "iterations": lambda n, v: _check(n, v, lambda x: x is None or _count(x),
+                                      "null or an integer > 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,6 +163,42 @@ class SuiteConfig:
         grids = {name: tiny_grid(REGISTRY[name].default_grid) for name in names}
         return cls(kernels=names, devices=tuple(devices), max_lanes=max_lanes,
                    grids=grids, iterations=10)
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "SuiteConfig":
+        """The config a ``tybec suite`` command's flags or a ``/suite`` or
+        ``/dse`` body spell: the one way outside input becomes a config.
+
+        ``"tiny": true`` starts from the golden smoke configuration; every
+        other field overrides one axis.  Each field, unknown ones too, is
+        refused with a ``ValueError`` naming it, and so is a grid with no
+        design points.  Lists become tuples and nothing else is
+        normalised, so ``from_spec(c.as_dict()).as_dict() == c.as_dict()``.
+        """
+        spec = dict(_check("suite spec", spec, lambda v: isinstance(v, dict),
+                           "an object"))
+        tiny = _flag(spec, "tiny")
+        unknown = sorted(str(name) for name in spec if name not in _SUITE_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown suite field(s) {unknown}; known: "
+                             f"{sorted([*_SUITE_FIELDS, 'tiny'])}")
+        values = {name: check(name, spec[name])
+                  for name, check in _SUITE_FIELDS.items() if name in spec}
+        if tiny:
+            tiny_args = {name: values.pop(name) for name in
+                         ("kernels", "devices", "max_lanes") if name in values}
+            config = replace(cls.tiny(**tiny_args), **values)
+        else:
+            config = cls(**values)
+        for name in {*config.resolved_kernels(), *map(str.lower, config.grids)}:
+            try:
+                config.workload_for(name)
+            except ValueError as exc:
+                raise ValueError(f"grids: {exc}") from exc
+        if not any(len(config.space_for(name))
+                   for name in config.resolved_kernels()):
+            raise ValueError(_NO_POINTS)
+        return config
 
     # ------------------------------------------------------------------
     def resolved_kernels(self) -> list[str]:
@@ -217,9 +341,6 @@ class WorkloadSuite:
             jobs.extend(build_jobs(space))
         return jobs
 
-    def total_points(self) -> int:
-        return sum(len(space) for space in self.spaces().values())
-
     @staticmethod
     def kernel_entries(spaces: dict[str, DesignSpace], sweep: SweepResult):
         """Per-kernel slices of a sweep over ``spaces``, in sweep order.
@@ -255,27 +376,22 @@ class WorkloadSuite:
 
     def _sweep(self, deadline=None) -> tuple[dict[str, DesignSpace], SweepResult]:
         spaces = self.spaces()
+        if not any(len(space) for space in spaces.values()):
+            raise ValueError(_NO_POINTS)
         dense = getattr(self.engine.backend, "explore_space", None)
         if dense is None:
-            jobs = self.jobs(spaces)
-            if not jobs:
-                raise ValueError(
-                    "suite has no design points (no valid lane counts for the "
-                    "configured grids?)"
-                )
-            return spaces, self.engine.cost_many(jobs, deadline=deadline)
+            return spaces, self.engine.cost_many(self.jobs(spaces),
+                                                 deadline=deadline)
 
         from repro.cost.vector import DenseUnsupportedError
 
         entries: list = []
         wall = 0.0
-        total = 0
         for space in spaces.values():
             if len(space) == 0:
                 continue
             if deadline is not None:
                 deadline.check(f"dense sweep of {space.kernel.name}")
-            total += len(space)
             try:
                 result = dense(space).materialize_all()
             except DenseUnsupportedError:
@@ -284,11 +400,6 @@ class WorkloadSuite:
                                                deadline=deadline)
             entries.extend(result.entries)
             wall += result.wall_seconds
-        if total == 0:
-            raise ValueError(
-                "suite has no design points (no valid lane counts for the "
-                "configured grids?)"
-            )
         collect = getattr(self.engine.backend, "collect_stats", None)
         stats = collect() if collect is not None else {}
         return spaces, SweepResult(entries=entries, wall_seconds=wall, stats=stats)
@@ -323,9 +434,6 @@ class WorkloadSuite:
 # Optimizer-driven DSE over the suite grid
 # ----------------------------------------------------------------------
 
-#: the optimizers ``run_dse`` (and ``tybec suite dse`` / ``POST /dse``) accept
-DSE_OPTIMIZERS = ("exhaustive", "fmax", "halving", "surrogate")
-
 #: per-optimizer parameter defaults; also the set of *accepted* keys, so a
 #: typo'd parameter fails loudly instead of silently running the default
 _DSE_PARAM_DEFAULTS: dict[str, dict] = {
@@ -335,30 +443,84 @@ _DSE_PARAM_DEFAULTS: dict[str, dict] = {
     "surrogate": {"keep_fraction": 0.1, "keep_min": 1},
 }
 
+#: the optimizers ``run_dse`` (and ``tybec suite dse`` / ``POST /dse``) accept
+DSE_OPTIMIZERS = tuple(_DSE_PARAM_DEFAULTS)
+
 
 def resolve_dse_params(optimizer: str, params: dict | None = None) -> dict:
     """Validate and default-fill the parameters of one DSE optimizer.
 
-    The resolved dict is what the report (and the service's coalescing
-    fingerprint) embeds — two requests differing only in an omitted
-    default are the same search.
+    Types are strict (no silent ``int(2.7)``); the exact range of each
+    knob is its optimizer constructor's to check.  The resolved dict is
+    what the report (and the service's coalescing fingerprint) embeds —
+    two requests differing only in an omitted default are the same search.
     """
     if optimizer not in DSE_OPTIMIZERS:
         raise ValueError(
             f"unknown optimizer {optimizer!r}; expected one of "
             f"{', '.join(DSE_OPTIMIZERS)}")
+    _check("params", params, lambda v: v is None or isinstance(v, dict),
+           "an object of optimizer parameters")
     resolved = dict(_DSE_PARAM_DEFAULTS[optimizer])
     for key, value in (params or {}).items():
         if key not in resolved:
             raise ValueError(
                 f"optimizer {optimizer!r} has no parameter {key!r}; "
                 f"accepted: {sorted(resolved) or 'none'}")
-        resolved[key] = type(resolved[key])(value)
+        kind = type(resolved[key])
+        resolved[key] = kind(_check(
+            key, value, _count if kind is int else _positive,
+            "an integer > 0" if kind is int else "a finite number > 0"))
     return resolved
 
 
-def _dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
-                    dense_backend=None) -> dict[str, object]:
+#: the ``/cost`` body fields with their defaults (``design`` is required)
+_COST_FIELDS = {"design": None, "device": "stratix-v", "pattern": "contiguous",
+                "name": "design", "grid": (24, 24, 24), "iterations": 1000}
+
+
+def parse_request(endpoint: str, body) -> dict:
+    """Check a ``suite``, ``dse`` or ``cost`` request body, every field
+    before any lease: the first bad one raises a ``ValueError`` naming it.
+
+    The parsed request holds ``deadline_seconds`` and: ``config`` and
+    ``dense`` (suite); ``config``, ``optimizer``, resolved ``params``
+    (dse); or the :data:`_COST_FIELDS`, ``grid`` a tuple (cost).
+    """
+    _check("request body", body, lambda v: isinstance(v, dict), "a JSON object")
+    body = dict(body)
+    request = {"deadline_seconds":
+               check_deadline_seconds(body.pop("deadline_seconds", None))}
+    if endpoint == "cost":
+        request.update((name, body.pop(name, default))
+                       for name, default in _COST_FIELDS.items())
+        if body:
+            raise ValueError(f"unknown cost field(s) {sorted(map(str, body))}; "
+                             f"known: {sorted(request)}")
+        for name, known in (("design", None), ("name", None),
+                            ("device", DEVICES), ("pattern", _PATTERNS)):
+            _check(name, request[name], lambda v: isinstance(v, str), "a string")
+            if known is not None:
+                _names(name, [request[name]], known)
+        request["grid"] = _items("grid", request["grid"], lambda _: True,
+                                 "a list of dimensions")
+        KernelWorkload(kernel=request["name"], grid=request["grid"],
+                       iterations=request["iterations"])
+        return request
+    if endpoint == "suite":
+        request["dense"] = _flag(body, "dense")
+    else:
+        optimizer = request["optimizer"] = body.pop("optimizer", "fmax")
+        params = request["params"] = resolve_dse_params(
+            optimizer, body.pop("params", None))
+    config = request["config"] = SuiteConfig.from_spec(body)
+    if endpoint == "dse":   # built and dropped: the constructors check ranges
+        dse_optimizers(config, optimizer, params)
+    return request
+
+
+def dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
+                   dense_backend=None) -> dict[str, object]:
     """One named optimizer run per report slot.
 
     Exhaustive/fmax/surrogate search each kernel independently (one run
@@ -465,7 +627,7 @@ def run_dse(config: SuiteConfig | None = None, optimizer: str = "fmax", *,
 
     config = config or SuiteConfig()
     params = resolve_dse_params(optimizer, params)
-    optimizers = _dse_optimizers(config, optimizer, params,
+    optimizers = dse_optimizers(config, optimizer, params,
                                  dense_backend=dense_backend)
     engine = ExplorationEngine(backend)
     runs: dict[str, object] = {}

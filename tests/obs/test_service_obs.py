@@ -174,8 +174,7 @@ class TestTracePropagation:
                    for entry in response.entries)
 
     def test_traced_service_payload_matches_untraced_batch_run(self, server):
-        from repro.service import suite_config_from_spec
-        from repro.suite import WorkloadSuite
+        from repro.suite import SuiteConfig, WorkloadSuite
         from repro.suite.report import canonical_json
 
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
@@ -192,5 +191,5 @@ class TestTracePropagation:
         payload = next(e for e in events if e["event"] == "report")["payload"]
         spec = {k: v for k, v in TINY_SPEC.items()}
         expected = WorkloadSuite(
-            suite_config_from_spec(spec)).run().report.to_json()
+            SuiteConfig.from_spec(spec)).run().report.to_json()
         assert canonical_json(payload) == expected

@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     BadRequestError,
@@ -24,7 +27,6 @@ from repro.service import (
     ServiceError,
     ServiceServer,
     TaskFailedError,
-    suite_config_from_spec,
 )
 from repro.service.server import TRACE_HEADER
 from repro.suite import SuiteConfig, WorkloadSuite
@@ -38,8 +40,8 @@ def encode(event: dict) -> bytes:
     return canonical_json_line(event).encode()
 
 
-@pytest.fixture
-def server():
+@contextmanager
+def running_server():
     srv = ServiceServer(("127.0.0.1", 0), ExplorationService(max_concurrency=2))
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -49,14 +51,28 @@ def server():
 
 
 @pytest.fixture
+def server():
+    with running_server() as srv:
+        yield srv
+
+
+@pytest.fixture(scope="module")
+def refusing_server():
+    """One server shared by the tests whose every body is refused: a
+    refusal leaves no task, sweep or cache entry behind."""
+    with running_server() as srv:
+        yield srv
+
+
+@pytest.fixture
 def client(server):
     return ServiceClient(port=server.port)
 
 
 def batch_report_json(spec: dict) -> str:
     """The canonical bytes a plain batch run writes for ``spec``."""
-    config = suite_config_from_spec({k: v for k, v in spec.items()
-                                     if k != "dense"})
+    config = SuiteConfig.from_spec({k: v for k, v in spec.items()
+                                    if k != "dense"})
     return WorkloadSuite(config).run().report.to_json()
 
 
@@ -90,6 +106,29 @@ def raw_post(port: int, path: str, body: dict,
 
 def ndjson_lines(chunks: list[bytes]) -> list[bytes]:
     return b"".join(chunks).splitlines(keepends=True)
+
+
+def assert_refused_before_lease(server, path: str, body: dict, field: str) -> None:
+    """``body`` gets an HTTP 400 naming ``field`` in plain words, and no
+    task was leased or sweep started for it."""
+    import http.client
+
+    before = server.service.metrics()
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        conn.request("POST", path, body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400
+        error = json.loads(response.read())["error"]
+    finally:
+        conn.close()
+    assert field in error
+    for raw in ("could not convert", "has no attribute", "not supported between"):
+        assert raw not in error
+    after = server.service.metrics()
+    assert after["sweeps"] == before["sweeps"]
+    assert after["coalesce"]["in_flight"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -208,24 +247,24 @@ class TestRequestCoalescer:
 
 class TestSuiteConfigSpec:
     def test_tiny_spec_matches_config(self):
-        config = suite_config_from_spec(dict(TINY_SPEC))
+        config = SuiteConfig.from_spec(dict(TINY_SPEC))
         expected = SuiteConfig.tiny(kernels=("sor",), max_lanes=2)
         assert config == expected
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(BadRequestError, match="unknown suite field"):
-            suite_config_from_spec({"kernles": ["sor"]})
+        with pytest.raises(ValueError, match="unknown suite field"):
+            SuiteConfig.from_spec({"kernles": ["sor"]})
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(BadRequestError, match="unknown kernels"):
-            suite_config_from_spec({"kernels": ["definitely-not-a-kernel"]})
+        with pytest.raises(ValueError, match="unknown kernels"):
+            SuiteConfig.from_spec({"kernels": ["definitely-not-a-kernel"]})
 
     def test_unknown_device_rejected(self):
-        with pytest.raises(BadRequestError):
-            suite_config_from_spec({"devices": ["not-an-fpga"]})
+        with pytest.raises(ValueError, match="unknown devices"):
+            SuiteConfig.from_spec({"devices": ["not-an-fpga"]})
 
     def test_lists_become_tuples(self):
-        config = suite_config_from_spec(
+        config = SuiteConfig.from_spec(
             {"kernels": ["sor"], "lanes": [1, 2], "grids": {"sor": [8, 8, 8]}})
         assert config.lanes == (1, 2)
         assert config.grids["sor"] == (8, 8, 8)
@@ -311,33 +350,47 @@ class TestServiceHTTP:
             client._json("POST", "/nowhere", {})
 
     @pytest.mark.parametrize("body", [
-        # the field coercion itself fails on these: answered, not dropped
         {"grids": ["A"]},
         {"kernels": [[1]]},
-        # these survive coercion; the value checks refuse them before a
-        # task is leased or a sweep starts
         {"tiny": True, "lanes": [[1]]},
         {"tiny": True, "lanes": [True]},
         {"tiny": True, "clocks_mhz": ["x"]},
         {"tiny": True, "forms": [[1]]},
         {"tiny": True, "patterns": ["zigzag"]},
+        # each of these used to lease a task and then fail mid-run
+        {"tiny": True, "deadline_seconds": "x"},
+        {"tiny": True, "deadline_seconds": [1]},
+        {"tiny": True, "deadline_seconds": -1},
+        {"tiny": True, "iterations": "x"},
+        {"tiny": True, "iterations": -3},
+        {"tiny": True, "clocks_mhz": [-5]},
+        {"tiny": True, "lanes": [0]},
+        {"tiny": True, "max_lanes": "x"},
+        {"tiny": True, "max_lanes": 0},
+        # and these used to run a different request than the one sent
+        {"tiny": "yes"},
+        {"tiny": True, "grids": {"nbody": [8, 8, 8]}},
+        {"tiny": True, "kernels": "sor"},
+        {"tiny": True, "dense": "yes"},
     ])
-    def test_ill_typed_suite_fields_are_400(self, server, body):
-        import http.client
+    def test_ill_typed_suite_fields_are_400(self, refusing_server, body):
+        # the field at fault is the body's last one
+        assert_refused_before_lease(refusing_server, "/suite", body,
+                                    field=[*body][-1])
 
-        before = server.service.metrics()
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
-        try:
-            conn.request("POST", "/suite", body=json.dumps(body),
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            assert "error" in json.loads(response.read())
-        finally:
-            conn.close()
-        after = server.service.metrics()
-        assert after["sweeps"] == before["sweeps"]
-        assert after["coalesce"]["in_flight"] == 0
+    @pytest.mark.parametrize("body, field", [
+        ({"tiny": True, "deadline_seconds": "x"}, "deadline_seconds"),
+        ({"tiny": True, "params": {"resolution": 0}}, "resolution"),
+        ({"tiny": True, "params": {"resolution": True}}, "resolution"),
+        ({"tiny": True, "optimizer": "halving", "params": {"budget": 2.7}},
+         "budget"),
+        ({"tiny": True, "params": [1]}, "params"),
+        ({"tiny": True, "optimizer": "annealing"}, "optimizer"),
+        ({"tiny": True, "iterations": "x"}, "iterations"),
+        ({"tiny": True, "dense": True}, "dense"),
+    ])
+    def test_ill_typed_dse_fields_are_400(self, refusing_server, body, field):
+        assert_refused_before_lease(refusing_server, "/dse", body, field=field)
 
     @pytest.mark.parametrize("fields", [
         {"iterations": "x"},
@@ -346,25 +399,48 @@ class TestServiceHTTP:
         {"grid": [-1, 0, 8]},
         {"grid": "A"},
         {"grid": 5},
+        # each of these used to be costed as a different request
+        {"grid": [24.9, 24, 24]},
+        {"iterations": 1.7},
+        {"iterations": True},
+        {"deadline_seconds": "x"},
+        {"device": 5},
+        {"pattern": ["contiguous"]},
+        {"name": 5},
     ])
-    def test_ill_typed_cost_fields_are_400(self, server, fields):
-        import http.client
-
+    def test_ill_typed_cost_fields_are_400(self, refusing_server, fields):
         from repro.ir import print_module
         from tests.conftest import build_stencil_module
 
         body = {"design": print_module(build_stencil_module(lanes=1, grid=(8, 8, 8))),
                 **fields}
+        assert_refused_before_lease(refusing_server, "/cost", body,
+                                    field=[*fields][0])
+
+    def test_unexpected_handler_failure_is_a_json_500(self, server, monkeypatch):
+        import http.client
+
+        from repro.resilience import COUNTERS
+
+        def broken(spec):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(server.service, "lease_suite", broken)
+        errors = server.service.requests["errors"]
+        internal = COUNTERS.snapshot().get("service.internal_errors", 0)
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            conn.request("POST", "/cost", body=json.dumps(body),
+            conn.request("POST", "/suite", body=json.dumps(TINY_SPEC),
                          headers={"Content-Type": "application/json"})
             response = conn.getresponse()
-            assert response.status == 400
-            assert "error" in json.loads(response.read())
+            assert response.status == 500
+            assert "RuntimeError" in json.loads(response.read())["error"]
         finally:
             conn.close()
-        assert server.service.metrics()["coalesce"]["in_flight"] == 0
+        metrics = server.service.metrics()
+        assert metrics["coalesce"]["in_flight"] == 0
+        assert metrics["requests"]["errors"] == errors + 1
+        assert COUNTERS.snapshot()["service.internal_errors"] == internal + 1
 
     def test_metrics_shape(self, client):
         client.suite(dict(TINY_SPEC))
@@ -376,6 +452,72 @@ class TestServiceHTTP:
         stats = metrics["pipeline"]
         assert "stage_seconds" in stats
         assert stats["variant"][0] + stats["variant"][1] > 0
+
+
+#: any JSON value a client could send
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 1 << 40)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6)
+
+#: every request field of the three endpoints, plus optimizer knobs
+_FUZZ_FIELDS = ["tiny", "dense", "deadline_seconds", "kernels", "devices",
+                "lanes", "max_lanes", "forms", "patterns", "clocks_mhz",
+                "grids", "iterations", "optimizer", "params", "design",
+                "device", "pattern", "name", "grid"]
+_fuzz_values = _json_values | st.dictionaries(
+    st.sampled_from(["resolution", "probes_per_round", "budget", "eta",
+                     "rung_points", "keep_fraction", "keep_min"]),
+    _json_values, max_size=2)
+
+
+#: the edit that drops a field instead of setting it
+_DROP = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_service():
+    return ExplorationService()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases():
+    """One valid body per endpoint, for the fuzzer to mutate."""
+    from repro.ir import print_module
+    from tests.conftest import build_stencil_module
+
+    design = print_module(build_stencil_module(lanes=1, grid=(8, 8, 8)))
+    return {"cost": {"design": design, "grid": [8, 8, 8], "iterations": 10},
+            "dse": {**TINY_SPEC, "optimizer": "fmax",
+                    "params": {"resolution": 2.0}},
+            "suite": {**TINY_SPEC, "dense": False}}
+
+
+class TestRequestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(endpoint=st.sampled_from(["suite", "dse", "cost"]),
+           edits=st.lists(st.tuples(
+               st.sampled_from(_FUZZ_FIELDS) | st.text(max_size=6),
+               st.just(_DROP) | _fuzz_values), max_size=3))
+    def test_a_mutated_body_leases_or_is_a_bad_request(
+            self, fuzz_service, fuzz_bases, endpoint, edits):
+        body = dict(fuzz_bases[endpoint])
+        for field, value in edits:
+            if value is _DROP:
+                body.pop(field, None)
+            else:
+                body[field] = value
+        lease = getattr(fuzz_service, f"lease_{endpoint}")
+        try:
+            task, role, _ = lease(body)
+        except BadRequestError:
+            pass
+        else:
+            assert role == "leader"
+            fuzz_service.coalescer.abandon(task, "fuzzed body released")
+        assert fuzz_service.coalescer.info()["in_flight"] == 0
 
 
 class TestServiceDirect:

@@ -23,9 +23,8 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
-    suite_config_from_spec,
 )
-from repro.suite import WorkloadSuite
+from repro.suite import SuiteConfig, WorkloadSuite
 from repro.suite.report import canonical_json_line
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
@@ -52,8 +51,8 @@ def client(server):
 
 
 def batch_report_json(spec: dict) -> str:
-    config = suite_config_from_spec({k: v for k, v in spec.items()
-                                     if k not in ("dense", "deadline_seconds")})
+    config = SuiteConfig.from_spec({k: v for k, v in spec.items()
+                                    if k not in ("dense", "deadline_seconds")})
     return WorkloadSuite(config).run().report.to_json()
 
 

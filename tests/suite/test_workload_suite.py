@@ -1,11 +1,15 @@
 """Tests for the workload-suite subsystem (runner, report, diff)."""
 
 import json
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explore import ProcessPoolBackend
 from repro.kernels import kernel_names
+from repro.substrate import DEVICES
 from repro.suite import (
     SCHEMA,
     SuiteConfig,
@@ -15,8 +19,10 @@ from repro.suite import (
     diff_payloads,
     format_diffs,
     load_report,
+    resolve_dse_params,
     tiny_grid,
 )
+from repro.suite.runner import parse_request
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +70,93 @@ class TestSuiteConfig:
     def test_as_dict_is_json_safe(self):
         payload = SuiteConfig.tiny().as_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+#: a valid ``SuiteConfig.from_spec`` spec, every field optional
+_valid_specs = st.fixed_dictionaries({}, optional={
+    "tiny": st.booleans(),
+    "kernels": st.lists(st.sampled_from([*kernel_names(), "SOR"]), max_size=3),
+    "devices": st.lists(st.sampled_from(sorted(DEVICES)), min_size=1, max_size=2),
+    # lane 1 divides every grid, so the spec always has design points
+    "lanes": st.none() | st.lists(st.integers(1, 16), max_size=2).map(
+        lambda lanes: [1, *lanes]),
+    "max_lanes": st.integers(1, 64),
+    "forms": st.lists(st.sampled_from(["auto", "A", "B", "C"]), min_size=1,
+                      max_size=3),
+    "patterns": st.lists(st.sampled_from(["contiguous", "strided", "random"]),
+                         min_size=1, max_size=2),
+    "clocks_mhz": st.lists(st.integers(1, 400) | st.floats(1.0, 400.0),
+                           max_size=3),
+    "grids": st.dictionaries(st.sampled_from(kernel_names()),
+                             st.lists(st.integers(1, 32), min_size=1, max_size=3),
+                             max_size=2),
+    "iterations": st.none() | st.integers(1, 100),
+})
+
+
+class TestSuiteConfigFromSpec:
+    def test_checks_every_config_field(self):
+        from repro.suite.runner import _SUITE_FIELDS
+
+        assert set(_SUITE_FIELDS) == {f.name for f in fields(SuiteConfig)}
+
+    def test_tiny_branch_matches_tiny(self):
+        config = SuiteConfig.from_spec({"tiny": True, "kernels": ["SOR"],
+                                        "max_lanes": 2, "iterations": 5})
+        expected = SuiteConfig.tiny(kernels=("sor",), max_lanes=2)
+        assert config == replace(expected, iterations=5)
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kernels": "sor"}, "kernels"),          # not split into characters
+        ({"devices": []}, "devices"),
+        ({"lanes": []}, "lanes"),
+        ({"lanes": [0]}, "lanes"),
+        ({"max_lanes": 0}, "max_lanes"),
+        ({"max_lanes": 2.0}, "max_lanes"),
+        ({"clocks_mhz": [float("nan")]}, "clocks_mhz"),
+        ({"clocks_mhz": [True]}, "clocks_mhz"),
+        ({"grids": {"nbody": [8]}}, "grids"),
+        ({"grids": {"sor": [8, 8, 0]}}, "grids"),
+        ({"grids": {"sor": 8}}, "grids"),
+        ({"iterations": 1.5}, "iterations"),
+        ({"tiny": 1}, "tiny"),
+        ({"forms": ["D"]}, "forms"),
+        ({"patterns": ["zigzag"]}, "patterns"),
+        ({"kernels": ["sor"], "lanes": [7]}, "no design points"),
+    ])
+    def test_bad_field_is_named(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            SuiteConfig.from_spec(spec)
+
+    @settings(max_examples=50, deadline=None)
+    @given(spec=_valid_specs)
+    def test_as_dict_round_trips(self, spec):
+        config = SuiteConfig.from_spec(spec)
+        assert SuiteConfig.from_spec(config.as_dict()).as_dict() == config.as_dict()
+
+
+class TestDseRequest:
+    def test_float_knob_takes_an_int(self):
+        params = resolve_dse_params("fmax", {"resolution": 2})
+        assert params == {"resolution": 2.0, "probes_per_round": 3}
+        assert isinstance(params["resolution"], float)
+
+    @pytest.mark.parametrize("optimizer, params, field", [
+        ("fmax", {"resolution": 0}, "resolution"),
+        ("fmax", {"resolution": True}, "resolution"),
+        ("fmax", {"resolution": float("nan")}, "resolution"),
+        ("fmax", {"probes_per_round": 2.7}, "probes_per_round"),
+        ("halving", {"eta": 1}, "eta"),         # range: the constructor's
+        ("surrogate", {"keep_fraction": 1.5}, "keep_fraction"),
+        ("surrogate", {"keep_min": "1"}, "keep_min"),
+        ("fmax", [1], "params"),
+        ("annealing", None, "optimizer"),
+    ])
+    def test_bad_knob_is_refused_before_any_work(self, optimizer, params, field):
+        body = {"tiny": True, "kernels": ["sor"], "optimizer": optimizer,
+                "params": params}
+        with pytest.raises(ValueError, match=field):
+            parse_request("dse", body)
 
 
 class TestWorkloadSuiteRun:

@@ -218,6 +218,27 @@ class TestSuiteCommand:
         assert rc == 2
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--clocks", "nan"], "clocks_mhz"),
+        (["--clocks", "inf"], "clocks_mhz"),
+        (["--max-lanes", "0"], "max_lanes"),
+        (["--lanes", "0"], "lanes"),
+        (["--iterations", "-3"], "iterations"),
+    ])
+    def test_suite_run_refuses_what_the_service_refuses(self, flags, field,
+                                                        tmp_path, capsys):
+        out = tmp_path / "suite.json"
+        rc = main(["suite", "run", "--tiny", *flags, "-o", str(out)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    def test_serve_refuses_a_bad_request_deadline(self, seconds, capsys):
+        rc = main(["serve", "--port", "0", "--request-deadline", seconds])
+        assert rc == 2
+        assert "--request-deadline" in capsys.readouterr().err
+
     def test_suite_run_no_valid_lanes(self, capsys):
         rc = main(["suite", "run", "--tiny", "--kernels", "sor", "--lanes", "7"])
         assert rc == 2
