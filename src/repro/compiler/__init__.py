@@ -38,7 +38,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "family_fingerprint",
     ),
     "repro.compiler.pipeline": (
-        "CalibrationArtifacts", "EstimationPipeline", "PipelineCacheStats",
+        "CalibrationArtifacts", "EstimationPipeline",
         "clear_calibration_cache", "module_content_key", "pipeline_cache_info",
     ),
     "repro.compiler.driver": (
@@ -60,7 +60,6 @@ __all__ = [
     "TybecCompiler",
     "CalibrationArtifacts",
     "EstimationPipeline",
-    "PipelineCacheStats",
     "module_content_key",
     "FamilyAnalysis",
     "LaneFamilyHandle",

@@ -43,8 +43,9 @@ characterisation, DRAM/host sustained-bandwidth fits) are shared across
 :mod:`repro.cost.cache`, so a *new* process (a pool worker, the next CLI
 invocation, a CI rerun) inherits calibration and family analyses from
 disk instead of recomputing them.  Every stage keeps hit/miss counters
-and wall-time accumulators (:class:`PipelineCacheStats`) so sweeps can
-report where their time actually went.
+and wall-time accumulators (the pipeline's ``cache_requests`` and
+``stage_seconds`` metric families) so sweeps can report where their
+time actually went.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ from repro.models.memory_execution import (
     select_memory_execution_form,
 )
 from repro.models.streaming import AccessPattern, PatternKind
+from repro.resilience.policy import MetricFamily
 from repro.substrate.fpga_device import FPGADevice, MAIA_STRATIX_V_GSD8
 from repro.substrate.memory_sim import MemorySystemSimulator
 from repro.substrate.pipeline_sim import PipelineSpec
@@ -111,7 +113,8 @@ __all__ = [
     "CompilationOptions",
     "CompiledVariant",
     "CalibrationArtifacts",
-    "PipelineCacheStats",
+    "CACHE_REQUESTS",
+    "STAGE_SECONDS",
     "EstimationPipeline",
     "module_content_key",
     "adopt_shared_calibration",
@@ -232,84 +235,9 @@ def module_content_key(module: Module) -> str:
     return module.content_fingerprint()
 
 
-@dataclass
-class PipelineCacheStats:
-    """Hit/miss counters and stage timings of the pipeline's layers.
-
-    ``stage_seconds`` accumulates the wall time spent *computing* in each
-    stage (parse, analyze, resource, throughput, feasibility, calibrate)
-    so a sweep can name the guilty stage when throughput regresses;
-    ``family_*`` counts the lane-scaling law's work (``hits`` = members
-    derived analytically, ``misses`` = canonical members fully analysed,
-    ``fallbacks`` = designs that were not lane-separable); ``disk_*``
-    counts warm-start loads from the persistent store.
-
-    A pipeline shared by concurrent request threads (the exploration
-    service) bumps these counters from many threads at once; ``bump`` and
-    ``add_time`` serialise the read-modify-write under a lock so no
-    increment is ever lost, and ``as_dict`` snapshots all counters under
-    the same lock so a metrics scrape is internally consistent.
-    """
-
-    parse_hits: int = 0
-    parse_misses: int = 0
-    variant_hits: int = 0
-    variant_misses: int = 0
-    resource_hits: int = 0
-    resource_misses: int = 0
-    calibration_hits: int = 0
-    calibration_misses: int = 0
-    family_hits: int = 0
-    family_misses: int = 0
-    family_fallbacks: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    stage_seconds: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    @property
-    def hits(self) -> int:
-        return self.parse_hits + self.variant_hits + self.resource_hits + self.calibration_hits
-
-    @property
-    def misses(self) -> int:
-        return (
-            self.parse_misses + self.variant_misses + self.resource_misses
-            + self.calibration_misses
-        )
-
-    def bump(self, counter: str, n: int = 1) -> None:
-        """Atomically increment one of the hit/miss counters by ``n``."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + n)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        with self._lock:
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "parse": [self.parse_hits, self.parse_misses],
-                "variant": [self.variant_hits, self.variant_misses],
-                "resource": [self.resource_hits, self.resource_misses],
-                "calibration": [self.calibration_hits, self.calibration_misses],
-                "family": [self.family_hits, self.family_misses],
-                "family_fallbacks": self.family_fallbacks,
-                "disk": [self.disk_hits, self.disk_misses],
-                "stage_seconds": dict(self.stage_seconds),
-            }
+#: the families every pipeline owns (:attr:`EstimationPipeline.families`)
+CACHE_REQUESTS = "tybec_pipeline_cache_requests_total"
+STAGE_SECONDS = "tybec_pipeline_stage_seconds_total"
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +336,7 @@ class CalibrationStage:
     """
 
     def _resolve(self, memory_cache: dict, memory_key, disk_token,
-                 compute, stats: PipelineCacheStats):
+                 compute, requests: MetricFamily):
         """Memory → disk → compute, publishing upwards on the way out."""
         with _CALIBRATION_LOCK:
             value = memory_cache.get(memory_key)
@@ -418,12 +346,12 @@ class CalibrationStage:
         if disk is not None:
             value = disk.get("calibration", disk_token)
             if value is not None:
-                stats.bump("disk_hits")
+                requests.bump(("disk", "hit"))
                 with _CALIBRATION_LOCK:
                     memory_cache.setdefault(memory_key, value)
                     value = memory_cache[memory_key]
                 return value, False
-            stats.bump("disk_misses")
+            requests.bump(("disk", "miss"))
         with trace_span("pipeline.calibrate", token=disk_token[0]):
             value = compute()
         with _CALIBRATION_LOCK:
@@ -433,7 +361,8 @@ class CalibrationStage:
             disk.put("calibration", disk_token, value)
         return value, True
 
-    def run(self, options: CompilationOptions, stats: PipelineCacheStats) -> CalibrationArtifacts:
+    def run(self, options: CompilationOptions, requests: MetricFamily,
+            seconds: MetricFamily) -> CalibrationArtifacts:
         started = time.perf_counter()
         device = options.device
         sim = _shared_memory_simulator(device)
@@ -449,7 +378,7 @@ class CalibrationStage:
             options.cost_db, computed = self._resolve(
                 _COSTDB_CACHE, (device, options.synthesis_noise),
                 ("costdb", repr(device), options.synthesis_noise),
-                _calibrate, stats,
+                _calibrate, requests,
             )
             missed |= computed
 
@@ -459,7 +388,7 @@ class CalibrationStage:
                 lambda: SustainedBandwidthModel.from_simulator(
                     sim, name=f"{device.name}-dram"
                 ),
-                stats,
+                requests,
             )
             missed |= computed
 
@@ -469,17 +398,17 @@ class CalibrationStage:
                 lambda: SustainedBandwidthModel.host_from_simulator(
                     sim, name=f"{device.name}-host"
                 ),
-                stats,
+                requests,
             )
             missed |= computed
 
         if missed:
-            stats.bump("calibration_misses")
+            requests.bump(("calibration", "miss"))
         else:
-            stats.bump("calibration_hits")
+            requests.bump(("calibration", "hit"))
         with _CALIBRATION_LOCK:
             shared = options.cost_db is _COSTDB_CACHE.get((device, options.synthesis_noise))
-        stats.add_time("calibrate", time.perf_counter() - started)
+        seconds.bump("calibrate", time.perf_counter() - started)
         return CalibrationArtifacts(
             memory_simulator=sim,
             cost_db=options.cost_db,
@@ -500,19 +429,20 @@ class ParseStage:
     def __init__(self, maxsize: int = 128):
         self._cache = BoundedCache(maxsize, name="parse")
 
-    def run(self, text: str, name: str, stats: PipelineCacheStats) -> Module:
+    def run(self, text: str, name: str, requests: MetricFamily,
+            seconds: MetricFamily) -> Module:
         key = (hashlib.sha256(text.encode()).hexdigest(), name)
         module = self._cache.get(key)
         if module is not None:
-            stats.bump("parse_hits")
+            requests.bump(("parse", "hit"))
             return module
-        stats.bump("parse_misses")
+        requests.bump(("parse", "miss"))
         started = time.perf_counter()
         with trace_span("pipeline.parse", design=name):
             module = parse_module(text, name=name)
             validate_module(module)
         self._cache.put(key, module)
-        stats.add_time("parse", time.perf_counter() - started)
+        seconds.bump("parse", time.perf_counter() - started)
         return module
 
 
@@ -556,7 +486,8 @@ class AnalysisStage:
         self,
         module: Module,
         options: CompilationOptions,
-        stats: PipelineCacheStats,
+        requests: MetricFamily,
+        seconds: MetricFamily,
         recipe_token: tuple | None = None,
     ) -> CompiledVariant:
         content = module_content_key(module)
@@ -564,15 +495,15 @@ class AnalysisStage:
         key = (content, options.resolved_clock_mhz(), lat_key)
         variant = self._cache.get(key)
         if variant is not None:
-            stats.bump("variant_hits")
+            requests.bump(("variant", "hit"))
             return variant
-        stats.bump("variant_misses")
+        requests.bump(("variant", "miss"))
         started = time.perf_counter()
 
         bundle = _STRUCTURAL_CACHE.get((content, lat_key))
         if bundle is None:
             with trace_span("pipeline.analyze", design=module.name):
-                bundle = self._structural_bundle(module, content, lat_key, options, stats)
+                bundle = self._structural_bundle(module, content, lat_key, options, requests)
             _STRUCTURAL_CACHE.put((content, lat_key), bundle)
         structure, tree, classification, schedules, family = bundle
         if family is not None and recipe_token is not None:
@@ -593,7 +524,7 @@ class AnalysisStage:
             family=family,
         )
         self._cache.put(key, variant)
-        stats.add_time("analyze", time.perf_counter() - started)
+        seconds.bump("analyze", time.perf_counter() - started)
         return variant
 
     def _structural_bundle(
@@ -602,7 +533,7 @@ class AnalysisStage:
         content: str,
         lat_key: tuple,
         options: CompilationOptions,
-        stats: PipelineCacheStats,
+        requests: MetricFamily,
     ) -> tuple:
         sep = check_lane_separable(module) if options.lane_scaling else None
         fingerprint = None
@@ -611,7 +542,7 @@ class AnalysisStage:
             family = lookup_family(fingerprint, lat_key)
             if family is not None:
                 # the lane-scaling law: derive this member from the family
-                stats.bump("family_hits")
+                requests.bump(("family", "hit"))
                 return self._derived_bundle(family, sep.lanes, module.name, module)
 
         # the full path: validate, analyse, schedule — once per family
@@ -620,9 +551,9 @@ class AnalysisStage:
         if disk is not None:
             loaded = disk.get("analysis", (content, lat_key))
             if loaded is not None:
-                stats.bump("disk_hits")
+                requests.bump(("disk", "hit"))
                 return loaded
-            stats.bump("disk_misses")
+            requests.bump(("disk", "miss"))
 
         validate_module(module)
         structure = ModuleStructure.from_module(module)
@@ -635,12 +566,12 @@ class AnalysisStage:
             family = build_family(module, sep, fingerprint, lat_key,
                                   structure, schedules, classification)
             if family is not None:
-                stats.bump("family_misses")
+                requests.bump(("family", "miss"))
                 register_family(family)
             else:
-                stats.bump("family_fallbacks")
+                requests.bump(("family", "fallback"))
         elif options.lane_scaling:
-            stats.bump("family_fallbacks")
+            requests.bump(("family", "fallback"))
 
         bundle = (structure, tree, classification, schedules, family)
         if disk is not None:
@@ -661,7 +592,8 @@ class AnalysisStage:
         self,
         handle: LaneFamilyHandle,
         options: CompilationOptions,
-        stats: PipelineCacheStats,
+        requests: MetricFamily,
+        seconds: MetricFamily,
     ) -> CompiledVariant:
         """Analyse a sweep recipe, lowering its module only when needed.
 
@@ -675,14 +607,14 @@ class AnalysisStage:
         key = ("recipe", handle.point_token(), clock, lat_key)
         variant = self._cache.get(key)
         if variant is not None:
-            stats.bump("variant_hits")
+            requests.bump(("variant", "hit"))
             return variant
 
         if options.lane_scaling and handle._module is None:
             family = lookup_family_for_recipe(handle.family_token(), lat_key)
             if family is not None:
-                stats.bump("variant_misses")
-                stats.bump("family_hits")
+                requests.bump(("variant", "miss"))
+                requests.bump(("family", "hit"))
                 started = time.perf_counter()
                 bundle_key = (family.fingerprint, family.latency, handle.lanes,
                               handle.design_name)
@@ -709,10 +641,10 @@ class AnalysisStage:
                     family=family,
                 )
                 self._cache.put(key, variant)
-                stats.add_time("analyze", time.perf_counter() - started)
+                seconds.bump("analyze", time.perf_counter() - started)
                 return variant
 
-        variant = self.run(handle.materialize(), options, stats,
+        variant = self.run(handle.materialize(), options, requests, seconds,
                            recipe_token=handle.family_token())
         self._cache.put(key, variant)
         return variant
@@ -820,13 +752,14 @@ class ResourceStage:
         variant: CompiledVariant,
         calibration: CalibrationArtifacts,
         options: CompilationOptions,
-        stats: PipelineCacheStats,
+        requests: MetricFamily,
+        seconds: MetricFamily,
     ) -> ModuleResourceEstimate:
         content = variant.content_key or module_content_key(variant.module)
         key = (content, _latency_key(options))
         estimate = self._cache.get(key)
         if estimate is not None:
-            stats.bump("resource_hits")
+            requests.bump(("resource", "hit"))
             return self._fresh_view(estimate)
 
         shared_key = None
@@ -834,11 +767,11 @@ class ResourceStage:
             shared_key = key + (options.device, options.synthesis_noise)
             estimate = _RESOURCE_CACHE.get(shared_key)
             if estimate is not None:
-                stats.bump("resource_hits")
+                requests.bump(("resource", "hit"))
                 self._cache.put(key, estimate)
                 return self._fresh_view(estimate)
 
-        stats.bump("resource_misses")
+        requests.bump(("resource", "miss"))
         started = time.perf_counter()
         with trace_span("pipeline.resource", design=variant.name):
             estimator = ResourceEstimator(calibration.cost_db)
@@ -846,7 +779,7 @@ class ResourceStage:
         self._cache.put(key, estimate)
         if shared_key is not None:
             _RESOURCE_CACHE.put(shared_key, estimate)
-        stats.add_time("resource", time.perf_counter() - started)
+        seconds.bump("resource", time.perf_counter() - started)
         return self._fresh_view(estimate)
 
 
@@ -941,7 +874,18 @@ class EstimationPipeline:
 
     def __init__(self, options: CompilationOptions | None = None):
         self.options = options or CompilationOptions()
-        self.stats = PipelineCacheStats()
+        #: lookups per (layer, result): ``parse``/``variant``/``resource``/
+        #: ``calibration``/``disk`` hit or miss, and ``family`` hit (a
+        #: lane member derived analytically), miss (a canonical member
+        #: analysed) or fallback (a design that is not lane-separable)
+        self.cache_requests = MetricFamily(
+            CACHE_REQUESTS, ("layer", "result"),
+            "Pipeline memoization lookups by layer and outcome.")
+        self.stage_seconds = MetricFamily(
+            STAGE_SECONDS, ("stage",),
+            "Wall seconds spent computing in each pipeline stage.")
+        #: this session's counter families, summed by the backends' views
+        self.families = (self.cache_requests, self.stage_seconds)
         self._calibration = CalibrationStage()
         self._parse = ParseStage()
         self._analysis = AnalysisStage()
@@ -951,7 +895,7 @@ class EstimationPipeline:
 
     # -- calibration artifacts (one-time per device) -----------------------
     def calibrate(self) -> CalibrationArtifacts:
-        return self._calibration.run(self.options, self.stats)
+        return self._calibration.run(self.options, *self.families)
 
     @property
     def memory_simulator(self) -> MemorySystemSimulator:
@@ -971,16 +915,17 @@ class EstimationPipeline:
 
     # -- individual stages -------------------------------------------------
     def parse(self, text: str, name: str = "design") -> Module:
-        return self._parse.run(text, name, self.stats)
+        return self._parse.run(text, name, *self.families)
 
     def analyze(self, module: Module | LaneFamilyHandle) -> CompiledVariant:
         """Run the structural part of the estimation flow."""
         if isinstance(module, LaneFamilyHandle):
-            return self._analysis.run_handle(module, self.options, self.stats)
-        return self._analysis.run(module, self.options, self.stats)
+            return self._analysis.run_handle(module, self.options, *self.families)
+        return self._analysis.run(module, self.options, *self.families)
 
     def resources(self, variant: CompiledVariant) -> ModuleResourceEstimate:
-        return self._resource.run(variant, self.calibrate(), self.options, self.stats)
+        return self._resource.run(variant, self.calibrate(), self.options,
+                                  *self.families)
 
     def select_form(self, footprint_bytes: int) -> FormSelection:
         return self._throughput.select_form(footprint_bytes, self.options)
@@ -1007,23 +952,24 @@ class EstimationPipeline:
         # the per-variant estimation time (the paper's 0.3 s figure is per
         # variant, with calibration done once per device)
         calibration = self.calibrate()
-        stats = self.stats
+        seconds = self.stage_seconds
 
         with trace_span("pipeline.cost") as _sp:
             started = time.perf_counter()
             if isinstance(module, str):
                 module = self.parse(module)
             variant = self.analyze(module)
-            estimate = self._resource.run(variant, calibration, self.options, stats)
+            estimate = self._resource.run(variant, calibration, self.options,
+                                         *self.families)
             mark = time.perf_counter()
             params, selection = self._throughput.extract_parameters(
                 variant, workload, pattern, self.options, calibration
             )
             throughput = estimate_throughput(params, selection.form)
-            stats.add_time("throughput", time.perf_counter() - mark)
+            seconds.bump("throughput", time.perf_counter() - mark)
             mark = time.perf_counter()
             feasibility = self._feasibility.run(estimate, params, selection.form, self.options)
-            stats.add_time("feasibility", time.perf_counter() - mark)
+            seconds.bump("feasibility", time.perf_counter() - mark)
             elapsed = time.perf_counter() - started
             if _sp is not None:
                 _sp.attrs["design"] = variant.name

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.obs.logs import get_logger, log_event
 from repro.obs.trace import span as trace_span
-from repro.resilience import COUNTERS, InjectedFault, maybe_fail
+from repro.resilience import COUNTERS, InjectedFault, MetricFamily, maybe_fail
 
 _LOG = get_logger("cache")
 
@@ -62,11 +62,28 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+#: variables whose unusable override was already logged
+_ENV_LOGGED: set[str] = set()
+
+
 def env_int(name: str, default: int) -> int:
-    """An integer read from the environment, falling back on garbage."""
+    """An integer read from the environment, falling back on garbage.
+
+    Each fallback counts as ``fallbacks.env``; the variable's name is
+    logged the first time, so a typo'd override is visible, not silent.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
     try:
-        return int(os.environ.get(name, default))
-    except (TypeError, ValueError):
+        return int(raw)
+    except ValueError:
+        COUNTERS.bump("fallbacks.env")
+        if name not in _ENV_LOGGED:
+            _ENV_LOGGED.add(name)
+            log_event(_LOG, "fallback.env", level=logging.WARNING,
+                      site="env_int", key=name,
+                      cause=f"not an integer: {raw!r}", default=default)
         return default
 
 
@@ -181,11 +198,19 @@ class DiskCache:
             )
             capacity = self.DEFAULT_CAPACITY
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.quarantined = 0
-        self.orphans_removed = 0
+        self.events = MetricFamily(
+            "tybec_disk_cache_events_total", ("event",),
+            "Disk cache hits, misses, evictions, quarantines and orphan "
+            "sweeps in this process.")
+        self.entries = MetricFamily(
+            "tybec_disk_cache_entries", ("namespace",),
+            "Disk cache entries per namespace at the last stats read.",
+            kind="gauge")
+        self.bytes = MetricFamily(
+            "tybec_disk_cache_bytes", ("namespace",),
+            "Disk cache bytes per namespace at the last stats read.",
+            kind="gauge")
+        self.families = (self.events, self.entries, self.bytes)
         self._lock = threading.Lock()
         self._put_counts: dict[str, int] = {}
         #: consecutive decode failures per entry path (reset by a put)
@@ -224,8 +249,7 @@ class DiskCache:
             # entry the way real corruption does
             maybe_fail("cache.read")
         except InjectedFault:
-            with self._lock:
-                self.misses += 1
+            self.events.bump("misses")
             return None
         try:
             with open(path, "rb") as fh:
@@ -239,8 +263,7 @@ class DiskCache:
             except OSError:
                 pass
         except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
+            self.events.bump("misses")
             return None
         except Exception as exc:
             # torn, corrupt or incompatible entry: a miss, and a strike.
@@ -248,17 +271,16 @@ class DiskCache:
             # left alone — a concurrent writer is about to replace it
             # anyway); an entry that keeps failing is quarantined so it
             # stops poisoning the read path but survives for post-mortem.
+            self.events.bump("misses")
             with self._lock:
-                self.misses += 1
                 strikes = self._decode_failures.get(str(path), 0) + 1
                 self._decode_failures[str(path)] = strikes
             if strikes >= self.QUARANTINE_AFTER:
                 try:
                     path.rename(path.with_suffix(".quarantined"))
                     with self._lock:
-                        self.quarantined += 1
                         self._decode_failures.pop(str(path), None)
-                    COUNTERS.bump("cache.quarantined")
+                    self.events.bump("quarantined")
                     log_event(
                         _LOG,
                         "cache.quarantined",
@@ -272,8 +294,8 @@ class DiskCache:
                 except OSError:
                     pass
             return None
+        self.events.bump("hits")
         with self._lock:
-            self.hits += 1
             self._decode_failures.pop(str(path), None)
         return payload["value"]
 
@@ -354,9 +376,7 @@ class DiskCache:
                 continue
             try:
                 path.unlink()
-                with self._lock:
-                    self.orphans_removed += 1
-                COUNTERS.bump("cache.orphans_removed")
+                self.events.bump("orphans_removed")
                 log_event(
                     _LOG,
                     "cache.orphan_removed",
@@ -382,8 +402,7 @@ class DiskCache:
         for path in entries[:max(0, excess)]:
             try:
                 path.unlink()
-                with self._lock:
-                    self.evictions += 1
+                self.events.bump("evictions")
             except OSError:
                 pass
 
@@ -430,7 +449,11 @@ class DiskCache:
             return 0
 
     def stats(self) -> dict:
-        """On-disk occupancy per namespace plus this process's counters."""
+        """On-disk occupancy per namespace plus this process's counters.
+
+        Also re-reads the ``entries``/``bytes`` gauges, so a scrape that
+        calls this first exports the occupancy it just measured.
+        """
         namespaces: dict[str, dict] = {}
         if self.version_dir.exists():
             try:
@@ -454,20 +477,16 @@ class DiskCache:
                     "orphan_tmp": sum(
                         1 for p in listing if p.suffix == ".tmp"),
                 }
-        with self._lock:
-            hits, misses, evictions = self.hits, self.misses, self.evictions
-            quarantined = self.quarantined
-            orphans_removed = self.orphans_removed
+        self.entries.reset({ns: info["entries"] for ns, info in namespaces.items()})
+        self.bytes.reset({ns: info["bytes"] for ns, info in namespaces.items()})
+        events = self.events.snapshot()
         return {
             "root": str(self.root),
             "schema_version": SCHEMA_VERSION,
             "capacity_per_namespace": self.capacity,
             "namespaces": namespaces,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "quarantined": quarantined,
-            "orphans_removed": orphans_removed,
+            **{event: events.get(event, 0) for event in (
+                "hits", "misses", "evictions", "quarantined", "orphans_removed")},
         }
 
 

@@ -40,7 +40,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.explore.engine": (
         "ExplorationEngine", "ProcessPoolBackend", "SerialBackend",
-        "SweepEntry", "SweepResult", "canonical_report_dict", "merge_stats",
+        "SweepEntry", "SweepResult", "canonical_report_dict", "stats_view",
         "pareto_frontier",
     ),
     "repro.explore.dense": ("DenseBackend", "DenseSweep"),
@@ -89,7 +89,7 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "canonical_report_dict",
-    "merge_stats",
+    "stats_view",
     "pareto_frontier",
     "RooflinePoint",
     "roofline_analysis",

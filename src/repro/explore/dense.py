@@ -61,16 +61,19 @@ from repro.cost.vector import (
     pareto_mask,
 )
 from repro.explore.engine import (
+    DENSE_POINTS,
+    DENSE_REQUESTS,
     SerialBackend,
     SweepEntry,
     SweepResult,
-    merge_stats,
     pareto_frontier,
+    stats_view,
 )
 from repro.explore.space import DenseGrid, DesignSpace, _form_value
-from repro.obs.trace import span as trace_span
 from repro.models.memory_execution import FormSelection
 from repro.models.streaming import PatternKind
+from repro.obs.trace import span as trace_span
+from repro.resilience.policy import MetricFamily
 from repro.substrate.fpga_device import FPGADevice
 from repro.substrate.synthesis import ResourceUsage
 
@@ -397,10 +400,10 @@ class DenseBackend:
     plus array reshapes.
 
     The backend is reentrant: every cache layer (pipelines, vectors,
-    axes, groups, whole sweeps) and every counter is guarded by one lock,
-    taken only around lookups and publications — the numpy evaluation
-    itself runs outside it, so concurrent sweeps over *different*
-    families still overlap.  Two threads racing to fill the same entry
+    axes, groups, whole sweeps) is guarded by one lock (the counter
+    families by their own), taken only around lookups and publications —
+    the numpy evaluation itself runs outside it, so concurrent sweeps
+    over *different* families still overlap.  Two threads racing to fill the same entry
     both compute it (the stages are deterministic, so the results are
     interchangeable) and the first publication wins.
     """
@@ -422,20 +425,11 @@ class DenseBackend:
         self._sweeps: dict = {}
         self._throughput = ThroughputStage()
         self._lock = threading.RLock()
-        self.counters = {
-            "sweeps": 0,
-            "points": 0,
-            "vector": [0, 0],  # [hits, misses]
-            "group": [0, 0],
-            "sweep": [0, 0],
-        }
-
-    def _count(self, counter: str, slot: int | None = None, n: int = 1) -> None:
-        with self._lock:
-            if slot is None:
-                self.counters[counter] += n
-            else:
-                self.counters[counter][slot] += n
+        self.requests = MetricFamily(
+            DENSE_REQUESTS, ("layer", "result"),
+            "Dense backend cache lookups (vector, group, sweep) by outcome.")
+        self.points = MetricFamily(
+            DENSE_POINTS, help="Design points the dense backend answered.")
 
     # -- cache layers --------------------------------------------------
     def pipeline_for(self, device: FPGADevice) -> EstimationPipeline:
@@ -452,9 +446,9 @@ class DenseBackend:
         with self._lock:
             cached = self._vectors.get(key)
         if cached is not None:
-            self._count("vector", 0)
+            self.requests.bump(("vector", "hit"))
             return cached
-        self._count("vector", 1)
+        self.requests.bump(("vector", "miss"))
         pipeline = self.pipeline_for(device)
         computed = extract_family_vector(pipeline, kernel, grid, canonical_lanes)
         with self._lock:
@@ -500,17 +494,15 @@ class DenseBackend:
         with self._lock:
             cached = self._sweeps.get(space_key)
         if cached is not None:
-            self._count("sweep", 0)
-            self._count("sweeps")
-            self._count("points", n=cached.evaluated)
+            self.requests.bump(("sweep", "hit"))
+            self.points.bump(n=cached.evaluated)
             return cached._with_wall(time.perf_counter() - started)
-        self._count("sweep", 1)
+        self.requests.bump(("sweep", "miss"))
 
         grid = DenseGrid.from_space(space)
         kernel = space.kernel
         workload = kernel.workload(tuple(space.grid), space.iterations)
-        self._count("sweeps")
-        self._count("points", n=len(grid))
+        self.points.bump(n=len(grid))
 
         contexts: list[_DeviceContext] = []
         groups: dict[tuple[int, int, int], _Group] = {}
@@ -567,7 +559,7 @@ class DenseBackend:
                 with self._lock:
                     cached = self._groups.get(key)
                 if cached is None:
-                    self._count("group", 1)
+                    self.requests.bump(("group", "miss"))
                     options = CompilationOptions(device=ctx.device, form=form_value)
                     selection = self._throughput.select_form(footprint, options)
                     rho_h = host.rho(footprint)
@@ -594,7 +586,7 @@ class DenseBackend:
                     with self._lock:
                         cached = self._groups.setdefault(key, cached)
                 else:
-                    self._count("group", 0)
+                    self.requests.bump(("group", "hit"))
                 groups[(di, fi, pi)] = cached
 
     # -- the generic backend protocol ---------------------------------
@@ -602,22 +594,18 @@ class DenseBackend:
         """Scalar fallback: cost a per-point job batch serially."""
         return self._serial.run(jobs, deadline=deadline)
 
+    def families(self) -> list[MetricFamily]:
+        """The dense counters plus every pipeline's (its scalar fallback's too)."""
+        with self._lock:
+            pipelines = list(self._pipelines.values())
+        return ([self.requests, self.points]
+                + [family for p in pipelines for family in p.families]
+                + self._serial.families())
+
     def collect_stats(self) -> dict:
-        """Dense counters merged with the per-session pipeline statistics.
+        """Dense counters summed with the per-session pipeline statistics.
 
         Counters are cumulative over the backend's lifetime, matching the
         serial backend's semantics.
         """
-        with self._lock:
-            pipelines = list(self._pipelines.values())
-            dense = {
-                "sweeps": self.counters["sweeps"],
-                "points": self.counters["points"],
-                "vector": list(self.counters["vector"]),
-                "group": list(self.counters["group"]),
-            }
-        payloads = [p.stats.as_dict() for p in pipelines]
-        payloads.append(self._serial.collect_stats())
-        merged = merge_stats(payloads)
-        merged["dense"] = dense
-        return merged
+        return stats_view(self.families())

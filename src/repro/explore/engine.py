@@ -37,9 +37,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.compiler.pipeline import (
+    CACHE_REQUESTS,
+    STAGE_SECONDS,
     CompilationOptions,
     EstimationPipeline,
     adopt_shared_calibration,
@@ -48,7 +50,6 @@ from repro.cost.cache import env_int
 from repro.cost.report import CostReport
 from repro.explore.space import CostJob, DesignPoint, DesignSpace
 from repro.obs.trace import (
-    WORKER_SPANS_KEY,
     Tracer,
     current_tracer,
     install_tracer,
@@ -59,11 +60,13 @@ from repro.obs.trace import (
 from repro.resilience import (
     COUNTERS,
     Deadline,
+    MetricFamily,
     RetryBudgetExceededError,
     RetryPolicy,
     is_transient,
     maybe_fail,
     register_transient,
+    sum_families,
 )
 
 __all__ = [
@@ -73,36 +76,48 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "canonical_report_dict",
-    "merge_stats",
     "pareto_frontier",
+    "stats_view",
 ]
 
 
-def merge_stats(payloads: Sequence[dict | None]) -> dict:
-    """Merge pipeline-stat payloads by summing numeric leaves.
+#: the dense backend's families (declared in :mod:`repro.explore.dense`,
+#: named here so this numpy-free module can lay them out)
+DENSE_REQUESTS = "tybec_dense_cache_requests_total"
+DENSE_POINTS = "tybec_dense_points_total"
 
-    Counter pairs (``[hits, misses]``) sum element-wise, nested dicts
-    (``stage_seconds``) merge recursively — the shape every backend's
-    aggregated statistics share, whether the pipelines ran in-process or
-    behind a pickle boundary.
+
+def stats_view(families: Iterable[MetricFamily]) -> dict:
+    """The nested stats shape of ``SweepResult.stats`` and ``/metrics``.
+
+    Sums same-named families (every session pipeline, every pool
+    worker's shipped families) and lays the totals out the way stats
+    leave the process: ``[hits, misses]`` per cache layer,
+    ``family_fallbacks``, ``stage_seconds`` and, when a dense backend
+    contributed, a ``dense`` block.
     """
-    merged: dict = {}
-    for payload in payloads:
-        if not payload:
-            continue
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                merged[key] = merge_stats([merged.get(key), value]) \
-                    if key in merged else dict(value)
-            elif isinstance(value, list):
-                current = merged.setdefault(key, [0] * len(value))
-                for i, item in enumerate(value):
-                    current[i] += item
-            elif isinstance(value, (int, float)):
-                merged[key] = merged.get(key, 0) + value
-            else:
-                merged[key] = value
-    return merged
+    totals = {name: f.snapshot() for name, f in sum_families(families).items()}
+
+    def pair(counts: dict, layer: str) -> list:
+        return [counts.get((layer, "hit"), 0), counts.get((layer, "miss"), 0)]
+
+    view: dict = {}
+    requests = totals.get(CACHE_REQUESTS)
+    if requests is not None:
+        for layer in ("parse", "variant", "resource", "calibration", "family"):
+            view[layer] = pair(requests, layer)
+        view["family_fallbacks"] = requests.get(("family", "fallback"), 0)
+        view["disk"] = pair(requests, "disk")
+        view["stage_seconds"] = totals.get(STAGE_SECONDS, {})
+    dense = totals.get(DENSE_REQUESTS)
+    if dense is not None:
+        view["dense"] = {
+            "sweeps": sum(pair(dense, "sweep")),
+            "points": totals.get(DENSE_POINTS, {}).get((), 0),
+            "vector": pair(dense, "vector"),
+            "group": pair(dense, "group"),
+        }
+    return view
 
 
 def canonical_report_dict(report: CostReport) -> dict:
@@ -210,6 +225,12 @@ class SerialBackend:
                 progress(index, report)
         return reports
 
+    def families(self) -> list[MetricFamily]:
+        """Every session pipeline's counter families."""
+        with self._lock:
+            pipelines = list(self._pipelines.values())
+        return [family for p in pipelines for family in p.families]
+
     def collect_stats(self) -> dict:
         """Aggregated cache/timing statistics over every session pipeline.
 
@@ -217,12 +238,11 @@ class SerialBackend:
         reused across sweeps keeps counting), which is what a long-running
         exploration loop wants to watch.
         """
-        with self._lock:
-            pipelines = list(self._pipelines.values())
-        return merge_stats([p.stats.as_dict() for p in pipelines])
+        return stats_view(self.families())
 
 
-def _evaluate_batch(payload) -> tuple[list[tuple[int, CostReport]], dict]:
+def _evaluate_batch(payload) -> tuple[list[tuple[int, CostReport]],
+                                      tuple[MetricFamily, ...], list | None]:
     """Worker entry point: cost one batch of same-session jobs.
 
     Each batch gets a fresh pipeline (the batch *is* the session on this
@@ -231,10 +251,10 @@ def _evaluate_batch(payload) -> tuple[list[tuple[int, CostReport]], dict]:
     per-device calibration artifacts arrive pre-resolved inside the
     pickled options (see :meth:`ProcessPoolBackend._payloads`), are
     shared process-wide, and warm-start from the persistent store
-    otherwise.  The worker ships its cache statistics back alongside the
-    reports so the parent can aggregate a sweep-wide picture — and, when
-    the parent is tracing, its spans ride the same channel under
-    :data:`WORKER_SPANS_KEY` (workers never touch the trace file).
+    otherwise.  The worker ships its pipeline's counter families back
+    alongside the reports so the parent can sum a sweep-wide picture —
+    and, when the parent is tracing, its spans (workers never touch the
+    trace file).
     """
     options, batch, shared_default, *rest = payload
     epoch = rest[0] if rest else 0
@@ -264,12 +284,8 @@ def _evaluate_batch(payload) -> tuple[list[tuple[int, CostReport]], dict]:
     finally:
         if worker_tracer is not None:
             uninstall_tracer()
-    stats = pipeline.stats.as_dict()
-    if worker_tracer is not None:
-        spans = worker_tracer.drain()
-        if spans:
-            stats[WORKER_SPANS_KEY] = spans
-    return results, stats
+    spans = worker_tracer.drain() if worker_tracer is not None else None
+    return results, pipeline.families, spans
 
 
 class ProcessPoolBackend:
@@ -345,7 +361,7 @@ class ProcessPoolBackend:
         trace_ctx = worker_trace_context(pool_span)
         payloads = self._payloads(jobs)
         reports: list[CostReport | None] = [None] * len(jobs)
-        worker_stats: list[dict] = []
+        worker_families: list[MetricFamily] = []
         resilience = {"attempts": 0, "requeued_batches": 0, "pool_respawns": 0}
 
         pending = list(range(len(payloads)))
@@ -376,7 +392,7 @@ class ProcessPoolBackend:
                     for future in done:
                         index = futures[future]
                         try:
-                            batch_results, stats = future.result()
+                            batch_results, families, spans = future.result()
                         except BaseException as exc:  # noqa: BLE001
                             if not is_transient(exc):
                                 raise
@@ -386,15 +402,13 @@ class ProcessPoolBackend:
                             failed.append(index)
                             last_error = exc
                             continue
-                        spans = stats.pop(WORKER_SPANS_KEY, None)
                         if spans:
-                            # worker spans ride home with the stats; strip
-                            # them before merge_stats (which sums numeric
-                            # leaves) and re-emit into the parent's trace
+                            # worker spans ride home beside the counts;
+                            # re-emit them into the parent's trace
                             tracer = current_tracer()
                             if tracer is not None:
                                 tracer.emit_foreign(spans)
-                        worker_stats.append(stats)
+                        worker_families.extend(families)
                         for job_index, report in batch_results:
                             reports[job_index] = report
             finally:
@@ -420,7 +434,7 @@ class ProcessPoolBackend:
             raise RetryBudgetExceededError(
                 f"pool sweep ({len(pending)} batch(es) of {len(payloads)})",
                 policy.max_attempts, last_error) from last_error
-        self._last_stats = merge_stats(worker_stats)
+        self._last_stats = stats_view(worker_families)
         self._last_stats["resilience"] = resilience
         return reports  # type: ignore[return-value]
 
@@ -489,7 +503,7 @@ class SweepResult:
     entries: list[SweepEntry] = field(default_factory=list)
     #: wall-clock seconds of the whole batch (includes backend overheads)
     wall_seconds: float = 0.0
-    #: aggregated pipeline cache/timing statistics (see ``merge_stats``);
+    #: aggregated pipeline cache/timing statistics (see ``stats_view``);
     #: deliberately *not* part of any canonical report payload
     stats: dict = field(default_factory=dict)
 

@@ -10,9 +10,9 @@ Three pillars:
 - ``repro.obs.trace`` — structured spans with a context-manager API,
   exported as ``repro-trace/1`` NDJSON (``TYBEC_TRACE=/path`` or
   ``tybec --trace``).
-- ``repro.obs.metrics`` — a single thread-safe :class:`MetricsRegistry`
-  (labeled counters / gauges / histograms) with Prometheus text
-  exposition, plus bridges for the pre-existing ad-hoc stat surfaces.
+- ``repro.obs.metrics`` — Prometheus text exposition of the metric
+  families each stat surface declares where it counts, plus the
+  :class:`MetricsRegistry` that owns the request-latency histogram.
 - ``repro.obs.logs`` — run-id and trace-id correlated stdlib logging.
 - ``repro.obs.profile`` — opt-in per-stage cProfile dumps
   (``TYBEC_PROFILE_DIR=/path``).
@@ -27,14 +27,10 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.logs": ("get_logger", "log_event", "setup_logging"),
-    "repro.obs.metrics": (
-        "MetricSample", "MetricsRegistry", "render_prometheus",
-        "samples_from_counter_snapshot", "samples_from_disk_cache_stats",
-        "samples_from_pipeline_stats", "samples_from_service_metrics",
-    ),
+    "repro.obs.metrics": ("MetricsRegistry",),
     "repro.obs.profile": ("PROFILE_ENV", "maybe_profile"),
     "repro.obs.trace": (
-        "TRACE_ENV", "TRACE_SCHEMA", "WORKER_SPANS_KEY", "Tracer",
+        "TRACE_ENV", "TRACE_SCHEMA", "Tracer",
         "activate_from_env", "current_trace_id", "current_tracer",
         "format_trace_summary", "install_tracer", "load_trace", "new_trace_id",
         "span", "summarize_trace", "uninstall_tracer", "validate_trace",
@@ -43,12 +39,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "MetricSample",
     "MetricsRegistry",
     "PROFILE_ENV",
     "TRACE_ENV",
     "TRACE_SCHEMA",
-    "WORKER_SPANS_KEY",
     "Tracer",
     "activate_from_env",
     "current_trace_id",
@@ -60,11 +54,6 @@ __all__ = [
     "log_event",
     "maybe_profile",
     "new_trace_id",
-    "render_prometheus",
-    "samples_from_counter_snapshot",
-    "samples_from_disk_cache_stats",
-    "samples_from_pipeline_stats",
-    "samples_from_service_metrics",
     "setup_logging",
     "span",
     "summarize_trace",

@@ -1,39 +1,25 @@
-"""One metrics registry for the previously-scattered stat surfaces.
+"""Prometheus text exposition of the system's metric families.
 
-:class:`MetricsRegistry` holds labeled counters, gauges, and histograms
-behind one lock, renders them as Prometheus text exposition (version
-0.0.4), and additionally accepts *collector* callables that adapt the
-pre-existing ad-hoc surfaces — ``PipelineCacheStats`` dicts, resilience
-``COUNTERS`` snapshots, ``DiskCache.stats()``, ``SweepResult.stats``, and
-the service's JSON ``/metrics`` payload — into metric samples at scrape
-time without forcing those surfaces to change shape.
+Every stat surface declares its counters where it counts, as a
+:class:`~repro.resilience.policy.MetricFamily` (name, kind, label names,
+help text): the resilience ``COUNTERS``, each estimation pipeline's
+cache requests and stage seconds, the dense backend, the disk cache and
+the service.  :class:`MetricsRegistry` renders those families as they
+were declared, in text exposition format 0.0.4, next to the one family
+type the registry owns itself: the request-latency histogram.  Nothing
+here re-parses a JSON payload or guesses a value's kind from its shape.
+
+This module reads families by attribute only, so it imports nothing from
+the rest of ``repro``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
 DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
-_VALID_KINDS = ("counter", "gauge", "histogram", "untyped")
-
-
-class MetricSample(NamedTuple):
-    """A single exposition sample produced by a collector."""
-
-    name: str
-    labels: Mapping[str, Any]
-    value: float
-    kind: str = "gauge"
-    help: str = ""
-
-
-def _labels_key(labelnames: Sequence[str], labels: Mapping[str, Any]) -> tuple[str, ...]:
-    if set(labels) != set(labelnames):
-        raise ValueError(f"expected labels {tuple(labelnames)}, got {tuple(labels)}")
-    return tuple(str(labels[name]) for name in labelnames)
 
 
 def _escape_label_value(value: str) -> str:
@@ -48,36 +34,20 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_labels(labelnames: Sequence[str], values: Sequence[str]) -> str:
+def _format_labels(labelnames: Sequence[str], values: Sequence[Any]) -> str:
     if not labelnames:
         return ""
     body = ",".join(
-        f'{name}="{_escape_label_value(value)}"'
+        f'{name}="{_escape_label_value(str(value))}"'
         for name, value in zip(labelnames, values)
     )
     return "{" + body + "}"
 
 
-class _Child:
-    """Per-label-set state of a counter or gauge."""
-
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+def _header(lines: list[str], name: str, kind: str, help: str) -> None:
+    if help:
+        lines.append(f"# HELP {name} {help}")
+    lines.append(f"# TYPE {name} {kind}")
 
 
 class _HistogramChild:
@@ -101,93 +71,62 @@ class _HistogramChild:
             self.counts[-1] += 1
 
 
-class Metric:
-    """A named family of children keyed by label values."""
+class Histogram:
+    """A labelled histogram family; ``labels(...)`` picks one series."""
 
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        help: str,
-        labelnames: Sequence[str],
-        buckets: Sequence[float] | None = None,
-    ) -> None:
-        if kind not in _VALID_KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
+    def __init__(self, name: str, help: str, labelnames: Sequence[str],
+                 buckets: Sequence[float]) -> None:
         self.name = name
-        self.kind = kind
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.buckets = tuple(buckets) if buckets is not None else None
+        self.buckets = tuple(buckets)
         self._lock = threading.Lock()
-        self._children: dict[tuple[str, ...], _Child | _HistogramChild] = {}
+        self._children: dict[tuple[str, ...], _HistogramChild] = {}
 
-    def labels(self, **labels: Any) -> _Child | _HistogramChild:
-        key = _labels_key(self.labelnames, labels)
+    def labels(self, **labels: Any) -> _HistogramChild:
+        if set(labels) != set(self.labelnames):
+            raise ValueError(
+                f"expected labels {self.labelnames}, got {tuple(labels)}")
+        key = tuple(str(labels[name]) for name in self.labelnames)
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                if self.kind == "histogram":
-                    child = _HistogramChild(self._lock, self.buckets or DEFAULT_BUCKETS)
-                else:
-                    child = _Child(self._lock)
-                self._children[key] = child
+                child = self._children[key] = _HistogramChild(self._lock, self.buckets)
             return child
 
-    # Label-less convenience: metric acts as its own sole child.
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)  # type: ignore[union-attr]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)  # type: ignore[union-attr]
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[union-attr]
-
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)  # type: ignore[union-attr]
-
-    def snapshot(self) -> list[tuple[tuple[str, ...], _Child | _HistogramChild]]:
+    def render(self, lines: list[str]) -> None:
         with self._lock:
-            return list(self._children.items())
+            children = [(key, list(c.counts), c.total, c.count)
+                        for key, c in self._children.items()]
+        _header(lines, self.name, "histogram", self.help)
+        names = (*self.labelnames, "le")
+        for key, counts, total, count in children:
+            cumulative = 0
+            for bound, n in zip(self.buckets, counts):
+                cumulative += n
+                le = _format_labels(names, (*key, _format_value(bound)))
+                lines.append(f"{self.name}_bucket{le} {cumulative}")
+            le = _format_labels(names, (*key, "+Inf"))
+            lines.append(f"{self.name}_bucket{le} {count}")
+            labels = _format_labels(self.labelnames, key)
+            lines.append(f"{self.name}_sum{labels} {_format_value(total)}")
+            lines.append(f"{self.name}_count{labels} {count}")
 
 
-Collector = Callable[[], Iterable[MetricSample]]
+def _render_family(lines: list[str], family) -> None:
+    _header(lines, family.name, family.kind, family.help)
+    for key, value in family.snapshot().items():
+        values = key if isinstance(key, tuple) else (key,)
+        labels = _format_labels(family.labelnames, values)
+        lines.append(f"{family.name}{labels} {_format_value(float(value))}")
 
 
 class MetricsRegistry:
-    """Thread-safe home for every metric the system exposes."""
+    """The histograms a service owns, rendered beside its counter families."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, Metric] = {}
-        self._collectors: list[Collector] = []
-
-    def _instrument(
-        self,
-        name: str,
-        kind: str,
-        help: str,
-        labelnames: Sequence[str],
-        buckets: Sequence[float] | None = None,
-    ) -> Metric:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is not None:
-                if metric.kind != kind or metric.labelnames != tuple(labelnames):
-                    raise ValueError(
-                        f"metric {name!r} re-registered with conflicting signature"
-                    )
-                return metric
-            metric = Metric(name, kind, help, labelnames, buckets)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Metric:
-        return self._instrument(name, "counter", help, labelnames)
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Metric:
-        return self._instrument(name, "gauge", help, labelnames)
+        self._histograms: dict[str, Histogram] = {}
 
     def histogram(
         self,
@@ -195,233 +134,26 @@ class MetricsRegistry:
         help: str = "",
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Metric:
-        return self._instrument(name, "histogram", help, labelnames, buckets)
-
-    def register_collector(self, collector: Collector) -> Collector:
+    ) -> Histogram:
         with self._lock:
-            self._collectors.append(collector)
-        return collector
+            if name in self._histograms:
+                raise ValueError(f"histogram {name!r} is already registered")
+            histogram = self._histograms[name] = Histogram(
+                name, help, labelnames, buckets)
+            return histogram
 
-    def as_dict(self) -> dict[str, Any]:
-        """Debug/JSON view: metric name -> {label tuple repr: value}."""
-        out: dict[str, Any] = {}
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            family: dict[str, Any] = {}
-            for key, child in metric.snapshot():
-                label = ",".join(key) or "_"
-                if isinstance(child, _HistogramChild):
-                    family[label] = {"count": child.count, "sum": child.total}
-                else:
-                    family[label] = child.value
-            out[metric.name] = family
-        return out
+    def render_prometheus(self, families: Iterable = ()) -> str:
+        """Text exposition of ``families`` and the registry's histograms.
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition covering instruments and collectors."""
+        Each family renders as declared (its ``# TYPE`` line even before
+        its first sample); same-named families must be summed first
+        (:func:`~repro.resilience.policy.sum_families`).
+        """
         lines: list[str] = []
+        for family in sorted(families, key=lambda f: f.name):
+            _render_family(lines, family)
         with self._lock:
-            metrics = sorted(self._metrics.values(), key=lambda m: m.name)
-            collectors = list(self._collectors)
-
-        for metric in metrics:
-            children = metric.snapshot()
-            if not children:
-                continue
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for key, child in children:
-                labels = _format_labels(metric.labelnames, key)
-                if isinstance(child, _HistogramChild):
-                    cumulative = 0
-                    for bound, count in zip(child.buckets, child.counts):
-                        cumulative += count
-                        le = _format_labels(
-                            (*metric.labelnames, "le"), (*key, _format_value(bound))
-                        )
-                        lines.append(f"{metric.name}_bucket{le} {cumulative}")
-                    le = _format_labels((*metric.labelnames, "le"), (*key, "+Inf"))
-                    lines.append(f"{metric.name}_bucket{le} {child.count}")
-                    lines.append(f"{metric.name}_sum{labels} {_format_value(child.total)}")
-                    lines.append(f"{metric.name}_count{labels} {child.count}")
-                else:
-                    lines.append(f"{metric.name}{labels} {_format_value(child.value)}")
-
-        collected: list[MetricSample] = []
-        for collector in collectors:
-            collected.extend(collector())
-        lines.extend(_render_samples(collected))
+            histograms = sorted(self._histograms.values(), key=lambda h: h.name)
+        for histogram in histograms:
+            histogram.render(lines)
         return "\n".join(lines) + "\n" if lines else ""
-
-
-def _render_samples(samples: Sequence[MetricSample]) -> list[str]:
-    lines: list[str] = []
-    by_name: dict[str, list[MetricSample]] = {}
-    for sample in samples:
-        by_name.setdefault(sample.name, []).append(sample)
-    for name in sorted(by_name):
-        group = by_name[name]
-        if group[0].help:
-            lines.append(f"# HELP {name} {group[0].help}")
-        kind = group[0].kind if group[0].kind in _VALID_KINDS else "untyped"
-        lines.append(f"# TYPE {name} {kind}")
-        seen: set[str] = set()
-        for sample in group:
-            labelnames = tuple(sorted(sample.labels))
-            labels = _format_labels(
-                labelnames, tuple(str(sample.labels[k]) for k in labelnames)
-            )
-            if labels in seen:
-                continue
-            seen.add(labels)
-            lines.append(f"{name}{labels} {_format_value(float(sample.value))}")
-    return lines
-
-
-def render_prometheus(samples: Sequence[MetricSample]) -> str:
-    """Render bare collector samples (no registry) as exposition text."""
-    lines = _render_samples(samples)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------------
-# Bridges from the five pre-existing stat surfaces
-
-
-def samples_from_counter_snapshot(
-    snapshot: Mapping[str, Any],
-    *,
-    name: str = "tybec_resilience_events_total",
-    help: str = "Resilience counter events (retries, faults, cache hygiene).",
-) -> list[MetricSample]:
-    """Adapt a resilience ``COUNTERS.snapshot()`` flat dict."""
-    return [
-        MetricSample(name, {"counter": key}, float(value), "counter", help)
-        for key, value in sorted(snapshot.items())
-        if isinstance(value, (int, float))
-    ]
-
-
-def samples_from_pipeline_stats(stats: Mapping[str, Any]) -> list[MetricSample]:
-    """Adapt a ``PipelineCacheStats.as_dict()`` (or ``merge_stats``) payload."""
-    samples: list[MetricSample] = []
-    for key, value in stats.items():
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)
-        ):
-            hits, misses = value
-            samples.append(
-                MetricSample(
-                    "tybec_pipeline_cache_requests_total",
-                    {"layer": key, "result": "hit"},
-                    float(hits),
-                    "counter",
-                    "Pipeline memoization lookups by layer and outcome.",
-                )
-            )
-            samples.append(
-                MetricSample(
-                    "tybec_pipeline_cache_requests_total",
-                    {"layer": key, "result": "miss"},
-                    float(misses),
-                    "counter",
-                )
-            )
-        elif key == "stage_seconds" and isinstance(value, Mapping):
-            for stage, seconds in sorted(value.items()):
-                if isinstance(seconds, (int, float)):
-                    samples.append(
-                        MetricSample(
-                            "tybec_pipeline_stage_seconds_total",
-                            {"stage": stage},
-                            float(seconds),
-                            "counter",
-                            "Cumulative wall seconds per pipeline stage.",
-                        )
-                    )
-        elif isinstance(value, Mapping):
-            # Nested payloads (e.g. a merged "resilience" block) flatten to
-            # one labeled family per block.
-            for sub_key, sub_value in sorted(value.items()):
-                if isinstance(sub_value, (int, float)):
-                    samples.append(
-                        MetricSample(
-                            f"tybec_pipeline_{key}_total",
-                            {"key": sub_key},
-                            float(sub_value),
-                            "counter",
-                        )
-                    )
-        elif isinstance(value, (int, float)):
-            samples.append(
-                MetricSample(f"tybec_pipeline_{key}_total", {}, float(value), "counter")
-            )
-    return samples
-
-
-def samples_from_disk_cache_stats(stats: Mapping[str, Any]) -> list[MetricSample]:
-    """Adapt a ``DiskCache.stats()`` payload (numeric leaves only)."""
-    samples: list[MetricSample] = []
-    for key, value in sorted(stats.items()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        samples.append(
-            MetricSample(
-                f"tybec_disk_cache_{key}",
-                {},
-                float(value),
-                "gauge",
-                "Disk cache state." if key == "entries" else "",
-            )
-        )
-    return samples
-
-
-def samples_from_service_metrics(payload: Mapping[str, Any]) -> list[MetricSample]:
-    """Adapt the service JSON ``/metrics`` payload into exposition samples.
-
-    This is the glue that lets ``GET /metrics?format=prometheus`` cover
-    every previously-scattered counter without changing the JSON shape.
-    """
-    samples: list[MetricSample] = []
-    uptime = payload.get("uptime_seconds")
-    if isinstance(uptime, (int, float)):
-        samples.append(
-            MetricSample(
-                "tybec_service_uptime_seconds",
-                {},
-                float(uptime),
-                "gauge",
-                "Seconds since service start.",
-            )
-        )
-    for block, name, kind in (
-        ("requests", "tybec_service_requests_total", "counter"),
-        ("sweeps", "tybec_service_sweeps_total", "counter"),
-        ("coalesce", "tybec_service_coalesce_total", "counter"),
-        ("queue", "tybec_service_queue", "gauge"),
-    ):
-        value = payload.get(block)
-        if isinstance(value, Mapping):
-            for key, count in sorted(value.items()):
-                if isinstance(count, (int, float)):
-                    samples.append(
-                        MetricSample(name, {"key": key}, float(count), kind)
-                    )
-    resilience = payload.get("resilience")
-    if isinstance(resilience, Mapping) and isinstance(
-        resilience.get("counters"), Mapping
-    ):
-        samples.extend(samples_from_counter_snapshot(resilience["counters"]))
-    pipeline = payload.get("pipeline")
-    if isinstance(pipeline, Mapping):
-        samples.extend(samples_from_pipeline_stats(pipeline))
-    disk_cache = payload.get("disk_cache")
-    if isinstance(disk_cache, Mapping):
-        samples.extend(samples_from_disk_cache_stats(disk_cache))
-    return samples

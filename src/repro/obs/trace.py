@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -34,11 +35,6 @@ from typing import Any, Iterable, Sequence
 
 TRACE_SCHEMA = "repro-trace/1"
 TRACE_ENV = "TYBEC_TRACE"
-
-#: Reserved key under which worker spans piggyback on the worker-stats
-#: dict returned by ``_evaluate_batch``.  Must be stripped before the
-#: stats payloads reach ``merge_stats``.
-WORKER_SPANS_KEY = "_spans"
 
 #: Required keys for every span record in a ``repro-trace/1`` file.
 _SPAN_KEYS = ("trace", "span", "site", "start", "duration", "pid")
@@ -338,17 +334,42 @@ def load_trace(path: str | os.PathLike[str]) -> tuple[dict[str, Any], list[dict[
     return header, records
 
 
+def _field_kind(key: str, value: Any) -> str | None:
+    """What a span field must be, or None when ``value`` already is."""
+    if key in ("start", "duration"):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        return None if ok else "a finite number"
+    if key == "pid":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        return None if ok else "an int"
+    if key == "parent":
+        return None if value is None or isinstance(value, str) else "a string or null"
+    return None if isinstance(value, str) else "a string"
+
+
 def validate_trace(header: dict[str, Any], records: Sequence[dict[str, Any]]) -> None:
-    """Raise ``ValueError`` unless (header, records) is a valid trace."""
+    """Raise ``ValueError`` unless (header, records) is a valid trace:
+    the header and every record are objects and each span field has its
+    type (strings ``trace``/``span``/``site``, finite ``start`` and
+    ``duration``, an int ``pid``, a string-or-null ``parent``)."""
+    if not isinstance(header, dict):
+        raise ValueError(f"trace header is not an object: {header!r}")
     if header.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unexpected trace schema: {header.get('schema')!r}")
     if not header.get("trace_id"):
         raise ValueError("trace header missing trace_id")
     span_ids = set()
     for record in records:
+        if not isinstance(record, dict):
+            raise ValueError(f"span record is not an object: {record!r}")
         for key in _SPAN_KEYS:
             if key not in record:
                 raise ValueError(f"span record missing {key!r}: {record!r}")
+        for key in (*_SPAN_KEYS, "parent"):
+            kind = _field_kind(key, record.get(key))
+            if kind is not None:
+                raise ValueError(f"span {key!r} must be {kind}: {record!r}")
         if record["duration"] < 0:
             raise ValueError(f"negative span duration: {record!r}")
         if record["span"] in span_ids:

@@ -14,9 +14,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "current_fault_plan", "maybe_fail",
     ),
     "repro.resilience.policy": (
-        "COUNTERS", "Deadline", "DeadlineExceededError", "PermanentError",
-        "ResilienceCounters", "RetryBudgetExceededError", "RetryPolicy",
+        "COUNTERS", "Deadline", "DeadlineExceededError", "MetricFamily",
+        "PermanentError", "RetryBudgetExceededError", "RetryPolicy",
         "TransientError", "is_transient", "register_transient", "seeded_unit",
+        "sum_families",
     ),
 })
 
@@ -28,8 +29,8 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
+    "MetricFamily",
     "PermanentError",
-    "ResilienceCounters",
     "RetryBudgetExceededError",
     "RetryPolicy",
     "TransientError",
@@ -38,4 +39,5 @@ __all__ = [
     "maybe_fail",
     "register_transient",
     "seeded_unit",
+    "sum_families",
 ]

@@ -39,12 +39,14 @@ worker processes inherit through the environment:
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.obs.logs import get_logger, log_event
 from repro.resilience.policy import COUNTERS, TransientError, seeded_unit
 
 __all__ = [
@@ -57,6 +59,16 @@ __all__ = [
 ]
 
 FAULT_PLAN_ENV = "TYBEC_FAULT_PLAN"
+
+_LOG = get_logger("resilience")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class InjectedFault(TransientError):
@@ -106,14 +118,38 @@ class FaultSpec:
 
     @classmethod
     def from_spec(cls, spec: "FaultSpec | dict | float") -> "FaultSpec":
+        """A spec from a rate or a JSON object; ill-typed fields are a
+        ``ValueError`` naming the field."""
         if isinstance(spec, cls):
             return spec
-        if isinstance(spec, (int, float)):
+        if _is_number(spec):
             return cls(rate=float(spec))
-        spec = dict(spec)
-        if "indices" in spec:
-            spec["indices"] = tuple(int(i) for i in spec["indices"])
-        return cls(**spec)
+        if not isinstance(spec, dict):
+            raise ValueError(
+                f"a fault site spec is an object or a rate, got {spec!r}")
+        unknown = sorted(set(spec) - {"rate", "indices", "mode", "max_failures"})
+        if unknown:
+            raise ValueError(f"unknown fault spec field(s) {unknown}")
+        rate = spec.get("rate", 0.0)
+        indices = spec.get("indices", ())
+        mode = spec.get("mode", "raise")
+        max_failures = spec.get("max_failures")
+        if not _is_number(rate):
+            raise ValueError(f"fault rate must be a number, got {rate!r}")
+        if not (isinstance(indices, (list, tuple))
+                and all(_is_int(i) and i >= 0 for i in indices)):
+            raise ValueError(
+                f"fault indices must be a list of call indices >= 0, "
+                f"got {indices!r}")
+        if not isinstance(mode, str):
+            raise ValueError(f"fault mode must be a string, got {mode!r}")
+        if not (max_failures is None or (_is_int(max_failures)
+                                         and max_failures >= 0)):
+            raise ValueError(
+                f"fault max_failures must be an int >= 0 or null, "
+                f"got {max_failures!r}")
+        return cls(rate=float(rate), indices=tuple(indices), mode=mode,
+                   max_failures=max_failures)
 
     def as_dict(self) -> dict:
         return {"rate": self.rate, "indices": list(self.indices),
@@ -133,8 +169,12 @@ class FaultPlan:
     def __init__(self, sites: dict[str, FaultSpec | dict | float],
                  seed: int = 0):
         self.seed = int(seed)
-        self.sites = {name: FaultSpec.from_spec(spec)
-                      for name, spec in sites.items()}
+        self.sites = {}
+        for name, spec in sites.items():
+            try:
+                self.sites[name] = FaultSpec.from_spec(spec)
+            except ValueError as exc:
+                raise ValueError(f"fault site {name!r}: {exc}") from None
         self._lock = threading.Lock()
         self._calls: dict[str, int] = {}
         self._injected: dict[str, int] = {}
@@ -142,12 +182,23 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """Load a plan; anything ill-typed is a ``ValueError`` naming it."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or "sites" not in payload:
             raise ValueError(
                 "a fault plan is a JSON object with a 'sites' mapping "
                 "(and an optional 'seed')")
-        return cls(payload["sites"], seed=payload.get("seed", 0))
+        unknown = sorted(set(payload) - {"sites", "seed"})
+        if unknown:
+            raise ValueError(f"unknown fault plan field(s) {unknown}")
+        sites, seed = payload["sites"], payload.get("seed", 0)
+        if not isinstance(sites, dict):
+            raise ValueError(
+                f"fault plan sites must be an object of site specs, "
+                f"got {sites!r}")
+        if not _is_int(seed):
+            raise ValueError(f"fault plan seed must be an int, got {seed!r}")
+        return cls(sites, seed=seed)
 
     def as_json(self) -> str:
         return json.dumps({
@@ -221,25 +272,36 @@ _ACTIVE_LOCK = threading.Lock()
 #: parsed plans per environment value, so the ambient path costs one
 #: dict lookup per call — counters live on the cached instance, which is
 #: what keeps an env-activated schedule advancing instead of restarting
-#: on every read
+#: on every read.  Only plans that loaded are cached: a plan file written
+#: after the first probe is still picked up.
 _ENV_PLANS: dict[str, FaultPlan] = {}
+
+#: environment values already reported as unusable (counted and logged once)
+_ENV_REFUSED: set[str] = set()
 
 
 def _plan_from_env(raw: str) -> FaultPlan | None:
+    """The plan an environment value names; an unusable one is ignored,
+    counted as ``fallbacks.fault_plan`` and logged, once per value."""
     plan = _ENV_PLANS.get(raw)
     if plan is not None:
         return plan
     text = raw.strip()
     if not text:
         return None
-    if not text.lstrip().startswith("{"):
-        try:
-            text = Path(text).read_text()
-        except OSError:
-            return None
     try:
+        if not text.startswith("{"):
+            text = Path(text).read_text()
         plan = FaultPlan.from_json(text)
-    except (ValueError, TypeError):
+    except (OSError, ValueError) as exc:
+        with _ACTIVE_LOCK:
+            first = raw not in _ENV_REFUSED
+            _ENV_REFUSED.add(raw)
+        if first:
+            COUNTERS.bump("fallbacks.fault_plan")
+            log_event(_LOG, "fallback.fault_plan", level=logging.WARNING,
+                      site="fault_plan", key=FAULT_PLAN_ENV,
+                      cause=f"{type(exc).__name__}: {exc}")
         return None
     with _ACTIVE_LOCK:
         return _ENV_PLANS.setdefault(raw, plan)

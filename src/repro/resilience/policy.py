@@ -21,11 +21,13 @@ daemon restarts.  The recovery rules live here, shared by every layer:
     a retry loop never burns the caller's remaining budget on attempts
     that start already doomed.
 
-:data:`COUNTERS`
-    The process-wide resilience counters (retries, requeues, injected
-    faults, …) every layer bumps and ``/metrics`` exposes.  Counters are
-    observability, not behaviour: nothing canonical (report bytes,
-    golden files) may ever depend on them.
+:class:`MetricFamily`
+    The one counter type of the whole system: the resilience
+    :data:`COUNTERS`, every pipeline's cache and stage-time counts, the
+    dense backend, the disk cache and the service each declare their
+    families where they count, and ``/metrics`` renders them as
+    declared.  Counters are observability, not behaviour: nothing
+    canonical (report bytes, golden files) may ever depend on them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
 import threading
+from typing import Callable, Iterable
 
 from repro.obs.logs import get_logger, log_event
 
@@ -47,14 +48,15 @@ __all__ = [
     "COUNTERS",
     "Deadline",
     "DeadlineExceededError",
+    "MetricFamily",
     "PermanentError",
-    "ResilienceCounters",
     "RetryBudgetExceededError",
     "RetryPolicy",
     "TransientError",
     "is_transient",
     "register_transient",
     "seeded_unit",
+    "sum_families",
 ]
 
 
@@ -277,47 +279,87 @@ class RetryPolicy:
         raise RetryBudgetExceededError(what, self.max_attempts, last) from last
 
 
-class ResilienceCounters:
-    """Thread-safe named counters for the resilience layer.
+class MetricFamily:
+    """A labelled metric family: label-value tuple -> number under one lock.
 
-    One process-wide instance (:data:`COUNTERS`) backs the service's
-    ``/metrics`` payload and the chaos tests' assertions.  Deliberately
-    dumb: integers under one lock, nothing else, so bumping in a hot
-    path costs nanoseconds.
+    The one counter type every stat surface keeps, shaped like a
+    Prometheus family (name, kind ``counter`` or ``gauge``, label names,
+    help text).  A series key is its label-value tuple; a one-label
+    family also takes the bare value (``COUNTERS.bump("retries")``).
+    Deliberately dumb so a hot-path ``bump`` is one dict update under
+    one lock.  Pickles without the lock, so pool workers ship their
+    counts home, and :func:`sum_families` adds such snapshots up.
     """
 
-    def __init__(self) -> None:
+    __slots__ = ("name", "kind", "labelnames", "help", "_lock", "_values")
+
+    def __init__(self, name: str, labelnames: tuple[str, ...] = (),
+                 help: str = "", kind: str = "counter") -> None:
+        if kind not in ("counter", "gauge"):
+            raise ValueError(f"unknown metric kind {kind!r}")
+        self.name = name
+        self.kind = kind
+        self.labelnames = tuple(labelnames)
+        self.help = help
         self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
+        self._values: dict = {}
 
-    def bump(self, name: str, n: int = 1) -> None:
+    def bump(self, key=(), n: float = 1) -> None:
         with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + n
+            self._values[key] = self._values.get(key, 0) + n
 
-    def get(self, name: str) -> int:
+    def set(self, key, value: float) -> None:
+        """Set a gauge series (counters only ever ``bump``)."""
+        if self.kind != "gauge":
+            raise TypeError(f"{self.name} is a {self.kind}; only gauges are set")
         with self._lock:
-            return self._counts.get(name, 0)
+            self._values[key] = value
 
-    def snapshot(self) -> dict[str, int]:
+    def get(self, key=()) -> float:
         with self._lock:
-            return dict(sorted(self._counts.items()))
+            return self._values.get(key, 0)
 
-    def reset(self) -> None:
-        """Zero every counter (test isolation; never called in production)."""
+    def snapshot(self) -> dict:
         with self._lock:
-            self._counts.clear()
+            return dict(sorted(self._values.items()))
 
-    def metric_samples(self):
-        """This surface as registry samples (``tybec_resilience_events_total``).
+    def add(self, snapshot: dict) -> None:
+        """Sum another family's snapshot into this one."""
+        with self._lock:
+            for key, value in snapshot.items():
+                self._values[key] = self._values.get(key, 0) + value
 
-        The bridge a :class:`~repro.obs.metrics.MetricsRegistry` collector
-        registers so Prometheus exposition covers these counters without
-        the hot ``bump`` path ever touching the registry.
-        """
-        from repro.obs.metrics import samples_from_counter_snapshot
+    def reset(self, values: dict | None = None) -> None:
+        """Replace every series with ``values`` (default: none) in one
+        step, so a concurrent snapshot sees the old or the new series,
+        never a half-filled family (a gauge re-read, or test isolation)."""
+        with self._lock:
+            self._values = dict(values or {})
 
-        return samples_from_counter_snapshot(self.snapshot())
+    def __getstate__(self):
+        return (self.name, self.kind, self.labelnames, self.help,
+                self.snapshot())
+
+    def __setstate__(self, state) -> None:
+        self.name, self.kind, self.labelnames, self.help, values = state
+        self._lock = threading.Lock()
+        self._values = values
 
 
-#: the process-wide resilience counters
-COUNTERS = ResilienceCounters()
+def sum_families(families: Iterable[MetricFamily]) -> dict[str, MetricFamily]:
+    """Same-named families summed into one fresh family each, by name."""
+    totals: dict[str, MetricFamily] = {}
+    for family in families:
+        total = totals.get(family.name)
+        if total is None:
+            total = totals[family.name] = MetricFamily(
+                family.name, family.labelnames, family.help, family.kind)
+        total.add(family.snapshot())
+    return totals
+
+
+#: the process-wide resilience counters (retries, requeues, injected
+#: faults, fallbacks) every layer bumps and ``/metrics`` exposes
+COUNTERS = MetricFamily(
+    "tybec_resilience_events_total", ("counter",),
+    "Resilience events: retries, requeues, injected faults, fallbacks.")

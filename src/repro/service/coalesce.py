@@ -43,7 +43,7 @@ import threading
 from typing import Iterator
 
 from repro.cost.cache import BoundedCache
-from repro.resilience import COUNTERS
+from repro.resilience import MetricFamily
 
 __all__ = ["CoalescedTask", "RequestCoalescer", "TaskFailedError"]
 
@@ -226,12 +226,14 @@ class RequestCoalescer:
         self._inflight: dict[str, CoalescedTask] = {}
         self._results = BoundedCache(maxsize=results_capacity,
                                      name="service-results")
-        #: cumulative followers attached to an in-flight task
-        self.joined = 0
-        #: cumulative requests served from the completed-results cache
-        self.replayed = 0
-        #: cumulative leaderships lost to a transient leader failure
-        self.leaders_lost = 0
+        #: cumulative ``joined`` (followers attached to an in-flight
+        #: task), ``replayed`` (served from the completed-results cache)
+        #: and ``leaders_lost`` (to a transient leader failure)
+        self.events = MetricFamily(
+            "tybec_service_coalesce_total", ("event",),
+            "Requests coalesced onto another's computation, and lost leaders.")
+        for event in ("joined", "replayed", "leaders_lost"):
+            self.events.bump(event, 0)
 
     def lease(self, key: str) -> tuple[CoalescedTask, str]:
         """The task for ``key`` plus this caller's role.
@@ -248,12 +250,12 @@ class RequestCoalescer:
         with self._lock:
             finished = self._results.get(key)
             if finished is not None:
-                self.replayed += 1
+                self.events.bump("replayed")
                 return finished, "replay"
             task = self._inflight.get(key)
             if task is not None:
                 task.followers += 1
-                self.joined += 1
+                self.events.bump("joined")
                 return task, "follower"
             task = CoalescedTask(key)
             self._inflight[key] = task
@@ -276,9 +278,7 @@ class RequestCoalescer:
         the claim budget lasts.  Returns whether a promotion is pending.
         """
         if promote and task.leader_failed(error):
-            with self._lock:
-                self.leaders_lost += 1
-            COUNTERS.bump("service.leaders_lost")
+            self.events.bump("leaders_lost")
             return True
         task.fail(error)
         with self._lock:
@@ -292,11 +292,5 @@ class RequestCoalescer:
 
     def info(self) -> dict:
         """Counters for the ``/metrics`` endpoint."""
-        with self._lock:
-            return {
-                "in_flight": len(self._inflight),
-                "joined": self.joined,
-                "replayed": self.replayed,
-                "leaders_lost": self.leaders_lost,
-                "results_cache": self._results.info(),
-            }
+        return {"in_flight": self.in_flight(), **self.events.snapshot(),
+                "results_cache": self._results.info()}

@@ -59,7 +59,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.compiler.pipeline import CompilationOptions, EstimationPipeline
 from repro.obs.logs import get_logger, log_event
-from repro.obs.metrics import MetricsRegistry, samples_from_service_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span
 from repro.explore.dense import DenseBackend
 from repro.explore.engine import (
@@ -67,16 +67,18 @@ from repro.explore.engine import (
     SweepEntry,
     SweepResult,
     canonical_report_dict,
-    merge_stats,
+    stats_view,
 )
 from repro.models import KernelInstance, NDRange, PatternKind
 from repro.resilience import (
     COUNTERS,
     Deadline,
+    MetricFamily,
     RetryPolicy,
     current_fault_plan,
     is_transient,
     maybe_fail,
+    sum_families,
 )
 from repro.service.coalesce import CoalescedTask, RequestCoalescer
 from repro.substrate import get_device
@@ -158,28 +160,42 @@ class ExplorationService:
         self._queued = 0
         self._active = 0
         self.started = time.time()
-        self.requests = {"cost": 0, "suite": 0, "dse": 0, "metrics": 0,
-                         "errors": 0}
-        self.sweeps = {"started": 0, "completed": 0}
-        #: the one registry every stat surface is exposed through; the
-        #: JSON ``/metrics`` payload keeps its shape, and the Prometheus
-        #: rendering adapts that same payload at scrape time
+        self.requests = MetricFamily(
+            "tybec_service_requests_total", ("kind",),
+            "Service requests by kind, and error answers.")
+        for kind in ("cost", "suite", "dse", "metrics", "errors"):
+            self.requests.bump(kind, 0)
+        self.sweeps = MetricFamily(
+            "tybec_service_sweeps_total", ("event",),
+            "Sweeps the service started and completed.")
+        for event in ("started", "completed"):
+            self.sweeps.bump(event, 0)
+        # gauges, re-read just before each scrape (see ``_read_gauges``)
+        self.queue = MetricFamily(
+            "tybec_service_queue", ("state",),
+            "Sweep slots: waiting (depth), running (active) and capacity.",
+            kind="gauge")
+        self.in_flight = MetricFamily(
+            "tybec_service_in_flight",
+            help="Coalesced computations currently in flight.", kind="gauge")
+        self.uptime = MetricFamily(
+            "tybec_service_uptime_seconds",
+            help="Seconds since service start.", kind="gauge")
+        #: renders every family above, the resilience counters, the
+        #: pipelines', the dense backend's and the disk cache's, plus
+        #: the request-latency histogram it owns
         self.registry = MetricsRegistry()
         self.request_seconds = self.registry.histogram(
             "tybec_request_seconds",
             "HTTP request latency by endpoint and status.",
             labelnames=("endpoint", "status"),
         )
-        self.registry.register_collector(
-            lambda: samples_from_service_metrics(self.metrics())
-        )
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def count_request(self, endpoint: str) -> None:
-        with self._lock:
-            self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
+        self.requests.bump(endpoint)
 
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         """Feed one finished HTTP request into the latency histogram."""
@@ -190,7 +206,12 @@ class ExplorationService:
 
     def prometheus_metrics(self) -> str:
         """The ``/metrics?format=prometheus`` text exposition."""
-        return self.registry.render_prometheus()
+        disk, _ = self._read_gauges()
+        families = self._pipeline_families() + [
+            COUNTERS, self.requests, self.sweeps, self.queue, self.in_flight,
+            self.uptime, self.coalescer.events,
+            *(disk.families if disk is not None else ())]
+        return self.registry.render_prometheus(sum_families(families).values())
 
     @contextmanager
     def _slot(self):
@@ -208,39 +229,46 @@ class ExplorationService:
                 self._active -= 1
             self._gate.release()
 
-    def metrics(self) -> dict:
-        """The ``/metrics`` payload: queue, coalescing and cache health."""
+    def _pipeline_families(self) -> list[MetricFamily]:
+        """Every pipeline family the service's sweeps and costs feed."""
         with self._lock:
-            requests = dict(self.requests)
-            sweeps = dict(self.sweeps)
-            queued, active = self._queued, self._active
             pipelines = list(self._pipelines.values())
-        stats = merge_stats(
-            [self._backend.collect_stats(), self._dense.collect_stats()]
-            + [p.stats.as_dict() for p in pipelines]
-        )
-        disk = None
+        return (self._backend.families() + self._dense.families()
+                + [family for p in pipelines for family in p.families])
+
+    def _read_gauges(self) -> tuple:
+        """Set every gauge from what it measures, just before a scrape.
+
+        Returns the disk cache and its stats (``(None, None)`` when
+        persistence is off); reading the stats re-reads its gauges.
+        """
+        with self._lock:
+            queued, active = self._queued, self._active
+        self.queue.set("depth", queued)
+        self.queue.set("active", active)
+        self.queue.set("capacity", self.max_concurrency)
+        self.in_flight.set((), self.coalescer.in_flight())
+        self.uptime.set((), time.time() - self.started)
         from repro.cost.cache import default_disk_cache
 
         cache = default_disk_cache()
-        if cache is not None:
-            disk = cache.stats()
+        return cache, None if cache is None else cache.stats()
+
+    def metrics(self) -> dict:
+        """The ``/metrics`` payload: queue, coalescing and cache health."""
+        _, disk = self._read_gauges()
         plan = current_fault_plan()
         return {
-            "uptime_seconds": time.time() - self.started,
-            "requests": requests,
-            "sweeps": sweeps,
+            "uptime_seconds": self.uptime.get(),
+            "requests": self.requests.snapshot(),
+            "sweeps": self.sweeps.snapshot(),
             "resilience": {
                 "counters": COUNTERS.snapshot(),
                 "fault_plan": None if plan is None else plan.stats(),
             },
-            "queue": {
-                "depth": queued,
-                "active": active,
-                "capacity": self.max_concurrency,
-            },
+            "queue": self.queue.snapshot(),
             "coalesce": self.coalescer.info(),
-            "pipeline": stats,
+            "pipeline": stats_view(self._pipeline_families()),
             "disk_cache": disk,
         }
 
@@ -337,8 +365,7 @@ class ExplorationService:
         with self._slot():
             deadline.check("suite request queued too long")
             maybe_fail("service.handler")
-            with self._lock:
-                self.sweeps["started"] += 1
+            self.sweeps.bump("started")
             suite = WorkloadSuite(config, backend=backend)
             if request["dense"]:
                 spaces, sweep = suite.sweep(deadline=deadline)
@@ -362,8 +389,7 @@ class ExplorationService:
                     stats=self._backend.collect_stats(),
                 )
             report = build_suite_report(config, spaces, sweep)
-            with self._lock:
-                self.sweeps["completed"] += 1
+            self.sweeps.bump("completed")
         return {
             "event": "report",
             "kind": "suite",
@@ -409,8 +435,7 @@ class ExplorationService:
         with self._slot():
             deadline.check("dse request queued too long")
             maybe_fail("service.handler")
-            with self._lock:
-                self.sweeps["started"] += 1
+            self.sweeps.bump("started")
 
             def _round(label: str, round_, entries) -> None:
                 event = {"event": "round", "run": label,
@@ -421,8 +446,7 @@ class ExplorationService:
                           backend=self._backend, dense_backend=self._dense,
                           params=request["params"], on_round=_round,
                           deadline=deadline)
-            with self._lock:
-                self.sweeps["completed"] += 1
+            self.sweeps.bump("completed")
         return {
             "event": "report",
             "kind": "dse",

@@ -101,9 +101,10 @@ class TestDifferentialIdentity:
                 canonical_report_dict(full.cost(module, workload))
             )
         # the law actually fired: one canonical analysis, the rest derived
-        assert scaled.stats.family_misses == 1
-        assert scaled.stats.family_hits >= 1
-        assert full.stats.family_hits == full.stats.family_misses == 0
+        assert scaled.cache_requests.get(("family", "miss")) == 1
+        assert scaled.cache_requests.get(("family", "hit")) >= 1
+        family = full.cache_requests
+        assert family.get(("family", "hit")) == family.get(("family", "miss")) == 0
 
     def test_canonical_member_can_be_any_lane_count(self, cold_caches):
         """Deriving downwards (family registered at 4 lanes, member at 1)."""
@@ -117,8 +118,8 @@ class TestDifferentialIdentity:
             assert canonical_report_dict(scaled.cost(module, workload)) == (
                 canonical_report_dict(full.cost(module, workload))
             )
-        assert scaled.stats.family_misses == 1
-        assert scaled.stats.family_hits == 3
+        assert scaled.cache_requests.get(("family", "miss")) == 1
+        assert scaled.cache_requests.get(("family", "hit")) == 3
 
     def test_lazy_handles_match_eager_modules(self, cold_caches):
         """The sweep layer's recipes cost identically to lowered IR."""
@@ -219,8 +220,9 @@ class TestSeparabilityAndFallback:
         assert canonical_report_dict(scaled.cost(stencil_module, workload)) == (
             canonical_report_dict(full.cost(stencil_module, workload))
         )
-        assert scaled.stats.family_fallbacks == 1
-        assert scaled.stats.family_hits == scaled.stats.family_misses == 0
+        assert scaled.cache_requests.get(("family", "fallback")) == 1
+        family = scaled.cache_requests
+        assert family.get(("family", "hit")) == family.get(("family", "miss")) == 0
 
     def test_separable_stencil_joins_a_family(self, stencil_module):
         """The conftest one-lane stencil is canonical-shaped and registers."""

@@ -49,15 +49,15 @@ class TestStageMemoization:
         first = pipeline.analyze(a)
         second = pipeline.analyze(b)
         assert second is first
-        assert pipeline.stats.variant_hits == 1
-        assert pipeline.stats.variant_misses == 1
+        assert pipeline.cache_requests.get(("variant", "hit")) == 1
+        assert pipeline.cache_requests.get(("variant", "miss")) == 1
 
     def test_parse_is_memoized_on_text(self, pipeline, kernel):
         text = print_module(kernel.build_module(lanes=1, grid=GRID))
         first = pipeline.parse(text, name="x")
         second = pipeline.parse(text, name="x")
         assert second is first
-        assert pipeline.stats.parse_hits == 1
+        assert pipeline.cache_requests.get(("parse", "hit")) == 1
 
     def test_repeated_cost_hits_resource_cache(self, pipeline, variant_inputs):
         from repro.compiler.pipeline import clear_calibration_cache
@@ -65,10 +65,10 @@ class TestStageMemoization:
         clear_calibration_cache()  # start from cold process-wide caches
         module, workload = variant_inputs
         pipeline.cost(module, workload)
-        assert pipeline.stats.resource_misses == 1
+        assert pipeline.cache_requests.get(("resource", "miss")) == 1
         pipeline.cost(module, workload)
-        assert pipeline.stats.resource_hits == 1
-        assert pipeline.stats.resource_misses == 1
+        assert pipeline.cache_requests.get(("resource", "hit")) == 1
+        assert pipeline.cache_requests.get(("resource", "miss")) == 1
 
     def test_cached_reports_are_equivalent(self, pipeline, variant_inputs):
         from repro.explore import canonical_report_dict
@@ -120,7 +120,7 @@ class TestCalibrationSharing:
         assert a.dram_bandwidth is b.dram_bandwidth
         assert a.host_bandwidth is b.host_bandwidth
         # the second pipeline never pays for calibration
-        assert b.stats.calibration_misses == 0
+        assert b.cache_requests.get(("calibration", "miss")) == 0
 
     def test_injected_models_win(self):
         warm = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
@@ -188,5 +188,5 @@ class TestCostManyBatch:
         second_pass = time.perf_counter() - started
 
         assert len(first) == len(second) == len(jobs)
-        assert pipeline.stats.variant_hits >= len(jobs)
+        assert pipeline.cache_requests.get(("variant", "hit")) >= len(jobs)
         assert first_pass >= 2 * second_pass

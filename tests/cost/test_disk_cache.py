@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
+import subprocess
+import sys
 
+from repro.cost import cache as cache_module
 from repro.cost.cache import (
     SCHEMA_VERSION,
     BoundedCache,
     DiskCache,
     cache_location,
     default_disk_cache,
+    env_int,
 )
+from repro.resilience import COUNTERS
 
 
 class TestBoundedCache:
@@ -44,7 +50,7 @@ class TestDiskCache:
         token = ("calibration", "device-x", 0.025)
         cache.put("calibration", token, {"alut": [1.0, 2.0]})
         assert cache.get("calibration", token) == {"alut": [1.0, 2.0]}
-        assert cache.hits == 1 and cache.misses == 0
+        assert cache.events.get("hits") == 1 and cache.events.get("misses") == 0
 
     def test_miss_on_absent_and_corrupt_entries(self, tmp_path):
         cache = DiskCache(tmp_path, capacity=8)
@@ -84,7 +90,7 @@ class TestDiskCache:
             assert cache.get("ns", "key") is None
             cache.put("ns", "key", 2)   # strike counter back to zero
         assert cache.get("ns", "key") == 2
-        assert cache.quarantined == 0
+        assert cache.events.get("quarantined") == 0
 
     def test_orphan_tmp_sweep(self, tmp_path):
         cache = DiskCache(tmp_path, capacity=8)
@@ -100,7 +106,7 @@ class TestDiskCache:
         cache.put("ns", "key2", 2)      # stride-1 triggers the sweep
         assert not stale.exists()       # the corpse is reaped
         assert fresh.exists()           # a live writer's file is not
-        assert cache.orphans_removed == 1
+        assert cache.events.get("orphans_removed") == 1
         assert cache.stats()["orphans_removed"] == 1
 
     def test_init_sweeps_orphans(self, tmp_path):
@@ -111,7 +117,7 @@ class TestDiskCache:
         os.utime(stale, (1.0, 1.0))
         second = DiskCache(tmp_path, capacity=8)   # "new process"
         assert not stale.exists()
-        assert second.orphans_removed == 1
+        assert second.events.get("orphans_removed") == 1
 
     def test_token_mismatch_is_a_miss(self, tmp_path):
         """A hash collision (or tampered file) must never alias keys."""
@@ -129,7 +135,7 @@ class TestDiskCache:
             os.utime(cache._entry_path("ns", f"k{i}"), (i, i))
         files = list((cache.version_dir / "ns").glob("*.pkl"))
         assert len(files) <= 3
-        assert cache.evictions >= 3
+        assert cache.events.get("evictions") >= 3
 
     def test_eviction_scan_is_amortized(self, tmp_path):
         """Occupancy may overshoot capacity by at most one stride."""
@@ -138,7 +144,8 @@ class TestDiskCache:
             cache.put("ns", f"k{i}", i)
         files = list((cache.version_dir / "ns").glob("*.pkl"))
         assert len(files) <= 2 + cache.EVICTION_STRIDE
-        assert cache.evictions > 0  # the stride boundary triggered a scan
+        # the stride boundary triggered a scan
+        assert cache.events.get("evictions") > 0
 
     def test_clear_and_stats(self, tmp_path):
         cache = DiskCache(tmp_path, capacity=8)
@@ -176,6 +183,41 @@ class TestEnvironmentControl:
         assert default_disk_cache() is default_disk_cache()
 
 
+class TestEnvInt:
+    def test_garbage_override_is_counted_and_logged_once(self, monkeypatch,
+                                                         caplog):
+        monkeypatch.setenv("TYBEC_FAMILY_CACHE_SIZE", "abc")
+        monkeypatch.setattr(cache_module, "_ENV_LOGGED", set())
+        before = COUNTERS.get("fallbacks.env")
+        with caplog.at_level(logging.WARNING, logger="tybec.cache"):
+            assert env_int("TYBEC_FAMILY_CACHE_SIZE", 256) == 256
+            assert env_int("TYBEC_FAMILY_CACHE_SIZE", 256) == 256
+        assert COUNTERS.get("fallbacks.env") == before + 2
+        logged = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("fallback.env")]
+        assert len(logged) == 1
+        assert "TYBEC_FAMILY_CACHE_SIZE" in logged[0]
+
+    def test_a_valid_override_is_not_a_fallback(self, monkeypatch):
+        monkeypatch.setenv("TYBEC_FAMILY_CACHE_SIZE", "17")
+        before = COUNTERS.get("fallbacks.env")
+        assert env_int("TYBEC_FAMILY_CACHE_SIZE", 256) == 17
+        assert COUNTERS.get("fallbacks.env") == before
+
+    def test_import_time_caches_fall_back_visibly(self):
+        probe = ("import repro.compiler.lanescale as ls\n"
+                 "from repro.resilience import COUNTERS\n"
+                 "print(COUNTERS.get('fallbacks.env'), ls._FAMILY_CACHE.maxsize)")
+        env = dict(os.environ, TYBEC_FAMILY_CACHE_SIZE="abc",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # the family and recipe caches both read the variable
+        assert done.stdout.split() == ["2", "256"]
+        assert done.stderr.count("TYBEC_FAMILY_CACHE_SIZE") == 1
+
+
 class TestWarmStartIntegration:
     def test_new_process_simulation_loads_calibration_from_disk(
         self, tmp_path, monkeypatch
@@ -189,13 +231,14 @@ class TestWarmStartIntegration:
         clear_calibration_cache()
         first = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
         first.calibrate()
-        assert first.stats.calibration_misses == 1
+        assert first.cache_requests.get(("calibration", "miss")) == 1
 
         clear_calibration_cache()   # "new process": memory cold, disk warm
         second = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
         second.calibrate()
-        assert second.stats.disk_hits == 3          # cost db + dram + host
-        assert second.stats.calibration_misses == 0  # nothing recomputed
+        # cost db + dram + host load from disk; nothing is recomputed
+        assert second.cache_requests.get(("disk", "hit")) == 3
+        assert second.cache_requests.get(("calibration", "miss")) == 0
         assert second.cost_db.as_dict() == first.cost_db.as_dict()
 
         clear_calibration_cache()

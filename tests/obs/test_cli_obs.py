@@ -11,6 +11,13 @@ import pytest
 from repro.cli import main
 from repro.obs.trace import TRACE_ENV, current_tracer, load_trace
 
+_HEADER = json.dumps({"schema": "repro-trace/1", "trace_id": "t"})
+
+
+def _span(**fields) -> str:
+    return json.dumps({"trace": "t", "span": "a", "site": "s", "start": 0.0,
+                       "duration": 0.1, "pid": 1, **fields})
+
 
 class TestTraceFlag:
     def test_traced_suite_run_writes_valid_trace(self, tmp_path, capsys):
@@ -62,6 +69,22 @@ class TestTraceSummarize:
         rc = main(["trace", "summarize", str(tmp_path / "nope.ndjson")])
         assert rc == 2
         assert "cannot read trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, complaint", [
+        (["[1]"], "trace header is not an object"),
+        ([_HEADER, _span(duration="q")], "'duration' must be a finite number"),
+        ([_HEADER, _span(span=["a"])], "'span' must be a string"),
+        ([_HEADER, _span(site={"x": 1})], "'site' must be a string"),
+    ])
+    def test_ill_typed_trace_is_exit_2(self, lines, complaint, tmp_path,
+                                       capsys):
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["trace", "summarize", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read trace: ")
+        assert complaint in err
 
 
 class TestBenchReport:

@@ -1,21 +1,18 @@
-"""MetricsRegistry semantics and Prometheus text-exposition validity."""
+"""The one counter type, its Prometheus text exposition, and the real
+stat surfaces rendered through it."""
 
 from __future__ import annotations
 
+import pickle
 import re
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricSample,
-    MetricsRegistry,
-    render_prometheus,
-    samples_from_counter_snapshot,
-    samples_from_disk_cache_stats,
-    samples_from_pipeline_stats,
-    samples_from_service_metrics,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience import MetricFamily, sum_families
 
 # One exposition line: comment, blank, or `name{labels} value` where the
 # value is a prometheus float (including +Inf/-Inf/NaN).
@@ -37,44 +34,113 @@ def assert_valid_exposition(text: str) -> None:
             assert _METRIC_LINE.match(line), f"malformed sample line: {line!r}"
 
 
-class TestInstruments:
-    def test_counter_and_gauge(self):
-        reg = MetricsRegistry()
-        hits = reg.counter("hits_total", "Hits.")
-        hits.inc()
-        hits.inc(2)
-        depth = reg.gauge("queue_depth", "Depth.")
-        depth.set(4)
-        depth.dec()
-        snap = reg.as_dict()
-        assert snap["hits_total"]["_"] == 3
-        assert snap["queue_depth"]["_"] == 3
+def declared_types(text: str) -> dict[str, str]:
+    """Family name -> kind, from the exposition's ``# TYPE`` lines."""
+    return dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.MULTILINE))
 
-    def test_labeled_children_are_independent_and_cached(self):
-        reg = MetricsRegistry()
-        req = reg.counter("req_total", "Requests.", labelnames=("code",))
-        req.labels(code=200).inc(5)
-        req.labels(code=500).inc()
-        assert req.labels(code=200) is req.labels(code=200)
-        assert reg.as_dict()["req_total"] == {"200": 5, "500": 1}
 
-    def test_wrong_labels_rejected(self):
-        reg = MetricsRegistry()
-        req = reg.counter("req_total", labelnames=("code",))
-        with pytest.raises(ValueError, match="expected labels"):
-            req.labels(status=200)
+def sample(text: str, series: str) -> float:
+    """The value of one exposition series (``name{labels}``); a series
+    never bumped is absent, which reads as 0."""
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if name == series:
+            return float(value)
+    return 0.0
 
-    def test_reregistration_returns_same_metric(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x_total") is reg.counter("x_total")
-        with pytest.raises(ValueError, match="conflicting"):
-            reg.gauge("x_total")
 
+def hammer(step, threads: int = 16, repeats: int = 2000) -> None:
+    """Run ``step(worker)`` ``repeats`` times on each of ``threads``
+    threads, with a tiny switch interval so lost updates surface."""
+
+    def spin(worker: int) -> None:
+        for _ in range(repeats):
+            step(worker)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=spin, args=(i,))
+                   for i in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in workers)
+
+
+class TestMetricFamily:
+    def test_bump_get_and_snapshot(self):
+        family = MetricFamily("hits_total", ("layer", "result"))
+        family.bump(("parse", "hit"))
+        family.bump(("parse", "hit"), 2)
+        family.bump(("parse", "miss"))
+        assert family.get(("parse", "hit")) == 3
+        assert family.get(("never", "seen")) == 0
+        assert family.snapshot() == {("parse", "hit"): 3, ("parse", "miss"): 1}
+
+    def test_one_label_families_take_the_bare_value(self):
+        family = MetricFamily("events_total", ("counter",))
+        family.bump("retries")
+        family.bump("retries", 4)
+        assert family.snapshot() == {"retries": 5}
+
+    def test_only_gauges_are_set(self):
+        gauge = MetricFamily("depth", ("state",), kind="gauge")
+        gauge.set("queued", 3)
+        gauge.set("queued", 1)
+        assert gauge.get("queued") == 1
+        with pytest.raises(TypeError, match="only gauges"):
+            MetricFamily("x_total").set((), 1)
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            MetricFamily("x", kind="summary")
+
+    def test_reset_replaces_every_series_in_one_step(self):
+        gauge = MetricFamily("entries", ("namespace",), kind="gauge")
+        gauge.set("old", 3)
+        gauge.reset({"a": 1, "b": 2})
+        assert gauge.snapshot() == {"a": 1, "b": 2}
+        gauge.reset()
+        assert gauge.snapshot() == {}
+
+    def test_pickles_without_its_lock(self):
+        family = MetricFamily("seconds_total", ("stage",), "Help.")
+        family.bump("parse", 0.5)
+        clone = pickle.loads(pickle.dumps(family))
+        assert (clone.name, clone.kind, clone.labelnames, clone.help) == (
+            "seconds_total", "counter", ("stage",), "Help.")
+        clone.bump("parse", 0.25)  # a fresh lock works
+        assert clone.snapshot() == {"parse": 0.75}
+        assert family.snapshot() == {"parse": 0.5}
+
+    def test_sum_families_adds_same_named_snapshots(self):
+        a = MetricFamily("req_total", ("layer", "result"))
+        b = MetricFamily("req_total", ("layer", "result"))
+        other = MetricFamily("points_total")
+        a.bump(("variant", "hit"), 2)
+        b.bump(("variant", "hit"))
+        b.bump(("variant", "miss"))
+        other.bump(n=7)
+        totals = sum_families([a, b, other])
+        assert totals["req_total"].snapshot() == {
+            ("variant", "hit"): 3, ("variant", "miss"): 1}
+        assert totals["points_total"].get() == 7
+        assert a.get(("variant", "hit")) == 2  # inputs are untouched
+
+    def test_no_bump_is_lost_under_contention(self):
+        family = MetricFamily("spins_total", ("worker",))
+        hammer(lambda worker: family.bump(str(worker % 2)))
+        assert family.snapshot() == {"0": 16000, "1": 16000}
+
+
+class TestRegistry:
     def test_histogram_buckets_are_cumulative(self):
         reg = MetricsRegistry()
         lat = reg.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 0.5, 5.0):
-            lat.observe(value)
+            lat.labels().observe(value)
         text = reg.render_prometheus()
         assert 'lat_seconds_bucket{le="0.1"} 1' in text
         assert 'lat_seconds_bucket{le="1"} 3' in text
@@ -82,110 +148,145 @@ class TestInstruments:
         assert "lat_seconds_count 4" in text
         assert "lat_seconds_sum 6.05" in text
 
-    def test_thread_safety_under_contention(self):
+    def test_histogram_labels_are_checked_and_registered_once(self):
         reg = MetricsRegistry()
-        total = reg.counter("spins_total", labelnames=("worker",))
-        lat = reg.histogram("spin_seconds")
+        lat = reg.histogram("lat_seconds", labelnames=("code",))
+        assert lat.labels(code=200) is lat.labels(code=200)
+        with pytest.raises(ValueError, match="expected labels"):
+            lat.labels(status=200)
+        with pytest.raises(ValueError, match="already registered"):
+            reg.histogram("lat_seconds")
 
-        def spin(worker: int) -> None:
-            child = total.labels(worker=worker)
-            for _ in range(1000):
-                child.inc()
-                lat.observe(0.01)
-
-        threads = [threading.Thread(target=spin, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = reg.as_dict()
-        assert sum(snap["spins_total"].values()) == 8000
-        assert snap["spin_seconds"]["_"]["count"] == 8000
-
-
-class TestExposition:
-    def test_registry_exposition_is_valid(self):
+    def test_no_observation_is_lost_under_contention(self):
         reg = MetricsRegistry()
-        reg.counter("a_total", "With help.", labelnames=("k",)).labels(
-            k='tri"cky\\path\n').inc()
-        reg.gauge("b").set(2.5)
-        reg.histogram("c_seconds").observe(0.2)
-        reg.register_collector(lambda: [
-            MetricSample("d_total", {"site": "x"}, 7, "counter", "Coll."),
-        ])
+        lat = reg.histogram("spin_seconds", buckets=(0.1,))
+        hammer(lambda worker: lat.labels().observe(0.01))
         text = reg.render_prometheus()
-        assert_valid_exposition(text)
-        assert "# TYPE a_total counter" in text
-        assert "# TYPE c_seconds histogram" in text
-        assert 'd_total{site="x"} 7' in text
+        assert "spin_seconds_count 32000" in text
+        assert 'spin_seconds_bucket{le="+Inf"} 32000' in text
+        assert 'spin_seconds_bucket{le="0.1"} 32000' in text
 
-    def test_collector_duplicate_label_sets_are_deduped(self):
-        samples = [
-            MetricSample("dup_total", {"k": "v"}, 1, "counter"),
-            MetricSample("dup_total", {"k": "v"}, 9, "counter"),
-        ]
-        text = render_prometheus(samples)
-        assert text.count("dup_total{") == 1
-        assert 'dup_total{k="v"} 1' in text
-
-    def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().render_prometheus() == ""
+    def test_families_render_as_declared(self):
         reg = MetricsRegistry()
-        reg.counter("never_touched_total")
-        assert "never_touched" not in reg.render_prometheus()
+        reg.histogram("c_seconds").labels().observe(0.2)
+        events = MetricFamily("a_total", ("k",), "With help.")
+        events.bump('tri"cky\\path\n')
+        depth = MetricFamily("b", kind="gauge")
+        depth.set((), 2.5)
+        text = reg.render_prometheus([events, depth])
+        assert_valid_exposition(text)
+        assert declared_types(text) == {
+            "a_total": "counter", "b": "gauge", "c_seconds": "histogram"}
+        assert "# HELP a_total With help." in text
+        assert r'a_total{k="tri\"cky\\path\n"} 1' in text
+        assert "b 2.5" in text
+
+    def test_a_declared_family_renders_before_its_first_sample(self):
+        text = MetricsRegistry().render_prometheus(
+            [MetricFamily("never_touched_total")])
+        assert text == "# TYPE never_touched_total counter\n"
+        assert MetricsRegistry().render_prometheus() == ""
 
 
-class TestBridges:
-    def test_counter_snapshot_bridge(self):
-        samples = samples_from_counter_snapshot(
-            {"retries": 3, "retries.tool": 1})
-        assert [(s.labels["counter"], s.value) for s in samples] == [
-            ("retries", 3.0), ("retries.tool", 1.0)]
-        assert all(s.name == "tybec_resilience_events_total" for s in samples)
+class TestRealSurfaces:
+    """A real service, driven through a serial sweep, a dense sweep and a
+    warm start from the disk cache, renders every surface correctly."""
 
-    def test_pipeline_stats_bridge(self):
-        samples = samples_from_pipeline_stats({
-            "family": [10, 2],
-            "stage_seconds": {"analyze": 0.5},
-            "family_fallbacks": 1,
-        })
-        by = {(s.name, tuple(sorted(s.labels.items()))): s.value
-              for s in samples}
-        assert by[("tybec_pipeline_cache_requests_total",
-                   (("layer", "family"), ("result", "hit")))] == 10.0
-        assert by[("tybec_pipeline_cache_requests_total",
-                   (("layer", "family"), ("result", "miss")))] == 2.0
-        assert by[("tybec_pipeline_stage_seconds_total",
-                   (("stage", "analyze"),))] == 0.5
-        assert by[("tybec_pipeline_family_fallbacks_total", ())] == 1.0
+    @pytest.fixture
+    def driven(self, monkeypatch, tmp_path):
+        from repro.compiler.pipeline import clear_calibration_cache
+        from repro.ir import print_module
+        from repro.kernels import get_kernel
+        from repro.service import ExplorationService, ServiceClient, ServiceServer
 
-    def test_disk_cache_bridge_skips_non_numeric(self):
-        samples = samples_from_disk_cache_stats(
-            {"entries": 4, "root": "/tmp/x", "bytes": 123, "enabled": True})
-        assert {s.name for s in samples} == {
-            "tybec_disk_cache_entries", "tybec_disk_cache_bytes"}
+        monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
+        clear_calibration_cache()
+        srv = ServiceServer(("127.0.0.1", 0), ExplorationService(max_concurrency=2))
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(port=srv.port)
+            spec = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
+            client.suite(dict(spec))
+            client.suite(dict(spec, dense=True))
+            client.suite(dict(spec, dense=True))  # a replay: no new sweep
+            clear_calibration_cache()  # memory cold, disk warm
+            design = print_module(get_kernel("sor").build_module(
+                lanes=2, grid=(8, 8, 8)))
+            client.cost(design, grid=(8, 8, 8), iterations=10)
+            deadline = time.monotonic() + 5.0
+            while True:  # the handler observes latency after its last chunk
+                text = srv.service.prometheus_metrics()
+                if 'endpoint="/cost"' in text or time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
+            yield srv.service, text
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            clear_calibration_cache()
 
-    def test_service_metrics_bridge_covers_scattered_surfaces(self):
-        payload = {
-            "uptime_seconds": 12.5,
-            "requests": {"suite": 4, "errors": 1},
-            "sweeps": {"started": 2, "completed": 2},
-            "coalesce": {"joined": 1},
-            "queue": {"depth": 0},
-            "resilience": {"counters": {"retries": 2}},
-            "pipeline": {"family": [1, 1]},
-            "disk_cache": {"entries": 3},
-        }
-        samples = samples_from_service_metrics(payload)
-        names = {s.name for s in samples}
-        assert names >= {
-            "tybec_service_uptime_seconds",
-            "tybec_service_requests_total",
-            "tybec_service_sweeps_total",
-            "tybec_service_coalesce_total",
-            "tybec_service_queue",
-            "tybec_resilience_events_total",
-            "tybec_pipeline_cache_requests_total",
-            "tybec_disk_cache_entries",
-        }
-        assert_valid_exposition(render_prometheus(samples))
+    def test_every_surface_renders_with_its_declared_kind(self, driven):
+        _, text = driven
+        assert_valid_exposition(text)
+        types = declared_types(text)
+        for name, kind in {
+            "tybec_resilience_events_total": "counter",
+            "tybec_service_requests_total": "counter",
+            "tybec_service_sweeps_total": "counter",
+            "tybec_service_coalesce_total": "counter",
+            "tybec_service_queue": "gauge",
+            "tybec_service_in_flight": "gauge",
+            "tybec_service_uptime_seconds": "gauge",
+            "tybec_pipeline_cache_requests_total": "counter",
+            "tybec_pipeline_stage_seconds_total": "counter",
+            "tybec_dense_cache_requests_total": "counter",
+            "tybec_dense_points_total": "counter",
+            "tybec_disk_cache_events_total": "counter",
+            "tybec_disk_cache_entries": "gauge",
+            "tybec_disk_cache_bytes": "gauge",
+            "tybec_request_seconds": "histogram",
+        }.items():
+            assert types.get(name) == kind, (name, types.get(name))
+        assert len(types) == len(set(types)), "one # TYPE line per family"
+
+    def test_values_agree_with_the_json_payload(self, driven):
+        service, text = driven
+        payload = service.metrics()
+        pipeline = payload["pipeline"]
+        for layer in ("variant", "resource", "calibration"):
+            hits, misses = pipeline[layer]
+            assert sample(text, "tybec_pipeline_cache_requests_total"
+                          f'{{layer="{layer}",result="hit"}}') == hits
+            assert sample(text, "tybec_pipeline_cache_requests_total"
+                          f'{{layer="{layer}",result="miss"}}') == misses
+        assert pipeline["variant"][1] > 0
+        dense = pipeline["dense"]
+        for layer in ("vector", "group"):
+            for result, value in zip(("hit", "miss"), dense[layer]):
+                assert sample(text, "tybec_dense_cache_requests_total"
+                              f'{{layer="{layer}",result="{result}"}}') == value
+        assert dense["sweeps"] == 1 and dense["points"] > 0
+        assert sample(text, "tybec_dense_points_total") == dense["points"]
+        assert sample(text, 'tybec_service_sweeps_total{event="completed"}') == 2
+        assert sample(text, 'tybec_service_coalesce_total{event="replayed"}') == 1
+        assert sample(text, "tybec_service_in_flight") == 0
+        assert sample(text, 'tybec_service_queue{state="capacity"}') == 2
+
+    def test_disk_cache_counts_once_and_exports_occupancy(self, driven):
+        service, text = driven
+        disk = service.metrics()["disk_cache"]
+        assert disk["hits"] >= 3  # cost db + dram + host on the warm start
+        for event in ("hits", "misses", "evictions", "quarantined",
+                      "orphans_removed"):
+            assert sample(text, "tybec_disk_cache_events_total"
+                          f'{{event="{event}"}}') == disk[event]
+        assert disk["namespaces"]
+        for namespace, info in disk["namespaces"].items():
+            assert info["entries"] > 0
+            assert sample(text, f'tybec_disk_cache_entries{{namespace="{namespace}"}}'
+                          ) == info["entries"]
+            assert sample(text, f'tybec_disk_cache_bytes{{namespace="{namespace}"}}'
+                          ) == info["bytes"]
+        # one count per event: the resilience counters no longer repeat them
+        assert "cache." not in "".join(service.metrics()["resilience"]["counters"])

@@ -6,6 +6,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.trace import (
     NULL_SPAN,
@@ -240,3 +241,38 @@ class TestSummarize:
 
     def test_summary_is_json_serializable(self):
         json.dumps(summarize_trace(self._records()))
+
+
+class TestLoadTraceFuzz:
+    """Any record, however ill-typed, loads or is a ``ValueError``."""
+
+    _VALID = {"trace": "t", "span": "a", "site": "s", "start": 0.0,
+              "duration": 0.5, "pid": 1, "parent": None}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        key=st.sampled_from([*_VALID, "attrs"]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 2)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(["", "a", "t"]),
+            lambda inner: st.lists(inner, max_size=2)
+            | st.dictionaries(st.sampled_from(["a", "x"]), inner, max_size=2),
+            max_leaves=4),
+        drop=st.booleans(),
+    )
+    def test_mutated_record_loads_or_is_refused(self, tmp_path_factory, key,
+                                                value, drop):
+        record = dict(self._VALID)
+        if drop:
+            record.pop(key, None)
+        else:
+            record[key] = value
+        path = tmp_path_factory.mktemp("fuzz") / "t.ndjson"
+        header = {"schema": "repro-trace/1", "trace_id": "t"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        try:
+            _, records = load_trace(path)
+        except ValueError:
+            return
+        json.dumps(summarize_trace(records))  # a loaded trace summarizes

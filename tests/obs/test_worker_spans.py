@@ -1,4 +1,4 @@
-"""Pool-worker spans ride home with the worker stats and re-parent.
+"""Pool-worker spans ride home beside the worker counts and re-parent.
 
 The acceptance bar of the tentpole: a traced multiprocess sweep produces
 ONE valid trace in which every worker's span tree hangs off the parent's
@@ -65,14 +65,14 @@ class TestPoolRoundTrip:
         for cost in sites["pipeline.cost"]:
             assert cost["parent"] in batch_ids
 
-    def test_span_transport_leaves_merged_stats_clean(self, tmp_path):
-        from repro.obs.trace import WORKER_SPANS_KEY
-
+    def test_span_transport_leaves_summed_stats_clean(self, tmp_path):
         path = tmp_path / "pool.ndjson"
         sweep = _traced_sweep(path, ProcessPoolBackend(max_workers=2))
-        assert WORKER_SPANS_KEY not in sweep.stats
-        # merge_stats still produced its usual numeric payload
-        assert sweep.stats.get("family") is not None
+        # spans ride beside the shipped counts, never inside the stats
+        assert set(sweep.stats) == {
+            "parse", "variant", "resource", "calibration", "family",
+            "family_fallbacks", "disk", "stage_seconds", "resilience"}
+        assert sum(sweep.stats["variant"]) == sweep.evaluated
 
     def test_untraced_pool_run_ships_no_spans(self, tmp_path):
         sweep = ExplorationEngine(ProcessPoolBackend(max_workers=2)).explore(

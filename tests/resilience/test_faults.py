@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.resilience import (
     COUNTERS,
@@ -79,6 +82,73 @@ class TestFaultPlan:
             FaultPlan.from_json(json.dumps({"seed": 1}))
 
 
+VALID_PLAN = {"seed": 3, "sites": {"worker": {
+    "rate": 0.5, "indices": [1], "mode": "raise", "max_failures": 2}}}
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("plan, field", [
+        ([], "JSON object"),
+        ({"sites": []}, "sites must be an object"),
+        ({"sites": {"worker": "often"}}, "'worker': a fault site spec"),
+        ({"sites": {"worker": {"max_failures": "x", "rate": 1.0}}},
+         "max_failures"),
+        ({"sites": {"worker": {"max_failures": -1}}}, "max_failures"),
+        ({"sites": {"worker": {"rate": True}}}, "rate"),
+        ({"sites": {"worker": True}}, "site spec"),
+        ({"sites": {"worker": {"rate": 2}}}, "rate"),
+        ({"sites": {"worker": {"indices": [1.5]}}}, "indices"),
+        ({"sites": {"worker": {"indices": [True]}}}, "indices"),
+        ({"sites": {"worker": {"indices": 3}}}, "indices"),
+        ({"sites": {"worker": {"mode": 7}}}, "mode"),
+        ({"sites": {"worker": {"mode": "explode"}}}, "mode"),
+        ({"sites": {}, "seed": "7"}, "seed"),
+        ({"sites": {}, "seed": 1.5}, "seed"),
+        ({"sites": {}, "sed": 1}, r"unknown fault plan field\(s\) \['sed'\]"),
+        ({"sites": {"worker": {"rte": 0.5}}},
+         r"unknown fault spec field\(s\) \['rte'\]"),
+    ])
+    def test_ill_typed_fields_are_refused_by_name(self, plan, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(json.dumps(plan))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        path=st.sampled_from([
+            (), ("seed",), ("sites",), ("extra",), ("sites", "worker"),
+            ("sites", "worker", "rate"), ("sites", "worker", "indices"),
+            ("sites", "worker", "mode"), ("sites", "worker", "max_failures"),
+            ("sites", "worker", "extra"),
+        ]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 4)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from(["", "x", "raise", "crash"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["rate", "mode", "x"]), inner,
+                              max_size=2),
+            max_leaves=5),
+    )
+    def test_every_mutated_plan_loads_or_is_refused(self, path, value):
+        plan = copy.deepcopy(VALID_PLAN)
+        if path:
+            *parents, leaf = path
+            target = plan
+            for key in parents:
+                target = target[key]
+            target[leaf] = value
+        else:
+            plan = value
+        try:
+            loaded = FaultPlan.from_json(json.dumps(plan))
+        except ValueError:
+            return
+        # a plan that loads is usable: deciding and re-encoding never raise
+        for site in loaded.sites:
+            loaded.should_fail(site)
+        assert FaultPlan.from_json(loaded.as_json()).sites == loaded.sites
+
+
 class TestActivation:
     def test_no_plan_means_noop(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
@@ -116,8 +186,33 @@ class TestActivation:
         with pytest.raises(InjectedFault):
             maybe_fail("s")
 
+    def test_env_plan_file_written_after_first_probe_is_picked_up(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "late.json"
+        monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
+        assert current_fault_plan() is None  # not there yet: ignored
+        path.write_text(json.dumps({"sites": {"s": {"indices": [0]}}}))
+        with pytest.raises(InjectedFault):
+            maybe_fail("s")
+        assert COUNTERS.get("fallbacks.fault_plan") == 1
+
     def test_env_garbage_is_ignored(self, monkeypatch):
         monkeypatch.setenv(FAULT_PLAN_ENV, "/nonexistent/plan.json")
         assert current_fault_plan() is None
         monkeypatch.setenv(FAULT_PLAN_ENV, "{not json")
         assert current_fault_plan() is None
+
+    def test_unusable_env_plan_is_counted_and_logged_once(self, monkeypatch,
+                                                          caplog):
+        raw = json.dumps({"seed": 41, "sites": {
+            "worker": {"max_failures": "x", "rate": 1.0}}})
+        monkeypatch.setenv(FAULT_PLAN_ENV, raw)
+        with caplog.at_level(logging.WARNING, logger="tybec.resilience"):
+            assert current_fault_plan() is None
+            maybe_fail("worker")  # ignored, not a TypeError mid-sweep
+            assert current_fault_plan() is None
+        assert COUNTERS.get("fallbacks.fault_plan") == 1
+        refusals = [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("fallback.fault_plan")]
+        assert len(refusals) == 1
+        assert "max_failures" in refusals[0]

@@ -426,7 +426,7 @@ class TestServiceHTTP:
             raise RuntimeError("handler bug")
 
         monkeypatch.setattr(server.service, "lease_suite", broken)
-        errors = server.service.requests["errors"]
+        errors = server.service.requests.get("errors")
         internal = COUNTERS.snapshot().get("service.internal_errors", 0)
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
@@ -532,7 +532,7 @@ class TestServiceDirect:
         service.coalescer.complete(task, encode(result))
         assert canonical_json(result["payload"]) == batch_report_json(TINY_SPEC)
         assert len(events) == result["evaluated"]
-        assert service.sweeps == {"started": 1, "completed": 1}
+        assert service.sweeps.snapshot() == {"completed": 1, "started": 1}
 
     def test_inflight_follower_streams_leader_progress(self):
         """A follower attached mid-sweep sees every entry the leader
@@ -567,7 +567,7 @@ class TestServiceDirect:
         thread.join(5)
         assert len(follower_lines) == result["evaluated"]
         assert follower_lines == leader_lines
-        assert service.sweeps["started"] == 1
+        assert service.sweeps.get("started") == 1
 
 
 class TestStoredBytes:
@@ -627,7 +627,7 @@ class TestStoredBytes:
         assert json.loads(bodies["leader"][0])["role"] == "leader"
         assert json.loads(bodies["follower"][0])["role"] == "follower"
         assert b"".join(bodies["follower"][1:]) == b"".join(bodies["leader"][1:])
-        assert service.sweeps["started"] == 1
+        assert service.sweeps.get("started") == 1
 
     def _traced_lines(self, port: int, body: dict) -> list[bytes]:
         status, chunks = raw_post(port, "/suite", body,

@@ -189,6 +189,19 @@ class TestSuiteCommand:
         assert sorted(payload["kernels"]) == ["matmul", "sor"]
         assert payload == json.loads(out_path.read_text())
 
+    @pytest.mark.parametrize("plan", [
+        '{"sites": []}',
+        '{"sites": {"worker": {"max_failures": "x", "rate": 1.0}}}',
+    ])
+    def test_suite_run_ignores_an_unusable_fault_plan(self, plan, tmp_path,
+                                                      monkeypatch):
+        argv = ["suite", "run", "--tiny", "--kernels", "sor", "-o"]
+        clean, chaos = tmp_path / "clean.json", tmp_path / "chaos.json"
+        assert main(argv + [str(clean)]) == 0
+        monkeypatch.setenv("TYBEC_FAULT_PLAN", plan)
+        assert main(argv + [str(chaos)]) == 0
+        assert chaos.read_bytes() == clean.read_bytes()
+
     def test_suite_run_unknown_kernel(self, capsys):
         rc = main(["suite", "run", "--kernels", "nbody"])
         assert rc == 2
