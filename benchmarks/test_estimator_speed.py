@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.compiler.lanescale import clear_family_caches
+from repro.compiler.pipeline import clear_calibration_cache
 from repro.explore import DesignSpace, ExplorationEngine, build_jobs
 from repro.kernels import SORKernel
 from repro.substrate import BaselineHLSFlow, MAIA_STRATIX_V_GSD8
@@ -101,9 +101,10 @@ def test_explore_engine_throughput(maia_compiler, results_dir):
     )
     engine = ExplorationEngine()
     jobs = build_jobs(space)
-    # earlier tests analysed this family in-process; forget it so the first
-    # pass pays for the analysis, as the docstring says
-    clear_family_caches()
+    # earlier tests analysed this family in-process, and its cost groups
+    # hold that analysis; forget both so the first pass pays for it, as
+    # the docstring says
+    clear_calibration_cache()
     first = engine.cost_many(jobs)
     repeat = engine.cost_many(jobs)
 

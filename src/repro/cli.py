@@ -542,24 +542,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_from_args(args, name: str):
-    from repro.models.execution import KernelInstance, NDRange
+def _design_inputs(args, with_workload: bool):
+    """``(compiler, module, workload)`` for `cost` and `emit`.
 
-    return KernelInstance(
-        kernel=name,
-        ndrange=NDRange(tuple(args.grid)),
-        repetitions=args.iterations,
-    )
+    A bad input prints ``error: <flag or file>: <message>`` and returns
+    the exit status 2 instead, as `suite run` does.
+    """
+    from repro.compiler.driver import CompilationOptions, TybecCompiler
+    from repro.ir.errors import IRError
+    from repro.models.execution import KernelInstance, NDRange
+    from repro.substrate.fpga_device import get_device
+
+    where = "--device"
+    try:
+        compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
+        where = str(args.design)
+        module = compiler.parse(args.design.read_text(), name=args.design.stem)
+        workload = None
+        if with_workload:
+            where = "--grid"
+            ndrange = NDRange(tuple(args.grid))
+            where = "--iterations"
+            workload = KernelInstance(kernel=module.name, ndrange=ndrange,
+                                      repetitions=args.iterations)
+    except (OSError, IRError, KeyError, ValueError) as exc:
+        return _input_error(where, exc)
+    return compiler, module, workload
+
+
+def _input_error(where: str, exc: Exception) -> int:
+    if isinstance(exc, OSError) and exc.strerror:
+        message = exc.strerror
+    else:
+        message = exc.args[0] if exc.args else type(exc).__name__
+    print(f"error: {where}: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_cost(args) -> int:
-    from repro.compiler.driver import CompilationOptions, TybecCompiler
-    from repro.substrate.fpga_device import get_device
-
-    compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
-    text = args.design.read_text()
-    module = compiler.parse(text, name=args.design.stem)
-    report = compiler.cost(module, _workload_from_args(args, module.name))
+    inputs = _design_inputs(args, with_workload=True)
+    if isinstance(inputs, int):
+        return inputs
+    compiler, module, workload = inputs
+    report = compiler.cost(module, workload)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -568,16 +593,18 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    from repro.compiler.driver import CompilationOptions, TybecCompiler
-    from repro.substrate.fpga_device import get_device
-
-    compiler = TybecCompiler(CompilationOptions(device=get_device(args.device)))
-    module = compiler.parse(args.design.read_text(), name=args.design.stem)
+    inputs = _design_inputs(args, with_workload=False)
+    if isinstance(inputs, int):
+        return inputs
+    compiler, module, _ = inputs
     files = compiler.emit_hdl(module, include_wrapper=not args.no_wrapper)
-    args.output.mkdir(parents=True, exist_ok=True)
-    for name, body in files.items():
-        (args.output / name).write_text(body)
-        print(f"wrote {args.output / name}")
+    try:
+        args.output.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            (args.output / name).write_text(body)
+            print(f"wrote {args.output / name}")
+    except OSError as exc:
+        return _input_error(str(args.output), exc)
     return 0
 
 

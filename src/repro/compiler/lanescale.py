@@ -368,29 +368,26 @@ def derive_classification(family: FamilyAnalysis, lanes: int) -> ModuleClassific
 # ----------------------------------------------------------------------
 
 
-#: per-source-file content token, so persisted recipe aliases go stale
-#: the moment a kernel's defining module changes (hashing the whole file
-#: is deliberately conservative — and far cheaper than inspect.getsource,
-#: which tokenizes the file to find the class block)
-_KERNEL_CODE_TOKENS: dict[str, str] = {}
+#: per-kernel-class content token of the class's source file, so
+#: persisted recipe aliases go stale the moment a kernel's defining module
+#: changes (hashing the whole file is deliberately conservative — and far
+#: cheaper than inspect.getsource, which tokenizes the file to find the
+#: class block).  Resolved once per class and process.
+_KERNEL_CODE_TOKENS: dict[type, str] = {}
 
 
 def _kernel_code_token(kernel) -> str:
-    import inspect
-
-    try:
-        path = inspect.getfile(type(kernel))
-    except (OSError, TypeError):
-        return ""
-    token = _KERNEL_CODE_TOKENS.get(path)
+    cls = type(kernel)
+    token = _KERNEL_CODE_TOKENS.get(cls)
     if token is None:
+        import inspect
+
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            data = b""
-        token = hashlib.sha256(data).hexdigest()[:16]
-        _KERNEL_CODE_TOKENS[path] = token
+            with open(inspect.getfile(cls), "rb") as fh:
+                token = hashlib.sha256(fh.read()).hexdigest()[:16]
+        except (OSError, TypeError):
+            token = ""
+        _KERNEL_CODE_TOKENS[cls] = token
     return token
 
 
@@ -421,19 +418,28 @@ class LaneFamilyHandle:
         instance state: the persisted recipe→family alias must stop
         matching when the kernel's lowering code (or a constructor
         parameter that shapes it) changes, not only when
-        ``SCHEMA_VERSION`` is bumped.
+        ``SCHEMA_VERSION`` is bumped.  Computed once per handle (a sweep
+        recipe's kernel does not change under it); every point of the
+        handle reads the stored tuple.
         """
-        cls = type(self.kernel)
-        state = tuple(sorted(
-            (k, repr(v)) for k, v in vars(self.kernel).items()
-            if not k.startswith("_")
-        ))
-        return ("kernel-recipe", cls.__module__, cls.__qualname__,
+        token = self.__dict__.get("_family_token")
+        if token is None:
+            cls = type(self.kernel)
+            state = tuple(sorted(
+                (k, repr(v)) for k, v in vars(self.kernel).items()
+                if not k.startswith("_")
+            ))
+            token = self._family_token = (
+                "kernel-recipe", cls.__module__, cls.__qualname__,
                 self.kernel.name, _kernel_code_token(self.kernel), state,
                 tuple(self.grid))
+        return token
 
     def point_token(self) -> tuple:
-        return self.family_token() + (self.lanes,)
+        token = self.__dict__.get("_point_token")
+        if token is None:
+            token = self._point_token = self.family_token() + (self.lanes,)
+        return token
 
     def materialize(self) -> Module:
         """Lower (and cache) the member module."""

@@ -242,6 +242,25 @@ def schedule_module(
     return schedules
 
 
+#: ``DV``: every lane of a compiled design is one scalar pipeline
+LANE_VECTORIZATION = 1
+
+
+def lane_pipeline_depth(structure, schedules: dict[str, ScheduledPipeline]) -> int:
+    """``KPD``: the summed depths of one lane's scheduled stages (at least 1).
+
+    A coarse-grained pipeline chains its stages; lanes replicate the
+    whole chain.  Only scheduled functions contribute depth.
+    """
+    per_lane_depth = 0
+    for fname, count in structure.instance_counts.items():
+        if fname not in schedules:
+            continue
+        per_lane_count = max(1, round(count / max(structure.lanes, 1)))
+        per_lane_depth += schedules[fname].pipeline_depth * per_lane_count
+    return max(1, per_lane_depth)
+
+
 def pipeline_spec_from_schedule(
     module: Module | None,
     structure,
@@ -260,12 +279,6 @@ def pipeline_spec_from_schedule(
     lane-scaling law (whose module was never lowered: ``module is None``)
     assemble the identical spec.
     """
-    per_lane_depth = 0
-    for fname, count in structure.instance_counts.items():
-        if fname not in schedules:
-            continue
-        per_lane_count = max(1, round(count / max(structure.lanes, 1)))
-        per_lane_depth += schedules[fname].pipeline_depth * per_lane_count
     element_bytes = element_bytes or max(1, (structure.element_width + 7) // 8)
     in_per_lane = max(1, structure.input_streams // max(structure.lanes, 1))
     out_per_lane = max(1, structure.output_streams // max(structure.lanes, 1))
@@ -274,8 +287,8 @@ def pipeline_spec_from_schedule(
     return PipelineSpec(
         name=name,
         lanes=structure.lanes,
-        vectorization=1,
-        pipeline_depth=max(1, per_lane_depth),
+        vectorization=LANE_VECTORIZATION,
+        pipeline_depth=lane_pipeline_depth(structure, schedules),
         instructions=structure.instructions_per_pe,
         cycles_per_instruction=1,
         offset_fill_words=structure.max_offset_span_words,

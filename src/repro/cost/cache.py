@@ -108,6 +108,9 @@ def env_capacity(name: str, default: int) -> int:
     return value
 
 
+_ABSENT = object()
+
+
 class BoundedCache:
     """A small thread-safe LRU cache with hit/miss/eviction counters."""
 
@@ -122,12 +125,13 @@ class BoundedCache:
 
     def get(self, key):
         with self._lock:
-            if key not in self._data:
+            value = self._data.get(key, _ABSENT)
+            if value is _ABSENT:
                 self.misses += 1
                 return None
             self.hits += 1
             self._data.move_to_end(key)
-            return self._data[key]
+            return value
 
     def put(self, key, value) -> None:
         with self._lock:

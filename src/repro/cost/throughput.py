@@ -141,6 +141,15 @@ class EKITParameters:
     reconfiguration_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # every point of a sweep passes: check that in one expression, and
+        # only walk the fields to name the offender when it fails
+        if (self.hpb_gbps > 0 and self.gpb_gbps > 0 and self.ngs > 0
+                and self.nwpt > 0 and self.nki > 0 and self.fd_mhz > 0
+                and self.ni > 0 and self.knl > 0 and self.dv > 0
+                and self.word_bytes > 0 and self.noff >= 0 and self.kpd >= 0
+                and self.nto >= 0 and self.reconfiguration_s >= 0
+                and 0 < self.rho_h <= 1.0 and 0 < self.rho_g <= 1.0):
+            return
         positive = {
             "hpb_gbps": self.hpb_gbps, "gpb_gbps": self.gpb_gbps, "ngs": self.ngs,
             "nwpt": self.nwpt, "nki": self.nki, "fd_mhz": self.fd_mhz,
@@ -470,5 +479,6 @@ def estimate_throughput(
     parameters: EKITParameters, form: MemoryExecutionForm | str = MemoryExecutionForm.B
 ) -> EKITEstimate:
     """Evaluate the EKIT expression appropriate to the memory-execution form."""
-    form = MemoryExecutionForm(form)
+    if form.__class__ is not MemoryExecutionForm:
+        form = MemoryExecutionForm(form)
     return _FORM_DISPATCH[form](parameters)

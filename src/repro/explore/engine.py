@@ -48,7 +48,7 @@ from repro.compiler.pipeline import (
 )
 from repro.cost.cache import env_int
 from repro.cost.report import CostReport
-from repro.explore.space import CostJob, DesignPoint, DesignSpace
+from repro.explore.space import CostJob, DesignPoint, DesignSpace, _form_value
 from repro.obs.trace import (
     Tracer,
     current_tracer,
@@ -63,6 +63,7 @@ from repro.resilience import (
     MetricFamily,
     RetryBudgetExceededError,
     RetryPolicy,
+    current_fault_plan,
     is_transient,
     maybe_fail,
     register_transient,
@@ -143,15 +144,15 @@ def _session_group_key(job: CostJob) -> tuple:
     Jobs with explicit options group by the options object's identity —
     the caller vouches those jobs belong to one session (and injected
     models, custom noise or latency models are honoured as-is).  Jobs
-    described purely by their design point group by the
-    :meth:`~repro.compiler.pipeline.CompilationOptions.session_key` of
-    the options the point implies; such options are freshly derived (no
-    injected models yet), so the key carries no object identities and is
-    stable across job boundaries.
+    described purely by their design point group by the point's
+    ``(device, clock, form)``: the only option fields a point sets.  The
+    rest take their defaults when the session's options are built, so
+    ``TYBEC_LANE_SCALING`` is read once per session, not once per point.
     """
     if job.options is not None:
         return ("options", id(job.options))
-    return ("point",) + job.point.compilation_options().session_key()
+    point = job.point
+    return ("point", point.device, point.resolved_clock_mhz, _form_value(point.form))
 
 
 class SerialBackend:
@@ -208,13 +209,16 @@ class SerialBackend:
         deadline: Deadline | None,
     ) -> list[CostReport]:
         reports = []
+        # the "worker" fault site: the plan is resolved once per batch
+        plan = current_fault_plan()
         for index, job in enumerate(jobs):
             if deadline is not None:
                 deadline.check(f"design point {index}/{len(jobs)}")
             pipeline = self.pipeline_for(job)
 
             def _cost(attempt: int, job=job, pipeline=pipeline):
-                maybe_fail("worker", salt=attempt)
+                if plan is not None:
+                    plan.fire("worker", salt=attempt)
                 return pipeline.cost(job.module, job.workload, job.point.pattern)
 
             report = self.retry_policy.call(

@@ -99,6 +99,43 @@ class TestCostCommand:
         assert payload["throughput"]["ekit_per_s"] > 0
 
 
+#: (case, extra args) -> the flag or file the error names ("FILE": the design)
+BAD_INPUTS = {
+    "malformed": ([], "FILE", "cannot parse line"),
+    "missing": ([], "FILE", "No such file or directory"),
+    "zero-grid": (["--grid", "0", "8", "8"], "--grid", "must be positive"),
+    "negative-iterations": (["--iterations", "-3"], "--iterations", "must be >= 1"),
+    "unknown-device": (["--device", "bogus"], "--device", "unknown device 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *(("cost", case) for case in sorted(BAD_INPUTS)),
+    # emit takes no workload flags
+    *(("emit", case) for case in ("malformed", "missing", "unknown-device")),
+])
+def test_bad_inputs_exit_2_with_one_line(command, case, design_file, tmp_path, capsys):
+    """A bad design file or flag is one ``error: <where>: <message>`` line
+    and exit 2, never a traceback."""
+    extra, where, message = BAD_INPUTS[case]
+    path = design_file
+    if case == "malformed":
+        path = tmp_path / "broken.tirl"
+        path.write_text("this is not tirl\n")
+    elif case == "missing":
+        path = tmp_path / "missing.tirl"
+    args = [command, str(path), *extra]
+    if command == "emit":
+        args += ["-o", str(tmp_path / "hdl")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    where = str(path) if where == "FILE" else where
+    assert captured.err.startswith(f"error: {where}: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestEmitCommand:
     def test_emit_writes_files(self, design_file, tmp_path, capsys):
         outdir = tmp_path / "hdl"
