@@ -23,8 +23,6 @@ of modern EDA runners:
     Module → :class:`~repro.cost.resource_model.ModuleResourceEstimate`
     including the scheduler-implied pipeline-balancing registers, memoized
     on the same content key (and derived per lane for family members).
-    :meth:`ResourceStage.estimate` is the one fold of those registers; the
-    dense engine's per-lane estimates go through it too.
 ``ThroughputStage``
     Variant + workload → Table-I parameters, memory-execution form and the
     EKIT estimate (cheap, computed per workload).
@@ -36,13 +34,14 @@ stages are written once, in :mod:`repro.cost.throughput`
 (``time_legs``, ``bandwidth_demand``); the dense engine evaluates the
 same functions on broadcast arrays, so the two paths cannot drift.
 
-``EstimationPipeline.cost`` runs the first three stages once per
+:meth:`EstimationPipeline.group` runs the first three stages once per
 :class:`CostGroup` — one design on one device, latency model, workload
 size and access pattern — and keeps the group in a bounded process-wide
 cache that every session pipeline shares, so the clock and
 memory-execution-form axes of a sweep reuse it.  Each point then runs
-only the Table-I parameters, the EKIT estimate and the feasibility
-check.
+only :meth:`CostGroup.report`: the Table-I parameters, the EKIT estimate
+and the feasibility check.  ``EstimationPipeline.cost`` and the dense
+engine (:mod:`repro.explore.dense`) both cost through those two calls.
 
 The expensive one-time per-device inputs (synthetic-synthesis
 characterisation, DRAM/host sustained-bandwidth fits) are shared across
@@ -495,8 +494,9 @@ def _latency_key(options: CompilationOptions) -> tuple:
 
 #: process-wide cache of the clock-independent structural analysis
 #: (structure, configuration tree, classification, schedules, family),
-#: keyed on (content hash, latency model) — shared by every pipeline so a
-#: clock axis in a sweep does not re-analyse identical modules per clock
+#: keyed on (content hash, latency model, lane scaling) — shared by every
+#: pipeline so a clock axis in a sweep does not re-analyse identical
+#: modules per clock
 _STRUCTURAL_CACHE = BoundedCache(
     env_int("TYBEC_STRUCT_CACHE_SIZE", 512), name="structural"
 )
@@ -570,12 +570,14 @@ class AnalysisStage:
         requests: MetricFamily,
         recipe_token: tuple | None,
     ) -> tuple:
-        """A real module's clock-free structural bundle (memoized process-wide)."""
-        bundle = _STRUCTURAL_CACHE.get((content, lat_key))
+        """A real module's clock-free structural bundle (memoized process-wide;
+        a session without lane scaling never reads a lane-derived bundle)."""
+        key = (content, lat_key, options.lane_scaling)
+        bundle = _STRUCTURAL_CACHE.get(key)
         if bundle is None:
             with trace_span("pipeline.analyze", design=module.name):
                 bundle = self._structural_bundle(module, content, lat_key, options, requests)
-            _STRUCTURAL_CACHE.put((content, lat_key), bundle)
+            _STRUCTURAL_CACHE.put(key, bundle)
         family = bundle[4]
         if family is not None and recipe_token is not None:
             # teach the sweep layer's recipe index about this family so
@@ -813,25 +815,6 @@ class ResourceStage:
             register_family(family)
         return usage
 
-    @staticmethod
-    def estimate(
-        estimator: ResourceEstimator,
-        structure: ModuleStructure,
-        leaf_usages: dict,
-        design: str,
-        balancing_register_bits: int,
-    ) -> ModuleResourceEstimate:
-        """``estimate_from_structure`` plus the balancing registers.
-
-        The estimation flow of Figure 11 also accounts for the data/control
-        delay lines the scheduler implies (pipeline balancing registers),
-        replicated once per lane.  The dense path folds its per-lane
-        estimates through here too.
-        """
-        estimate = estimator.estimate_from_structure(structure, leaf_usages, design=design)
-        estimate.total += ResourceUsage(reg=balancing_register_bits * structure.lanes)
-        return estimate
-
     def _compute(
         self,
         member: _Member,
@@ -839,13 +822,23 @@ class ResourceStage:
         options: CompilationOptions,
         calibration: CalibrationArtifacts,
     ) -> ModuleResourceEstimate:
+        """``estimate_from_structure`` plus the balancing registers.
+
+        The estimation flow of Figure 11 also accounts for the data/control
+        delay lines the scheduler implies (pipeline balancing registers),
+        replicated once per lane.
+        """
         if member.family is not None:
             usage = self._family_pe_usage(member.family, estimator, options, calibration)
             leaf_usages = {member.family.pe_name: usage}
         else:
             leaf_usages = estimator.leaf_usages(member.module, member.structure)
-        return self.estimate(estimator, member.structure, leaf_usages,
-                             member.design, _balancing_bits(member.schedules))
+        structure = member.structure
+        estimate = estimator.estimate_from_structure(structure, leaf_usages,
+                                                     design=member.design)
+        estimate.total += ResourceUsage(
+            reg=_balancing_bits(member.schedules) * structure.lanes)
+        return estimate
 
     def lookup(
         self,
@@ -898,16 +891,18 @@ class CostGroup:
     A group is one design (module content or lane-family recipe) on one
     device, latency model, workload size and access pattern: the points
     of a sweep that differ only in clock or memory-execution form.  The
-    group is resolved once, in the ``cost`` call of its first point, and
-    shared by every session pipeline of the process; each point then runs
-    only :meth:`parameters`, :func:`estimate_throughput` and
-    :meth:`FeasibilityStage.run`.  ``estimate`` is the memoized resource
-    breakdown (``None`` when only the parameters were asked for); reports
-    wrap it in a fresh shell.
+    group is resolved once, by :meth:`EstimationPipeline.group`, and shared
+    by every session pipeline of the process; each point then runs only
+    :meth:`report`.  ``estimate`` is the memoized resource breakdown
+    (``None`` when only the parameters were asked for); reports wrap it
+    in a fresh shell.
     """
 
     design: str
     estimate: ModuleResourceEstimate | None
+    #: whether the design is a lane-family member (its structure derives
+    #: from the family's canonical analysis; the dense engine needs this)
+    family_member: bool
     footprint: int
     #: the device's memory hierarchy, for ``auto`` form selection
     memory: MemoryHierarchy
@@ -955,6 +950,44 @@ class CostGroup:
             self.selections[options.form] = selection
         return selection
 
+    def report(
+        self,
+        nki: int,
+        fd_mhz: float,
+        options: CompilationOptions,
+        seconds: dict | None = None,
+        started: float | None = None,
+    ) -> CostReport:
+        """Cost the group's point at ``fd_mhz`` in ``options``' form.
+
+        The per-point tail of the estimation flow: Table-I parameters,
+        form selection, EKIT and the feasibility check against the
+        group's resource verdict.  ``seconds`` receives the
+        ``throughput`` and ``feasibility`` stage times; ``started`` (a
+        ``perf_counter`` reading) dates ``estimation_seconds``, which is
+        0.0 without it.
+        """
+        mark = time.perf_counter()
+        params = self.parameters(nki, fd_mhz)
+        selection = self.selection(options)
+        throughput = estimate_throughput(params, selection.form)
+        middle = time.perf_counter()
+        feasibility = FeasibilityStage.run(self.estimate, params, selection.form,
+                                           options, self.verdict)
+        finished = time.perf_counter()
+        if seconds is not None:
+            seconds["throughput"] = middle - mark
+            seconds["feasibility"] = finished - middle
+        return CostReport(
+            design=self.design,
+            device=options.device,
+            resources=ResourceStage._fresh_view(self.estimate),
+            throughput=throughput,
+            feasibility=feasibility,
+            estimation_seconds=0.0 if started is None else finished - started,
+            notes=[f"memory-execution form {selection.form.value}: {selection.reason}"],
+        )
+
 
 class ThroughputStage:
     """Variant + workload → Table-I parameters, form and EKIT estimate."""
@@ -975,6 +1008,7 @@ class ThroughputStage:
         kpd: int,
         dv: int,
         estimate: ModuleResourceEstimate | None,
+        family_member: bool,
         workload: KernelInstance,
         pattern: AccessPattern | PatternKind,
         device: FPGADevice,
@@ -992,6 +1026,7 @@ class ThroughputStage:
         return CostGroup(
             design=design,
             estimate=estimate,
+            family_member=family_member,
             footprint=footprint,
             memory=memory,
             hpb_gbps=host.peak_gbps,
@@ -1021,8 +1056,9 @@ class ThroughputStage:
         """Derive the Table-I parameters for a variant and a workload."""
         spec = variant.pipeline_spec
         group = self.group(variant.name, variant.structure, spec.pipeline_depth,
-                           spec.vectorization, None, workload, pattern, options.device,
-                           calibration, options.device.memory_hierarchy())
+                           spec.vectorization, None, variant.family is not None,
+                           workload, pattern, options.device, calibration,
+                           options.device.memory_hierarchy())
         params = group.parameters(workload.repetitions, options.resolved_clock_mhz())
         return params, group.selection(options)
 
@@ -1036,8 +1072,8 @@ class FeasibilityStage:
         limiting, util = usage.limiting_resource(device)
         return usage.fits(device), limiting, util
 
+    @staticmethod
     def run(
-        self,
         estimate: ModuleResourceEstimate,
         params: EKITParameters,
         form: MemoryExecutionForm,
@@ -1046,7 +1082,8 @@ class FeasibilityStage:
     ) -> FeasibilityCheck:
         """``verdict`` is :meth:`resource_verdict` of ``estimate`` when the
         caller already holds it (a :class:`CostGroup` does)."""
-        fits, limiting, util = verdict or self.resource_verdict(estimate.total, options.device)
+        fits, limiting, util = verdict or FeasibilityStage.resource_verdict(
+            estimate.total, options.device)
         required_dram, required_host = bandwidth_demand(
             params, form, params.fd_hz, params.knl
         )
@@ -1095,7 +1132,6 @@ class EstimationPipeline:
         self._analysis = AnalysisStage()
         self._resource = ResourceStage()
         self._throughput = ThroughputStage()
-        self._feasibility = FeasibilityStage()
         #: the calibration ``cost`` uses, and where this session's cost
         #: groups live: the process-wide cache when every model is the
         #: shared default for the device, else a cache of its own
@@ -1174,6 +1210,54 @@ class EstimationPipeline:
         )
 
     # -- the full flow -----------------------------------------------------
+    def group(
+        self,
+        module: Module | str | LaneFamilyHandle,
+        workload: KernelInstance,
+        pattern: AccessPattern | PatternKind = PatternKind.CONTIGUOUS,
+    ) -> CostGroup:
+        """The :class:`CostGroup` of one design, workload and pattern.
+
+        Resolved once per (design, latency model, lane scaling, device,
+        noise, workload size, pattern) and shared through the group cache;
+        the lookup is counted like a point's (``variant``/``resource``
+        hits, or the misses of the build).
+        """
+        group, requests, seconds = self._lookup(module, workload, pattern,
+                                                self._calibrated())
+        self.cache_requests.add(requests)
+        self.stage_seconds.add(seconds)
+        return group
+
+    def _lookup(self, module, workload, pattern, calibration) -> tuple:
+        """``(group, requests, seconds)``: the group and the counts of its
+        lookup, for the caller to publish."""
+        options = self.options
+        if isinstance(module, str):
+            module = self.parse(module)
+        # a recipe's point token is a tuple, a module's content key a str;
+        # the device enters by its shared simulator, which hashes by
+        # identity (the device dataclass hashes every field)
+        design = (module.point_token() if isinstance(module, LaneFamilyHandle)
+                  else module_content_key(module))
+        key = (design, _latency_key(options), options.lane_scaling,
+               calibration.memory_simulator, options.synthesis_noise,
+               workload.global_size, pattern)
+        group = self._groups.get(key)
+        if group is not None:
+            return group, _GROUP_HIT, {}
+        requests, seconds = _Tally(), _Tally()
+        requests.bump(("variant", "miss"))
+        member = self._analysis.member(module, options, requests, seconds)
+        estimate = self._resource.lookup(member, calibration, options, requests, seconds)
+        group = self._throughput.group(
+            member.design, member.structure,
+            lane_pipeline_depth(member.structure, member.schedules), LANE_VECTORIZATION,
+            estimate, member.family is not None, workload, pattern, options.device,
+            calibration, self._memory)
+        self._groups.put(key, group)
+        return group, requests, seconds
+
     def cost(
         self,
         module: Module | str | LaneFamilyHandle,
@@ -1195,67 +1279,14 @@ class EstimationPipeline:
 
         with trace_span("pipeline.cost") as _sp:
             started = time.perf_counter()
-            if isinstance(module, str):
-                module = self.parse(module)
-            # a recipe's point token is a tuple, a module's content key a str;
-            # the device enters by its shared simulator, which hashes by
-            # identity (the device dataclass hashes every field)
-            design = (module.point_token() if isinstance(module, LaneFamilyHandle)
-                      else module_content_key(module))
-            key = (design, _latency_key(options), options.lane_scaling,
-                   calibration.memory_simulator, options.synthesis_noise,
-                   workload.global_size, pattern)
-            groups = self._groups
-            group = groups.get(key)
-            if group is None:
-                requests, seconds = _Tally(), _Tally()
-                requests.bump(("variant", "miss"))
-                group = self._resolve_group(module, workload, pattern, calibration,
-                                            requests, seconds)
-                groups.put(key, group)
-            else:
-                requests, seconds = _GROUP_HIT, {}
-            mark = time.perf_counter()
-            params = group.parameters(workload.repetitions, options.resolved_clock_mhz())
-            selection = group.selection(options)
-            throughput = estimate_throughput(params, selection.form)
-            middle = time.perf_counter()
-            feasibility = self._feasibility.run(group.estimate, params, selection.form,
-                                                options, group.verdict)
-            finished = time.perf_counter()
-            seconds["throughput"] = middle - mark
-            seconds["feasibility"] = finished - middle
+            group, requests, seconds = self._lookup(module, workload, pattern, calibration)
+            report = group.report(workload.repetitions, options.resolved_clock_mhz(),
+                                  options, seconds, started)
             self.cache_requests.add(requests)
             self.stage_seconds.add(seconds)
             if _sp is not None:
                 _sp.attrs["design"] = group.design
-
-        return CostReport(
-            design=group.design,
-            device=options.device,
-            resources=ResourceStage._fresh_view(group.estimate),
-            throughput=throughput,
-            feasibility=feasibility,
-            estimation_seconds=finished - started,
-            notes=[f"memory-execution form {selection.form.value}: {selection.reason}"],
-        )
-
-    def _resolve_group(
-        self,
-        module: Module | LaneFamilyHandle,
-        workload: KernelInstance,
-        pattern: AccessPattern | PatternKind,
-        calibration: CalibrationArtifacts,
-        requests: MetricFamily,
-        seconds: MetricFamily,
-    ) -> CostGroup:
-        options = self.options
-        member = self._analysis.member(module, options, requests, seconds)
-        estimate = self._resource.lookup(member, calibration, options, requests, seconds)
-        return self._throughput.group(
-            member.design, member.structure,
-            lane_pipeline_depth(member.structure, member.schedules), LANE_VECTORIZATION,
-            estimate, workload, pattern, options.device, calibration, self._memory)
+        return report
 
     def cost_many(
         self,

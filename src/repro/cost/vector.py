@@ -1,34 +1,30 @@
 """Vectorized struct-of-arrays evaluation of the EKIT cost model.
 
-The scalar estimator walks Python dataclasses per design point; this
-module evaluates whole grids at once.  Each design family is lowered to a
-:class:`FamilyVector` — the flat record of lane-invariant scalars that
-``compiler/lanescale.estimate_from_structure`` and the three EKIT forms
-of :mod:`repro.cost.throughput` consume — and the lane and clock axes
-become numpy array axes: resource totals, feasibility masks, time
-breakdowns, limiting factors and EKIT all come out as arrays in one
+The scalar estimator costs one design point at a time; this module
+evaluates whole grids at once.  The lane and clock axes of one (device,
+form, pattern) group become numpy array axes, and EKIT, time totals,
+limiting factors and the feasibility mask come out as arrays in one
 broadcast pass.
 
-The contract with the scalar path is absolute: a dense sweep re-costed
-pointwise produces byte-identical canonical reports.  The EKIT time legs,
-the limiting-factor rule and the bandwidth demand are not restated here:
-:func:`evaluate_group` calls the scalar path's own functions in
-:mod:`repro.cost.throughput` with the lane and clock axes as broadcast
-arrays.  Only the resource fold of :func:`lane_axis` still mirrors its
-scalar counterpart (same association order, same int->float promotions,
-``np.rint`` for the banker's rounding of ``round()``), because the scalar
-fold works on per-leaf ``ResourceUsage`` objects.  The scalar path stays
-on as the differential oracle — see ``tests/explore/test_dense.py``.
+Nothing here restates the scalar arithmetic.  :func:`evaluate_group`
+takes the group's Table-I parameters from
+:meth:`~repro.compiler.pipeline.CostGroup.parameters`, its form from the
+same group's form selection and its per-lane resource verdicts from the
+groups' feasibility verdicts, and calls the scalar path's own functions
+in :mod:`repro.cost.throughput` with the lane and clock axes as
+broadcast arrays.  Only the array-specific steps live here.  A dense
+sweep re-costed pointwise therefore produces byte-identical canonical
+reports; the scalar path stays on as the differential oracle — see
+``tests/explore/test_dense.py``.
 
 This module deliberately imports no compiler machinery (the compiler
-package imports :mod:`repro.cost`); family extraction and report
-materialization live in :mod:`repro.explore.dense`.
+package imports :mod:`repro.cost`); the dense sweep itself lives in
+:mod:`repro.explore.dense`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +40,8 @@ from repro.models.memory_execution import MemoryExecutionForm
 
 __all__ = [
     "DenseUnsupportedError",
-    "FamilyVector",
-    "LaneAxis",
     "GroupArrays",
     "LIMITING_ORDER",
-    "RESOURCE_ORDER",
-    "lane_axis",
     "evaluate_group",
     "pareto_mask",
 ]
@@ -65,10 +57,6 @@ LIMITING_ORDER = (
     LimitingFactor.COMPUTE,
 )
 
-#: Resource order of ``ResourceUsage.RESOURCES`` — the utilisation argmax
-#: must pick the same first-maximum resource as ``max(util, key=util.get)``.
-RESOURCE_ORDER = ("alut", "reg", "bram_bits", "dsp")
-
 
 class DenseUnsupportedError(RuntimeError):
     """The dense path cannot represent this space; fall back to scalar.
@@ -78,92 +66,6 @@ class DenseUnsupportedError(RuntimeError):
     The exploration engine catches it and re-costs through the per-point
     oracle, so callers always get an answer.
     """
-
-
-@dataclass(frozen=True)
-class FamilyVector:
-    """Lane-invariant scalars of one design family on one device.
-
-    Everything the dense evaluator needs: the per-instance PE datapath
-    usage, the per-lane offset-buffer usage (summed over buffers, not yet
-    scaled by lanes), the scheduler's balancing-register bits, and the
-    Table-I scalars that do not vary along the lane or clock axes.
-    """
-
-    kernel: str
-    device: str
-    pe_name: str
-    #: per-instance PE datapath usage, RESOURCE_ORDER components (raw floats)
-    pe_usage: tuple[float, float, float, float]
-    #: summed per-lane offset-buffer usage, RESOURCE_ORDER components
-    buffer_usage: tuple[float, float, float, float]
-    #: scheduler balancing + input-delay bits per lane
-    balancing_bits: int
-    #: streams per lane (input + output)
-    in_streams_per_lane: int
-    out_streams_per_lane: int
-    element_width: int
-    word_bytes: int
-    nwpt: int
-    noff: int
-    kpd: int
-    ni: int
-    dv: int
-
-    @property
-    def stream_usage(self) -> tuple[float, float, float, float]:
-        """Per-stream control usage (``estimate_stream_control``'s rates)."""
-        return (40 + self.element_width / 2, 48 + self.element_width, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class LaneAxis:
-    """Resource verdicts along the lane axis of one family on one device."""
-
-    lanes: np.ndarray  #: int64 (L,)
-    fits_resources: np.ndarray  #: bool (L,)
-    #: the worst (limiting) fractional utilisation per lane count
-    util_max: np.ndarray  #: float64 (L,)
-    #: index into RESOURCE_ORDER of the limiting resource per lane count
-    limiting_resource: np.ndarray  #: int64 (L,)
-
-
-def lane_axis(fv: FamilyVector, lanes: Sequence[int], capacities: dict) -> LaneAxis:
-    """Mirror ``estimate_from_structure`` + the balancing-register fold.
-
-    Per component the scalar path computes, in order::
-
-        total  = 0.0 + pe * lanes            # instance accumulation
-        total += buffer_per_lane * lanes     # offset buffers, lane-scaled
-        total += per_stream * total_streams  # stream control
-        total  = round(total)                # banker's rounding
-        total.reg += balancing_bits * lanes  # post-rounding register fold
-
-    and the feasibility stage divides by the device capacities in
-    ``RESOURCE_ORDER``, taking the *first* maximum as limiting.
-    """
-    k = np.asarray(lanes, dtype=np.int64)
-    kf = k.astype(np.float64)
-    streams = (fv.in_streams_per_lane + fv.out_streams_per_lane) * k
-    sf = streams.astype(np.float64)
-
-    util = np.empty((len(RESOURCE_ORDER), len(k)), dtype=np.float64)
-    stream_usage = fv.stream_usage
-    for i, name in enumerate(RESOURCE_ORDER):
-        acc = fv.pe_usage[i] * kf
-        acc = acc + fv.buffer_usage[i] * kf
-        acc = acc + stream_usage[i] * sf
-        total = np.rint(acc)
-        if name == "reg":
-            total = total + (fv.balancing_bits * k).astype(np.float64)
-        util[i] = total / float(capacities[name])
-
-    return LaneAxis(
-        lanes=k,
-        fits_resources=np.all(util <= 1.0, axis=0),
-        util_max=np.max(util, axis=0),
-        limiting_resource=np.argmax(util, axis=0),
-    )
 
 
 @dataclass(frozen=True)
@@ -180,44 +82,33 @@ class GroupArrays:
 
 
 def evaluate_group(
-    fv: FamilyVector,
+    params: EKITParameters,
+    form: MemoryExecutionForm,
     lanes: np.ndarray,
     fd_mhz: np.ndarray,
-    *,
-    form: MemoryExecutionForm,
-    ngs: int,
-    nki: int,
-    hpb_gbps: float,
-    rho_h: float,
-    gpb_gbps: float,
-    rho_g: float,
     fits_resources: np.ndarray,
 ) -> GroupArrays:
     """Evaluate one EKIT form over the lane x clock plane.
 
-    The time legs, the limiting-factor rule, the kernel-instance time and
-    the bandwidth demand are the scalar path's own functions from
-    :mod:`repro.cost.throughput`, called once with the lane axis as an
-    ``(L, 1)`` array and the clock axis as a ``(1, C)`` array.  Only the
-    array-specific steps live here: ``np.maximum`` for the ``max`` term,
-    the first-maximum ``argmax`` over :data:`LIMITING_ORDER` and the
-    resource mask.
+    ``params`` holds the group's lane- and clock-invariant Table-I
+    scalars; its own ``knl`` and ``fd_mhz`` are placeholders that the
+    axes replace.  The time legs, the limiting-factor rule, the
+    kernel-instance time and the bandwidth demand are the scalar path's
+    own functions from :mod:`repro.cost.throughput`, called once with the
+    lane axis as an ``(L, 1)`` array and the clock axis as a ``(1, C)``
+    array.  Only the array-specific steps live here: ``np.maximum`` for
+    the ``max`` term, the first-maximum ``argmax`` over
+    :data:`LIMITING_ORDER` and the resource mask ``fits_resources`` (one
+    verdict per lane count).
     """
     knl = np.asarray(lanes, dtype=np.int64)[:, None]
     fd_hz = (np.asarray(fd_mhz, dtype=np.float64) * 1e6)[None, :]
-    # the group's lane/clock-invariant scalars; the record's own knl and
-    # fd_mhz are placeholders that the axes above replace
-    p = EKITParameters.for_pipelined_design(
-        hpb_gbps=hpb_gbps, rho_h=rho_h, gpb_gbps=gpb_gbps, rho_g=rho_g,
-        ngs=ngs, nwpt=fv.nwpt, nki=nki, noff=fv.noff, kpd=fv.kpd, fd_mhz=1.0,
-        ni=fv.ni, dv=fv.dv, word_bytes=fv.word_bytes,
-    )
 
     host_transfer, offset_fill, pipeline_fill, dram_streaming, compute = \
-        time_legs(p, form, fd_hz, knl)
+        time_legs(params, form, fd_hz, knl)
     soc = np.maximum(dram_streaming, compute)
     total = instance_time(host_transfer, offset_fill, pipeline_fill, soc,
-                          p.reconfiguration_s)
+                          params.reconfiguration_s)
     ekit = 1.0 / total
 
     # the scalar candidate dict in insertion order; argmax = first max
@@ -234,10 +125,10 @@ def evaluate_group(
     )
     limiting = np.where(first == 3, limiting4, first).astype(np.int64)
 
-    required_dram, required_host = bandwidth_demand(p, form, fd_hz, knl)
+    required_dram, required_host = bandwidth_demand(params, form, fd_hz, knl)
     fits_bandwidth = np.broadcast_to(
-        (required_dram <= p.sustained_dram_gbps)
-        & (required_host <= p.sustained_host_gbps),
+        (required_dram <= params.sustained_dram_gbps)
+        & (required_host <= params.sustained_host_gbps),
         total.shape,
     )
     feasible = np.asarray(fits_resources, dtype=bool)[:, None] & fits_bandwidth

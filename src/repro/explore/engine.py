@@ -115,8 +115,6 @@ def stats_view(families: Iterable[MetricFamily]) -> dict:
         view["dense"] = {
             "sweeps": sum(pair(dense, "sweep")),
             "points": totals.get(DENSE_POINTS, {}).get((), 0),
-            "vector": pair(dense, "vector"),
-            "group": pair(dense, "group"),
         }
     return view
 

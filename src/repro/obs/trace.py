@@ -337,8 +337,11 @@ def load_trace(path: str | os.PathLike[str]) -> tuple[dict[str, Any], list[dict[
 def _field_kind(key: str, value: Any) -> str | None:
     """What a span field must be, or None when ``value`` already is."""
     if key in ("start", "duration"):
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
+        try:   # an int beyond the float range is not a finite number
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:
+            ok = False
         return None if ok else "a finite number"
     if key == "pid":
         ok = isinstance(value, int) and not isinstance(value, bool)
@@ -350,15 +353,18 @@ def _field_kind(key: str, value: Any) -> str | None:
 
 def validate_trace(header: dict[str, Any], records: Sequence[dict[str, Any]]) -> None:
     """Raise ``ValueError`` unless (header, records) is a valid trace:
-    the header and every record are objects and each span field has its
-    type (strings ``trace``/``span``/``site``, finite ``start`` and
-    ``duration``, an int ``pid``, a string-or-null ``parent``)."""
+    the header and every record are objects, the header's ``trace_id`` is
+    a non-empty string and each span field has its type (strings
+    ``trace``/``span``/``site``, finite ``start`` and ``duration``, an int
+    ``pid``, a string-or-null ``parent``)."""
     if not isinstance(header, dict):
         raise ValueError(f"trace header is not an object: {header!r}")
     if header.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unexpected trace schema: {header.get('schema')!r}")
-    if not header.get("trace_id"):
-        raise ValueError("trace header missing trace_id")
+    trace_id = header.get("trace_id")
+    if not (isinstance(trace_id, str) and trace_id):
+        raise ValueError(
+            f"trace header trace_id must be a non-empty string, got {trace_id!r}")
     span_ids = set()
     for record in records:
         if not isinstance(record, dict):

@@ -123,7 +123,7 @@ class FaultSpec:
         if isinstance(spec, cls):
             return spec
         if _is_number(spec):
-            return cls(rate=float(spec))
+            spec = {"rate": spec}
         if not isinstance(spec, dict):
             raise ValueError(
                 f"a fault site spec is an object or a rate, got {spec!r}")
@@ -134,8 +134,9 @@ class FaultSpec:
         indices = spec.get("indices", ())
         mode = spec.get("mode", "raise")
         max_failures = spec.get("max_failures")
-        if not _is_number(rate):
-            raise ValueError(f"fault rate must be a number, got {rate!r}")
+        # compared before ``float``: an int beyond the float range overflows
+        if not (_is_number(rate) and 0 <= rate <= 1):
+            raise ValueError(f"fault rate must be a number within [0, 1], got {rate!r}")
         if not (isinstance(indices, (list, tuple))
                 and all(_is_int(i) and i >= 0 for i in indices)):
             raise ValueError(

@@ -5,7 +5,7 @@ fresh CLI process pays calibration and family analysis on every
 invocation, and concurrent batch jobs each warm a private copy of the
 same state.  The service inverts that: one long-lived process owns one
 warm set of caches (calibration artifacts, design families, session
-pipelines, dense sweep vectors) and every client shares them.
+pipelines, cost groups, dense sweeps) and every client shares them.
 
 Endpoints (all JSON):
 

@@ -3,9 +3,9 @@
 Costing a point resolves its :class:`~repro.compiler.pipeline.CostGroup`
 once per design group and then runs only the shared EKIT and feasibility
 formulas.  These tests count the work a cold 306-point sweep does —
-source-file probes, environment reads and metric updates — instead of
-timing it, so a per-point regression fails deterministically on any
-machine.
+source-file probes, environment reads, metric updates and group
+resolutions, serial and dense — instead of timing it, so a per-point
+regression fails deterministically on any machine.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from repro.compiler import lanescale
 from repro.compiler.pipeline import clear_calibration_cache
+from repro.explore.dense import DenseBackend
 from repro.kernels import kernel_names
 from repro.resilience.policy import MetricFamily
 from repro.suite import SuiteConfig, WorkloadSuite
@@ -123,3 +124,36 @@ def test_metric_updates_per_point(counted):
     points, counts = counted[64]
     assert counts["bump"] <= 2 * points
     assert counts["bump"] + counts["add"] <= 2.2 * points
+
+
+@pytest.fixture(scope="module")
+def dense_runs(request, tmp_path_factory):
+    """A cold dense sweep, then a serial sweep and a dense sweep of the
+    same config in one process."""
+    monkeypatch = pytest.MonkeyPatch()
+    request.addfinalizer(monkeypatch.undo)
+    monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path_factory.mktemp("dense-groups")))
+    config = sweep_config(64)
+    clear_calibration_cache()
+    cold = WorkloadSuite(config, backend=DenseBackend()).run()
+    clear_calibration_cache()
+    serial = WorkloadSuite(config).run()
+    dense = WorkloadSuite(config, backend=DenseBackend()).run()
+    clear_calibration_cache()
+    return cold, serial, dense
+
+
+def test_cold_dense_sweep_resolves_one_group_per_lane_count(dense_runs):
+    """One group per (kernel, lanes, pattern): the clock axis shares it."""
+    cold, _, _ = dense_runs
+    assert cold.evaluated == 306
+    assert cold.stats["variant"] == [0, 102]
+
+
+def test_dense_sweep_reuses_the_serial_sweeps_groups(dense_runs):
+    """The dense backend costs through the pipeline's cost groups, so
+    after a serial sweep of the same config it resolves none, and its
+    report is the serial one byte for byte."""
+    _, serial, dense = dense_runs
+    assert dense.stats["variant"] == [102, 0]
+    assert dense.report.to_json() == serial.report.to_json()

@@ -22,14 +22,7 @@ from repro.cost.throughput import (
     bandwidth_demand,
     estimate_throughput,
 )
-from repro.cost.vector import (
-    LIMITING_ORDER,
-    RESOURCE_ORDER,
-    FamilyVector,
-    evaluate_group,
-    lane_axis,
-    pareto_mask,
-)
+from repro.cost.vector import LIMITING_ORDER, evaluate_group, pareto_mask
 from repro.models.memory_execution import MemoryExecutionForm
 from repro.substrate.synthesis import ResourceUsage
 
@@ -86,47 +79,7 @@ class TestWithLanesFastCopy:
             assert a == b
 
 
-@pytest.fixture
-def fv() -> FamilyVector:
-    return FamilyVector(
-        kernel="toy", device="toy-device", pe_name="toy_pe",
-        pe_usage=(310.4, 451.9, 0.0, 3.0),
-        buffer_usage=(64.2, 642.0, 1200.0, 0.0),
-        balancing_bits=96,
-        in_streams_per_lane=3, out_streams_per_lane=1,
-        element_width=18, word_bytes=3,
-        nwpt=4, noff=17, kpd=120, ni=12, dv=1,
-    )
-
-
-CAPS = {"alut": 200_000, "reg": 400_000, "bram_bits": 4_000_000, "dsp": 256}
-
-
-class TestLaneAxis:
-    def test_mirrors_scalar_accumulation(self, fv):
-        lanes = (1, 2, 8)
-        axis = lane_axis(fv, lanes, CAPS)
-        for i, k in enumerate(lanes):
-            streams = (fv.in_streams_per_lane + fv.out_streams_per_lane) * k
-            expect = {}
-            for j, name in enumerate(RESOURCE_ORDER):
-                total = round(fv.pe_usage[j] * k + fv.buffer_usage[j] * k
-                              + fv.stream_usage[j] * streams)
-                if name == "reg":
-                    total += fv.balancing_bits * k
-                expect[name] = total / CAPS[name]
-            assert axis.util_max[i] == max(expect.values())
-            worst = max(expect, key=expect.get)  # first max, dict order
-            assert RESOURCE_ORDER[axis.limiting_resource[i]] == worst
-            assert bool(axis.fits_resources[i]) == all(u <= 1.0 for u in expect.values())
-
-    def test_large_lane_counts_do_not_fit(self, fv):
-        axis = lane_axis(fv, (1, 100_000), CAPS)
-        assert bool(axis.fits_resources[0])
-        assert not bool(axis.fits_resources[1])
-
-
-#: the fixed case the property started from (the ``fv`` fixture's scalars)
+#: the fixed case the property started from
 FIXED_CASE = dict(nwpt=4, noff=17, kpd=120, ni=12, dv=1, word_bytes=3, ngs=512,
                   nki=10, hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8)
 
@@ -146,32 +99,21 @@ table_i = st.fixed_dictionaries({
 })
 
 
-def _family(case: dict) -> FamilyVector:
-    return FamilyVector(
-        kernel="toy", device="toy-device", pe_name="toy_pe",
-        pe_usage=(0.0, 0.0, 0.0, 0.0), buffer_usage=(0.0, 0.0, 0.0, 0.0),
-        balancing_bits=0, in_streams_per_lane=1, out_streams_per_lane=1,
-        element_width=8 * case["word_bytes"], word_bytes=case["word_bytes"],
-        nwpt=case["nwpt"], noff=case["noff"], kpd=case["kpd"],
-        ni=case["ni"], dv=case["dv"],
-    )
-
-
-def _group(case: dict, lanes, clocks, form, fits):
-    return evaluate_group(
-        _family(case), np.array(lanes, dtype=np.int64), np.array(clocks), form=form,
-        ngs=case["ngs"], nki=case["nki"], hpb_gbps=case["hpb_gbps"],
-        rho_h=case["rho_h"], gpb_gbps=case["gpb_gbps"], rho_g=case["rho_g"],
-        fits_resources=np.array(fits, dtype=bool),
-    )
-
-
 def _scalar_params(case: dict, lanes: int, mhz: float) -> EKITParameters:
     return EKITParameters.for_pipelined_design(
         hpb_gbps=case["hpb_gbps"], rho_h=case["rho_h"], gpb_gbps=case["gpb_gbps"],
         rho_g=case["rho_g"], ngs=case["ngs"], nwpt=case["nwpt"], nki=case["nki"],
         noff=case["noff"], kpd=case["kpd"], fd_mhz=float(mhz), ni=case["ni"],
         knl=int(lanes), dv=case["dv"], word_bytes=case["word_bytes"],
+    )
+
+
+def _group(case: dict, lanes, clocks, form, fits):
+    # the group's parameters at its first lane count and a placeholder
+    # clock, as the dense backend takes them from its first lane group
+    return evaluate_group(
+        _scalar_params(case, lanes[0], 1.0), form, np.array(lanes, dtype=np.int64),
+        np.array(clocks), np.array(fits, dtype=bool),
     )
 
 
@@ -223,24 +165,16 @@ class TestEvaluateGroup:
         group = _group(case, [4], [1000.0], form, [True])
         assert LIMITING_ORDER[group.limiting[0, 0]] is LimitingFactor.DRAM_BANDWIDTH
 
-    def test_feasibility_combines_resources_and_bandwidth(self, fv):
-        lanes = np.array([1, 64], dtype=np.int64)
-        clocks = np.array([250.0])
-        group = evaluate_group(
-            fv, lanes, clocks, form=MemoryExecutionForm.A, ngs=512, nki=10,
-            hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8,
-            fits_resources=np.array([True, True]),
-        )
+    def test_feasibility_combines_resources_and_bandwidth(self):
+        lanes = [1, 64]
+        clocks = [250.0]
+        group = _group(FIXED_CASE, lanes, clocks, MemoryExecutionForm.A, [True, True])
         # 64 lanes at 250 MHz demand more than the sustained host link
         assert bool(group.fits_bandwidth[0, 0])
         assert not bool(group.fits_bandwidth[1, 0])
         assert not bool(group.feasible[1, 0])
         # form C never constrains the sustained links
-        group_c = evaluate_group(
-            fv, lanes, clocks, form=MemoryExecutionForm.C, ngs=512, nki=10,
-            hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8,
-            fits_resources=np.array([True, False]),
-        )
+        group_c = _group(FIXED_CASE, lanes, clocks, MemoryExecutionForm.C, [True, False])
         assert group_c.fits_bandwidth.all()
         assert not bool(group_c.feasible[1, 0])
 

@@ -262,10 +262,8 @@ class TestRealSurfaces:
                           f'{{layer="{layer}",result="miss"}}') == misses
         assert pipeline["variant"][1] > 0
         dense = pipeline["dense"]
-        for layer in ("vector", "group"):
-            for result, value in zip(("hit", "miss"), dense[layer]):
-                assert sample(text, "tybec_dense_cache_requests_total"
-                              f'{{layer="{layer}",result="{result}"}}') == value
+        assert sample(text, "tybec_dense_cache_requests_total"
+                      '{layer="sweep",result="miss"}') == dense["sweeps"]
         assert dense["sweeps"] == 1 and dense["points"] > 0
         assert sample(text, "tybec_dense_points_total") == dense["points"]
         assert sample(text, 'tybec_service_sweeps_total{event="completed"}') == 2
