@@ -21,7 +21,9 @@ equality, together with the golden files, is what licenses the shortcut.
 
 ``per_point_cost`` records the cold per-point ``EstimationPipeline.cost``
 time against the formula floor measured in the same process, and gates
-their ratio.
+their ratio.  ``encode`` records the 468-point report's encode through
+the row encoder (``SuiteReport.to_json``) against the reference dump of
+the fully expanded payload, and gates the speedup.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.cost.throughput import EKITParameters, estimate_throughput
 from repro.explore.engine import SerialBackend, canonical_report_dict
 from repro.kernels import kernel_names
 from repro.suite import SuiteConfig, WorkloadSuite
+from repro.suite.report import canonical_json, canonicalize
 
 #: the paper's per-variant estimation envelope (~0.3 s/variant)
 PAPER_TYTRA_SECONDS = 0.3
@@ -73,6 +76,16 @@ MIN_WARM_SPEEDUP = 3.0
 #: leaves room for that machine's noise.
 FLOOR_TRIALS = 20
 MAX_FLOOR_RATIO = 3.0
+
+#: the 468-point ``suite run`` grid (perfbench ``cli``, the CLI golden):
+#: every kernel's default grid, lanes up to 64, forms A/B/C, three clocks
+ENCODE_CONFIG = SuiteConfig(max_lanes=64, forms=("A", "B", "C"),
+                            clocks_mhz=(150.0, 200.0, 250.0))
+
+#: encode trials (interleaved reference/row pairs), and the speedup gate;
+#: the row encoder measures 5-7x on a shared 2-vCPU VM
+ENCODE_TRIALS = 9
+MIN_ENCODE_SPEEDUP = 4.0
 
 
 def _run_best_of(config, monkeypatch, *, scaling, cache_dir, repeats=2,
@@ -258,6 +271,61 @@ def test_per_point_cost_against_the_formula_floor(results_dir, tmp_path, monkeyp
     payload["per_point_cost"] = record
     path.write_text(json.dumps(payload, indent=2) + "\n")
     assert record["ratio_to_floor"] <= MAX_FLOOR_RATIO, record
+
+
+def _expanded(payload: dict) -> dict:
+    """``payload`` with every row swapped for its ``as_dict()``: what
+    ``build_suite_report`` put in ``entries`` before rows were encoded
+    from their objects."""
+    kernels = {name: {**info, "entries": [e.as_dict() for e in info["entries"]]}
+               for name, info in payload["kernels"].items()}
+    return {**payload, "kernels": kernels}
+
+
+def _reference_json(payload: dict) -> str:
+    """The reference encoder: one stdlib dump of the canonicalized dicts."""
+    return json.dumps(canonicalize(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _timed(encode) -> float:
+    started = time.perf_counter()
+    encode()
+    return time.perf_counter() - started
+
+
+def test_report_encode_against_the_reference(results_dir):
+    """The 468-point report through the row encoder vs the reference.
+
+    Both produce the same bytes; the row encoder must be at least
+    ``MIN_ENCODE_SPEEDUP`` times faster in the median over
+    ``ENCODE_TRIALS`` interleaved trials.  Recorded under ``encode`` in
+    BENCH_suite.json.
+    """
+    report = WorkloadSuite(ENCODE_CONFIG).run().report
+    expanded = _expanded(report.payload)
+    text = report.to_json()
+    assert report.totals["points"] == 468
+    assert text == _reference_json(expanded) == canonical_json(expanded)
+
+    reference, rows = [], []
+    with _collector_paused():
+        for _ in range(ENCODE_TRIALS):
+            reference.append(_timed(lambda: _reference_json(expanded)) * 1e3)
+            rows.append(_timed(report.to_json) * 1e3)
+    record = {
+        "points": report.totals["points"],
+        "bytes": len(text),
+        "reference_ms": _median_iqr(reference),
+        "row_encoder_ms": _median_iqr(rows),
+        "speedup": statistics.median(reference) / statistics.median(rows),
+        "min_speedup": MIN_ENCODE_SPEEDUP,
+        "bytes_identical": True,
+    }
+    path = results_dir / "BENCH_suite.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["encode"] = record
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    assert record["speedup"] >= MIN_ENCODE_SPEEDUP, record
 
 
 def test_suite_report_determinism():

@@ -946,12 +946,8 @@ def _cmd_suite_run(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.output:
-        run.report.write(args.output)
-        print(f"wrote suite report to {args.output}", file=sys.stderr)
-    if args.json:
-        print(run.report.to_json(), end="")
-    else:
+    _emit_report(run.report, args, "suite")
+    if not args.json:
         header = (f"{'kernel':>8} {'lanes':>5} {'device':>20} {'MHz':>6} "
                   f"{'form':>4} {'EKIT/s':>14} {'ok':>3}")
         print(header)
@@ -966,6 +962,18 @@ def _cmd_suite_run(args) -> int:
               f"in {run.wall_seconds:.3f} s ({run.variants_per_second:.1f} variants/s)")
         _print_stage_breakdown(run)
     return 0
+
+
+def _emit_report(report, args, what: str) -> None:
+    """Write ``-o`` and print ``--json`` from one encode of ``report``."""
+    if not (args.output or args.json):
+        return
+    text = report.to_json()
+    if args.output:
+        report.write(args.output, text)
+        print(f"wrote {what} report to {args.output}", file=sys.stderr)
+    if args.json:
+        print(text, end="")
 
 
 def _print_stage_breakdown(run) -> None:
@@ -1007,11 +1015,8 @@ def _cmd_suite_validate(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.output:
-        run.report.write(args.output)
-        print(f"wrote validation report to {args.output}", file=sys.stderr)
+    _emit_report(run.report, args, "validation")
     if args.json:
-        print(run.report.to_json(), end="")
         return 0 if run.ok else 1
 
     header = (f"{'kernel':>8} {'lanes':>5} {'form':>4} {'est cycles':>12} "
@@ -1059,11 +1064,8 @@ def _cmd_suite_flow(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.output:
-        run.report.write(args.output)
-        print(f"wrote flow report to {args.output}", file=sys.stderr)
+    _emit_report(run.report, args, "flow")
     if args.json:
-        print(run.report.to_json(), end="")
         return 0 if run.ok else 1
 
     header = (f"{'kernel':>8} {'lanes':>5} {'items':>6} {'rtl cyc':>8} "
@@ -1173,11 +1175,8 @@ def _cmd_suite_dse(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.output:
-        run.report.write(args.output)
-        print(f"wrote DSE report to {args.output}", file=sys.stderr)
+    _emit_report(run.report, args, "DSE")
     if args.json:
-        print(run.report.to_json(), end="")
         return 0
     totals = run.report.totals
     print(f"{args.optimizer} DSE over {totals['runs']} run(s): "

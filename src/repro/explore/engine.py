@@ -460,6 +460,47 @@ class SweepEntry:
     def as_dict(self) -> dict:
         return {"point": self.point.as_dict(), "report": canonical_report_dict(self.report)}
 
+    # -- the row protocol of :func:`repro.suite.report.canonical_json` ----
+    def row_layout(self) -> tuple:
+        """What fixes the shape of :meth:`as_dict`: the grid rank, the
+        number of functions and the number of notes."""
+        return (len(self.point.grid), len(self.report.resources.functions),
+                len(self.report.notes))
+
+    def row_leaves(self) -> tuple:
+        """The scalar leaves of :meth:`as_dict`, in sorted-key order."""
+        point, report = self.point, self.report
+        resources, feasibility = report.resources, report.feasibility
+        throughput, times = report.throughput, report.throughput.breakdown
+        util = report.utilization
+        functions = []
+        for f in resources.functions:
+            u = f.usage
+            functions += (f.function, f.instances, u.alut, u.bram_bits, u.dsp, u.reg)
+        offset, control, total = (resources.offset_buffers,
+                                  resources.stream_control, resources.total)
+        return (
+            point.resolved_clock_mhz, point.device.name, _form_value(point.form),
+            *point.grid, point.iterations, point.kernel, point.lanes,
+            point.pattern.value,
+            report.design, report.device.name,
+            feasibility.available_dram_gbps, feasibility.available_host_gbps,
+            feasibility.feasible, feasibility.fits_resources,
+            feasibility.limiting_resource,
+            feasibility.limiting_resource_utilization,
+            feasibility.required_dram_gbps, feasibility.required_host_gbps,
+            *report.notes,
+            resources.design, *functions,
+            offset.alut, offset.bram_bits, offset.dsp, offset.reg,
+            control.alut, control.bram_bits, control.dsp, control.reg,
+            total.alut, total.bram_bits, total.dsp, total.reg,
+            times.compute, times.dram_streaming, times.host_transfer,
+            times.offset_fill, times.pipeline_fill, times.reconfiguration,
+            times.total, throughput.ekit, throughput.form.value,
+            throughput.limiting_factor.value,
+            util["alut"], util["bram_bits"], util["dsp"], util["reg"],
+        )
+
 
 def pareto_frontier(
     entries: Sequence[SweepEntry],

@@ -125,8 +125,9 @@ def _parse(endpoint: str, body) -> dict:
         raise BadRequestError(str(exc)) from exc
 
 
-def _encode(event: dict) -> bytes:
-    """One event's canonical NDJSON line: the service's only encode."""
+def _encode(event) -> bytes:
+    """One event's canonical NDJSON line: the service's only encode (an
+    event is a dict or, for ``entry`` events, a report row)."""
     return canonical_json_line(event).encode()
 
 
@@ -134,6 +135,26 @@ def _fingerprint(kind: str, payload: dict) -> str:
     """The content fingerprint identical requests coalesce on."""
     body = canonical_json({"kind": kind, **payload})
     return hashlib.sha256(body.encode()).hexdigest()
+
+
+class _EntryEvent:
+    """One streamed ``entry`` event: the entry's point and report beside
+    ``event`` and ``index``.  It is a report row, so
+    :func:`canonical_json_line` encodes it through a cached template."""
+
+    __slots__ = ("index", "entry")
+
+    def __init__(self, index: int, entry: SweepEntry):
+        self.index, self.entry = index, entry
+
+    def as_dict(self) -> dict:
+        return {"event": "entry", "index": self.index, **self.entry.as_dict()}
+
+    def row_layout(self) -> tuple:
+        return self.entry.row_layout()
+
+    def row_leaves(self) -> tuple:
+        return ("entry", self.index, *self.entry.row_leaves())
 
 
 class ExplorationService:
@@ -370,14 +391,14 @@ class ExplorationService:
             if request["dense"]:
                 spaces, sweep = suite.sweep(deadline=deadline)
                 for index, entry in enumerate(sweep.entries):
-                    publish(self._entry_event(index, entry))
+                    publish(_EntryEvent(index, entry))
             else:
                 spaces = suite.spaces()
                 jobs = suite.jobs(spaces)
                 started = time.perf_counter()
 
                 def _progress(index: int, report) -> None:
-                    publish(self._entry_event(
+                    publish(_EntryEvent(
                         index, SweepEntry(jobs[index].point, report)))
 
                 reports = self._backend.run(jobs, progress=_progress,
@@ -396,10 +417,6 @@ class ExplorationService:
             "payload": report.payload,
             "evaluated": sweep.evaluated,
         }
-
-    @staticmethod
-    def _entry_event(index: int, entry: SweepEntry) -> dict:
-        return {"event": "entry", "index": index, **entry.as_dict()}
 
     # ------------------------------------------------------------------
     # /dse — optimizer-driven design-space exploration

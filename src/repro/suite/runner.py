@@ -288,7 +288,9 @@ def build_suite_report(config: SuiteConfig, spaces: dict[str, DesignSpace],
     report served over HTTP is byte-identical to the one a batch run (or
     ``tybec suite run``) writes for the same configuration — the
     acceptance criterion the golden harness and the coalescing tests both
-    pin.
+    pin.  Each kernel's ``entries`` are the
+    :class:`~repro.explore.engine.SweepEntry` rows themselves, encoded
+    from their objects by :func:`~repro.suite.report.canonical_json`.
     """
     kernels: dict[str, dict] = {}
     feasible_total = 0
@@ -306,7 +308,7 @@ def build_suite_report(config: SuiteConfig, spaces: dict[str, DesignSpace],
             "points": count,
             "feasible_points": len(feasible),
             "best": best,
-            "entries": [e.as_dict() for e in entries],
+            "entries": entries,
         }
 
     payload = {
@@ -416,16 +418,16 @@ class WorkloadSuite:
         rows = []
         for name, info in run.report.kernels.items():
             for entry in info["entries"]:
-                point, report = entry["point"], entry["report"]
+                point, report = entry.point, entry.report
                 rows.append({
                     "kernel": name,
-                    "lanes": point["lanes"],
-                    "device": point["device"],
-                    "clock_mhz": point["clock_mhz"],
-                    "form": report["throughput"]["form"],
-                    "pattern": point["pattern"],
-                    "ekit_per_s": report["throughput"]["ekit_per_s"],
-                    "feasible": report["feasibility"]["feasible"],
+                    "lanes": point.lanes,
+                    "device": point.device.name,
+                    "clock_mhz": point.resolved_clock_mhz,
+                    "form": report.throughput.form.value,
+                    "pattern": point.pattern.value,
+                    "ekit_per_s": report.ekit,
+                    "feasible": report.feasible,
                 })
         return rows
 

@@ -8,10 +8,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.ir import IRBuilder, ScalarType
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: the deeper hypothesis profile of the CI fuzz step
+#: (``pytest --hypothesis-profile=ci``); tier-1 runs hypothesis' default
+settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+def fuzz_examples(tier1: int) -> int:
+    """A fuzz test's example budget: ``tier1`` under the default profile,
+    the loaded profile's own (deeper) budget under ``ci``."""
+    if settings.get_current_profile_name() == "default":
+        return tier1
+    return settings.default.max_examples
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.ir import parse_module, print_module, validate_module
 from repro.ir.errors import IRError
 from repro.kernels import get_kernel, kernel_names
+from tests.conftest import fuzz_examples
 
 #: a line of noise the insert mutation may use instead of a copied line
 NOISE = ("", "}", "{", "define void @f(", "%x = add ui18 %x, %x",
@@ -51,7 +52,7 @@ def mutated_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=fuzz_examples(50), deadline=None)
 @given(mutated_texts())
 def test_mutated_modules_parse_or_raise_an_ir_error(text):
     try:

@@ -31,6 +31,27 @@ class TestTraceFlag:
         assert "pipeline.cost" in sites
         assert {r["trace"] for r in records} == {header["trace_id"]}
 
+    def test_traced_report_encode_and_write_spans(self, tmp_path, capsys):
+        argv = ["suite", "run", "--tiny", "--kernels", "sor", "--max-lanes", "2"]
+        trace, traced, clean = (tmp_path / name for name in
+                                ("t.ndjson", "traced.json", "clean.json"))
+        assert main(["--trace", str(trace), *argv, "-o", str(traced)]) == 0
+        assert main([*argv, "-o", str(clean)]) == 0
+        assert traced.read_bytes() == clean.read_bytes()
+        _, records = load_trace(trace)
+        spans = {site: [r for r in records if r["site"] == site]
+                 for site in ("report.encode", "report.write")}
+        assert [len(found) for found in spans.values()] == [1, 1]
+        size = len(clean.read_bytes())
+        points = json.loads(clean.read_text())["totals"]["points"]
+        assert spans["report.encode"][0]["attrs"] == {"bytes": size,
+                                                      "entries": points}
+        assert spans["report.write"][0]["attrs"] == {"bytes": size}
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "report.encode" in out and "report.write" in out
+
     def test_trace_flag_restores_process_state(self, tmp_path):
         prior = os.environ.get(TRACE_ENV)
         rc = main(["--trace", str(tmp_path / "t.ndjson"), "suite", "run",

@@ -294,6 +294,21 @@ class TestSuiteCommand:
         assert rc == 2
         assert "no design points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run"], ["dse", "--optimizer", "exhaustive"]])
+    def test_json_and_output_encode_once(self, command, tmp_path, capsys,
+                                         monkeypatch):
+        from repro.suite.report import SuiteReport
+
+        encodes = []
+        to_json = SuiteReport.to_json
+        monkeypatch.setattr(SuiteReport, "to_json",
+                            lambda self: encodes.append(1) or to_json(self))
+        out = tmp_path / "r.json"
+        assert main(["suite", *command, "--tiny", "--kernels", "sor",
+                     "--json", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert encodes == [1]
+
     def test_suite_diff_identical_and_perturbed(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.obs.trace import TRACE_SCHEMA, load_trace, summarize_trace, validate_trace
 from repro.resilience import FaultPlan
+from tests.conftest import fuzz_examples
 
 #: the characters an insert or substitution may use: JSON punctuation,
 #: digits, the letters of the literals, and whitespace
@@ -63,7 +64,7 @@ def test_trace_header_needs_a_string_trace_id():
         validate_trace({"schema": TRACE_SCHEMA, "trace_id": 5}, [])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=fuzz_examples(50), deadline=None)
 @given(mutated(TRACE_TEXT))
 @example(TRACE_TEXT.replace('"start": 0.25', f'"start": {HUGE}'))
 @example(TRACE_TEXT.replace('"trace_id": "t1"', '"trace_id": 5'))
@@ -77,7 +78,7 @@ def test_mutated_trace_files_load_or_raise_a_value_error(tmp_path_factory, text)
     json.dumps(summarize_trace(records))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=fuzz_examples(50), deadline=None)
 @given(mutated(PLAN_TEXT))
 @example(PLAN_TEXT.replace('"rate": 0.5', f'"rate": {HUGE}'))
 @example(PLAN_TEXT.replace('"cache.read": 0.25', f'"cache.read": {HUGE}'))
