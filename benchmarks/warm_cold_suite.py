@@ -37,10 +37,10 @@ from pathlib import Path
 #: irreducible per-point work small
 MEASURE_SNIPPET = """
 import json, sys, time
+from repro import replace
 from repro.suite import SuiteConfig, WorkloadSuite
-import dataclasses
 
-config = dataclasses.replace(
+config = replace(
     SuiteConfig.tiny(devices=("stratix-v", "virtex-7", "small")),
     max_lanes=8,
 )

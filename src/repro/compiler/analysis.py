@@ -12,8 +12,7 @@ combinatorial blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.cost.resource_model import ModuleStructure
 from repro.ir.functions import FunctionKind, Module
 from repro.models.design_space import ConfigurationClass, DesignPoint, classify_design_point
@@ -28,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class ConfigurationNode:
     """One instantiated function in the configuration hierarchy."""
 
@@ -59,7 +58,7 @@ class ConfigurationNode:
         return 1 + max(child.depth() for child in self.children)
 
 
-@dataclass
+@record
 class ConfigurationTree:
     """The whole configuration extracted from a module."""
 
@@ -129,7 +128,7 @@ def build_configuration_tree(module: Module) -> ConfigurationTree:
     return ConfigurationTree(module_name=module.name, root=visit(module.main))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleClassification:
     """The design-space coordinates and class of a module."""
 

@@ -36,8 +36,7 @@ reference semantics and checks the cycle counts against the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.compiler.scheduling import (
     OperatorLatencyModel,
     ScheduledPipeline,
@@ -81,7 +80,7 @@ def _sanitize(name: str) -> str:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RTLGeometry:
     """Timing geometry of one generated kernel pipeline module.
 
@@ -110,7 +109,7 @@ class RTLGeometry:
         return self.latency - 1
 
 
-@dataclass
+@record
 class VerilogGenerator:
     """Generate Verilog for a TyTra-IR module."""
 

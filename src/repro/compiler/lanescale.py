@@ -23,7 +23,7 @@ that invariant explicit:
     Everything the estimation flow needs, analysed once from the family's
     canonical member, from which :func:`derive_structure`,
     :func:`derive_tree` and :func:`derive_classification` reconstruct any
-    member's analysis products in O(lanes) dataclass assembly — no
+    member's analysis products in O(lanes) record assembly — no
     validation, no scheduling, no instruction walk.
 
 :class:`LaneFamilyHandle`
@@ -41,9 +41,10 @@ differential and property tests pin across every registered kernel.
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
-from dataclasses import dataclass, field
 
+from repro import field, record
 from repro.compiler.analysis import (
     ConfigurationNode,
     ConfigurationTree,
@@ -86,7 +87,7 @@ def latency_key(model: OperatorLatencyModel) -> tuple:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LaneSeparability:
     """The replicated-lane shape of a module, as found by the checker."""
 
@@ -203,7 +204,7 @@ def family_fingerprint(module: Module, sep: LaneSeparability) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class FamilyAnalysis:
     """Lane-invariant analysis products of one design family."""
 
@@ -380,18 +381,16 @@ def _kernel_code_token(kernel) -> str:
     cls = type(kernel)
     token = _KERNEL_CODE_TOKENS.get(cls)
     if token is None:
-        import inspect
-
         try:
-            with open(inspect.getfile(cls), "rb") as fh:
+            with open(sys.modules[cls.__module__].__file__, "rb") as fh:
                 token = hashlib.sha256(fh.read()).hexdigest()[:16]
-        except (OSError, TypeError):
+        except (AttributeError, KeyError, OSError, TypeError):
             token = ""
         _KERNEL_CODE_TOKENS[cls] = token
     return token
 
 
-@dataclass
+@record
 class LaneFamilyHandle:
     """A lazy, pickle-safe ``(kernel, lanes, grid)`` module recipe.
 
@@ -405,6 +404,12 @@ class LaneFamilyHandle:
     lanes: int
     grid: tuple[int, ...]
     _module: Module | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, kernel, lanes, grid, _module=None) -> None:
+        self.kernel = kernel
+        self.lanes = lanes
+        self.grid = grid
+        self._module = _module
 
     @property
     def design_name(self) -> str:
@@ -479,7 +484,7 @@ def lookup_family(fingerprint: str, latency: tuple) -> FamilyAnalysis | None:
         return family
     disk = default_disk_cache()
     if disk is not None:
-        family = disk.get(_FAMILY_NAMESPACE, key)
+        family = disk.get(_FAMILY_NAMESPACE, key, FamilyAnalysis)
         if family is not None:
             _FAMILY_CACHE.put(key, family)
     return family
@@ -492,7 +497,7 @@ def lookup_family_for_recipe(token: tuple, latency: tuple) -> FamilyAnalysis | N
     if fingerprint is None:
         disk = default_disk_cache()
         if disk is not None:
-            fingerprint = disk.get(_RECIPE_NAMESPACE, key)
+            fingerprint = disk.get(_RECIPE_NAMESPACE, key, str)
             if fingerprint is not None:
                 _RECIPE_INDEX.put(key, fingerprint)
     if fingerprint is None:

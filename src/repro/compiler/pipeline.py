@@ -61,9 +61,9 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from repro import field, record
 from repro.compiler.analysis import (
     ConfigurationTree,
     ModuleClassification,
@@ -140,7 +140,7 @@ def _lane_scaling_default() -> bool:
     )
 
 
-@dataclass
+@record
 class CompilationOptions:
     """Configuration of a TyBEC compilation session.
 
@@ -195,7 +195,7 @@ class CompilationOptions:
         )
 
 
-@dataclass
+@record
 class CompiledVariant:
     """Everything the compiler derives from one design variant's IR.
 
@@ -286,7 +286,7 @@ STAGE_SECONDS = "tybec_pipeline_stage_seconds_total"
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CalibrationArtifacts:
     """The one-time per-device inputs of Figure 2."""
 
@@ -377,16 +377,17 @@ class CalibrationStage:
     carry the calibration to worker processes for free.
     """
 
-    def _resolve(self, memory_cache: dict, memory_key, disk_token,
+    def _resolve(self, memory_cache: dict, memory_key, disk_token, kind: type,
                  compute, requests: MetricFamily):
-        """Memory → disk → compute, publishing upwards on the way out."""
+        """Memory → disk → compute, publishing upwards on the way out; a
+        stored value that is not a ``kind`` is a miss."""
         with _CALIBRATION_LOCK:
             value = memory_cache.get(memory_key)
         if value is not None:
             return value, False
         disk = default_disk_cache()
         if disk is not None:
-            value = disk.get("calibration", disk_token)
+            value = disk.get("calibration", disk_token, kind)
             if value is not None:
                 requests.bump(("disk", "hit"))
                 with _CALIBRATION_LOCK:
@@ -419,14 +420,14 @@ class CalibrationStage:
 
             options.cost_db, computed = self._resolve(
                 _COSTDB_CACHE, (device, options.synthesis_noise),
-                ("costdb", repr(device), options.synthesis_noise),
+                ("costdb", repr(device), options.synthesis_noise), DeviceCostDB,
                 _calibrate, requests,
             )
             missed |= computed
 
         if options.dram_bandwidth is None:
             options.dram_bandwidth, computed = self._resolve(
-                _DRAM_CACHE, device, ("dram", repr(device)),
+                _DRAM_CACHE, device, ("dram", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.from_simulator(
                     sim, name=f"{device.name}-dram"
                 ),
@@ -436,7 +437,7 @@ class CalibrationStage:
 
         if options.host_bandwidth is None:
             options.host_bandwidth, computed = self._resolve(
-                _HOST_CACHE, device, ("host", repr(device)),
+                _HOST_CACHE, device, ("host", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.host_from_simulator(
                     sim, name=f"{device.name}-host"
                 ),
@@ -644,7 +645,7 @@ class AnalysisStage:
         # (separable designs) or once per content (everything else)
         disk = default_disk_cache() if sep is None else None
         if disk is not None:
-            loaded = disk.get("analysis", (content, lat_key))
+            loaded = disk.get("analysis", (content, lat_key), tuple)
             if loaded is not None:
                 requests.bump(("disk", "hit"))
                 return loaded
@@ -692,7 +693,7 @@ class AnalysisStage:
     ) -> CompiledVariant:
         """Analyse a sweep recipe, lowering its module only when needed.
 
-        A warm family turns the whole analysis into O(lanes) dataclass
+        A warm family turns the whole analysis into O(lanes) record
         assembly; a cold (or non-separable) recipe materializes the module
         and takes the normal path, registering the family for every
         member that follows.
@@ -884,7 +885,7 @@ class ResourceStage:
                                             requests, seconds))
 
 
-@dataclass
+@record
 class CostGroup:
     """The clock- and form-invariant inputs of one group of design points.
 
@@ -922,6 +923,29 @@ class CostGroup:
     verdict: tuple | None = None
     #: form option -> selection, filled as sessions ask
     selections: dict = field(default_factory=dict, repr=False)
+
+    def __init__(self, design, estimate, family_member, footprint, memory, hpb_gbps,
+                 rho_h, gpb_gbps, rho_g, ngs, nwpt, noff, kpd, ni, knl, dv, word_bytes,
+                 verdict=None, selections=None) -> None:
+        self.design = design
+        self.estimate = estimate
+        self.family_member = family_member
+        self.footprint = footprint
+        self.memory = memory
+        self.hpb_gbps = hpb_gbps
+        self.rho_h = rho_h
+        self.gpb_gbps = gpb_gbps
+        self.rho_g = rho_g
+        self.ngs = ngs
+        self.nwpt = nwpt
+        self.noff = noff
+        self.kpd = kpd
+        self.ni = ni
+        self.knl = knl
+        self.dv = dv
+        self.word_bytes = word_bytes
+        self.verdict = verdict
+        self.selections = {} if selections is None else selections
 
     def parameters(self, nki: int, fd_mhz: float) -> EKITParameters:
         """The Table-I parameters of the group's point at ``fd_mhz``."""
@@ -1237,7 +1261,7 @@ class EstimationPipeline:
             module = self.parse(module)
         # a recipe's point token is a tuple, a module's content key a str;
         # the device enters by its shared simulator, which hashes by
-        # identity (the device dataclass hashes every field)
+        # identity (the device record hashes every field)
         design = (module.point_token() if isinstance(module, LaneFamilyHandle)
                   else module_content_key(module))
         key = (design, _latency_key(options), options.lane_scaling,

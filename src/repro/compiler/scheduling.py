@@ -20,8 +20,7 @@ spatial datapath with per-instruction functional units achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.ir.functions import FunctionKind, IRFunction, Module
 from repro.ir.instructions import Instruction, OffsetInstruction, OPCODES
 from repro.substrate.pipeline_sim import PipelineSpec
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class OperatorLatencyModel:
     """Pipeline latency of each operator in cycles.
 
@@ -59,7 +58,7 @@ class OperatorLatencyModel:
         return info.latency
 
 
-@dataclass
+@record
 class DataflowGraph:
     """Def-use graph of a function's datapath."""
 
@@ -133,7 +132,7 @@ def _asap(graph: DataflowGraph, latency_model: OperatorLatencyModel) -> dict[str
     return schedule
 
 
-@dataclass
+@record
 class ScheduledPipeline:
     """The scheduled datapath of one ``pipe`` (or ``comb``) function."""
 

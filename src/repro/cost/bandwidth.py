@@ -23,8 +23,8 @@ fallback and in the ablation experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from repro import field, record
 from repro.cost.numerics import interp, sorted_axis
 from repro.models.streaming import AccessPattern, PatternKind
 from repro.substrate.memory_sim import MemorySystemSimulator, StreamMeasurement
@@ -32,7 +32,7 @@ from repro.substrate.memory_sim import MemorySystemSimulator, StreamMeasurement
 __all__ = ["BandwidthTable", "SustainedBandwidthModel"]
 
 
-@dataclass
+@record
 class BandwidthTable:
     """Sustained bandwidth (GB/s) as a function of transfer size (bytes)."""
 
@@ -69,7 +69,7 @@ class BandwidthTable:
         return BandwidthTable(list(data["sizes_bytes"]), list(data["gbps"]))
 
 
-@dataclass
+@record
 class SustainedBandwidthModel:
     """Empirical sustained-bandwidth model for one memory interface."""
 

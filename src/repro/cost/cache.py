@@ -19,8 +19,10 @@ already knows.  Two kinds of cache back that up:
     write-to-temp + atomic rename, so concurrent writers (e.g. a process
     pool whose workers all miss the same key at once) can never expose a
     torn file; the loser of the race simply overwrites with identical
-    content.  Reads treat any undecodable or mismatched entry as a miss.
-    Each namespace is LRU-bounded by file count (access refreshes mtime).
+    content.  An entry carries its token and a SHA-256 of its pickled
+    value; reads treat any undecodable, mismatched, damaged or
+    wrongly-typed entry as a miss.  Each namespace is LRU-bounded by file
+    count (access refreshes mtime).
 
 The store location is resolved lazily from ``TYBEC_CACHE_DIR`` (default
 ``~/.cache/tybec``); setting it to an empty string, ``0`` or ``off``
@@ -237,15 +239,19 @@ class DiskCache:
         return self.version_dir / namespace / f"{digest}.pkl"
 
     # ------------------------------------------------------------------
-    def get(self, namespace: str, token):
-        """Load one entry, or None on miss/corruption/schema mismatch."""
+    def get(self, namespace: str, token, kind: type = object):
+        """Load one entry, or None on miss/corruption/schema mismatch.
+
+        A value that is not an instance of ``kind`` is a damaged entry,
+        like one that does not decode.
+        """
         with trace_span("cache.get", namespace=namespace) as sp:
-            value = self._get(namespace, token)
+            value = self._get(namespace, token, kind)
             if sp is not None:
                 sp.attrs["outcome"] = "miss" if value is None else "hit"
             return value
 
-    def _get(self, namespace: str, token):
+    def _get(self, namespace: str, token, kind):
         path = self._entry_path(namespace, token)
         try:
             # before the decode path, so an injected read fault becomes a
@@ -260,6 +266,16 @@ class DiskCache:
                 payload = pickle.load(fh)
             if payload.get("token") != repr(token):
                 raise ValueError("key collision or stale entry")
+            digest = payload.get("sha256")
+            if digest is None:
+                # written before entries carried a digest: trust the decode
+                value = payload["value"]
+            elif hashlib.sha256(payload["value"]).hexdigest() == digest:
+                value = pickle.loads(payload["value"])
+            else:
+                raise ValueError("entry does not match its digest")
+            if not isinstance(value, kind):
+                raise TypeError(f"entry holds a {type(value).__name__}")
             try:
                 # refresh recency for the LRU eviction scan; best-effort —
                 # a read-only cache directory must still serve warm starts
@@ -301,7 +317,7 @@ class DiskCache:
         self.events.bump("hits")
         with self._lock:
             self._decode_failures.pop(str(path), None)
-        return payload["value"]
+        return value
 
     def put(self, namespace: str, token, value) -> None:
         """Persist one entry (atomic rename; failures are non-fatal)."""
@@ -310,14 +326,16 @@ class DiskCache:
 
     def _put(self, namespace: str, token, value) -> None:
         path = self._entry_path(namespace, token)
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             keep_orphan = False
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump({"token": repr(token), "value": value}, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump({"token": repr(token),
+                                 "sha256": hashlib.sha256(blob).hexdigest(),
+                                 "value": blob}, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 try:
                     maybe_fail("cache.write")
                 except InjectedFault:

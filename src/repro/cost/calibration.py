@@ -22,8 +22,8 @@ the :class:`DeviceCostDB` that stores the fitted expressions for a device
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from repro import field, record
 from repro.cost.numerics import interp, polyval, sorted_axis
 from repro.ir.instructions import OPCODES
 from repro.substrate.synthesis import CalibrationDataset, ResourceUsage
@@ -73,7 +73,7 @@ class CostExpression:
         raise ValueError(f"unknown cost expression kind {kind!r}")
 
 
-@dataclass
+@record
 class PolynomialCost(CostExpression):
     """``c[0] + c[1]*w + c[2]*w^2 + ...`` (coefficients in ascending order)."""
 
@@ -104,7 +104,7 @@ class PolynomialCost(CostExpression):
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass
+@record
 class PiecewiseLinearCost(CostExpression):
     """Linear interpolation between calibration points, linear extrapolation
     beyond them (using the slope of the nearest segment)."""
@@ -133,7 +133,7 @@ class PiecewiseLinearCost(CostExpression):
         return {"kind": self.kind, "xs": self.xs, "ys": self.ys}
 
 
-@dataclass
+@record
 class StepCost(CostExpression):
     """Step-wise cost for tiled resources such as DSP blocks.
 
@@ -209,7 +209,7 @@ def fit_step(points: list[tuple[float, float]], unit_width: float = 18.0) -> Ste
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class OperatorCostModel:
     """Fitted cost expressions for one (opcode, constant-operand) pair."""
 
@@ -267,7 +267,7 @@ def _fit_one(
     return fit_polynomial(points, usable_degree)
 
 
-@dataclass
+@record
 class DeviceCostDB:
     """Fitted per-instruction cost expressions for one device."""
 

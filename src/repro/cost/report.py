@@ -10,8 +10,7 @@ differentiator when choosing among valid variants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.cost.resource_model import ModuleResourceEstimate
 from repro.cost.throughput import EKITEstimate, LimitingFactor
 from repro.substrate.fpga_device import FPGADevice
@@ -20,7 +19,7 @@ from repro.substrate.synthesis import ResourceUsage
 __all__ = ["FeasibilityCheck", "CostReport"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FeasibilityCheck:
     """Whether a variant fits the device and its IO budget."""
 
@@ -31,6 +30,18 @@ class FeasibilityCheck:
     available_dram_gbps: float
     required_host_gbps: float
     available_host_gbps: float
+
+    def __init__(self, fits_resources, limiting_resource, limiting_resource_utilization,
+                 required_dram_gbps, available_dram_gbps, required_host_gbps,
+                 available_host_gbps) -> None:
+        put = object.__setattr__
+        put(self, "fits_resources", fits_resources)
+        put(self, "limiting_resource", limiting_resource)
+        put(self, "limiting_resource_utilization", limiting_resource_utilization)
+        put(self, "required_dram_gbps", required_dram_gbps)
+        put(self, "available_dram_gbps", available_dram_gbps)
+        put(self, "required_host_gbps", required_host_gbps)
+        put(self, "available_host_gbps", available_host_gbps)
 
     @property
     def fits_bandwidth(self) -> bool:
@@ -56,7 +67,7 @@ class FeasibilityCheck:
         }
 
 
-@dataclass
+@record
 class CostReport:
     """The full output of costing one design variant."""
 
@@ -69,6 +80,16 @@ class CostReport:
     #: estimator's speed: ~0.3 s per variant vs ~70 s for HLS estimates)
     estimation_seconds: float = 0.0
     notes: list[str] = field(default_factory=list)
+
+    def __init__(self, design, device, resources, throughput, feasibility,
+                 estimation_seconds=0.0, notes=None) -> None:
+        self.design = design
+        self.device = device
+        self.resources = resources
+        self.throughput = throughput
+        self.feasibility = feasibility
+        self.estimation_seconds = estimation_seconds
+        self.notes = [] if notes is None else notes
 
     # -- convenience views -------------------------------------------------
     @property

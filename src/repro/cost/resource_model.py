@@ -17,8 +17,7 @@ the program (``NI``, ``Noff``, ``NWPT``, ``KNL``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.ir.functions import FunctionKind, Module, StreamDirection
 from repro.ir.instructions import Instruction, OffsetInstruction
 from repro.cost.calibration import DeviceCostDB
@@ -32,7 +31,7 @@ __all__ = ["ModuleStructure", "FunctionResourceEstimate", "ModuleResourceEstimat
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ModuleStructure:
     """Structural summary of a design variant extracted from its IR.
 
@@ -64,6 +63,21 @@ class ModuleStructure:
     output_streams: int
     #: dominant stream element width in bits
     element_width: int
+
+    def __init__(self, module, instance_counts, kernel_function, lanes,
+                 instructions_per_pe, offset_buffers, max_offset_span_words,
+                 words_per_item, input_streams, output_streams, element_width) -> None:
+        self.module = module
+        self.instance_counts = instance_counts
+        self.kernel_function = kernel_function
+        self.lanes = lanes
+        self.instructions_per_pe = instructions_per_pe
+        self.offset_buffers = offset_buffers
+        self.max_offset_span_words = max_offset_span_words
+        self.words_per_item = words_per_item
+        self.input_streams = input_streams
+        self.output_streams = output_streams
+        self.element_width = element_width
 
     @property
     def total_streams(self) -> int:
@@ -190,7 +204,7 @@ class ModuleStructure:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class FunctionResourceEstimate:
     """Per-function (single instance) resource estimate."""
 
@@ -198,12 +212,17 @@ class FunctionResourceEstimate:
     usage: ResourceUsage
     instances: int
 
+    def __init__(self, function, usage, instances) -> None:
+        self.function = function
+        self.usage = usage
+        self.instances = instances
+
     @property
     def total(self) -> ResourceUsage:
         return self.usage.scaled(self.instances)
 
 
-@dataclass
+@record
 class ModuleResourceEstimate:
     """Whole-design resource estimate with its breakdown."""
 
@@ -213,6 +232,15 @@ class ModuleResourceEstimate:
     offset_buffers: ResourceUsage = field(default_factory=ResourceUsage)
     stream_control: ResourceUsage = field(default_factory=ResourceUsage)
     structure: ModuleStructure | None = None
+
+    def __init__(self, design, total, functions=None, offset_buffers=None,
+                 stream_control=None, structure=None) -> None:
+        self.design = design
+        self.total = total
+        self.functions = [] if functions is None else functions
+        self.offset_buffers = ResourceUsage() if offset_buffers is None else offset_buffers
+        self.stream_control = ResourceUsage() if stream_control is None else stream_control
+        self.structure = structure
 
     def as_dict(self) -> dict:
         return {

@@ -44,9 +44,9 @@ implements this extraction rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from repro import record
 from repro.models.memory_execution import MemoryExecutionForm
 
 __all__ = [
@@ -75,7 +75,7 @@ class LimitingFactor(str, Enum):
     OFFSET_FILL = "offset-fill"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _DerivedScalars:
     """Derived quantities of one parameter record, all ``knl``-invariant."""
 
@@ -84,8 +84,16 @@ class _DerivedScalars:
     sustained_dram_gbps: float
     total_stream_bytes: float
 
+    def __init__(self, fd_hz, sustained_host_gbps, sustained_dram_gbps,
+                 total_stream_bytes) -> None:
+        put = object.__setattr__
+        put(self, "fd_hz", fd_hz)
+        put(self, "sustained_host_gbps", sustained_host_gbps)
+        put(self, "sustained_dram_gbps", sustained_dram_gbps)
+        put(self, "total_stream_bytes", total_stream_bytes)
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class EKITParameters:
     """The parameters of Table I.
 
@@ -140,16 +148,35 @@ class EKITParameters:
     word_bytes: int = 4
     reconfiguration_s: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __init__(self, hpb_gbps, rho_h, gpb_gbps, rho_g, ngs, nwpt, nki, noff, kpd,
+                 fd_mhz, nto, ni, knl, dv, word_bytes=4, reconfiguration_s=0.0) -> None:
+        put = object.__setattr__
+        put(self, "hpb_gbps", hpb_gbps)
+        put(self, "rho_h", rho_h)
+        put(self, "gpb_gbps", gpb_gbps)
+        put(self, "rho_g", rho_g)
+        put(self, "ngs", ngs)
+        put(self, "nwpt", nwpt)
+        put(self, "nki", nki)
+        put(self, "noff", noff)
+        put(self, "kpd", kpd)
+        put(self, "fd_mhz", fd_mhz)
+        put(self, "nto", nto)
+        put(self, "ni", ni)
+        put(self, "knl", knl)
+        put(self, "dv", dv)
+        put(self, "word_bytes", word_bytes)
+        put(self, "reconfiguration_s", reconfiguration_s)
         # every point of a sweep passes: check that in one expression, and
         # only walk the fields to name the offender when it fails
-        if (self.hpb_gbps > 0 and self.gpb_gbps > 0 and self.ngs > 0
-                and self.nwpt > 0 and self.nki > 0 and self.fd_mhz > 0
-                and self.ni > 0 and self.knl > 0 and self.dv > 0
-                and self.word_bytes > 0 and self.noff >= 0 and self.kpd >= 0
-                and self.nto >= 0 and self.reconfiguration_s >= 0
-                and 0 < self.rho_h <= 1.0 and 0 < self.rho_g <= 1.0):
-            return
+        if not (hpb_gbps > 0 and gpb_gbps > 0 and ngs > 0 and nwpt > 0 and nki > 0
+                and fd_mhz > 0 and ni > 0 and knl > 0 and dv > 0 and word_bytes > 0
+                and noff >= 0 and kpd >= 0 and nto >= 0 and reconfiguration_s >= 0
+                and 0 < rho_h <= 1.0 and 0 < rho_g <= 1.0):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the ``ValueError`` naming the first out-of-range field."""
         positive = {
             "hpb_gbps": self.hpb_gbps, "gpb_gbps": self.gpb_gbps, "ngs": self.ngs,
             "nwpt": self.nwpt, "nki": self.nki, "fd_mhz": self.fd_mhz,
@@ -208,9 +235,9 @@ class EKITParameters:
         """A copy of the parameters with a different lane count.
 
         ``knl`` is the only field a lane sweep varies, so the copy skips
-        ``__post_init__`` (every other invariant is untouched) and shares
+        the range checks (every other invariant is untouched) and shares
         the cached derived-scalar bundle — re-validating through
-        ``dataclasses.replace`` per point used to dominate dense
+        :func:`~repro.replace` per point used to dominate dense
         differential runs.
         """
         if knl == self.knl:
@@ -261,7 +288,7 @@ class EKITParameters:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimeBreakdown:
     """Per-kernel-instance time contributions (seconds)."""
 
@@ -271,6 +298,16 @@ class TimeBreakdown:
     dram_streaming: float
     compute: float
     reconfiguration: float = 0.0
+
+    def __init__(self, host_transfer, offset_fill, pipeline_fill, dram_streaming,
+                 compute, reconfiguration=0.0) -> None:
+        put = object.__setattr__
+        put(self, "host_transfer", host_transfer)
+        put(self, "offset_fill", offset_fill)
+        put(self, "pipeline_fill", pipeline_fill)
+        put(self, "dram_streaming", dram_streaming)
+        put(self, "compute", compute)
+        put(self, "reconfiguration", reconfiguration)
 
     @property
     def streaming_or_compute(self) -> float:
@@ -301,7 +338,7 @@ class TimeBreakdown:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EKITEstimate:
     """Result of evaluating one of the EKIT expressions."""
 
@@ -310,6 +347,14 @@ class EKITEstimate:
     breakdown: TimeBreakdown
     ekit: float
     limiting_factor: LimitingFactor
+
+    def __init__(self, form, parameters, breakdown, ekit, limiting_factor) -> None:
+        put = object.__setattr__
+        put(self, "form", form)
+        put(self, "parameters", parameters)
+        put(self, "breakdown", breakdown)
+        put(self, "ekit", ekit)
+        put(self, "limiting_factor", limiting_factor)
 
     @property
     def kernel_instance_time_s(self) -> float:

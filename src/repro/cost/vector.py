@@ -24,10 +24,9 @@ package imports :mod:`repro.cost`); the dense sweep itself lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro import record
 from repro.cost.throughput import (
     EKITParameters,
     LimitingFactor,
@@ -68,7 +67,7 @@ class DenseUnsupportedError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupArrays:
     """One (device, form, pattern) group evaluated over lanes x clocks."""
 

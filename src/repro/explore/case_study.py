@@ -25,8 +25,7 @@ the same mechanisms as on the real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.explore.engine import ExplorationEngine
 from repro.explore.space import CostJob, DesignPoint
 from repro.kernels.sor import SORKernel
@@ -38,7 +37,7 @@ from repro.substrate.power import NodePowerModel
 __all__ = ["CaseStudyPoint", "CaseStudyConfig", "run_sor_case_study"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CaseStudyPoint:
     """Runtimes and energies of the three implementations for one grid size."""
 
@@ -96,7 +95,7 @@ class CaseStudyPoint:
         }
 
 
-@dataclass
+@record
 class CaseStudyConfig:
     """Calibration of the case-study setup (documented model inputs).
 

@@ -36,9 +36,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro import field, record
 from repro.compiler.pipeline import (
     CACHE_REQUESTS,
     STAGE_SECONDS,
@@ -450,12 +450,17 @@ class ProcessPoolBackend:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepEntry:
     """One evaluated design point."""
 
     point: DesignPoint
     report: CostReport
+
+    def __init__(self, point, report) -> None:
+        put = object.__setattr__
+        put(self, "point", point)
+        put(self, "report", report)
 
     def as_dict(self) -> dict:
         return {"point": self.point.as_dict(), "report": canonical_report_dict(self.report)}
@@ -539,7 +544,7 @@ def pareto_frontier(
     return [entry for entry, keep in zip(entries, mask) if keep]
 
 
-@dataclass
+@record
 class SweepResult:
     """Reports of one batched sweep, in deterministic sweep order."""
 

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
+from repro import field, record
 from repro.explore.engine import SweepEntry, SweepResult
 from repro.obs.trace import span as trace_span
 from repro.explore.space import (
@@ -105,7 +105,7 @@ class Optimizer(Protocol):
     def result(self) -> dict: ...
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OptimizerRound:
     """Provenance of one driver-loop round."""
 
@@ -121,7 +121,7 @@ class OptimizerRound:
         return payload
 
 
-@dataclass
+@record
 class OptimizerRun:
     """Everything one optimizer loop produced.
 

@@ -10,14 +10,13 @@ bandwidth roof and the compute roof of the target device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.cost.report import CostReport
 
 __all__ = ["RooflinePoint", "roofline_analysis"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RooflinePoint:
     """One variant placed in the roofline plane."""
 

@@ -26,9 +26,9 @@ TyTra compiler generates.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro import field, record, replace
 from repro.compiler.lanescale import LaneFamilyHandle
 from repro.compiler.pipeline import CompilationOptions
 from repro.cost.numerics import linspace
@@ -56,7 +56,7 @@ def _form_value(form: str | MemoryExecutionForm) -> str:
     return form.value if isinstance(form, MemoryExecutionForm) else str(form)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DesignPoint:
     """One coordinate of a multi-axis design space, ready to be costed."""
 
@@ -68,6 +68,30 @@ class DesignPoint:
     form: str | MemoryExecutionForm = "auto"
     device: FPGADevice = MAIA_STRATIX_V_GSD8
     pattern: PatternKind = PatternKind.CONTIGUOUS
+
+    def __init__(self, kernel, lanes, grid, iterations, clock_mhz=None, form="auto",
+                 device=MAIA_STRATIX_V_GSD8, pattern=PatternKind.CONTIGUOUS) -> None:
+        put = object.__setattr__
+        put(self, "kernel", kernel)
+        put(self, "lanes", lanes)
+        put(self, "grid", grid)
+        put(self, "iterations", iterations)
+        put(self, "clock_mhz", clock_mhz)
+        put(self, "form", form)
+        put(self, "device", device)
+        put(self, "pattern", pattern)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kernel, self.lanes, self.grid, self.iterations,
+                     self.clock_mhz, self.form, self.device, self.pattern)
+                    == (other.kernel, other.lanes, other.grid, other.iterations,
+                        other.clock_mhz, other.form, other.device, other.pattern))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kernel, self.lanes, self.grid, self.iterations,
+                     self.clock_mhz, self.form, self.device, self.pattern))
 
     @property
     def global_size(self) -> int:
@@ -118,13 +142,13 @@ class DesignPoint:
         }
 
     @staticmethod
-    def from_variant(record, options: CompilationOptions) -> "DesignPoint":
+    def from_variant(variant, options: CompilationOptions) -> "DesignPoint":
         """Lift a lane-only :class:`VariantRecord` into the multi-axis space."""
         return DesignPoint(
-            kernel=record.kernel,
-            lanes=record.lanes,
-            grid=tuple(record.workload.ndrange.dims),
-            iterations=record.workload.repetitions,
+            kernel=variant.kernel,
+            lanes=variant.lanes,
+            grid=tuple(variant.workload.ndrange.dims),
+            iterations=variant.workload.repetitions,
             clock_mhz=options.clock_mhz,
             form=_form_value(options.form),
             device=options.device,
@@ -132,7 +156,7 @@ class DesignPoint:
         )
 
 
-@dataclass
+@record
 class DesignSpace:
     """The cartesian product of exploration axes for one kernel/workload.
 
@@ -219,8 +243,6 @@ class DesignSpace:
         successive-halving arm per memory-execution form):
         ``space.subspace(forms=("A",))``.
         """
-        from dataclasses import replace
-
         return replace(self, **overrides)
 
 
@@ -251,7 +273,7 @@ def clock_range(spec: str) -> tuple[float, ...]:
     return linspace_clocks(lo, hi, n)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DenseGrid:
     """A :class:`DesignSpace` lowered to indexable axis tuples.
 
@@ -324,7 +346,7 @@ class DenseGrid:
                 for c in self.clocks]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CostJob:
     """One design point together with its (possibly lazy) IR and workload.
 
@@ -345,14 +367,21 @@ class CostJob:
     workload: KernelInstance
     options: CompilationOptions | None = None
 
+    def __init__(self, point, module, workload, options=None) -> None:
+        put = object.__setattr__
+        put(self, "point", point)
+        put(self, "module", module)
+        put(self, "workload", workload)
+        put(self, "options", options)
+
     def resolved_options(self) -> CompilationOptions:
         return self.options if self.options is not None else self.point.compilation_options()
 
     @staticmethod
-    def from_variant(record, options: CompilationOptions) -> "CostJob":
+    def from_variant(variant, options: CompilationOptions) -> "CostJob":
         """Cost a lane-only :class:`VariantRecord` with exactly ``options``."""
-        return CostJob(point=DesignPoint.from_variant(record, options),
-                       module=record.module, workload=record.workload,
+        return CostJob(point=DesignPoint.from_variant(variant, options),
+                       module=variant.module, workload=variant.workload,
                        options=options)
 
 

@@ -9,8 +9,8 @@ lanes of the SOR pipeline).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro import record
 from repro.functional.typetrans import valid_lane_counts
 from repro.ir.functions import Module
 from repro.kernels.base import ScientificKernel
@@ -19,7 +19,7 @@ from repro.models.execution import KernelInstance
 __all__ = ["VariantRecord", "generate_lane_variants", "sweep_lane_counts"]
 
 
-@dataclass
+@record
 class VariantRecord:
     """One generated design variant, ready to be costed."""
 

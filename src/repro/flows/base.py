@@ -6,7 +6,7 @@ A *flow* (the xeda sense of the word) takes one design — here a TyTra-IR
 generated HDL and returns a parsed, canonical result payload.  The base
 class owns everything every flow needs:
 
-* **settings** — a frozen dataclass; the subset that affects results
+* **settings** — a frozen record; the subset that affects results
   participates in the cache key;
 * **managed run directories** — ``<root>/<design>-<flow>-<key8>/`` with
   every generated artifact plus a ``manifest.json`` of content hashes and
@@ -26,9 +26,9 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro import record
 from repro.compiler.codegen.testbench import (
     DEFAULT_STIMULUS_SEED,
     select_leaf_function,
@@ -46,7 +46,7 @@ __all__ = ["FlowSettings", "FlowResult", "Flow", "SimFlow", "SynthFlow"]
 CACHE_NAMESPACE = "flowresults"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowSettings:
     """Settings shared by every flow.
 
@@ -72,7 +72,7 @@ class FlowSettings:
         return ("seed", self.seed, "n_items", self.n_items)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowResult:
     """Outcome of one flow run."""
 
@@ -220,7 +220,7 @@ class Flow:
         started = time.perf_counter()
         token = self.cache_token()
         cache = default_disk_cache() if self.settings.use_cache else None
-        payload = cache.get(CACHE_NAMESPACE, token) if cache is not None else None
+        payload = cache.get(CACHE_NAMESPACE, token, dict) if cache is not None else None
         cached = payload is not None
 
         run_dir = self._run_dir()

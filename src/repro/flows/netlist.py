@@ -26,8 +26,8 @@ signal is declared *before* use and that no signal has two drivers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from repro import record
 from repro.flows.numeric import truncdiv
 from repro.flows.verilog import (
     AlwaysBlock,
@@ -73,7 +73,7 @@ _FUNCTIONAL_UNITS = {
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Netlist:
     """A flattened, simulatable view of one Verilog module."""
 
@@ -235,7 +235,7 @@ _RUNTIME = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _ShiftLoop:
     """A ``for`` loop that copies a run of one array into another —
     the generator's delay-line idiom — compiled to one slice copy."""

@@ -19,8 +19,7 @@ stream) — everything a flow needs to check a simulation bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.compiler.codegen.testbench import DEFAULT_STIMULUS_SEED, stimulus_words
 from repro.flows.numeric import as_signed, mask, truncdiv
 from repro.ir.functions import IRFunction, Module, StreamDirection
@@ -33,7 +32,7 @@ class ReferenceEvaluationError(ValueError):
     """The IR uses an opcode the integer reference cannot evaluate."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReferenceResult:
     """Expected RTL behaviour of one leaf datapath over one stimulus."""
 

@@ -11,8 +11,7 @@ against the :class:`~repro.substrate.pipeline_sim.PipelineSimulator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.compiler.codegen.verilog import _sanitize
 from repro.flows.netlist import Netlist, NetlistSimulator
 from repro.flows.refmodel import ReferenceResult
@@ -24,7 +23,7 @@ class RTLSimulationError(RuntimeError):
     """The netlist failed to produce the expected number of outputs."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RTLSimOutcome:
     """What one netlist simulation produced."""
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro import record
 from repro.compiler.codegen.testbench import DEFAULT_STIMULUS_SEED
 from repro.explore.engine import SweepResult
 from repro.flows.base import FlowSettings
@@ -58,7 +58,7 @@ __all__ = [
 DEFAULT_MAX_ITEMS = 512
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowFamily:
     """One unique RTL verification job: (kernel, lanes, grid) plus the
     per-lane stream length it is simulated with."""
@@ -87,7 +87,7 @@ class FlowReport(SuiteReport):
         return payload
 
 
-@dataclass
+@record
 class FlowSuiteRun:
     """Outcome of one suite-scale flow run."""
 

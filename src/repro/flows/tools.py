@@ -13,8 +13,8 @@ import logging
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass
 
+from repro import record
 from repro.cost.cache import env_int
 from repro.obs.logs import get_logger, log_event
 from repro.obs.trace import span as trace_span
@@ -60,7 +60,7 @@ class ToolCrashError(TransientError):
     """
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ToolResult:
     argv: tuple
     returncode: int

@@ -30,7 +30,8 @@ offending line — a loud failure, never a silent mis-simulation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from repro import field, record
 
 __all__ = [
     "VerilogParseError",
@@ -71,11 +72,17 @@ _COMMENT_LINE = re.compile(r"//[^\n]*")
 _COMMENT_BLOCK = re.compile(r"/\*.*?\*/", re.DOTALL)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # 'sized' | 'number' | 'ident' | 'op'
     text: str
     line: int
+
+    def __init__(self, kind, text, line) -> None:
+        put = object.__setattr__
+        put(self, "kind", kind)
+        put(self, "text", text)
+        put(self, "line", line)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -124,7 +131,7 @@ Expr = tuple
 Statement = tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PortDecl:
     direction: str  # 'input' | 'output'
     net_kind: str   # 'wire' | 'reg'
@@ -132,34 +139,51 @@ class PortDecl:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NetDecl:
     net_kind: str   # 'wire' | 'reg' | 'integer'
     width: int
     name: str
 
+    def __init__(self, net_kind, width, name) -> None:
+        put = object.__setattr__
+        put(self, "net_kind", net_kind)
+        put(self, "width", width)
+        put(self, "name", name)
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class ArrayDecl:
     width: int
     name: str
     size: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContinuousAssign:
     target: str
     expr: Expr
     line: int
 
+    def __init__(self, target, expr, line) -> None:
+        put = object.__setattr__
+        put(self, "target", target)
+        put(self, "expr", expr)
+        put(self, "line", line)
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class AlwaysBlock:
     statements: tuple
     line: int
 
+    def __init__(self, statements, line) -> None:
+        put = object.__setattr__
+        put(self, "statements", statements)
+        put(self, "line", line)
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Instance:
     module: str
     name: str
@@ -167,7 +191,7 @@ class Instance:
     line: int
 
 
-@dataclass
+@record
 class VerilogModule:
     name: str
     ports: list[PortDecl] = field(default_factory=list)

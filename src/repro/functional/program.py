@@ -22,10 +22,10 @@ building their streaming datapath in the TyTra-IR (for lowering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
+from repro import field, record
 from repro.ir.types import ScalarType
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ class Parallelism(str, Enum):
     SEQ = "seq"
 
 
-@dataclass
+@record
 class KernelSpec:
     """Description of an elemental kernel function.
 
@@ -118,7 +118,7 @@ class KernelSpec:
         return out
 
 
-@dataclass
+@record
 class TupleValue:
     """A bundle of equally-shaped component vectors (the 'vector of tuples')."""
 
@@ -156,7 +156,7 @@ class TupleValue:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Input:
     """The program's input tuple vector (the NDRange's gathered tuples)."""
 
@@ -180,7 +180,7 @@ class Input:
         return value
 
 
-@dataclass
+@record
 class Reshape:
     """``reshapeTo outer`` applied to the child expression."""
 
@@ -191,7 +191,7 @@ class Reshape:
         return self.child.evaluate(bindings).reshape_to(self.outer)
 
 
-@dataclass
+@record
 class Map:
     """``map`` of an elemental kernel (or of an inner map) over the child."""
 
@@ -229,7 +229,7 @@ class Map:
 Expression = Input | Reshape | Map
 
 
-@dataclass
+@record
 class Program:
     """A complete functional program (one top-level expression)."""
 

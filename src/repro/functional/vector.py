@@ -10,14 +10,14 @@ linear position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from repro import record
 
 __all__ = ["Vect"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vect:
     """A vector whose (possibly nested) shape is part of its identity.
 

@@ -13,10 +13,10 @@ A *design variant* is captured by a :class:`Module`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
+from repro import field, record
 from repro.ir.errors import IRValidationError
 from repro.ir.instructions import (
     CallInstruction,
@@ -83,7 +83,7 @@ class AccessPatternKind(str, Enum):
         return self.value
 
 
-@dataclass
+@record
 class MemoryObject:
     """Manage-IR memory object: a source or sink for streams.
 
@@ -117,7 +117,7 @@ class MemoryObject:
         return self.size * self.element_type.bytes
 
 
-@dataclass
+@record
 class StreamObject:
     """Manage-IR stream object connecting a PE port to a memory object."""
 
@@ -142,7 +142,7 @@ class StreamObject:
         return self.pattern is AccessPatternKind.CONTIGUOUS and self.stride == 1
 
 
-@dataclass
+@record
 class PortDeclaration:
     """Binding of a top-level function port to a stream object.
 
@@ -172,7 +172,7 @@ class PortDeclaration:
         return f"{self.function}.{self.port}"
 
 
-@dataclass
+@record
 class IRFunction:
     """A Compute-IR function: a node of the configuration hierarchy."""
 
@@ -229,7 +229,7 @@ class IRFunction:
         return f"@{self.name} [{self.kind}] ({len(self.body)} statements)"
 
 
-@dataclass
+@record
 class Module:
     """A complete TyTra-IR design variant (Manage-IR + Compute-IR)."""
 

@@ -24,10 +24,10 @@ are ordinary :class:`Instruction` objects whose result name starts with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
 
+from repro import field, record
 from repro.ir.errors import IRTypeError
 from repro.ir.types import ScalarType
 
@@ -54,7 +54,7 @@ class OperandKind(str, Enum):
     CONST = "const"      # an immediate literal
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Operand:
     """A single operand of an instruction."""
 
@@ -62,10 +62,14 @@ class Operand:
     name: str | None = None
     value: float | int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind in (OperandKind.SSA, OperandKind.GLOBAL) and not self.name:
+    def __init__(self, kind, name=None, value=None) -> None:
+        put = object.__setattr__
+        put(self, "kind", kind)
+        put(self, "name", name)
+        put(self, "value", value)
+        if kind in (OperandKind.SSA, OperandKind.GLOBAL) and not name:
             raise IRTypeError("named operand requires a name")
-        if self.kind is OperandKind.CONST and self.value is None:
+        if kind is OperandKind.CONST and value is None:
             raise IRTypeError("constant operand requires a value")
 
     # -- constructors ---------------------------------------------------
@@ -102,7 +106,7 @@ class Operand:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpcodeInfo:
     """Static description of an IR opcode.
 
@@ -232,7 +236,7 @@ def decode_predicate(predicate: str | None, signed_default: bool) -> tuple[bool,
     return True, pred[1:]  # s-prefixed
 
 
-@dataclass
+@record
 class Instruction:
     """A datapath SSA instruction (``%res = opcode type %a, %b``).
 
@@ -299,7 +303,7 @@ class Instruction:
         )
 
 
-@dataclass
+@record
 class OffsetInstruction:
     """A stream-offset declaration (``%pip1 = %p, !offset, !+1``).
 
@@ -335,7 +339,7 @@ class OffsetInstruction:
         )
 
 
-@dataclass
+@record
 class CallInstruction:
     """A call to a child IR function with a parallelism keyword."""
 

@@ -23,8 +23,7 @@ inspected (and is exercised in the test-suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.ir.errors import IRValidationError
 from repro.ir.functions import FunctionKind, IRFunction, Module
 from repro.ir.instructions import Instruction, OffsetInstruction, Operand
@@ -34,7 +33,7 @@ __all__ = ["OptimizationReport", "constant_fold", "eliminate_common_subexpressio
            "eliminate_dead_code", "optimize_function", "optimize_module"]
 
 
-@dataclass
+@record
 class OptimizationReport:
     """What the optimisation pipeline changed."""
 

@@ -29,9 +29,9 @@ keyed on ``(opcode, type kind, width)``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from repro import record
 from repro.ir.errors import IRTypeError
 
 __all__ = ["TypeKind", "ScalarType", "parse_type"]
@@ -63,7 +63,7 @@ _TYPE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class ScalarType:
     """A scalar TyTra-IR type.
 

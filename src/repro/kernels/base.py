@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import record
 from repro.models.execution import KernelInstance, NDRange
 
 if TYPE_CHECKING:
@@ -30,7 +30,7 @@ def fixed_point_constant(value: float, scale: int) -> int:
     return max(1, int(round(value * scale)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KernelWorkload:
     """A concrete problem instance of a kernel.
 

@@ -32,8 +32,9 @@ configurations (Figure 7) target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from repro import record
 
 __all__ = ["ConfigurationClass", "DesignPoint", "classify_design_point"]
 
@@ -65,7 +66,7 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DesignPoint:
     """Coordinates of a design variant in the TyTra design space.
 

@@ -13,12 +13,13 @@ for *all* work-items of the NDRange.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from repro import field, record
 
 __all__ = ["NDRange", "WorkGroup", "KernelInstance"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NDRange:
     """An index space of up to three dimensions."""
 
@@ -57,7 +58,7 @@ class NDRange:
         return "x".join(str(d) for d in self.dims)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkGroup:
     """A work-group: a tile of the NDRange executed together."""
 
@@ -68,7 +69,7 @@ class WorkGroup:
         return math.prod(self.size)
 
 
-@dataclass
+@record
 class KernelInstance:
     """A kernel plus the full NDRange over which it executes.
 

@@ -16,8 +16,9 @@ number  OpenCL      FPGA realisation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
+
+from repro import field, record
 
 __all__ = ["AddressSpace", "MemoryLevel", "MemoryHierarchy"]
 
@@ -40,7 +41,7 @@ class AddressSpace(IntEnum):
         return not self.is_on_chip
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MemoryLevel:
     """One level of the hierarchy with its capacity and nominal figures.
 
@@ -68,7 +69,7 @@ class MemoryLevel:
         return nbytes <= self.capacity_bytes
 
 
-@dataclass
+@record
 class MemoryHierarchy:
     """The full hierarchy of a platform, indexable by address space."""
 

@@ -22,9 +22,9 @@ for a workload from its footprint and the device's memory capacities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from repro import record
 from repro.models.memory import MemoryHierarchy
 
 __all__ = ["MemoryExecutionForm", "select_memory_execution_form", "FormSelection"]
@@ -57,13 +57,19 @@ class MemoryExecutionForm(str, Enum):
         return {"A": "every kernel instance", "B": "once", "C": "once"}[self.value]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FormSelection:
     """Outcome of form selection, with the reasoning captured for reports."""
 
     form: MemoryExecutionForm
     footprint_bytes: int
     reason: str
+
+    def __init__(self, form, footprint_bytes, reason) -> None:
+        put = object.__setattr__
+        put(self, "form", form)
+        put(self, "footprint_bytes", footprint_bytes)
+        put(self, "reason", reason)
 
 
 def select_memory_execution_form(

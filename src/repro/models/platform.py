@@ -15,14 +15,13 @@ The platform model maps OpenCL abstractions onto the FPGA architecture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.models.memory import MemoryHierarchy
 
 __all__ = ["ProcessingElement", "StreamControl", "ComputeUnit", "PlatformModel"]
 
 
-@dataclass
+@record
 class ProcessingElement:
     """A kernel pipeline lane.
 
@@ -55,7 +54,7 @@ class ProcessingElement:
             if self.cycles_per_instruction > 1 else float(self.vectorization)
 
 
-@dataclass
+@record
 class StreamControl:
     """The stream-control block of a compute unit.
 
@@ -76,7 +75,7 @@ class StreamControl:
         return self.input_streams + self.output_streams
 
 
-@dataclass
+@record
 class ComputeUnit:
     """The unit of execution for a kernel: replicated PEs + stream control."""
 
@@ -99,7 +98,7 @@ class ComputeUnit:
         return pe
 
 
-@dataclass
+@record
 class PlatformModel:
     """Host + FPGA compute device.
 

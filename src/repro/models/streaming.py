@@ -14,8 +14,9 @@ a large stride.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from repro import record
 
 __all__ = ["PatternKind", "AccessPattern"]
 
@@ -26,7 +27,7 @@ class PatternKind(str, Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AccessPattern:
     """A stream's index-access pattern.
 

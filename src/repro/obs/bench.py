@@ -17,9 +17,10 @@ the report never silently omits an artifact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
+
+from repro import record
 
 __all__ = [
     "BenchMetric",
@@ -59,6 +60,7 @@ _HEADLINES: dict[str, list[tuple[str, str | None]]] = {
         ("suite_run.repro_modules", "<= @suite_run.module_ceiling"),
         ("help.median_ms", None),
         ("cost.median_ms", None),
+        ("cost.pyc.median_ms", None),
         ("suite_run.points_per_s", None),
     ],
     "dense": [
@@ -101,7 +103,7 @@ _HEADLINES: dict[str, list[tuple[str, str | None]]] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BenchMetric:
     """One row of the trend table."""
 

@@ -43,9 +43,9 @@ import logging
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro import record
 from repro.obs.logs import get_logger, log_event
 from repro.resilience.policy import COUNTERS, TransientError, seeded_unit
 
@@ -85,7 +85,7 @@ class InjectedFault(TransientError):
         return (InjectedFault, (self.site, self.count))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultSpec:
     """What one site's failures look like.
 

@@ -36,10 +36,10 @@ import hashlib
 import logging
 import math
 import time
-from dataclasses import dataclass
 import threading
 from typing import Callable, Iterable
 
+from repro import record
 from repro.obs.logs import get_logger, log_event
 
 _LOG = get_logger("resilience")
@@ -188,7 +188,7 @@ class Deadline:
         return f"Deadline({self.seconds:g}s, {self.remaining():.3f}s left)"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import http.client
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from repro import field, record
 from repro.obs.trace import current_trace_id
 from repro.resilience import RetryBudgetExceededError, RetryPolicy
 from repro.service.server import DEFAULT_PORT, TRACE_HEADER
@@ -38,7 +38,7 @@ class ServiceError(RuntimeError):
     """An HTTP error status or a streamed ``error`` event."""
 
 
-@dataclass
+@record
 class ServiceResponse:
     """One folded request/response exchange."""
 

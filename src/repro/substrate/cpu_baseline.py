@@ -16,12 +16,12 @@ at large ones) emerge from the same mechanism as on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro import record
 
 __all__ = ["CPUModel", "CPURunEstimate"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CPURunEstimate:
     """Runtime breakdown for a CPU execution."""
 
@@ -35,7 +35,7 @@ class CPURunEstimate:
         return "compute" if self.compute_seconds >= self.memory_seconds else "memory"
 
 
-@dataclass
+@record
 class CPUModel:
     """Single-socket CPU execution model (gcc -O2 style scalar code).
 

@@ -20,8 +20,7 @@ figure shows percentages of an unspecified reference budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import field, record
 from repro.models.memory import MemoryHierarchy
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FPGADevice:
     """Capacities and nominal figures of an FPGA accelerator board.
 
@@ -85,6 +84,26 @@ class FPGADevice:
         for attr in ("aluts", "registers", "bram_bits", "dsps"):
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
+
+    # a device is hashed several times per design point (it keys the
+    # calibration and cost-group caches); ``info`` takes no part
+    def _identity(self) -> tuple:
+        return (self.name, self.family, self.vendor, self.aluts, self.registers,
+                self.bram_bits, self.dsps, self.dsp_input_width, self.fmax_mhz,
+                self.dram_bytes, self.dram_peak_gbps, self.host_peak_gbps,
+                self.pcie_lanes, self.pcie_gen, self.bram_block_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._identity() == other._identity()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # the _identity tuple, written out: one call fewer per hash
+        return hash((self.name, self.family, self.vendor, self.aluts, self.registers,
+                     self.bram_bits, self.dsps, self.dsp_input_width, self.fmax_mhz,
+                     self.dram_bytes, self.dram_peak_gbps, self.host_peak_gbps,
+                     self.pcie_lanes, self.pcie_gen, self.bram_block_bits))
 
     # -- derived views ----------------------------------------------------
     def memory_hierarchy(self) -> MemoryHierarchy:

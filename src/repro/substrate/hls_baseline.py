@@ -24,8 +24,7 @@ close to 70 s for SDAccel's preliminary estimate of one variant, against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.substrate.fpga_device import FPGADevice
 from repro.substrate.memory_sim import MemorySystemSimulator
 from repro.substrate.pipeline_sim import PipelineSimulator, PipelineSpec, SimulationResult
@@ -33,7 +32,7 @@ from repro.substrate.pipeline_sim import PipelineSimulator, PipelineSpec, Simula
 __all__ = ["HLSKernelCharacteristics", "BaselineHLSFlow"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HLSKernelCharacteristics:
     """What the baseline HLS tool needs to know about a kernel."""
 
@@ -52,7 +51,7 @@ class HLSKernelCharacteristics:
         return self.input_words_per_item + self.output_words_per_item
 
 
-@dataclass
+@record
 class BaselineHLSFlow:
     """A MaxJ-like single-pipeline HLS implementation model."""
 

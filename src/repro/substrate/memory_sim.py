@@ -23,8 +23,8 @@ expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from repro import field, record
 from repro.models.streaming import AccessPattern, PatternKind
 from repro.substrate.fpga_device import FPGADevice
 
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DRAMConfig:
     """Device DRAM and memory-interface parameters.
 
@@ -76,7 +76,7 @@ class DRAMConfig:
         return self.t_rp_ns + self.t_rcd_ns + self.t_cas_ns
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PCIeConfig:
     """Host link parameters."""
 
@@ -115,7 +115,7 @@ class PCIeConfig:
         return PCIeConfig(gen=device.pcie_gen, lanes=device.pcie_lanes)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StreamMeasurement:
     """One sustained-bandwidth measurement (one point of Figure 10)."""
 

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
+from repro import record
 from repro.substrate.memory_sim import MemorySystemSimulator
 
 __all__ = [
@@ -79,7 +79,7 @@ class SimulationDivergedError(RuntimeError):
         self.n_items = n_items
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PipelineSpec:
     """Architectural summary of a compiled compute unit.
 
@@ -164,7 +164,7 @@ class PipelineSpec:
         return self.clock_mhz * 1e6
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimulationResult:
     """Outcome of simulating one kernel-instance execution."""
 

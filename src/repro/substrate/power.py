@@ -14,15 +14,14 @@ absolute wattages are representative desktop/accelerator figures; Figure
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.substrate.fpga_device import FPGADevice
 from repro.substrate.synthesis import ResourceUsage
 
 __all__ = ["NodePowerModel", "EnergyReport"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnergyReport:
     """Energy accounting for one application run."""
 
@@ -55,7 +54,7 @@ class EnergyReport:
         }
 
 
-@dataclass
+@record
 class NodePowerModel:
     """Power model of the host + accelerator node.
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
 
+from repro import field, record, replace
 from repro.ir.instructions import OPCODES
 from repro.ir.types import ScalarType, TypeKind
 from repro.substrate.fpga_device import FPGADevice
@@ -51,7 +51,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ResourceUsage:
     """Utilisation of the four fabric resources tracked by the cost model."""
 
@@ -61,6 +61,12 @@ class ResourceUsage:
     dsp: float = 0.0
 
     RESOURCES = ("alut", "reg", "bram_bits", "dsp")
+
+    def __init__(self, alut=0.0, reg=0.0, bram_bits=0.0, dsp=0.0) -> None:
+        self.alut = alut
+        self.reg = reg
+        self.bram_bits = bram_bits
+        self.dsp = dsp
 
     def __add__(self, other: "ResourceUsage") -> "ResourceUsage":
         return ResourceUsage(
@@ -128,7 +134,7 @@ class ResourceUsage:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NetlistOperator:
     """One datapath operator instance in a lane."""
 
@@ -137,7 +143,7 @@ class NetlistOperator:
     constant_operand: bool = False
 
 
-@dataclass
+@record
 class DesignNetlist:
     """Structural summary of a design variant handed to the synthesiser.
 
@@ -171,7 +177,7 @@ class DesignNetlist:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CalibrationPoint:
     """Synthesis result for a single operator at a single width."""
 
@@ -189,7 +195,7 @@ class CalibrationPoint:
         }
 
 
-@dataclass
+@record
 class CalibrationDataset:
     """A set of calibration points for one device."""
 

@@ -10,14 +10,13 @@ equality on the canonically-rounded values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro import record
 from repro.suite.report import canonicalize
 
 __all__ = ["FieldDiff", "diff_payloads", "format_diffs"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDiff:
     """One leaf-level difference between two payloads."""
 

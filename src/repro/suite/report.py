@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import copysign
 from operator import itemgetter
 from pathlib import Path
 
+from repro import record
 from repro.obs.trace import span as trace_span
 
 __all__ = [
@@ -292,7 +292,7 @@ def canonical_json_line(payload) -> str:
     return _encode(payload, False)[0] + "\n"
 
 
-@dataclass
+@record
 class SuiteReport:
     """A version-stamped suite report, ready to serialise or diff."""
 

@@ -17,8 +17,8 @@ against checked-in goldens, the other times the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
+from repro import field, record, replace
 from repro.explore.engine import ExplorationEngine, SweepResult
 from repro.explore.space import DesignSpace, build_jobs
 from repro.kernels import REGISTRY, KernelWorkload, get_kernel
@@ -126,7 +126,7 @@ _SUITE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SuiteConfig:
     """Declarative description of one suite run.
 
@@ -247,7 +247,7 @@ class SuiteConfig:
         }
 
 
-@dataclass
+@record
 class SuiteRun:
     """Outcome of one suite run: the canonical report plus batch timing.
 
@@ -555,7 +555,7 @@ def dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
     return runs
 
 
-@dataclass
+@record
 class DseRun:
     """Outcome of one optimizer-driven DSE: canonical report + raw runs.
 

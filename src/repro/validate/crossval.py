@@ -36,8 +36,8 @@ What is compared
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro import record
 from repro.compiler.pipeline import EstimationPipeline
 from repro.cost.report import CostReport
 from repro.cost.throughput import EKITEstimate
@@ -76,7 +76,7 @@ def _relative_error(estimated: float, simulated: float) -> float:
     return abs(estimated - simulated) / abs(simulated)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LegComparison:
     """One estimated-vs-simulated time leg (seconds).
 
@@ -113,7 +113,7 @@ class LegComparison:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationRecord:
     """The agreement verdict for one costed design point."""
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro import record
 from repro.explore.engine import SweepResult
 from repro.suite.diff import FieldDiff
 from repro.suite.golden import (
@@ -60,7 +60,7 @@ class ValidationReport(SuiteReport):
         return payload
 
 
-@dataclass
+@record
 class ValidationRun:
     """Outcome of one suite-level cross-validation."""
 

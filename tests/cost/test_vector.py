@@ -7,13 +7,12 @@ the parameter fast-paths are exercised in isolation.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import fields, replace
 from repro.compiler.pipeline import CompilationOptions, FeasibilityStage
 from repro.cost.resource_model import ModuleResourceEstimate
 from repro.cost.throughput import (
@@ -38,14 +37,14 @@ def _params(**overrides) -> EKITParameters:
 
 
 class TestWithLanesFastCopy:
-    def test_matches_dataclasses_replace(self):
+    def test_matches_record_replace(self):
         p = _params()
         fast = p.with_lanes(8)
-        slow = dataclasses.replace(p, knl=8)
+        slow = replace(p, knl=8)
         assert fast == slow
         assert fast.knl == 8
         # nothing else drifted
-        for field in dataclasses.fields(EKITParameters):
+        for field in fields(EKITParameters):
             if field.name != "knl":
                 assert getattr(fast, field.name) == getattr(p, field.name)
 
@@ -72,7 +71,7 @@ class TestWithLanesFastCopy:
     def test_throughput_identical_through_fast_copy(self):
         p = _params(knl=1)
         fast = p.with_lanes(4)
-        slow = dataclasses.replace(p, knl=4)
+        slow = replace(p, knl=4)
         for form in MemoryExecutionForm:
             a = estimate_throughput(fast, form).as_dict()
             b = estimate_throughput(slow, form).as_dict()

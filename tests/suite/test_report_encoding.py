@@ -14,7 +14,6 @@ and control characters, and empty lists.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import replace
 from repro.cost.report import CostReport, FeasibilityCheck
 from repro.cost.resource_model import FunctionResourceEstimate, ModuleResourceEstimate
 from repro.cost.throughput import EKITEstimate, LimitingFactor, TimeBreakdown

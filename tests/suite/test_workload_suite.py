@@ -1,12 +1,12 @@
 """Tests for the workload-suite subsystem (runner, report, diff)."""
 
 import json
-from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fields, replace
 from repro.explore import ProcessPoolBackend
 from repro.kernels import kernel_names
 from repro.substrate import DEVICES
