@@ -19,6 +19,12 @@ ROOT = Path(__file__).resolve().parents[1]
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
+#: ``serve_forever`` keywords for in-process test servers: ``shutdown()``
+#: waits for the accept loop's next poll, 0.5 s by default, in every
+#: server fixture's teardown
+FAST_POLL = {"poll_interval": 0.02}
+
+
 def fuzz_examples(tier1: int) -> int:
     """A fuzz test's example budget: ``tier1`` under the default profile,
     the loaded profile's own (deeper) budget under ``ci``."""

@@ -13,6 +13,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import MetricFamily, sum_families
+from tests.conftest import FAST_POLL
 
 # One exposition line: comment, blank, or `name{labels} value` where the
 # value is a prometheus float (including +Inf/-Inf/NaN).
@@ -202,7 +203,8 @@ class TestRealSurfaces:
         monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
         clear_calibration_cache()
         srv = ServiceServer(("127.0.0.1", 0), ExplorationService(max_concurrency=2))
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread = threading.Thread(target=srv.serve_forever, kwargs=FAST_POLL,
+                                  daemon=True)
         thread.start()
         try:
             client = ServiceClient(port=srv.port)

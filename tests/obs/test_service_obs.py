@@ -15,6 +15,7 @@ from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 from repro.service import ExplorationService, ServiceClient, ServiceServer
 from repro.service.server import TRACE_HEADER
 
+from tests.conftest import FAST_POLL
 from tests.obs.test_metrics import assert_valid_exposition
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
@@ -24,7 +25,8 @@ TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
 def server():
     srv = ServiceServer(("127.0.0.1", 0),
                         ExplorationService(max_concurrency=2))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs=FAST_POLL,
+                              daemon=True)
     thread.start()
     yield srv
     srv.shutdown()

@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.suite import SuiteConfig, WorkloadSuite
 from repro.suite.report import canonical_json_line
+from tests.conftest import FAST_POLL
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
 
@@ -38,7 +39,8 @@ def encode(event: dict) -> bytes:
 @pytest.fixture
 def server():
     srv = ServiceServer(("127.0.0.1", 0), ExplorationService(max_concurrency=2))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs=FAST_POLL,
+                              daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
