@@ -19,6 +19,7 @@ Three ablations quantify the modelling decisions the paper calls out:
 
 import pytest
 
+from repro import replace
 from repro.compiler import CompilationOptions, TybecCompiler
 from repro.cost import SustainedBandwidthModel, calibrate_device, estimate_throughput
 from repro.ir import ScalarType
@@ -103,7 +104,7 @@ def test_ablation_memory_execution_form(benchmark, sor_params, write_result):
     def sweep():
         rows = []
         for lanes in (1, 2, 4, 8, 16):
-            p = params.with_lanes(lanes)
+            p = replace(params, knl=lanes)
             a = estimate_throughput(p, MemoryExecutionForm.A)
             b = estimate_throughput(p, MemoryExecutionForm.B)
             rows.append((lanes, a, b))

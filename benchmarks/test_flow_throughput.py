@@ -7,11 +7,13 @@ points/s plus the per-stage breakdown (emit, elaborate, reference,
 simulate, verify) as a CI artifact, so regressions in the pure-Python
 backend's speed are visible run over run.
 
-The same grid is simulated once more by the recursive interpreter kept
-as a test oracle (``tests/flows/netlist_oracle.py``).  The gates are
-ratios of the two runs' times, which hold on any machine: the
-``simulate`` stage (which includes compiling each netlist) and the whole
-flow.
+The same grid is run once more on the two interpreters kept as test
+oracles: the recursive netlist interpreter
+(``tests/flows/netlist_oracle.py``) simulates and the per-item reference
+interpreter (``tests/flows/reference_oracle.py``) computes the expected
+words.  The gates are ratios of the two runs' times, which hold on any
+machine: the ``simulate`` stage (which includes compiling each netlist),
+the ``reference`` stage and the whole flow.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import statistics
 from pathlib import Path
 
 from repro.cost.cache import redirected_cache_dir
-from repro.flows import rtlsim, run_flow_suite
+from repro.flows import refmodel, rtlsim, run_flow_suite
 from repro.kernels import kernel_names
 from repro.suite.golden import golden_config
 
@@ -32,20 +34,23 @@ MIN_FAMILIES_PER_SECOND = 1.0
 #: the compiled simulator must run the golden grid's ``simulate`` stage
 #: at least this many times faster than the interpreter oracle
 MIN_SIMULATE_SPEEDUP = 5.0
+#: ... the decoded reference model its ``reference`` stage at least this
+#: many times faster than the per-item interpreter oracle
+MIN_REFERENCE_SPEEDUP = 2.0
 #: ... and the whole flow, emit to verify, at least this many times faster
 MIN_FLOW_SPEEDUP = 4.0
 #: timed runs of the compiled path (the oracle's single run takes longer
 #: than all of them together)
 COMPILED_TRIALS = 3
 
-ORACLE_PATH = Path(__file__).resolve().parents[1] / "tests" / "flows" / "netlist_oracle.py"
+ORACLE_DIR = Path(__file__).resolve().parents[1] / "tests" / "flows"
 
 
-def _oracle_class():
-    spec = importlib.util.spec_from_file_location("netlist_oracle", ORACLE_PATH)
+def _oracle(name: str):
+    spec = importlib.util.spec_from_file_location(name, ORACLE_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.InterpretedSimulator
+    return module
 
 
 def _cold_run(cache_dir: Path):
@@ -66,25 +71,31 @@ def test_flow_suite_throughput_artifact(results_dir, tmp_path, monkeypatch):
     assert run.ok, run.failures
     assert run.families == 3 * len(kernel_names())
 
-    oracle_class = _oracle_class()
     monkeypatch.setattr(rtlsim, "NetlistSimulator",
-                        oracle_class)
+                        _oracle("netlist_oracle").InterpretedSimulator)
+    monkeypatch.setattr(refmodel, "evaluate_items",
+                        _oracle("reference_oracle").evaluate_items)
     oracle = _cold_run(tmp_path / "oracle")
     monkeypatch.undo()
-    # same verdicts, bit for bit, from either simulator
+    # same verdicts, bit for bit, from the compiled path and the oracles
     assert oracle.report.to_json() == run.report.to_json()
 
     simulate = _spread([t.stage_seconds["simulate"] for t in trials])
+    reference = _spread([t.stage_seconds["reference"] for t in trials])
     flow = _spread([t.flow_seconds for t in trials])
     simulator = {
         "compiled_simulate_seconds": simulate,
         "compiled_elaborate_seconds": _spread(
             [t.stage_seconds["elaborate"] for t in trials]),
+        "compiled_reference_seconds": reference,
         "compiled_flow_seconds": flow,
         "oracle_simulate_seconds": oracle.stage_seconds["simulate"],
+        "oracle_reference_seconds": oracle.stage_seconds["reference"],
         "oracle_flow_seconds": oracle.flow_seconds,
         "simulate_speedup": oracle.stage_seconds["simulate"] / simulate["median"],
         "min_simulate_speedup": MIN_SIMULATE_SPEEDUP,
+        "reference_speedup": oracle.stage_seconds["reference"] / reference["median"],
+        "min_reference_speedup": MIN_REFERENCE_SPEEDUP,
         "flow_speedup": oracle.flow_seconds / flow["median"],
         "min_flow_speedup": MIN_FLOW_SPEEDUP,
     }
@@ -109,6 +120,7 @@ def test_flow_suite_throughput_artifact(results_dir, tmp_path, monkeypatch):
         json.dumps(payload, indent=2) + "\n")
 
     assert simulator["simulate_speedup"] >= MIN_SIMULATE_SPEEDUP, payload
+    assert simulator["reference_speedup"] >= MIN_REFERENCE_SPEEDUP, payload
     assert simulator["flow_speedup"] >= MIN_FLOW_SPEEDUP, payload
     assert run.items_per_second > MIN_ITEMS_PER_SECOND, payload
     assert run.families_per_second > MIN_FAMILIES_PER_SECOND, payload

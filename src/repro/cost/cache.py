@@ -20,8 +20,8 @@ already knows.  Two kinds of cache back that up:
     pool whose workers all miss the same key at once) can never expose a
     torn file; the loser of the race simply overwrites with identical
     content.  An entry carries its token and a SHA-256 of its pickled
-    value; reads treat any undecodable, mismatched, damaged or
-    wrongly-typed entry as a miss.  Each namespace is LRU-bounded by file
+    value; reads treat any undecodable, mismatched, damaged, digest-less
+    or wrongly-typed entry as a miss.  Each namespace is LRU-bounded by file
     count (access refreshes mtime).
 
 The store location is resolved lazily from ``TYBEC_CACHE_DIR`` (default
@@ -268,12 +268,12 @@ class DiskCache:
                 raise ValueError("key collision or stale entry")
             digest = payload.get("sha256")
             if digest is None:
-                # written before entries carried a digest: trust the decode
-                value = payload["value"]
-            elif hashlib.sha256(payload["value"]).hexdigest() == digest:
-                value = pickle.loads(payload["value"])
-            else:
+                # the layout written before entries carried a digest: its
+                # value cannot be checked, so the next put rewrites it
+                raise ValueError("entry carries no digest")
+            if hashlib.sha256(payload["value"]).hexdigest() != digest:
                 raise ValueError("entry does not match its digest")
+            value = pickle.loads(payload["value"])
             if not isinstance(value, kind):
                 raise TypeError(f"entry holds a {type(value).__name__}")
             try:

@@ -201,8 +201,7 @@ class EKITParameters:
 
         Hot sweep loops evaluate the EKIT expressions for thousands of
         lane counts against one parameter record; the bundle is cached on
-        the instance (and shared by :meth:`with_lanes` copies, since none
-        of its members depend on ``knl``)."""
+        the instance."""
         cached = self.__dict__.get("_derived_bundle")
         if cached is None:
             cached = _DerivedScalars(
@@ -230,25 +229,6 @@ class EKITParameters:
     def total_stream_bytes(self) -> float:
         """Bytes moved per kernel instance (``NGS * NWPT`` words)."""
         return self._derived.total_stream_bytes
-
-    def with_lanes(self, knl: int) -> "EKITParameters":
-        """A copy of the parameters with a different lane count.
-
-        ``knl`` is the only field a lane sweep varies, so the copy skips
-        the range checks (every other invariant is untouched) and shares
-        the cached derived-scalar bundle — re-validating through
-        :func:`~repro.replace` per point used to dominate dense
-        differential runs.
-        """
-        if knl == self.knl:
-            return self
-        if knl <= 0:
-            raise ValueError(f"knl must be positive, got {knl}")
-        clone = object.__new__(EKITParameters)
-        state = dict(self.__dict__)
-        state["knl"] = knl
-        object.__setattr__(clone, "__dict__", state)
-        return clone
 
     # -- extraction helpers ---------------------------------------------------
     @classmethod

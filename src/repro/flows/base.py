@@ -187,11 +187,8 @@ class Flow:
         )
 
     # -- run directories -------------------------------------------------
-    def _run_dir(self) -> Path | None:
-        root = self.settings.run_root
-        if root is None:
-            return None
-        digest = hashlib.sha256(repr(self.cache_token()).encode()).hexdigest()[:8]
+    def _run_dir(self, root: Path | str, token: tuple) -> Path:
+        digest = hashlib.sha256(repr(token).encode()).hexdigest()[:8]
         run_dir = Path(root) / f"{self.module.name}-{self.name}-{digest}"
         run_dir.mkdir(parents=True, exist_ok=True)
         return run_dir
@@ -218,12 +215,15 @@ class Flow:
 
     def _run_flow(self) -> FlowResult:
         started = time.perf_counter()
-        token = self.cache_token()
         cache = default_disk_cache() if self.settings.use_cache else None
+        root = self.settings.run_root
+        # the token hashes the design and every generated file: compute
+        # it only for the cache or the run directory it keys
+        token = self.cache_token() if cache is not None or root is not None else None
         payload = cache.get(CACHE_NAMESPACE, token, dict) if cache is not None else None
         cached = payload is not None
 
-        run_dir = self._run_dir()
+        run_dir = self._run_dir(root, token) if root is not None else None
         manifest: dict = {}
         if run_dir is not None:
             manifest = self._write_artifacts(run_dir, self.cached_artifacts())

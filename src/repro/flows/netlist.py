@@ -249,6 +249,17 @@ class _ShiftLoop:
     #: the loop variable's value after the loop
     final: int
 
+    def __init__(self, var, target, target_start, source, source_start, count,
+                 final) -> None:
+        put = object.__setattr__
+        put(self, "var", var)
+        put(self, "target", target)
+        put(self, "target_start", target_start)
+        put(self, "source", source)
+        put(self, "source_start", source_start)
+        put(self, "count", count)
+        put(self, "final", final)
+
 
 def _loop_offset(expr: Expr, var: str) -> int | None:
     """``k`` when ``expr`` is ``var``, ``var + k`` or ``var - k``."""
@@ -637,7 +648,8 @@ class _StepCompiler:
         tail = [f"    values[{n!r}] = {self.local[n]}" for n in stored]
         return head + body + tail
 
-    def source(self) -> str:
+    def sources(self) -> tuple[str, str]:
+        """The source of ``step`` and of ``settle``."""
         settle: list[str] = []
         self.settled = self._settle(settle)
         step = list(settle)
@@ -645,10 +657,10 @@ class _StepCompiler:
         step.append(f"    sampled = {{{outputs}}}")
         self._edge(step)
         registers = [n for n in self.next_local if n not in self.settled]
-        lines = self._function("settle", settle, self.settled)
-        lines += self._function("step", step, self.settled + registers)
-        lines.append("    return sampled")
-        return "\n".join(lines) + "\n"
+        step = self._function("step", step, self.settled + registers)
+        step.append("    return sampled")
+        settle = self._function("settle", settle, self.settled)
+        return "\n".join(step) + "\n", "\n".join(settle) + "\n"
 
 
 def _require_leaf(netlist: Netlist) -> None:
@@ -658,6 +670,16 @@ def _require_leaf(netlist: Netlist) -> None:
             "pure-Python backend simulates leaf kernel modules")
 
 
+def _define(name: str, function: str, source: str):
+    """Compile generated ``source``; returns the function it defines."""
+    namespace = dict(_RUNTIME)
+    try:
+        exec(compile(source, f"<netlist {name}>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ElaborationError(f"cannot compile netlist {name!r}: {exc}") from exc
+    return namespace[function]
+
+
 def compile_netlist(netlist: Netlist):
     """Compile ``netlist`` to one Python function performing a full step.
 
@@ -665,23 +687,28 @@ def compile_netlist(netlist: Netlist):
     :class:`NetlistSimulator` (inputs already applied), settles the
     continuous assigns, samples the outputs, runs the clock edge, writes
     the new state back into the dicts and returns the sampled outputs.
-    Its ``settle`` attribute is the settle-only counterpart and its
-    ``source`` attribute the generated code.  Widths, masks and
-    signedness are folded into the code; the design errors an
-    interpreter would meet mid-cycle (an undriven signal, an unknown
-    functional unit, a runaway loop) still raise
+    Its ``settle`` attribute is the settle-only counterpart, compiled on
+    its first call, and its ``source`` attribute the code of ``step``.
+    Widths, masks and signedness are folded into the code; the design
+    errors an interpreter would meet mid-cycle (an undriven signal, an
+    unknown functional unit, a runaway loop) still raise
     :class:`ElaborationError` when that code runs.
     """
     _require_leaf(netlist)
+    name = netlist.name
     try:
-        source = _StepCompiler(netlist).source()
-        namespace = dict(_RUNTIME)
-        exec(compile(source, f"<netlist {netlist.name}>", "exec"), namespace)
-    except (SyntaxError, RecursionError, MemoryError) as exc:
-        raise ElaborationError(
-            f"cannot compile netlist {netlist.name!r}: {exc}") from exc
-    step = namespace["step"]
-    step.settle = namespace["settle"]
+        source, settle_source = _StepCompiler(netlist).sources()
+    except RecursionError as exc:
+        raise ElaborationError(f"cannot compile netlist {name!r}: {exc}") from exc
+    step = _define(name, "step", source)
+    compiled = []
+
+    def settle(values, arrays) -> None:
+        if not compiled:
+            compiled.append(_define(name, "settle", settle_source))
+        compiled[0](values, arrays)
+
+    step.settle = settle
     step.source = source
     return step
 

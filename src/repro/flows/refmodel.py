@@ -19,9 +19,12 @@ stream) — everything a flow needs to check a simulation bit for bit.
 
 from __future__ import annotations
 
+import math
+import operator
+
 from repro import record
 from repro.compiler.codegen.testbench import DEFAULT_STIMULUS_SEED, stimulus_words
-from repro.flows.numeric import as_signed, mask, truncdiv
+from repro.flows.numeric import as_signed, truncdiv
 from repro.ir.functions import IRFunction, Module, StreamDirection
 from repro.ir.instructions import Instruction, OperandKind, decode_predicate
 
@@ -50,95 +53,112 @@ class ReferenceResult:
         return sum(self.interior)
 
 
-def _compare(instr: Instruction, ops: list[int], widths: list[int]) -> int:
-    signed, base = decode_predicate(instr.predicate, instr.result_type.is_signed)
-    a, b = ops
-    if signed:
-        # the RTL wraps each operand *wire* in $signed: sign-extend each
-        # at its own width (numerically identical to Verilog's
-        # extend-to-max-width signed comparison)
-        a, b = as_signed(a, widths[0]), as_signed(b, widths[1])
-    if base == "eq":
-        return 1 if a == b else 0
-    if base == "ne":
-        return 1 if a != b else 0
-    if base == "lt":
-        return 1 if a < b else 0
-    if base == "le":
-        return 1 if a <= b else 0
-    if base == "gt":
-        return 1 if a > b else 0
-    return 1 if a >= b else 0  # ge
+# Each evaluator takes the operand values, their defining widths and the
+# instruction's signedness, and returns the result before the result-width
+# mask, which the caller applies.  Semantics mirror the generated Verilog:
+# width-wrapped two's-complement arithmetic, zero-guarded truncating
+# division, logical shifts on unsigned values and arithmetic shifts /
+# signed compares on signed types.  The RTL applies ``$signed`` to the
+# operand *wires*, so sign interpretation happens at each operand's
+# defining width, not at the (possibly narrower) result width.
 
 
-def _evaluate(instr: Instruction, ops: list[int], widths: list[int]) -> int:
-    """One IR instruction over integer operands, RTL-faithful.
+def _operand(ops, widths, signed, index: int) -> int:
+    """Operand ``index``, two's complement at its own width when signed."""
+    return as_signed(ops[index], widths[index]) if signed else ops[index]
 
-    Semantics mirror the generated Verilog: width-wrapped two's-complement
-    arithmetic, zero-guarded truncating division, logical shifts on
-    unsigned values and arithmetic shifts / signed compares on signed
-    types.  ``widths`` carries each operand's *defining* width — the RTL
-    applies ``$signed`` to the operand wires, so sign interpretation
-    happens at the wire width, not the (possibly narrower) result width.
-    """
-    opcode = instr.opcode
-    ty = instr.result_type
-    width = ty.width
 
-    def s(index: int) -> int:
-        return as_signed(ops[index], widths[index]) if ty.is_signed else ops[index]
+def _div(ops, widths, signed):
+    return truncdiv(_operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1))
 
-    if opcode in ("add", "fadd"):
-        return mask(ops[0] + ops[1], width)
-    if opcode in ("sub", "fsub"):
-        return mask(ops[0] - ops[1], width)
-    if opcode in ("mul", "fmul"):
-        return mask(ops[0] * ops[1], width)
-    if opcode in ("div", "udiv", "sdiv", "fdiv"):
-        if opcode == "sdiv" or (opcode in ("div", "fdiv") and ty.is_signed):
-            return mask(truncdiv(as_signed(ops[0], widths[0]),
-                                 as_signed(ops[1], widths[1])), width)
-        return mask(truncdiv(ops[0], ops[1]), width)
-    if opcode in ("rem", "urem"):
-        a, b = (as_signed(ops[0], widths[0]), as_signed(ops[1], widths[1])) \
-            if (opcode == "rem" and ty.is_signed) else (ops[0], ops[1])
-        if b == 0:
-            return 0
-        return mask(a - b * truncdiv(a, b), width)
-    if opcode == "and":
-        return ops[0] & ops[1]
-    if opcode == "or":
-        return ops[0] | ops[1]
-    if opcode == "xor":
-        return ops[0] ^ ops[1]
-    if opcode == "not":
-        return mask(~ops[0], width)
-    if opcode == "shl":
-        return mask(ops[0] << ops[1], width)
-    if opcode == "lshr":
-        return ops[0] >> ops[1]
-    if opcode == "ashr":
-        return mask(s(0) >> ops[1], width)
+
+def _rem(ops, widths, signed):
+    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
+    return 0 if b == 0 else a - b * truncdiv(a, b)
+
+
+def _min(ops, widths, signed):
+    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
+    return ops[0] if a < b else ops[1]
+
+
+def _max(ops, widths, signed):
+    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
+    return ops[0] if a > b else ops[1]
+
+
+def _relation(test):
+    """A compare; ``signed`` is the predicate's signedness."""
+
+    def evaluate(ops, widths, signed):
+        a, b = ops
+        if signed:
+            # sign-extend each operand at its own width (numerically
+            # identical to Verilog's extend-to-max-width signed compare)
+            a, b = as_signed(a, widths[0]), as_signed(b, widths[1])
+        return 1 if test(a, b) else 0
+
+    return evaluate
+
+
+def _mov(ops, widths, signed):
+    return ops[0]
+
+
+#: opcode (or, for ``icmp``/``fcmp``, the predicate's base relation) ->
+#: evaluator; ``signed`` selects the signed variant where there is one
+_EVALUATORS = {
+    "add": lambda ops, widths, signed: ops[0] + ops[1],
+    "sub": lambda ops, widths, signed: ops[0] - ops[1],
+    "mul": lambda ops, widths, signed: ops[0] * ops[1],
+    "div": _div,
+    "udiv": lambda ops, widths, signed: _div(ops, widths, False),
+    "sdiv": lambda ops, widths, signed: _div(ops, widths, True),
+    "rem": _rem,
+    "urem": lambda ops, widths, signed: _rem(ops, widths, False),
+    "and": lambda ops, widths, signed: ops[0] & ops[1],
+    "or": lambda ops, widths, signed: ops[0] | ops[1],
+    "xor": lambda ops, widths, signed: ops[0] ^ ops[1],
+    "not": lambda ops, widths, signed: ~ops[0],
+    "shl": lambda ops, widths, signed: ops[0] << ops[1],
+    "lshr": lambda ops, widths, signed: ops[0] >> ops[1],
+    "ashr": lambda ops, widths, signed: _operand(ops, widths, signed, 0) >> ops[1],
+    "eq": _relation(operator.eq),
+    "ne": _relation(operator.ne),
+    "lt": _relation(operator.lt),
+    "le": _relation(operator.le),
+    "gt": _relation(operator.gt),
+    "ge": _relation(operator.ge),
+    "select": lambda ops, widths, signed: ops[1] if ops[0] else ops[2],
+    "min": _min,
+    "max": _max,
+    "abs": lambda ops, widths, signed: abs(_operand(ops, widths, signed, 0)),
+    "mov": _mov,
+    "trunc": _mov,
+    "zext": _mov,
+    "sext": _mov,
+    "mac": lambda ops, widths, signed: ops[0] * ops[1] + ops[2],
+    "sqrt": lambda ops, widths, signed: math.isqrt(ops[0]),
+}
+# the float opcodes run the integer datapath
+_EVALUATORS.update({"f" + name: _EVALUATORS[name] for name in ("add", "sub", "mul", "div")})
+
+
+def _decode_evaluator(instr: Instruction):
+    """(evaluator, signed) of one instruction.
+
+    An opcode without integer semantics fails when the entry first runs,
+    so the instructions before it fail first, in program order."""
+    opcode, signed = instr.opcode, instr.result_type.is_signed
+    key = opcode
     if opcode in ("icmp", "fcmp"):
-        return _compare(instr, ops, widths)
-    if opcode == "select":
-        return ops[1] if ops[0] else ops[2]
-    if opcode == "min":
-        return ops[0] if s(0) < s(1) else ops[1]
-    if opcode == "max":
-        return ops[0] if s(0) > s(1) else ops[1]
-    if opcode == "abs":
-        return mask(abs(s(0)), width)
-    if opcode in ("mov", "trunc", "zext", "sext"):
-        return mask(ops[0], width)
-    if opcode == "mac":
-        return mask(ops[0] * ops[1] + ops[2], width)
-    if opcode == "sqrt":
-        import math
-
-        return math.isqrt(ops[0])
-    raise ReferenceEvaluationError(
-        f"opcode {opcode!r} has no integer reference semantics")
+        signed, key = decode_predicate(instr.predicate, signed)
+    evaluate = _EVALUATORS.get(key)
+    if evaluate is None:
+        def evaluate(ops, widths, signed):
+            raise ReferenceEvaluationError(
+                f"opcode {opcode!r} has no integer reference semantics")
+    return evaluate, signed
 
 
 def kernel_stimulus(func: IRFunction, n_items: int,
@@ -150,70 +170,91 @@ def kernel_stimulus(func: IRFunction, n_items: int,
     }
 
 
+def _reader(keys: tuple[str, ...]):
+    """A function of the value table returning the operands at ``keys``."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda values: tuple(values[key] for key in keys)
+
+
 def evaluate_items(
     module: Module,
     func: IRFunction,
     stimulus: dict[str, list[int]],
     n_items: int,
 ):
-    """Evaluate the datapath elementwise; returns (outputs, reductions, interior)."""
+    """Evaluate the datapath elementwise; returns (outputs, reductions, interior).
+
+    The function is decoded once into a flat program over one table of
+    values: SSA values under their names, reduction accumulators and other
+    globals under ``@name`` and constants under ``#<index>``.  An item then
+    loads its stream words and runs the program's entries in order.
+    """
     resolved = {off.result: (off.source, module.resolve_offset(off.offset))
                 for off in func.offsets()}
     out_ports = [p.port for p in module.port_declarations
                  if p.function == func.name and p.direction is StreamDirection.OUTPUT]
     reductions = {r.result: 0 for r in func.reductions()}
+    outputs: dict[str, list[int]] = {name: [] for name in out_ports}
+    if n_items <= 0:
+        return outputs, reductions, []
+    instructions = func.instructions()
 
     # defining width of every named value — the RTL sign-interprets
     # operands at their wire width, so the reference must match
     value_widths: dict[str, int] = {name: ty.width for ty, name in func.args}
     for off in func.offsets():
         value_widths[off.result] = off.result_type.width
-    for instr in func.instructions():
+    for instr in instructions:
         value_widths[instr.result] = instr.result_type.width
 
-    outputs: dict[str, list[int]] = {name: [] for name in out_ports}
-    interior: list[bool] = []
+    # the stream words each item loads: its own argument words, then the
+    # offset words, zero where the offset reaches outside the stream
+    # (flushed delay lines / zero-driven tail)
+    columns = [(name, stimulus[name]) for _, name in func.args]
+    for result, (source, offset) in resolved.items():
+        words = stimulus[source]
+        columns.append((result, [words[j] if 0 <= j < n_items else 0
+                                 for j in range(offset, offset + n_items)]))
+    offsets = [offset for _, offset in resolved.values()]
+    low, high = min(offsets, default=0), max(offsets, default=0)
+    interior = [0 <= i + low and i + high < n_items for i in range(n_items)]
 
-    def sample(source: str, index: int) -> int:
-        if 0 <= index < n_items:
-            return stimulus[source][index]
-        return 0  # flushed delay lines / zero-driven tail
+    values: dict[str, int] = {"@" + name: 0 for name in reductions}
+    program = []
+    for instr in instructions:
+        result_width = instr.result_type.width
+        keys, widths = [], []
+        for op in instr.operands:
+            if op.kind is OperandKind.CONST:
+                key = f"#{len(values)}"
+                value = op.value
+                values[key] = int(round(value)) if isinstance(value, float) else int(value)
+                widths.append(result_width)  # consts render at result width
+            elif op.kind is OperandKind.GLOBAL:
+                key = "@" + op.name
+                values.setdefault(key, 0)
+                widths.append(value_widths.get(op.name, result_width))
+            else:
+                key = op.name
+                widths.append(value_widths.get(op.name, result_width))
+            keys.append(key)
+        evaluate, signed = _decode_evaluator(instr)
+        target = ("@" if instr.is_reduction else "") + instr.result
+        program.append((evaluate, _reader(tuple(keys)), widths, signed,
+                        (1 << result_width) - 1, target))
 
     for i in range(n_items):
-        env: dict[str, int] = {name: stimulus[name][i] for _, name in func.args}
-        in_window = True
-        for result, (source, offset) in resolved.items():
-            position = i + offset
-            env[result] = sample(source, position)
-            if not 0 <= position < n_items:
-                in_window = False
-        interior.append(in_window)
-
-        for instr in func.instructions():
-            ops: list[int] = []
-            widths: list[int] = []
-            result_width = instr.result_type.width
-            for op in instr.operands:
-                if op.kind is OperandKind.CONST:
-                    value = op.value
-                    ops.append(int(round(value)) if isinstance(value, float)
-                               else int(value))
-                    widths.append(result_width)  # consts render at result width
-                elif op.kind is OperandKind.GLOBAL:
-                    ops.append(reductions.get(op.name, 0))
-                    widths.append(value_widths.get(op.name, result_width))
-                else:
-                    ops.append(env[op.name])
-                    widths.append(value_widths.get(op.name, result_width))
-            value = mask(_evaluate(instr, ops, widths), result_width)
-            if instr.is_reduction:
-                reductions[instr.result] = value
-            else:
-                env[instr.result] = value
-
+        for name, words in columns:
+            values[name] = words[i]
+        for evaluate, read, widths, signed, result_mask, target in program:
+            values[target] = evaluate(read(values), widths, signed) & result_mask
         for name in out_ports:
-            outputs[name].append(env[name])
+            outputs[name].append(values[name])
 
+    for instr in instructions:
+        if instr.is_reduction:
+            reductions[instr.result] = values["@" + instr.result]
     return outputs, reductions, interior
 
 

@@ -57,14 +57,19 @@ class VerilogParseError(ValueError):
 # Tokenizer
 # ----------------------------------------------------------------------
 
+#: one token after any blanks on its line; the groups are, in order, a
+#: line break with the whitespace after it, an identifier, an operator, a
+#: sized literal, a number and (the only other way a non-blank character
+#: can match) an untokenizable character
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<sized>\d+\s*'\s*[bdhBDH]\s*[0-9a-fA-F_xXzZ]+)
-    | (?P<number>\d+\.\d+|\d+)
-    | (?P<ident>\$?[A-Za-z_][A-Za-z_0-9$]*)
-    | (?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:,;()\[\]{}.#@])
-    | (?P<ws>\s+)
-    """,
+    r"""[^\S\n]*(?:
+      (\n\s*)
+    | (\$?[A-Za-z_][A-Za-z_0-9$]*)
+    | (<<<?|>>>?|[<>=!]=|&&|\|\||[-+*/%&|^~!<>=?:,;()\[\]{}.#@])
+    | (\d+\s*'\s*[bdhBDH]\s*[0-9a-fA-F_xXzZ]+)
+    | (\d+\.\d+|\d+)
+    | (\S)
+    )""",
     re.VERBOSE,
 )
 
@@ -72,37 +77,34 @@ _COMMENT_LINE = re.compile(r"//[^\n]*")
 _COMMENT_BLOCK = re.compile(r"/\*.*?\*/", re.DOTALL)
 
 
-@record(frozen=True)
-class Token:
-    kind: str  # 'sized' | 'number' | 'ident' | 'op'
-    text: str
-    line: int
-
-    def __init__(self, kind, text, line) -> None:
-        put = object.__setattr__
-        put(self, "kind", kind)
-        put(self, "text", text)
-        put(self, "line", line)
+#: tokens are ``(kind, text, line)`` tuples, kind one of ``'sized'``,
+#: ``'number'``, ``'ident'``, ``'op'`` or ``'eof'`` (the one sentinel
+#: :func:`tokenize` appends, whose text is empty)
+Token = tuple
 
 
 def tokenize(source: str) -> list[Token]:
     text = _COMMENT_BLOCK.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), source)
     text = _COMMENT_LINE.sub("", text)
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for newline, ident, op, sized, number, bad in _TOKEN_RE.findall(text):
+        if ident:
+            append(("ident", ident, line))
+        elif op:
+            append(("op", op, line))
+        elif newline:
+            line += newline.count("\n")
+        elif sized:
+            append(("sized", sized, line))
+        elif number:
+            append(("number", number, line))
+        else:
+            pos = next(m.start(6) for m in _TOKEN_RE.finditer(text) if m.group(6))
             snippet = text[pos : pos + 20].splitlines()[0]
             raise VerilogParseError(f"line {line}: cannot tokenize at {snippet!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "ws":
-            line += value.count("\n")
-            continue
-        tokens.append(Token(kind, value, line))
+    append(("eof", "", line))
     return tokens
 
 
@@ -138,6 +140,13 @@ class PortDecl:
     width: int
     name: str
 
+    def __init__(self, direction, net_kind, width, name) -> None:
+        put = object.__setattr__
+        put(self, "direction", direction)
+        put(self, "net_kind", net_kind)
+        put(self, "width", width)
+        put(self, "name", name)
+
 
 @record(frozen=True)
 class NetDecl:
@@ -157,6 +166,12 @@ class ArrayDecl:
     width: int
     name: str
     size: int
+
+    def __init__(self, width, name, size) -> None:
+        put = object.__setattr__
+        put(self, "width", width)
+        put(self, "name", name)
+        put(self, "size", size)
 
 
 @record(frozen=True)
@@ -236,57 +251,77 @@ class VerilogModule:
 # ----------------------------------------------------------------------
 
 
+#: binding level of every binary operator, loosest first; operators of one
+#: level associate to the left
+_BINARY_LEVELS = {
+    op: level
+    for level, ops in enumerate((
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", "<=", ">", ">="),
+        ("<<", ">>", ">>>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    ))
+    for op in ops
+}
+
+_UNARY = ("~", "-", "!")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
+        #: ends with the ``'eof'`` sentinel, which no parse step consumes
         self.tokens = tokens
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token | None:
-        index = self.pos + ahead
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        token = self.peek()
-        if token is None:
+        token = self.tokens[self.pos]
+        if token[0] == "eof":
             raise VerilogParseError("unexpected end of input")
         self.pos += 1
         return token
 
     def expect(self, text: str) -> Token:
-        token = self.next()
-        if token.text != text:
-            raise VerilogParseError(
-                f"line {token.line}: expected {text!r}, got {token.text!r}")
-        return token
+        token = self.tokens[self.pos]
+        if token[1] == text:  # the sentinel's empty text matches nothing
+            self.pos += 1
+            return token
+        self.next()
+        raise VerilogParseError(
+            f"line {token[2]}: expected {text!r}, got {token[1]!r}")
 
     def accept(self, text: str) -> bool:
-        token = self.peek()
-        if token is not None and token.text == text:
+        if self.tokens[self.pos][1] == text:
             self.pos += 1
             return True
         return False
 
     def expect_ident(self) -> Token:
         token = self.next()
-        if token.kind != "ident":
+        if token[0] != "ident":
             raise VerilogParseError(
-                f"line {token.line}: expected identifier, got {token.text!r}")
+                f"line {token[2]}: expected identifier, got {token[1]!r}")
         return token
 
     # -- structure ------------------------------------------------------
     def parse_modules(self) -> list[VerilogModule]:
         modules = []
-        while self.peek() is not None:
-            token = self.peek()
-            if token.text == "`define":  # pragma: no cover - defensive
-                raise VerilogParseError(f"line {token.line}: unexpected directive")
+        while self.peek()[0] != "eof":
             modules.append(self.parse_module())
         return modules
 
     def parse_module(self) -> VerilogModule:
         self.expect("module")
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         module = VerilogModule(name=name)
         self.expect("(")
         if not self.accept(")"):
@@ -313,57 +348,55 @@ class _Parser:
         return msb + 1
 
     def _parse_const_int(self) -> int:
-        token = self.next()
-        if token.kind == "number":
-            return int(token.text)
-        if token.kind == "sized":
-            return _sized_value(token)[0]
-        raise VerilogParseError(
-            f"line {token.line}: expected constant, got {token.text!r}")
+        kind, text, line = self.next()
+        if kind == "number" and "." not in text:
+            return int(text)
+        if kind == "sized":
+            return _sized_value(text, line)[0]
+        raise VerilogParseError(f"line {line}: expected constant, got {text!r}")
 
     def _parse_port(self) -> PortDecl:
-        token = self.next()
-        if token.text not in ("input", "output"):
+        _, direction, line = self.next()
+        if direction not in ("input", "output"):
             raise VerilogParseError(
-                f"line {token.line}: expected port direction, got {token.text!r}")
-        direction = token.text
+                f"line {line}: expected port direction, got {direction!r}")
         net_kind = "wire"
-        if self.peek() is not None and self.peek().text in ("wire", "reg"):
-            net_kind = self.next().text
+        if self.peek()[1] in ("wire", "reg"):
+            net_kind = self.next()[1]
         width = self._parse_range()
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         return PortDecl(direction, net_kind, width, name)
 
     def _parse_item(self, module: VerilogModule) -> None:
-        token = self.peek()
-        if token is None:
+        kind, text, line = self.peek()
+        if kind == "eof":
             raise VerilogParseError("unexpected end of input inside module")
-        if token.text in ("wire", "reg"):
+        if text in ("wire", "reg"):
             self._parse_net_decl(module)
-        elif token.text == "integer":
+        elif text == "integer":
             self.next()
-            name = self.expect_ident().text
+            name = self.expect_ident()[1]
             module.items.append(NetDecl("integer", 32, name))
             self.expect(";")
-        elif token.text == "assign":
-            line = self.next().line
-            target = self.expect_ident().text
+        elif text == "assign":
+            self.next()
+            target = self.expect_ident()[1]
             self.expect("=")
             expr = self._parse_expr()
             self.expect(";")
             module.items.append(ContinuousAssign(target, expr, line))
-        elif token.text == "always":
+        elif text == "always":
             self._parse_always(module)
-        elif token.kind == "ident":
+        elif kind == "ident":
             self._parse_instance(module)
         else:
             raise VerilogParseError(
-                f"line {token.line}: unexpected token {token.text!r} in module body")
+                f"line {line}: unexpected token {text!r} in module body")
 
     def _parse_net_decl(self, module: VerilogModule) -> None:
-        kind = self.next().text  # wire | reg
+        kind = self.next()[1]  # wire | reg
         width = self._parse_range()
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         if self.accept("["):  # one-dimensional array: [0:size-1]
             low = self._parse_const_int()
             self.expect(":")
@@ -375,7 +408,7 @@ class _Parser:
             module.items.append(ArrayDecl(width, name, high + 1))
             return
         if self.accept("="):  # wire with initialiser = continuous assign
-            line = self.peek().line if self.peek() else 0
+            line = self.peek()[2]
             expr = self._parse_expr()
             self.expect(";")
             module.items.append(NetDecl(kind, width, name))
@@ -385,29 +418,29 @@ class _Parser:
         module.items.append(NetDecl(kind, width, name))
 
     def _parse_always(self, module: VerilogModule) -> None:
-        line = self.expect("always").line
+        line = self.expect("always")[2]
         self.expect("@")
         self.expect("(")
-        edge = self.next()
-        if edge.text != "posedge":
+        _, edge, edge_line = self.next()
+        if edge != "posedge":
             raise VerilogParseError(
-                f"line {edge.line}: only posedge-clocked processes supported")
-        clock = self.expect_ident().text
+                f"line {edge_line}: only posedge-clocked processes supported")
+        clock = self.expect_ident()[1]
         if clock != "clk":
-            raise VerilogParseError(f"line {edge.line}: unexpected clock {clock!r}")
+            raise VerilogParseError(f"line {edge_line}: unexpected clock {clock!r}")
         self.expect(")")
         statements = self._parse_statement_or_block()
         module.items.append(AlwaysBlock(tuple(statements), line))
 
     def _parse_instance(self, module: VerilogModule) -> None:
-        mod_token = self.expect_ident()
-        inst_name = self.expect_ident().text
+        _, mod_name, line = self.expect_ident()
+        inst_name = self.expect_ident()[1]
         self.expect("(")
         connections = []
         if not self.accept(")"):
             while True:
                 self.expect(".")
-                port = self.expect_ident().text
+                port = self.expect_ident()[1]
                 self.expect("(")
                 expr = self._parse_expr()
                 self.expect(")")
@@ -416,8 +449,7 @@ class _Parser:
                     break
                 self.expect(",")
         self.expect(";")
-        module.items.append(
-            Instance(mod_token.text, inst_name, tuple(connections), mod_token.line))
+        module.items.append(Instance(mod_name, inst_name, tuple(connections), line))
 
     # -- statements -----------------------------------------------------
     def _parse_statement_or_block(self) -> list[Statement]:
@@ -429,12 +461,12 @@ class _Parser:
         return self._parse_statement()
 
     def _parse_statement(self) -> list[Statement]:
-        token = self.peek()
-        if token is None:
+        kind, text, _ = self.peek()
+        if kind == "eof":
             raise VerilogParseError("unexpected end of input in statement")
-        if token.text == "begin":
+        if text == "begin":
             return self._parse_statement_or_block()
-        if token.text == "if":
+        if text == "if":
             self.next()
             self.expect("(")
             cond = self._parse_expr()
@@ -444,7 +476,7 @@ class _Parser:
             if self.accept("else"):
                 else_stmts = self._parse_statement_or_block()
             return [("if", cond, tuple(then_stmts), tuple(else_stmts))]
-        if token.text == "for":
+        if text == "for":
             self.next()
             self.expect("(")
             init = self._parse_blocking()
@@ -457,28 +489,28 @@ class _Parser:
             return [("for", init, cond, update, tuple(body))]
         # assignment: lvalue <= expr ;   or   lvalue = expr ;
         target = self._parse_lvalue()
-        op = self.next()
-        if op.text == "<=":
+        _, op, line = self.next()
+        if op == "<=":
             rhs = self._parse_expr()
             self.expect(";")
             return [("nba", target, rhs)]
-        if op.text == "=":
+        if op == "=":
             if target[0] != "id":
                 raise VerilogParseError(
-                    f"line {op.line}: blocking assignment to non-scalar target")
+                    f"line {line}: blocking assignment to non-scalar target")
             rhs = self._parse_expr()
             self.expect(";")
             return [("blocking", target[1], rhs)]
         raise VerilogParseError(
-            f"line {op.line}: expected assignment operator, got {op.text!r}")
+            f"line {line}: expected assignment operator, got {op!r}")
 
     def _parse_blocking(self) -> Statement:
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         self.expect("=")
         return ("blocking", name, self._parse_expr())
 
     def _parse_lvalue(self) -> Expr:
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         if self.accept("["):
             index = self._parse_expr()
             self.expect("]")
@@ -487,117 +519,103 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
     def _parse_expr(self) -> Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(0)
-        if self.accept("?"):
+        if self.tokens[self.pos][1] == "?":
+            self.pos += 1
             then = self._parse_expr()
             self.expect(":")
-            other = self._parse_expr()
-            return ("ternary", cond, then, other)
+            return ("ternary", cond, then, self._parse_expr())
         return cond
 
-    _PRECEDENCE = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        expr = self._parse_binary(level + 1)
-        ops = self._PRECEDENCE[level]
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: operands joined by the operators that bind
+        at ``min_level`` or tighter, each level left-associative."""
+        tokens = self.tokens
+        expr = self._parse_primary()
         while True:
-            token = self.peek()
-            if token is None or token.text not in ops:
+            op = tokens[self.pos][1]
+            level = _BINARY_LEVELS.get(op, -1)
+            if level < min_level:
                 return expr
-            self.next()
-            right = self._parse_binary(level + 1)
-            expr = ("binary", token.text, expr, right)
-
-    def _parse_unary(self) -> Expr:
-        token = self.peek()
-        if token is not None and token.text in ("~", "-", "!"):
-            self.next()
-            return ("unary", token.text, self._parse_unary())
-        return self._parse_primary()
+            self.pos += 1
+            expr = ("binary", op, expr, self._parse_binary(level + 1))
 
     def _parse_primary(self) -> Expr:
-        token = self.next()
-        if token.text == "(":
-            expr = self._parse_expr()
-            self.expect(")")
-            return expr
-        if token.text == "{":
-            parts = [self._parse_expr()]
-            while self.accept(","):
-                parts.append(self._parse_expr())
-            self.expect("}")
-            return ("concat", parts)
-        if token.kind == "sized":
-            value, width = _sized_value(token)
-            return ("const", value, width)
-        if token.kind == "number":
-            if "." in token.text:
-                raise VerilogParseError(
-                    f"line {token.line}: real literals are not synthesizeable")
-            return ("const", int(token.text), None)
-        if token.kind == "ident":
-            name = token.text
-            if name == "$signed":
+        """One operand, or a unary operator applied to one."""
+        kind, text, line = self.next()
+        if kind == "ident":
+            if text == "$signed":
                 self.expect("(")
                 inner = self._parse_expr()
                 self.expect(")")
                 return ("signed", inner)
-            if self.peek() is not None and self.peek().text == "(":
-                self.next()
+            follow = self.tokens[self.pos][1]
+            if follow == "(":
+                self.pos += 1
                 args = []
                 if not self.accept(")"):
                     args.append(self._parse_expr())
                     while self.accept(","):
                         args.append(self._parse_expr())
                     self.expect(")")
-                return ("call", name, args)
-            if self.accept("["):
+                return ("call", text, args)
+            if follow == "[":
+                self.pos += 1
                 first = self._parse_expr()
                 if self.accept(":"):
                     second = self._parse_expr()
                     self.expect("]")
-                    msb = _require_const(first, token)
-                    lsb = _require_const(second, token)
-                    return ("slice", name, msb, lsb)
+                    msb = _require_const(first, line)
+                    lsb = _require_const(second, line)
+                    return ("slice", text, msb, lsb)
                 self.expect("]")
-                return ("index", name, first)
-            return ("id", name)
+                return ("index", text, first)
+            return ("id", text)
+        if kind == "sized":
+            value, width = _sized_value(text, line)
+            return ("const", value, width)
+        if kind == "number":
+            if "." in text:
+                raise VerilogParseError(
+                    f"line {line}: real literals are not synthesizeable")
+            return ("const", int(text), None)
+        if text == "(":
+            expr = self._parse_expr()
+            self.expect(")")
+            return expr
+        if text == "{":
+            parts = [self._parse_expr()]
+            while self.accept(","):
+                parts.append(self._parse_expr())
+            self.expect("}")
+            return ("concat", parts)
+        if text in _UNARY:
+            return ("unary", text, self._parse_primary())
         raise VerilogParseError(
-            f"line {token.line}: unexpected token {token.text!r} in expression")
+            f"line {line}: unexpected token {text!r} in expression")
 
 
-def _require_const(expr: Expr, token: Token) -> int:
+def _require_const(expr: Expr, line: int) -> int:
     if expr[0] != "const":
-        raise VerilogParseError(
-            f"line {token.line}: part-select bounds must be constant")
+        raise VerilogParseError(f"line {line}: part-select bounds must be constant")
     return expr[1]
 
 
-def _sized_value(token: Token) -> tuple[int, int]:
-    text = token.text.replace(" ", "").replace("_", "")
-    width_text, rest = text.split("'", 1)
+_RADIX = {"b": 2, "d": 10, "h": 16}
+
+
+def _sized_value(text: str, line: int) -> tuple[int, int]:
+    """(value, width) of a sized literal such as ``8'hff``."""
+    width_text, rest = text.replace(" ", "").replace("_", "").split("'", 1)
     base, digits = rest[0].lower(), rest[1:]
     if any(c in "xXzZ" for c in digits):
         raise VerilogParseError(
-            f"line {token.line}: x/z literals are not supported ({token.text!r})")
-    radix = {"b": 2, "d": 10, "h": 16}[base]
-    return int(digits, radix), int(width_text)
+            f"line {line}: x/z literals are not supported ({text!r})")
+    try:
+        return int(digits, _RADIX[base]), int(width_text)
+    except ValueError:
+        raise VerilogParseError(
+            f"line {line}: malformed sized literal {text!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +625,12 @@ def _sized_value(token: Token) -> tuple[int, int]:
 
 def parse_modules(source: str) -> list[VerilogModule]:
     """Parse Verilog source into the modules it defines."""
-    return _Parser(tokenize(source)).parse_modules()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_modules()
+    except RecursionError:
+        raise VerilogParseError(
+            f"line {parser.peek()[2]}: nested too deeply to parse") from None
 
 
 def parse_module_text(source: str, name: str | None = None) -> VerilogModule:

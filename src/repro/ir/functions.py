@@ -127,6 +127,15 @@ class StreamObject:
     pattern: AccessPatternKind = AccessPatternKind.CONTIGUOUS
     stride: int = 1
 
+    def __init__(self, name, memory, direction=StreamDirection.INPUT,
+                 pattern=AccessPatternKind.CONTIGUOUS, stride=1) -> None:
+        self.name = name
+        self.memory = memory
+        self.direction = direction
+        self.pattern = pattern
+        self.stride = stride
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         self.name = self.name.lstrip("%@")
         self.memory = self.memory.lstrip("%@")

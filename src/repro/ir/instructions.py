@@ -254,6 +254,16 @@ class Instruction:
     #: comparison predicate for icmp/fcmp (None = default ``lt``)
     predicate: str | None = None
 
+    def __init__(self, result, result_type, opcode, operands=None,
+                 result_is_global=False, predicate=None) -> None:
+        self.result = result
+        self.result_type = result_type
+        self.opcode = opcode
+        self.operands = [] if operands is None else operands
+        self.result_is_global = result_is_global
+        self.predicate = predicate
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         self.result = self.result.lstrip("%@")
         opcode_info(self.opcode)  # raises for unknown opcodes

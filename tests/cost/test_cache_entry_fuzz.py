@@ -3,9 +3,10 @@
 A warm store holds pickled records: calibration models, family analyses
 and recipe aliases.  Hypothesis takes the entries one costing call wrote
 and damages one of them: truncates it, overwrites some of its bytes,
-re-types its value (in a well-formed entry, or in one of the digest-less
-layout older stores hold), or swaps its token (the whole file, or only
-the token the entry claims) with another entry's.  Whatever comes out,
+re-types its value (in a well-formed entry, or in the digest-less layout
+older stores hold), rewrites it in that layout with its own value, or
+swaps its token (the whole file, or only the token the entry claims) with
+another entry's.  Whatever comes out,
 the store rejects the entry — a miss and a decode strike, quarantined
 after :attr:`DiskCache.QUARANTINE_AFTER` strikes — and costing the design
 again from cleared process caches gives the clean report, without
@@ -95,7 +96,7 @@ def mutations(draw) -> tuple[int, str, object]:
     _, entries, _ = clean_store()
     index = draw(st.integers(min_value=0, max_value=len(entries) - 1))
     kind = draw(st.sampled_from(("truncate", "corrupt", "retype", "retype-legacy",
-                                 "swap-file", "swap-token")))
+                                 "legacy", "swap-file", "swap-token")))
     if kind == "truncate":
         arg = draw(st.floats(min_value=0.0, max_value=0.999))
     elif kind == "corrupt":
@@ -126,6 +127,8 @@ def damage(cache: DiskCache, entries: tuple, index: int, kind: str, arg) -> Path
         data = path.read_bytes()
     elif kind == "retype-legacy":
         data = pickle.dumps({"token": repr(entries[index][1]), "value": arg})
+    elif kind == "legacy":
+        data = legacy_layout(data)
     elif kind == "swap-file":
         data = cache._entry_path(*entries[arg]).read_bytes()
     else:
@@ -162,6 +165,12 @@ def test_a_damaged_entry_is_rejected_and_costing_recovers(mutation):
     clear_family_caches()
 
 
+def legacy_layout(data: bytes) -> bytes:
+    """An entry as stores wrote it before entries carried a digest."""
+    payload = pickle.loads(data)
+    return pickle.dumps({"token": payload["token"], "value": pickle.loads(payload["value"])})
+
+
 def clean_bytes(root: Path, cache: DiskCache, path: Path) -> bytes:
     return (root / path.relative_to(cache.root)).read_bytes()
 
@@ -188,5 +197,32 @@ def test_the_corpus_holds_every_namespace_a_costing_call_reads():
             before = sorted(p.name for p in store.rglob("*.pkl"))
             assert cost_sor() == clean
             assert sorted(p.name for p in store.rglob("*.pkl")) == before
+    clear_calibration_cache()
+    clear_family_caches()
+
+
+def test_a_digest_less_entry_is_a_miss_that_the_next_put_rewrites():
+    """Every entry of the corpus, rewritten in the digest-less layout with
+    its own value: one strike each, then costing writes it back with its
+    digest and the store serves it again."""
+    root, entries, clean = clean_store()
+    with tempfile.TemporaryDirectory(prefix="tybec-fuzz-") as scratch:
+        store = Path(scratch) / "store"
+        shutil.copytree(root, store)
+        with redirected_cache_dir(store):
+            cache = default_disk_cache()
+            entries = list(dict.fromkeys(entries))  # a token may be put twice
+            paths = []
+            for namespace, token in entries:
+                path = cache._entry_path(namespace, token)
+                path.write_bytes(legacy_layout(path.read_bytes()))
+                assert cache.get(namespace, token, expected_kind(namespace, token)) is None
+                assert cache._decode_failures[str(path)] == 1
+                paths.append(path)
+            assert cost_sor() == clean
+            for (namespace, token), path in zip(entries, paths):
+                assert "sha256" in pickle.loads(path.read_bytes())
+                assert str(path) not in cache._decode_failures
+                assert cache.get(namespace, token, expected_kind(namespace, token)) is not None
     clear_calibration_cache()
     clear_family_caches()

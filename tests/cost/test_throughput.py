@@ -60,9 +60,6 @@ class TestParameters:
         assert p.sustained_host_gbps == pytest.approx(3.2)
         assert p.total_stream_bytes == pytest.approx(24 ** 3 * 3 * 4)
 
-    def test_with_lanes(self):
-        assert make_params().with_lanes(8).knl == 8
-
     def test_pipelined_extraction_rule(self):
         p = EKITParameters.for_pipelined_design(
             hpb_gbps=4.0, rho_h=0.8, gpb_gbps=9.6, rho_g=0.65,
@@ -190,7 +187,7 @@ class TestScalingBehaviour:
     @settings(max_examples=40, deadline=None)
     def test_ekit_positive_and_monotone_in_lanes(self, lanes, ngs, nwpt):
         p = make_params(knl=lanes, ngs=ngs, nwpt=nwpt, nto=1.0 / (19 * nwpt))
-        p2 = p.with_lanes(lanes * 2)
+        p2 = make_params(knl=2 * lanes, ngs=ngs, nwpt=nwpt, nto=1.0 / (19 * nwpt))
         for form_fn in (ekit_form_a, ekit_form_b, ekit_form_c):
             e1, e2 = form_fn(p), form_fn(p2)
             assert e1.ekit > 0

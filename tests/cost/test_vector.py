@@ -1,8 +1,8 @@
 """Unit tests of the vectorized cost core (:mod:`repro.cost.vector`).
 
 The differential contract with the scalar oracle is pinned end-to-end in
-``tests/explore/test_dense.py``; here the individual array primitives and
-the parameter fast-paths are exercised in isolation.
+``tests/explore/test_dense.py``; here the individual array primitives are
+exercised in isolation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import fields, replace
 from repro.compiler.pipeline import CompilationOptions, FeasibilityStage
 from repro.cost.resource_model import ModuleResourceEstimate
 from repro.cost.throughput import (
@@ -24,58 +23,6 @@ from repro.cost.throughput import (
 from repro.cost.vector import LIMITING_ORDER, evaluate_group, pareto_mask
 from repro.models.memory_execution import MemoryExecutionForm
 from repro.substrate.synthesis import ResourceUsage
-
-
-def _params(**overrides) -> EKITParameters:
-    base = dict(
-        hpb_gbps=8.0, rho_h=0.7, gpb_gbps=25.0, rho_g=0.8,
-        ngs=512, nwpt=4, nki=10, noff=17, kpd=120, fd_mhz=200.0,
-        ni=12, knl=1, dv=1, word_bytes=4,
-    )
-    base.update(overrides)
-    return EKITParameters.for_pipelined_design(**base)
-
-
-class TestWithLanesFastCopy:
-    def test_matches_record_replace(self):
-        p = _params()
-        fast = p.with_lanes(8)
-        slow = replace(p, knl=8)
-        assert fast == slow
-        assert fast.knl == 8
-        # nothing else drifted
-        for field in fields(EKITParameters):
-            if field.name != "knl":
-                assert getattr(fast, field.name) == getattr(p, field.name)
-
-    def test_same_lane_count_returns_self(self):
-        p = _params()
-        assert p.with_lanes(p.knl) is p
-
-    def test_rejects_non_positive_lanes(self):
-        p = _params()
-        with pytest.raises(ValueError, match="knl must be positive"):
-            p.with_lanes(0)
-        with pytest.raises(ValueError, match="knl must be positive"):
-            p.with_lanes(-4)
-
-    def test_derived_bundle_is_shared_and_correct(self):
-        p = _params()
-        assert p.fd_hz == p.fd_mhz * 1e6  # computes (and caches) the bundle
-        q = p.with_lanes(16)
-        assert q._derived is p._derived  # knl-invariant, so shared
-        assert q.sustained_host_gbps == p.hpb_gbps * p.rho_h
-        assert q.sustained_dram_gbps == p.gpb_gbps * p.rho_g
-        assert q.total_stream_bytes == float(p.ngs) * p.nwpt * p.word_bytes
-
-    def test_throughput_identical_through_fast_copy(self):
-        p = _params(knl=1)
-        fast = p.with_lanes(4)
-        slow = replace(p, knl=4)
-        for form in MemoryExecutionForm:
-            a = estimate_throughput(fast, form).as_dict()
-            b = estimate_throughput(slow, form).as_dict()
-            assert a == b
 
 
 #: the fixed case the property started from

@@ -10,6 +10,7 @@ declared-before-use wires.  Re-record after an intentional change with::
         "from repro.flows import record_verilog_snapshots; record_verilog_snapshots()"
 """
 
+import hashlib
 import re
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.compiler.codegen.testbench import generate_testbench
 from repro.compiler.codegen.verilog import VerilogGenerator
 from repro.flows import kernel_verilog_bundle, lint_source, verilog_snapshot_dir
+from repro.flows.verilog import parse_modules
 from repro.kernels import REGISTRY, get_kernel
 from repro.suite.runner import tiny_grid
 
@@ -71,6 +73,25 @@ class TestStructuralLint:
             begins = len(re.findall(r"\bbegin\b", text))
             ends = len(re.findall(r"\bend\b(?!module)", text))
             assert begins == ends, f"{name}: {begins} begin vs {ends} end"
+
+
+#: SHA-256 over ``repr(parse_modules(text))`` of every generated ``.v`` of
+#: every kernel at lanes 1, 2 and 4, recorded before the tokenizer emitted
+#: tuples and the expression parser climbed precedence in one loop
+PARSED_DIGEST = "513a12684e8bde7dee49b0eb1cf84c05b4dffa957999a72e0165753028e397c1"
+
+
+def test_parsed_modules_are_pinned():
+    """Every parsed declaration, statement and expression tree, and every
+    line number, of the 36 generated files is unchanged."""
+    hasher = hashlib.sha256()
+    for kernel_name in ALL_KERNELS:
+        for lanes in (1, 2, 4):
+            for name, text in sorted(_generated_files(kernel_name, lanes).items()):
+                if name.endswith(".v"):
+                    hasher.update(f"{kernel_name}/{lanes}/{name}\n"
+                                  f"{parse_modules(text)!r}\n".encode())
+    assert hasher.hexdigest() == PARSED_DIGEST
 
 
 class TestTestbenchContract:

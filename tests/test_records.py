@@ -10,9 +10,10 @@ values; the record and its twin must then agree on construction errors,
 and its ``__reduce_ex__(2)`` state, :func:`~repro.replace`,
 :func:`~repro.fields` and frozen assignment.
 
-The classes built per design point or per token write their methods in
-their own bodies; the deterministic tests below keep them there and keep
-their hand-written ``__init__`` in step with their field list.
+The classes built per design point or per Verilog item write their
+methods in their own bodies; the deterministic tests below keep them
+there and keep their hand-written ``__init__`` in step with their field
+list.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ def test_record_generation_runs_no_exec(monkeypatch):
 # ----------------------------------------------------------------------
 
 #: classes built or hashed per design point (sweeps), per family, or per
-#: token (RTL verification): each writes ``__init__`` in its own body
+#: IR instruction, Verilog item or delay line (RTL verification): each
+#: writes ``__init__`` in its own body
 HOT_INIT = (
     "repro.substrate.synthesis.ResourceUsage",
     "repro.cost.resource_model.ModuleResourceEstimate",
@@ -318,11 +320,15 @@ HOT_INIT = (
     "repro.compiler.pipeline.CostGroup",
     "repro.models.memory_execution.FormSelection",
     "repro.compiler.lanescale.LaneFamilyHandle",
-    "repro.flows.verilog.Token",
     "repro.flows.verilog.NetDecl",
     "repro.flows.verilog.ContinuousAssign",
     "repro.flows.verilog.AlwaysBlock",
     "repro.ir.instructions.Operand",
+    "repro.ir.instructions.Instruction",
+    "repro.ir.functions.StreamObject",
+    "repro.flows.verilog.PortDecl",
+    "repro.flows.verilog.ArrayDecl",
+    "repro.flows.netlist._ShiftLoop",
 )
 
 #: classes hashed several times per design point: ``__eq__``/``__hash__``
@@ -424,7 +430,8 @@ def test_hot_instances_match_the_generated_init():
     from repro.compiler.codegen.testbench import select_leaf_function
     from repro.compiler.codegen.verilog import VerilogGenerator
     from repro.explore.space import DesignSpace, build_jobs
-    from repro.flows.verilog import parse_module_text, tokenize
+    from repro.flows.netlist import _StepCompiler, elaborate
+    from repro.flows.verilog import parse_module_text
     from repro.kernels import get_kernel
     from repro.suite import SuiteConfig, WorkloadSuite
 
@@ -434,8 +441,12 @@ def test_hot_instances_match_the_generated_init():
     pipeline.cost(job.module, job.workload)
     module = get_kernel("sor").build_module(lanes=2, grid=(8, 8, 8))
     source = VerilogGenerator(module).generate_kernel(select_leaf_function(module, None))
+    netlist = elaborate(parse_module_text(source))
+    compiler = _StepCompiler(netlist)
+    shift_loops = [compiler._shift_loop(stmt) for process in netlist.processes
+                   for stmt in process.statements if stmt[0] == "for"]
     roots = [run.sweep.entries, job, pipeline.group(job.module, job.workload),
-             tokenize(source), parse_module_text(source).items, module]
+             parse_module_text(source), shift_loops, module]
     seen: dict[type, object] = {}
     stack, visited = list(roots), set()
     while stack:
