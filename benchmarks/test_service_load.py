@@ -18,6 +18,10 @@ distribution as a CI artifact:
 
 The warm-vs-cold ratio is the service's reason to exist: one process
 owns the warm state, every client shares it.
+
+``encode`` records the leader's encode of a 306-point sweep: its entry
+lines, then its report line, which takes each row's text from the row's
+entry line.  The report line must cost a small share of the entry lines.
 """
 
 from __future__ import annotations
@@ -27,9 +31,16 @@ import statistics
 import threading
 import time
 
+from benchmarks.test_suite_throughput import (
+    FULL_GRID_CONFIG,
+    _collector_paused,
+    _median_iqr,
+)
 from repro.compiler.lanescale import clear_family_caches
 from repro.compiler.pipeline import clear_calibration_cache
 from repro.service import ExplorationService, ServiceClient, ServiceServer
+from repro.service.server import _encode, _row_texts
+from repro.suite.report import canonicalize
 
 #: the benchmark grid: one kernel, tiny grid — per-request work is small
 #: so the measured numbers are service overhead + cache behaviour, not
@@ -41,6 +52,12 @@ LOAD_REQUESTS_PER_THREAD = 12
 
 #: cold pays calibration + family analysis; warm must visibly not
 MIN_WARM_SPEEDUP = 1.5
+
+#: leader encode trials (interleaved entry-lines/report-line pairs), and
+#: the gate on the report line's time over the entry lines' time: 0.13-0.15
+#: on a shared 2-vCPU VM, ~0.6 when the report line spells every row again
+ENCODE_TRIALS = 15
+MAX_REPORT_TO_ENTRIES = 0.35
 
 
 def _spec(iterations: int) -> dict:
@@ -168,3 +185,64 @@ def test_service_load_artifact(results_dir, tmp_path, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _compact(event) -> bytes:
+    """The reference line: one stdlib dump of the expanded event."""
+    return (json.dumps(canonicalize(event), sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def test_leader_encodes_each_row_once(results_dir, tmp_path, monkeypatch):
+    """The leader's entry lines and report line of a 306-point sweep.
+
+    The calls are the leader path of ``_ServiceHandler._drive``: one
+    ``_encode`` per entry event, then the report event with the row texts
+    cut out of those lines.  Every line must equal the reference dump, and
+    the report line must take at most ``MAX_REPORT_TO_ENTRIES`` of the
+    entry lines' time, as the median of ``ENCODE_TRIALS`` interleaved
+    pairs.  Recorded under ``encode`` in BENCH_service.json.
+    """
+    monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "encode-cache"))
+    service = ExplorationService()
+    _, role, request = service.lease_suite(FULL_GRID_CONFIG.as_dict())
+    assert role == "leader"
+    events: list = []
+    result = service.run_suite(request, events.append)
+    assert len(events) == result["evaluated"] == 306
+
+    def entry_lines(floats: dict) -> list:
+        return [(event, _encode(event, floats=floats)) for event in events]
+
+    floats: dict = {}
+    published = entry_lines(floats)
+    line = _encode(result, _row_texts(published), floats)
+    assert [text for _, text in published] == \
+        [_compact(event.as_dict()) for event in events]
+    assert line == _compact(result)
+
+    entries_ms, report_ms = [], []
+    with _collector_paused():
+        for _ in range(ENCODE_TRIALS):
+            started = time.perf_counter()
+            floats = {}
+            published = entry_lines(floats)
+            middle = time.perf_counter()
+            _encode(result, _row_texts(published), floats)
+            entries_ms.append((middle - started) * 1e3)
+            report_ms.append((time.perf_counter() - middle) * 1e3)
+    record = {
+        "points": len(events),
+        "report_bytes": len(line),
+        "entry_lines_ms": _median_iqr(entries_ms),
+        "report_line_ms": _median_iqr(report_ms),
+        "report_to_entries": statistics.median(
+            r / e for r, e in zip(report_ms, entries_ms)),
+        "max_ratio": MAX_REPORT_TO_ENTRIES,
+        "bytes_identical": True,
+    }
+    path = results_dir / "BENCH_service.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["encode"] = record
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert record["report_to_entries"] <= MAX_REPORT_TO_ENTRIES, record

@@ -327,12 +327,25 @@ class Module:
         return iter(self.functions.values())
 
     def resolve_offset(self, offset: int | str) -> int:
-        """Resolve a (possibly symbolic) stream offset to an integer."""
+        """Resolve a (possibly symbolic) stream offset to an integer.
+
+        A symbolic offset is checked and evaluated once per module and
+        value of :attr:`constants`: the results are kept beside a copy of
+        the constants they were computed from, and dropped when the
+        constants differ from it (however they were changed).  An offset
+        that fails to resolve is not kept, so it raises every time.
+        """
         if isinstance(offset, int):
             return offset
-        from repro.ir.instructions import _eval_offset_expression
+        memo = self.__dict__.get("_offsets")
+        if memo is None or memo[0] != self.constants:
+            memo = self.__dict__["_offsets"] = (dict(self.constants), {})
+        value = memo[1].get(offset)
+        if value is None:
+            from repro.ir.instructions import _eval_offset_expression
 
-        return _eval_offset_expression(offset, self.constants)
+            value = memo[1][offset] = _eval_offset_expression(offset, self.constants)
+        return value
 
     def input_streams(self) -> list[StreamObject]:
         return [s for s in self.stream_objects.values() if s.direction is StreamDirection.INPUT]

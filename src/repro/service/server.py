@@ -125,10 +125,13 @@ def _parse(endpoint: str, body) -> dict:
         raise BadRequestError(str(exc)) from exc
 
 
-def _encode(event) -> bytes:
+def _encode(event, spelled: dict | None = None,
+            floats: dict | None = None) -> bytes:
     """One event's canonical NDJSON line: the service's only encode (an
-    event is a dict or, for ``entry`` events, a report row)."""
-    return canonical_json_line(event).encode()
+    event is a dict or, for ``entry`` events, a report row).  ``spelled``
+    holds the row texts of a ``report`` event (see :func:`_row_texts`) and
+    ``floats`` the float spellings of one sweep's lines."""
+    return canonical_json_line(event, spelled, floats).encode()
 
 
 def _fingerprint(kind: str, payload: dict) -> str:
@@ -155,6 +158,24 @@ class _EntryEvent:
 
     def row_leaves(self) -> tuple:
         return ("entry", self.index, *self.entry.row_leaves())
+
+
+def _row_texts(published) -> dict[int, str]:
+    """``id(row) -> compact text`` for the rows of the ``(entry event,
+    its line)`` pairs in ``published``, cut out of the lines.
+
+    ``event`` and ``index`` sort before every key of a row, so an entry
+    line is ``{"event":"entry","index":N,`` followed by its row's compact
+    text less the opening ``{``.  A line that does not start so (a row
+    with a key sorting first) gives no text, and the report encode
+    spells that row itself.
+    """
+    texts = {}
+    for event, line in published:
+        head = b'{"event":"entry","index":%d,' % event.index
+        if line.startswith(head):
+            texts[id(event.entry)] = "{" + line[len(head):-1].decode()
+    return texts
 
 
 class ExplorationService:
@@ -395,17 +416,16 @@ class ExplorationService:
             else:
                 spaces = suite.spaces()
                 jobs = suite.jobs(spaces)
+                entries: list[SweepEntry] = []
                 started = time.perf_counter()
 
                 def _progress(index: int, report) -> None:
-                    publish(_EntryEvent(
-                        index, SweepEntry(jobs[index].point, report)))
+                    entries.append(SweepEntry(jobs[index].point, report))
+                    publish(_EntryEvent(index, entries[-1]))
 
-                reports = self._backend.run(jobs, progress=_progress,
-                                            deadline=deadline)
+                self._backend.run(jobs, progress=_progress, deadline=deadline)
                 sweep = SweepResult(
-                    entries=[SweepEntry(job.point, report)
-                             for job, report in zip(jobs, reports)],
+                    entries=entries,
                     wall_seconds=time.perf_counter() - started,
                     stats=self._backend.collect_stats(),
                 )
@@ -694,15 +714,24 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         client — stays aligned with the task's event log throughout.
         The leader encodes each event once and writes it as its own
         chunk; everyone else writes the stored lines they catch up on
-        (a replay: the whole log plus the report) as one chunk.
+        (a replay: the whole log plus the report) as one chunk.  The
+        leader's report line takes each row's text from the row's entry
+        line rather than spelling it again.
         """
         service = self.service
         cursor = 0
         while True:
             if role == "leader":
-                def _publish(event: dict) -> None:
+                # (entry event, its unstamped line) of this attempt, and
+                # the float spellings its lines share
+                published: list[tuple[_EntryEvent, bytes]] = []
+                floats: dict = {}
+
+                def _publish(event) -> None:
                     nonlocal cursor
-                    line = _encode(event)
+                    line = _encode(event, floats=floats)
+                    if type(event) is _EntryEvent:
+                        published.append((event, line))
                     if task.publish(line):
                         self._write_lines([line])
                         cursor += 1
@@ -718,7 +747,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     self._write_lines([_encode({"event": "error",
                                                 "message": str(exc)})])
                     return
-                line = _encode(result)
+                line = _encode(result, _row_texts(published), floats)
                 service.coalescer.complete(task, line)
                 self._write_lines([line])
                 return

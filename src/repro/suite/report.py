@@ -253,8 +253,24 @@ def _frame(value, rows: list, depth: int):
     return canonicalize(value)
 
 
-def _encode(payload, indent: bool) -> tuple[str, int]:
-    """The canonical text of ``payload`` and the number of rows in it."""
+def _memo(floats: dict | None) -> dict:
+    """A float -> text memo for :func:`_float_texts`: ``floats`` itself
+    when the caller keeps one, seeded with its zero."""
+    if floats is None:
+        return {0.0: "0.0"}
+    floats.setdefault(0.0, "0.0")
+    return floats
+
+
+def _encode(payload, indent: bool, spelled: dict | None = None,
+            floats: dict | None = None) -> tuple[str, int]:
+    """The canonical text of ``payload`` and the number of rows in it.
+
+    ``spelled`` (compact encodes only) maps ``id(row)`` to the text of a
+    row of ``payload`` spelled before, which is taken instead of spelling
+    the row again.  ``floats`` is a float -> text memo the payload's rows
+    share (a fresh one by default).
+    """
     rows: list = []
     frame = _frame(payload, rows, 0)
     text = _dumps(frame, 0 if indent else None)
@@ -264,10 +280,12 @@ def _encode(payload, indent: bool) -> tuple[str, int]:
     order = [int(i) for i in parts[1::2]]
     if sorted(order) != list(range(len(rows))):   # a frame string spells a marker
         return _dumps(canonicalize(payload), 0 if indent else None), len(rows)
-    memo = {0.0: "0.0"}   # float -> text, shared by the payload's rows
+    spelled = spelled or {}
+    memo = _memo(floats)
     for at, i in enumerate(order, 1):
         row, depth = rows[i]
-        parts[2 * at - 1] = _row_text(row, depth if indent else None, memo)
+        parts[2 * at - 1] = spelled.get(id(row)) or \
+            _row_text(row, depth if indent else None, memo)
     return "".join(parts), len(rows)
 
 
@@ -280,7 +298,8 @@ def canonical_json(payload) -> str:
     return _encode(payload, True)[0] + "\n"
 
 
-def canonical_json_line(payload) -> str:
+def canonical_json_line(payload, spelled: dict | None = None,
+                        floats: dict | None = None) -> str:
     """One canonical NDJSON line: same normalisation, no indentation.
 
     This is the streaming sibling of :func:`canonical_json` — the
@@ -288,8 +307,18 @@ def canonical_json_line(payload) -> str:
     the final report), and clients that concatenate the ``report`` event's
     payload back through :func:`canonical_json` recover the byte-identical
     file a batch run would have written.
+
+    An event that is itself a report row (an ``entry`` event) fills its
+    template directly.  Two arguments let the lines of one stream share
+    work: ``spelled`` maps ``id(row)`` to the compact text of rows of
+    ``payload`` already spelled (the service cuts them out of the entry
+    lines it streamed), and those rows are not spelled again; ``floats``
+    is a dict the encoder keeps float spellings in, so a float repeated
+    across the stream is spelled once.
     """
-    return _encode(payload, False)[0] + "\n"
+    if hasattr(payload, "row_leaves"):
+        return _row_text(payload, None, _memo(floats)) + "\n"
+    return _encode(payload, False, spelled, floats)[0] + "\n"
 
 
 @record

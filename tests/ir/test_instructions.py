@@ -137,6 +137,65 @@ class TestOffsetInstruction:
         assert off.resolved({"ND1": 5}) == -1
 
 
+class TestModuleResolveOffset:
+    """``Module.resolve_offset`` keeps each symbolic offset's value per
+    value of the module's constants."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        from repro.ir import instructions
+
+        calls = []
+        evaluate = instructions._eval_offset_expression
+
+        def counted(expr, constants):
+            calls.append(expr)
+            return evaluate(expr, constants)
+
+        monkeypatch.setattr(instructions, "_eval_offset_expression", counted)
+        return calls
+
+    @staticmethod
+    def module():
+        from repro.ir import Module
+
+        return Module(constants={"ND1": 24, "ND2": 24})
+
+    def test_a_symbolic_offset_is_evaluated_once(self, evaluations):
+        module = self.module()
+        assert [module.resolve_offset("-ND1*ND2") for _ in range(3)] == [-576] * 3
+        assert module.resolve_offset("ND1+1") == 25
+        assert module.resolve_offset(-3) == -3
+        assert evaluations == ["-ND1*ND2", "ND1+1"]
+
+    def test_a_change_to_the_constants_drops_the_kept_values(self, evaluations):
+        module = self.module()
+        assert module.resolve_offset("-ND1*ND2") == -576
+        module.set_constant("ND2", 10)
+        assert module.resolve_offset("-ND1*ND2") == -240
+        module.constants["ND1"] = 2          # mutated in place
+        assert module.resolve_offset("-ND1*ND2") == -20
+        module.constants = {"ND1": 3, "ND2": 3}   # replaced
+        assert module.resolve_offset("-ND1*ND2") == -9
+        assert module.resolve_offset("-ND1*ND2") == -9
+        assert len(evaluations) == 4
+
+    @pytest.mark.parametrize("expr", ["-FOO*2", "ND1;ND2", "__import__('os')"])
+    def test_a_bad_offset_raises_every_time(self, expr):
+        module = self.module()
+        assert module.resolve_offset("-ND1") == -24
+        for _ in range(2):
+            with pytest.raises(IRTypeError):
+                module.resolve_offset(expr)
+
+    def test_an_unknown_name_resolves_once_it_is_defined(self):
+        module = self.module()
+        with pytest.raises(IRTypeError):
+            module.resolve_offset("-FOO*2")
+        module.set_constant("FOO", 1)
+        assert module.resolve_offset("-FOO*2") == -2
+
+
 class TestComparePredicates:
     def test_predicate_accepted_on_icmp(self):
         instr = Instruction("c", UI18, "icmp",

@@ -30,7 +30,7 @@ from repro.service import (
 )
 from repro.service.server import TRACE_HEADER
 from repro.suite import SuiteConfig, WorkloadSuite
-from repro.suite.report import canonical_json, canonical_json_line
+from repro.suite.report import canonical_json, canonical_json_line, canonicalize
 from tests.conftest import FAST_POLL
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
@@ -658,3 +658,77 @@ class TestStoredBytes:
         unstamped = [encode({k: v for k, v in json.loads(line).items()
                              if k != "trace"}) for line in replay[1:]]
         assert unstamped == ndjson_lines(untraced)[1:]
+
+
+def reference_lines(spec: dict) -> list[bytes]:
+    """The entry and report lines of a ``/suite`` stream for ``spec``, each
+    the one stdlib dump of the fully expanded event (no row encoder)."""
+    run = WorkloadSuite(SuiteConfig.from_spec(
+        {k: v for k, v in spec.items() if k != "dense"})).run()
+    events = [{"event": "entry", "index": index, **entry.as_dict()}
+              for index, entry in enumerate(run.sweep.entries)]
+    events.append({"event": "report", "kind": "suite",
+                   "payload": run.report.payload, "evaluated": run.evaluated})
+    return [(json.dumps(canonicalize(event), sort_keys=True,
+                        separators=(",", ":")) + "\n").encode()
+            for event in events]
+
+
+class TestSharedRowTexts:
+    """The leader's report line takes its rows from its entry lines; every
+    client still gets the reference bytes, serial and dense."""
+
+    TRACE = TestStoredBytes.TRACE
+
+    def stamped(self, lines: list[bytes]) -> list[bytes]:
+        tail = b',"trace":' + json.dumps(self.TRACE).encode() + b"}\n"
+        return [line[:-2] + tail for line in lines]
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_leader_follower_replay_and_traced_lines(self, server, dense):
+        spec = {**TINY_SPEC, "dense": dense}
+        service = server.service
+        run_suite = service.run_suite
+        first_entry, release = threading.Event(), threading.Event()
+
+        def gated_run_suite(request, publish):
+            def gated(event):
+                publish(event)
+                first_entry.set()
+                release.wait(60)    # the leader holds after its first entry
+            return run_suite(request, gated)
+
+        service.run_suite = gated_run_suite
+        bodies: dict[str, list[bytes]] = {}
+
+        def post(name: str, headers=None) -> None:
+            status, chunks = raw_post(server.port, "/suite", spec, headers)
+            assert status == 200
+            bodies[name] = ndjson_lines(chunks)
+
+        # the leader sends a trace id: its stream is stamped, the stored
+        # lines its follower and replays get are not
+        leader = threading.Thread(target=post, args=(
+            "leader", {TRACE_HEADER: self.TRACE}))
+        leader.start()
+        try:
+            assert first_entry.wait(60)
+            follower = threading.Thread(target=post, args=("follower",))
+            follower.start()
+            while service.coalescer.info()["joined"] == 0:
+                assert follower.is_alive()
+                follower.join(0.005)
+        finally:
+            release.set()
+        leader.join(60)
+        follower.join(60)
+        post("replay")
+        post("traced replay", {TRACE_HEADER: self.TRACE})
+
+        expected = reference_lines(spec)
+        for name, stamp in (("leader", True), ("follower", False),
+                            ("replay", False), ("traced replay", True)):
+            meta, *lines = bodies[name]
+            assert json.loads(meta)["role"] == name.split()[-1]
+            assert lines == (self.stamped(expected) if stamp else expected), name
+        assert service.sweeps.get("started") == 1

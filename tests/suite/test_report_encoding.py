@@ -29,7 +29,7 @@ from repro.explore.engine import SweepEntry
 from repro.explore.space import DesignPoint
 from repro.models.memory_execution import MemoryExecutionForm
 from repro.models.streaming import PatternKind
-from repro.service.server import _EntryEvent
+from repro.service.server import _EntryEvent, _row_texts
 from repro.substrate import get_device
 from repro.substrate.synthesis import ResourceUsage
 from repro.suite import SuiteConfig, WorkloadSuite
@@ -143,6 +143,67 @@ def check_compact_events(entry, index):
     report_event = {"event": "report", "kind": "suite", "evaluated": 1,
                     "payload": suite_payload([entry])}
     assert canonical_json_line(report_event) == reference(report_event, False)
+
+
+def check_shared_report_line(entries: list, frame_text: str, floats) -> None:
+    """A ``report`` line that takes its rows' texts from the entry lines
+    before it (as the service's leader does) equals the reference dump,
+    and so does each entry line."""
+    published = []
+    for index, entry in enumerate(entries):
+        event = _EntryEvent(index, entry)
+        line = canonical_json_line(event, floats=floats)
+        assert line == reference(event.as_dict(), False)
+        published.append((event, line.encode()))
+    report_event = {"event": "report", "kind": "suite", "evaluated": len(entries),
+                    "payload": suite_payload(entries, frame_text)}
+    texts = _row_texts(published)
+    assert len(texts) == len(entries)    # no row is spelled again
+    line = canonical_json_line(report_event, texts, floats)
+    assert line == json.dumps(canonicalize(report_event), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+
+
+@quiet_numpy
+@settings(max_examples=fuzz_examples(50), deadline=None)
+@given(entries=st.lists(ENTRIES, max_size=4), frame_text=TEXT,
+       shared=st.booleans())
+def test_a_report_line_from_entry_line_texts_matches_the_reference(
+        entries, frame_text, shared):
+    check_shared_report_line(entries, frame_text, {} if shared else None)
+
+
+def _with_leaves(entry, total=None, **values):
+    """``entry`` with some of its float leaves replaced: time legs, and the
+    total resource usage (which the utilization leaves, last in the row,
+    are derived from)."""
+    report = entry.report
+    breakdown = replace(report.throughput.breakdown, **values)
+    report = replace(report, throughput=replace(report.throughput,
+                                                breakdown=breakdown))
+    if total is not None:
+        usage = ResourceUsage(alut=total, reg=total, bram_bits=total, dsp=total)
+        report = replace(report, resources=replace(report.resources, total=usage))
+    return replace(entry, report=report)
+
+
+@quiet_numpy
+@pytest.mark.parametrize("frame_text", ["sor", "\x00row0", 'x"\x00row1'])
+def test_a_shared_report_line_spells_every_float_as_the_reference(frame_text):
+    entry = tiny_report().kernels["sor"]["entries"][0]
+    entries = [
+        # the first row's last zeros are negative, the next rows' are not:
+        # a memo the lines share must not learn ``-0.0`` for zero
+        _with_leaves(entry, total=-0.0),
+        _with_leaves(entry, compute=-0.0, dram_streaming=0.0,
+                     host_transfer=float("nan"), offset_fill=float("inf")),
+        _with_leaves(entry, compute=float("-inf"), dram_streaming=2.0,
+                     host_transfer=1e16, offset_fill=np.float64(-0.0)),
+        _with_leaves(entry, compute=0.0, dram_streaming=-0.0,
+                     host_transfer=123456789.0, offset_fill=3.0, total=0.0),
+    ]
+    for floats in (None, {}):
+        check_shared_report_line(entries, frame_text, floats)
 
 
 def test_kernel_payload_and_full_report_match_the_reference():
