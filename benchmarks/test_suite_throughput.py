@@ -14,7 +14,7 @@ artifact:
 * **cold** — lane scaling on, persistent store empty: one full analysis
   per design family, every other lane count derived analytically.
 * **warm** — a cold in-process cache against the now-populated store:
-  what any new process (CI rerun, pool worker, next CLI call) pays.
+  what any new process (CI rerun, next CLI call) pays.
 
 All three scenarios must produce byte-identical canonical reports — that
 equality, together with the golden files, is what licenses the shortcut.

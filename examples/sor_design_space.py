@@ -17,8 +17,6 @@ from repro.explore import (
     CostJob,
     DesignSpace,
     ExplorationEngine,
-    ProcessPoolBackend,
-    SerialBackend,
     generate_lane_variants,
     roofline_analysis,
 )
@@ -33,8 +31,6 @@ def main() -> None:
     parser.add_argument("--grid", type=int, default=16, help="grid elements per dimension")
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--max-lanes", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="run the multi-axis sweep on N worker processes")
     args = parser.parse_args()
 
     kernel = SORKernel()
@@ -82,13 +78,7 @@ def main() -> None:
         clocks_mhz=(100.0, 150.0, 200.0),
         devices=(device,),
     )
-    backend = (
-        ProcessPoolBackend(max_workers=args.jobs)
-        if args.jobs and args.jobs > 1
-        else SerialBackend()
-    )
-    engine = ExplorationEngine(backend)
-    sweep = engine.explore(space)
+    sweep = ExplorationEngine().explore(space)
     print(f"\nmulti-axis sweep: {len(space)} points over axes {space.active_axes} "
           f"({sweep.variants_per_second:.1f} variants/s)")
     for entry in sweep.pareto_frontier():

@@ -37,7 +37,7 @@ Sub-packages
     through the ``@register_kernel`` decorator.
 ``repro.explore``
     Design-space exploration drivers built on the cost model: multi-axis
-    design spaces, the batched (serial / process-pool) exploration engine
+    design spaces, the batched (serial / dense) exploration engine
     and the exhaustive, guided and Pareto search strategies.
 ``repro.suite``
     The workload suite: batch costing of every registered kernel,

@@ -14,8 +14,10 @@ Sub-commands mirror the flows of the paper:
     Generate lane variants by type transformation, cost each one and print
     the Figure-15 style sweep table.  With ``--clocks``, ``--forms`` or
     ``--patterns`` the sweep becomes a multi-axis design-space exploration;
-    ``--jobs N`` fans the estimations out over N worker processes and
-    ``--pareto`` prints the throughput/utilisation Pareto frontier.
+    ``--dense`` evaluates it as broadcast numpy arrays and ``--pareto``
+    prints the throughput/utilisation Pareto frontier.  Costing runs in
+    one process: a variant costs tens of microseconds, less than handing
+    it to a worker.
 
 ``tybec calibrate --device stratix-v``
     Run the one-time per-device characterisation and print (or save) the
@@ -181,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--patterns", nargs="+", default=None,
                          choices=_PATTERN_CHOICES, metavar="PATTERN",
                          help="access-pattern axis: %(choices)s")
-    explore.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                         help="cost variants on N worker processes")
     explore.add_argument("--dense", action="store_true",
                          help="evaluate the whole space as broadcast numpy "
                               "arrays (single-process; reports materialized "
@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite_sub = suite.add_subparsers(dest="suite_command", required=True)
 
     def _add_suite_sweep_args(parser: argparse.ArgumentParser) -> None:
-        """The sweep-grid arguments shared by ``suite run`` and ``suite
-        validate`` (one grid definition, two consumers)."""
+        """The sweep-grid arguments shared by every ``suite`` command
+        and ``client suite`` (one grid definition, many consumers)."""
         parser.add_argument("--kernels", nargs="+", default=None,
                             metavar="KERNEL",
                             help="kernels to cost (default: every registered kernel)")
@@ -316,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--tiny", action="store_true",
                             help="smoke-test grids (each dimension capped at 8, "
                                  "10 iterations) — the golden configuration")
-        parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                            help="cost the batch on N worker processes")
         parser.add_argument("--dense", action="store_true",
                             help="evaluate each kernel's grid as broadcast "
                                  "numpy arrays (single-process; reports are "
@@ -326,6 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the canonical JSON report to a file")
         parser.add_argument("--json", action="store_true",
                             help="print the canonical JSON report to stdout")
+
+    def _add_stage_jobs_arg(parser: argparse.ArgumentParser, stage: str) -> None:
+        parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
+                            help=f"{stage} on N worker processes (the costing "
+                                 "itself stays in this process)")
 
     suite_run = suite_sub.add_parser(
         "run", help="cost the suite and emit a canonical JSON report")
@@ -342,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "validation report.",
     )
     _add_suite_sweep_args(suite_validate)
+    _add_stage_jobs_arg(suite_validate, "validate the costed points")
     suite_validate.add_argument("--tolerance", type=float, default=None,
                                 metavar="REL",
                                 help="relative tolerance on the device-side "
@@ -372,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulator.",
     )
     _add_suite_sweep_args(suite_flow)
+    _add_stage_jobs_arg(suite_flow, "RTL-verify the design families")
     suite_flow.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                             help="stimulus seed (default: testbench default)")
     suite_flow.add_argument("--max-items", type=int, default=None,
@@ -608,32 +613,12 @@ def _cmd_emit(args) -> int:
     return 0
 
 
-def _explore_backend(args, optimizer: str | None = None):
-    """The evaluation backend the CLI flags imply (None = caller default).
-
-    ``--dense --jobs N`` composes only under the surrogate optimizer,
-    where the two backends run different stages: the dense broadcast pass
-    prunes the space and the process pool costs the survivors.  Every
-    other path evaluates each point exactly once, so the flags name two
-    mutually exclusive ways of doing the same work.
-    """
-    from repro.explore.engine import ProcessPoolBackend
-
+def _explore_backend(args):
+    """The evaluation backend the CLI flags imply (None = caller default)."""
     if getattr(args, "dense", False):
-        if args.jobs and args.jobs > 1:
-            if optimizer == "surrogate":
-                return ProcessPoolBackend(max_workers=args.jobs)
-            raise ValueError(
-                "--dense is single-process by design (one broadcast pass, no "
-                "per-point fan-out); it cannot be combined with --jobs. "
-                "To prune densely and cost the survivors on worker "
-                "processes, use --optimizer surrogate"
-            )
         from repro.explore.dense import DenseBackend
 
         return DenseBackend()
-    if args.jobs and args.jobs > 1:
-        return ProcessPoolBackend(max_workers=args.jobs)
     return None
 
 
@@ -793,7 +778,7 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
     try:
         params = resolve_dse_params(args.optimizer, _dse_params(args))
         config = _explore_config(args, kernel, grid, forms)
-        backend = _explore_backend(args, optimizer=args.optimizer)
+        backend = _explore_backend(args)
         optimizer, = dse_optimizers(config, args.optimizer, params).values()
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -1169,7 +1154,7 @@ def _cmd_suite_dse(args) -> int:
 
     try:
         config = _suite_config_from_args(args)
-        backend = _explore_backend(args, optimizer=args.optimizer)
+        backend = _explore_backend(args)
         run = run_dse(config, args.optimizer, backend=backend,
                       params=_dse_params(args))
     except (KeyError, ValueError) as exc:
@@ -1501,10 +1486,6 @@ def _cmd_client_cost(args) -> int:
 def _cmd_client_suite(args) -> int:
     from repro.suite.report import canonical_json
 
-    if args.jobs:
-        print("--jobs is a batch-mode flag; the service owns its own "
-              "concurrency (see tybec serve --max-concurrency)", file=sys.stderr)
-        return 2
     config = _suite_config_from_args(args)
     spec = config.as_dict()
     spec["dense"] = bool(args.dense)

@@ -47,12 +47,12 @@ The expensive one-time per-device inputs (synthetic-synthesis
 characterisation, DRAM/host sustained-bandwidth fits) are shared across
 *all* pipelines in the process through a module-level calibration cache
 — and, underneath it, through the persistent warm-start store of
-:mod:`repro.cost.cache`, so a *new* process (a pool worker, the next CLI
-invocation, a CI rerun) inherits calibration and family analyses from
-disk instead of recomputing them.  Every stage keeps hit/miss counters
-and wall-time accumulators (the pipeline's ``cache_requests`` and
-``stage_seconds`` metric families) so sweeps can report where their
-time actually went.
+:mod:`repro.cost.cache`, so a *new* process (a stage-pool worker, the
+next CLI invocation, a CI rerun) inherits calibration and family
+analyses from disk instead of recomputing them.  Every stage keeps
+hit/miss counters and wall-time accumulators (the pipeline's
+``cache_requests`` and ``stage_seconds`` metric families) so sweeps can
+report where their time actually went.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ __all__ = [
     "STAGE_SECONDS",
     "EstimationPipeline",
     "module_content_key",
-    "adopt_shared_calibration",
     "clear_calibration_cache",
     "pipeline_cache_info",
 ]
@@ -148,9 +147,8 @@ class CompilationOptions:
     models) are built automatically from the substrate the first time they
     are needed and cached — mirroring the one-time per-device calibration
     of Figure 2 — but can be injected explicitly (e.g. the paper's own
-    Figure-10 table).  Instances are pickle-safe, so an option set can be
-    shipped to :mod:`concurrent.futures` worker processes together with the
-    design variants to cost.
+    Figure-10 table).  Instances are pickle-safe, so an option set can
+    travel to the validation and flow stages' worker processes.
 
     ``lane_scaling`` selects whether the analytic lane-scaling law may
     derive family members from one canonical analysis (the default) or
@@ -333,31 +331,6 @@ def pipeline_cache_info() -> list[dict]:
     )
 
 
-def adopt_shared_calibration(options: CompilationOptions) -> None:
-    """Seed this process's calibration caches from pre-resolved options.
-
-    A pool parent resolves calibration once and ships it inside the
-    pickled options; without adoption the worker would treat those models
-    as caller-injected (they are not in its own caches), disabling the
-    shared resource/family caches.  Only call this for options whose
-    models came from the shared default calibration — the caller (the
-    pool backend) tracks that bit.  ``setdefault`` keeps the first winner
-    so concurrent batches converge on one object identity per device.
-    """
-    device = options.device
-    with _CALIBRATION_LOCK:
-        if options.cost_db is not None:
-            key = (device, options.synthesis_noise)
-            _COSTDB_CACHE.setdefault(key, options.cost_db)
-            options.cost_db = _COSTDB_CACHE[key]
-        if options.dram_bandwidth is not None:
-            _DRAM_CACHE.setdefault(device, options.dram_bandwidth)
-            options.dram_bandwidth = _DRAM_CACHE[device]
-        if options.host_bandwidth is not None:
-            _HOST_CACHE.setdefault(device, options.host_bandwidth)
-            options.host_bandwidth = _HOST_CACHE[device]
-
-
 def _shared_memory_simulator(device: FPGADevice) -> MemorySystemSimulator:
     with _CALIBRATION_LOCK:
         sim = _MEMSIM_CACHE.get(device)
@@ -372,9 +345,8 @@ class CalibrationStage:
     Injected models (``options.cost_db`` etc.) win; everything else comes
     from the process-wide cache, warm-started from the persistent store
     and calibrated from scratch only when both layers miss.  Resolved
-    models are written back into the options — preserving the original
-    driver's lazy-fill behaviour, and making a later pickle of the options
-    carry the calibration to worker processes for free.
+    models are written back into the options, preserving the original
+    driver's lazy-fill behaviour.
     """
 
     def _resolve(self, memory_cache: dict, memory_key, disk_token, kind: type,

@@ -16,8 +16,8 @@ already knows.  Two kinds of cache back that up:
     artifacts: per-device calibration (cost database + bandwidth fits) and
     per-family structural analyses.  Entries are pickled under
     ``<root>/v<N>/<namespace>/<sha256>.pkl`` and written with
-    write-to-temp + atomic rename, so concurrent writers (e.g. a process
-    pool whose workers all miss the same key at once) can never expose a
+    write-to-temp + atomic rename, so concurrent writers (e.g. stage-pool
+    workers that all miss the same key at once) can never expose a
     torn file; the loser of the race simply overwrites with identical
     content.  An entry carries its token and a SHA-256 of its pickled
     value; reads treat any undecodable, mismatched, damaged, digest-less

@@ -4,14 +4,15 @@ This package implements the use-case the paper motivates: generate many
 design variants by type transformations, cost each one in a fraction of a
 second, and select the best feasible design — the guided optimisation
 search of §II, and the variant sweep of Figure 15 — generalised to
-multi-axis design spaces evaluated in parallel.
+multi-axis design spaces.
 
 ``space``
     Multi-axis design spaces (lanes x clock x memory-execution form x
     device x access pattern) and their lowering into cost jobs.
 ``engine``
-    The batched exploration engine: serial and process-pool evaluation
-    backends, ``cost_many`` and sweep results with Pareto selection.
+    The batched exploration engine: the serial evaluation backend,
+    ``cost_many`` and sweep results with Pareto selection (the dense
+    backend lives in ``dense``).
 ``optimizer``
     Incremental exploration: the ``Optimizer`` protocol
     (``next_batch``/``process_outcome``), the exhaustive, fmax
@@ -39,7 +40,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "clock_range", "iter_jobs", "linspace_clocks",
     ),
     "repro.explore.engine": (
-        "ExplorationEngine", "ProcessPoolBackend", "SerialBackend",
+        "ExplorationEngine", "SerialBackend",
         "SweepEntry", "SweepResult", "canonical_report_dict", "stats_view",
         "pareto_frontier",
     ),
@@ -84,7 +85,6 @@ __all__ = [
     "SuccessiveHalvingOptimizer",
     "SurrogatePrunedOptimizer",
     "ExplorationEngine",
-    "ProcessPoolBackend",
     "SerialBackend",
     "SweepEntry",
     "SweepResult",

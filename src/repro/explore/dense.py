@@ -238,7 +238,7 @@ class DenseBackend:
     """Evaluate whole design spaces as broadcast numpy grids.
 
     Plugs into :class:`~repro.explore.engine.ExplorationEngine` beside
-    the serial and process-pool backends.  ``explore_space`` is the dense
+    the serial backend.  ``explore_space`` is the dense
     entry point; ``run`` falls back to an internal serial backend so the
     engine can still hand this backend arbitrary per-point job batches
     (e.g. after a :class:`DenseUnsupportedError`).

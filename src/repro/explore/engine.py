@@ -1,4 +1,4 @@
-"""The multi-axis exploration engine: batched, parallel variant costing.
+"""The multi-axis exploration engine: batched variant costing.
 
 The cost model's speed is the paper's whole point — ~0.3 s per variant
 against ~70 s for an HLS estimate — and this engine turns that speed into
@@ -9,21 +9,15 @@ scale: a :class:`DesignSpace` of thousands of points is lowered into
     In-process evaluation; one memoizing
     :class:`~repro.compiler.pipeline.EstimationPipeline` per estimation
     session (option set), shared across all points of that session.
-``ProcessPoolBackend``
-    ``concurrent.futures.ProcessPoolExecutor`` fan-out.  Jobs are grouped
-    by estimation session, split into per-worker batches and shipped as
-    pickled (options, jobs) payloads; every stage of the pipeline is
-    deterministic (the synthetic synthesiser derives its "tool noise" from
-    sha256, not from salted ``hash()``), so the reports are identical to
-    the serial backend's, byte for byte, modulo wall-clock timing.
+``DenseBackend`` (:mod:`repro.explore.dense`)
+    One broadcast numpy pass over a lane-separable space; its reports
+    are byte-identical to the serial backend's.
 
-Both backends are fault tolerant.  The pool backend survives worker
-death (``BrokenProcessPool``): completed batches keep their results,
-failed batches are requeued to a respawned pool under the backend's
-:class:`~repro.resilience.RetryPolicy`, and — because every batch is a
-deterministic function of its payload — the final report is
-byte-identical to a fault-free run.  The serial backend retries
-transient per-job failures in place.  Both honour an optional
+A point costs tens of microseconds, so worker processes cost more to
+start and feed than they save on any grid this repo runs; there is no
+process-pool backend.  The serial backend retries transient per-job
+failures in place, so a fault-injected run reports the same bytes as a
+clean one, and it honours an optional
 :class:`~repro.resilience.Deadline` between design points.
 
 Results come back as a :class:`SweepResult`: reports in deterministic
@@ -33,7 +27,6 @@ sweep order plus the selection helpers exploration strategies build on
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Callable, Iterable, Sequence
@@ -42,37 +35,22 @@ from repro import field, record
 from repro.compiler.pipeline import (
     CACHE_REQUESTS,
     STAGE_SECONDS,
-    CompilationOptions,
     EstimationPipeline,
-    adopt_shared_calibration,
 )
-from repro.cost.cache import env_int
 from repro.cost.report import CostReport
 from repro.explore.space import CostJob, DesignPoint, DesignSpace, _form_value
-from repro.obs.trace import (
-    Tracer,
-    current_tracer,
-    install_tracer,
-    span as trace_span,
-    uninstall_tracer,
-    worker_trace_context,
-)
+from repro.obs.trace import span as trace_span
 from repro.resilience import (
     COUNTERS,
     Deadline,
     MetricFamily,
-    RetryBudgetExceededError,
     RetryPolicy,
     current_fault_plan,
-    is_transient,
-    maybe_fail,
-    register_transient,
     sum_families,
 )
 
 __all__ = [
     "SerialBackend",
-    "ProcessPoolBackend",
     "ExplorationEngine",
     "SweepEntry",
     "SweepResult",
@@ -91,11 +69,10 @@ DENSE_POINTS = "tybec_dense_points_total"
 def stats_view(families: Iterable[MetricFamily]) -> dict:
     """The nested stats shape of ``SweepResult.stats`` and ``/metrics``.
 
-    Sums same-named families (every session pipeline, every pool
-    worker's shipped families) and lays the totals out the way stats
-    leave the process: ``[hits, misses]`` per cache layer,
-    ``family_fallbacks``, ``stage_seconds`` and, when a dense backend
-    contributed, a ``dense`` block.
+    Sums same-named families (one per session pipeline) and lays the
+    totals out the way stats leave the process: ``[hits, misses]`` per
+    cache layer, ``family_fallbacks``, ``stage_seconds`` and, when a
+    dense backend contributed, a ``dense`` block.
     """
     totals = {name: f.snapshot() for name, f in sum_families(families).items()}
 
@@ -241,208 +218,6 @@ class SerialBackend:
         exploration loop wants to watch.
         """
         return stats_view(self.families())
-
-
-def _evaluate_batch(payload) -> tuple[list[tuple[int, CostReport]],
-                                      tuple[MetricFamily, ...], list | None]:
-    """Worker entry point: cost one batch of same-session jobs.
-
-    Each batch gets a fresh pipeline (the batch *is* the session on this
-    side of the pickle boundary, and sharing pipelines across batches
-    could mix up differently-injected calibration models); the expensive
-    per-device calibration artifacts arrive pre-resolved inside the
-    pickled options (see :meth:`ProcessPoolBackend._payloads`), are
-    shared process-wide, and warm-start from the persistent store
-    otherwise.  The worker ships its pipeline's counter families back
-    alongside the reports so the parent can sum a sweep-wide picture —
-    and, when the parent is tracing, its spans (workers never touch the
-    trace file).
-    """
-    options, batch, shared_default, *rest = payload
-    epoch = rest[0] if rest else 0
-    trace_ctx = rest[1] if len(rest) > 1 else None
-    # the fault-injection site for "this worker invocation dies": salted
-    # with the requeue epoch so a respawned pool (whose fresh processes
-    # restart the plan's call counters) draws a *different* schedule and
-    # the retry loop converges instead of crashing identically forever
-    maybe_fail("worker", salt=epoch)
-    if shared_default:
-        # the shipped models came from the shared default calibration:
-        # seed this worker's process-wide caches so they are recognised
-        # as shared (enabling the cross-session resource/family caches)
-        adopt_shared_calibration(options)
-    worker_tracer = None
-    if trace_ctx is not None:
-        # collect-only tracer rooted under the parent's pool-batch span
-        worker_tracer = install_tracer(
-            Tracer(trace_id=trace_ctx[0], collect=True, root_parent=trace_ctx[1])
-        )
-    try:
-        pipeline = EstimationPipeline(options)
-        results = []
-        with trace_span("worker.batch", points=len(batch), epoch=epoch):
-            for index, module, workload, pattern in batch:
-                results.append((index, pipeline.cost(module, workload, pattern)))
-    finally:
-        if worker_tracer is not None:
-            uninstall_tracer()
-    spans = worker_tracer.drain() if worker_tracer is not None else None
-    return results, pipeline.families, spans
-
-
-class ProcessPoolBackend:
-    """Evaluate jobs on a :class:`ProcessPoolExecutor`.
-
-    Jobs are grouped by estimation session and each group's options are
-    calibrated *in the parent* before pickling — the resolved cost
-    database and bandwidth models travel inside the payload, so workers
-    never re-run device calibration the parent (or any earlier sweep in
-    the process) already paid for.  Groups are split into
-    ``batches_per_worker`` chunks to keep all workers busy; report order
-    matches the input job order exactly.
-
-    Worker death does not abort the sweep.  When a batch fails
-    transiently — the pool broke under it, or a worker raised an
-    injected/transient fault — its results are discarded, every batch
-    that *did* complete keeps its reports, and the failed batches are
-    requeued (to a freshly spawned pool if the old one broke) until they
-    complete or ``retry_policy`` runs out of attempts.  Each batch is a
-    deterministic function of its payload, so a report computed on the
-    third attempt is byte-identical to one computed on the first.
-    """
-
-    def __init__(self, max_workers: int | None = None, batches_per_worker: int = 2,
-                 retry_policy: RetryPolicy | None = None):
-        from concurrent.futures.process import BrokenProcessPool
-
-        # a dead pool is the canonical transient failure: the work is
-        # fine, the substrate died under it
-        register_transient(BrokenProcessPool)
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.batches_per_worker = max(1, batches_per_worker)
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=env_int("TYBEC_POOL_ATTEMPTS", 8),
-            base_delay=0.02, max_delay=0.5)
-        self._last_stats: dict = {}
-
-    def _payloads(self, jobs: Sequence[CostJob]) -> list[tuple]:
-        groups: dict[tuple, tuple[CompilationOptions, list]] = {}
-        for index, job in enumerate(jobs):
-            key = _session_group_key(job)
-            if key not in groups:
-                groups[key] = (job.resolved_options(), [])
-            groups[key][1].append((index, job.module, job.workload, job.point.pattern))
-
-        payloads = []
-        target_batches = self.max_workers * self.batches_per_worker
-        for options, entries in groups.values():
-            # resolve the one-time per-device artifacts here, once, so the
-            # pickled options carry them to every worker (the workers'
-            # cold-start calibration cost used to multiply per process)
-            shared_default = EstimationPipeline(options).calibrate().shared_cost_db
-            batches = min(len(entries), max(1, target_batches // len(groups)))
-            size = (len(entries) + batches - 1) // batches
-            for start in range(0, len(entries), size):
-                payloads.append((options, entries[start : start + size],
-                                 shared_default))
-        return payloads
-
-    def run(self, jobs: Sequence[CostJob],
-            deadline: Deadline | None = None) -> list[CostReport]:
-        if not jobs:
-            self._last_stats = {}
-            return []
-        with trace_span("backend.pool.batch", jobs=len(jobs),
-                        workers=self.max_workers) as pool_span:
-            return self._run(jobs, deadline, pool_span)
-
-    def _run(self, jobs: Sequence[CostJob], deadline: Deadline | None,
-             pool_span) -> list[CostReport]:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        trace_ctx = worker_trace_context(pool_span)
-        payloads = self._payloads(jobs)
-        reports: list[CostReport | None] = [None] * len(jobs)
-        worker_families: list[MetricFamily] = []
-        resilience = {"attempts": 0, "requeued_batches": 0, "pool_respawns": 0}
-
-        pending = list(range(len(payloads)))
-        policy = self.retry_policy
-        last_error: BaseException | None = None
-        for epoch in policy.attempts():
-            resilience["attempts"] = epoch + 1
-            if epoch > 0:
-                resilience["pool_respawns"] += 1
-                COUNTERS.bump("pool.respawns")
-            failed: list[int] = []
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
-            try:
-                futures = {
-                    executor.submit(
-                        _evaluate_batch, (*payloads[i], epoch, trace_ctx)
-                    ): i
-                    for i in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    if deadline is not None and deadline.expired:
-                        deadline.check("pool sweep")
-                    done, remaining = wait(
-                        remaining, timeout=None if deadline is None
-                        else max(0.05, min(1.0, deadline.remaining())),
-                        return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures[future]
-                        try:
-                            batch_results, families, spans = future.result()
-                        except BaseException as exc:  # noqa: BLE001
-                            if not is_transient(exc):
-                                raise
-                            # the batch is lost but its work is not: the
-                            # payload is requeued verbatim (plus a new
-                            # epoch salt) and recomputes deterministically
-                            failed.append(index)
-                            last_error = exc
-                            continue
-                        if spans:
-                            # worker spans ride home beside the counts;
-                            # re-emit them into the parent's trace
-                            tracer = current_tracer()
-                            if tracer is not None:
-                                tracer.emit_foreign(spans)
-                        worker_families.extend(families)
-                        for job_index, report in batch_results:
-                            reports[job_index] = report
-            finally:
-                # a broken pool cannot be reused; tearing it down is what
-                # lets the next epoch spawn a healthy one
-                executor.shutdown(wait=False, cancel_futures=True)
-            if not failed:
-                pending = []
-                break
-            COUNTERS.bump("pool.requeued_batches", len(failed))
-            resilience["requeued_batches"] += len(failed)
-            pending = sorted(failed)
-            if epoch == policy.max_attempts - 1:
-                break
-            pause = policy.delay(epoch, key="pool")
-            if deadline is not None:
-                deadline.check("pool sweep")
-                pause = min(pause, deadline.remaining())
-            if pause > 0:
-                time.sleep(pause)
-        if pending:
-            assert last_error is not None
-            raise RetryBudgetExceededError(
-                f"pool sweep ({len(pending)} batch(es) of {len(payloads)})",
-                policy.max_attempts, last_error) from last_error
-        self._last_stats = stats_view(worker_families)
-        self._last_stats["resilience"] = resilience
-        return reports  # type: ignore[return-value]
-
-    def collect_stats(self) -> dict:
-        """Aggregated worker statistics of the most recent :meth:`run`."""
-        return dict(self._last_stats)
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +418,7 @@ class ExplorationEngine:
     stay byte-identical to the pre-loop eager engine.
     """
 
-    def __init__(self, backend: SerialBackend | ProcessPoolBackend | None = None):
+    def __init__(self, backend: SerialBackend | None = None):
         self.backend = backend or SerialBackend()
 
     def run_optimizer(self, optimizer, *, deadline: Deadline | None = None,
@@ -653,8 +428,7 @@ class ExplorationEngine:
 
         One loop round = one ``next_batch()`` proposed, costed, fed back.
         ``deadline`` bounds the whole loop (checked between rounds, and
-        propagated into the backend, which checks it between points or
-        batch completions).  ``retry_policy`` optionally wraps each batch
+        propagated into the backend, which checks it between points).  ``retry_policy`` optionally wraps each batch
         dispatch — a loop-level budget *on top of* the backends' own
         per-batch recovery, so the default is a single attempt.
         ``on_round(round, entries)`` fires after every round, which is
@@ -698,7 +472,7 @@ class ExplorationEngine:
 
         One exhaustive-optimizer round through :meth:`run_optimizer`:
         ``deadline`` propagates into the backend, which checks it between
-        design points (serial) or batch completions (pool).
+        design points.
         """
         from repro.explore.optimizer import ExhaustiveOptimizer
 

@@ -5,7 +5,7 @@ the full point list existed up front and was consumed in a single pass.
 This module inverts that control flow around the :class:`Optimizer`
 protocol (the shape of xeda's ``FmaxOptimizer`` DSE loop): an optimizer
 *proposes* a batch of design points, the engine costs the batch through
-whichever backend it carries (serial / process pool / dense), and the
+whichever backend it carries (serial or dense), and the
 outcomes *feed back* into the optimizer, which decides what to ask for
 next.
 
@@ -478,8 +478,7 @@ class FmaxBinarySearchOptimizer(OptimizerBase):
     geometrically while feasible (or descend while infeasible), then
     refine the ``(feasible, infeasible)`` bracket with interior probes
     until it closes below ``resolution``.  Batches interleave candidates
-    from every unfinished family, so a pool backend fills its workers
-    across families instead of waiting on one search at a time.
+    from every unfinished family, so one round advances every search.
 
     The returned ``fmax_mhz`` is the highest clock *costed feasible*;
     ``fmax_mhz + resolution`` is at or beyond the infeasible bracket edge

@@ -1,15 +1,15 @@
 """Suite-scale RTL flows: the whole kernel grid, one canonical report.
 
 :func:`run_flow_suite` batches a :class:`~repro.suite.runner.SuiteConfig`
-grid through the PR-1 exploration engine (serial or process pool — the
-costed sweep anchors the grid and warms the family caches), reduces the
-kernel x device x form x lane points to their unique *RTL families*
-(kernel, lanes, grid — the coordinates that change the generated HDL or
-the stream it processes), runs the pure-Python :class:`RTLSimFlow` on
-every family (optionally over a worker pool) and folds everything into a
-canonical, version-stamped ``repro-flow-report/1`` with the same
-determinism guarantees as the suite and validation reports: sorted keys,
-no wall-clock fields, integers everywhere.
+grid through the exploration engine (the costed sweep anchors the grid
+and warms the family caches), reduces the kernel x device x form x lane
+points to their unique *RTL families* (kernel, lanes, grid — the
+coordinates that change the generated HDL or the stream it processes),
+runs the pure-Python :class:`RTLSimFlow` on every family (optionally on
+worker processes) and folds everything into a canonical, version-stamped
+``repro-flow-report/1`` with the same determinism guarantees as the
+suite and validation reports: sorted keys, no wall-clock fields,
+integers everywhere.
 
 The per-kernel goldens live in ``tests/golden/flows`` and are recorded /
 checked exactly like the PR-2 suite goldens (``tybec suite record-golden
@@ -18,8 +18,6 @@ checked exactly like the PR-2 suite goldens (``tybec suite record-golden
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import record
@@ -35,7 +33,7 @@ from repro.suite.golden import (
     write_kernel_goldens,
 )
 from repro.suite.report import FLOW_SCHEMA, SuiteReport
-from repro.suite.runner import SuiteConfig, WorkloadSuite
+from repro.suite.runner import SuiteConfig, WorkloadSuite, stage_map
 
 __all__ = [
     "FLOW_SCHEMA",
@@ -201,12 +199,7 @@ def run_flow_suite(
         all_families.extend(families)
 
     started = time.perf_counter()
-    if jobs and jobs > 1 and len(all_families) > 1:
-        workers = min(jobs, os.cpu_count() or 1, len(all_families))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_family_payload, all_families))
-    else:
-        results = [_family_payload(family) for family in all_families]
+    results = stage_map(_family_payload, all_families, jobs)
     flow_seconds = time.perf_counter() - started
     by_family = dict(zip(all_families, (payload for payload, _ in results)))
     stage_seconds: dict[str, float] = {}

@@ -34,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "activate_from_env", "current_trace_id", "current_tracer",
         "format_trace_summary", "install_tracer", "load_trace", "new_trace_id",
         "span", "summarize_trace", "uninstall_tracer", "validate_trace",
-        "worker_trace_context",
     ),
 })
 
@@ -59,5 +58,4 @@ __all__ = [
     "summarize_trace",
     "uninstall_tracer",
     "validate_trace",
-    "worker_trace_context",
 ]

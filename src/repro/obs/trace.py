@@ -2,7 +2,7 @@
 
 A trace is a tree of *spans*.  Every span carries a trace id, its own span
 id, an optional parent span id, a dotted *site* name (``pipeline.parse``,
-``backend.pool.batch``, ``service.request`` ...), free-form attributes, a
+``backend.serial.batch``, ``service.request`` ...), free-form attributes, a
 monotonic start stamp, and a duration.  Spans are emitted on exit as
 ``repro-trace/1`` NDJSON lines: the first line of a trace file is a header
 record carrying the schema and the default trace id; each following line
@@ -14,11 +14,10 @@ module-level :func:`span` helper becomes live.  When no tracer is
 installed, :func:`span` returns a shared null context whose cost is a
 single global read, so instrumented hot paths stay effectively free.
 
-Pool workers never write the trace file.  They run a *collecting* tracer
-seeded from a ``(trace_id, parent_span_id)`` context shipped inside the
-job payload, and their serialized spans ride back to the parent alongside
-the worker cache stats (the same channel PR-3 built), where the parent
-tracer re-emits them verbatim.
+A *collecting* tracer (``collect=True``) buffers its span records in
+memory for :meth:`Tracer.drain` instead of writing a file; with
+``root_parent`` its root spans hang off a span id owned elsewhere (a
+benchmark harness's own span tree, say).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import threading
 import time
 import uuid
 from contextvars import ContextVar
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 TRACE_SCHEMA = "repro-trace/1"
 TRACE_ENV = "TYBEC_TRACE"
@@ -54,7 +53,7 @@ def new_trace_id() -> str:
 
 
 def _new_span_id() -> str:
-    # pid prefix keeps ids unique across pool workers; the counter `next`
+    # pid prefix keeps ids unique across processes; the counter `next`
     # is atomic under the GIL.
     return f"{os.getpid():x}-{next(_IDS):x}"
 
@@ -157,10 +156,9 @@ class Tracer:
     """Span factory plus sink (NDJSON file, in-memory collection, or both).
 
     ``path`` opens (truncates) an NDJSON file and writes the header line.
-    ``collect=True`` (the pool-worker mode) buffers span records in memory
-    for :meth:`drain`.  ``root_parent`` re-parents this tracer's root
-    spans under a span owned by another process — used by workers so their
-    span trees hang off the pool's batch span.
+    ``collect=True`` buffers span records in memory for :meth:`drain`.
+    ``root_parent`` re-parents this tracer's root spans under a span id
+    owned by someone else, so a collected tree hangs off the caller's.
     """
 
     def __init__(
@@ -207,16 +205,6 @@ class Tracer:
                 self._collected.append(record)
             if self._fh is not None:
                 self._pending.append(record)
-
-    def emit_foreign(self, records: Iterable[dict[str, Any]]) -> int:
-        """Re-emit serialized spans from another process (pool workers)."""
-        count = 0
-        for record in records:
-            if not isinstance(record, dict) or "span" not in record:
-                continue
-            self.emit(record)
-            count += 1
-        return count
 
     def drain(self) -> list[dict[str, Any]]:
         with self._lock:
@@ -279,9 +267,7 @@ def uninstall_tracer() -> Tracer | None:
 def activate_from_env(environ: dict[str, str] | None = None) -> Tracer | None:
     """Install a file-writing tracer if ``TYBEC_TRACE`` names a path.
 
-    Idempotent: an already-installed tracer wins.  Worker processes must
-    NOT call this — they inherit the env var but would race on the file;
-    they get a collecting tracer via :func:`worker_trace_context` instead.
+    Idempotent: an already-installed tracer wins.
     """
     if _ACTIVE is not None:
         return _ACTIVE
@@ -298,13 +284,6 @@ def span(site: str, _trace_id: str | None = None, **attrs: Any) -> Any:
     if tracer is None:
         return NULL_SPAN
     return tracer.span(site, attrs, trace_id=_trace_id)
-
-
-def worker_trace_context(parent: Span | None) -> tuple[str, str] | None:
-    """Picklable ``(trace_id, parent_span_id)`` to ship into pool workers."""
-    if parent is None:
-        return None
-    return (parent.trace_id, parent.span_id)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Retry policies with deterministic backoff, deadlines propagated through
 the hot paths, and a seeded fault-injection harness — the substrate the
-engine, flows, cache and service lean on to survive worker death, hung
-tools and dying leaders without ever changing a report byte.
+engine, flows, cache and service lean on to survive transient failures,
+hung tools and dying leaders without ever changing a report byte.
 """
 
 from repro._lazy import lazy_exports
@@ -16,7 +16,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.resilience.policy": (
         "COUNTERS", "Deadline", "DeadlineExceededError", "MetricFamily",
         "PermanentError", "RetryBudgetExceededError", "RetryPolicy",
-        "TransientError", "is_transient", "register_transient", "seeded_unit",
+        "TransientError", "is_transient", "seeded_unit",
         "sum_families",
     ),
 })
@@ -37,7 +37,6 @@ __all__ = [
     "current_fault_plan",
     "is_transient",
     "maybe_fail",
-    "register_transient",
     "seeded_unit",
     "sum_families",
 ]

@@ -4,7 +4,7 @@ Chaos testing a deterministic system needs deterministic chaos: a
 :class:`FaultPlan` decides, from a seed and a per-site call counter,
 exactly which invocations fail — the same plan produces the same fault
 schedule in every run, so a test asserting "the report survives 20%
-worker death byte-identically" is reproducible, not probabilistic.
+failed costing calls byte-identically" is reproducible, not probabilistic.
 
 Instrumented sites call :func:`maybe_fail` with their site name; the
 call is a no-op (one dict lookup) unless a plan is active.  The known
@@ -16,10 +16,8 @@ sites:
     between temp-write and atomic rename (the ``.tmp`` orphan the
     eviction sweep must clean up).
 ``worker``
-    One engine batch evaluation — in a pool worker process (where mode
-    ``crash`` kills the whole worker via ``os._exit``, the real
-    ``BrokenProcessPool`` shape) or in the serial backend (mode
-    ``raise``).
+    One design point's costing in the serial backend; the backend's
+    retry policy re-costs the point, so the report never changes.
 ``tool``
     One external-tool subprocess invocation (:func:`repro.flows.tools.run_tool`).
 ``service.handler``
@@ -28,11 +26,11 @@ sites:
 
 Activation is either lexical (``with plan.active():``) or ambient via
 ``TYBEC_FAULT_PLAN`` — a JSON object (or a path to one), which child
-worker processes inherit through the environment:
+processes inherit through the environment:
 
 .. code-block:: json
 
-    {"seed": 7, "sites": {"worker": {"rate": 0.2, "mode": "crash"},
+    {"seed": 7, "sites": {"worker": {"rate": 0.2},
                           "cache.read": {"rate": 0.1}}}
 """
 
@@ -81,7 +79,8 @@ class InjectedFault(TransientError):
         self.count = count
 
     def __reduce__(self):
-        # survive the worker->parent pickle boundary with fields intact
+        # pickle with fields intact (``__init__`` takes the site, not
+        # the message)
         return (InjectedFault, (self.site, self.count))
 
 
@@ -96,9 +95,8 @@ class FaultSpec:
         Explicit 0-based call indices that fail (exact scripting for
         unit tests; combined with ``rate`` by OR).
     ``mode``
-        ``raise`` (default) raises :class:`InjectedFault`; ``crash``
-        kills the process with ``os._exit`` — only meaningful inside
-        pool workers, where it produces a genuine ``BrokenProcessPool``.
+        ``raise`` (the default and the only mode) raises
+        :class:`InjectedFault`.
     ``max_failures``
         Cap on injections at this site (None = unlimited); lets a test
         script "fail exactly twice, then recover".
@@ -112,9 +110,9 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate must be within [0, 1], got {self.rate}")
-        if self.mode not in ("raise", "crash"):
+        if self.mode != "raise":
             raise ValueError(f"unknown fault mode {self.mode!r} "
-                             "(expected 'raise' or 'crash')")
+                             "(expected 'raise')")
 
     @classmethod
     def from_spec(cls, spec: "FaultSpec | dict | float") -> "FaultSpec":
@@ -228,17 +226,11 @@ class FaultPlan:
         return fail
 
     def fire(self, site: str, salt: int = 0) -> None:
-        """Fail this call if the schedule says so (raise or crash)."""
+        """Raise :class:`InjectedFault` if the schedule says so."""
         if not self.should_fail(site, salt):
             return
         COUNTERS.bump("faults.injected")
         COUNTERS.bump(f"faults.{site}")
-        spec = self.sites[site]
-        if spec.mode == "crash":
-            # the real thing, not a simulation: the worker process dies
-            # exactly as it would on a segfault or an OOM kill, and the
-            # parent sees BrokenProcessPool
-            os._exit(13)
         raise InjectedFault(site, self._calls.get(site, 1) - 1)
 
     def stats(self) -> dict:

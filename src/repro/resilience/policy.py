@@ -54,7 +54,6 @@ __all__ = [
     "RetryPolicy",
     "TransientError",
     "is_transient",
-    "register_transient",
     "seeded_unit",
     "sum_families",
 ]
@@ -97,24 +96,12 @@ class RetryBudgetExceededError(RuntimeError):
 
 
 #: exception types (beyond :class:`TransientError` subclasses) treated as
-#: transient; extended by :func:`register_transient` (the engine adds
-#: ``BrokenProcessPool`` lazily so importing this module never drags in
-#: :mod:`concurrent.futures`)
+#: transient
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     TransientError,
     ConnectionError,
     TimeoutError,
 )
-
-
-def register_transient(*types: type[BaseException]) -> None:
-    """Teach the classifier additional transient exception types."""
-    global _TRANSIENT_TYPES
-    merged = list(_TRANSIENT_TYPES)
-    for tp in types:
-        if tp not in merged:
-            merged.append(tp)
-    _TRANSIENT_TYPES = tuple(merged)
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -287,8 +274,8 @@ class MetricFamily:
     help text).  A series key is its label-value tuple; a one-label
     family also takes the bare value (``COUNTERS.bump("retries")``).
     Deliberately dumb so a hot-path ``bump`` is one dict update under
-    one lock.  Pickles without the lock, so pool workers ship their
-    counts home, and :func:`sum_families` adds such snapshots up.
+    one lock.  Pickles without the lock, as a snapshot of its counts;
+    :func:`sum_families` adds same-named families up.
     """
 
     __slots__ = ("name", "kind", "labelnames", "help", "_lock", "_values")
@@ -358,8 +345,8 @@ def sum_families(families: Iterable[MetricFamily]) -> dict[str, MetricFamily]:
     return totals
 
 
-#: the process-wide resilience counters (retries, requeues, injected
-#: faults, fallbacks) every layer bumps and ``/metrics`` exposes
+#: the process-wide resilience counters (retries, injected faults,
+#: fallbacks, leader promotions) every layer bumps and ``/metrics`` exposes
 COUNTERS = MetricFamily(
     "tybec_resilience_events_total", ("counter",),
-    "Resilience events: retries, requeues, injected faults, fallbacks.")
+    "Resilience events: retries, injected faults, fallbacks, promotions.")

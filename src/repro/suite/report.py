@@ -63,14 +63,18 @@ KNOWN_SCHEMAS = (SCHEMA, VALIDATION_SCHEMA, FLOW_SCHEMA, DSE_SCHEMA)
 #: significant digits kept for floats in canonical payloads
 FLOAT_SIGNIFICANT_DIGITS = 9
 
+#: the format spec that rounds a float to those digits, built once
+_FLOAT_SPEC = f".{FLOAT_SIGNIFICANT_DIGITS}g"
 
-def canonicalize(value, float_digits: int = FLOAT_SIGNIFICANT_DIGITS):
+
+def canonicalize(value):
     """Normalise a JSON-ish payload for deterministic serialisation.
 
-    Floats are rounded to ``float_digits`` significant digits (integral
-    floats stay floats, so the JSON type of a field never flips), tuples
-    become lists, mappings are rebuilt with sorted keys, and a report row
-    (an object with ``row_leaves``) is expanded through its ``as_dict()``.
+    Floats are rounded to :data:`FLOAT_SIGNIFICANT_DIGITS` significant
+    digits (integral floats stay floats, so the JSON type of a field
+    never flips), tuples become lists, mappings are rebuilt with sorted
+    keys, and a report row (an object with ``row_leaves``) is expanded
+    through its ``as_dict()``.
 
     This is the reference the row encoder of :func:`canonical_json` is
     tested against; the encoders themselves run it only over the frame.
@@ -78,13 +82,13 @@ def canonicalize(value, float_digits: int = FLOAT_SIGNIFICANT_DIGITS):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return float(f"{value:.{float_digits}g}")
+        return float(f"{value:{_FLOAT_SPEC}}")
     if isinstance(value, dict):
-        return {str(k): canonicalize(v, float_digits) for k, v in sorted(value.items())}
+        return {str(k): canonicalize(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [canonicalize(v, float_digits) for v in value]
+        return [canonicalize(v) for v in value]
     if hasattr(value, "row_leaves"):
-        return canonicalize(value.as_dict(), float_digits)
+        return canonicalize(value.as_dict())
     raise TypeError(f"cannot canonicalise {type(value).__name__!r} value {value!r}")
 
 
@@ -114,7 +118,7 @@ _ROW_TEXT = re.compile(r'"\\u0000row(\d+)"')
 
 
 def _float_text(value) -> str:
-    value = float(f"{value:.{FLOAT_SIGNIFICANT_DIGITS}g}")
+    value = float(f"{value:{_FLOAT_SPEC}}")
     if value != value:
         return "NaN"
     if value == _INF:

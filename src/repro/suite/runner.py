@@ -5,8 +5,8 @@ per device; this module makes that a first-class operation.  A
 :class:`SuiteConfig` names the kernels (default: every kernel in the
 registry) and the sweep axes (device x memory-execution form x lanes
 x clock x access pattern); :class:`WorkloadSuite` lowers that grid into
-one flat job batch, drives the exploration engine — serial or
-process-pool, the reports are byte-identical either way — and folds the
+one flat job batch, drives the exploration engine — serial or dense,
+the reports are byte-identical either way — and folds the
 results into a canonical :class:`~repro.suite.report.SuiteReport`.
 
 The suite is what both the golden-regression harness and the
@@ -17,6 +17,7 @@ against checked-in goldens, the other times the batch.
 from __future__ import annotations
 
 import math
+import os
 
 from repro import field, record, replace
 from repro.explore.engine import ExplorationEngine, SweepResult
@@ -33,7 +34,7 @@ from repro.substrate import DEVICES, get_device
 __all__ = ["SuiteConfig", "SuiteRun", "WorkloadSuite", "build_suite_report",
            "tiny_grid", "DseRun", "run_dse", "build_dse_report",
            "resolve_dse_params", "DSE_OPTIMIZERS", "dse_optimizers",
-           "parse_request", "check_deadline_seconds"]
+           "parse_request", "check_deadline_seconds", "stage_map"]
 
 #: the names the ``forms`` and ``patterns`` suite axes accept
 _FORMS = ("auto", *(form.value for form in MemoryExecutionForm))
@@ -430,6 +431,30 @@ class WorkloadSuite:
                     "feasible": report.feasible,
                 })
         return rows
+
+
+def stage_map(fn, items, jobs: int | None = None,
+              chunks_per_worker: int | None = None) -> list:
+    """``[fn(item) for item in items]``, on worker processes when asked.
+
+    The per-item stages that follow a sweep (RTL verification of each
+    family, cross-validation of each point) are heavy enough to pay for
+    a pool; costing is not.  ``jobs`` > 1 runs ``fn`` on
+    ``min(jobs, cpus, len(items))`` processes, results in item order;
+    ``chunks_per_worker`` sends the items in that many batches per
+    worker instead of one at a time.  ``fn`` and the items must pickle.
+    """
+    items = list(items)
+    workers = min(jobs or 1, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = 1
+    if chunks_per_worker:
+        chunksize = -(-len(items) // (workers * chunks_per_worker))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(fn, items, chunksize=chunksize))
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Suite-level cross-validation: the golden grid against the simulators.
 
 :func:`validate_suite` fans a :class:`~repro.suite.runner.SuiteConfig`
-grid through the exploration engine (serial or process-pool — the
-resulting validation reports are byte-identical either way), drives every
+grid through the exploration engine (serial or dense — the resulting
+validation reports are byte-identical either way), drives every
 costed point through the :class:`~repro.validate.crossval.CrossValidator`
 and folds the records into a canonical, version-stamped
 :class:`ValidationReport` with the same determinism guarantees as the
@@ -13,8 +13,6 @@ field exactly like the cost model's own outputs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import record
@@ -26,7 +24,7 @@ from repro.suite.golden import (
     write_kernel_goldens,
 )
 from repro.suite.report import VALIDATION_SCHEMA, SuiteReport
-from repro.suite.runner import SuiteConfig, WorkloadSuite
+from repro.suite.runner import SuiteConfig, WorkloadSuite, stage_map
 from repro.validate.crossval import (
     DEFAULT_MEMORY_TOLERANCE,
     DEFAULT_TOLERANCE,
@@ -87,46 +85,6 @@ class ValidationRun:
         return not self.disagreements
 
 
-def _validate_batch(payload) -> list[ValidationRecord]:
-    """Worker entry point: validate one contiguous batch of sweep entries.
-
-    Each batch gets a fresh validator; the records are pure functions of
-    the entries (the spec re-derivation warm-starts from the persistent
-    store when enabled), so parallel and serial validation produce
-    byte-identical reports.
-    """
-    tolerance, memory_tolerance, cycle_accurate, entries = payload
-    validator = CrossValidator(
-        tolerance=tolerance,
-        memory_tolerance=memory_tolerance,
-        cycle_accurate=cycle_accurate,
-    )
-    return [validator.validate_entry(entry) for entry in entries]
-
-
-def _validate_entries(
-    entries: list,
-    tolerance: float,
-    memory_tolerance: float,
-    cycle_accurate: bool,
-    jobs: int | None,
-) -> list[ValidationRecord]:
-    """Validate a flat entry list, optionally over a process pool."""
-    if not jobs or jobs <= 1 or len(entries) <= 1:
-        return _validate_batch((tolerance, memory_tolerance, cycle_accurate, entries))
-    workers = min(jobs, os.cpu_count() or 1, len(entries))
-    size = (len(entries) + 2 * workers - 1) // (2 * workers)
-    payloads = [
-        (tolerance, memory_tolerance, cycle_accurate, entries[start : start + size])
-        for start in range(0, len(entries), size)
-    ]
-    records: list[ValidationRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        for batch in executor.map(_validate_batch, payloads):
-            records.extend(batch)
-    return records
-
-
 def validate_suite(
     config: SuiteConfig | None = None,
     backend=None,
@@ -138,20 +96,24 @@ def validate_suite(
 ) -> ValidationRun:
     """Cost a suite grid and cross-validate every point.
 
-    ``backend`` selects the costing backend (serial or process-pool);
-    ``jobs`` fans the validation pass itself — the per-point spec
-    re-derivation and the pure-Python cycle-stepping simulation, which
-    dominate on large grids — over that many worker processes.  Records
-    are pure functions of the costed entries, so every combination
-    produces byte-identical reports.
+    ``backend`` selects the costing backend (serial or dense); ``jobs``
+    fans the validation pass itself — the per-point spec re-derivation
+    and the pure-Python cycle-stepping simulation, which dominate on
+    large grids — over that many worker processes, two batches per
+    worker, each batch on its own copy of the validator.  Records are
+    pure functions of the costed entries, so every combination produces
+    byte-identical reports.
     """
     suite = WorkloadSuite(config or SuiteConfig(), backend)
     spaces, sweep = suite.sweep()
     slices = suite.kernel_entries(spaces, sweep)
-    flat_records = _validate_entries(
+    validator = CrossValidator(tolerance=tolerance,
+                               memory_tolerance=memory_tolerance,
+                               cycle_accurate=cycle_accurate)
+    flat_records = stage_map(
+        validator.validate_entry,
         [entry for entries in slices.values() for entry in entries],
-        tolerance, memory_tolerance, cycle_accurate, jobs,
-    )
+        jobs, chunks_per_worker=2)
 
     kernels: dict[str, dict] = {}
     records_by_kernel: dict[str, list[ValidationRecord]] = {}

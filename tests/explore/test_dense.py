@@ -284,14 +284,6 @@ class TestDenseCli:
         assert "Pareto frontier" in out
         assert "points/s" in out
 
-    def test_dense_rejects_jobs(self, capsys):
-        from repro.cli import main
-
-        rc = main(["explore", "--kernel", "sor", "--grid", "8", "8", "8",
-                   "--iterations", "10", "--dense", "--jobs", "2"])
-        assert rc == 2
-        assert "cannot be combined with --jobs" in capsys.readouterr().err
-
     def test_clock_range_conflicts_with_clocks(self, capsys):
         from repro.cli import main
 

@@ -8,7 +8,6 @@ from repro.explore import (
     DesignPoint,
     DesignSpace,
     ExplorationEngine,
-    ProcessPoolBackend,
     SerialBackend,
     build_jobs,
     pareto_frontier,
@@ -119,51 +118,18 @@ class TestEngineSerial:
         assert by_clock[200.0] != by_clock[100.0]
 
 
-class TestParallelBackend:
-    def test_multi_axis_pool_sweep_matches_serial(self):
-        """Acceptance: >=64 points over >=2 axes, pool identical to serial."""
-        space = make_space(
-            max_lanes=8,  # lanes 1, 2, 4, 8
-            clocks_mhz=(100.0, 150.0, 200.0, 250.0),
-            forms=("A", "B"),
-            patterns=(PatternKind.CONTIGUOUS, PatternKind.STRIDED),
-        )
-        assert len(space) >= 64
-        assert len(space.active_axes) >= 2
-
-        jobs = build_jobs(space)
-        serial = ExplorationEngine(SerialBackend()).cost_many(jobs)
-        parallel = ExplorationEngine(ProcessPoolBackend(max_workers=2)).cost_many(jobs)
-
-        assert serial.evaluated == parallel.evaluated == len(space)
-        assert json.dumps(serial.canonical_dicts(), sort_keys=True) == (
-            json.dumps(parallel.canonical_dicts(), sort_keys=True)
-        )
-
-    def test_pool_preserves_job_order(self):
+class TestSerialBackend:
+    def test_preserves_job_order(self):
         jobs = build_jobs(make_space())
-        sweep = ExplorationEngine(ProcessPoolBackend(max_workers=2)).cost_many(jobs)
+        sweep = ExplorationEngine(SerialBackend()).cost_many(jobs)
         assert [e.point.lanes for e in sweep.entries] == [j.point.lanes for j in jobs]
 
     def test_empty_batch(self):
-        assert ProcessPoolBackend(max_workers=2).run([]) == []
+        assert SerialBackend().run([]) == []
 
-    def test_workers_never_recalibrate(self):
-        """Satellite fix: calibration artifacts ship inside the payload, so
-        pool workers pay zero cold-start calibration for devices the
-        parent already resolved."""
-        backend = ProcessPoolBackend(max_workers=2)
-        engine = ExplorationEngine(backend)
-        engine.explore(make_space(max_lanes=4))
-        stats = backend.collect_stats()
-        hits, misses = stats["calibration"]
-        assert misses == 0
-        assert hits > 0
-
-    def test_pool_sweep_reports_aggregated_stats(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        sweep = ExplorationEngine(backend).cost_many(build_jobs(make_space()))
-        assert sweep.stats  # shipped back across the pickle boundary
+    def test_sweep_reports_aggregated_stats(self):
+        sweep = ExplorationEngine(SerialBackend()).cost_many(
+            build_jobs(make_space()))
         assert "stage_seconds" in sweep.stats
         assert sum(sweep.stats["variant"]) == sweep.evaluated
 
@@ -188,19 +154,6 @@ class TestOptionsFidelity:
             assert canonical_report_dict(entry.report) == (
                 canonical_report_dict(direct)
             )
-
-    def test_explicit_options_survive_the_pool_boundary(self):
-        from repro.compiler import CompilationOptions, TybecCompiler
-        from repro.explore import CostJob, canonical_report_dict, generate_lane_variants
-
-        compiler = TybecCompiler(
-            CompilationOptions(device=SMALL_EDU_DEVICE, synthesis_noise=0.4)
-        )
-        variants = generate_lane_variants(SORKernel(), grid=GRID, iterations=10, max_lanes=2)
-        jobs = [CostJob.from_variant(v, compiler.options) for v in variants]
-        serial = ExplorationEngine(SerialBackend(pipeline=compiler)).cost_many(jobs)
-        pooled = ExplorationEngine(ProcessPoolBackend(max_workers=2)).cost_many(jobs)
-        assert serial.canonical_dicts() == pooled.canonical_dicts()
 
 
 class TestParetoFrontier:

@@ -23,7 +23,6 @@ from repro.explore import (
     FmaxBinarySearchOptimizer,
     GuidedLaneOptimizer,
     Optimizer,
-    ProcessPoolBackend,
     SerialBackend,
     SuccessiveHalvingOptimizer,
     SurrogatePrunedOptimizer,
@@ -85,13 +84,6 @@ class TestExhaustiveDifferential:
         space = make_space(kernel)
         eager = eager_sweep(space).canonical_dicts()
         run = ExplorationEngine(SerialBackend()).run_optimizer(
-            ExhaustiveOptimizer(space))
-        assert run.sweep().canonical_dicts() == eager
-
-    def test_pool_matches_eager(self):
-        space = make_space("matmul")
-        eager = eager_sweep(space).canonical_dicts()
-        run = ExplorationEngine(ProcessPoolBackend(max_workers=2)).run_optimizer(
             ExhaustiveOptimizer(space))
         assert run.sweep().canonical_dicts() == eager
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.explore.engine import ProcessPoolBackend
+from repro.explore.dense import DenseBackend
 from repro.flows import check_flow_goldens, run_flow_suite
 from repro.suite.report import FLOW_SCHEMA, load_report
 from repro.suite.runner import SuiteConfig
@@ -33,12 +33,12 @@ class TestFlowSuiteRun:
         parallel = run_flow_suite(_small_config(), jobs=2).report.to_json()
         assert parallel == serial
 
-    def test_pool_costing_backend_byte_identical(self):
+    def test_dense_costing_backend_byte_identical(self):
         serial = run_flow_suite(_small_config()).report.to_json()
-        pooled = run_flow_suite(
-            _small_config(), backend=ProcessPoolBackend(max_workers=2)
+        dense = run_flow_suite(
+            _small_config(), backend=DenseBackend(), jobs=2
         ).report.to_json()
-        assert pooled == serial
+        assert dense == serial
 
     def test_max_items_caps_streams(self):
         run = run_flow_suite(_small_config(), max_items=16)

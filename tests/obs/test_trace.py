@@ -21,7 +21,6 @@ from repro.obs.trace import (
     summarize_trace,
     uninstall_tracer,
     validate_trace,
-    worker_trace_context,
 )
 
 
@@ -177,34 +176,31 @@ class TestRoundTrip:
             validate_trace(header, [{**good, "duration": -1.0}])
 
 
-class TestWorkerContext:
-    def test_context_round_trips_through_a_collecting_tracer(self, tmp_path):
+class TestCollectingTracer:
+    def test_root_parent_reparents_a_collected_tree(self, tmp_path):
+        """A collecting tracer rooted under another tracer's span (the
+        benchmark harness's use) builds one valid tree with it."""
         parent = install_tracer(Tracer(tmp_path / "t.ndjson", collect=True))
-        with span("backend.pool.batch") as pool_span:
-            ctx = worker_trace_context(pool_span)
-        assert ctx == (parent.trace_id, pool_span.span_id)
+        with span("bench.op") as op_span:
+            pass
 
-        # what _evaluate_batch does on the worker side
-        worker = Tracer(trace_id=ctx[0], collect=True, root_parent=ctx[1])
-        with worker.span("worker.batch", {"points": 3}):
-            with worker.span("pipeline.cost", {}):
+        child = Tracer(trace_id=parent.trace_id, collect=True,
+                       root_parent=op_span.span_id)
+        with child.span("suite.sweep", {"points": 3}):
+            with child.span("pipeline.cost", {}):
                 pass
-        shipped = worker.drain()
+        collected = child.drain()
+        assert child.drain() == []
 
-        assert parent.emit_foreign(shipped) == 2
-        records = {r["site"]: r for r in parent.drain()}
-        assert records["worker.batch"]["trace"] == parent.trace_id
-        assert records["worker.batch"]["parent"] == pool_span.span_id
+        records = {r["site"]: r for r in collected}
+        assert records["suite.sweep"]["trace"] == parent.trace_id
+        assert records["suite.sweep"]["parent"] == op_span.span_id
         assert (records["pipeline.cost"]["parent"]
-                == records["worker.batch"]["span"])
-
-    def test_none_parent_means_no_context(self):
-        assert worker_trace_context(None) is None
-
-    def test_emit_foreign_skips_junk(self, tmp_path):
-        tracer = Tracer(tmp_path / "t.ndjson")
-        assert tracer.emit_foreign(["nope", {"no_span_key": 1}, None]) == 0
-        tracer.close()
+                == records["suite.sweep"]["span"])
+        own = parent.drain()
+        assert [r["site"] for r in own] == ["bench.op"]
+        validate_trace({"schema": TRACE_SCHEMA, "trace_id": parent.trace_id},
+                       [*own, *collected])
 
 
 class TestSummarize:

@@ -1,7 +1,7 @@
 """Chaos tests: injected faults must never change a report byte.
 
 Each test computes a fault-free golden first, then repeats the identical
-computation under a seeded :class:`FaultPlan` — crashed pool workers,
+computation under a seeded :class:`FaultPlan` — failing costing calls,
 failing disk-cache reads, dying leaders — and asserts the recovered
 output is byte-identical.  Determinism is what makes these tests exact
 rather than probabilistic: the same seed injects the same faults in
@@ -16,8 +16,8 @@ import pytest
 
 from repro.compiler.pipeline import clear_calibration_cache
 from repro.cost.cache import redirected_cache_dir
-from repro.explore.engine import ProcessPoolBackend, SerialBackend
-from repro.resilience import FAULT_PLAN_ENV, FaultPlan, RetryPolicy
+from repro.explore.engine import SerialBackend
+from repro.resilience import FAULT_PLAN_ENV, FaultPlan
 from repro.suite import SuiteConfig, WorkloadSuite
 
 
@@ -79,61 +79,20 @@ class TestSerialChaos:
         assert chaotic.report.to_json() == golden_report
 
 
-class TestPoolChaos:
-    def test_worker_crashes_requeue_to_byte_identical_report(
-            self, golden_report, monkeypatch):
-        """The acceptance scenario: ~20% of pool workers die mid-sweep.
-
-        ``crash`` mode calls ``os._exit`` inside the worker — a genuine
-        ``BrokenProcessPool``, not a simulated exception — and the plan
-        travels to the (forked/spawned) workers via the environment.
-        """
-        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "crash"}}, seed=2)
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.as_json())
-        backend = ProcessPoolBackend(
-            max_workers=2,
-            retry_policy=RetryPolicy(max_attempts=8, base_delay=0.01,
-                                     max_delay=0.1))
-        chaotic = WorkloadSuite(_tiny_config(), backend=backend).run()
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-
-        resilience = backend.collect_stats().get("resilience", {})
-        assert resilience.get("requeued_batches", 0) > 0, \
-            "seed crashed no workers; the test would be vacuous"
-        assert resilience.get("pool_respawns", 0) > 0
-        assert chaotic.report.to_json() == golden_report
-
-    def test_injected_raise_faults_requeue_without_respawn_side_effects(
-            self, golden_report, monkeypatch):
-        """``raise``-mode worker faults travel the same requeue path."""
-        plan = FaultPlan({"worker": {"rate": 0.4, "mode": "raise"}}, seed=4)
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.as_json())
-        backend = ProcessPoolBackend(max_workers=2)
-        chaotic = WorkloadSuite(_tiny_config(), backend=backend).run()
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert backend.collect_stats()["resilience"]["requeued_batches"] > 0
-        assert chaotic.report.to_json() == golden_report
-
-    def test_unrecoverable_crash_rate_exhausts_the_budget(self, monkeypatch):
-        """A plan that kills every worker forever must fail loudly."""
+    def test_unrecoverable_fault_rate_exhausts_the_budget(self):
+        """A plan that fails every costing call must fail loudly."""
         from repro.resilience import RetryBudgetExceededError
 
         plan = FaultPlan({"worker": {"rate": 1.0, "mode": "raise"}})
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.as_json())
-        backend = ProcessPoolBackend(
-            max_workers=2,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0))
-        with pytest.raises(RetryBudgetExceededError):
-            WorkloadSuite(_tiny_config(), backend=backend).run()
-        monkeypatch.delenv(FAULT_PLAN_ENV)
+        with plan.active(), pytest.raises(RetryBudgetExceededError):
+            WorkloadSuite(_tiny_config(), backend=SerialBackend()).run()
 
 
 class TestOptimizerChaos:
-    def test_worker_crashes_converge_to_the_fault_free_answer(
-            self, monkeypatch):
-        """The optimizer driver loop rides the pool's requeue machinery:
-        ~20% of workers dying mid-round must not change a byte of the
-        run's entries or the optimizer's conclusion."""
+    def test_worker_faults_converge_to_the_fault_free_answer(self):
+        """The optimizer driver loop rides the serial backend's per-point
+        retries: ~20% of costing calls failing mid-round must not change
+        a byte of the run's entries or the optimizer's conclusion."""
         from repro.explore import (
             DesignSpace,
             ExhaustiveOptimizer,
@@ -148,27 +107,22 @@ class TestOptimizerChaos:
             ExhaustiveOptimizer(spaces()))
         golden_dicts = golden.sweep().canonical_dicts()
 
-        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "crash"}}, seed=2)
-        monkeypatch.setenv(FAULT_PLAN_ENV, plan.as_json())
-        backend = ProcessPoolBackend(
-            max_workers=2,
-            retry_policy=RetryPolicy(max_attempts=8, base_delay=0.01,
-                                     max_delay=0.1))
-        chaotic = ExplorationEngine(backend).run_optimizer(
-            ExhaustiveOptimizer(spaces()))
-        monkeypatch.delenv(FAULT_PLAN_ENV)
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"}}, seed=2)
+        with plan.active():
+            chaotic = ExplorationEngine(SerialBackend()).run_optimizer(
+                ExhaustiveOptimizer(spaces()))
 
-        resilience = backend.collect_stats().get("resilience", {})
-        assert resilience.get("requeued_batches", 0) > 0, \
-            "seed crashed no workers; the test would be vacuous"
+        assert plan.stats()["sites"]["worker"]["injected"] > 0, \
+            "seed produced no faults; the test would be vacuous"
         assert chaotic.sweep().canonical_dicts() == golden_dicts
         assert chaotic.result == golden.result
 
 
 class TestCombinedChaos:
     def test_cache_and_worker_faults_together(self, golden_report, tmp_path):
-        """The full acceptance plan: dying workers *and* a flaky cache."""
-        plan = FaultPlan({"worker": {"rate": 0.2},
+        """The full acceptance plan: failing costing calls *and* a flaky
+        cache."""
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"},
                           "cache.read": {"rate": 0.1}}, seed=7)
         with redirected_cache_dir(tmp_path / "chaos-cache"):
             clear_calibration_cache()
@@ -182,8 +136,31 @@ class TestCombinedChaos:
         assert stats["worker"]["injected"] > 0
         assert chaotic.report.to_json() == golden_report
 
+    def test_ambient_plan_from_the_environment(self, golden_report, tmp_path,
+                                               monkeypatch):
+        """The CI chaos step's route: the plan arrives through
+        ``TYBEC_FAULT_PLAN``, not a lexical activation."""
+        from repro.resilience import COUNTERS, current_fault_plan
+
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"},
+                          "cache.read": {"rate": 0.1}}, seed=2)
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.as_json())
+        before = COUNTERS.get("faults.worker")
+        with redirected_cache_dir(tmp_path / "chaos-cache"):
+            clear_calibration_cache()
+            try:
+                ambient = current_fault_plan()
+                chaotic = WorkloadSuite(
+                    _tiny_config(), backend=SerialBackend()).run()
+            finally:
+                clear_calibration_cache()
+        assert ambient is not None and ambient.seed == 2
+        assert COUNTERS.get("faults.worker") > before, \
+            "seed produced no faults; the test would be vacuous"
+        assert chaotic.report.to_json() == golden_report
+
     def test_plan_stats_roundtrip_through_json(self):
-        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "crash"},
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"},
                           "cache.read": 0.1}, seed=7)
         payload = json.loads(plan.as_json())
         assert payload["seed"] == 7

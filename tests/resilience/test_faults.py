@@ -23,10 +23,10 @@ from repro.resilience import (
 class TestFaultSpec:
     def test_from_scalar_and_dict(self):
         assert FaultSpec.from_spec(0.25).rate == 0.25
-        spec = FaultSpec.from_spec({"indices": [0, 3], "mode": "crash",
+        spec = FaultSpec.from_spec({"indices": [0, 3], "mode": "raise",
                                     "max_failures": 2})
         assert spec.indices == (0, 3)
-        assert spec.mode == "crash"
+        assert spec.mode == "raise"
         assert spec.max_failures == 2
 
     def test_validation(self):
@@ -34,6 +34,25 @@ class TestFaultSpec:
             FaultSpec(rate=1.5)
         with pytest.raises(ValueError):
             FaultSpec(mode="explode")
+
+    @pytest.mark.parametrize("mode", ["crash", "explode"])
+    def test_only_raise_mode_exists(self, mode):
+        """``crash`` (it once killed the calling process) is refused like
+        any other unknown mode: a ``ValueError`` naming the site."""
+        text = json.dumps({"sites": {"worker": {"rate": 0.2, "mode": mode}}})
+        with pytest.raises(ValueError,
+                           match=f"fault site 'worker': unknown fault mode "
+                                 f"'{mode}' \\(expected 'raise'\\)"):
+            FaultPlan.from_json(text)
+
+    def test_crash_plan_in_the_environment_is_ignored_and_counted(
+            self, monkeypatch):
+        raw = json.dumps({"seed": 11, "sites": {"worker": {"mode": "crash"}}})
+        monkeypatch.setenv(FAULT_PLAN_ENV, raw)
+        before = COUNTERS.get("fallbacks.fault_plan")
+        assert current_fault_plan() is None
+        maybe_fail("worker")  # no plan, no fault, no exit
+        assert COUNTERS.get("fallbacks.fault_plan") == before + 1
 
 
 class TestFaultPlan:
@@ -71,7 +90,7 @@ class TestFaultPlan:
         plan.fire("s")  # second call is scheduled clean
 
     def test_json_roundtrip(self):
-        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "crash"},
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"},
                           "cache.read": 0.1}, seed=7)
         clone = FaultPlan.from_json(plan.as_json())
         assert clone.seed == 7

@@ -16,7 +16,6 @@ from repro.resilience import (
     RetryPolicy,
     TransientError,
     is_transient,
-    register_transient,
     seeded_unit,
 )
 
@@ -35,14 +34,6 @@ class TestClassification:
     def test_deadline_exceeded_is_permanent(self):
         """Retrying an expired budget cannot un-expire it."""
         assert not is_transient(DeadlineExceededError("sweep", 1.0))
-
-    def test_register_transient_extends_the_classifier(self):
-        class FlakySubstrateError(Exception):
-            pass
-
-        assert not is_transient(FlakySubstrateError())
-        register_transient(FlakySubstrateError)
-        assert is_transient(FlakySubstrateError())
 
 
 class TestSeededUnit:

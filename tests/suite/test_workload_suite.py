@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fields, replace
-from repro.explore import ProcessPoolBackend
 from repro.kernels import kernel_names
 from repro.substrate import DEVICES
 from repro.suite import (
@@ -181,12 +180,6 @@ class TestWorkloadSuiteRun:
     def test_timing_lives_outside_the_report(self, tiny_run):
         assert tiny_run.wall_seconds > 0
         assert tiny_run.variants_per_second > 0
-
-    def test_pool_backend_matches_serial(self):
-        config = SuiteConfig.tiny(kernels=("sor", "matmul"))
-        serial = WorkloadSuite(config).run()
-        pooled = WorkloadSuite(config, backend=ProcessPoolBackend(max_workers=2)).run()
-        assert serial.report.to_json() == pooled.report.to_json()
 
     def test_summary_rows(self, tiny_run):
         rows = WorkloadSuite(SuiteConfig.tiny()).summary_rows(tiny_run)

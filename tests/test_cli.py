@@ -40,6 +40,20 @@ class TestParser:
         assert parser.parse_args(["flow", "report", "r"]).flow_command == "report"
         assert parser.parse_args(["suite", "flow"]).suite_command == "flow"
 
+    def test_jobs_fans_out_only_the_stage_commands(self):
+        parser = build_parser()
+        assert parser.parse_args(["suite", "validate", "--jobs", "2"]).jobs == 2
+        assert parser.parse_args(["suite", "flow", "-j", "2"]).jobs == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["explore"], ["suite", "run"], ["suite", "dse"], ["client", "suite"],
+    ])
+    def test_costing_commands_have_no_jobs_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_suite_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite"])
@@ -229,6 +243,7 @@ class TestSuiteCommand:
     @pytest.mark.parametrize("plan", [
         '{"sites": []}',
         '{"sites": {"worker": {"max_failures": "x", "rate": 1.0}}}',
+        '{"sites": {"worker": {"mode": "crash", "rate": 1.0}}}',
     ])
     def test_suite_run_ignores_an_unusable_fault_plan(self, plan, tmp_path,
                                                       monkeypatch):
@@ -238,6 +253,23 @@ class TestSuiteCommand:
         monkeypatch.setenv("TYBEC_FAULT_PLAN", plan)
         assert main(argv + [str(chaos)]) == 0
         assert chaos.read_bytes() == clean.read_bytes()
+
+    def test_suite_run_jobs_exits_2_without_a_traceback(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "suite", "run", "--jobs", "2"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 2
+        assert result.stderr.endswith(
+            "tybec: error: unrecognized arguments: --jobs 2\n")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_suite_run_unknown_kernel(self, capsys):
         rc = main(["suite", "run", "--kernels", "nbody"])
