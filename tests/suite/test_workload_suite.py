@@ -21,7 +21,7 @@ from repro.suite import (
     resolve_dse_params,
     tiny_grid,
 )
-from repro.suite.runner import parse_request
+from repro.suite.runner import parse_request, stage_map
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +201,68 @@ class TestWorkloadSuiteRun:
     def test_kernel_payload_unknown_kernel(self, tiny_run):
         with pytest.raises(KeyError):
             tiny_run.report.kernel_payload("nbody")
+
+
+class _RecordingExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records how ``stage_map``
+    sizes the pool and batches the items, then maps in-process."""
+
+    calls: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.calls.append((self.max_workers, chunksize))
+        return map(fn, items)
+
+
+class TestStageMap:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        _RecordingExecutor.calls = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            _RecordingExecutor)
+        monkeypatch.setattr("repro.suite.runner.os.cpu_count", lambda: 4)
+        return _RecordingExecutor.calls
+
+    @pytest.mark.parametrize("jobs", [None, 0, 1])
+    def test_no_pool_without_jobs(self, recorded, jobs):
+        # a closure does not pickle, so this also proves it ran in-process
+        offset = 10
+        assert stage_map(lambda x: x + offset, range(5), jobs) == [
+            10, 11, 12, 13, 14]
+        assert recorded == []
+
+    def test_empty_items_start_no_pool(self, recorded):
+        assert stage_map(abs, [], jobs=4) == []
+        assert recorded == []
+
+    def test_workers_capped_by_jobs_cpus_and_items(self, recorded):
+        stage_map(abs, range(10), jobs=3)
+        stage_map(abs, range(10), jobs=16)
+        stage_map(abs, range(2), jobs=16)
+        assert [workers for workers, _ in recorded] == [3, 4, 2]
+        assert [chunksize for _, chunksize in recorded] == [1, 1, 1]
+
+    def test_chunks_per_worker_sets_the_chunksize(self, recorded):
+        # 9 items, 2 workers, 2 batches each: ceil(9 / 4) = 3 per batch
+        assert stage_map(abs, range(-9, 0), jobs=2, chunks_per_worker=2) == [
+            9, 8, 7, 6, 5, 4, 3, 2, 1]
+        assert recorded == [(2, 3)]
+
+    def test_pool_results_keep_item_order(self, monkeypatch):
+        monkeypatch.setattr("repro.suite.runner.os.cpu_count", lambda: 2)
+        items = [-5, 3, -1, 8, -2, 0, 7]
+        serial = stage_map(abs, items)
+        assert serial == [5, 3, 1, 8, 2, 0, 7]
+        assert stage_map(abs, items, jobs=2, chunks_per_worker=2) == serial
 
 
 class TestCanonicalisation:
