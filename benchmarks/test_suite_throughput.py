@@ -21,7 +21,9 @@ equality, together with the golden files, is what licenses the shortcut.
 
 ``per_point_cost`` records the cold per-point ``EstimationPipeline.cost``
 time against the formula floor measured in the same process, and gates
-their ratio.  ``encode`` records the 468-point report's encode through
+their ratio.  ``default_vs_dense`` records the 306-point sweep through
+the default backend against ``DenseBackend`` and gates the default at
+no slower than dense.  ``encode`` records the 468-point report's encode through
 the row encoder (``SuiteReport.to_json``) against the reference dump of
 the fully expanded payload, and gates the speedup.
 """
@@ -37,6 +39,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.compiler.lanescale import clear_family_caches
 from repro.compiler.pipeline import (
     FeasibilityStage,
     ResourceStage,
@@ -44,7 +47,9 @@ from repro.compiler.pipeline import (
 )
 from repro.cost.report import CostReport
 from repro.cost.throughput import EKITParameters, estimate_throughput
+from repro.explore.dense import DenseBackend
 from repro.explore.engine import SerialBackend, canonical_report_dict
+from repro.explore.space import build_jobs
 from repro.kernels import kernel_names
 from repro.suite import SuiteConfig, WorkloadSuite
 from repro.suite.report import canonical_json, canonicalize
@@ -78,6 +83,15 @@ MIN_WARM_SPEEDUP = 3.0
 #: busy machine do not inflate.
 FLOOR_TRIALS = 20
 MAX_FLOOR_RATIO = 3.0
+
+#: default-vs-dense sweep trials (interleaved pairs), and the gate on the
+#: median of the per-pair ratios: both backends resolve the same cost
+#: groups and fill their points through one loop, so the default must
+#: not be slower than the explicit dense backend by more than the noise
+#: of a shared 2-vCPU VM (it read ~1.2 when the default path costed
+#: each point through its own job, retry and pipeline ``cost`` call)
+BACKEND_TRIALS = 15
+MAX_DEFAULT_OVER_DENSE = 1.05
 
 #: the 468-point ``suite run`` grid (perfbench ``cli``, the CLI golden):
 #: every kernel's default grid, lanes up to 64, forms A/B/C, three clocks
@@ -163,6 +177,12 @@ def test_lane_scaling_before_after_artifact(results_dir, tmp_path, monkeypatch):
     assert hits + misses == baseline.evaluated // len(FULL_GRID_CONFIG.clocks_mhz)
 
 
+def _jobs(config) -> list:
+    """The suite's points as one flat job batch, in sweep order."""
+    return [job for space in WorkloadSuite(config).spaces().values()
+            for job in build_jobs(space)]
+
+
 def _median_iqr(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "iqr": q3 - q1, "trials": len(values)}
@@ -175,7 +195,7 @@ def _cold_cost_us(config) -> float:
     clear_calibration_cache()
     backend = SerialBackend()
     total = 0.0
-    jobs = WorkloadSuite(config).jobs()
+    jobs = _jobs(config)
     with _collector_paused():
         for job in jobs:
             pipeline = backend.pipeline_for(job)
@@ -203,7 +223,7 @@ def _formula_floor(config):
     public stages: ``(timed per-point function, its inputs)``."""
     backend = SerialBackend()
     inputs = []
-    for job in WorkloadSuite(config).jobs():
+    for job in _jobs(config):
         pipeline = backend.pipeline_for(job)
         variant = pipeline.analyze(job.module)
         params, selection = pipeline.extract_parameters(variant, job.workload,
@@ -255,7 +275,7 @@ def test_per_point_cost_against_the_formula_floor(results_dir, tmp_path, monkeyp
     point, inputs = _formula_floor(FULL_GRID_CONFIG)
 
     clear_calibration_cache()
-    reports = SerialBackend().run(WorkloadSuite(FULL_GRID_CONFIG).jobs())
+    reports = SerialBackend().run(_jobs(FULL_GRID_CONFIG))
     assert len(reports) == len(inputs) == 306
     for report, args in zip(reports, inputs):
         assert canonical_report_dict(point(*args)) == canonical_report_dict(report)
@@ -278,6 +298,58 @@ def test_per_point_cost_against_the_formula_floor(results_dir, tmp_path, monkeyp
     payload["per_point_cost"] = record
     path.write_text(json.dumps(payload, indent=2) + "\n")
     assert record["ratio_to_floor"] <= MAX_FLOOR_RATIO, record
+
+
+def _cold_sweep(backend) -> tuple[float, str]:
+    """Thread-CPU seconds of one suite sweep from cleared process caches
+    (the disk store warm, as in perfbench ``sweep``), and its report."""
+    clear_calibration_cache()
+    clear_family_caches()
+    with _collector_paused():
+        started = time.thread_time()
+        run = WorkloadSuite(FULL_GRID_CONFIG, backend=backend).run()
+        seconds = time.thread_time() - started
+    return seconds, run.report.to_json()
+
+
+def test_default_backend_against_dense(results_dir, tmp_path, monkeypatch):
+    """The default backend's 306-point sweep against ``DenseBackend``.
+
+    Both start from cleared process caches over a warm store, with a
+    fresh backend each, in interleaved pairs that alternate which side
+    runs first; the gate reads the median of the per-pair ratios, each
+    side timed in this thread's CPU time.  The reports are the same
+    bytes.  Recorded under ``default_vs_dense`` in BENCH_suite.json.
+    """
+    monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
+    _, default_report = _cold_sweep(None)
+    _, dense_report = _cold_sweep(DenseBackend())
+    assert default_report == dense_report
+
+    default, dense = [], []
+    for trial in range(BACKEND_TRIALS):
+        for side in (("default", "dense") if trial % 2 == 0 else ("dense", "default")):
+            if side == "default":
+                default.append(_cold_sweep(None)[0] * 1e3)
+            else:
+                dense.append(_cold_sweep(DenseBackend())[0] * 1e3)
+    clear_calibration_cache()
+    record = {
+        "points": json.loads(default_report)["totals"]["points"],
+        "default_ms": _median_iqr(default),
+        "dense_ms": _median_iqr(dense),
+        "default_over_dense": statistics.median(
+            d / e for d, e in zip(default, dense)),
+        "clock": "thread_time",
+        "max_ratio": MAX_DEFAULT_OVER_DENSE,
+        "reports_identical": True,
+    }
+    path = results_dir / "BENCH_suite.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["default_vs_dense"] = record
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    assert record["points"] == 306
+    assert record["default_over_dense"] <= MAX_DEFAULT_OVER_DENSE, record
 
 
 def _expanded(payload: dict) -> dict:

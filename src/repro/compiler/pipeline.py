@@ -958,7 +958,7 @@ class CostGroup:
 
         The per-point tail of the estimation flow: Table-I parameters,
         form selection, EKIT and the feasibility check against the
-        group's resource verdict.  ``seconds`` receives the
+        group's resource verdict.  ``seconds`` accumulates the
         ``throughput`` and ``feasibility`` stage times; ``started`` (a
         ``perf_counter`` reading) dates ``estimation_seconds``, which is
         0.0 without it.
@@ -972,8 +972,8 @@ class CostGroup:
                                            options, self.verdict)
         finished = time.perf_counter()
         if seconds is not None:
-            seconds["throughput"] = middle - mark
-            seconds["feasibility"] = finished - middle
+            seconds["throughput"] = seconds.get("throughput", 0.0) + (middle - mark)
+            seconds["feasibility"] = seconds.get("feasibility", 0.0) + (finished - middle)
         return CostReport(
             design=self.design,
             device=options.device,
@@ -1150,9 +1150,9 @@ class EstimationPipeline:
         self._artifacts = artifacts
         return artifacts
 
-    def _calibrated(self) -> CalibrationArtifacts:
-        """The session's calibration, resolved again only when the options'
-        device or models were swapped since."""
+    def calibrated(self) -> CalibrationArtifacts:
+        """The session's calibration, resolved on first use and again only
+        when the options' device or models were swapped since."""
         artifacts, options = self._artifacts, self.options
         if (artifacts is None
                 or artifacts.memory_simulator.device is not options.device
@@ -1211,19 +1211,27 @@ class EstimationPipeline:
         module: Module | str | LaneFamilyHandle,
         workload: KernelInstance,
         pattern: AccessPattern | PatternKind = PatternKind.CONTIGUOUS,
-    ) -> CostGroup:
-        """The :class:`CostGroup` of one design, workload and pattern.
+        points: int = 1,
+    ) -> tuple[CostGroup, bool]:
+        """The :class:`CostGroup` of one design, workload and pattern, and
+        whether this call built it.
 
         Resolved once per (design, latency model, lane scaling, device,
-        noise, workload size, pattern) and shared through the group cache;
-        the lookup is counted like a point's (``variant``/``resource``
-        hits, or the misses of the build).
+        noise, workload size, pattern) and shared through the group cache.
+        The lookup is counted as the lookups of ``points`` points: the
+        first point's build misses (or hits), the others'
+        ``variant``/``resource`` hits.
         """
         group, requests, seconds = self._lookup(module, workload, pattern,
-                                                self._calibrated())
+                                                self.calibrated())
+        built = requests is not _GROUP_HIT
+        if points > 1:
+            requests = _Tally(requests)
+            for key, n in _GROUP_HIT.items():
+                requests.bump(key, n * (points - 1))
         self.cache_requests.add(requests)
         self.stage_seconds.add(seconds)
-        return group
+        return group, built
 
     def _lookup(self, module, workload, pattern, calibration) -> tuple:
         """``(group, requests, seconds)``: the group and the counts of its
@@ -1270,7 +1278,7 @@ class EstimationPipeline:
         # the one-time inputs are resolved once per session, outside the
         # per-variant estimation time (the paper's 0.3 s figure is per
         # variant, with calibration done once per device)
-        calibration = self._calibrated()
+        calibration = self.calibrated()
         options = self.options
 
         with trace_span("pipeline.cost") as _sp:

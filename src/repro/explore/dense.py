@@ -18,16 +18,18 @@ three steps:
    report objects are built *only* for the points a caller keeps
    (best, Pareto frontier, top-k, or an explicit ``materialize_all``),
    by :meth:`CostGroup.report <repro.compiler.pipeline.CostGroup.report>`,
-   the per-point tail the scalar path runs, so a materialized dense
-   report is byte-identical to the scalar one.
+   the per-point tail the scalar path runs (a whole space through
+   :func:`~repro.explore.engine.fill_space`, the serial backend's own
+   loop), so a materialized dense report is byte-identical to the scalar
+   one.
 
 Whole sweeps are cached on the backend keyed by content (kernel, grid,
 device, axes), so a repeated sweep costs a dictionary lookup.
 
 Designs that are not lane-family members (no family analysis, or lane
-scaling disabled) raise :class:`~repro.cost.vector.DenseUnsupportedError`;
-the exploration engine and the workload suite catch it and fall back to
-the scalar per-point path.
+scaling disabled) raise :class:`~repro.cost.vector.DenseUnsupportedError`
+from :meth:`DenseBackend.explore_space`; :meth:`DenseBackend.cost_space`
+catches it and costs the space through the serial backend instead.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ from repro.explore.engine import (
     SerialBackend,
     SweepEntry,
     SweepResult,
+    fill_space,
     pareto_frontier,
     stats_view,
 )
 from repro.explore.space import DenseGrid, DesignSpace, _form_value
 from repro.models.streaming import PatternKind
 from repro.obs.trace import span as trace_span
+from repro.resilience import COUNTERS, Deadline
 from repro.resilience.policy import MetricFamily
 from repro.substrate.fpga_device import FPGADevice
 
@@ -158,10 +162,22 @@ class DenseSweep:
         """Materialize the entries at the given flat sweep indices."""
         return [self._entry(i) for i in indices]
 
-    def materialize_all(self) -> SweepResult:
-        """Every point as a scalar-identical :class:`SweepResult`."""
+    def materialize_all(self, deadline: Deadline | None = None,
+                        on_entry: Callable[[int, SweepEntry], None] | None = None
+                        ) -> SweepResult:
+        """Every point as a scalar-identical :class:`SweepResult`, through
+        the serial backend's fill loop (``deadline`` checked and
+        ``on_entry(index, entry)`` fired per point)."""
         started = time.perf_counter()
-        entries = self.entries_at(range(self.evaluated))
+        grid = self.grid
+        # the evaluated devices: none when the space has no lane counts
+        devices, patterns = range(len(self._clocks)), range(len(grid.patterns))
+        groups = [[[self._groups[(di, li, pi)] for pi in patterns] for di in devices]
+                  for li in range(len(grid.lanes))]
+        options = [[[self._options[(di, fi)] for fi in range(len(grid.forms))]]
+                   * len(grid.clocks) for di in devices]
+        entries = fill_space(grid, self.workload.repetitions, groups, options,
+                             self._clocks, deadline=deadline, on_entry=on_entry)
         wall = self.wall_seconds + (time.perf_counter() - started)
         return SweepResult(entries=entries, wall_seconds=wall, stats=self.stats)
 
@@ -238,10 +254,10 @@ class DenseBackend:
     """Evaluate whole design spaces as broadcast numpy grids.
 
     Plugs into :class:`~repro.explore.engine.ExplorationEngine` beside
-    the serial backend.  ``explore_space`` is the dense
-    entry point; ``run`` falls back to an internal serial backend so the
-    engine can still hand this backend arbitrary per-point job batches
-    (e.g. after a :class:`DenseUnsupportedError`).
+    the serial backend.  ``explore_space`` is the dense entry point and
+    ``cost_space`` materializes it; both ``cost_space`` on a space the
+    dense path cannot represent and ``run`` (optimizer-proposed job
+    batches) go to an internal serial backend.
 
     The backend owns one session pipeline per device, whose cost groups
     live in the pipeline's process-wide group cache, and a content-keyed
@@ -351,7 +367,7 @@ class DenseBackend:
         for pi, pattern in enumerate(grid.patterns):
             lane_groups = []
             for li, handle in enumerate(handles):
-                group = pipeline.group(handle, workload, pattern)
+                group, _ = pipeline.group(handle, workload, pattern)
                 if not group.family_member:
                     raise DenseUnsupportedError(
                         f"design {handle.design_name!r} is not lane-separable (or "
@@ -369,6 +385,26 @@ class DenseBackend:
         return clocks
 
     # -- the generic backend protocol ---------------------------------
+    def cost_space(self, space: DesignSpace, deadline: Deadline | None = None,
+                   on_entry: Callable[[int, SweepEntry], None] | None = None
+                   ) -> SweepResult:
+        """Every point of ``space``: the dense sweep, materialized.
+
+        A space the dense path cannot represent is counted as a
+        ``fallbacks.dense`` and costed by the serial backend's
+        ``cost_space``; the stats are this backend's either way.
+        """
+        if deadline is not None:
+            deadline.check(f"dense sweep of {space.kernel.name}")
+        try:
+            sweep = self.explore_space(space)
+        except DenseUnsupportedError:
+            COUNTERS.bump("fallbacks.dense")
+            result = self._serial.cost_space(space, deadline, on_entry)
+            result.stats = self.collect_stats()
+            return result
+        return sweep.materialize_all(deadline, on_entry)
+
     def run(self, jobs, deadline=None) -> list[CostReport]:
         """Scalar fallback: cost a per-point job batch serially."""
         return self._serial.run(jobs, deadline=deadline)

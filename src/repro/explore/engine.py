@@ -2,8 +2,9 @@
 
 The cost model's speed is the paper's whole point — ~0.3 s per variant
 against ~70 s for an HLS estimate — and this engine turns that speed into
-scale: a :class:`DesignSpace` of thousands of points is lowered into
-:class:`CostJob` batches and evaluated through a pluggable backend,
+scale: every backend costs a whole :class:`DesignSpace` through one
+entry point, ``cost_space(space, deadline, on_entry)``, and the
+optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
 
 ``SerialBackend``
     In-process evaluation; one memoizing
@@ -13,11 +14,15 @@ scale: a :class:`DesignSpace` of thousands of points is lowered into
     One broadcast numpy pass over a lane-separable space; its reports
     are byte-identical to the serial backend's.
 
-A point costs tens of microseconds, so worker processes cost more to
-start and feed than they save on any grid this repo runs; there is no
-process-pool backend.  The serial backend retries transient per-job
-failures in place, so a fault-injected run reports the same bytes as a
-clean one, and it honours an optional
+A space is costed group by group: each (lanes, device, pattern)
+:class:`~repro.compiler.pipeline.CostGroup` is resolved once, and
+:func:`fill_space` — the one per-point loop both backends share — runs
+only the report tail for each of its points, in sweep order.  A point
+costs tens of microseconds, so worker processes cost more to start and
+feed than they save on any grid this repo runs; there is no process-pool
+backend.  The serial backend retries transient failures in place — per
+cost group on the space path, per job in a batch — so a fault-injected
+run reports the same bytes as a clean one, and it honours an optional
 :class:`~repro.resilience.Deadline` between design points.
 
 Results come back as a :class:`SweepResult`: reports in deterministic
@@ -32,16 +37,23 @@ import time
 from typing import Callable, Iterable, Sequence
 
 from repro import field, record
+from repro.compiler.lanescale import LaneFamilyHandle
 from repro.compiler.pipeline import (
     CACHE_REQUESTS,
     STAGE_SECONDS,
+    CompilationOptions,
     EstimationPipeline,
 )
 from repro.cost.report import CostReport
-from repro.explore.space import CostJob, DesignPoint, DesignSpace, _form_value
+from repro.explore.space import (
+    CostJob,
+    DenseGrid,
+    DesignPoint,
+    DesignSpace,
+    _form_value,
+)
 from repro.obs.trace import span as trace_span
 from repro.resilience import (
-    COUNTERS,
     Deadline,
     MetricFamily,
     RetryPolicy,
@@ -55,6 +67,7 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "canonical_report_dict",
+    "fill_space",
     "pareto_frontier",
     "stats_view",
 ]
@@ -113,21 +126,73 @@ def canonical_report_dict(report: CostReport) -> dict:
 # ----------------------------------------------------------------------
 
 
+def _session_key(device, clock_mhz, form) -> tuple:
+    """The session of design points on ``device`` at ``clock_mhz`` in
+    ``form``: the only option fields a point sets.  The rest take their
+    defaults when the session's options are built, so
+    ``TYBEC_LANE_SCALING`` is read once per session, not once per point."""
+    return ("point", device, device.fmax_mhz if clock_mhz is None else clock_mhz,
+            _form_value(form))
+
+
 def _session_group_key(job: CostJob) -> tuple:
     """Group jobs that can share one estimation session (one pipeline).
 
     Jobs with explicit options group by the options object's identity —
     the caller vouches those jobs belong to one session (and injected
     models, custom noise or latency models are honoured as-is).  Jobs
-    described purely by their design point group by the point's
-    ``(device, clock, form)``: the only option fields a point sets.  The
-    rest take their defaults when the session's options are built, so
-    ``TYBEC_LANE_SCALING`` is read once per session, not once per point.
+    described purely by their design point group by the point's session
+    (:func:`_session_key`).
     """
     if job.options is not None:
         return ("options", id(job.options))
     point = job.point
-    return ("point", point.device, point.resolved_clock_mhz, _form_value(point.form))
+    return _session_key(point.device, point.clock_mhz, point.form)
+
+
+def fill_space(
+    grid: DenseGrid,
+    nki: int,
+    groups: Sequence[Sequence[Sequence]],
+    options: Sequence[Sequence[Sequence[CompilationOptions]]],
+    clocks: Sequence[Sequence[float]],
+    *,
+    deadline: Deadline | None = None,
+    on_entry: Callable[[int, "SweepEntry"], None] | None = None,
+    seconds: dict | None = None,
+) -> list["SweepEntry"]:
+    """Cost every point of ``grid`` from its cost groups, in sweep order.
+
+    The per-point loop of both backends: ``groups[lanes][device][pattern]``
+    holds the resolved cost groups, ``options[device][clock][form]`` the
+    session options and ``clocks[device][clock]`` the resolved clock axis
+    (all by axis index); each point runs only :meth:`CostGroup.report
+    <repro.compiler.pipeline.CostGroup.report>` with ``nki`` repetitions.
+    ``deadline`` is checked before each point, ``on_entry(index, entry)``
+    fires after it (``index`` counts from the space's first point) and
+    ``seconds`` accumulates the points' stage times.
+    """
+    entries: list[SweepEntry] = []
+    total = len(grid)
+    kernel, shape, iterations = grid.kernel, grid.grid, grid.iterations
+    perf_counter = time.perf_counter
+    for lanes, lane_groups in zip(grid.lanes, groups):
+        for device, patterns, rows, fd_axis in zip(grid.devices, lane_groups,
+                                                   options, clocks):
+            for clock, fd_mhz, row in zip(grid.clocks, fd_axis, rows):
+                for form, session in zip(grid.forms, row):
+                    for pattern, group in zip(grid.patterns, patterns):
+                        if deadline is not None and deadline.expired:
+                            deadline.check(f"design point {len(entries)}/{total}")
+                        report = group.report(nki, fd_mhz, session, seconds,
+                                              perf_counter())
+                        entry = SweepEntry(DesignPoint(kernel, lanes, shape, iterations,
+                                                       clock, form, device, pattern),
+                                           report)
+                        if on_entry is not None:
+                            on_entry(len(entries), entry)
+                        entries.append(entry)
+    return entries
 
 
 class SerialBackend:
@@ -147,13 +212,25 @@ class SerialBackend:
         if pipeline is not None:
             self._pipelines[("options", id(pipeline.options))] = pipeline
 
-    def pipeline_for(self, job: CostJob) -> EstimationPipeline:
-        key = _session_group_key(job)
+    def _session(self, key: tuple,
+                 options: Callable[[], CompilationOptions]) -> EstimationPipeline:
         with self._lock:
             pipeline = self._pipelines.get(key)
             if pipeline is None:
-                pipeline = self._pipelines[key] = EstimationPipeline(job.resolved_options())
+                pipeline = self._pipelines[key] = EstimationPipeline(options())
             return pipeline
+
+    def pipeline_for(self, job: CostJob) -> EstimationPipeline:
+        return self._session(_session_group_key(job), job.resolved_options)
+
+    def session_for(self, device, clock_mhz, form) -> EstimationPipeline:
+        """The session pipeline of the design points on ``device`` at
+        ``clock_mhz`` in ``form`` (the one :meth:`pipeline_for` gives
+        their jobs)."""
+        return self._session(
+            _session_key(device, clock_mhz, form),
+            lambda: CompilationOptions(device=device, clock_mhz=clock_mhz,
+                                       form=_form_value(form)))
 
     #: per-job retry budget for transient failures (injected faults, a
     #: flaky cache substrate); real estimation errors are deterministic
@@ -161,26 +238,97 @@ class SerialBackend:
     retry_policy: RetryPolicy = RetryPolicy(max_attempts=4, base_delay=0.01,
                                             max_delay=0.25)
 
+    def cost_space(
+        self,
+        space: DesignSpace,
+        deadline: Deadline | None = None,
+        on_entry: Callable[[int, "SweepEntry"], None] | None = None,
+    ) -> "SweepResult":
+        """Cost every point of ``space`` group by group, in sweep order.
+
+        Each (lanes, device, pattern) cost group is resolved once through
+        :meth:`EstimationPipeline.group`, under :attr:`retry_policy` and
+        the ``worker`` fault site, and counted as the lookups of its
+        points, so the stats match a per-point batch's; :func:`fill_space`
+        then costs its points.  ``deadline`` is checked before each point
+        (and each group attempt); ``on_entry(index, entry)`` fires per
+        point, which is what lets the exploration service stream a sweep
+        while it runs.
+        """
+        started = time.perf_counter()
+        grid = DenseGrid.from_space(space)
+        with trace_span("backend.serial.space", kernel=grid.kernel,
+                        points=len(grid)) as sp:
+            entries, groups, built = self._fill(space, grid, deadline, on_entry)
+            if sp is not None:
+                sp.attrs.update(groups=groups, group_misses=built)
+        return SweepResult(entries=entries, wall_seconds=time.perf_counter() - started,
+                           stats=self.collect_stats())
+
+    def _fill(self, space, grid, deadline, on_entry) -> tuple[list, int, int]:
+        """``(entries, cost groups resolved, cost groups built)`` of one space."""
+        if not len(grid):
+            return [], 0, 0
+        workload = space.kernel.workload(grid.grid, grid.iterations)
+        # one session per (device, clock, form), calibrated like the first
+        # point of a batch calibrates it; a device's first session resolves
+        # the device's groups for all of them
+        sessions = [[[self.session_for(device, clock, form) for form in grid.forms]
+                     for clock in grid.clocks] for device in grid.devices]
+        for pipeline in (p for rows in sessions for row in rows for p in row):
+            pipeline.calibrated()
+        options = [[[p.options for p in row] for row in rows] for rows in sessions]
+        clocks = [[row[0].options.resolved_clock_mhz() for row in rows]
+                  for rows in sessions]
+        points = len(grid.clocks) * len(grid.forms)
+        plan = current_fault_plan()
+        groups, resolved, built = [], 0, 0
+        # every group first, so the fill below runs as one tight loop
+        for lanes in grid.lanes:
+            handle = LaneFamilyHandle(kernel=space.kernel, lanes=lanes, grid=grid.grid)
+            lane_groups = []
+            for rows, device in zip(sessions, grid.devices):
+                pipeline, patterns = rows[0][0], []
+                for pattern in grid.patterns:
+                    def resolve(attempt: int, pipeline=pipeline, pattern=pattern):
+                        if plan is not None:
+                            plan.fire("worker", salt=attempt)
+                        return pipeline.group(handle, workload, pattern, points)
+
+                    group, fresh = self.retry_policy.call(
+                        resolve, deadline=deadline,
+                        key=f"serial:{grid.kernel}x{lanes}:{device.name}:{pattern.value}",
+                        what=f"costing {grid.kernel} x{lanes} on {device.name} "
+                             f"({pattern.value})")
+                    patterns.append(group)
+                    resolved += 1
+                    built += fresh
+                lane_groups.append(patterns)
+            groups.append(lane_groups)
+        seconds: dict = {}
+        try:
+            entries = fill_space(grid, workload.repetitions, groups, options, clocks,
+                                 deadline=deadline, on_entry=on_entry, seconds=seconds)
+        finally:
+            sessions[0][0][0].stage_seconds.add(seconds)
+        return entries, resolved, built
+
     def run(
         self,
         jobs: Sequence[CostJob],
-        progress: Callable[[int, CostReport], None] | None = None,
         deadline: Deadline | None = None,
     ) -> list[CostReport]:
-        """Cost ``jobs`` in order; ``progress(index, report)`` fires per point.
+        """Cost ``jobs`` in order.
 
-        The callback is what lets a long-lived consumer (the exploration
-        service) stream results while the batch is still running.
         ``deadline`` is checked between points (and before each retry);
         transient per-job failures retry under :attr:`retry_policy`.
         """
         with trace_span("backend.serial.batch", jobs=len(jobs)):
-            return self._run(jobs, progress, deadline)
+            return self._run(jobs, deadline)
 
     def _run(
         self,
         jobs: Sequence[CostJob],
-        progress: Callable[[int, CostReport], None] | None,
         deadline: Deadline | None,
     ) -> list[CostReport]:
         reports = []
@@ -200,8 +348,6 @@ class SerialBackend:
                 _cost, key=f"serial:{index}", what=f"costing {job.point.label}",
                 deadline=deadline)
             reports.append(report)
-            if progress is not None:
-                progress(index, report)
         return reports
 
     def families(self) -> list[MetricFamily]:
@@ -408,14 +554,15 @@ class SweepResult:
 
 
 class ExplorationEngine:
-    """Incremental costing of design points through a pluggable backend.
+    """Costing of design points through a pluggable backend.
 
-    The engine is a driver loop around the :class:`Optimizer` protocol
-    (:mod:`repro.explore.optimizer`): an optimizer proposes point
-    batches, the backend costs them, the outcomes feed back.  The classic
-    entry points — :meth:`cost_many` and :meth:`explore` — are the
-    degenerate ``ExhaustiveOptimizer`` driven through the same loop, and
-    stay byte-identical to the pre-loop eager engine.
+    :meth:`explore` costs a whole design space through the backend's
+    ``cost_space``.  Everything else is a driver loop around the
+    :class:`Optimizer` protocol (:mod:`repro.explore.optimizer`): an
+    optimizer proposes point batches, the backend's ``run`` costs them,
+    the outcomes feed back; :meth:`cost_many` is the degenerate
+    ``ExhaustiveOptimizer`` driven through that loop.  Both paths report
+    the same bytes for the same points.
     """
 
     def __init__(self, backend: SerialBackend | None = None):
@@ -480,26 +627,19 @@ class ExplorationEngine:
                                  deadline=deadline)
         return run.sweep()
 
-    def explore(self, space: DesignSpace) -> SweepResult:
-        """Lower a design space and cost every point.
+    def explore(self, space: DesignSpace, deadline: Deadline | None = None,
+                on_entry: Callable[[int, SweepEntry], None] | None = None
+                ) -> SweepResult:
+        """Cost every point of a design space, in sweep order.
 
-        A backend with a dense lowering (``explore_space``) evaluates the
-        whole space as broadcast arrays and materializes every report;
-        spaces the dense path cannot represent (non-lane-separable
-        designs) transparently fall back to the per-point optimizer loop.
+        The backend's ``cost_space``: the serial backend resolves each
+        cost group once and fills its points; the dense backend evaluates
+        the space as broadcast arrays and materializes every report (a
+        space it cannot represent falls back to the serial walk).
+        ``deadline`` is checked per point; ``on_entry(index, entry)``
+        fires per point.
         """
-        dense = getattr(self.backend, "explore_space", None)
-        if dense is not None:
-            from repro.cost.vector import DenseUnsupportedError
-
-            try:
-                return dense(space).materialize_all()
-            except DenseUnsupportedError:
-                COUNTERS.bump("fallbacks.dense")
-        from repro.explore.optimizer import ExhaustiveOptimizer
-
-        run = self.run_optimizer(ExhaustiveOptimizer(space))
-        return run.sweep()
+        return self.backend.cost_space(space, deadline=deadline, on_entry=on_entry)
 
     def explore_dense(self, space: DesignSpace):
         """Dense-evaluate a space *without* materializing its reports.

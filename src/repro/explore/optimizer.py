@@ -19,9 +19,9 @@ Four optimizers ship on the seam:
 
 ``ExhaustiveOptimizer``
     The classic full sweep, re-expressed as the degenerate optimizer that
-    proposes every point and learns nothing.  It *is* the legacy eager
-    path — ``ExplorationEngine.cost_many``/``explore`` drive it — and its
-    reports are byte-identical to the pre-loop engine (goldens included).
+    proposes every point and learns nothing.  ``ExplorationEngine.cost_many``
+    drives it, and its reports are byte-identical to the whole-space path
+    (``ExplorationEngine.explore``, goldens included).
 ``FmaxBinarySearchOptimizer``
     The maximum feasible clock per design family, found by bracket and
     refine: geometric growth until infeasible, then interior probes until

@@ -16,8 +16,10 @@ sites:
     between temp-write and atomic rename (the ``.tmp`` orphan the
     eviction sweep must clean up).
 ``worker``
-    One design point's costing in the serial backend; the backend's
-    retry policy re-costs the point, so the report never changes.
+    One costing attempt in the serial backend: a cost group's resolution
+    on the whole-space path, a design point's costing in a job batch.
+    The backend's retry policy makes the attempt again, so the report
+    never changes.
 ``tool``
     One external-tool subprocess invocation (:func:`repro.flows.tools.run_tool`).
 ``service.handler``

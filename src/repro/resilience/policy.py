@@ -274,8 +274,7 @@ class MetricFamily:
     help text).  A series key is its label-value tuple; a one-label
     family also takes the bare value (``COUNTERS.bump("retries")``).
     Deliberately dumb so a hot-path ``bump`` is one dict update under
-    one lock.  Pickles without the lock, as a snapshot of its counts;
-    :func:`sum_families` adds same-named families up.
+    one lock; :func:`sum_families` adds same-named families up.
     """
 
     __slots__ = ("name", "kind", "labelnames", "help", "_lock", "_values")
@@ -322,15 +321,6 @@ class MetricFamily:
         never a half-filled family (a gauge re-read, or test isolation)."""
         with self._lock:
             self._values = dict(values or {})
-
-    def __getstate__(self):
-        return (self.name, self.kind, self.labelnames, self.help,
-                self.snapshot())
-
-    def __setstate__(self, state) -> None:
-        self.name, self.kind, self.labelnames, self.help, values = state
-        self._lock = threading.Lock()
-        self._values = values
 
 
 def sum_families(families: Iterable[MetricFamily]) -> dict[str, MetricFamily]:

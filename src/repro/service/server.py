@@ -65,7 +65,6 @@ from repro.explore.dense import DenseBackend
 from repro.explore.engine import (
     SerialBackend,
     SweepEntry,
-    SweepResult,
     canonical_report_dict,
     stats_view,
 )
@@ -408,27 +407,9 @@ class ExplorationService:
             deadline.check("suite request queued too long")
             maybe_fail("service.handler")
             self.sweeps.bump("started")
-            suite = WorkloadSuite(config, backend=backend)
-            if request["dense"]:
-                spaces, sweep = suite.sweep(deadline=deadline)
-                for index, entry in enumerate(sweep.entries):
-                    publish(_EntryEvent(index, entry))
-            else:
-                spaces = suite.spaces()
-                jobs = suite.jobs(spaces)
-                entries: list[SweepEntry] = []
-                started = time.perf_counter()
-
-                def _progress(index: int, report) -> None:
-                    entries.append(SweepEntry(jobs[index].point, report))
-                    publish(_EntryEvent(index, entries[-1]))
-
-                self._backend.run(jobs, progress=_progress, deadline=deadline)
-                sweep = SweepResult(
-                    entries=entries,
-                    wall_seconds=time.perf_counter() - started,
-                    stats=self._backend.collect_stats(),
-                )
+            spaces, sweep = WorkloadSuite(config, backend=backend).sweep(
+                deadline=deadline,
+                on_entry=lambda index, entry: publish(_EntryEvent(index, entry)))
             report = build_suite_report(config, spaces, sweep)
             self.sweeps.bump("completed")
         return {

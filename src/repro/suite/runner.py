@@ -4,10 +4,10 @@ The roofline-style DSE literature shows value by sweeping *many* kernels
 per device; this module makes that a first-class operation.  A
 :class:`SuiteConfig` names the kernels (default: every kernel in the
 registry) and the sweep axes (device x memory-execution form x lanes
-x clock x access pattern); :class:`WorkloadSuite` lowers that grid into
-one flat job batch, drives the exploration engine — serial or dense,
-the reports are byte-identical either way — and folds the
-results into a canonical :class:`~repro.suite.report.SuiteReport`.
+x clock x access pattern); :class:`WorkloadSuite` costs each kernel's
+design space through the exploration engine — serial or dense, the
+reports are byte-identical either way — and folds the results into a
+canonical :class:`~repro.suite.report.SuiteReport`.
 
 The suite is what both the golden-regression harness and the
 ``BENCH_suite`` throughput benchmark are built on: one costs the report
@@ -21,13 +21,12 @@ import os
 
 from repro import field, record, replace
 from repro.explore.engine import ExplorationEngine, SweepResult
-from repro.explore.space import DesignSpace, build_jobs
+from repro.explore.space import DesignSpace
 from repro.kernels import REGISTRY, KernelWorkload, get_kernel
 from repro.models.memory_execution import MemoryExecutionForm
 from repro.models.streaming import PatternKind
 from repro.obs.profile import maybe_profile
 from repro.obs.trace import span as trace_span
-from repro.resilience import COUNTERS
 from repro.suite.report import DSE_SCHEMA, SCHEMA, SuiteReport
 from repro.substrate import DEVICES, get_device
 
@@ -337,19 +336,12 @@ class WorkloadSuite:
         """One design space per kernel, in sorted kernel order."""
         return {name: self.config.space_for(name) for name in self.config.resolved_kernels()}
 
-    def jobs(self, spaces: dict[str, DesignSpace] | None = None):
-        """The flat, deterministic job batch over all kernels."""
-        jobs = []
-        for space in (spaces or self.spaces()).values():
-            jobs.extend(build_jobs(space))
-        return jobs
-
     @staticmethod
     def kernel_entries(spaces: dict[str, DesignSpace], sweep: SweepResult):
         """Per-kernel slices of a sweep over ``spaces``, in sweep order.
 
-        The engine flattens the per-kernel job batches into one sweep;
-        this is the inverse — shared by the suite report builder and the
+        The suite concatenates the per-kernel sweeps into one; this is
+        the inverse — shared by the suite report builder and the
         cross-validation subsystem so both agree on which entries belong
         to which kernel.
         """
@@ -362,49 +354,39 @@ class WorkloadSuite:
         return slices
 
     # ------------------------------------------------------------------
-    def sweep(self, deadline=None) -> tuple[dict[str, DesignSpace], SweepResult]:
-        """Cost every point of every kernel in one engine batch.
+    def sweep(self, deadline=None, on_entry=None
+              ) -> tuple[dict[str, DesignSpace], SweepResult]:
+        """Cost every point of every kernel, kernel by kernel, in sweep order.
 
-        A backend with a dense lowering evaluates each kernel's space as
-        one broadcast pass (kernels that are not lane-separable fall back
-        to the per-point oracle, per space); entry order and report bytes
-        are identical either way.  A ``deadline`` is checked per design
-        point on the per-point path and per kernel space on the dense one
-        (a broadcast pass is a single vectorized evaluation — there is no
-        finer-grained boundary to interrupt it at).
+        Each kernel's space goes through the engine's backend
+        (``cost_space``): the serial backend resolves each cost group once
+        and fills its points, the dense backend evaluates the space as one
+        broadcast pass (falling back to the serial walk for a space that
+        is not lane-separable); entry order and report bytes are identical
+        either way.  ``deadline`` is checked per design point, and
+        ``on_entry(index, entry)`` fires per point with its index in the
+        whole sweep — the exploration service streams through it.
         """
         with trace_span("suite.sweep", kernels=len(self.config.kernels)), \
                 maybe_profile("suite.sweep"):
-            return self._sweep(deadline)
+            return self._sweep(deadline, on_entry)
 
-    def _sweep(self, deadline=None) -> tuple[dict[str, DesignSpace], SweepResult]:
+    def _sweep(self, deadline, on_entry) -> tuple[dict[str, DesignSpace], SweepResult]:
         spaces = self.spaces()
-        if not any(len(space) for space in spaces.values()):
+        costed = [space for space in spaces.values() if len(space)]
+        if not costed:
             raise ValueError(_NO_POINTS)
-        dense = getattr(self.engine.backend, "explore_space", None)
-        if dense is None:
-            return spaces, self.engine.cost_many(self.jobs(spaces),
-                                                 deadline=deadline)
-
-        from repro.cost.vector import DenseUnsupportedError
-
         entries: list = []
         wall = 0.0
-        for space in spaces.values():
-            if len(space) == 0:
-                continue
-            if deadline is not None:
-                deadline.check(f"dense sweep of {space.kernel.name}")
-            try:
-                result = dense(space).materialize_all()
-            except DenseUnsupportedError:
-                COUNTERS.bump("fallbacks.dense")
-                result = self.engine.cost_many(build_jobs(space),
-                                               deadline=deadline)
+        for space in costed:
+            emit = None
+            if on_entry is not None:
+                def emit(index, entry, offset=len(entries)):
+                    on_entry(offset + index, entry)
+            result = self.engine.explore(space, deadline=deadline, on_entry=emit)
             entries.extend(result.entries)
             wall += result.wall_seconds
-        collect = getattr(self.engine.backend, "collect_stats", None)
-        stats = collect() if collect is not None else {}
+        stats = self.engine.backend.collect_stats()
         return spaces, SweepResult(entries=entries, wall_seconds=wall, stats=stats)
 
     def run(self) -> SuiteRun:

@@ -26,9 +26,17 @@ class TestTraceFlag:
                    "--kernels", "sor", "--max-lanes", "2"])
         assert rc == 0
         header, records = load_trace(path)  # validates the file
-        sites = {r["site"] for r in records}
-        assert "suite.sweep" in sites
-        assert "pipeline.cost" in sites
+        by_site = {}
+        for record in records:
+            by_site.setdefault(record["site"], []).append(record)
+        (sweep,) = by_site["suite.sweep"]
+        (space,) = by_site["backend.serial.space"]
+        # one span per space, not one per point
+        assert "pipeline.cost" not in by_site
+        assert space["parent"] == sweep["span"]
+        attrs = space["attrs"]
+        assert (attrs["kernel"], attrs["points"], attrs["groups"]) == ("sor", 2, 2)
+        assert 0 <= attrs["group_misses"] <= attrs["groups"]
         assert {r["trace"] for r in records} == {header["trace_id"]}
 
     def test_traced_report_encode_and_write_spans(self, tmp_path, capsys):
@@ -76,7 +84,7 @@ class TestTraceSummarize:
         out = capsys.readouterr().out
         assert "trace " in out
         assert "suite.sweep" in out
-        assert "pipeline.cost" in out
+        assert "backend.serial.space" in out
 
     def test_summarize_json(self, trace_file, capsys):
         rc = main(["trace", "summarize", str(trace_file), "--json"])

@@ -3,7 +3,6 @@ stat surfaces rendered through it."""
 
 from __future__ import annotations
 
-import pickle
 import re
 import sys
 import threading
@@ -105,16 +104,6 @@ class TestMetricFamily:
         assert gauge.snapshot() == {"a": 1, "b": 2}
         gauge.reset()
         assert gauge.snapshot() == {}
-
-    def test_pickles_without_its_lock(self):
-        family = MetricFamily("seconds_total", ("stage",), "Help.")
-        family.bump("parse", 0.5)
-        clone = pickle.loads(pickle.dumps(family))
-        assert (clone.name, clone.kind, clone.labelnames, clone.help) == (
-            "seconds_total", "counter", ("stage",), "Help.")
-        clone.bump("parse", 0.25)  # a fresh lock works
-        assert clone.snapshot() == {"parse": 0.75}
-        assert family.snapshot() == {"parse": 0.5}
 
     def test_sum_families_adds_same_named_snapshots(self):
         a = MetricFamily("req_total", ("layer", "result"))

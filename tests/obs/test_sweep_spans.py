@@ -1,17 +1,20 @@
 """A traced sweep is one valid span tree, and tracing changes nothing.
 
-Every span of a serial sweep shares the tracer's trace id; the
-per-point ``pipeline.cost`` spans hang off the ``backend.serial.batch``
-span that costs them, and a traced sweep's reports and stats are the
-untraced sweep's.
+Every span of a serial sweep shares the tracer's trace id.  A whole
+space is one ``backend.serial.space`` span carrying its point, group and
+group-miss counts, with no per-point spans; a job batch keeps its
+``backend.serial.batch`` span with one ``pipeline.cost`` span per point
+under it.  A traced sweep's reports and stats are the untraced sweep's.
 """
 
 from __future__ import annotations
 
+from repro.compiler.pipeline import clear_calibration_cache
 from repro.explore import (
     DesignSpace,
     ExplorationEngine,
     SerialBackend,
+    build_jobs,
 )
 from repro.kernels import get_kernel
 from repro.obs.trace import (
@@ -27,10 +30,11 @@ def _space(lanes=(1, 2, 4, 8)) -> DesignSpace:
                        iterations=10, lanes=list(lanes))
 
 
-def _traced_sweep(path, backend):
+def _traced_sweep(path, backend, cost=None):
     install_tracer(Tracer(path))
     try:
-        return ExplorationEngine(backend).explore(_space())
+        engine = ExplorationEngine(backend)
+        return (cost or engine.explore)(_space())
     finally:
         uninstall_tracer()
 
@@ -42,21 +46,58 @@ def _sites(records) -> dict:
     return sites
 
 
+def _descends_from(record, ancestor, records) -> bool:
+    by_id = {r["span"]: r for r in records}
+    parent = record.get("parent")
+    while parent is not None:
+        if parent == ancestor["span"]:
+            return True
+        parent = by_id[parent].get("parent") if parent in by_id else None
+    return False
+
+
 class TestSerialSweepTrace:
-    def test_point_spans_nest_under_the_batch_span(self, tmp_path):
+    def test_one_span_per_space_with_aggregate_counts(self, tmp_path):
         path = tmp_path / "serial.ndjson"
+        clear_calibration_cache()   # every group of the space is built
         sweep = _traced_sweep(path, SerialBackend())
         assert sweep.evaluated == 4
 
         header, records = load_trace(path)  # load_trace validates
         sites = _sites(records)
         assert {r["trace"] for r in records} == {header["trace_id"]}
+        (space,) = sites["backend.serial.space"]
+        assert space["attrs"] == {"kernel": "sor", "points": 4, "groups": 4,
+                                  "group_misses": 4}
+        assert "pipeline.cost" not in sites
+        assert "backend.serial.batch" not in sites
+        # the group builds' stage spans nest under the space span
+        for record in records:
+            if record is not space:
+                assert _descends_from(record, space, records), record["site"]
+        assert len({r["pid"] for r in records}) == 1
+
+    def test_warm_groups_are_counted_as_hits(self, tmp_path):
+        ExplorationEngine(SerialBackend()).explore(_space())
+        _traced_sweep(tmp_path / "warm.ndjson", SerialBackend())
+        _, records = load_trace(tmp_path / "warm.ndjson")
+        (space,) = _sites(records)["backend.serial.space"]
+        assert (space["attrs"]["groups"], space["attrs"]["group_misses"]) == (4, 0)
+
+    def test_batch_point_spans_nest_under_the_batch_span(self, tmp_path):
+        path = tmp_path / "batch.ndjson"
+        backend = SerialBackend()
+        sweep = _traced_sweep(
+            path, backend,
+            lambda space: ExplorationEngine(backend).cost_many(build_jobs(space)))
+        assert sweep.evaluated == 4
+        _, records = load_trace(path)
+        sites = _sites(records)
         (batch,) = sites["backend.serial.batch"]
         assert batch["attrs"]["jobs"] == 4
         assert len(sites["pipeline.cost"]) == 4
         for cost in sites["pipeline.cost"]:
             assert cost["parent"] == batch["span"]
-        assert len({r["pid"] for r in records}) == 1
 
     def test_tracing_leaves_the_stats_clean(self, tmp_path):
         sweep = _traced_sweep(tmp_path / "serial.ndjson", SerialBackend())

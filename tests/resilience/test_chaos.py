@@ -88,6 +88,56 @@ class TestSerialChaos:
             WorkloadSuite(_tiny_config(), backend=SerialBackend()).run()
 
 
+class TestSpaceChaos:
+    def test_group_faults_do_not_change_a_byte(self, tmp_path):
+        """The space path resolves each cost group under the retry policy
+        and the ``worker`` site: one draw per group (and per retry), not
+        per point, and the entries are the clean job batch's bytes."""
+        from repro.explore.engine import SweepEntry
+        from repro.explore.space import DesignSpace, build_jobs
+        from repro.kernels import get_kernel
+        from repro.models.streaming import PatternKind
+        from repro.substrate import get_device
+        from repro.suite.report import canonical_json_line
+
+        devices = (get_device("stratix-v"), get_device("virtex-7"))
+        spaces = [DesignSpace(kernel=get_kernel(name), grid=(8, 8, 8), iterations=10,
+                              max_lanes=4, devices=devices,
+                              forms=("A", "B", "C", "auto"),
+                              patterns=tuple(PatternKind),
+                              clocks_mhz=(None, 150.0, 237.5))
+                  for name in ("sor", "lavamd")]
+
+        def batch(space):
+            jobs = build_jobs(space)
+            return [SweepEntry(job.point, report)
+                    for job, report in zip(jobs, SerialBackend().run(jobs))]
+
+        plan = FaultPlan({"worker": {"rate": 0.2, "mode": "raise"},
+                          "cache.read": {"rate": 0.1}}, seed=4)
+        with redirected_cache_dir(tmp_path / "chaos-cache"):
+            clear_calibration_cache()
+            try:
+                # the clean batch fills the store the faulted reads then hit
+                clean = [canonical_json_line(entry)
+                         for space in spaces for entry in batch(space)]
+                clear_calibration_cache()
+                with plan.active():
+                    backend = SerialBackend()
+                    chaotic = [canonical_json_line(entry) for space in spaces
+                               for entry in backend.cost_space(space).entries]
+            finally:
+                clear_calibration_cache()
+        sites = plan.stats()["sites"]
+        groups = sum(len(space.lane_counts()) * len(devices) * len(PatternKind)
+                     for space in spaces)
+        assert sites["worker"]["injected"] > 0, \
+            "seed produced no faults; the test would be vacuous"
+        assert sites["worker"]["calls"] == groups + sites["worker"]["injected"]
+        assert sites["cache.read"]["injected"] > 0
+        assert chaotic == clean
+
+
 class TestOptimizerChaos:
     def test_worker_faults_converge_to_the_fault_free_answer(self):
         """The optimizer driver loop rides the serial backend's per-point

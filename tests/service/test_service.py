@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.explore.engine import SerialBackend, SweepEntry, SweepResult
+from repro.explore.space import build_jobs
 from repro.service import (
     BadRequestError,
     CoalescedTask,
@@ -31,6 +33,7 @@ from repro.service import (
 from repro.service.server import TRACE_HEADER
 from repro.suite import SuiteConfig, WorkloadSuite
 from repro.suite.report import canonical_json, canonical_json_line, canonicalize
+from repro.suite.runner import build_suite_report
 from tests.conftest import FAST_POLL
 
 TINY_SPEC = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
@@ -732,3 +735,44 @@ class TestSharedRowTexts:
             assert json.loads(meta)["role"] == name.split()[-1]
             assert lines == (self.stamped(expected) if stamp else expected), name
         assert service.sweeps.get("started") == 1
+
+
+def batch_reference_lines(spec: dict) -> list[bytes]:
+    """The reference ``/suite`` lines of ``spec`` with every point costed
+    as one job batch (``SerialBackend.run``, one pipeline ``cost`` per
+    point), not through the backends' whole-space path."""
+    config = SuiteConfig.from_spec({k: v for k, v in spec.items() if k != "dense"})
+    spaces = WorkloadSuite(config).spaces()
+    backend = SerialBackend()
+    entries = []
+    for space in spaces.values():
+        jobs = build_jobs(space)
+        entries += [SweepEntry(job.point, report)
+                    for job, report in zip(jobs, backend.run(jobs))]
+    report = build_suite_report(config, spaces, SweepResult(entries=entries))
+    events = [{"event": "entry", "index": index, **entry.as_dict()}
+              for index, entry in enumerate(entries)]
+    events.append({"event": "report", "kind": "suite",
+                   "payload": report.payload, "evaluated": len(entries)})
+    return [(json.dumps(canonicalize(event), sort_keys=True,
+                        separators=(",", ":")) + "\n").encode()
+            for event in events]
+
+
+class TestLeaderLinesMatchTheBatch:
+    """The leader streams each point as its space is costed; its entry and
+    report lines are the job-batch reference's, serial and dense."""
+
+    SPEC = {"tiny": True, "kernels": ["sor", "matmul"], "max_lanes": 2,
+            "devices": ["stratix-v", "virtex-7"], "forms": ["A", "C"],
+            "patterns": ["contiguous", "strided"], "clocks_mhz": [150, 212.5]}
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_entry_and_report_lines(self, server, dense):
+        status, chunks = raw_post(server.port, "/suite", {**self.SPEC, "dense": dense})
+        assert status == 200
+        meta, *lines = ndjson_lines(chunks)
+        assert json.loads(meta)["role"] == "leader"
+        expected = batch_reference_lines(self.SPEC)
+        assert len(expected) == 2 * 2 * 2 * 2 * 2 * 2 + 1
+        assert lines == expected
