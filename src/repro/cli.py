@@ -317,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="smoke-test grids (each dimension capped at 8, "
                                  "10 iterations) — the golden configuration")
         parser.add_argument("--dense", action="store_true",
-                            help="evaluate each kernel's grid as broadcast "
-                                 "numpy arrays (single-process; reports are "
-                                 "byte-identical to the per-point path)")
+                            help="cost through the dense backend, which hands "
+                                 "each whole grid to the same serial loop "
+                                 "(reports are byte-identical; the numpy "
+                                 "arrays serve `explore --dense` selection)")
         parser.add_argument("-o", "--output", type=Path, default=None,
                             help="write the canonical JSON report to a file")
         parser.add_argument("--json", action="store_true",
@@ -718,9 +719,8 @@ def _cmd_explore_space(args, kernel, grid) -> int:
             return _render_dense_sweep(args, space, engine.explore_dense(space))
         except DenseUnsupportedError as exc:
             COUNTERS.bump("fallbacks.dense")
-            print(f"dense path unavailable ({exc}); using the per-point path",
+            print(f"dense path unavailable ({exc}); costing every point",
                   file=sys.stderr)
-            engine = ExplorationEngine()
     sweep = engine.explore(space)
     frontier = sweep.pareto_frontier() if args.pareto else []
     best = sweep.best()

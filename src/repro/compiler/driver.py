@@ -37,8 +37,8 @@ __all__ = ["CompilationOptions", "CompiledVariant", "TybecCompiler"]
 class TybecCompiler(EstimationPipeline):
     """Back-end compiler: costing and code generation for TyTra-IR designs.
 
-    Costing (``parse``, ``analyze``, ``extract_parameters``, ``cost``,
-    ``cost_many`` and the calibration properties) is inherited from
+    Costing (``parse``, ``analyze``, ``extract_parameters``, ``cost``
+    and the calibration properties) is inherited from
     :class:`EstimationPipeline`; the compiler adds HDL emission and the
     ground-truth substrates.
     """

@@ -61,7 +61,7 @@ import hashlib
 import os
 import threading
 import time
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro import field, record
 from repro.compiler.analysis import (
@@ -1291,18 +1291,3 @@ class EstimationPipeline:
             if _sp is not None:
                 _sp.attrs["design"] = group.design
         return report
-
-    def cost_many(
-        self,
-        jobs: Iterable[
-            tuple[Module | str | LaneFamilyHandle, KernelInstance]
-            | tuple[Module | str | LaneFamilyHandle, KernelInstance, AccessPattern | PatternKind]
-        ],
-    ) -> list[CostReport]:
-        """Cost a batch of (module, workload[, pattern]) jobs in order."""
-        reports = []
-        for job in jobs:
-            module, workload = job[0], job[1]
-            pattern = job[2] if len(job) > 2 else PatternKind.CONTIGUOUS
-            reports.append(self.cost(module, workload, pattern))
-        return reports

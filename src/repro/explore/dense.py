@@ -1,4 +1,4 @@
-"""The dense exploration backend: whole grids costed as numpy arrays.
+"""The dense exploration backend: selection on whole grids as numpy arrays.
 
 ``DenseBackend.explore_space`` lowers a :class:`DesignSpace` through
 three steps:
@@ -14,22 +14,22 @@ three steps:
    one numpy pass from the first lane group's Table-I parameters, its
    form selection and the groups' resource verdicts, producing EKIT,
    breakdown-total, limiting-factor and feasibility arrays;
-3. **materialize** — full :class:`~repro.explore.engine.SweepEntry`
-   report objects are built *only* for the points a caller keeps
-   (best, Pareto frontier, top-k, or an explicit ``materialize_all``),
-   by :meth:`CostGroup.report <repro.compiler.pipeline.CostGroup.report>`,
-   the per-point tail the scalar path runs (a whole space through
-   :func:`~repro.explore.engine.fill_space`, the serial backend's own
-   loop), so a materialized dense report is byte-identical to the scalar
-   one.
+3. **select** — best, Pareto frontier, top-k and the surrogate prune run
+   on the arrays, and full :class:`~repro.explore.engine.SweepEntry`
+   report objects are built *only* for the points a caller keeps, by
+   :meth:`CostGroup.report <repro.compiler.pipeline.CostGroup.report>`,
+   the per-point tail the scalar path runs, so a kept entry is
+   byte-identical to the scalar one.
 
 Whole sweeps are cached on the backend keyed by content (kernel, grid,
 device, axes), so a repeated sweep costs a dictionary lookup.
 
-Designs that are not lane-family members (no family analysis, or lane
-scaling disabled) raise :class:`~repro.cost.vector.DenseUnsupportedError`
-from :meth:`DenseBackend.explore_space`; :meth:`DenseBackend.cost_space`
-catches it and costs the space through the serial backend instead.
+A caller that wants every report gains nothing from the arrays:
+:meth:`DenseBackend.cost_space` hands the whole space to its serial
+backend's ``cost_space``, the one whole-space loop.  Designs that are
+not lane-family members (no family analysis, or lane scaling disabled)
+raise :class:`~repro.cost.vector.DenseUnsupportedError` from
+:meth:`DenseBackend.explore_space`.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ from repro.explore.engine import (
     SerialBackend,
     SweepEntry,
     SweepResult,
-    fill_space,
     pareto_frontier,
     stats_view,
 )
 from repro.explore.space import DenseGrid, DesignSpace, _form_value
 from repro.models.streaming import PatternKind
 from repro.obs.trace import span as trace_span
-from repro.resilience import COUNTERS, Deadline
+from repro.resilience import Deadline
 from repro.resilience.policy import MetricFamily
 from repro.substrate.fpga_device import FPGADevice
 
@@ -162,24 +161,10 @@ class DenseSweep:
         """Materialize the entries at the given flat sweep indices."""
         return [self._entry(i) for i in indices]
 
-    def materialize_all(self, deadline: Deadline | None = None,
-                        on_entry: Callable[[int, SweepEntry], None] | None = None
-                        ) -> SweepResult:
-        """Every point as a scalar-identical :class:`SweepResult`, through
-        the serial backend's fill loop (``deadline`` checked and
-        ``on_entry(index, entry)`` fired per point)."""
-        started = time.perf_counter()
-        grid = self.grid
-        # the evaluated devices: none when the space has no lane counts
-        devices, patterns = range(len(self._clocks)), range(len(grid.patterns))
-        groups = [[[self._groups[(di, li, pi)] for pi in patterns] for di in devices]
-                  for li in range(len(grid.lanes))]
-        options = [[[self._options[(di, fi)] for fi in range(len(grid.forms))]]
-                   * len(grid.clocks) for di in devices]
-        entries = fill_space(grid, self.workload.repetitions, groups, options,
-                             self._clocks, deadline=deadline, on_entry=on_entry)
-        wall = self.wall_seconds + (time.perf_counter() - started)
-        return SweepResult(entries=entries, wall_seconds=wall, stats=self.stats)
+    def materialize_all(self) -> SweepResult:
+        """Every point as a scalar-identical :class:`SweepResult`."""
+        return SweepResult(entries=self.entries_at(range(self.evaluated)),
+                           wall_seconds=self.wall_seconds, stats=self.stats)
 
     # -- selection -----------------------------------------------------
     def best(self) -> SweepEntry | None:
@@ -251,13 +236,12 @@ class DenseSweep:
 
 
 class DenseBackend:
-    """Evaluate whole design spaces as broadcast numpy grids.
+    """Select from whole design spaces evaluated as broadcast numpy grids.
 
     Plugs into :class:`~repro.explore.engine.ExplorationEngine` beside
-    the serial backend.  ``explore_space`` is the dense entry point and
-    ``cost_space`` materializes it; both ``cost_space`` on a space the
-    dense path cannot represent and ``run`` (optimizer-proposed job
-    batches) go to an internal serial backend.
+    the serial backend.  ``explore_space`` is the dense entry point;
+    ``cost_space`` (every report of a space) and ``run``
+    (optimizer-proposed job batches) go to an internal serial backend.
 
     The backend owns one session pipeline per device, whose cost groups
     live in the pipeline's process-wide group cache, and a content-keyed
@@ -388,22 +372,13 @@ class DenseBackend:
     def cost_space(self, space: DesignSpace, deadline: Deadline | None = None,
                    on_entry: Callable[[int, SweepEntry], None] | None = None
                    ) -> SweepResult:
-        """Every point of ``space``: the dense sweep, materialized.
-
-        A space the dense path cannot represent is counted as a
-        ``fallbacks.dense`` and costed by the serial backend's
-        ``cost_space``; the stats are this backend's either way.
-        """
-        if deadline is not None:
-            deadline.check(f"dense sweep of {space.kernel.name}")
-        try:
-            sweep = self.explore_space(space)
-        except DenseUnsupportedError:
-            COUNTERS.bump("fallbacks.dense")
-            result = self._serial.cost_space(space, deadline, on_entry)
-            result.stats = self.collect_stats()
-            return result
-        return sweep.materialize_all(deadline, on_entry)
+        """Every point of ``space``, costed by the serial backend's
+        ``cost_space`` and counted as this backend's points; the stats
+        are this backend's."""
+        self.points.bump(n=len(space))
+        result = self._serial.cost_space(space, deadline, on_entry)
+        result.stats = self.collect_stats()
+        return result
 
     def run(self, jobs, deadline=None) -> list[CostReport]:
         """Scalar fallback: cost a per-point job batch serially."""

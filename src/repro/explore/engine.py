@@ -11,19 +11,20 @@ optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
     :class:`~repro.compiler.pipeline.EstimationPipeline` per estimation
     session (option set), shared across all points of that session.
 ``DenseBackend`` (:mod:`repro.explore.dense`)
-    One broadcast numpy pass over a lane-separable space; its reports
-    are byte-identical to the serial backend's.
+    Array-level selection (best, Pareto frontier, top-k, surrogate
+    prune) over a lane-separable space through ``explore_space``; a
+    whole space it hands to its serial backend's ``cost_space``.
 
-A space is costed group by group: each (lanes, device, pattern)
-:class:`~repro.compiler.pipeline.CostGroup` is resolved once, and
-:func:`fill_space` — the one per-point loop both backends share — runs
-only the report tail for each of its points, in sweep order.  A point
-costs tens of microseconds, so worker processes cost more to start and
-feed than they save on any grid this repo runs; there is no process-pool
-backend.  The serial backend retries transient failures in place — per
-cost group on the space path, per job in a batch — so a fault-injected
-run reports the same bytes as a clean one, and it honours an optional
-:class:`~repro.resilience.Deadline` between design points.
+A space is costed group by group, in one loop: each (lanes, device,
+pattern) :class:`~repro.compiler.pipeline.CostGroup` is resolved once,
+and only the report tail runs for each of its points, in sweep order.
+A point costs tens of microseconds, so worker processes cost more to
+start and feed than they save on any grid this repo runs; there is no
+process-pool backend.  The serial backend retries transient failures in
+place — per cost group on the space path, per job in a batch — so a
+fault-injected run reports the same bytes as a clean one, and it
+honours an optional :class:`~repro.resilience.Deadline` between design
+points.
 
 Results come back as a :class:`SweepResult`: reports in deterministic
 sweep order plus the selection helpers exploration strategies build on
@@ -67,7 +68,6 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "canonical_report_dict",
-    "fill_space",
     "pareto_frontier",
     "stats_view",
 ]
@@ -150,51 +150,6 @@ def _session_group_key(job: CostJob) -> tuple:
     return _session_key(point.device, point.clock_mhz, point.form)
 
 
-def fill_space(
-    grid: DenseGrid,
-    nki: int,
-    groups: Sequence[Sequence[Sequence]],
-    options: Sequence[Sequence[Sequence[CompilationOptions]]],
-    clocks: Sequence[Sequence[float]],
-    *,
-    deadline: Deadline | None = None,
-    on_entry: Callable[[int, "SweepEntry"], None] | None = None,
-    seconds: dict | None = None,
-) -> list["SweepEntry"]:
-    """Cost every point of ``grid`` from its cost groups, in sweep order.
-
-    The per-point loop of both backends: ``groups[lanes][device][pattern]``
-    holds the resolved cost groups, ``options[device][clock][form]`` the
-    session options and ``clocks[device][clock]`` the resolved clock axis
-    (all by axis index); each point runs only :meth:`CostGroup.report
-    <repro.compiler.pipeline.CostGroup.report>` with ``nki`` repetitions.
-    ``deadline`` is checked before each point, ``on_entry(index, entry)``
-    fires after it (``index`` counts from the space's first point) and
-    ``seconds`` accumulates the points' stage times.
-    """
-    entries: list[SweepEntry] = []
-    total = len(grid)
-    kernel, shape, iterations = grid.kernel, grid.grid, grid.iterations
-    perf_counter = time.perf_counter
-    for lanes, lane_groups in zip(grid.lanes, groups):
-        for device, patterns, rows, fd_axis in zip(grid.devices, lane_groups,
-                                                   options, clocks):
-            for clock, fd_mhz, row in zip(grid.clocks, fd_axis, rows):
-                for form, session in zip(grid.forms, row):
-                    for pattern, group in zip(grid.patterns, patterns):
-                        if deadline is not None and deadline.expired:
-                            deadline.check(f"design point {len(entries)}/{total}")
-                        report = group.report(nki, fd_mhz, session, seconds,
-                                              perf_counter())
-                        entry = SweepEntry(DesignPoint(kernel, lanes, shape, iterations,
-                                                       clock, form, device, pattern),
-                                           report)
-                        if on_entry is not None:
-                            on_entry(len(entries), entry)
-                        entries.append(entry)
-    return entries
-
-
 class SerialBackend:
     """Evaluate jobs in-process, one memoizing pipeline per session.
 
@@ -249,11 +204,11 @@ class SerialBackend:
         Each (lanes, device, pattern) cost group is resolved once through
         :meth:`EstimationPipeline.group`, under :attr:`retry_policy` and
         the ``worker`` fault site, and counted as the lookups of its
-        points, so the stats match a per-point batch's; :func:`fill_space`
-        then costs its points.  ``deadline`` is checked before each point
-        (and each group attempt); ``on_entry(index, entry)`` fires per
-        point, which is what lets the exploration service stream a sweep
-        while it runs.
+        points, so the stats match a per-point batch's; one loop then runs
+        only the report tail for each point.  ``deadline`` is checked
+        before each point (and each group attempt); ``on_entry(index,
+        entry)`` fires per point, which is what lets the exploration
+        service stream a sweep while it runs.
         """
         started = time.perf_counter()
         grid = DenseGrid.from_space(space)
@@ -277,9 +232,11 @@ class SerialBackend:
                      for clock in grid.clocks] for device in grid.devices]
         for pipeline in (p for rows in sessions for row in rows for p in row):
             pipeline.calibrated()
-        options = [[[p.options for p in row] for row in rows] for rows in sessions]
-        clocks = [[row[0].options.resolved_clock_mhz() for row in rows]
-                  for rows in sessions]
+        # each device's (clock, resolved clock, form, session options), in
+        # sweep order
+        cells = [[(clock, p.options.resolved_clock_mhz(), form, p.options)
+                  for clock, row in zip(grid.clocks, rows)
+                  for form, p in zip(grid.forms, row)] for rows in sessions]
         points = len(grid.clocks) * len(grid.forms)
         plan = current_fault_plan()
         groups, resolved, built = [], 0, 0
@@ -305,10 +262,28 @@ class SerialBackend:
                     built += fresh
                 lane_groups.append(patterns)
             groups.append(lane_groups)
+        # the per-point loop: only the report tail runs, in sweep order
+        entries: list[SweepEntry] = []
+        nki, total = workload.repetitions, len(grid)
+        kernel, shape, iterations = grid.kernel, grid.grid, grid.iterations
+        perf_counter = time.perf_counter
         seconds: dict = {}
         try:
-            entries = fill_space(grid, workload.repetitions, groups, options, clocks,
-                                 deadline=deadline, on_entry=on_entry, seconds=seconds)
+            for lanes, lane_groups in zip(grid.lanes, groups):
+                for device, patterns, device_cells in zip(grid.devices, lane_groups,
+                                                          cells):
+                    for clock, fd_mhz, form, session in device_cells:
+                        for pattern, group in zip(grid.patterns, patterns):
+                            if deadline is not None and deadline.expired:
+                                deadline.check(f"design point {len(entries)}/{total}")
+                            report = group.report(nki, fd_mhz, session, seconds,
+                                                  perf_counter())
+                            entry = SweepEntry(DesignPoint(kernel, lanes, shape,
+                                                           iterations, clock, form,
+                                                           device, pattern), report)
+                            if on_entry is not None:
+                                on_entry(len(entries), entry)
+                            entries.append(entry)
         finally:
             sessions[0][0][0].stage_seconds.add(seconds)
         return entries, resolved, built
@@ -632,10 +607,9 @@ class ExplorationEngine:
                 ) -> SweepResult:
         """Cost every point of a design space, in sweep order.
 
-        The backend's ``cost_space``: the serial backend resolves each
-        cost group once and fills its points; the dense backend evaluates
-        the space as broadcast arrays and materializes every report (a
-        space it cannot represent falls back to the serial walk).
+        The backend's ``cost_space``, which for both backends is the
+        serial one: each cost group is resolved once and its points
+        filled in one loop.
         ``deadline`` is checked per point; ``on_entry(index, entry)``
         fires per point.
         """

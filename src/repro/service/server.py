@@ -11,8 +11,9 @@ Endpoints (all JSON):
 
 ``POST /suite``
     Body: a :class:`~repro.suite.runner.SuiteConfig` spec (same fields
-    as ``tybec suite run``; plus ``"dense": true`` for the broadcast
-    evaluator and ``"tiny": true`` for the smoke grids).  Streams NDJSON
+    as ``tybec suite run``; plus ``"dense": true`` to cost through the
+    dense backend, which hands the whole sweep to the same serial loop,
+    and ``"tiny": true`` for the smoke grids).  Streams NDJSON
     — one ``entry`` event per costed design point as it completes, then
     one final ``report`` event whose payload is the *byte-identical*
     canonical ``repro-suite-report/1`` a batch run would produce.

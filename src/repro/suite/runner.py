@@ -359,13 +359,13 @@ class WorkloadSuite:
         """Cost every point of every kernel, kernel by kernel, in sweep order.
 
         Each kernel's space goes through the engine's backend
-        (``cost_space``): the serial backend resolves each cost group once
-        and fills its points, the dense backend evaluates the space as one
-        broadcast pass (falling back to the serial walk for a space that
-        is not lane-separable); entry order and report bytes are identical
-        either way.  ``deadline`` is checked per design point, and
-        ``on_entry(index, entry)`` fires per point with its index in the
-        whole sweep — the exploration service streams through it.
+        (``cost_space``), which for either backend is the serial one: each
+        cost group is resolved once and its points filled in one loop
+        (the dense backend only counts the points), so entry order and
+        report bytes are identical either way.  ``deadline`` is checked
+        per design point, and ``on_entry(index, entry)`` fires per point
+        with its index in the whole sweep — the exploration service
+        streams through it.
         """
         with trace_span("suite.sweep", kernels=len(self.config.kernels)), \
                 maybe_profile("suite.sweep"):

@@ -127,32 +127,41 @@ def test_metric_updates_per_point(counted):
 
 @pytest.fixture(scope="module")
 def dense_runs(request, tmp_path_factory):
-    """A cold dense sweep, then a serial sweep and a dense sweep of the
-    same config in one process."""
+    """A cold dense selection sweep of every kernel's space, then a serial
+    suite run, a dense suite run and a second dense selection sweep of
+    the same config in one process."""
     monkeypatch = pytest.MonkeyPatch()
     request.addfinalizer(monkeypatch.undo)
     monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path_factory.mktemp("dense-groups")))
     config = sweep_config(64)
+    spaces = list(WorkloadSuite(config).spaces().values())
     clear_calibration_cache()
-    cold = WorkloadSuite(config, backend=DenseBackend()).run()
+    cold = DenseBackend()
+    points = sum(cold.explore_space(space).evaluated for space in spaces)
     clear_calibration_cache()
     serial = WorkloadSuite(config).run()
     dense = WorkloadSuite(config, backend=DenseBackend()).run()
+    warm = DenseBackend()
+    for space in spaces:
+        warm.explore_space(space)
     clear_calibration_cache()
-    return cold, serial, dense
+    return (points, cold.collect_stats()), serial, dense, warm.collect_stats()
 
 
 def test_cold_dense_sweep_resolves_one_group_per_lane_count(dense_runs):
     """One group per (kernel, lanes, pattern): the clock axis shares it."""
-    cold, _, _ = dense_runs
-    assert cold.evaluated == 306
-    assert cold.stats["variant"] == [0, 102]
+    (points, stats), _, _, _ = dense_runs
+    assert points == 306
+    assert stats["variant"] == [0, 102]
 
 
 def test_dense_sweep_reuses_the_serial_sweeps_groups(dense_runs):
     """The dense backend costs through the pipeline's cost groups, so
-    after a serial sweep of the same config it resolves none, and its
-    report is the serial one byte for byte."""
-    _, serial, dense = dense_runs
-    assert dense.stats["variant"] == [102, 0]
+    after a serial sweep of the same config it resolves none; a dense
+    suite run is the serial walk, and its report is the serial one byte
+    for byte."""
+    _, serial, dense, warm = dense_runs
+    assert warm["variant"] == [102, 0]
+    assert serial.stats["variant"] == [204, 102]
+    assert dense.stats["variant"] == [306, 0]
     assert dense.report.to_json() == serial.report.to_json()

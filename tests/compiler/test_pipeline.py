@@ -156,16 +156,7 @@ class TestSessionKey:
         ).session_key()
 
 
-class TestCostManyBatch:
-    def test_cost_many_preserves_order(self, pipeline, kernel):
-        workload = kernel.workload(GRID, 10)
-        jobs = [
-            (kernel.build_module(lanes=lanes, grid=GRID), workload)
-            for lanes in (4, 1, 2)
-        ]
-        reports = pipeline.cost_many(jobs)
-        assert [r.design for r in reports] == ["sor_l4", "sor_l1", "sor_l2"]
-
+class TestRepeatFamily:
     def test_repeat_family_is_at_least_2x_faster(self, kernel):
         """The acceptance criterion: memoization pays on repeated families."""
         from repro.compiler.pipeline import clear_calibration_cache
@@ -174,19 +165,17 @@ class TestCostManyBatch:
         pipeline = EstimationPipeline(CompilationOptions(device=MAIA_STRATIX_V_GSD8))
         pipeline.calibrate()  # one-time per-device inputs out of the timing
         workload = kernel.workload(GRID, 10)
-        jobs = [
-            (kernel.build_module(lanes=lanes, grid=GRID), workload)
-            for lanes in (1, 2, 4, 8, 16, 32)
-        ]
+        modules = [kernel.build_module(lanes=lanes, grid=GRID)
+                   for lanes in (1, 2, 4, 8, 16, 32)]
 
         started = time.perf_counter()
-        first = pipeline.cost_many(jobs)
+        first = [pipeline.cost(module, workload) for module in modules]
         first_pass = time.perf_counter() - started
 
         started = time.perf_counter()
-        second = pipeline.cost_many(jobs)
+        second = [pipeline.cost(module, workload) for module in modules]
         second_pass = time.perf_counter() - started
 
-        assert len(first) == len(second) == len(jobs)
-        assert pipeline.cache_requests.get(("variant", "hit")) >= len(jobs)
+        assert len(first) == len(second) == len(modules)
+        assert pipeline.cache_requests.get(("variant", "hit")) >= len(modules)
         assert first_pass >= 2 * second_pass

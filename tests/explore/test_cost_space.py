@@ -1,8 +1,8 @@
 """The whole-space path against the per-point batch oracle.
 
 ``cost_space`` resolves each (lanes, device, pattern) cost group once and
-fills its points through one loop that the serial and dense backends
-share.  Its entries must be byte-identical to costing every point of the
+fills its points through one loop; the dense backend hands a whole space
+to it.  Its entries must be byte-identical to costing every point of the
 space as a job batch (``SerialBackend.run(build_jobs(space))``), which
 calls ``EstimationPipeline.cost`` once per point, and its stats must
 count the same cache lookups.  The same must hold with lane scaling off
@@ -118,17 +118,23 @@ class TestDenseSpace:
         result = DenseBackend().cost_space(space)
         assert _lines(result.entries) == _lines(_batch(space, SerialBackend()))
 
-    def test_unsupported_space_falls_back_to_the_serial_walk(self, monkeypatch):
+    def test_unsupported_space_is_costed_by_the_serial_walk(self, monkeypatch):
+        from repro.cost.vector import DenseUnsupportedError
         from repro.resilience import COUNTERS
 
         monkeypatch.setenv("TYBEC_LANE_SCALING", "0")
         space = _space("sor", **AXES)
         backend = DenseBackend()
+        with pytest.raises(DenseUnsupportedError):
+            backend.explore_space(space)
         before = COUNTERS.get("fallbacks.dense")
         seen = []
         result = backend.cost_space(space, on_entry=lambda i, e: seen.append(i))
-        assert COUNTERS.get("fallbacks.dense") == before + 1
+        # nothing falls back: a whole space always goes to the serial walk
+        assert COUNTERS.get("fallbacks.dense") == before
         assert seen == list(range(len(space)))
+        serial = SerialBackend().cost_space(space)
+        assert _lines(result.entries) == _lines(serial.entries)
         assert _lines(result.entries) == _lines(_batch(space, SerialBackend()))
         assert result.stats == backend.collect_stats()
 

@@ -2,14 +2,16 @@
 
 The contract mirrors the lane-scaling law's (see
 ``tests/compiler/test_lane_scaling.py``): a sweep evaluated through
-``DenseBackend``'s struct-of-arrays pass, once materialized, must be
-*byte-identical* — after the canonical 9-significant-digit rounding —
-to the per-point reports the serial oracle produces for the same design
-space, across every kernel, device, memory-execution form, lane/clock
-subgrid and access pattern.  These tests pin that contract, the
-array-level selection API, the edge axes (single point, infeasible
-everywhere, empty space, empty frontier) and the automatic scalar
-fallback for designs the dense path cannot represent.
+``DenseBackend``'s struct-of-arrays pass must carry the EKIT,
+feasibility and utilisation of the per-point reports the serial oracle
+produces for the same design space, and its materialized entries — like
+the dense backend's ``cost_space``, which hands the space to the serial
+walk — must be *byte-identical* to them after the canonical
+9-significant-digit rounding, across every kernel, device,
+memory-execution form, lane/clock subgrid and access pattern.  These
+tests pin that contract, the array-level selection API, the edge axes
+(single point, infeasible everywhere, empty space, empty frontier) and
+what a design the dense path cannot represent gets.
 """
 
 from __future__ import annotations
@@ -49,10 +51,18 @@ def _space(kernel: str, **overrides) -> DesignSpace:
 def _assert_identical(space: DesignSpace) -> None:
     dense = ExplorationEngine(DENSE).explore(space)
     # the oracle costs every point through the pipeline's per-point
-    # ``cost``, not through the fill loop the dense path shares
+    # ``cost``, not through the serial fill loop
     scalar = ExplorationEngine().cost_many(build_jobs(space))
     assert len(dense.entries) == len(space)
     assert dense.canonical_dicts() == scalar.canonical_dicts()
+    # the arrays selection runs on, and the entries it materializes
+    sweep = DENSE.explore_space(space)
+    reports = [entry.report for entry in scalar.entries]
+    assert sweep.ekit.tolist() == [r.ekit for r in reports]
+    assert sweep.feasible.tolist() == [r.feasible for r in reports]
+    assert sweep.util_max.tolist() == \
+        [r.feasibility.limiting_resource_utilization for r in reports]
+    assert sweep.materialize_all().canonical_dicts() == scalar.canonical_dicts()
 
 
 # ----------------------------------------------------------------------
@@ -162,20 +172,21 @@ def test_empty_space_no_valid_lanes():
 
 
 # ----------------------------------------------------------------------
-# Array-level selection vs materialized selection
+# Array-level selection vs the serial sweep's selection
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def rich_sweep():
+    """The dense sweep of a space and, as its reference, the serial
+    backend's full sweep of the same space."""
     space = _space("sor", clocks_mhz=(150.0, 200.0, 250.0),
                    forms=("auto", "A", "C"))
-    return DENSE.explore_space(space), space
+    return DENSE.explore_space(space), ExplorationEngine().explore(space)
 
 
 def test_best_agrees_with_materialized_max(rich_sweep):
-    sweep, _ = rich_sweep
-    result = sweep.materialize_all()
+    sweep, result = rich_sweep
     best = sweep.best()
     materialized_best = result.best()
     assert best is not None
@@ -183,8 +194,7 @@ def test_best_agrees_with_materialized_max(rich_sweep):
 
 
 def test_top_k_agrees_with_materialized_sort(rich_sweep):
-    sweep, _ = rich_sweep
-    result = sweep.materialize_all()
+    sweep, result = rich_sweep
     feasible = result.feasible()
     expect = sorted(feasible, key=lambda e: -e.report.ekit)[:5]
     got = sweep.top(5)
@@ -192,8 +202,7 @@ def test_top_k_agrees_with_materialized_sort(rich_sweep):
 
 
 def test_frontier_agrees_with_materialized_frontier(rich_sweep):
-    sweep, _ = rich_sweep
-    result = sweep.materialize_all()
+    sweep, result = rich_sweep
     array_frontier = sweep.pareto_frontier()
     entry_frontier = result.pareto_frontier()
     assert [e.as_dict() for e in array_frontier] == \
@@ -201,16 +210,15 @@ def test_frontier_agrees_with_materialized_frontier(rich_sweep):
 
 
 def test_custom_objectives_route_through_generic_frontier(rich_sweep):
-    sweep, _ = rich_sweep
+    sweep, result = rich_sweep
     objectives = (lambda e: e.report.ekit, lambda e: -e.point.lanes)
     got = sweep.pareto_frontier(objectives)
-    expect = sweep.materialize_all().pareto_frontier(objectives)
+    expect = result.pareto_frontier(objectives)
     assert [e.as_dict() for e in got] == [e.as_dict() for e in expect]
 
 
 def test_feasibility_mask_matches_reports(rich_sweep):
-    sweep, _ = rich_sweep
-    result = sweep.materialize_all()
+    sweep, result = rich_sweep
     assert [bool(f) for f in sweep.feasible] == \
         [e.report.feasible for e in result.entries]
     assert sweep.feasible_count == len(result.feasible())
@@ -219,11 +227,11 @@ def test_feasibility_mask_matches_reports(rich_sweep):
 
 
 # ----------------------------------------------------------------------
-# Fallback and backend protocol
+# Non-separable designs and the backend protocol
 # ----------------------------------------------------------------------
 
 
-def test_non_separable_design_falls_back_to_scalar(monkeypatch):
+def test_non_separable_design_is_costed_by_the_serial_walk(monkeypatch):
     # without lane scaling no design is a lane-family member
     monkeypatch.setenv("TYBEC_LANE_SCALING", "0")
     space = _space("sor", clocks_mhz=(200.0,))
@@ -231,7 +239,7 @@ def test_non_separable_design_falls_back_to_scalar(monkeypatch):
         DenseBackend().explore_space(space)
     before = COUNTERS.get("fallbacks.dense")
     result = ExplorationEngine(DenseBackend()).explore(space)
-    assert COUNTERS.get("fallbacks.dense") == before + 1
+    assert COUNTERS.get("fallbacks.dense") == before
     scalar = ExplorationEngine().explore(space)
     assert result.canonical_dicts() == scalar.canonical_dicts()
 

@@ -252,11 +252,12 @@ class TestRealSurfaces:
             assert sample(text, "tybec_pipeline_cache_requests_total"
                           f'{{layer="{layer}",result="miss"}}') == misses
         assert pipeline["variant"][1] > 0
-        dense = pipeline["dense"]
-        assert sample(text, "tybec_dense_cache_requests_total"
-                      '{layer="sweep",result="miss"}') == dense["sweeps"]
-        assert dense["sweeps"] == 1 and dense["points"] > 0
-        assert sample(text, "tybec_dense_points_total") == dense["points"]
+        # a dense /suite hands its sweep to the serial walk: no whole-sweep
+        # cache lookup, and the 2 points of the one sweep that ran (the
+        # third request replayed it)
+        assert pipeline["dense"] == {"sweeps": 0, "points": 2}
+        assert "tybec_dense_cache_requests_total{" not in text
+        assert sample(text, "tybec_dense_points_total") == 2
         assert sample(text, 'tybec_service_sweeps_total{event="completed"}') == 2
         assert sample(text, 'tybec_service_coalesce_total{event="replayed"}') == 1
         assert sample(text, "tybec_service_in_flight") == 0
