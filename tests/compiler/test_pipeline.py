@@ -157,6 +157,12 @@ class TestSessionKey:
 
 
 class TestRepeatFamily:
+    def test_each_lane_variant_is_costed_under_its_own_name(self, pipeline, kernel):
+        workload = kernel.workload(GRID, 10)
+        reports = [pipeline.cost(kernel.build_module(lanes=lanes, grid=GRID), workload)
+                   for lanes in (4, 1, 2)]
+        assert [r.design for r in reports] == ["sor_l4", "sor_l1", "sor_l2"]
+
     def test_repeat_family_is_at_least_2x_faster(self, kernel):
         """The acceptance criterion: memoization pays on repeated families."""
         from repro.compiler.pipeline import clear_calibration_cache

@@ -217,6 +217,13 @@ def test_custom_objectives_route_through_generic_frontier(rich_sweep):
     assert [e.as_dict() for e in got] == [e.as_dict() for e in expect]
 
 
+def test_entries_at_matches_the_serial_entries(rich_sweep):
+    sweep, result = rich_sweep
+    indices = [len(result.entries) - 1, 0, 2]
+    assert [e.as_dict() for e in sweep.entries_at(indices)] == \
+        [result.entries[i].as_dict() for i in indices]
+
+
 def test_feasibility_mask_matches_reports(rich_sweep):
     sweep, result = rich_sweep
     assert [bool(f) for f in sweep.feasible] == \
