@@ -22,10 +22,11 @@ equality, together with the golden files, is what licenses the shortcut.
 ``per_point_cost`` records the cold per-point ``EstimationPipeline.cost``
 time against the formula floor measured in the same process, and gates
 their ratio.  ``default_vs_dense`` records the 306-point sweep through
-the default backend against ``DenseBackend``, which hands the whole space
-to the same serial loop, so the gate bounds the dense wrapper's overhead.  ``encode`` records the 468-point report's encode through
-the row encoder (``SuiteReport.to_json``) against the reference dump of
-the fully expanded payload, and gates the speedup.
+the default backend against ``DenseBackend``, whose ``cost_space`` is the
+inherited serial one, so the gate bounds what the subclass adds.
+``encode`` records the 468-point report's encode through the row encoder
+(``SuiteReport.to_json``) against the reference dump of the fully
+expanded payload, and gates the speedup.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ FLOOR_TRIALS = 20
 MAX_FLOOR_RATIO = 3.0
 
 #: default-vs-dense sweep trials (interleaved pairs), and the gate on the
-#: median of the per-pair ratios: the dense backend hands a whole space
-#: to the serial loop, so both sides run the same path and the default
-#: must not be slower than the dense wrapper by more than the noise of a
+#: median of the per-pair ratios: the dense backend inherits the serial
+#: ``cost_space``, so both sides run the same path and the default
+#: must not be slower than the subclass by more than the noise of a
 #: shared 2-vCPU VM (it read ~1.2 when the default path costed each point
 #: through its own job, retry and pipeline ``cost`` call)
 BACKEND_TRIALS = 15
@@ -315,10 +316,10 @@ def _cold_sweep(backend) -> tuple[float, str]:
 def test_default_backend_against_dense(results_dir, tmp_path, monkeypatch):
     """The default backend's 306-point sweep against ``DenseBackend``.
 
-    Both sides run the one whole-space path: ``DenseBackend.cost_space``
-    counts the points and hands the space to its serial backend, so the
-    ratio measures that wrapper, not a second costing path, and the gate
-    keeps its overhead bounded.  Both start from cleared process caches
+    Both sides run the one whole-space path: ``DenseBackend`` is a
+    ``SerialBackend`` subclass that inherits ``cost_space``, so the ratio
+    measures no second costing path, and the gate keeps what the
+    subclass adds bounded.  Both start from cleared process caches
     over a warm store, with a fresh backend each, in interleaved pairs
     that alternate which side runs first; the gate reads the median of
     the per-pair ratios, each side timed in this thread's CPU time.  The

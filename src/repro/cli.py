@@ -316,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--tiny", action="store_true",
                             help="smoke-test grids (each dimension capped at 8, "
                                  "10 iterations) — the golden configuration")
-        parser.add_argument("--dense", action="store_true",
-                            help="cost through the dense backend, which hands "
-                                 "each whole grid to the same serial loop "
-                                 "(reports are byte-identical; the numpy "
-                                 "arrays serve `explore --dense` selection)")
         parser.add_argument("-o", "--output", type=Path, default=None,
                             help="write the canonical JSON report to a file")
         parser.add_argument("--json", action="store_true",
@@ -614,15 +609,6 @@ def _cmd_emit(args) -> int:
     return 0
 
 
-def _explore_backend(args):
-    """The evaluation backend the CLI flags imply (None = caller default)."""
-    if getattr(args, "dense", False):
-        from repro.explore.dense import DenseBackend
-
-        return DenseBackend()
-    return None
-
-
 def _print_best_and_frontier(args, best, frontier) -> None:
     if best is not None:
         print(f"best feasible point: {best.point.label}")
@@ -707,21 +693,21 @@ def _cmd_explore_space(args, kernel, grid) -> int:
     try:
         space = _explore_config(args, kernel, grid, args.forms).space_for(
             kernel.name)
-        backend = _explore_backend(args)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    engine = ExplorationEngine(backend)
     if args.dense and not args.emit_all:
         from repro.cost.vector import DenseUnsupportedError
+        from repro.explore.dense import DenseBackend
 
         try:
-            return _render_dense_sweep(args, space, engine.explore_dense(space))
+            sweep = DenseBackend().explore_space(space)
+            return _render_dense_sweep(args, space, sweep)
         except DenseUnsupportedError as exc:
             COUNTERS.bump("fallbacks.dense")
             print(f"dense path unavailable ({exc}); costing every point",
                   file=sys.stderr)
-    sweep = engine.explore(space)
+    sweep = ExplorationEngine().explore(space)
     frontier = sweep.pareto_frontier() if args.pareto else []
     best = sweep.best()
 
@@ -778,12 +764,11 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
     try:
         params = resolve_dse_params(args.optimizer, _dse_params(args))
         config = _explore_config(args, kernel, grid, forms)
-        backend = _explore_backend(args)
         optimizer, = dse_optimizers(config, args.optimizer, params).values()
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    run = ExplorationEngine(backend).run_optimizer(optimizer)
+    run = ExplorationEngine().run_optimizer(optimizer)
     result = run.result
 
     if args.json:
@@ -863,7 +848,7 @@ def _cmd_explore(args) -> int:
         print(f"no valid lane counts for grid {grid} "
               f"(lanes must divide the NDRange size)", file=sys.stderr)
         return 2
-    sweep = ExplorationEngine(_explore_backend(args)).cost_many(
+    sweep = ExplorationEngine().cost_many(
         [CostJob.from_variant(variant, options) for variant in variants])
     rows = sweep.summary_rows()
     best = sweep.best()
@@ -926,7 +911,7 @@ def _cmd_suite_run(args) -> int:
 
     try:
         config = _suite_config_from_args(args)
-        suite = WorkloadSuite(config, backend=_explore_backend(args))
+        suite = WorkloadSuite(config)
         run = suite.run()
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
@@ -992,8 +977,7 @@ def _cmd_suite_validate(args) -> int:
                         else DEFAULT_MEMORY_TOLERANCE)
     try:
         config = _suite_config_from_args(args)
-        run = validate_suite(config, backend=_explore_backend(args),
-                             tolerance=tolerance,
+        run = validate_suite(config, tolerance=tolerance,
                              memory_tolerance=memory_tolerance,
                              cycle_accurate=args.cycle_accurate,
                              jobs=args.jobs)
@@ -1044,8 +1028,8 @@ def _cmd_suite_flow(args) -> int:
     max_items = args.max_items if args.max_items is not None else DEFAULT_MAX_ITEMS
     try:
         config = _suite_config_from_args(args)
-        run = run_flow_suite(config, backend=_explore_backend(args),
-                             seed=seed, max_items=max_items, jobs=args.jobs)
+        run = run_flow_suite(config, seed=seed, max_items=max_items,
+                             jobs=args.jobs)
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -1154,9 +1138,7 @@ def _cmd_suite_dse(args) -> int:
 
     try:
         config = _suite_config_from_args(args)
-        backend = _explore_backend(args)
-        run = run_dse(config, args.optimizer, backend=backend,
-                      params=_dse_params(args))
+        run = run_dse(config, args.optimizer, params=_dse_params(args))
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -1488,7 +1470,6 @@ def _cmd_client_suite(args) -> int:
 
     config = _suite_config_from_args(args)
     spec = config.as_dict()
-    spec["dense"] = bool(args.dense)
     client = _service_client(args)
     progress = None
     if not args.json:

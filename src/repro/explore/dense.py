@@ -24,26 +24,25 @@ three steps:
 Whole sweeps are cached on the backend keyed by content (kernel, grid,
 device, axes), so a repeated sweep costs a dictionary lookup.
 
-A caller that wants every report gains nothing from the arrays:
-:meth:`DenseBackend.cost_space` hands the whole space to its serial
-backend's ``cost_space``, the one whole-space loop.  Designs that are
-not lane-family members (no family analysis, or lane scaling disabled)
-raise :class:`~repro.cost.vector.DenseUnsupportedError` from
-:meth:`DenseBackend.explore_space`.
+A caller that wants every report gains nothing from the arrays, so
+:class:`DenseBackend` is a :class:`~repro.explore.engine.SerialBackend`
+that adds only ``explore_space``: ``cost_space`` and ``run`` are the
+serial backend's, the one whole-space loop and the per-point batch.
+Designs that are not lane-family members (no family analysis, or lane
+scaling disabled) raise :class:`~repro.cost.vector.DenseUnsupportedError`
+from :meth:`DenseBackend.explore_space`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Callable
 
 import numpy as np
 
 from repro.compiler.lanescale import LaneFamilyHandle
-from repro.compiler.pipeline import CompilationOptions, CostGroup, EstimationPipeline
-from repro.cost.report import CostReport
+from repro.compiler.pipeline import CompilationOptions, CostGroup
 from repro.cost.vector import (
     DenseUnsupportedError,
     GroupArrays,
@@ -57,12 +56,10 @@ from repro.explore.engine import (
     SweepEntry,
     SweepResult,
     pareto_frontier,
-    stats_view,
 )
 from repro.explore.space import DenseGrid, DesignSpace, _form_value
 from repro.models.streaming import PatternKind
 from repro.obs.trace import span as trace_span
-from repro.resilience import Deadline
 from repro.resilience.policy import MetricFamily
 from repro.substrate.fpga_device import FPGADevice
 
@@ -235,25 +232,24 @@ class DenseSweep:
         return self.entries_at(idx[pareto_mask(scores)])
 
 
-class DenseBackend:
-    """Select from whole design spaces evaluated as broadcast numpy grids.
+class DenseBackend(SerialBackend):
+    """A serial backend that also selects from whole design spaces
+    evaluated as broadcast numpy grids.
 
-    Plugs into :class:`~repro.explore.engine.ExplorationEngine` beside
-    the serial backend.  ``explore_space`` is the dense entry point;
-    ``cost_space`` (every report of a space) and ``run``
-    (optimizer-proposed job batches) go to an internal serial backend.
+    ``explore_space`` is the one thing it adds; ``cost_space`` (every
+    report of a space) and ``run`` (optimizer-proposed job batches) are
+    the serial backend's own, and the cost groups ``explore_space``
+    broadcasts come from the same session pipelines.  On top of those the
+    backend keeps a content-keyed whole-sweep cache, so a repeated
+    selection sweep reduces to a dictionary lookup.
 
-    The backend owns one session pipeline per device, whose cost groups
-    live in the pipeline's process-wide group cache, and a content-keyed
-    whole-sweep cache: a repeated sweep reduces to a dictionary lookup.
-
-    The backend is reentrant: the pipeline registry and the sweep cache
-    are guarded by one lock (the counter families by their own), taken
-    only around lookups and publications — the evaluation itself runs
-    outside it, so concurrent sweeps over *different* spaces still
-    overlap.  Two threads racing to fill the same sweep both compute it
-    (the stages are deterministic, so the results are interchangeable)
-    and the first publication wins.
+    The backend is reentrant: the session registry and the sweep cache
+    share the serial backend's lock (the counter families have their
+    own), taken only around lookups and publications — the evaluation
+    itself runs outside it, so concurrent sweeps over *different* spaces
+    still overlap.  Two threads racing to fill the same sweep both
+    compute it (the stages are deterministic, so the results are
+    interchangeable) and the first publication wins.
     """
 
     #: whole-sweep cache entries kept before the cache is reset
@@ -263,23 +259,13 @@ class DenseBackend:
     MAX_CACHED_SWEEP_POINTS = 65536
 
     def __init__(self):
-        self._serial = SerialBackend()
-        self._pipelines: dict[str, EstimationPipeline] = {}
+        super().__init__()
         self._sweeps: dict = {}
-        self._lock = threading.RLock()
         self.requests = MetricFamily(
             DENSE_REQUESTS, ("layer", "result"),
             "Dense backend whole-sweep cache lookups by outcome.")
         self.points = MetricFamily(
             DENSE_POINTS, help="Design points the dense backend answered.")
-
-    def pipeline_for(self, device: FPGADevice) -> EstimationPipeline:
-        with self._lock:
-            pipeline = self._pipelines.get(device.name)
-            if pipeline is None:
-                pipeline = EstimationPipeline(CompilationOptions(device=device))
-                self._pipelines[device.name] = pipeline
-            return pipeline
 
     @staticmethod
     def _space_key(space: DesignSpace) -> tuple:
@@ -304,7 +290,11 @@ class DenseBackend:
 
     # -- the dense lowering -------------------------------------------
     def explore_space(self, space: DesignSpace) -> DenseSweep:
-        """Evaluate every point of ``space`` in one broadcast pass."""
+        """Evaluate every point of ``space`` in one broadcast pass.
+
+        Only a sweep that returns is counted: a space the dense path
+        cannot represent raises before it touches the counters.
+        """
         started = time.perf_counter()
         space_key = self._space_key(space)
         with self._lock:
@@ -313,12 +303,9 @@ class DenseBackend:
             self.requests.bump(("sweep", "hit"))
             self.points.bump(n=cached.evaluated)
             return cached._with_wall(time.perf_counter() - started)
-        self.requests.bump(("sweep", "miss"))
 
         grid = DenseGrid.from_space(space)
         workload = space.kernel.workload(tuple(space.grid), space.iterations)
-        self.points.bump(n=len(grid))
-
         groups, arrays, options, clocks = {}, {}, {}, []
         with trace_span("backend.dense.sweep", kernel=space.kernel.name,
                         points=len(grid)):
@@ -330,6 +317,8 @@ class DenseBackend:
         wall = time.perf_counter() - started
         sweep = DenseSweep(grid, workload, groups, arrays, options, clocks, wall,
                            stats_cb=self.collect_stats)
+        self.requests.bump(("sweep", "miss"))
+        self.points.bump(n=len(grid))
         if len(grid) <= self.MAX_CACHED_SWEEP_POINTS:
             with self._lock:
                 if len(self._sweeps) >= self.MAX_CACHED_SWEEPS:
@@ -342,7 +331,7 @@ class DenseBackend:
                          options: dict) -> list[float]:
         """Take one device's cost groups and broadcast each form over them;
         returns the device's resolved clock axis."""
-        pipeline = self.pipeline_for(device)
+        pipeline = self.session_for(device, None, "auto")
         for fi, form in enumerate(grid.forms):
             options[(di, fi)] = CompilationOptions(device=device, form=_form_value(form))
         clocks = grid.resolved_clocks(device)
@@ -368,34 +357,6 @@ class DenseBackend:
                     clock_axis, fits)
         return clocks
 
-    # -- the generic backend protocol ---------------------------------
-    def cost_space(self, space: DesignSpace, deadline: Deadline | None = None,
-                   on_entry: Callable[[int, SweepEntry], None] | None = None
-                   ) -> SweepResult:
-        """Every point of ``space``, costed by the serial backend's
-        ``cost_space`` and counted as this backend's points; the stats
-        are this backend's."""
-        self.points.bump(n=len(space))
-        result = self._serial.cost_space(space, deadline, on_entry)
-        result.stats = self.collect_stats()
-        return result
-
-    def run(self, jobs, deadline=None) -> list[CostReport]:
-        """Scalar fallback: cost a per-point job batch serially."""
-        return self._serial.run(jobs, deadline=deadline)
-
     def families(self) -> list[MetricFamily]:
-        """The dense counters plus every pipeline's (its scalar fallback's too)."""
-        with self._lock:
-            pipelines = list(self._pipelines.values())
-        return ([self.requests, self.points]
-                + [family for p in pipelines for family in p.families]
-                + self._serial.families())
-
-    def collect_stats(self) -> dict:
-        """Dense counters summed with the per-session pipeline statistics.
-
-        Counters are cumulative over the backend's lifetime, matching the
-        serial backend's semantics.
-        """
-        return stats_view(self.families())
+        """The dense counters plus every session pipeline's."""
+        return [self.requests, self.points] + super().families()

@@ -11,9 +11,10 @@ optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
     :class:`~repro.compiler.pipeline.EstimationPipeline` per estimation
     session (option set), shared across all points of that session.
 ``DenseBackend`` (:mod:`repro.explore.dense`)
-    Array-level selection (best, Pareto frontier, top-k, surrogate
-    prune) over a lane-separable space through ``explore_space``; a
-    whole space it hands to its serial backend's ``cost_space``.
+    The serial backend plus array-level selection (best, Pareto
+    frontier, top-k, surrogate prune) over a lane-separable space
+    through ``explore_space``; its ``cost_space`` and ``run`` are the
+    serial backend's own.
 
 A space is costed group by group, in one loop: each (lanes, device,
 pattern) :class:`~repro.compiler.pipeline.CostGroup` is resolved once,
@@ -607,27 +608,9 @@ class ExplorationEngine:
                 ) -> SweepResult:
         """Cost every point of a design space, in sweep order.
 
-        The backend's ``cost_space``, which for both backends is the
-        serial one: each cost group is resolved once and its points
-        filled in one loop.
+        The backend's ``cost_space``, the serial one: each cost group is
+        resolved once and its points filled in one loop.
         ``deadline`` is checked per point; ``on_entry(index, entry)``
         fires per point.
         """
         return self.backend.cost_space(space, deadline=deadline, on_entry=on_entry)
-
-    def explore_dense(self, space: DesignSpace):
-        """Dense-evaluate a space *without* materializing its reports.
-
-        Returns the backend's :class:`~repro.explore.dense.DenseSweep`
-        (arrays + lazy entries).  Raises
-        :class:`~repro.cost.vector.DenseUnsupportedError` when the backend
-        has no dense lowering or the space is not lane-separable.
-        """
-        from repro.cost.vector import DenseUnsupportedError
-
-        dense = getattr(self.backend, "explore_space", None)
-        if dense is None:
-            raise DenseUnsupportedError(
-                f"backend {type(self.backend).__name__} has no dense lowering"
-            )
-        return dense(space)

@@ -5,9 +5,9 @@ the full point list existed up front and was consumed in a single pass.
 This module inverts that control flow around the :class:`Optimizer`
 protocol (the shape of xeda's ``FmaxOptimizer`` DSE loop): an optimizer
 *proposes* a batch of design points, the engine costs the batch through
-whichever backend it carries (serial or dense), and the
-outcomes *feed back* into the optimizer, which decides what to ask for
-next.
+its backend's ``run`` (the serial one, which a dense backend inherits),
+and the outcomes *feed back* into the optimizer, which decides what to
+ask for next.
 
     while not optimizer.finished:
         batch = optimizer.next_batch()          # propose

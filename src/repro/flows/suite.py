@@ -172,7 +172,6 @@ def _families_for(config: SuiteConfig, name: str, entries, seed: int,
 
 def run_flow_suite(
     config: SuiteConfig | None = None,
-    backend=None,
     *,
     seed: int = DEFAULT_STIMULUS_SEED,
     max_items: int = DEFAULT_MAX_ITEMS,
@@ -180,14 +179,13 @@ def run_flow_suite(
 ) -> FlowSuiteRun:
     """Cost a suite grid, then RTL-verify every unique design family.
 
-    ``backend`` selects the costing backend; ``jobs`` fans the RTL
-    simulations themselves over worker processes.  Flow payloads are pure
-    functions of (kernel, lanes, grid, n_items, seed), so every
-    combination produces byte-identical reports.
+    ``jobs`` fans the RTL simulations themselves over worker processes.
+    Flow payloads are pure functions of (kernel, lanes, grid, n_items,
+    seed), so every combination produces byte-identical reports.
     """
     import time
 
-    suite = WorkloadSuite(config or SuiteConfig(), backend)
+    suite = WorkloadSuite(config or SuiteConfig())
     spaces, sweep = suite.sweep()
     slices = suite.kernel_entries(spaces, sweep)
 

@@ -11,12 +11,12 @@ Endpoints (all JSON):
 
 ``POST /suite``
     Body: a :class:`~repro.suite.runner.SuiteConfig` spec (same fields
-    as ``tybec suite run``; plus ``"dense": true`` to cost through the
-    dense backend, which hands the whole sweep to the same serial loop,
-    and ``"tiny": true`` for the smoke grids).  Streams NDJSON
-    — one ``entry`` event per costed design point as it completes, then
-    one final ``report`` event whose payload is the *byte-identical*
-    canonical ``repro-suite-report/1`` a batch run would produce.
+    as ``tybec suite run``, ``"tiny": true`` for the smoke grids; a
+    boolean ``"dense"`` is accepted for older clients and changes
+    nothing).  Streams NDJSON — one ``entry`` event per costed design
+    point as it completes, then one final ``report`` event whose payload
+    is the *byte-identical* canonical ``repro-suite-report/1`` a batch
+    run would produce.
 
 ``POST /dse``
     Body: a suite spec plus ``"optimizer"`` and ``"params"``.  One
@@ -58,13 +58,12 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.compiler.pipeline import CompilationOptions, EstimationPipeline
+from repro.compiler.pipeline import CompilationOptions
 from repro.obs.logs import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span as trace_span
 from repro.explore.dense import DenseBackend
 from repro.explore.engine import (
-    SerialBackend,
     SweepEntry,
     canonical_report_dict,
     stats_view,
@@ -193,10 +192,10 @@ class ExplorationService:
         #: per-request compute budget when the body names none
         self.default_deadline_seconds = check_deadline_seconds(
             default_deadline_seconds, "default_deadline_seconds")
-        self._backend = SerialBackend()
-        self._dense = DenseBackend()
+        #: the one backend: /suite and /dse sweeps, the surrogate's
+        #: dense prune and the /cost sessions
+        self._backend = DenseBackend()
         self.coalescer = RequestCoalescer(results_capacity=results_capacity)
-        self._pipelines: dict[str, EstimationPipeline] = {}
         self._lock = threading.Lock()
         self._gate = threading.Semaphore(self.max_concurrency)
         self._queued = 0
@@ -224,8 +223,8 @@ class ExplorationService:
             "tybec_service_uptime_seconds",
             help="Seconds since service start.", kind="gauge")
         #: renders every family above, the resilience counters, the
-        #: pipelines', the dense backend's and the disk cache's, plus
-        #: the request-latency histogram it owns
+        #: backend's and the disk cache's, plus the request-latency
+        #: histogram it owns
         self.registry = MetricsRegistry()
         self.request_seconds = self.registry.histogram(
             "tybec_request_seconds",
@@ -249,7 +248,7 @@ class ExplorationService:
     def prometheus_metrics(self) -> str:
         """The ``/metrics?format=prometheus`` text exposition."""
         disk, _ = self._read_gauges()
-        families = self._pipeline_families() + [
+        families = self._backend.families() + [
             COUNTERS, self.requests, self.sweeps, self.queue, self.in_flight,
             self.uptime, self.coalescer.events,
             *(disk.families if disk is not None else ())]
@@ -270,13 +269,6 @@ class ExplorationService:
             with self._lock:
                 self._active -= 1
             self._gate.release()
-
-    def _pipeline_families(self) -> list[MetricFamily]:
-        """Every pipeline family the service's sweeps and costs feed."""
-        with self._lock:
-            pipelines = list(self._pipelines.values())
-        return (self._backend.families() + self._dense.families()
-                + [family for p in pipelines for family in p.families])
 
     def _read_gauges(self) -> tuple:
         """Set every gauge from what it measures, just before a scrape.
@@ -310,21 +302,13 @@ class ExplorationService:
             },
             "queue": self.queue.snapshot(),
             "coalesce": self.coalescer.info(),
-            "pipeline": stats_view(self._pipeline_families()),
+            "pipeline": stats_view(self._backend.families()),
             "disk_cache": disk,
         }
 
     # ------------------------------------------------------------------
     # /cost — one design variant
     # ------------------------------------------------------------------
-    def _pipeline_for_device(self, device_name: str) -> EstimationPipeline:
-        with self._lock:
-            pipeline = self._pipelines.get(device_name)
-            if pipeline is None:
-                options = CompilationOptions(device=get_device(device_name))
-                pipeline = self._pipelines[device_name] = EstimationPipeline(options)
-            return pipeline
-
     def lease_cost(self, spec: dict) -> tuple[CoalescedTask, str, dict]:
         """Parse a ``/cost`` body; lease its coalesced task.
 
@@ -369,7 +353,8 @@ class ExplorationService:
         with self._slot():
             deadline.check("cost request queued too long")
             maybe_fail("service.handler")
-            pipeline = self._pipeline_for_device(request["device"])
+            pipeline = self._backend.session_for(get_device(request["device"]),
+                                                 None, "auto")
             report = pipeline.cost(request["module"], request["workload"],
                                    request["pattern"])
         return {
@@ -384,8 +369,7 @@ class ExplorationService:
     def lease_suite(self, spec: dict) -> tuple[CoalescedTask, str, dict]:
         """Parse a ``/suite`` body; lease its coalesced task."""
         request = _parse("suite", spec)
-        key = _fingerprint("suite", {"config": request["config"].as_dict(),
-                                     "dense": request["dense"]})
+        key = _fingerprint("suite", {"config": request["config"].as_dict()})
         task, role = self.coalescer.lease(key)
         return task, role, request
 
@@ -402,13 +386,12 @@ class ExplorationService:
         it.
         """
         config: SuiteConfig = request["config"]
-        backend = self._dense if request["dense"] else self._backend
         deadline = self._deadline_for(request)
         with self._slot():
             deadline.check("suite request queued too long")
             maybe_fail("service.handler")
             self.sweeps.bump("started")
-            spaces, sweep = WorkloadSuite(config, backend=backend).sweep(
+            spaces, sweep = WorkloadSuite(config, backend=self._backend).sweep(
                 deadline=deadline,
                 on_entry=lambda index, entry: publish(_EntryEvent(index, entry)))
             report = build_suite_report(config, spaces, sweep)
@@ -462,7 +445,7 @@ class ExplorationService:
                 publish(event)
 
             dse = run_dse(config, request["optimizer"],
-                          backend=self._backend, dense_backend=self._dense,
+                          backend=self._backend, dense_backend=self._backend,
                           params=request["params"], on_round=_round,
                           deadline=deadline)
             self.sweeps.bump("completed")

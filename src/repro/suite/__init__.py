@@ -6,7 +6,7 @@ first-class workflow on top of the exploration engine:
 ``runner``
     :class:`SuiteConfig` / :class:`WorkloadSuite` — enumerate kernel x
     device x form x lane (x clock x pattern) grids over every registered
-    kernel and cost them in one engine batch (serial or dense).
+    kernel and cost them through the engine's one whole-space loop.
 ``report``
     Canonical, deterministic, version-stamped JSON suite reports (stable
     key order, no wall-clock fields, normalised floats).

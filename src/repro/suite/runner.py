@@ -5,9 +5,9 @@ per device; this module makes that a first-class operation.  A
 :class:`SuiteConfig` names the kernels (default: every kernel in the
 registry) and the sweep axes (device x memory-execution form x lanes
 x clock x access pattern); :class:`WorkloadSuite` costs each kernel's
-design space through the exploration engine — serial or dense, the
-reports are byte-identical either way — and folds the results into a
-canonical :class:`~repro.suite.report.SuiteReport`.
+design space through the exploration engine's one whole-space loop and
+folds the results into a canonical
+:class:`~repro.suite.report.SuiteReport`.
 
 The suite is what both the golden-regression harness and the
 ``BENCH_suite`` throughput benchmark are built on: one costs the report
@@ -359,10 +359,9 @@ class WorkloadSuite:
         """Cost every point of every kernel, kernel by kernel, in sweep order.
 
         Each kernel's space goes through the engine's backend
-        (``cost_space``), which for either backend is the serial one: each
-        cost group is resolved once and its points filled in one loop
-        (the dense backend only counts the points), so entry order and
-        report bytes are identical either way.  ``deadline`` is checked
+        (``cost_space``, the serial one, which a dense backend inherits):
+        each cost group is resolved once and its points filled in one
+        loop, in sweep order.  ``deadline`` is checked
         per design point, and ``on_entry(index, entry)`` fires per point
         with its index in the whole sweep — the exploration service
         streams through it.
@@ -492,9 +491,11 @@ def parse_request(endpoint: str, body) -> dict:
     """Check a ``suite``, ``dse`` or ``cost`` request body, every field
     before any lease: the first bad one raises a ``ValueError`` naming it.
 
-    The parsed request holds ``deadline_seconds`` and: ``config`` and
-    ``dense`` (suite); ``config``, ``optimizer``, resolved ``params``
-    (dse); or the :data:`_COST_FIELDS`, ``grid`` a tuple (cost).
+    The parsed request holds ``deadline_seconds`` and: ``config``
+    (suite); ``config``, ``optimizer``, resolved ``params`` (dse); or the
+    :data:`_COST_FIELDS`, ``grid`` a tuple (cost).  A suite body may
+    carry a boolean ``dense``, which older clients send: it is checked
+    and dropped, since every sweep runs through the one serial loop.
     """
     _check("request body", body, lambda v: isinstance(v, dict), "a JSON object")
     body = dict(body)
@@ -517,7 +518,7 @@ def parse_request(endpoint: str, body) -> dict:
                        iterations=request["iterations"])
         return request
     if endpoint == "suite":
-        request["dense"] = _flag(body, "dense")
+        _flag(body, "dense")
     else:
         optimizer = request["optimizer"] = body.pop("optimizer", "fmax")
         params = request["params"] = resolve_dse_params(

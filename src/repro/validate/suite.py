@@ -1,8 +1,7 @@
 """Suite-level cross-validation: the golden grid against the simulators.
 
 :func:`validate_suite` fans a :class:`~repro.suite.runner.SuiteConfig`
-grid through the exploration engine (serial or dense — the resulting
-validation reports are byte-identical either way), drives every
+grid through the exploration engine's serial sweep, drives every
 costed point through the :class:`~repro.validate.crossval.CrossValidator`
 and folds the records into a canonical, version-stamped
 :class:`ValidationReport` with the same determinism guarantees as the
@@ -87,7 +86,6 @@ class ValidationRun:
 
 def validate_suite(
     config: SuiteConfig | None = None,
-    backend=None,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     memory_tolerance: float = DEFAULT_MEMORY_TOLERANCE,
@@ -96,15 +94,14 @@ def validate_suite(
 ) -> ValidationRun:
     """Cost a suite grid and cross-validate every point.
 
-    ``backend`` selects the costing backend (serial or dense); ``jobs``
-    fans the validation pass itself — the per-point spec re-derivation
-    and the pure-Python cycle-stepping simulation, which dominate on
-    large grids — over that many worker processes, two batches per
-    worker, each batch on its own copy of the validator.  Records are
+    ``jobs`` fans the validation pass itself — the per-point spec
+    re-derivation and the pure-Python cycle-stepping simulation, which
+    dominate on large grids — over that many worker processes, two
+    batches per worker, each batch on its own copy of the validator.  Records are
     pure functions of the costed entries, so every combination produces
     byte-identical reports.
     """
-    suite = WorkloadSuite(config or SuiteConfig(), backend)
+    suite = WorkloadSuite(config or SuiteConfig())
     spaces, sweep = suite.sweep()
     slices = suite.kernel_entries(spaces, sweep)
     validator = CrossValidator(tolerance=tolerance,

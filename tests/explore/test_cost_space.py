@@ -1,9 +1,10 @@
 """The whole-space path against the per-point batch oracle.
 
 ``cost_space`` resolves each (lanes, device, pattern) cost group once and
-fills its points through one loop; the dense backend hands a whole space
-to it.  Its entries must be byte-identical to costing every point of the
-space as a job batch (``SerialBackend.run(build_jobs(space))``), which
+fills its points through one loop; the dense backend, a subclass of the
+serial one, inherits it.  Its entries must be byte-identical to costing
+every point of the space as a job batch
+(``SerialBackend.run(build_jobs(space))``), which
 calls ``EstimationPipeline.cost`` once per point, and its stats must
 count the same cache lookups.  The same must hold with lane scaling off
 and when a deadline expires part-way; ``tests/resilience/test_chaos.py``

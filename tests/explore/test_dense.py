@@ -5,8 +5,8 @@ The contract mirrors the lane-scaling law's (see
 ``DenseBackend``'s struct-of-arrays pass must carry the EKIT,
 feasibility and utilisation of the per-point reports the serial oracle
 produces for the same design space, and its materialized entries — like
-the dense backend's ``cost_space``, which hands the space to the serial
-walk — must be *byte-identical* to them after the canonical
+the dense backend's ``cost_space``, which is the serial backend's own —
+must be *byte-identical* to them after the canonical
 9-significant-digit rounding, across every kernel, device,
 memory-execution form, lane/clock subgrid and access pattern.  These
 tests pin that contract, the array-level selection API, the edge axes
@@ -251,9 +251,12 @@ def test_non_separable_design_is_costed_by_the_serial_walk(monkeypatch):
     assert result.canonical_dicts() == scalar.canonical_dicts()
 
 
-def test_explore_dense_requires_dense_backend():
-    with pytest.raises(DenseUnsupportedError, match="no dense lowering"):
-        ExplorationEngine().explore_dense(_space("sor"))
+def test_a_sweep_that_raises_is_not_counted(monkeypatch):
+    monkeypatch.setenv("TYBEC_LANE_SCALING", "0")
+    backend = DenseBackend()
+    with pytest.raises(DenseUnsupportedError):
+        backend.explore_space(_space("sor", clocks_mhz=(200.0,)))
+    assert backend.collect_stats()["dense"] == {"sweeps": 0, "points": 0}
 
 
 def test_backend_stats_expose_dense_counters():
@@ -320,13 +323,13 @@ class TestDenseCli:
         assert rc == 2
         assert capsys.readouterr().err
 
-    def test_suite_run_dense_matches_scalar(self, capsys):
-        import json
-
+    @pytest.mark.parametrize("command", [
+        ["suite", "run"], ["suite", "validate"], ["suite", "flow"],
+        ["suite", "dse"], ["client", "suite"]])
+    def test_dense_is_an_explore_flag_only(self, command, capsys):
         from repro.cli import main
 
-        assert main(["suite", "run", "--tiny", "--json", "--dense"]) == 0
-        dense = json.loads(capsys.readouterr().out)
-        assert main(["suite", "run", "--tiny", "--json"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert dense == scalar
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tiny", "--dense"])
+        assert exc.value.code == 2
+        assert "--dense" in capsys.readouterr().err

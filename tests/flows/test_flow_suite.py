@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.explore.dense import DenseBackend
 from repro.flows import check_flow_goldens, run_flow_suite
 from repro.suite.report import FLOW_SCHEMA, load_report
 from repro.suite.runner import SuiteConfig
@@ -32,13 +31,6 @@ class TestFlowSuiteRun:
         serial = run_flow_suite(_small_config()).report.to_json()
         parallel = run_flow_suite(_small_config(), jobs=2).report.to_json()
         assert parallel == serial
-
-    def test_dense_costing_backend_byte_identical(self):
-        serial = run_flow_suite(_small_config()).report.to_json()
-        dense = run_flow_suite(
-            _small_config(), backend=DenseBackend(), jobs=2
-        ).report.to_json()
-        assert dense == serial
 
     def test_max_items_caps_streams(self):
         run = run_flow_suite(_small_config(), max_items=16)

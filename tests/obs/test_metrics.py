@@ -179,8 +179,9 @@ class TestRegistry:
 
 
 class TestRealSurfaces:
-    """A real service, driven through a serial sweep, a dense sweep and a
-    warm start from the disk cache, renders every surface correctly."""
+    """A real service, driven through a sweep, two ``"dense"`` replays of
+    it and a warm start from the disk cache, renders every surface
+    correctly."""
 
     @pytest.fixture
     def driven(self, monkeypatch, tmp_path):
@@ -197,10 +198,14 @@ class TestRealSurfaces:
         thread.start()
         try:
             client = ServiceClient(port=srv.port)
-            spec = {"tiny": True, "kernels": ["sor"], "max_lanes": 2}
+            # a pinned clock keeps the sweep's sessions apart from the
+            # device-fmax session /cost runs in, so /cost below opens a
+            # fresh session and calibrates from the disk cache
+            spec = {"tiny": True, "kernels": ["sor"], "max_lanes": 2,
+                    "clocks_mhz": [150.0]}
             client.suite(dict(spec))
+            client.suite(dict(spec, dense=True))  # replays: no new sweep
             client.suite(dict(spec, dense=True))
-            client.suite(dict(spec, dense=True))  # a replay: no new sweep
             clear_calibration_cache()  # memory cold, disk warm
             design = print_module(get_kernel("sor").build_module(
                 lanes=2, grid=(8, 8, 8)))
@@ -252,14 +257,13 @@ class TestRealSurfaces:
             assert sample(text, "tybec_pipeline_cache_requests_total"
                           f'{{layer="{layer}",result="miss"}}') == misses
         assert pipeline["variant"][1] > 0
-        # a dense /suite hands its sweep to the serial walk: no whole-sweep
-        # cache lookup, and the 2 points of the one sweep that ran (the
-        # third request replayed it)
-        assert pipeline["dense"] == {"sweeps": 0, "points": 2}
+        # "dense" on /suite selects nothing: both dense requests replay the
+        # serial sweep of the same config, and no arrays answered any point
+        assert pipeline["dense"] == {"sweeps": 0, "points": 0}
         assert "tybec_dense_cache_requests_total{" not in text
-        assert sample(text, "tybec_dense_points_total") == 2
-        assert sample(text, 'tybec_service_sweeps_total{event="completed"}') == 2
-        assert sample(text, 'tybec_service_coalesce_total{event="replayed"}') == 1
+        assert sample(text, "tybec_dense_points_total") == 0
+        assert sample(text, 'tybec_service_sweeps_total{event="completed"}') == 1
+        assert sample(text, 'tybec_service_coalesce_total{event="replayed"}') == 2
         assert sample(text, "tybec_service_in_flight") == 0
         assert sample(text, 'tybec_service_queue{state="capacity"}') == 2
 

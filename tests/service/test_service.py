@@ -324,10 +324,20 @@ class TestServiceHTTP:
         assert sum(1 for r in results if r.coalesced) == 2
         assert metrics["coalesce"]["joined"] + metrics["coalesce"]["replayed"] >= 2
 
-    def test_dense_and_serial_reports_are_byte_identical(self, client):
-        serial = client.suite(dict(TINY_SPEC))
-        dense = client.suite({**TINY_SPEC, "dense": True})
-        assert canonical_json(serial.payload) == canonical_json(dense.payload)
+    def test_dense_flag_replays_the_same_config(self, server):
+        # "dense" is accepted but selects nothing: the same config with it
+        # set is the same work, served from the first request's lines
+        roles, bodies = [], []
+        for dense in (False, True):
+            status, chunks = raw_post(server.port, "/suite",
+                                      {**TINY_SPEC, "dense": dense})
+            assert status == 200
+            meta, *lines = ndjson_lines(chunks)
+            roles.append(json.loads(meta)["role"])
+            bodies.append(lines)
+        assert roles == ["leader", "replay"]
+        assert bodies[1] == bodies[0]
+        assert server.service.sweeps.get("started") == 1
 
     def test_cost_roundtrip_and_coalescing(self, client):
         from repro.ir import print_module

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.compiler.pipeline import clear_calibration_cache
-from repro.explore.engine import SerialBackend
 from repro.suite import SuiteConfig, diff_payloads, golden_config, load_report
 from repro.validate import (
     VALIDATION_SCHEMA,
@@ -56,8 +55,8 @@ class TestValidateSuite:
                                        grids={"sor": (8, 8, 8)}))
 
     def test_pool_and_serial_reports_byte_identical(self):
-        serial = validate_suite(_config(), SerialBackend())
-        pool = validate_suite(_config(), SerialBackend(), jobs=2)
+        serial = validate_suite(_config())
+        pool = validate_suite(_config(), jobs=2)
         assert serial.report.to_json() == pool.report.to_json()
 
     def test_lane_scaled_points_validate_identically_to_full_path(
