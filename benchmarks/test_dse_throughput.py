@@ -62,7 +62,7 @@ def test_dse_optimizer_artifact(results_dir):
     started = time.perf_counter()
     for name, space in spaces.items():
         run = engine.run_optimizer(SurrogatePrunedOptimizer(
-            space, keep_fraction=0.1, dense_backend=dense_backend))
+            space, keep_fraction=0.1, backend=dense_backend))
         result = run.result
         assert not result["fallback"], f"{name}: dense prune unavailable"
         assert run.best() is not None

@@ -24,7 +24,7 @@ synthesizeable HDL plus an HLS-framework wrapper
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.compiler.analysis": (
         "ConfigurationNode", "ConfigurationTree", "build_configuration_tree",
         "classify_module",
@@ -39,32 +39,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.compiler.pipeline": (
         "CalibrationArtifacts", "EstimationPipeline",
-        "clear_calibration_cache", "module_content_key", "pipeline_cache_info",
+        "clear_calibration_cache", "module_content_key",
     ),
     "repro.compiler.driver": (
         "CompilationOptions", "CompiledVariant", "TybecCompiler",
     ),
 })
-
-__all__ = [
-    "ConfigurationNode",
-    "ConfigurationTree",
-    "build_configuration_tree",
-    "classify_module",
-    "DataflowGraph",
-    "OperatorLatencyModel",
-    "ScheduledPipeline",
-    "schedule_function",
-    "CompilationOptions",
-    "CompiledVariant",
-    "TybecCompiler",
-    "CalibrationArtifacts",
-    "EstimationPipeline",
-    "module_content_key",
-    "FamilyAnalysis",
-    "LaneFamilyHandle",
-    "check_lane_separable",
-    "family_fingerprint",
-    "clear_calibration_cache",
-    "pipeline_cache_info",
-]

@@ -12,17 +12,10 @@
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.compiler.codegen.verilog": ("VerilogGenerator",),
     "repro.compiler.codegen.wrapper": (
         "generate_host_stub", "generate_maxj_wrapper",
     ),
     "repro.compiler.codegen.testbench": ("generate_testbench",),
 })
-
-__all__ = [
-    "VerilogGenerator",
-    "generate_maxj_wrapper",
-    "generate_host_stub",
-    "generate_testbench",
-]

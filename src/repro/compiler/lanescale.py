@@ -67,7 +67,6 @@ __all__ = [
     "derive_structure",
     "derive_tree",
     "derive_classification",
-    "family_cache_info",
     "clear_family_caches",
     "register_recipe_alias",
 ]
@@ -470,10 +469,6 @@ def clear_family_caches() -> None:
     """Drop the in-process family caches (not the persistent store)."""
     _FAMILY_CACHE.clear()
     _RECIPE_INDEX.clear()
-
-
-def family_cache_info() -> list[dict]:
-    return [_FAMILY_CACHE.info(), _RECIPE_INDEX.info()]
 
 
 def lookup_family(fingerprint: str, latency: tuple) -> FamilyAnalysis | None:

@@ -79,7 +79,6 @@ from repro.compiler.lanescale import (
     derive_classification,
     derive_structure,
     derive_tree,
-    family_cache_info,
     family_fingerprint,
     latency_key,
     lookup_family,
@@ -129,7 +128,6 @@ __all__ = [
     "EstimationPipeline",
     "module_content_key",
     "clear_calibration_cache",
-    "pipeline_cache_info",
 ]
 
 def _lane_scaling_default() -> bool:
@@ -175,9 +173,8 @@ class CompilationOptions:
 
         Two option sets with the same key produce identical cost reports,
         so a pipeline (and its caches) can be shared among them.  Injected
-        models are distinguished by object identity — the key is only
-        meaningful within one process, and only *before* calibration
-        lazily fills the model fields in.
+        models are distinguished by object identity, so the key is only
+        meaningful within one process.
         """
         lat = self.latency_model
         return (
@@ -303,32 +300,30 @@ _MEMSIM_CACHE: dict = {}
 _COSTDB_CACHE: dict = {}
 _DRAM_CACHE: dict = {}
 _HOST_CACHE: dict = {}
+#: bumped by :func:`clear_calibration_cache`; a session calibrated in an
+#: older epoch resolves its calibration again on its next use
+_CALIBRATION_EPOCH = 0
 
 
 def clear_calibration_cache() -> None:
     """Drop every process-wide cache (calibration, structural analysis,
-    shared resource estimates, lane-scaling families) — for tests.  The
-    persistent disk store is untouched; redirect ``TYBEC_CACHE_DIR`` (or
-    run ``tybec cache clear``) to control that layer."""
+    shared resource estimates, lane-scaling families) — for tests, and
+    after editing cost-model code in a long-lived process: live sessions
+    resolve their calibration again on their next use.  The persistent
+    disk store is untouched; redirect ``TYBEC_CACHE_DIR`` (or run
+    ``tybec cache clear``) to control that layer."""
+    global _CALIBRATION_EPOCH
     with _CALIBRATION_LOCK:
         _MEMSIM_CACHE.clear()
         _COSTDB_CACHE.clear()
         _DRAM_CACHE.clear()
         _HOST_CACHE.clear()
+        _CALIBRATION_EPOCH += 1
     _STRUCTURAL_CACHE.clear()
     _DERIVED_CACHE.clear()
     _RESOURCE_CACHE.clear()
     _GROUP_CACHE.clear()
     clear_family_caches()
-
-
-def pipeline_cache_info() -> list[dict]:
-    """Occupancy and hit/miss/eviction counters of every process-wide cache."""
-    return (
-        [_STRUCTURAL_CACHE.info(), _DERIVED_CACHE.info(), _RESOURCE_CACHE.info(),
-         _GROUP_CACHE.info()]
-        + family_cache_info()
-    )
 
 
 def _shared_memory_simulator(device: FPGADevice) -> MemorySystemSimulator:
@@ -344,9 +339,9 @@ class CalibrationStage:
 
     Injected models (``options.cost_db`` etc.) win; everything else comes
     from the process-wide cache, warm-started from the persistent store
-    and calibrated from scratch only when both layers miss.  Resolved
-    models are written back into the options, preserving the original
-    driver's lazy-fill behaviour.
+    and calibrated from scratch only when both layers miss.  The options
+    are left as given: resolved models live only in the returned
+    :class:`CalibrationArtifacts`.
     """
 
     def _resolve(self, memory_cache: dict, memory_key, disk_token, kind: type,
@@ -383,22 +378,24 @@ class CalibrationStage:
         sim = _shared_memory_simulator(device)
         missed = False
 
-        if options.cost_db is None:
+        cost_db = options.cost_db
+        if cost_db is None:
             def _calibrate():
                 synthesizer = SyntheticSynthesizer(device, options.synthesis_noise)
                 return calibrate_device(
                     synthesizer.characterize(), dsp_input_width=device.dsp_input_width
                 )
 
-            options.cost_db, computed = self._resolve(
+            cost_db, computed = self._resolve(
                 _COSTDB_CACHE, (device, options.synthesis_noise),
                 ("costdb", repr(device), options.synthesis_noise), DeviceCostDB,
                 _calibrate, requests,
             )
             missed |= computed
 
-        if options.dram_bandwidth is None:
-            options.dram_bandwidth, computed = self._resolve(
+        dram_bandwidth = options.dram_bandwidth
+        if dram_bandwidth is None:
+            dram_bandwidth, computed = self._resolve(
                 _DRAM_CACHE, device, ("dram", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.from_simulator(
                     sim, name=f"{device.name}-dram"
@@ -407,8 +404,9 @@ class CalibrationStage:
             )
             missed |= computed
 
-        if options.host_bandwidth is None:
-            options.host_bandwidth, computed = self._resolve(
+        host_bandwidth = options.host_bandwidth
+        if host_bandwidth is None:
+            host_bandwidth, computed = self._resolve(
                 _HOST_CACHE, device, ("host", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.host_from_simulator(
                     sim, name=f"{device.name}-host"
@@ -422,13 +420,13 @@ class CalibrationStage:
         else:
             requests.bump(("calibration", "hit"))
         with _CALIBRATION_LOCK:
-            shared = options.cost_db is _COSTDB_CACHE.get((device, options.synthesis_noise))
+            shared = cost_db is _COSTDB_CACHE.get((device, options.synthesis_noise))
         seconds.bump("calibrate", time.perf_counter() - started)
         return CalibrationArtifacts(
             memory_simulator=sim,
-            cost_db=options.cost_db,
-            dram_bandwidth=options.dram_bandwidth,
-            host_bandwidth=options.host_bandwidth,
+            cost_db=cost_db,
+            dram_bandwidth=dram_bandwidth,
+            host_bandwidth=host_bandwidth,
             shared_cost_db=shared,
         )
 
@@ -1132,6 +1130,10 @@ class EstimationPipeline:
         #: groups live: the process-wide cache when every model is the
         #: shared default for the device, else a cache of its own
         self._artifacts: CalibrationArtifacts | None = None
+        #: the calibration epoch and the options' (device, cost_db,
+        #: dram_bandwidth, host_bandwidth) that ``_artifacts`` resolved
+        self._epoch = -1
+        self._inputs: tuple = ()
         self._own_groups = BoundedCache(256, name="group-session")
         self._groups = self._own_groups
         #: the session device's memory hierarchy (set by :meth:`calibrate`)
@@ -1140,6 +1142,7 @@ class EstimationPipeline:
     # -- calibration artifacts (one-time per device) -----------------------
     def calibrate(self) -> CalibrationArtifacts:
         options = self.options
+        epoch = _CALIBRATION_EPOCH
         artifacts = self._calibration.run(options, *self.families)
         with _CALIBRATION_LOCK:
             shared = (artifacts.shared_cost_db
@@ -1148,19 +1151,23 @@ class EstimationPipeline:
         self._groups = _GROUP_CACHE if shared else self._own_groups
         self._memory = options.device.memory_hierarchy()
         self._artifacts = artifacts
+        self._inputs = (options.device, options.cost_db, options.dram_bandwidth,
+                        options.host_bandwidth)
+        self._epoch = epoch
         return artifacts
 
     def calibrated(self) -> CalibrationArtifacts:
         """The session's calibration, resolved on first use and again only
-        when the options' device or models were swapped since."""
-        artifacts, options = self._artifacts, self.options
-        if (artifacts is None
-                or artifacts.memory_simulator.device is not options.device
-                or artifacts.cost_db is not options.cost_db
-                or artifacts.dram_bandwidth is not options.dram_bandwidth
-                or artifacts.host_bandwidth is not options.host_bandwidth):
-            artifacts = self.calibrate()
-        return artifacts
+        when the options' device or injected models were swapped, or
+        :func:`clear_calibration_cache` ran, since."""
+        options, inputs = self.options, self._inputs
+        if (self._epoch != _CALIBRATION_EPOCH
+                or inputs[0] is not options.device
+                or inputs[1] is not options.cost_db
+                or inputs[2] is not options.dram_bandwidth
+                or inputs[3] is not options.host_bandwidth):
+            return self.calibrate()
+        return self._artifacts
 
     @property
     def memory_simulator(self) -> MemorySystemSimulator:
@@ -1168,15 +1175,15 @@ class EstimationPipeline:
 
     @property
     def cost_db(self) -> DeviceCostDB:
-        return self.calibrate().cost_db
+        return self.calibrated().cost_db
 
     @property
     def dram_bandwidth(self) -> SustainedBandwidthModel:
-        return self.calibrate().dram_bandwidth
+        return self.calibrated().dram_bandwidth
 
     @property
     def host_bandwidth(self) -> SustainedBandwidthModel:
-        return self.calibrate().host_bandwidth
+        return self.calibrated().host_bandwidth
 
     # -- individual stages -------------------------------------------------
     def parse(self, text: str, name: str = "design") -> Module:
@@ -1189,7 +1196,7 @@ class EstimationPipeline:
         return self._analysis.run(module, self.options, *self.families)
 
     def resources(self, variant: CompiledVariant) -> ModuleResourceEstimate:
-        return self._resource.run(variant, self.calibrate(), self.options,
+        return self._resource.run(variant, self.calibrated(), self.options,
                                   *self.families)
 
     def select_form(self, footprint_bytes: int) -> FormSelection:
@@ -1202,7 +1209,7 @@ class EstimationPipeline:
         pattern: AccessPattern | PatternKind = PatternKind.CONTIGUOUS,
     ) -> tuple[EKITParameters, FormSelection]:
         return self._throughput.extract_parameters(
-            variant, workload, pattern, self.options, self.calibrate()
+            variant, workload, pattern, self.options, self.calibrated()
         )
 
     # -- the full flow -----------------------------------------------------

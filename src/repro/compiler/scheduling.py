@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro import field, record
 from repro.ir.functions import FunctionKind, IRFunction, Module
-from repro.ir.instructions import Instruction, OffsetInstruction, OPCODES
+from repro.ir.instructions import Instruction, OPCODES
 from repro.substrate.pipeline_sim import PipelineSpec
 
 __all__ = [
@@ -100,16 +100,6 @@ class DataflowGraph:
     def roots(self) -> list[Instruction]:
         """Instructions that depend only on sources/constants."""
         return [i for i in self.nodes.values() if not self.producers(i)]
-
-    def critical_path_length(self, latency_model: OperatorLatencyModel) -> int:
-        schedule = _asap(self, latency_model)
-        if not schedule:
-            return 0
-        return max(
-            start + latency_model.latency(self.nodes[name].opcode, self.nodes[name].result_type.width)
-            for name, start in schedule.items()
-        )
-
 
 def _asap(graph: DataflowGraph, latency_model: OperatorLatencyModel) -> dict[str, int]:
     """ASAP start cycles for every instruction in the graph."""

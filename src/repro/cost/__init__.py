@@ -32,7 +32,7 @@ Sub-modules
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.cost.cache": ("BoundedCache", "DiskCache", "default_disk_cache"),
     "repro.cost.calibration": (
         "CostExpression", "DeviceCostDB", "PiecewiseLinearCost",
@@ -47,30 +47,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.cost.report": ("CostReport", "FeasibilityCheck"),
 })
-
-__all__ = [
-    "BoundedCache",
-    "DiskCache",
-    "default_disk_cache",
-    "CostExpression",
-    "PolynomialCost",
-    "PiecewiseLinearCost",
-    "StepCost",
-    "fit_polynomial",
-    "fit_piecewise_linear",
-    "fit_step",
-    "DeviceCostDB",
-    "calibrate_device",
-    "ResourceEstimator",
-    "BandwidthTable",
-    "SustainedBandwidthModel",
-    "EKITParameters",
-    "EKITEstimate",
-    "LimitingFactor",
-    "ekit_form_a",
-    "ekit_form_b",
-    "ekit_form_c",
-    "estimate_throughput",
-    "CostReport",
-    "FeasibilityCheck",
-]

@@ -18,8 +18,8 @@ the program (``NI``, ``Noff``, ``NWPT``, ``KNL``).
 from __future__ import annotations
 
 from repro import field, record
-from repro.ir.functions import FunctionKind, Module, StreamDirection
-from repro.ir.instructions import Instruction, OffsetInstruction
+from repro.ir.functions import Module, StreamDirection
+from repro.ir.instructions import Instruction
 from repro.cost.calibration import DeviceCostDB
 from repro.substrate.synthesis import DesignNetlist, NetlistOperator, ResourceUsage
 
@@ -276,11 +276,6 @@ class ResourceEstimator:
         width = instr.result_type.width
         constant_operand = bool(instr.constant_operands)
         return self.cost_db.lookup(instr.opcode, width, constant_operand)
-
-    def estimate_offset_buffer(self, offset: OffsetInstruction, module: Module) -> ResourceUsage:
-        words = abs(module.resolve_offset(offset.offset))
-        bits = words * offset.result_type.width
-        return self._buffer_usage(bits)
 
     def _buffer_usage(self, bits: int) -> ResourceUsage:
         if bits <= 0:

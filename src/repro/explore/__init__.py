@@ -30,7 +30,7 @@ multi-axis design spaces.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.cost.vector": ("DenseUnsupportedError", "pareto_mask"),
     "repro.explore.variants": (
         "VariantRecord", "generate_lane_variants", "sweep_lane_counts",
@@ -56,44 +56,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "CaseStudyConfig", "CaseStudyPoint", "run_sor_case_study",
     ),
 })
-
-__all__ = [
-    "DenseBackend",
-    "DenseGrid",
-    "DenseSweep",
-    "DenseUnsupportedError",
-    "clock_range",
-    "linspace_clocks",
-    "pareto_mask",
-    "VariantRecord",
-    "generate_lane_variants",
-    "sweep_lane_counts",
-    "CostJob",
-    "DesignPoint",
-    "DesignSpace",
-    "build_jobs",
-    "iter_jobs",
-    "OPTIMIZERS",
-    "Optimizer",
-    "OptimizerRound",
-    "OptimizerRun",
-    "JobFactory",
-    "drive_optimizer",
-    "ExhaustiveOptimizer",
-    "FmaxBinarySearchOptimizer",
-    "GuidedLaneOptimizer",
-    "SuccessiveHalvingOptimizer",
-    "SurrogatePrunedOptimizer",
-    "ExplorationEngine",
-    "SerialBackend",
-    "SweepEntry",
-    "SweepResult",
-    "canonical_report_dict",
-    "stats_view",
-    "pareto_frontier",
-    "RooflinePoint",
-    "roofline_analysis",
-    "CaseStudyConfig",
-    "CaseStudyPoint",
-    "run_sor_case_study",
-]

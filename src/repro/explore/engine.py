@@ -583,11 +583,9 @@ class ExplorationEngine:
         entries, rounds = drive_optimizer(
             optimizer, evaluate, deadline=deadline, on_round=on_round)
         wall = time.perf_counter() - started
-        collect = getattr(self.backend, "collect_stats", None)
-        stats = collect() if collect is not None else {}
         return OptimizerRun(entries=entries, rounds=rounds,
                             result=optimizer.result(), wall_seconds=wall,
-                            stats=stats)
+                            stats=self.backend.collect_stats())
 
     def cost_many(self, jobs: Sequence[CostJob],
                   deadline: Deadline | None = None) -> SweepResult:

@@ -570,9 +570,6 @@ class FmaxBinarySearchOptimizer(OptimizerBase):
         if family is not None:
             family.observe(point.resolved_clock_mhz, entry.report.feasible)
 
-    def family_results(self) -> list[_FmaxFamily]:
-        return list(self._families)
-
     def result(self) -> dict:
         families = sorted(
             (f.as_dict() for f in self._families),
@@ -761,7 +758,10 @@ class SurrogatePrunedOptimizer(OptimizerBase):
     points.  Spaces the dense path cannot represent (not lane-separable)
     fall back to proposing every point, with the fallback recorded in the
     result.  With ``validate_best=True`` the winning entry is additionally
-    cross-validated against the cycle-accurate simulators.
+    cross-validated against the cycle-accurate simulators.  ``backend``
+    is the :class:`~repro.explore.dense.DenseBackend` that scores the
+    grid (a long-lived caller shares its warm caches this way); without
+    one the prune builds its own.
     """
 
     def __init__(
@@ -770,7 +770,7 @@ class SurrogatePrunedOptimizer(OptimizerBase):
         *,
         keep_fraction: float = 0.1,
         keep_min: int = 1,
-        dense_backend=None,
+        backend=None,
         validate_best: bool = False,
     ):
         super().__init__()
@@ -783,7 +783,7 @@ class SurrogatePrunedOptimizer(OptimizerBase):
         self.keep_fraction = float(keep_fraction)
         self.keep_min = int(keep_min)
         self.validate_best = bool(validate_best)
-        self._dense_backend = dense_backend
+        self._backend = backend
         self._phase = "prune"
         self._dense_points = 0
         self._survivors = 0
@@ -795,14 +795,14 @@ class SurrogatePrunedOptimizer(OptimizerBase):
             self._finish()
             return []
         self._phase = "cost"
-        if self._dense_backend is None:
+        if self._backend is None:
             from repro.explore.dense import DenseBackend
 
-            self._dense_backend = DenseBackend()
+            self._backend = DenseBackend()
         from repro.cost.vector import DenseUnsupportedError
 
         try:
-            sweep = self._dense_backend.explore_space(self.space)
+            sweep = self._backend.explore_space(self.space)
         except DenseUnsupportedError as exc:
             COUNTERS.bump("fallbacks.dense")
             self._fallback = str(exc)

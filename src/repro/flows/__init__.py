@@ -13,7 +13,7 @@ adapters discovered on PATH.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.flows.base": (
         "Flow", "FlowResult", "FlowSettings", "SimFlow", "SynthFlow",
     ),
@@ -39,32 +39,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "run_golden_flows", "verilog_snapshot_dir",
     ),
     "repro.flows.tools": (
-        "ToolUnavailableError", "available_tools", "find_tool",
+        "ToolUnavailableError", "find_tool",
     ),
     "repro.flows.verilog": (
         "VerilogModule", "VerilogParseError", "parse_module_text",
         "parse_modules",
     ),
 })
-
-__all__ = [
-    # base
-    "Flow", "FlowResult", "FlowSettings", "SimFlow", "SynthFlow",
-    # concrete flows
-    "FLOW_CLASSES", "RTLSimFlow", "ElaborateFlow", "IcarusSimFlow",
-    "VerilatorLintFlow", "YosysSynthFlow", "default_sim_flow",
-    # RTL backend
-    "VerilogModule", "VerilogParseError", "parse_modules", "parse_module_text",
-    "ElaborationError", "Netlist", "NetlistSimulator", "elaborate",
-    "lint_module", "lint_source",
-    "RTLSimOutcome", "RTLSimulationError", "simulate_stream", "compare_outcome",
-    # reference model
-    "ReferenceResult", "kernel_stimulus", "reference_outputs",
-    # suite
-    "FLOW_SCHEMA", "DEFAULT_MAX_ITEMS", "FlowReport", "FlowSuiteRun",
-    "run_flow_suite", "run_golden_flows", "record_flow_goldens",
-    "check_flow_goldens", "flow_golden_dir",
-    "verilog_snapshot_dir", "kernel_verilog_bundle", "record_verilog_snapshots",
-    # tools
-    "ToolUnavailableError", "available_tools", "find_tool",
-]

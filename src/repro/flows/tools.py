@@ -30,17 +30,11 @@ _LOG = get_logger("flows.tools")
 
 __all__ = [
     "ToolUnavailableError",
-    "ToolCrashError",
     "ToolResult",
     "find_tool",
     "require_tool",
     "run_tool",
-    "available_tools",
 ]
-
-#: the external tools the optional adapters know how to drive
-KNOWN_TOOLS = ("iverilog", "vvp", "verilator", "yosys")
-
 
 class ToolUnavailableError(RuntimeError):
     """The requested external tool is not on PATH."""
@@ -50,14 +44,6 @@ class ToolUnavailableError(RuntimeError):
             f"external tool {tool!r} not found on PATH; install it or use "
             "the pure-Python backend")
         self.tool = tool
-
-
-class ToolCrashError(TransientError):
-    """The tool subprocess could not be launched or died on the OS side.
-
-    Transient: launch failures and kills are substrate trouble (fork
-    pressure, OOM reaper), the kind a bounded retry can outlive.
-    """
 
 
 @record(frozen=True)
@@ -219,8 +205,3 @@ def _run_tool(argv, cwd, timeout, deadline, retry_policy) -> ToolResult:
             timed_out=True, attempts=0,
         )
     return last
-
-
-def available_tools() -> dict[str, str | None]:
-    """Discovery report over every known external tool."""
-    return {name: find_tool(name) for name in KNOWN_TOOLS}

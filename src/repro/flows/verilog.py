@@ -214,10 +214,6 @@ class VerilogModule:
     items: list = field(default_factory=list)
 
     @property
-    def nets(self) -> dict[str, NetDecl]:
-        return {d.name: d for d in self.items if isinstance(d, NetDecl)}
-
-    @property
     def arrays(self) -> dict[str, ArrayDecl]:
         return {d.name: d for d in self.items if isinstance(d, ArrayDecl)}
 

@@ -24,37 +24,21 @@ Modules
     :class:`KernelSpec` describing an elemental function (its golden NumPy
     semantics and how to build its datapath in the IR).
 ``typetrans``
-    The ``reshapeTo`` type transformation, variant enumeration, and the
-    correctness checks.
+    The ``reshapeTo`` type transformation, the lane counts it is defined
+    for, and the variant equivalence check.
 ``lower``
     Lowering a (possibly transformed) program to a TyTra-IR module.
 """
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.functional.vector": ("Vect",),
     "repro.functional.program": (
         "Input", "KernelSpec", "Map", "Parallelism", "Program", "Reshape",
     ),
     "repro.functional.typetrans": (
-        "TransformationError", "enumerate_lane_variants", "reshape_transform",
-        "verify_variant_equivalence",
+        "TransformationError", "reshape_transform", "verify_variant_equivalence",
     ),
     "repro.functional.lower": ("lower_program",),
 })
-
-__all__ = [
-    "Vect",
-    "Parallelism",
-    "Input",
-    "Map",
-    "Reshape",
-    "Program",
-    "KernelSpec",
-    "TransformationError",
-    "reshape_transform",
-    "enumerate_lane_variants",
-    "verify_variant_equivalence",
-    "lower_program",
-]

@@ -15,7 +15,7 @@ becomes, after ``reshapeTo L``::
 i.e. ``L`` concurrent pipeline lanes each processing ``N/L`` elements.
 
 This module implements that transformation on :class:`Program` trees,
-enumerates the lane counts for which it is valid (divisors of the vector
+lists the lane counts for which it is valid (divisors of the vector
 size), and provides the equivalence check that stands in for the paper's
 dependent-type guarantee (and is exercised by property-based tests).
 """
@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TransformationError",
     "reshape_transform",
-    "enumerate_lane_variants",
     "valid_lane_counts",
     "verify_variant_equivalence",
 ]
@@ -68,14 +67,9 @@ def reshape_transform(program: Program, lanes: int) -> Program:
     if lanes == 1:
         return Program(root=Map(root.kernel, input_node, Parallelism.PIPE, nesting=1),
                        name=f"{root.kernel.name}_l1")
-    reshaped = Reshape(input_node, lanes)
-    inner = Map(root.kernel, reshaped, Parallelism.PIPE, nesting=2)
-    outer = Map(root.kernel, reshaped, Parallelism.PAR, nesting=2)
-    # representationally we keep a single nested-map node decorated PAR whose
-    # rows are processed by the pipelined elemental map; the inner object is
-    # kept for documentation of the (map^pipe) decoration
-    outer.child = reshaped
-    _ = inner
+    # one nested-map node decorated PAR stands for map^par (map^pipe k): each
+    # of its rows is processed by the pipelined elemental map
+    outer = Map(root.kernel, Reshape(input_node, lanes), Parallelism.PAR, nesting=2)
     return Program(root=outer, name=f"{root.kernel.name}_l{lanes}")
 
 
@@ -85,25 +79,6 @@ def valid_lane_counts(size: int, max_lanes: int | None = None) -> list[int]:
         raise TransformationError("vector size must be positive")
     limit = max_lanes or size
     return [lanes for lanes in range(1, min(limit, size) + 1) if size % lanes == 0]
-
-
-def enumerate_lane_variants(
-    program: Program,
-    candidate_lanes: list[int] | None = None,
-    max_lanes: int | None = None,
-) -> dict[int, Program]:
-    """Generate the family of lane variants of a baseline program."""
-    _, input_node = _baseline_parts(program)
-    if candidate_lanes is None:
-        candidate_lanes = valid_lane_counts(input_node.size, max_lanes)
-    variants: dict[int, Program] = {}
-    for lanes in candidate_lanes:
-        if input_node.size % lanes != 0:
-            continue
-        variants[lanes] = reshape_transform(program, lanes)
-    if not variants:
-        raise TransformationError("no valid lane counts among the candidates")
-    return variants
 
 
 def verify_variant_equivalence(

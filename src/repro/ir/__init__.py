@@ -40,7 +40,7 @@ The public surface of this package:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.ir.errors": (
         "IRError", "IRParseError", "IRTypeError", "IRValidationError",
     ),
@@ -58,32 +58,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.ir.printer": ("print_module",),
     "repro.ir.validator": ("validate_module",),
 })
-
-__all__ = [
-    "IRError",
-    "IRParseError",
-    "IRTypeError",
-    "IRValidationError",
-    "ScalarType",
-    "TypeKind",
-    "parse_type",
-    "OPCODES",
-    "OpcodeInfo",
-    "opcode_info",
-    "Operand",
-    "Instruction",
-    "OffsetInstruction",
-    "CallInstruction",
-    "FunctionKind",
-    "StreamDirection",
-    "IRFunction",
-    "MemoryObject",
-    "StreamObject",
-    "PortDeclaration",
-    "Module",
-    "IRBuilder",
-    "FunctionBuilder",
-    "parse_module",
-    "print_module",
-    "validate_module",
-]

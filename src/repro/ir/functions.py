@@ -14,7 +14,6 @@ A *design variant* is captured by a :class:`Module`:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
 
 from repro import field, record
 from repro.ir.errors import IRValidationError
@@ -107,10 +106,6 @@ class MemoryObject:
             raise IRValidationError(
                 f"memory object {self.name!r}: address space must be 0..3, got {self.addr_space}"
             )
-
-    @property
-    def size_bits(self) -> int:
-        return self.size * self.element_type.width
 
     @property
     def size_bytes(self) -> int:
@@ -320,12 +315,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name.lstrip("@") in self.functions
 
-    def leaf_functions(self) -> list[IRFunction]:
-        return [f for f in self.functions.values() if f.is_leaf and f.name != self.main]
-
-    def iter_functions(self) -> Iterator[IRFunction]:
-        return iter(self.functions.values())
-
     def resolve_offset(self, offset: int | str) -> int:
         """Resolve a (possibly symbolic) stream offset to an integer.
 
@@ -352,25 +341,6 @@ class Module:
 
     def output_streams(self) -> list[StreamObject]:
         return [s for s in self.stream_objects.values() if s.direction is StreamDirection.OUTPUT]
-
-    def input_ports(self) -> list[PortDeclaration]:
-        return [p for p in self.port_declarations if p.direction is StreamDirection.INPUT]
-
-    def output_ports(self) -> list[PortDeclaration]:
-        return [p for p in self.port_declarations if p.direction is StreamDirection.OUTPUT]
-
-    def total_stream_words_per_item(self) -> int:
-        """Words moved per work item over all declared ports (``NWPT``)."""
-        return len(self.port_declarations)
-
-    def callees_of(self, func_name: str) -> list[tuple[str, FunctionKind | None]]:
-        """Return ``(callee, call kind)`` pairs for a function's calls."""
-        func = self.get_function(func_name)
-        out = []
-        for call in func.calls():
-            kind = FunctionKind(call.kind) if call.kind else None
-            out.append((call.callee, kind))
-        return out
 
     def call_graph(self) -> dict[str, list[str]]:
         """Adjacency list of the static call graph."""

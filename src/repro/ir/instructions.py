@@ -25,7 +25,7 @@ are ordinary :class:`Instruction` objects whose result name starts with
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Union
+from typing import Union
 
 from repro import field, record
 from repro.ir.errors import IRTypeError
@@ -399,16 +399,3 @@ def _eval_offset_expression(expr: str, constants: dict[str, int]) -> int:
     if not isinstance(value, int):
         raise IRTypeError(f"offset expression {expr!r} did not evaluate to an integer")
     return value
-
-
-def iter_ssa_uses(statements: Iterable[Statement]):
-    """Yield ``(statement, operand_name)`` pairs for every SSA use."""
-    for stmt in statements:
-        if isinstance(stmt, Instruction):
-            for name in stmt.input_names:
-                yield stmt, name
-        elif isinstance(stmt, OffsetInstruction):
-            yield stmt, stmt.source
-        elif isinstance(stmt, CallInstruction):
-            for name in stmt.args:
-                yield stmt, name

@@ -16,7 +16,7 @@ import math
 
 from repro import field, record
 
-__all__ = ["NDRange", "WorkGroup", "KernelInstance"]
+__all__ = ["NDRange", "KernelInstance"]
 
 
 @record(frozen=True)
@@ -56,17 +56,6 @@ class NDRange:
 
     def __str__(self) -> str:
         return "x".join(str(d) for d in self.dims)
-
-
-@record(frozen=True)
-class WorkGroup:
-    """A work-group: a tile of the NDRange executed together."""
-
-    size: tuple[int, ...]
-
-    @property
-    def items(self) -> int:
-        return math.prod(self.size)
 
 
 @record

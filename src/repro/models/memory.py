@@ -64,10 +64,6 @@ class MemoryLevel:
     peak_bandwidth_gbps: float
     latency_cycles: int = 1
 
-    def fits(self, nbytes: int) -> bool:
-        """Whether ``nbytes`` of data fit entirely within this level."""
-        return nbytes <= self.capacity_bytes
-
 
 @record
 class MemoryHierarchy:
@@ -98,20 +94,6 @@ class MemoryHierarchy:
     @property
     def private_memory(self) -> MemoryLevel:
         return self[AddressSpace.PRIVATE]
-
-    def deepest_fitting(self, nbytes: int) -> MemoryLevel:
-        """Return the fastest (most on-chip) level that can hold ``nbytes``.
-
-        Order of preference: private, local, global.  Raises ``ValueError``
-        when even global memory cannot hold the data (the host must then
-        stream it — a form-A scenario).
-        """
-        for space in (AddressSpace.PRIVATE, AddressSpace.LOCAL, AddressSpace.GLOBAL):
-            if space in self and self[space].fits(nbytes):
-                return self[space]
-        raise ValueError(
-            f"no device memory level can hold {nbytes} bytes; data must remain host-resident"
-        )
 
     @staticmethod
     def generic(

@@ -75,15 +75,3 @@ class AccessPattern:
     def random(element_bytes: int = 4, typical_span_elements: int = 1 << 20) -> "AccessPattern":
         """Random access: costed as a large-stride pattern (paper §V-C)."""
         return AccessPattern(PatternKind.RANDOM, max(2, typical_span_elements), element_bytes)
-
-    @staticmethod
-    def from_ir(pattern_kind: str, stride: int, element_bytes: int) -> "AccessPattern":
-        """Construct from the Manage-IR (``CONT`` / ``STRIDED`` / ``RANDOM``)."""
-        kind = pattern_kind.upper()
-        if kind == "CONT" or kind == "CONTIGUOUS":
-            return AccessPattern.contiguous(element_bytes)
-        if kind == "STRIDED":
-            return AccessPattern.strided(max(stride, 2), element_bytes)
-        if kind == "RANDOM":
-            return AccessPattern.random(element_bytes)
-        raise ValueError(f"unknown access pattern kind {pattern_kind!r}")

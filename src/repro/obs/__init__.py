@@ -25,7 +25,7 @@ telemetry is enabled.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.obs.logs": ("get_logger", "log_event", "setup_logging"),
     "repro.obs.metrics": ("MetricsRegistry",),
     "repro.obs.profile": ("PROFILE_ENV", "maybe_profile"),
@@ -36,26 +36,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "span", "summarize_trace", "uninstall_tracer", "validate_trace",
     ),
 })
-
-__all__ = [
-    "MetricsRegistry",
-    "PROFILE_ENV",
-    "TRACE_ENV",
-    "TRACE_SCHEMA",
-    "Tracer",
-    "activate_from_env",
-    "current_trace_id",
-    "current_tracer",
-    "format_trace_summary",
-    "get_logger",
-    "install_tracer",
-    "load_trace",
-    "log_event",
-    "maybe_profile",
-    "new_trace_id",
-    "setup_logging",
-    "span",
-    "summarize_trace",
-    "uninstall_tracer",
-    "validate_trace",
-]

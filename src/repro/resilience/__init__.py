@@ -8,7 +8,7 @@ hung tools and dying leaders without ever changing a report byte.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.resilience.faults": (
         "FAULT_PLAN_ENV", "FaultPlan", "FaultSpec", "InjectedFault",
         "current_fault_plan", "maybe_fail",
@@ -20,23 +20,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "sum_families",
     ),
 })
-
-__all__ = [
-    "COUNTERS",
-    "Deadline",
-    "DeadlineExceededError",
-    "FAULT_PLAN_ENV",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "MetricFamily",
-    "PermanentError",
-    "RetryBudgetExceededError",
-    "RetryPolicy",
-    "TransientError",
-    "current_fault_plan",
-    "is_transient",
-    "maybe_fail",
-    "seeded_unit",
-    "sum_families",
-]

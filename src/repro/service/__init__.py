@@ -10,7 +10,7 @@ client.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.service.client": (
         "ServiceClient", "ServiceError", "ServiceResponse",
     ),
@@ -22,17 +22,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ServiceServer", "serve",
     ),
 })
-
-__all__ = [
-    "BadRequestError",
-    "CoalescedTask",
-    "DEFAULT_PORT",
-    "ExplorationService",
-    "RequestCoalescer",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceResponse",
-    "ServiceServer",
-    "TaskFailedError",
-    "serve",
-]

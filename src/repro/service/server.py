@@ -445,7 +445,7 @@ class ExplorationService:
                 publish(event)
 
             dse = run_dse(config, request["optimizer"],
-                          backend=self._backend, dense_backend=self._backend,
+                          backend=self._backend,
                           params=request["params"], on_round=_round,
                           deadline=deadline)
             self.sweeps.bump("completed")

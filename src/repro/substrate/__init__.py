@@ -35,7 +35,7 @@ same functional behaviour (see DESIGN.md §2 for the substitution table):
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.substrate.fpga_device": (
         "DEVICES", "FPGADevice", "MAIA_STRATIX_V_GSD8", "SMALL_EDU_DEVICE",
         "VIRTEX7_ADM_PCIE_7V3", "get_device",
@@ -58,33 +58,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "BaselineHLSFlow", "HLSKernelCharacteristics",
     ),
 })
-
-__all__ = [
-    "FPGADevice",
-    "DEVICES",
-    "MAIA_STRATIX_V_GSD8",
-    "VIRTEX7_ADM_PCIE_7V3",
-    "SMALL_EDU_DEVICE",
-    "get_device",
-    "ResourceUsage",
-    "NetlistOperator",
-    "DesignNetlist",
-    "CalibrationPoint",
-    "CalibrationDataset",
-    "SyntheticSynthesizer",
-    "DRAMConfig",
-    "PCIeConfig",
-    "MemorySystemSimulator",
-    "StreamMeasurement",
-    "CYCLE_AGREEMENT_SLACK",
-    "PipelineSpec",
-    "PipelineSimulator",
-    "SimulationDivergedError",
-    "SimulationResult",
-    "NodePowerModel",
-    "EnergyReport",
-    "CPUModel",
-    "CPURunEstimate",
-    "BaselineHLSFlow",
-    "HLSKernelCharacteristics",
-]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from repro import field, record
+from repro import record
 from repro.models.streaming import AccessPattern, PatternKind
 from repro.substrate.fpga_device import FPGADevice
 
@@ -200,18 +200,6 @@ class MemorySystemSimulator:
             + element_bytes / (self.dram.peak_gbps)  # data beat itself
         )
         return setup_s + n_elements * per_element_ns * 1e-9
-
-    def dram_sustained_gbps(
-        self,
-        n_elements: int,
-        element_bytes: int = 4,
-        pattern: AccessPattern | None = None,
-    ) -> float:
-        """Sustained device-DRAM bandwidth for a stream, in GB/s."""
-        seconds = self.dram_stream_time(n_elements, element_bytes, pattern)
-        if seconds == 0:
-            return 0.0
-        return n_elements * element_bytes / seconds / 1e9
 
     # ------------------------------------------------------------------
     # Host <-> device transfers (PCIe)

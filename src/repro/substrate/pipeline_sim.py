@@ -405,26 +405,3 @@ class PipelineSimulator:
             cycles_per_item=cycles / n_items,
             limited_by="memory" if memory_rate < compute_rate else "compute",
         )
-
-    # ------------------------------------------------------------------
-    def run_application(
-        self,
-        spec: PipelineSpec,
-        n_items: int,
-        repetitions: int,
-        memory_gbps: float | None = None,
-        per_instance_overhead_s: float = 0.0,
-        *,
-        fill_memory_gbps: float | None = None,
-        cycle_accurate: bool = False,
-    ) -> tuple[float, SimulationResult]:
-        """Run ``repetitions`` kernel instances and return (total seconds, one result)."""
-        result = self.run_kernel_instance(
-            spec,
-            n_items,
-            memory_gbps,
-            fill_memory_gbps=fill_memory_gbps,
-            cycle_accurate=cycle_accurate,
-        )
-        total = repetitions * (result.seconds + per_instance_overhead_s)
-        return total, result

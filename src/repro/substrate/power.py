@@ -39,10 +39,6 @@ class EnergyReport:
         """Increase over idle energy consumption — the quantity of Figure 18."""
         return self.delta_power_w * self.runtime_s
 
-    @property
-    def total_energy_j(self) -> float:
-        return self.active_power_w * self.runtime_s
-
     def as_dict(self) -> dict:
         return {
             "label": self.label,

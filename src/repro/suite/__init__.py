@@ -21,7 +21,7 @@ first-class workflow on top of the exploration engine:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.suite.report": (
         "DSE_SCHEMA", "FLOAT_SIGNIFICANT_DIGITS", "SCHEMA", "SuiteReport",
         "canonical_json", "canonicalize", "load_report",
@@ -36,30 +36,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "run_golden_suite",
     ),
 })
-
-__all__ = [
-    "SCHEMA",
-    "DSE_SCHEMA",
-    "DSE_OPTIMIZERS",
-    "DseRun",
-    "run_dse",
-    "build_dse_report",
-    "resolve_dse_params",
-    "FLOAT_SIGNIFICANT_DIGITS",
-    "SuiteReport",
-    "canonicalize",
-    "canonical_json",
-    "load_report",
-    "FieldDiff",
-    "diff_payloads",
-    "format_diffs",
-    "SuiteConfig",
-    "SuiteRun",
-    "WorkloadSuite",
-    "tiny_grid",
-    "golden_config",
-    "golden_dir",
-    "run_golden_suite",
-    "record_goldens",
-    "check_goldens",
-]

@@ -530,12 +530,14 @@ def parse_request(endpoint: str, body) -> dict:
 
 
 def dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
-                   dense_backend=None) -> dict[str, object]:
+                   backend=None) -> dict[str, object]:
     """One named optimizer run per report slot.
 
     Exhaustive/fmax/surrogate search each kernel independently (one run
     per kernel); successive halving is inherently cross-kernel — its arms
     *are* the kernels × forms — so it produces a single ``halving`` run.
+    A surrogate prune scores its grid on ``backend`` (a ``DenseBackend``,
+    or None for one of its own).
     """
     from repro.explore.optimizer import (
         ExhaustiveOptimizer,
@@ -559,7 +561,7 @@ def dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
             runs[name] = FmaxBinarySearchOptimizer(space, **params)
         else:
             runs[name] = SurrogatePrunedOptimizer(
-                space, dense_backend=dense_backend, **params)
+                space, backend=backend, **params)
     return runs
 
 
@@ -619,7 +621,7 @@ def build_dse_report(config: SuiteConfig, optimizer: str, params: dict,
 
 
 def run_dse(config: SuiteConfig | None = None, optimizer: str = "fmax", *,
-            backend=None, dense_backend=None, params: dict | None = None,
+            backend=None, params: dict | None = None,
             on_round=None, deadline=None) -> DseRun:
     """Drive one optimizer over the suite grid into a canonical DSE report.
 
@@ -630,15 +632,15 @@ def run_dse(config: SuiteConfig | None = None, optimizer: str = "fmax", *,
     :class:`~repro.explore.engine.ExplorationEngine` on ``backend``, and
     folds the runs into a ``repro-dse-report/1``.  ``on_round(label,
     round, entries)`` fires after every loop round — the streaming hook.
-    ``dense_backend`` lets a long-lived caller (the service) share its
-    warm dense caches with surrogate prunes.
+    A surrogate prune also scores its grid on ``backend``, so a
+    long-lived caller (the service) passes a ``DenseBackend`` and shares
+    its warm caches; with None each prune builds its own.
     """
     import time
 
     config = config or SuiteConfig()
     params = resolve_dse_params(optimizer, params)
-    optimizers = dse_optimizers(config, optimizer, params,
-                                 dense_backend=dense_backend)
+    optimizers = dse_optimizers(config, optimizer, params, backend)
     engine = ExplorationEngine(backend)
     runs: dict[str, object] = {}
     started = time.perf_counter()

@@ -19,7 +19,7 @@ costed design point through both and reports per-point agreement:
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.validate.crossval": (
         "DEFAULT_MEMORY_TOLERANCE", "DEFAULT_TOLERANCE", "CrossValidator",
         "LegComparison", "ValidationRecord",
@@ -30,19 +30,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "run_golden_validation", "validate_suite", "validation_golden_dir",
     ),
 })
-
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_MEMORY_TOLERANCE",
-    "CrossValidator",
-    "LegComparison",
-    "ValidationRecord",
-    "VALIDATION_SCHEMA",
-    "ValidationReport",
-    "ValidationRun",
-    "validate_suite",
-    "validation_golden_dir",
-    "run_golden_validation",
-    "record_validation_goldens",
-    "check_validation_goldens",
-]

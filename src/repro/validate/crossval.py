@@ -311,7 +311,7 @@ class CrossValidator:
         sample points the fit reproduces the simulator exactly, so the
         residual measured here is the log-size interpolation error.
         """
-        calibration = pipeline.calibrate()
+        calibration = pipeline.calibrated()
         memsim = calibration.memory_simulator
         params = estimate.parameters
         word_bytes = params.word_bytes

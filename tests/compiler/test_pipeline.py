@@ -130,14 +130,26 @@ class TestCalibrationSharing:
         )
         assert injected.cost_db is db
 
-    def test_options_lazily_filled_like_the_old_driver(self):
+    def test_calibration_leaves_the_options_as_given(self):
         options = CompilationOptions(device=SMALL_EDU_DEVICE)
-        pipeline = EstimationPipeline(options)
+        key = options.session_key()
+        artifacts = EstimationPipeline(options).calibrate()
+        assert artifacts.cost_db is not None
+        assert artifacts.dram_bandwidth is not None
+        assert artifacts.host_bandwidth is not None
         assert options.cost_db is None
-        pipeline.calibrate()
-        assert options.cost_db is not None
-        assert options.dram_bandwidth is not None
-        assert options.host_bandwidth is not None
+        assert options.dram_bandwidth is None
+        assert options.host_bandwidth is None
+        assert options.session_key() == key
+
+    def test_clearing_the_cache_reaches_a_calibrated_session(self):
+        from repro.compiler.pipeline import clear_calibration_cache
+
+        pipeline = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
+        first = pipeline.calibrated()
+        assert pipeline.calibrated() is first
+        clear_calibration_cache()
+        assert pipeline.calibrated() is not first
 
 
 class TestSessionKey:

@@ -266,7 +266,7 @@ class TestSurrogatePruned:
         space = make_space()
         run = ExplorationEngine(SerialBackend()).run_optimizer(
             SurrogatePrunedOptimizer(space, keep_fraction=0.1,
-                                     dense_backend=Unsupported()))
+                                     backend=Unsupported()))
         result = run.result
         assert result["fallback"]
         assert result["scalar_points"] == len(space)

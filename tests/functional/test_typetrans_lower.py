@@ -9,7 +9,6 @@ from repro.compiler import TybecCompiler
 from repro.functional import (
     Program,
     TransformationError,
-    enumerate_lane_variants,
     lower_program,
     reshape_transform,
     verify_variant_equivalence,
@@ -58,19 +57,6 @@ class TestReshapeTransform:
         assert valid_lane_counts(7) == [1, 7]
         with pytest.raises(TransformationError):
             valid_lane_counts(0)
-
-    def test_enumerate_variants(self, baseline):
-        variants = enumerate_lane_variants(baseline, max_lanes=6)
-        assert set(variants) == {1, 2, 3, 4, 6}
-        assert all(v.lanes() == lanes for lanes, v in variants.items())
-
-    def test_enumerate_with_explicit_candidates(self, baseline):
-        variants = enumerate_lane_variants(baseline, candidate_lanes=[2, 5, 8])
-        assert set(variants) == {2, 8}
-
-    def test_enumerate_no_valid_candidates(self, baseline):
-        with pytest.raises(TransformationError):
-            enumerate_lane_variants(baseline, candidate_lanes=[5, 7])
 
     def test_equivalence_of_variants(self, baseline):
         data = bindings()

@@ -12,7 +12,7 @@ from repro.ir import (
     ScalarType,
     opcode_info,
 )
-from repro.ir.instructions import OperandKind, iter_ssa_uses
+from repro.ir.instructions import OperandKind
 
 UI18 = ScalarType.uint(18)
 
@@ -269,16 +269,3 @@ class TestCallInstruction:
         call = CallInstruction("f0", [])
         assert call.kind is None
         assert str(call) == "call @f0()"
-
-
-def test_iter_ssa_uses():
-    stmts = [
-        OffsetInstruction("pip1", UI18, "p", 1),
-        Instruction("1", UI18, "mul", [Operand.ssa("pip1"), Operand.const(3)]),
-        CallInstruction("f0", ["x", "y"]),
-    ]
-    uses = [(type(s).__name__, n) for s, n in iter_ssa_uses(stmts)]
-    assert ("OffsetInstruction", "p") in uses
-    assert ("Instruction", "pip1") in uses
-    assert ("CallInstruction", "x") in uses
-    assert ("CallInstruction", "y") in uses

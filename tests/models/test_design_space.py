@@ -127,13 +127,6 @@ class TestAccessPattern:
         assert p.kind is PatternKind.RANDOM
         assert p.stride_elements > 1
 
-    def test_from_ir(self):
-        assert AccessPattern.from_ir("CONT", 1, 4).is_contiguous
-        assert AccessPattern.from_ir("STRIDED", 100, 2).stride_elements == 100
-        assert AccessPattern.from_ir("RANDOM", 1, 4).kind is PatternKind.RANDOM
-        with pytest.raises(ValueError):
-            AccessPattern.from_ir("DIAGONAL", 1, 4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AccessPattern(PatternKind.STRIDED, 0, 4)

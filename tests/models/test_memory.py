@@ -1,7 +1,5 @@
 """Tests for the memory-hierarchy model."""
 
-import pytest
-
 from repro.models import AddressSpace, MemoryHierarchy, MemoryLevel
 
 
@@ -20,14 +18,6 @@ class TestAddressSpace:
         assert AddressSpace.CONSTANT.is_off_chip
 
 
-class TestMemoryLevel:
-    def test_fits(self):
-        level = MemoryLevel(AddressSpace.LOCAL, capacity_bytes=1024, peak_bandwidth_gbps=100)
-        assert level.fits(1024)
-        assert level.fits(0)
-        assert not level.fits(1025)
-
-
 class TestMemoryHierarchy:
     def test_generic_has_all_levels(self):
         h = MemoryHierarchy.generic()
@@ -41,17 +31,6 @@ class TestMemoryHierarchy:
         assert h[1] is h.global_memory
         assert h[2] is h.local_memory
         assert h[0] is h.private_memory
-
-    def test_deepest_fitting_prefers_on_chip(self):
-        h = MemoryHierarchy.generic(dram_bytes=1 << 30, bram_bytes=1 << 20, register_bytes=1 << 10)
-        assert h.deepest_fitting(512).space is AddressSpace.PRIVATE
-        assert h.deepest_fitting(1 << 18).space is AddressSpace.LOCAL
-        assert h.deepest_fitting(1 << 25).space is AddressSpace.GLOBAL
-
-    def test_deepest_fitting_raises_when_too_big(self):
-        h = MemoryHierarchy.generic(dram_bytes=1 << 20)
-        with pytest.raises(ValueError, match="host"):
-            h.deepest_fitting(1 << 30)
 
     def test_add_returns_self_for_chaining(self):
         h = MemoryHierarchy()

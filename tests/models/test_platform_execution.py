@@ -1,18 +1,10 @@
-"""Tests for the platform and execution models."""
+"""Tests for the execution model."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.models import (
-    ComputeUnit,
-    KernelInstance,
-    NDRange,
-    PlatformModel,
-    ProcessingElement,
-    StreamControl,
-    WorkGroup,
-)
+from repro.models import KernelInstance, NDRange
 
 
 class TestNDRange:
@@ -61,35 +53,3 @@ class TestKernelInstance:
             KernelInstance("k", NDRange((4,)), repetitions=0)
         with pytest.raises(ValueError):
             KernelInstance("k", NDRange((4,)), words_per_item=0)
-
-    def test_workgroup(self):
-        assert WorkGroup((8, 8)).items == 64
-
-
-class TestPlatform:
-    def test_compute_unit_lanes(self):
-        cu = ComputeUnit("cu0")
-        for _ in range(4):
-            cu.add_lane(ProcessingElement("f0", instructions=19, pipeline_depth=25))
-        assert cu.lanes == 4
-        assert cu.pipeline_depth == 25
-
-    def test_platform_total_lanes(self):
-        p = PlatformModel(device_name="test", clock_mhz=175.0)
-        cu = p.add_compute_unit(ComputeUnit("cu0"))
-        cu.add_lane(ProcessingElement("f0"))
-        cu.add_lane(ProcessingElement("f0"))
-        assert p.total_lanes == 2
-        assert p.clock_hz == pytest.approx(175e6)
-
-    def test_stream_control_totals(self):
-        sc = StreamControl(input_streams=9, output_streams=2, max_offset_span=576)
-        assert sc.total_streams == 11
-
-    def test_pe_steady_state_rate(self):
-        pe = ProcessingElement("f0", instructions=10, pipeline_depth=12, vectorization=2)
-        assert pe.steady_state_items_per_cycle() == 2.0
-        seq_pe = ProcessingElement(
-            "f0", instructions=10, pipeline_depth=1, cycles_per_instruction=4
-        )
-        assert seq_pe.steady_state_items_per_cycle() == pytest.approx(1 / 40)

@@ -178,6 +178,41 @@ class TestRegistry:
         assert MetricsRegistry().render_prometheus() == ""
 
 
+def test_cost_after_clearing_the_calibration_recalibrates_its_live_session(
+        monkeypatch, tmp_path):
+    """``clear_calibration_cache()`` reaches a session that already
+    calibrated: with no pinned clock, ``/cost`` runs in the sweep's own
+    device-fmax session, and resolves its three models again from the
+    disk store instead of costing with the ones it held."""
+    from repro.compiler.pipeline import clear_calibration_cache
+    from repro.ir import print_module
+    from repro.kernels import get_kernel
+    from repro.service import ExplorationService, ServiceClient, ServiceServer
+
+    monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
+    clear_calibration_cache()
+    srv = ServiceServer(("127.0.0.1", 0), ExplorationService(max_concurrency=2))
+    thread = threading.Thread(target=srv.serve_forever, kwargs=FAST_POLL,
+                              daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(port=srv.port)
+        client.suite({"tiny": True, "kernels": ["sor"], "max_lanes": 2})
+        before = srv.service.metrics()["pipeline"]
+        assert before["disk"] == [0, 3]  # calibrated from scratch, stored
+        clear_calibration_cache()
+        design = print_module(get_kernel("sor").build_module(
+            lanes=2, grid=(8, 8, 8)))
+        client.cost(design, grid=(8, 8, 8), iterations=10)
+        after = srv.service.metrics()["pipeline"]
+        assert after["disk"] == [3, 3]  # cost db + dram + host, from disk
+        assert after["calibration"][0] == before["calibration"][0] + 1
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        clear_calibration_cache()
+
+
 class TestRealSurfaces:
     """A real service, driven through a sweep, two ``"dense"`` replays of
     it and a warm start from the disk cache, renders every surface

@@ -55,30 +55,36 @@ class TestDRAMStreams:
         assert sim.dram_stream_time(0) == 0.0
 
     def test_contiguous_large_approaches_plateau(self, sim):
-        gbps = sim.dram_sustained_gbps(36_000_000, 4)  # 144 MB
-        assert gbps == pytest.approx(sim.dram.effective_peak_gbps, rel=0.05)
+        m = sim.stream_benchmark(6000)  # 144 MB
+        assert m.sustained_gbps == pytest.approx(sim.dram.effective_peak_gbps, rel=0.05)
 
     def test_contiguous_small_dominated_by_setup(self, sim):
-        gbps = sim.dram_sustained_gbps(10_000, 4)  # 40 KB
-        assert gbps < 0.5
+        assert sim.stream_benchmark(100).sustained_gbps < 0.5  # 40 KB
 
     def test_strided_two_orders_of_magnitude_lower(self, sim):
-        contiguous = sim.dram_sustained_gbps(4_000_000, 4)
-        strided = sim.dram_sustained_gbps(
-            4_000_000, 4, AccessPattern.strided(2000, 4)
-        )
-        assert contiguous / strided > 50
+        contiguous = sim.stream_benchmark(2000, pattern=PatternKind.CONTIGUOUS)
+        strided = sim.stream_benchmark(2000, pattern=PatternKind.STRIDED)
+        assert strided.stride_elements == 2000
+        assert contiguous.sustained_gbps / strided.sustained_gbps > 50
 
     def test_strided_roughly_independent_of_stride(self, sim):
-        small = sim.dram_sustained_gbps(1_000_000, 4, AccessPattern.strided(500, 4))
-        large = sim.dram_sustained_gbps(1_000_000, 4, AccessPattern.strided(50_000, 4))
-        assert 0.02 < small < 0.12
-        assert 0.02 < large < 0.12
+        for stride in (500, 50_000):
+            m = sim.stream_benchmark(1000, pattern=PatternKind.STRIDED,
+                                     stride_elements=stride)
+            assert m.stride_elements == stride
+            assert 0.02 < m.sustained_gbps < 0.12
 
     def test_random_costed_like_large_stride(self, sim):
-        rnd = sim.dram_sustained_gbps(1_000_000, 4, AccessPattern.random(4))
-        strided = sim.dram_sustained_gbps(1_000_000, 4, AccessPattern.strided(100_000, 4))
-        assert rnd == pytest.approx(strided, rel=0.3)
+        rnd = sim.stream_benchmark(1000, pattern=PatternKind.RANDOM)
+        strided = sim.stream_benchmark(1000, pattern=PatternKind.STRIDED,
+                                       stride_elements=100_000)
+        assert rnd.sustained_gbps == pytest.approx(strided.sustained_gbps, rel=0.3)
+
+    def test_sustained_rate_is_bytes_over_stream_time(self, sim):
+        m = sim.stream_benchmark(1000, pattern=PatternKind.STRIDED)
+        seconds = sim.dram_stream_time(1_000_000, 4, AccessPattern.strided(1000, 4))
+        assert m.seconds == seconds
+        assert m.sustained_gbps == pytest.approx(4_000_000 / seconds / 1e9)
 
     @given(n=st.integers(min_value=1, max_value=10_000_000))
     @settings(max_examples=25, deadline=None)

@@ -108,12 +108,6 @@ class TestPipelineSimulator:
         stepped = sim.run_kernel_instance(spec, 1500, memory_gbps=2.0, cycle_accurate=True)
         assert stepped.cycles == pytest.approx(analytic.cycles, rel=0.05)
 
-    def test_run_application_scales_with_repetitions(self):
-        sim = PipelineSimulator()
-        total, one = sim.run_application(make_spec(), 10_000, repetitions=10,
-                                         per_instance_overhead_s=1e-4)
-        assert total == pytest.approx(10 * (one.seconds + 1e-4))
-
     @given(
         items=st.integers(min_value=1, max_value=100_000),
         lanes=st.integers(min_value=1, max_value=16),

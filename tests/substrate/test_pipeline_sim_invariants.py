@@ -4,8 +4,9 @@ These tests pin the reconciled fill/stall accounting and the documented
 agreement invariant — analytic and cycle-stepping mode agree within one
 pipeline depth (plus a few cycles of phase-boundary rounding) across
 lanes x offsets x memory rates — together with the divergence guard, the
-``cycle_accurate`` threading through ``run_application`` and the
-separate offset-priming rate used by the cross-validation subsystem.
+``cycle_accurate`` and ``fill_memory_gbps`` switches of
+``run_kernel_instance`` and the separate offset-priming rate used by the
+cross-validation subsystem.
 """
 
 import math
@@ -67,28 +68,28 @@ class TestDivergenceGuard:
             sim.run_kernel_instance(make_spec(), 100, fill_memory_gbps=-1.0)
 
 
-class TestRunApplication:
-    def test_threads_cycle_accurate_through(self):
+class TestModeSwitches:
+    def test_cycle_accurate_selects_the_stepping_mode(self):
         sim = PipelineSimulator()
         spec = make_spec(offset_fill_words=64, lanes=2)
-        _, analytic = sim.run_application(spec, 1000, repetitions=3)
-        _, stepped = sim.run_application(spec, 1000, repetitions=3,
-                                         cycle_accurate=True)
-        # the stepping mode quantises phase boundaries, so the counts are
-        # close but (in general) not equal: proof the flag took effect is
-        # that both satisfy the agreement invariant and the totals scale
+        # only the stepping mode honours the cycle bound: tripping it is
+        # proof the flag took effect
+        analytic = sim.run_kernel_instance(spec, 1000, max_cycles=10)
+        with pytest.raises(SimulationDivergedError):
+            sim.run_kernel_instance(spec, 1000, cycle_accurate=True,
+                                    max_cycles=10)
+        stepped = sim.run_kernel_instance(spec, 1000, cycle_accurate=True)
         assert abs(stepped.cycles - analytic.cycles) <= spec.pipeline_depth
-        total, one = sim.run_application(spec, 1000, repetitions=7,
-                                         per_instance_overhead_s=1e-4,
-                                         cycle_accurate=True)
-        assert total == pytest.approx(7 * (one.seconds + 1e-4))
+        assert stepped.seconds == pytest.approx(stepped.cycles / spec.clock_hz)
 
-    def test_threads_fill_rate_through(self):
+    @pytest.mark.parametrize("cycle_accurate", [False, True])
+    def test_fill_rate_reaches_either_mode(self, cycle_accurate):
         sim = PipelineSimulator()
         spec = make_spec(offset_fill_words=512)
-        _, fast_fill = sim.run_application(spec, 1000, repetitions=1)
-        _, slow_fill = sim.run_application(spec, 1000, repetitions=1,
-                                           fill_memory_gbps=0.1)
+        fast_fill = sim.run_kernel_instance(spec, 1000,
+                                            cycle_accurate=cycle_accurate)
+        slow_fill = sim.run_kernel_instance(spec, 1000, fill_memory_gbps=0.1,
+                                            cycle_accurate=cycle_accurate)
         assert slow_fill.fill_cycles > fast_fill.fill_cycles
 
 
