@@ -63,7 +63,7 @@ COMMANDS = {
 SUITE_RUN_POINTS = 468
 
 #: the most ``repro`` modules each command may load
-MODULE_CEILINGS = {"help": 2, "cost": 42, "suite_run": 60}
+MODULE_CEILINGS = {"help": 2, "cost": 40, "suite_run": 58}
 
 #: runs ``tybec ARGS`` in this interpreter, then reports what it loaded
 PROBE = """

@@ -1428,8 +1428,8 @@ def _cmd_serve(args) -> int:
         print("shutting down", flush=True)
     finally:
         signal.signal(signal.SIGTERM, previous)
-        drained = server.drain(args.drain_timeout)
-        server.server_close()
+        # serve_forever has returned, so the shutdown inside is immediate
+        drained = server.shutdown_gracefully(args.drain_timeout)
         if drained:
             print("drained; exiting", flush=True)
         else:

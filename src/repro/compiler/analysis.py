@@ -146,21 +146,21 @@ def classify_from_parts(
 ) -> ModuleClassification:
     """Classify a variant from already-computed analysis products.
 
-    The estimation pipeline computes the configuration tree and the
-    module structure anyway; passing them in keeps classification from
-    re-deriving both (a pure function of their values, so the result is
-    identical to :func:`classify_module`'s).
+    A caller that already holds the configuration tree and the module
+    structure passes them in, which keeps classification from re-deriving
+    both (a pure function of their values, so the result is identical to
+    :func:`classify_module`'s).  A ``seq`` function in the tree marks
+    resource reuse.
     """
     pipelined = any(
         module.get_function(leaf.function).kind in (FunctionKind.PIPE, FunctionKind.COMB)
         for leaf in tree.leaves()
     )
-    has_seq = tree.count(FunctionKind.SEQ) > 0
     point = DesignPoint(
         pipelined=pipelined,
         lanes=structure.lanes,
         vectorization=vectorization,
-        reuse_factor=2 if has_seq else 1,
+        reuse_factor=2 if tree.count(FunctionKind.SEQ) > 0 else 1,
     )
     return ModuleClassification(
         design_point=point,

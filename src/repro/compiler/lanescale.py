@@ -21,10 +21,10 @@ that invariant explicit:
 
 :class:`FamilyAnalysis`
     Everything the estimation flow needs, analysed once from the family's
-    canonical member, from which :func:`derive_structure`,
-    :func:`derive_tree` and :func:`derive_classification` reconstruct any
-    member's analysis products in O(lanes) record assembly — no
-    validation, no scheduling, no instruction walk.
+    canonical member, from which :func:`derive_structure` reconstructs
+    any member's :class:`~repro.cost.resource_model.ModuleStructure` in
+    O(lanes) record assembly — no validation, no scheduling, no
+    instruction walk.
 
 :class:`LaneFamilyHandle`
     A lazy, pickle-safe stand-in for a kernel-built module: the sweep
@@ -45,17 +45,11 @@ import sys
 import threading
 
 from repro import field, record
-from repro.compiler.analysis import (
-    ConfigurationNode,
-    ConfigurationTree,
-    ModuleClassification,
-)
 from repro.compiler.scheduling import OperatorLatencyModel, ScheduledPipeline
 from repro.cost.cache import BoundedCache, default_disk_cache, env_int
 from repro.cost.resource_model import ModuleStructure
 from repro.ir.fingerprint import _token, fingerprint_function
 from repro.ir.functions import FunctionKind, IRFunction, Module
-from repro.models.design_space import DesignPoint as ClassPoint, classify_design_point
 
 __all__ = [
     "LaneSeparability",
@@ -65,8 +59,6 @@ __all__ = [
     "family_fingerprint",
     "latency_key",
     "derive_structure",
-    "derive_tree",
-    "derive_classification",
     "clear_family_caches",
     "register_recipe_alias",
 ]
@@ -210,9 +202,6 @@ class FamilyAnalysis:
     fingerprint: str
     latency: tuple
     pe: IRFunction
-    pe_kind: FunctionKind
-    main_name: str
-    main_kind: FunctionKind
     wrapper: str | None
     schedules: dict[str, ScheduledPipeline]
     instructions_per_pe: int
@@ -222,8 +211,6 @@ class FamilyAnalysis:
     in_streams_per_lane: int
     out_streams_per_lane: int
     element_width: int
-    pipelined: bool
-    has_seq: bool
     #: per-(device, noise) PE datapath usage, filled lazily by the
     #: resource stage (guarded by ``usage_lock``)
     leaf_usage: dict = field(default_factory=dict)
@@ -251,7 +238,7 @@ class FamilyAnalysis:
         Read from the member itself when it was lowered; otherwise reuse
         the canonical member's, falling back to the lowering convention.
         (The wrapper never contributes resources or schedule depth, so the
-        name only labels the configuration tree.)
+        name only labels the structure's instance counts.)
         """
         if module is not None:
             sep = check_lane_separable(module)
@@ -270,7 +257,6 @@ def build_family(
     latency: tuple,
     structure: ModuleStructure,
     schedules: dict[str, ScheduledPipeline],
-    classification: ModuleClassification,
 ) -> FamilyAnalysis | None:
     """Fold one member's full analysis into its family's invariants.
 
@@ -285,9 +271,6 @@ def build_family(
         fingerprint=fingerprint,
         latency=latency,
         pe=module.get_function(sep.pe),
-        pe_kind=module.get_function(sep.pe).kind,
-        main_name=module.main,
-        main_kind=module.entry.kind,
         wrapper=sep.wrapper,
         schedules=schedules,
         instructions_per_pe=structure.instructions_per_pe,
@@ -297,8 +280,6 @@ def build_family(
         in_streams_per_lane=structure.input_streams // lanes,
         out_streams_per_lane=structure.output_streams // lanes,
         element_width=structure.element_width,
-        pipelined=classification.pipelined,
-        has_seq=classification.design_point.reuse_factor > 1,
     )
 
 
@@ -322,44 +303,6 @@ def derive_structure(
         input_streams=family.in_streams_per_lane * lanes,
         output_streams=family.out_streams_per_lane * lanes,
         element_width=family.element_width,
-    )
-
-
-def derive_tree(
-    family: FamilyAnalysis, lanes: int, design_name: str, module: Module | None = None
-) -> ConfigurationTree:
-    """The Figure-8 configuration tree of the ``lanes``-wide member."""
-    pe_nodes = [
-        ConfigurationNode(function=family.pe_name, kind=family.pe_kind, instance=i)
-        for i in range(lanes)
-    ]
-    root = ConfigurationNode(function=family.main_name, kind=family.main_kind)
-    if lanes > 1:
-        root.children.append(
-            ConfigurationNode(
-                function=family.wrapper_name_for(module),
-                kind=FunctionKind.PAR,
-                children=pe_nodes,
-            )
-        )
-    else:
-        root.children.extend(pe_nodes)
-    return ConfigurationTree(module_name=design_name, root=root)
-
-
-def derive_classification(family: FamilyAnalysis, lanes: int) -> ModuleClassification:
-    """The design-space classification of the ``lanes``-wide member."""
-    point = ClassPoint(
-        pipelined=family.pipelined,
-        lanes=lanes,
-        vectorization=1,
-        reuse_factor=2 if family.has_seq else 1,
-    )
-    return ModuleClassification(
-        design_point=point,
-        configuration_class=classify_design_point(point),
-        lanes=lanes,
-        pipelined=family.pipelined,
     )
 
 

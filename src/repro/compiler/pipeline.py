@@ -12,13 +12,13 @@ of modern EDA runners:
     TyTra-IR text → validated :class:`~repro.ir.functions.Module`
     (memoized on the source text).
 ``AnalysisStage``
-    Module → :class:`CompiledVariant` (structure, configuration tree,
-    classification, schedules, pipeline spec), memoized on the module's
-    *content fingerprint* so structurally identical variants are analysed
-    once — and, through the lane-scaling law of
-    :mod:`repro.compiler.lanescale`, analysed once per *design family*:
-    every lane count of a replicated-lane design derives its analysis from
-    the family's canonical member instead of re-running it.
+    Module → :class:`CompiledVariant` (structure, schedules, pipeline
+    spec), memoized on the module's *content fingerprint* so structurally
+    identical variants are analysed once — and, through the lane-scaling
+    law of :mod:`repro.compiler.lanescale`, analysed once per *design
+    family*: every lane count of a replicated-lane design derives its
+    structure from the family's canonical member instead of re-running
+    the analysis.
 ``ResourceStage``
     Module → :class:`~repro.cost.resource_model.ModuleResourceEstimate`
     including the scheduler-implied pipeline-balancing registers, memoized
@@ -64,21 +64,13 @@ import time
 from typing import NamedTuple
 
 from repro import field, record
-from repro.compiler.analysis import (
-    ConfigurationTree,
-    ModuleClassification,
-    build_configuration_tree,
-    classify_from_parts,
-)
 from repro.compiler.lanescale import (
     FamilyAnalysis,
     LaneFamilyHandle,
     build_family,
     check_lane_separable,
     clear_family_caches,
-    derive_classification,
     derive_structure,
-    derive_tree,
     family_fingerprint,
     latency_key,
     lookup_family,
@@ -192,31 +184,37 @@ class CompilationOptions:
 
 @record
 class CompiledVariant:
-    """Everything the compiler derives from one design variant's IR.
+    """Everything the compiler derives from one design variant's IR: the
+    clock-free analysis and the pipeline spec at the session clock.
 
     Variants derived by the lane-scaling law from a warm family recipe
-    carry ``module=None`` (their IR was never lowered) together with the
-    ``design_name`` the lowering would have produced and a reference to
-    the :class:`~repro.compiler.lanescale.FamilyAnalysis` they derive
-    from.
+    carry ``module=None`` (their IR was never lowered); their ``name`` is
+    the design name the lowering would have produced, and ``family`` the
+    :class:`~repro.compiler.lanescale.FamilyAnalysis` they derive from.
     """
 
-    module: Module | None
-    structure: ModuleStructure
-    configuration: ConfigurationTree
-    classification: ModuleClassification
-    schedules: dict[str, ScheduledPipeline]
+    member: _Member
     pipeline_spec: PipelineSpec
-    #: content hash of the module (the memoization key of the variant)
-    content_key: str = ""
-    #: design name when no module is attached (lane-derived variants)
-    design_name: str = ""
-    #: the design family this variant was derived from (None = full path)
-    family: FamilyAnalysis | None = None
+
+    @property
+    def module(self) -> Module | None:
+        return self.member.module
+
+    @property
+    def structure(self) -> ModuleStructure:
+        return self.member.structure
+
+    @property
+    def schedules(self) -> dict[str, ScheduledPipeline]:
+        return self.member.schedules
+
+    @property
+    def family(self) -> FamilyAnalysis | None:
+        return self.member.family
 
     @property
     def name(self) -> str:
-        return self.module.name if self.module is not None else self.design_name
+        return self.member.design
 
     @property
     def lanes(self) -> int:
@@ -237,7 +235,9 @@ def _balancing_bits(schedules: dict[str, ScheduledPipeline]) -> int:
 
 
 class _Member(NamedTuple):
-    """The clock-free analysis products the cost path reads for one design."""
+    """The clock-free analysis products of one design: everything the
+    cost path reads, and the part of a :class:`CompiledVariant` that does
+    not depend on the clock."""
 
     design: str
     #: the resource-cache key: module content, or ``recipe:<point token>``
@@ -246,6 +246,7 @@ class _Member(NamedTuple):
     module: Module | None
     structure: ModuleStructure
     schedules: dict[str, ScheduledPipeline]
+    #: the design family the structure derives from (None = full path)
     family: FamilyAnalysis | None
 
 
@@ -320,7 +321,6 @@ def clear_calibration_cache() -> None:
         _HOST_CACHE.clear()
         _CALIBRATION_EPOCH += 1
     _STRUCTURAL_CACHE.clear()
-    _DERIVED_CACHE.clear()
     _RESOURCE_CACHE.clear()
     _GROUP_CACHE.clear()
     clear_family_caches()
@@ -463,20 +463,12 @@ def _latency_key(options: CompilationOptions) -> tuple:
     return latency_key(options.latency_model)
 
 
-#: process-wide cache of the clock-independent structural analysis
-#: (structure, configuration tree, classification, schedules, family),
-#: keyed on (content hash, latency model, lane scaling) — shared by every
-#: pipeline so a clock axis in a sweep does not re-analyse identical
-#: modules per clock
+#: process-wide cache of the clock-independent structural bundle
+#: (structure, schedules, family), keyed on (content hash, latency model,
+#: lane scaling) — shared by every pipeline so a clock axis in a sweep
+#: does not re-analyse identical modules per clock
 _STRUCTURAL_CACHE = BoundedCache(
     env_int("TYBEC_STRUCT_CACHE_SIZE", 512), name="structural"
-)
-
-#: process-wide cache of lane-derived structural bundles for *lazy*
-#: recipes, keyed on (family, latency, lanes, design name) — the clock
-#: axis of a sweep re-derives nothing
-_DERIVED_CACHE = BoundedCache(
-    env_int("TYBEC_STRUCT_CACHE_SIZE", 512), name="derived"
 )
 
 
@@ -495,66 +487,34 @@ class AnalysisStage:
     def __init__(self, maxsize: int = 256):
         self._cache = BoundedCache(maxsize, name="variant")
 
-    # -- real modules ---------------------------------------------------
     def run(
         self,
-        module: Module,
+        module: Module | LaneFamilyHandle,
         options: CompilationOptions,
         requests: MetricFamily,
         seconds: MetricFamily,
-        recipe_token: tuple | None = None,
     ) -> CompiledVariant:
-        content = module_content_key(module)
-        lat_key = _latency_key(options)
-        key = (content, options.resolved_clock_mhz(), lat_key)
+        """:meth:`member` and its pipeline spec at the session clock,
+        memoized per session."""
+        clock = options.resolved_clock_mhz()
+        token = (("recipe", module.point_token()) if isinstance(module, LaneFamilyHandle)
+                 else module_content_key(module))
+        key = (token, clock, _latency_key(options))
         variant = self._cache.get(key)
         if variant is not None:
             requests.bump(("variant", "hit"))
             return variant
         requests.bump(("variant", "miss"))
+        member = self.member(module, options, requests, seconds)
         started = time.perf_counter()
-        structure, tree, classification, schedules, family = self._bundle(
-            module, content, lat_key, options, requests, recipe_token)
         spec = pipeline_spec_from_schedule(
-            module, structure, schedules, clock_mhz=options.resolved_clock_mhz()
+            member.module, member.structure, member.schedules, clock_mhz=clock,
+            name=member.design,
         )
-        variant = CompiledVariant(
-            module=module,
-            structure=structure,
-            configuration=tree,
-            classification=classification,
-            schedules=schedules,
-            pipeline_spec=spec,
-            content_key=content,
-            family=family,
-        )
+        variant = CompiledVariant(member, spec)
         self._cache.put(key, variant)
         seconds.bump("analyze", time.perf_counter() - started)
         return variant
-
-    def _bundle(
-        self,
-        module: Module,
-        content: str,
-        lat_key: tuple,
-        options: CompilationOptions,
-        requests: MetricFamily,
-        recipe_token: tuple | None,
-    ) -> tuple:
-        """A real module's clock-free structural bundle (memoized process-wide;
-        a session without lane scaling never reads a lane-derived bundle)."""
-        key = (content, lat_key, options.lane_scaling)
-        bundle = _STRUCTURAL_CACHE.get(key)
-        if bundle is None:
-            with trace_span("pipeline.analyze", design=module.name):
-                bundle = self._structural_bundle(module, content, lat_key, options, requests)
-            _STRUCTURAL_CACHE.put(key, bundle)
-        family = bundle[4]
-        if family is not None and recipe_token is not None:
-            # teach the sweep layer's recipe index about this family so
-            # later lane counts of the same recipe skip lowering entirely
-            register_recipe_alias(recipe_token, family)
-        return bundle
 
     def member(
         self,
@@ -565,11 +525,11 @@ class AnalysisStage:
     ) -> _Member:
         """The clock-free products the cost path needs, once per design group.
 
-        A recipe whose family is warm derives only its structure: the
-        configuration tree and classification that :meth:`run_handle`
-        assembles per lane are not part of a cost report.  Everything
-        else takes the module path of :meth:`run`, without its per-clock
-        pipeline spec.
+        A recipe whose family is warm derives only its structure, without
+        lowering its module; everything else looks up (or computes) the
+        module's structural bundle.  The bundle of a real module is
+        memoized process-wide; a session without lane scaling never reads
+        a lane-derived bundle.
         """
         started = time.perf_counter()
         lat_key = _latency_key(options)
@@ -588,8 +548,17 @@ class AnalysisStage:
             recipe_token = handle.family_token()
             module = handle.materialize()
         content = module_content_key(module)
-        structure, _, _, schedules, family = self._bundle(
-            module, content, lat_key, options, requests, recipe_token)
+        key = (content, lat_key, options.lane_scaling)
+        bundle = _STRUCTURAL_CACHE.get(key)
+        if bundle is None:
+            with trace_span("pipeline.analyze", design=module.name):
+                bundle = self._structural_bundle(module, content, lat_key, options, requests)
+            _STRUCTURAL_CACHE.put(key, bundle)
+        structure, schedules, family = bundle
+        if family is not None and recipe_token is not None:
+            # teach the sweep layer's recipe index about this family so
+            # later lane counts of the same recipe skip lowering entirely
+            register_recipe_alias(recipe_token, family)
         seconds.bump("analyze", time.perf_counter() - started)
         return _Member(module.name, content, module, structure, schedules, family)
 
@@ -609,7 +578,8 @@ class AnalysisStage:
             if family is not None:
                 # the lane-scaling law: derive this member from the family
                 requests.bump(("family", "hit"))
-                return self._derived_bundle(family, sep.lanes, module.name, module)
+                return (derive_structure(family, sep.lanes, module=module),
+                        family.schedules, family)
 
         # the full path: validate, analyse, schedule — once per family
         # (separable designs) or once per content (everything else)
@@ -623,14 +593,11 @@ class AnalysisStage:
 
         validate_module(module)
         structure = ModuleStructure.from_module(module)
-        tree = build_configuration_tree(module)
-        classification = classify_from_parts(module, tree, structure)
         schedules = schedule_module(module, options.latency_model)
 
         family = None
         if sep is not None:
-            family = build_family(module, sep, fingerprint, lat_key,
-                                  structure, schedules, classification)
+            family = build_family(module, sep, fingerprint, lat_key, structure, schedules)
             if family is not None:
                 requests.bump(("family", "miss"))
                 register_family(family)
@@ -639,81 +606,10 @@ class AnalysisStage:
         elif options.lane_scaling:
             requests.bump(("family", "fallback"))
 
-        bundle = (structure, tree, classification, schedules, family)
+        bundle = (structure, schedules, family)
         if disk is not None:
             disk.put("analysis", (content, lat_key), bundle)
         return bundle
-
-    @staticmethod
-    def _derived_bundle(
-        family: FamilyAnalysis, lanes: int, design_name: str, module: Module | None
-    ) -> tuple:
-        structure = derive_structure(family, lanes, module=module)
-        tree = derive_tree(family, lanes, design_name, module=module)
-        classification = derive_classification(family, lanes)
-        return (structure, tree, classification, family.schedules, family)
-
-    # -- lazy recipes ---------------------------------------------------
-    def run_handle(
-        self,
-        handle: LaneFamilyHandle,
-        options: CompilationOptions,
-        requests: MetricFamily,
-        seconds: MetricFamily,
-    ) -> CompiledVariant:
-        """Analyse a sweep recipe, lowering its module only when needed.
-
-        A warm family turns the whole analysis into O(lanes) record
-        assembly; a cold (or non-separable) recipe materializes the module
-        and takes the normal path, registering the family for every
-        member that follows.
-        """
-        lat_key = _latency_key(options)
-        clock = options.resolved_clock_mhz()
-        key = ("recipe", handle.point_token(), clock, lat_key)
-        variant = self._cache.get(key)
-        if variant is not None:
-            requests.bump(("variant", "hit"))
-            return variant
-
-        if options.lane_scaling and handle._module is None:
-            family = lookup_family_for_recipe(handle.family_token(), lat_key)
-            if family is not None:
-                requests.bump(("variant", "miss"))
-                requests.bump(("family", "hit"))
-                started = time.perf_counter()
-                bundle_key = (family.fingerprint, family.latency, handle.lanes,
-                              handle.design_name)
-                bundle = _DERIVED_CACHE.get(bundle_key)
-                if bundle is None:
-                    bundle = self._derived_bundle(
-                        family, handle.lanes, handle.design_name, None
-                    )
-                    _DERIVED_CACHE.put(bundle_key, bundle)
-                structure, tree, classification, schedules, family = bundle
-                spec = pipeline_spec_from_schedule(
-                    None, structure, schedules, clock_mhz=clock,
-                    name=handle.design_name,
-                )
-                variant = CompiledVariant(
-                    module=None,
-                    structure=structure,
-                    configuration=tree,
-                    classification=classification,
-                    schedules=schedules,
-                    pipeline_spec=spec,
-                    content_key=f"recipe:{handle.point_token()!r}",
-                    design_name=handle.design_name,
-                    family=family,
-                )
-                self._cache.put(key, variant)
-                seconds.bump("analyze", time.perf_counter() - started)
-                return variant
-
-        variant = self.run(handle.materialize(), options, requests, seconds,
-                           recipe_token=handle.family_token())
-        self._cache.put(key, variant)
-        return variant
 
 
 #: process-wide resource-estimate cache for default-calibrated devices,
@@ -847,11 +743,7 @@ class ResourceStage:
         requests: MetricFamily,
         seconds: MetricFamily,
     ) -> ModuleResourceEstimate:
-        member = _Member(variant.name,
-                         variant.content_key or module_content_key(variant.module),
-                         variant.module, variant.structure, variant.schedules,
-                         variant.family)
-        return self._fresh_view(self.lookup(member, calibration, options,
+        return self._fresh_view(self.lookup(variant.member, calibration, options,
                                             requests, seconds))
 
 
@@ -1191,8 +1083,6 @@ class EstimationPipeline:
 
     def analyze(self, module: Module | LaneFamilyHandle) -> CompiledVariant:
         """Run the structural part of the estimation flow."""
-        if isinstance(module, LaneFamilyHandle):
-            return self._analysis.run_handle(module, self.options, *self.families)
         return self._analysis.run(module, self.options, *self.families)
 
     def resources(self, variant: CompiledVariant) -> ModuleResourceEstimate:

@@ -61,7 +61,7 @@ __all__ = [
 
 #: bump to invalidate every persisted artifact after an incompatible
 #: change to the cost model or the pickled payload layout
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 #: variables whose unusable override was already logged

@@ -26,14 +26,12 @@ class TestAnalyze:
         variant = compiler.analyze(build_stencil_module(lanes=1))
         assert variant.lanes == 1
         assert variant.pipeline_depth > 1
-        assert variant.classification.configuration_class.value == "C2"
         assert variant.pipeline_spec.clock_mhz == MAIA_STRATIX_V_GSD8.fmax_mhz
         assert variant.balancing_register_bits >= 0
 
     def test_analyze_four_lane(self, compiler):
         variant = compiler.analyze(build_stencil_module(lanes=4))
         assert variant.lanes == 4
-        assert variant.classification.configuration_class.value == "C1"
 
     def test_parse_roundtrip_then_analyze(self, compiler):
         module = build_stencil_module(lanes=1)

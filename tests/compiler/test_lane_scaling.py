@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fields
 from repro.compiler import (
     CompilationOptions,
     EstimationPipeline,
@@ -148,6 +149,40 @@ class TestDifferentialIdentity:
             kernel.build_module(lanes=4, grid=grid), workload
         )
         assert canonical_report_dict(report) == canonical_report_dict(direct)
+
+
+def _structure_counts(structure) -> tuple:
+    """A structure's fields except the module it was read from."""
+    return tuple(getattr(structure, f.name) for f in fields(structure)
+                 if f.name != "module")
+
+
+@pytest.mark.parametrize("family", ["cold", "warm"])
+@pytest.mark.parametrize("lanes", LANES)
+@pytest.mark.parametrize("kernel_name", sorted(REGISTRY.names()))
+def test_analyze_handle_matches_module(kernel_name, lanes, family, cold_caches):
+    """``analyze`` of a recipe equals the full path's ``analyze`` of its
+    lowered module, whether the recipe's family was cold or warm."""
+    kernel = get_kernel(kernel_name)
+    grid = _grid(kernel)
+    scaled = EstimationPipeline(CompilationOptions(device=MAIA_STRATIX_V_GSD8))
+    if family == "warm":
+        other = 2 if lanes == 1 else 1
+        scaled.analyze(LaneFamilyHandle(kernel=kernel, lanes=other, grid=grid))
+    handle = LaneFamilyHandle(kernel=kernel, lanes=lanes, grid=grid)
+    from_handle = scaled.analyze(handle)
+    assert (handle._module is None) == (family == "warm")
+    assert scaled.cache_requests.get(("family", "miss")) == 1
+
+    full = EstimationPipeline(
+        CompilationOptions(device=MAIA_STRATIX_V_GSD8, lane_scaling=False))
+    from_module = full.analyze(handle.materialize())
+    assert _structure_counts(from_handle.structure) == (
+        _structure_counts(from_module.structure))
+    assert from_handle.schedules == from_module.schedules
+    assert from_handle.pipeline_spec == from_module.pipeline_spec
+    assert from_handle.balancing_register_bits == from_module.balancing_register_bits
+    assert from_handle.name == from_module.name == f"{kernel.name}_l{lanes}"
 
 
 @settings(max_examples=30, deadline=None)

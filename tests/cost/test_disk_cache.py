@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 
@@ -265,3 +267,36 @@ class TestWarmStartIntegration:
         assert canonical_report_dict(with_disk) == canonical_report_dict(without_disk)
 
         clear_calibration_cache()
+
+    def test_a_store_of_the_previous_layout_is_not_read(self, tmp_path):
+        """Schema 1 pickled the structural bundle as ``(structure, tree,
+        classification, schedules, family)``.  A process that finds such a
+        store reports exactly what a clean store gives: the schema bump
+        moved the live layout away from ``v1``."""
+        from repro.compiler.analysis import build_configuration_tree, classify_from_parts
+
+        def suite_run(store):
+            out = store.with_suffix(".json")
+            env = dict(os.environ, TYBEC_CACHE_DIR=str(store), TYBEC_LANE_SCALING="0",
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "suite", "run", "--tiny", "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return out.read_bytes()
+
+        clean = suite_run(tmp_path / "clean")
+        old = tmp_path / "old" / "v1"
+        shutil.copytree(tmp_path / "clean" / f"v{SCHEMA_VERSION}", old)
+        entries = sorted((old / "analysis").glob("*.pkl"))
+        assert entries
+        for path in entries:
+            payload = pickle.loads(path.read_bytes())
+            structure, schedules, family = pickle.loads(payload["value"])
+            tree = build_configuration_tree(structure.module)
+            classification = classify_from_parts(structure.module, tree, structure)
+            blob = pickle.dumps((structure, tree, classification, schedules, family),
+                                protocol=pickle.HIGHEST_PROTOCOL)
+            payload.update(value=blob, sha256=hashlib.sha256(blob).hexdigest())
+            path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        assert suite_run(tmp_path / "old") == clean
