@@ -21,9 +21,11 @@ equality, together with the golden files, is what licenses the shortcut.
 
 ``per_point_cost`` records the cold per-point ``EstimationPipeline.cost``
 time against the formula floor measured in the same process, and gates
-their ratio.  ``default_vs_dense`` records the 306-point sweep through
-the default backend against ``DenseBackend``, whose ``cost_space`` is the
-inherited serial one, so the gate bounds what the subclass adds.
+their ratio.  ``default_vs_dense`` records best-point and Pareto
+selection over the 306-point spaces through ``DenseBackend.explore_space``
+(numpy arrays, entries built only for the kept points) against the
+default ``SerialBackend.cost_space`` (every report built), and gates the
+dense side at no slower than the serial one.
 ``encode`` records the 468-point report's encode through the row encoder
 (``SuiteReport.to_json``) against the reference dump of the fully
 expanded payload, and gates the speedup.
@@ -42,6 +44,7 @@ import pytest
 
 from repro.compiler.lanescale import clear_family_caches
 from repro.compiler.pipeline import (
+    EstimationPipeline,
     FeasibilityStage,
     ResourceStage,
     clear_calibration_cache,
@@ -85,14 +88,12 @@ MIN_WARM_SPEEDUP = 3.0
 FLOOR_TRIALS = 20
 MAX_FLOOR_RATIO = 3.0
 
-#: default-vs-dense sweep trials (interleaved pairs), and the gate on the
-#: median of the per-pair ratios: the dense backend inherits the serial
-#: ``cost_space``, so both sides run the same path and the default
-#: must not be slower than the subclass by more than the noise of a
-#: shared 2-vCPU VM (it read ~1.2 when the default path costed each point
-#: through its own job, retry and pipeline ``cost`` call)
+#: serial-vs-dense selection trials (interleaved pairs), and the gate on
+#: the median of the per-pair dense/serial ratios: array selection must
+#: not be slower than building every report and selecting from those
+#: (it reads ~0.7 on a shared 2-vCPU VM)
 BACKEND_TRIALS = 15
-MAX_DEFAULT_OVER_DENSE = 1.05
+MAX_DENSE_OVER_SERIAL = 1.0
 
 #: the 468-point ``suite run`` grid (perfbench ``cli``, the CLI golden):
 #: every kernel's default grid, lanes up to 64, forms A/B/C, three clocks
@@ -189,17 +190,33 @@ def _median_iqr(values: list[float]) -> dict:
     return {"median": median, "iqr": q3 - q1, "trials": len(values)}
 
 
+def _point_sessions():
+    """A ``job -> pipeline`` lookup with one session per option set the
+    jobs imply (``job.resolved_options()``), so each session's ``cost``
+    and stage calls run at its points' clock and form."""
+    sessions: dict = {}
+
+    def session(job) -> EstimationPipeline:
+        options = job.resolved_options()
+        pipeline = sessions.get(options.session_key())
+        if pipeline is None:
+            pipeline = sessions[options.session_key()] = EstimationPipeline(options)
+        return pipeline
+
+    return session
+
+
 def _cold_cost_us(config) -> float:
     """Mean thread-CPU µs of ``EstimationPipeline.cost`` per point over one
     sweep from cleared process caches (calls only: no engine, no report
     build)."""
     clear_calibration_cache()
-    backend = SerialBackend()
+    session = _point_sessions()
     total = 0.0
     jobs = _jobs(config)
     with _collector_paused():
         for job in jobs:
-            pipeline = backend.pipeline_for(job)
+            pipeline = session(job)
             started = time.thread_time()
             pipeline.cost(job.module, job.workload, job.point.pattern)
             total += time.thread_time() - started
@@ -222,10 +239,10 @@ def _formula_floor(config):
     """The shared EKIT and feasibility formulas plus the report objects,
     per point, with every group product computed beforehand through the
     public stages: ``(timed per-point function, its inputs)``."""
-    backend = SerialBackend()
+    session = _point_sessions()
     inputs = []
     for job in _jobs(config):
-        pipeline = backend.pipeline_for(job)
+        pipeline = session(job)
         variant = pipeline.analyze(job.module)
         params, selection = pipeline.extract_parameters(variant, job.workload,
                                                         job.point.pattern)
@@ -244,7 +261,8 @@ def _formula_floor(config):
             design=design, device=options.device,
             resources=ResourceStage._fresh_view(estimate),
             throughput=estimate_throughput(params, selection.form),
-            feasibility=feasibility.run(estimate, params, selection.form, options),
+            feasibility=feasibility.run(estimate, params, selection.form,
+                                        options.device),
             notes=[f"memory-execution form {selection.form.value}: {selection.reason}"])
 
     return point, inputs
@@ -301,60 +319,70 @@ def test_per_point_cost_against_the_formula_floor(results_dir, tmp_path, monkeyp
     assert record["ratio_to_floor"] <= MAX_FLOOR_RATIO, record
 
 
-def _cold_sweep(backend) -> tuple[float, str]:
-    """Thread-CPU seconds of one suite sweep from cleared process caches
-    (the disk store warm, as in perfbench ``sweep``), and its report."""
+def _selection(dense: bool, spaces) -> tuple[float, list]:
+    """Thread-CPU seconds of best-point and Pareto selection over
+    ``spaces`` through a fresh backend from cleared process caches (the
+    disk store warm, as in perfbench ``sweep``), and the selected
+    entries: ``DenseBackend.explore_space`` with ``dense``, else
+    ``SerialBackend.cost_space``."""
     clear_calibration_cache()
     clear_family_caches()
+    backend = DenseBackend() if dense else SerialBackend()
+    sweep_of = backend.explore_space if dense else backend.cost_space
+    picks = []
     with _collector_paused():
         started = time.thread_time()
-        run = WorkloadSuite(FULL_GRID_CONFIG, backend=backend).run()
+        for space in spaces:
+            sweep = sweep_of(space)
+            picks.append((sweep.best(), sweep.pareto_frontier()))
         seconds = time.thread_time() - started
-    return seconds, run.report.to_json()
+    return seconds, [(best and best.as_dict(), [e.as_dict() for e in frontier])
+                     for best, frontier in picks]
 
 
 def test_default_backend_against_dense(results_dir, tmp_path, monkeypatch):
-    """The default backend's 306-point sweep against ``DenseBackend``.
+    """Selection over the 306-point spaces: ``DenseBackend`` against the
+    default ``SerialBackend``.
 
-    Both sides run the one whole-space path: ``DenseBackend`` is a
-    ``SerialBackend`` subclass that inherits ``cost_space``, so the ratio
-    measures no second costing path, and the gate keeps what the
-    subclass adds bounded.  Both start from cleared process caches
-    over a warm store, with a fresh backend each, in interleaved pairs
-    that alternate which side runs first; the gate reads the median of
-    the per-pair ratios, each side timed in this thread's CPU time.  The
-    reports are the same bytes.  Recorded under ``default_vs_dense`` in
-    BENCH_suite.json.
+    The serial side costs every report of each space (``cost_space``)
+    and selects the best point and the Pareto frontier from them; the
+    dense side evaluates the spaces as arrays (``explore_space``) and
+    builds entries only for what it selects.  Both pick the same best
+    point and frontier.  Both start from cleared process caches over a
+    warm store, with a fresh backend each, in interleaved pairs that
+    alternate which side runs first; the gate reads the median of the
+    per-pair dense/serial ratios, each side timed in this thread's CPU
+    time.  Recorded under ``default_vs_dense`` in BENCH_suite.json.
     """
     monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
-    _, default_report = _cold_sweep(None)
-    _, dense_report = _cold_sweep(DenseBackend())
-    assert default_report == dense_report
+    spaces = [space for space in WorkloadSuite(FULL_GRID_CONFIG).spaces().values()
+              if len(space)]
+    _, serial_picks = _selection(False, spaces)
+    _, dense_picks = _selection(True, spaces)
+    assert serial_picks == dense_picks
 
-    default, dense = [], []
+    serial, dense = [], []
     for trial in range(BACKEND_TRIALS):
-        for side in (("default", "dense") if trial % 2 == 0 else ("dense", "default")):
-            if side == "default":
-                default.append(_cold_sweep(None)[0] * 1e3)
-            else:
-                dense.append(_cold_sweep(DenseBackend())[0] * 1e3)
+        for side in ((False, True) if trial % 2 == 0 else (True, False)):
+            (dense if side else serial).append(_selection(side, spaces)[0] * 1e3)
     clear_calibration_cache()
     record = {
-        "points": json.loads(default_report)["totals"]["points"],
-        "default_ms": _median_iqr(default),
+        "points": sum(len(space) for space in spaces),
+        "selection": ["best", "pareto_frontier"],
+        "serial_ms": _median_iqr(serial),
         "dense_ms": _median_iqr(dense),
-        "default_over_dense": statistics.median(
-            d / e for d, e in zip(default, dense)),
+        "dense_over_serial": statistics.median(
+            d / s for d, s in zip(dense, serial)),
         "clock": "thread_time",
-        "max_ratio": MAX_DEFAULT_OVER_DENSE,
-        "reports_identical": True,
+        "max_ratio": MAX_DENSE_OVER_SERIAL,
+        "selections_identical": True,
     }
     path = results_dir / "BENCH_suite.json"
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload["default_vs_dense"] = record
     path.write_text(json.dumps(payload, indent=2) + "\n")
     assert record["points"] == 306
-    assert record["default_over_dense"] <= MAX_DEFAULT_OVER_DENSE, record
+    assert record["dense_over_serial"] <= MAX_DENSE_OVER_SERIAL, record
 
 
 def _expanded(payload: dict) -> dict:

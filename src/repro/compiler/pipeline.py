@@ -37,11 +37,11 @@ same functions on broadcast arrays, so the two paths cannot drift.
 :meth:`EstimationPipeline.group` runs the first three stages once per
 :class:`CostGroup` — one design on one device, latency model, workload
 size and access pattern — and keeps the group in a bounded process-wide
-cache that every session pipeline shares, so the clock and
-memory-execution-form axes of a sweep reuse it.  Each point then runs
-only :meth:`CostGroup.report`: the Table-I parameters, the EKIT estimate
-and the feasibility check.  ``EstimationPipeline.cost`` and the dense
-engine (:mod:`repro.explore.dense`) both cost through those two calls.
+cache that every session pipeline shares.  Each point then runs only
+:meth:`CostGroup.report` at its own clock and memory-execution form: the
+Table-I parameters, the EKIT estimate and the feasibility check.
+``EstimationPipeline.cost``, the backends and the dense engine
+(:mod:`repro.explore.dense`) all cost through those two calls.
 
 The expensive one-time per-device inputs (synthetic-synthesis
 characterisation, DRAM/host sustained-bandwidth fits) are shared across
@@ -552,7 +552,7 @@ class AnalysisStage:
         bundle = _STRUCTURAL_CACHE.get(key)
         if bundle is None:
             with trace_span("pipeline.analyze", design=module.name):
-                bundle = self._structural_bundle(module, content, lat_key, options, requests)
+                bundle = self._structural_bundle(module, lat_key, options, requests)
             _STRUCTURAL_CACHE.put(key, bundle)
         structure, schedules, family = bundle
         if family is not None and recipe_token is not None:
@@ -565,7 +565,6 @@ class AnalysisStage:
     def _structural_bundle(
         self,
         module: Module,
-        content: str,
         lat_key: tuple,
         options: CompilationOptions,
         requests: MetricFamily,
@@ -583,14 +582,6 @@ class AnalysisStage:
 
         # the full path: validate, analyse, schedule — once per family
         # (separable designs) or once per content (everything else)
-        disk = default_disk_cache() if sep is None else None
-        if disk is not None:
-            loaded = disk.get("analysis", (content, lat_key), tuple)
-            if loaded is not None:
-                requests.bump(("disk", "hit"))
-                return loaded
-            requests.bump(("disk", "miss"))
-
         validate_module(module)
         structure = ModuleStructure.from_module(module)
         schedules = schedule_module(module, options.latency_model)
@@ -605,11 +596,7 @@ class AnalysisStage:
                 requests.bump(("family", "fallback"))
         elif options.lane_scaling:
             requests.bump(("family", "fallback"))
-
-        bundle = (structure, schedules, family)
-        if disk is not None:
-            disk.put("analysis", (content, lat_key), bundle)
-        return bundle
+        return structure, schedules, family
 
 
 #: process-wide resource-estimate cache for default-calibrated devices,
@@ -756,12 +743,13 @@ class CostGroup:
     of a sweep that differ only in clock or memory-execution form.  The
     group is resolved once, by :meth:`EstimationPipeline.group`, and shared
     by every session pipeline of the process; each point then runs only
-    :meth:`report`.  ``estimate`` is the memoized resource breakdown
-    (``None`` when only the parameters were asked for); reports wrap it
-    in a fresh shell.
+    :meth:`report`, at its clock and in its form.  ``estimate`` is the
+    memoized resource breakdown (``None`` when only the parameters were
+    asked for); reports wrap it in a fresh shell.
     """
 
     design: str
+    device: FPGADevice
     estimate: ModuleResourceEstimate | None
     #: whether the design is a lane-family member (its structure derives
     #: from the family's canonical analysis; the dense engine needs this)
@@ -783,13 +771,14 @@ class CostGroup:
     word_bytes: int
     #: :meth:`FeasibilityStage.resource_verdict` of ``estimate``
     verdict: tuple | None = None
-    #: form option -> selection, filled as sessions ask
+    #: form value -> selection, filled as points ask
     selections: dict = field(default_factory=dict, repr=False)
 
-    def __init__(self, design, estimate, family_member, footprint, memory, hpb_gbps,
-                 rho_h, gpb_gbps, rho_g, ngs, nwpt, noff, kpd, ni, knl, dv, word_bytes,
-                 verdict=None, selections=None) -> None:
+    def __init__(self, design, device, estimate, family_member, footprint, memory,
+                 hpb_gbps, rho_h, gpb_gbps, rho_g, ngs, nwpt, noff, kpd, ni, knl, dv,
+                 word_bytes, verdict=None, selections=None) -> None:
         self.design = design
+        self.device = device
         self.estimate = estimate
         self.family_member = family_member
         self.footprint = footprint
@@ -829,22 +818,23 @@ class CostGroup:
             word_bytes=self.word_bytes,
         )
 
-    def selection(self, options: CompilationOptions) -> FormSelection:
-        selection = self.selections.get(options.form)
+    def selection(self, form: str) -> FormSelection:
+        selection = self.selections.get(form)
         if selection is None:
-            selection = ThroughputStage.select_form(self.footprint, options, self.memory)
-            self.selections[options.form] = selection
+            selection = ThroughputStage.select_form(self.footprint, form, self.memory)
+            self.selections[form] = selection
         return selection
 
     def report(
         self,
         nki: int,
         fd_mhz: float,
-        options: CompilationOptions,
+        form: str,
         seconds: dict | None = None,
         started: float | None = None,
     ) -> CostReport:
-        """Cost the group's point at ``fd_mhz`` in ``options``' form.
+        """Cost the group's point at ``fd_mhz`` in ``form`` (``"auto"``,
+        ``"A"``, ``"B"`` or ``"C"``).
 
         The per-point tail of the estimation flow: Table-I parameters,
         form selection, EKIT and the feasibility check against the
@@ -855,18 +845,18 @@ class CostGroup:
         """
         mark = time.perf_counter()
         params = self.parameters(nki, fd_mhz)
-        selection = self.selection(options)
+        selection = self.selection(form)
         throughput = estimate_throughput(params, selection.form)
         middle = time.perf_counter()
         feasibility = FeasibilityStage.run(self.estimate, params, selection.form,
-                                           options, self.verdict)
+                                           self.device, self.verdict)
         finished = time.perf_counter()
         if seconds is not None:
             seconds["throughput"] = seconds.get("throughput", 0.0) + (middle - mark)
             seconds["feasibility"] = seconds.get("feasibility", 0.0) + (finished - middle)
         return CostReport(
             design=self.design,
-            device=options.device,
+            device=self.device,
             resources=ResourceStage._fresh_view(self.estimate),
             throughput=throughput,
             feasibility=feasibility,
@@ -879,13 +869,12 @@ class ThroughputStage:
     """Variant + workload → Table-I parameters, form and EKIT estimate."""
 
     @staticmethod
-    def select_form(footprint_bytes: int, options: CompilationOptions,
-                    memory: MemoryHierarchy | None = None) -> FormSelection:
-        if options.form != "auto":
-            form = MemoryExecutionForm(options.form)
-            return FormSelection(form, footprint_bytes, "forced by compilation options")
-        return select_memory_execution_form(
-            footprint_bytes, memory or options.device.memory_hierarchy())
+    def select_form(footprint_bytes: int, form: str,
+                    memory: MemoryHierarchy) -> FormSelection:
+        if form != "auto":
+            return FormSelection(MemoryExecutionForm(form), footprint_bytes,
+                                 "forced by compilation options")
+        return select_memory_execution_form(footprint_bytes, memory)
 
     @staticmethod
     def group(
@@ -911,6 +900,7 @@ class ThroughputStage:
         host = calibration.host_bandwidth
         return CostGroup(
             design=design,
+            device=device,
             estimate=estimate,
             family_member=family_member,
             footprint=footprint,
@@ -946,7 +936,7 @@ class ThroughputStage:
                            workload, pattern, options.device, calibration,
                            options.device.memory_hierarchy())
         params = group.parameters(workload.repetitions, options.resolved_clock_mhz())
-        return params, group.selection(options)
+        return params, group.selection(options.form)
 
 
 class FeasibilityStage:
@@ -963,13 +953,14 @@ class FeasibilityStage:
         estimate: ModuleResourceEstimate,
         params: EKITParameters,
         form: MemoryExecutionForm,
-        options: CompilationOptions,
+        device: FPGADevice,
         verdict: tuple[bool, str, float] | None = None,
     ) -> FeasibilityCheck:
-        """``verdict`` is :meth:`resource_verdict` of ``estimate`` when the
-        caller already holds it (a :class:`CostGroup` does)."""
+        """``verdict`` is :meth:`resource_verdict` of ``estimate`` on
+        ``device`` when the caller already holds it (a :class:`CostGroup`
+        does)."""
         fits, limiting, util = verdict or FeasibilityStage.resource_verdict(
-            estimate.total, options.device)
+            estimate.total, device)
         required_dram, required_host = bandwidth_demand(
             params, form, params.fd_hz, params.knl
         )
@@ -1090,7 +1081,8 @@ class EstimationPipeline:
                                   *self.families)
 
     def select_form(self, footprint_bytes: int) -> FormSelection:
-        return self._throughput.select_form(footprint_bytes, self.options)
+        return self._throughput.select_form(footprint_bytes, self.options.form,
+                                            self.options.device.memory_hierarchy())
 
     def extract_parameters(
         self,
@@ -1182,7 +1174,7 @@ class EstimationPipeline:
             started = time.perf_counter()
             group, requests, seconds = self._lookup(module, workload, pattern, calibration)
             report = group.report(workload.repetitions, options.resolved_clock_mhz(),
-                                  options, seconds, started)
+                                  options.form, seconds, started)
             self.cache_requests.add(requests)
             self.stage_seconds.add(seconds)
             if _sp is not None:

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compiler.lanescale import LaneFamilyHandle
-from repro.compiler.pipeline import CompilationOptions, CostGroup
+from repro.compiler.pipeline import CostGroup
 from repro.cost.vector import (
     DenseUnsupportedError,
     GroupArrays,
@@ -82,19 +82,16 @@ class DenseSweep:
         workload,
         groups: dict[tuple[int, int, int], CostGroup],
         arrays: dict[tuple[int, int, int], GroupArrays],
-        options: dict[tuple[int, int], CompilationOptions],
         clocks: list[list[float]],
         wall_seconds: float,
         stats_cb: Callable[[], dict] | None = None,
     ):
-        """``groups`` is keyed by (device, lanes, pattern) index,
-        ``arrays`` by (device, form, pattern), ``options`` (each form's
-        session options) by (device, form); ``clocks`` holds each
+        """``groups`` is keyed by (device, lanes, pattern) index and
+        ``arrays`` by (device, form, pattern); ``clocks`` holds each
         device's resolved clock axis."""
         self.grid = grid
         self.workload = workload
         self._groups = groups
-        self._options = options
         self._clocks = clocks
         self.wall_seconds = wall_seconds
         self._stats_cb = stats_cb
@@ -151,7 +148,8 @@ class DenseSweep:
     def _entry(self, flat: int) -> SweepEntry:
         li, di, ci, fi, pi = self.grid.coords(int(flat))
         report = self._groups[(di, li, pi)].report(
-            self.workload.repetitions, self._clocks[di][ci], self._options[(di, fi)])
+            self.workload.repetitions, self._clocks[di][ci],
+            _form_value(self.grid.forms[fi]))
         return SweepEntry(self.grid.point(li, di, ci, fi, pi), report)
 
     def entries_at(self, indices) -> list[SweepEntry]:
@@ -306,16 +304,16 @@ class DenseBackend(SerialBackend):
 
         grid = DenseGrid.from_space(space)
         workload = space.kernel.workload(tuple(space.grid), space.iterations)
-        groups, arrays, options, clocks = {}, {}, {}, []
+        groups, arrays, clocks = {}, {}, []
         with trace_span("backend.dense.sweep", kernel=space.kernel.name,
                         points=len(grid)):
             handles = [LaneFamilyHandle(kernel=space.kernel, lanes=k, grid=grid.grid)
                        for k in grid.lanes]
             for di, device in enumerate(grid.devices if handles else ()):
                 clocks.append(self._evaluate_device(di, device, handles, grid, workload,
-                                                    groups, arrays, options))
+                                                    groups, arrays))
         wall = time.perf_counter() - started
-        sweep = DenseSweep(grid, workload, groups, arrays, options, clocks, wall,
+        sweep = DenseSweep(grid, workload, groups, arrays, clocks, wall,
                            stats_cb=self.collect_stats)
         self.requests.bump(("sweep", "miss"))
         self.points.bump(n=len(grid))
@@ -327,13 +325,11 @@ class DenseBackend(SerialBackend):
         return sweep
 
     def _evaluate_device(self, di: int, device: FPGADevice, handles: list,
-                         grid: DenseGrid, workload, groups: dict, arrays: dict,
-                         options: dict) -> list[float]:
+                         grid: DenseGrid, workload, groups: dict,
+                         arrays: dict) -> list[float]:
         """Take one device's cost groups and broadcast each form over them;
         returns the device's resolved clock axis."""
-        pipeline = self.session_for(device, None, "auto")
-        for fi, form in enumerate(grid.forms):
-            options[(di, fi)] = CompilationOptions(device=device, form=_form_value(form))
+        pipeline = self.session_for(device)
         clocks = grid.resolved_clocks(device)
         lanes = np.asarray(grid.lanes, dtype=np.int64)
         clock_axis = np.asarray(clocks, dtype=np.float64)
@@ -351,9 +347,9 @@ class DenseBackend(SerialBackend):
             fits = np.array([group.verdict[0] for group in lane_groups], dtype=bool)
             first = lane_groups[0]
             params = first.parameters(workload.repetitions, 1.0)
-            for fi in range(len(grid.forms)):
+            for fi, form in enumerate(grid.forms):
                 arrays[(di, fi, pi)] = evaluate_group(
-                    params, first.selection(options[(di, fi)]).form, lanes,
+                    params, first.selection(_form_value(form)).form, lanes,
                     clock_axis, fits)
         return clocks
 

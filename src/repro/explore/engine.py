@@ -8,8 +8,11 @@ optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
 
 ``SerialBackend``
     In-process evaluation; one memoizing
-    :class:`~repro.compiler.pipeline.EstimationPipeline` per estimation
-    session (option set), shared across all points of that session.
+    :class:`~repro.compiler.pipeline.EstimationPipeline` per device (and
+    one per explicit option set a job carries), shared by every point on
+    that device: a point's clock and memory-execution form are inputs of
+    its report, not of its session, so the session registry holds one
+    entry per device however many clocks a long-lived backend sees.
 ``DenseBackend`` (:mod:`repro.explore.dense`)
     The serial backend plus array-level selection (best, Pareto
     frontier, top-k, surrogate prune) over a lane-separable space
@@ -19,6 +22,7 @@ optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
 A space is costed group by group, in one loop: each (lanes, device,
 pattern) :class:`~repro.compiler.pipeline.CostGroup` is resolved once,
 and only the report tail runs for each of its points, in sweep order.
+A job batch costs each job the same way: its group, then its report.
 A point costs tens of microseconds, so worker processes cost more to
 start and feed than they save on any grid this repo runs; there is no
 process-pool backend.  The serial backend retries transient failures in
@@ -127,32 +131,9 @@ def canonical_report_dict(report: CostReport) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _session_key(device, clock_mhz, form) -> tuple:
-    """The session of design points on ``device`` at ``clock_mhz`` in
-    ``form``: the only option fields a point sets.  The rest take their
-    defaults when the session's options are built, so
-    ``TYBEC_LANE_SCALING`` is read once per session, not once per point."""
-    return ("point", device, device.fmax_mhz if clock_mhz is None else clock_mhz,
-            _form_value(form))
-
-
-def _session_group_key(job: CostJob) -> tuple:
-    """Group jobs that can share one estimation session (one pipeline).
-
-    Jobs with explicit options group by the options object's identity —
-    the caller vouches those jobs belong to one session (and injected
-    models, custom noise or latency models are honoured as-is).  Jobs
-    described purely by their design point group by the point's session
-    (:func:`_session_key`).
-    """
-    if job.options is not None:
-        return ("options", id(job.options))
-    point = job.point
-    return _session_key(point.device, point.clock_mhz, point.form)
-
-
 class SerialBackend:
-    """Evaluate jobs in-process, one memoizing pipeline per session.
+    """Evaluate jobs in-process, one memoizing pipeline per session: one
+    per device, and one per explicit option set.
 
     Safe to share across threads: the session-pipeline registry is
     created under a lock (one winner per session, concurrent losers adopt
@@ -176,17 +157,12 @@ class SerialBackend:
                 pipeline = self._pipelines[key] = EstimationPipeline(options())
             return pipeline
 
-    def pipeline_for(self, job: CostJob) -> EstimationPipeline:
-        return self._session(_session_group_key(job), job.resolved_options)
-
-    def session_for(self, device, clock_mhz, form) -> EstimationPipeline:
-        """The session pipeline of the design points on ``device`` at
-        ``clock_mhz`` in ``form`` (the one :meth:`pipeline_for` gives
-        their jobs)."""
-        return self._session(
-            _session_key(device, clock_mhz, form),
-            lambda: CompilationOptions(device=device, clock_mhz=clock_mhz,
-                                       form=_form_value(form)))
+    def session_for(self, device) -> EstimationPipeline:
+        """The session pipeline of every design point on ``device``.  Its
+        options take their defaults when it opens, so
+        ``TYBEC_LANE_SCALING`` is read once per session, not per point."""
+        return self._session(("device", device),
+                             lambda: CompilationOptions(device=device))
 
     #: per-job retry budget for transient failures (injected faults, a
     #: flaky cache substrate); real estimation errors are deterministic
@@ -226,18 +202,16 @@ class SerialBackend:
         if not len(grid):
             return [], 0, 0
         workload = space.kernel.workload(grid.grid, grid.iterations)
-        # one session per (device, clock, form), calibrated like the first
-        # point of a batch calibrates it; a device's first session resolves
-        # the device's groups for all of them
-        sessions = [[[self.session_for(device, clock, form) for form in grid.forms]
-                     for clock in grid.clocks] for device in grid.devices]
-        for pipeline in (p for rows in sessions for row in rows for p in row):
+        # one session per device, calibrated before its groups resolve
+        sessions = [self.session_for(device) for device in grid.devices]
+        for pipeline in sessions:
             pipeline.calibrated()
-        # each device's (clock, resolved clock, form, session options), in
-        # sweep order
-        cells = [[(clock, p.options.resolved_clock_mhz(), form, p.options)
-                  for clock, row in zip(grid.clocks, rows)
-                  for form, p in zip(grid.forms, row)] for rows in sessions]
+        # each device's (clock, resolved clock, form, form value), in sweep
+        # order
+        cells = [[(clock, device.fmax_mhz if clock is None else clock, form,
+                   _form_value(form))
+                  for clock in grid.clocks for form in grid.forms]
+                 for device in grid.devices]
         points = len(grid.clocks) * len(grid.forms)
         plan = current_fault_plan()
         groups, resolved, built = [], 0, 0
@@ -245,8 +219,8 @@ class SerialBackend:
         for lanes in grid.lanes:
             handle = LaneFamilyHandle(kernel=space.kernel, lanes=lanes, grid=grid.grid)
             lane_groups = []
-            for rows, device in zip(sessions, grid.devices):
-                pipeline, patterns = rows[0][0], []
+            for pipeline, device in zip(sessions, grid.devices):
+                patterns = []
                 for pattern in grid.patterns:
                     def resolve(attempt: int, pipeline=pipeline, pattern=pattern):
                         if plan is not None:
@@ -273,11 +247,11 @@ class SerialBackend:
             for lanes, lane_groups in zip(grid.lanes, groups):
                 for device, patterns, device_cells in zip(grid.devices, lane_groups,
                                                           cells):
-                    for clock, fd_mhz, form, session in device_cells:
+                    for clock, fd_mhz, form, value in device_cells:
                         for pattern, group in zip(grid.patterns, patterns):
                             if deadline is not None and deadline.expired:
                                 deadline.check(f"design point {len(entries)}/{total}")
-                            report = group.report(nki, fd_mhz, session, seconds,
+                            report = group.report(nki, fd_mhz, value, seconds,
                                                   perf_counter())
                             entry = SweepEntry(DesignPoint(kernel, lanes, shape,
                                                            iterations, clock, form,
@@ -286,7 +260,7 @@ class SerialBackend:
                                 on_entry(len(entries), entry)
                             entries.append(entry)
         finally:
-            sessions[0][0][0].stage_seconds.add(seconds)
+            sessions[0].stage_seconds.add(seconds)
         return entries, resolved, built
 
     def run(
@@ -294,7 +268,8 @@ class SerialBackend:
         jobs: Sequence[CostJob],
         deadline: Deadline | None = None,
     ) -> list[CostReport]:
-        """Cost ``jobs`` in order.
+        """Cost ``jobs`` in order, each as its session's cost group plus
+        the report at its clock and form.
 
         ``deadline`` is checked between points (and before each retry);
         transient per-job failures retry under :attr:`retry_policy`.
@@ -310,20 +285,40 @@ class SerialBackend:
         reports = []
         # the "worker" fault site: the plan is resolved once per batch
         plan = current_fault_plan()
-        for index, job in enumerate(jobs):
-            if deadline is not None:
-                deadline.check(f"design point {index}/{len(jobs)}")
-            pipeline = self.pipeline_for(job)
+        seconds: dict = {}
+        pipeline = None
+        try:
+            for index, job in enumerate(jobs):
+                if deadline is not None:
+                    deadline.check(f"design point {index}/{len(jobs)}")
+                options = job.options
+                if options is None:
+                    pipeline = self.session_for(job.point.device)
+                    fd_mhz, form = job.point.resolved_clock_mhz, _form_value(job.point.form)
+                else:
+                    # explicit options keep a session of their own, keyed by
+                    # the object's identity (the caller vouches its jobs
+                    # belong together; injected models are honoured as-is)
+                    pipeline = self._session(("options", id(options)), lambda: options)
+                    fd_mhz, form = options.resolved_clock_mhz(), options.form
 
-            def _cost(attempt: int, job=job, pipeline=pipeline):
-                if plan is not None:
-                    plan.fire("worker", salt=attempt)
-                return pipeline.cost(job.module, job.workload, job.point.pattern)
+                def _cost(attempt: int, job=job, pipeline=pipeline, fd_mhz=fd_mhz,
+                          form=form):
+                    if plan is not None:
+                        plan.fire("worker", salt=attempt)
+                    pipeline.calibrated()   # outside the point's estimation time
+                    started = time.perf_counter()
+                    group, _ = pipeline.group(job.module, job.workload, job.point.pattern)
+                    return group.report(job.workload.repetitions, fd_mhz, form, seconds,
+                                        started)
 
-            report = self.retry_policy.call(
-                _cost, key=f"serial:{index}", what=f"costing {job.point.label}",
-                deadline=deadline)
-            reports.append(report)
+                report = self.retry_policy.call(
+                    _cost, key=f"serial:{index}", what=f"costing {job.point.label}",
+                    deadline=deadline)
+                reports.append(report)
+        finally:
+            if pipeline is not None:
+                pipeline.stage_seconds.add(seconds)
         return reports
 
     def families(self) -> list[MetricFamily]:

@@ -353,8 +353,7 @@ class ExplorationService:
         with self._slot():
             deadline.check("cost request queued too long")
             maybe_fail("service.handler")
-            pipeline = self._backend.session_for(get_device(request["device"]),
-                                                 None, "auto")
+            pipeline = self._backend.session_for(get_device(request["device"]))
             report = pipeline.cost(request["module"], request["workload"],
                                    request["pattern"])
         return {

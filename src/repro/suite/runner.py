@@ -385,8 +385,9 @@ class WorkloadSuite:
             result = self.engine.explore(space, deadline=deadline, on_entry=emit)
             entries.extend(result.entries)
             wall += result.wall_seconds
-        stats = self.engine.backend.collect_stats()
-        return spaces, SweepResult(entries=entries, wall_seconds=wall, stats=stats)
+        # the backend's counters are cumulative: the last space's stats
+        # already cover the whole sweep
+        return spaces, SweepResult(entries=entries, wall_seconds=wall, stats=result.stats)
 
     def run(self) -> SuiteRun:
         """Cost the whole suite and fold it into the canonical report."""

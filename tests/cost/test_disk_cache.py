@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import pickle
-import shutil
 import subprocess
 import sys
 
@@ -268,35 +266,64 @@ class TestWarmStartIntegration:
 
         clear_calibration_cache()
 
-    def test_a_store_of_the_previous_layout_is_not_read(self, tmp_path):
-        """Schema 1 pickled the structural bundle as ``(structure, tree,
-        classification, schedules, family)``.  A process that finds such a
-        store reports exactly what a clean store gives: the schema bump
-        moved the live layout away from ``v1``."""
-        from repro.compiler.analysis import build_configuration_tree, classify_from_parts
+    def test_a_store_of_the_previous_layout_is_not_read(self, tmp_path, monkeypatch):
+        """The previous layout persisted each design's structural bundle in
+        an ``analysis`` namespace keyed by module content and latency
+        model, and schema 1 pickled it as a 5-tuple.  Nothing reads that
+        namespace any more: a store that still holds such entries costs
+        exactly what a clean store does, and leaves them as they were."""
+        from repro.compiler import CompilationOptions, EstimationPipeline
+        from repro.compiler.pipeline import (
+            _latency_key,
+            clear_calibration_cache,
+            module_content_key,
+        )
+        from repro.explore import canonical_report_dict
+        from repro.kernels import get_kernel
 
-        def suite_run(store):
-            out = store.with_suffix(".json")
-            env = dict(os.environ, TYBEC_CACHE_DIR=str(store), TYBEC_LANE_SCALING="0",
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            done = subprocess.run(
-                [sys.executable, "-m", "repro.cli", "suite", "run", "--tiny", "-o", str(out)],
-                env=env, capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            return out.read_bytes()
+        options = CompilationOptions(lane_scaling=False)
+        kernel = get_kernel("sor")
+        workload = kernel.workload((8, 8, 8), iterations=10)
+        modules = [kernel.build_module(lanes=lanes, grid=(8, 8, 8)) for lanes in (1, 2, 4)]
 
-        clean = suite_run(tmp_path / "clean")
-        old = tmp_path / "old" / "v1"
-        shutil.copytree(tmp_path / "clean" / f"v{SCHEMA_VERSION}", old)
-        entries = sorted((old / "analysis").glob("*.pkl"))
-        assert entries
-        for path in entries:
-            payload = pickle.loads(path.read_bytes())
-            structure, schedules, family = pickle.loads(payload["value"])
-            tree = build_configuration_tree(structure.module)
-            classification = classify_from_parts(structure.module, tree, structure)
-            blob = pickle.dumps((structure, tree, classification, schedules, family),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            payload.update(value=blob, sha256=hashlib.sha256(blob).hexdigest())
-            path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-        assert suite_run(tmp_path / "old") == clean
+        def costs(store):
+            monkeypatch.setenv("TYBEC_CACHE_DIR", str(store))
+            clear_calibration_cache()
+            pipeline = EstimationPipeline(options)
+            return [canonical_report_dict(pipeline.cost(module, workload))
+                    for module in modules]
+
+        clean = costs(tmp_path / "clean")
+        old = DiskCache(tmp_path / "old")
+        for module in modules:
+            old.put("analysis", (module_content_key(module), _latency_key(options)),
+                    ("structure", "tree", "classification", "schedules", "family"))
+        entries = sorted(old.version_dir.joinpath("analysis").glob("*.pkl"))
+        assert len(entries) == len(modules)
+        before = [path.read_bytes() for path in entries]
+
+        assert costs(tmp_path / "old") == clean
+        assert sorted(old.version_dir.joinpath("analysis").glob("*.pkl")) == entries
+        assert [path.read_bytes() for path in entries] == before
+        clear_calibration_cache()
+
+    def test_structural_analyses_are_not_persisted(self, tmp_path, monkeypatch):
+        """A cold run with lane scaling off takes the full analysis path
+        for every design; the store it leaves holds the calibration but
+        no ``analysis`` namespace."""
+        from repro.compiler import CompilationOptions, EstimationPipeline
+        from repro.compiler.pipeline import clear_calibration_cache
+        from repro.kernels import get_kernel
+
+        monkeypatch.setenv("TYBEC_CACHE_DIR", str(tmp_path / "cache"))
+        clear_calibration_cache()
+        pipeline = EstimationPipeline(CompilationOptions(lane_scaling=False))
+        kernel = get_kernel("sor")
+        workload = kernel.workload((8, 8, 8), iterations=10)
+        for lanes in (1, 2, 4):
+            pipeline.cost(kernel.build_module(lanes=lanes, grid=(8, 8, 8)), workload)
+        store = tmp_path / "cache" / f"v{SCHEMA_VERSION}"
+        assert pipeline.cache_requests.get(("variant", "miss")) == 3
+        assert any(store.joinpath("calibration").glob("*.pkl"))
+        assert not store.joinpath("analysis").exists()
+        clear_calibration_cache()

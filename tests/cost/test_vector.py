@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.pipeline import CompilationOptions, FeasibilityStage
+from repro.compiler.pipeline import FeasibilityStage
 from repro.cost.resource_model import ModuleResourceEstimate
 from repro.cost.throughput import (
     EKITParameters,
@@ -22,6 +22,7 @@ from repro.cost.throughput import (
 )
 from repro.cost.vector import LIMITING_ORDER, evaluate_group, pareto_mask
 from repro.models.memory_execution import MemoryExecutionForm
+from repro.substrate.fpga_device import MAIA_STRATIX_V_GSD8
 from repro.substrate.synthesis import ResourceUsage
 
 
@@ -93,7 +94,8 @@ class TestEvaluateGroup:
                 assert group.ekit[li, ci] == est.ekit
                 assert group.total_s[li, ci] == est.breakdown.total
                 assert LIMITING_ORDER[group.limiting[li, ci]] is est.limiting_factor
-                check = FeasibilityStage().run(estimate, params, form, CompilationOptions())
+                check = FeasibilityStage().run(estimate, params, form,
+                                              MAIA_STRATIX_V_GSD8)
                 assert dense_dram[li, ci] == check.required_dram_gbps
                 assert dense_host[li, ci] == check.required_host_gbps
                 assert bool(group.fits_bandwidth[li, ci]) == check.fits_bandwidth

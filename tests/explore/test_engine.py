@@ -103,12 +103,18 @@ class TestEngineSerial:
             assert {"lanes", "clock_mhz", "form", "device", "pattern",
                     "ewgt_per_s", "limiting_factor", "feasible"} <= set(row)
 
-    def test_sessions_share_one_pipeline(self):
+    def test_one_session_per_device_however_many_clocks(self):
         backend = SerialBackend()
         engine = ExplorationEngine(backend)
-        engine.explore(make_space(clocks_mhz=(100.0, 200.0)))
-        # two clock values -> exactly two estimation sessions
+        devices = (MAIA_STRATIX_V_GSD8, SMALL_EDU_DEVICE)
+        for n in range(6):
+            engine.explore(make_space(devices=devices, forms=("A", "B", "C"),
+                                      clocks_mhz=(100.0 + n, 150.0 + n)))
+        engine.cost_many(build_jobs(make_space(devices=devices, clocks_mhz=(321.0,))))
+        # a point's clock and form are report inputs, not session keys
         assert len(backend._pipelines) == 2
+        # one calibration lookup per device session
+        assert sum(backend.collect_stats()["calibration"]) == 2
 
     def test_clock_axis_changes_reports(self):
         sweep = ExplorationEngine().explore(make_space(clocks_mhz=(100.0, 200.0)))

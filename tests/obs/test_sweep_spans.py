@@ -2,9 +2,9 @@
 
 Every span of a serial sweep shares the tracer's trace id.  A whole
 space is one ``backend.serial.space`` span carrying its point, group and
-group-miss counts, with no per-point spans; a job batch keeps its
-``backend.serial.batch`` span with one ``pipeline.cost`` span per point
-under it.  A traced sweep's reports and stats are the untraced sweep's.
+group-miss counts, with no per-point spans; a job batch is one
+``backend.serial.batch`` span, with no per-point spans either.  A traced
+sweep's reports and stats are the untraced sweep's.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class TestSerialSweepTrace:
         (space,) = _sites(records)["backend.serial.space"]
         assert (space["attrs"]["groups"], space["attrs"]["group_misses"]) == (4, 0)
 
-    def test_batch_point_spans_nest_under_the_batch_span(self, tmp_path):
+    def test_a_batch_is_one_span_without_point_spans(self, tmp_path):
         path = tmp_path / "batch.ndjson"
         backend = SerialBackend()
         sweep = _traced_sweep(
@@ -95,9 +95,9 @@ class TestSerialSweepTrace:
         sites = _sites(records)
         (batch,) = sites["backend.serial.batch"]
         assert batch["attrs"]["jobs"] == 4
-        assert len(sites["pipeline.cost"]) == 4
-        for cost in sites["pipeline.cost"]:
-            assert cost["parent"] == batch["span"]
+        assert "pipeline.cost" not in sites
+        # the batch still counts one variant lookup per point
+        assert sum(sweep.stats["variant"]) == sweep.evaluated
 
     def test_tracing_leaves_the_stats_clean(self, tmp_path):
         sweep = _traced_sweep(tmp_path / "serial.ndjson", SerialBackend())
