@@ -686,10 +686,16 @@ def _explore_config(args, kernel, grid, forms):
 
 
 def _cmd_explore_space(args, kernel, grid) -> int:
-    """Multi-axis exploration through the engine (clock/form/pattern axes)."""
+    """Exploration of the space the axis flags spell, through the engine;
+    without clock/form/pattern axes it prints the classic lane table."""
     from repro.explore.engine import ExplorationEngine
     from repro.resilience.policy import COUNTERS
 
+    multi_axis = (any((args.clocks, args.forms, args.patterns, args.clock_range))
+                  or args.pareto or args.dense)
+    if not multi_axis and args.lanes:
+        # the lane table lists each lane count once, ascending
+        args.lanes = sorted(set(args.lanes))
     try:
         space = _explore_config(args, kernel, grid, args.forms).space_for(
             kernel.name)
@@ -708,6 +714,8 @@ def _cmd_explore_space(args, kernel, grid) -> int:
             print(f"dense path unavailable ({exc}); costing every point",
                   file=sys.stderr)
     sweep = ExplorationEngine().explore(space)
+    if not multi_axis:
+        return _render_lane_sweep(args, grid, sweep)
     frontier = sweep.pareto_frontier() if args.pareto else []
     best = sweep.best()
 
@@ -829,27 +837,11 @@ def _cmd_explore(args) -> int:
     grid = tuple(args.grid) if args.grid else kernel.default_grid
     if args.optimizer:
         return _cmd_explore_optimizer(args, kernel, grid)
-    multi_axis = (any((args.clocks, args.forms, args.patterns, args.clock_range))
-                  or args.pareto or args.dense)
-    if multi_axis:
-        return _cmd_explore_space(args, kernel, grid)
+    return _cmd_explore_space(args, kernel, grid)
 
-    from repro.compiler.pipeline import CompilationOptions
-    from repro.explore.engine import ExplorationEngine
-    from repro.explore.space import CostJob
-    from repro.explore.variants import generate_lane_variants
-    from repro.substrate.fpga_device import get_device
 
-    options = CompilationOptions(device=get_device(args.device))
-    lane_counts = sorted(set(args.lanes)) if args.lanes else None
-    variants = generate_lane_variants(kernel, grid=grid, iterations=args.iterations,
-                                      max_lanes=args.max_lanes, lane_counts=lane_counts)
-    if not variants:
-        print(f"no valid lane counts for grid {grid} "
-              f"(lanes must divide the NDRange size)", file=sys.stderr)
-        return 2
-    sweep = ExplorationEngine().cost_many(
-        [CostJob.from_variant(variant, options) for variant in variants])
+def _render_lane_sweep(args, grid, sweep) -> int:
+    """The lane-only table (or ``{"rows", "best_lanes"}`` JSON)."""
     rows = sweep.summary_rows()
     best = sweep.best()
     best_lanes = best.point.lanes if best is not None else None
@@ -867,7 +859,7 @@ def _cmd_explore(args) -> int:
             f"{'y' if row['feasible'] else 'n':>3}"
         )
     print(f"best feasible variant: {best_lanes} lane(s); "
-          f"estimation took {sweep.estimation_seconds:.3f} s for {sweep.evaluated} variants")
+          f"estimation took {sweep.wall_seconds:.3f} s for {sweep.evaluated} variants")
     return 0
 
 

@@ -2,9 +2,12 @@
 
 The cost model's speed is the paper's whole point — ~0.3 s per variant
 against ~70 s for an HLS estimate — and this engine turns that speed into
-scale: every backend costs a whole :class:`DesignSpace` through one
-entry point, ``cost_space(space, deadline, on_entry)``, and the
-optimizer-proposed batches of :class:`CostJob` through ``run(jobs)``:
+scale.  A backend has two loops: ``cost_space(space, deadline,
+on_entry)`` costs a whole :class:`DesignSpace`, and ``run(jobs)`` costs a
+list of :class:`CostJob` in order.  :class:`ExplorationEngine` puts one
+method on each: ``explore`` on ``cost_space``, and both ``cost_many``
+and every optimizer round of ``run_optimizer`` on ``run``.  The
+backends:
 
 ``SerialBackend``
     In-process evaluation; one memoizing
@@ -528,55 +531,42 @@ class ExplorationEngine:
     """Costing of design points through a pluggable backend.
 
     :meth:`explore` costs a whole design space through the backend's
-    ``cost_space``.  Everything else is a driver loop around the
-    :class:`Optimizer` protocol (:mod:`repro.explore.optimizer`): an
-    optimizer proposes point batches, the backend's ``run`` costs them,
-    the outcomes feed back; :meth:`cost_many` is the degenerate
-    ``ExhaustiveOptimizer`` driven through that loop.  Both paths report
+    ``cost_space``; :meth:`cost_many` costs a list of jobs through its
+    ``run``.  :meth:`run_optimizer` is the driver loop around the
+    :class:`~repro.explore.optimizer.Optimizer` protocol: an optimizer
+    proposes point batches, its ``job_for`` lowers them, the backend's
+    ``run`` costs them and the outcomes feed back.  Every path reports
     the same bytes for the same points.
     """
 
     def __init__(self, backend: SerialBackend | None = None):
         self.backend = backend or SerialBackend()
 
+    def _entries(self, jobs: Sequence[CostJob],
+                 deadline: Deadline | None) -> list[SweepEntry]:
+        reports = self.backend.run(jobs, deadline=deadline)
+        return [SweepEntry(job.point, report) for job, report in zip(jobs, reports)]
+
     def run_optimizer(self, optimizer, *, deadline: Deadline | None = None,
-                      retry_policy: RetryPolicy | None = None,
                       on_round=None):
         """Drive an optimizer to completion through this engine's backend.
 
-        One loop round = one ``next_batch()`` proposed, costed, fed back.
-        ``deadline`` bounds the whole loop (checked between rounds, and
-        propagated into the backend, which checks it between points).  ``retry_policy`` optionally wraps each batch
-        dispatch — a loop-level budget *on top of* the backends' own
-        per-batch recovery, so the default is a single attempt.
-        ``on_round(round, entries)`` fires after every round, which is
-        what lets the service stream round events.  Returns an
+        One loop round = one ``next_batch()`` proposed, lowered through
+        the optimizer's ``job_for``, costed in one backend batch and fed
+        back.  ``deadline`` bounds the whole loop (checked between
+        rounds, and propagated into the backend, which checks it between
+        points).  ``on_round(round, entries)`` fires after every round,
+        which is what lets the service stream round events.  Returns an
         :class:`~repro.explore.optimizer.OptimizerRun`.
         """
-        from repro.explore.optimizer import (
-            JobFactory,
-            OptimizerRun,
-            drive_optimizer,
-        )
+        from repro.explore.optimizer import OptimizerRun, drive_optimizer
 
-        policy = retry_policy if retry_policy is not None else RetryPolicy.none()
-        job_for = getattr(optimizer, "job_for", None) or JobFactory()
         started = time.perf_counter()
-
-        def evaluate(points):
-            jobs = [job_for(point) for point in points]
-            if policy.max_attempts > 1:
-                reports = policy.call(
-                    lambda attempt: self.backend.run(jobs, deadline=deadline),
-                    key="optimizer-batch", what="optimizer batch",
-                    deadline=deadline)
-            else:
-                reports = self.backend.run(jobs, deadline=deadline)
-            return [SweepEntry(job.point, report)
-                    for job, report in zip(jobs, reports)]
-
         entries, rounds = drive_optimizer(
-            optimizer, evaluate, deadline=deadline, on_round=on_round)
+            optimizer,
+            lambda points: self._entries([optimizer.job_for(p) for p in points],
+                                         deadline),
+            deadline=deadline, on_round=on_round)
         wall = time.perf_counter() - started
         return OptimizerRun(entries=entries, rounds=rounds,
                             result=optimizer.result(), wall_seconds=wall,
@@ -584,17 +574,12 @@ class ExplorationEngine:
 
     def cost_many(self, jobs: Sequence[CostJob],
                   deadline: Deadline | None = None) -> SweepResult:
-        """Cost a batch of jobs; reports keep the job order.
-
-        One exhaustive-optimizer round through :meth:`run_optimizer`:
-        ``deadline`` propagates into the backend, which checks it between
-        design points.
-        """
-        from repro.explore.optimizer import ExhaustiveOptimizer
-
-        run = self.run_optimizer(ExhaustiveOptimizer(jobs=jobs),
-                                 deadline=deadline)
-        return run.sweep()
+        """Cost a batch of jobs in one backend ``run``; entries keep the
+        job order.  ``deadline`` is checked between design points."""
+        started = time.perf_counter()
+        entries = self._entries(jobs, deadline)
+        return SweepResult(entries=entries, wall_seconds=time.perf_counter() - started,
+                           stats=self.backend.collect_stats())
 
     def explore(self, space: DesignSpace, deadline: Deadline | None = None,
                 on_entry: Callable[[int, SweepEntry], None] | None = None

@@ -4,23 +4,27 @@ The original exploration stack was a one-shot grid — every layer assumed
 the full point list existed up front and was consumed in a single pass.
 This module inverts that control flow around the :class:`Optimizer`
 protocol (the shape of xeda's ``FmaxOptimizer`` DSE loop): an optimizer
-*proposes* a batch of design points, the engine costs the batch through
-its backend's ``run`` (the serial one, which a dense backend inherits),
-and the outcomes *feed back* into the optimizer, which decides what to
-ask for next.
+*proposes* a batch of design points, the engine lowers each point to a
+:class:`~repro.explore.space.CostJob` through the optimizer's ``job_for``
+and costs the batch in one backend ``run`` (the serial one, which a dense
+backend inherits), and the outcomes *feed back* into the optimizer,
+which decides what to ask for next.
 
     while not optimizer.finished:
-        batch = optimizer.next_batch()          # propose
-        entries = backend.cost(batch)           # evaluate
-        for entry in entries:
-            optimizer.process_outcome(entry.point, entry)   # learn
+        points = optimizer.next_batch()                    # propose
+        jobs = [optimizer.job_for(p) for p in points]      # lower
+        reports = backend.run(jobs)                        # evaluate
+        for job, report in zip(jobs, reports):
+            optimizer.process_outcome(job.point, SweepEntry(job.point, report))
 
-Four optimizers ship on the seam:
+Five optimizers ship on the seam; each lowers its points through the
+:class:`JobFactory` it inherits, except the guided lane walk, which costs
+prebuilt variant modules:
 
 ``ExhaustiveOptimizer``
     The classic full sweep, re-expressed as the degenerate optimizer that
-    proposes every point and learns nothing.  ``ExplorationEngine.cost_many``
-    drives it, and its reports are byte-identical to the whole-space path
+    proposes every point of one space per round and learns nothing; its
+    reports are byte-identical to the whole-space path
     (``ExplorationEngine.explore``, goldens included).
 ``FmaxBinarySearchOptimizer``
     The maximum feasible clock per design family, found by bracket and
@@ -35,13 +39,14 @@ Four optimizers ship on the seam:
     The dense numpy engine as a *prune stage*: one broadcast pass scores
     the whole grid, only the top slice survives to full scalar costing
     (and optional cycle-accurate validation of the winner).
+``GuidedLaneOptimizer``
+    The classic wall-following lane walk: one lane count per round until
+    the design stops fitting or stops paying off.
 
 The driver loop lives in :func:`drive_optimizer` /
-:meth:`~repro.explore.engine.ExplorationEngine.run_optimizer`; deadlines
-and retry policies come from :mod:`repro.resilience` — the loop checks
-its :class:`~repro.resilience.Deadline` between rounds and can wrap each
-batch dispatch in a :class:`~repro.resilience.RetryPolicy` on top of the
-backends' own per-batch recovery.
+:meth:`~repro.explore.engine.ExplorationEngine.run_optimizer`; it checks
+its :class:`~repro.resilience.Deadline` between rounds, and the backend
+retries transient per-job failures in place.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro import field, record
 from repro.explore.engine import SweepEntry, SweepResult
@@ -59,7 +64,6 @@ from repro.explore.space import (
     DesignPoint,
     DesignSpace,
     _form_value,
-    iter_jobs,
 )
 from repro.models.streaming import PatternKind
 from repro.resilience import COUNTERS, Deadline
@@ -87,15 +91,18 @@ class Optimizer(Protocol):
     batch ends the loop), ``process_outcome`` feeds one costed entry
     back, ``finished`` short-circuits the loop, and ``result`` is the
     optimizer's own JSON-able summary — what it was searching for, as
-    opposed to the raw entries the driver accumulates.
-
-    Optimizers may additionally offer ``job_for(point)`` (a custom
-    :class:`~repro.explore.space.CostJob` lowering, e.g. to reuse
-    prebuilt modules or carry injected options) and ``round_note()``
-    (a one-line provenance string for the round just processed).
+    opposed to the raw entries the driver accumulates.  ``job_for``
+    lowers a proposed point to the :class:`~repro.explore.space.CostJob`
+    the backend costs, and ``round_note`` is a one-line provenance
+    string for the round just processed; :class:`OptimizerBase` gives
+    both (a :class:`JobFactory` lowering and the last note it set).
     """
 
     def next_batch(self) -> list[DesignPoint]: ...
+
+    def job_for(self, point: DesignPoint) -> CostJob: ...
+
+    def round_note(self) -> str: ...
 
     def process_outcome(self, point: DesignPoint, entry: SweepEntry) -> None: ...
 
@@ -147,10 +154,7 @@ class OptimizerRun:
                            stats=self.stats)
 
     def best(self) -> SweepEntry | None:
-        feasible = [e for e in self.entries if e.report.feasible]
-        if not feasible:
-            return None
-        return max(feasible, key=lambda e: e.report.ekit)
+        return self.sweep().best()
 
     def rounds_payload(self) -> list[dict]:
         return [r.as_dict() for r in self.rounds]
@@ -162,7 +166,7 @@ class JobFactory:
     Optimizers propose bare :class:`DesignPoint` coordinates; the jobs
     behind them share one workload per (kernel, grid, iterations) and one
     lazy family handle per (kernel, lanes, grid) — exactly the sharing
-    :func:`~repro.explore.space.build_jobs` gives an eager sweep, so an
+    :func:`~repro.explore.space.build_jobs` gives a whole space, so an
     incremental loop hits the same family caches.
     """
 
@@ -221,8 +225,7 @@ def drive_optimizer(
             round_entries = evaluate(batch)
             for entry in round_entries:
                 optimizer.process_outcome(entry.point, entry)
-            note_fn = getattr(optimizer, "round_note", None)
-            note = note_fn() if callable(note_fn) else ""
+            note = optimizer.round_note()
             if sp is not None and note:
                 sp.attrs["note"] = note
         round_ = OptimizerRound(index=index, points=len(batch),
@@ -288,69 +291,25 @@ def _normalize_spaces(spaces) -> list[DesignSpace]:
 class ExhaustiveOptimizer(OptimizerBase):
     """Propose every point of the space(s); learn nothing, miss nothing.
 
-    This is the pre-loop engine re-expressed on the protocol: with
-    ``jobs`` the exact prebuilt jobs run (one round per ``batch_points``
-    chunk, everything at once by default), with ``spaces`` the jobs are
-    generated lazily per space (one round per space) so a large product
-    grid never has to be materialized ahead of the round that costs it.
-    Reports are byte-identical to the eager path either way.
+    This is the pre-loop engine re-expressed on the protocol: one round
+    per non-empty space, its points in sweep order, lowered through the
+    inherited :class:`JobFactory`, so a large product grid is never
+    materialized ahead of the round that costs it.  Reports are
+    byte-identical to the whole-space path.
     """
 
-    def __init__(
-        self,
-        spaces: DesignSpace | Sequence[DesignSpace] | None = None,
-        *,
-        jobs: Iterable[CostJob] | None = None,
-        batch_points: int | None = None,
-        lazy: bool = True,
-    ):
+    def __init__(self, spaces: DesignSpace | Sequence[DesignSpace]):
         super().__init__()
-        if (spaces is None) == (jobs is None):
-            raise ValueError("pass exactly one of spaces= or jobs=")
-        if jobs is not None:
-            stream: Iterator[CostJob] = iter(list(jobs))
-            if batch_points is None:
-                self._chunks = self._single_chunk(stream)
-            else:
-                self._chunks = self._chunked(stream, batch_points)
-        else:
-            space_list = _normalize_spaces(spaces)
-            if batch_points is None:
-                self._chunks = (list(iter_jobs(s, lazy=lazy)) for s in space_list)
-            else:
-                chained = (job for s in space_list for job in iter_jobs(s, lazy=lazy))
-                self._chunks = self._chunked(chained, batch_points)
-        self._batch_jobs: dict[DesignPoint, CostJob] = {}
-
-    @staticmethod
-    def _single_chunk(stream: Iterator[CostJob]) -> Iterator[list[CostJob]]:
-        chunk = list(stream)
-        if chunk:
-            yield chunk
-
-    @staticmethod
-    def _chunked(stream: Iterator[CostJob], n: int) -> Iterator[list[CostJob]]:
-        if n < 1:
-            raise ValueError(f"batch_points must be >= 1, got {n}")
-        while True:
-            chunk = list(islice(stream, n))
-            if not chunk:
-                return
-            yield chunk
+        self._spaces = iter(_normalize_spaces(spaces))
 
     def next_batch(self) -> list[DesignPoint]:
-        chunk = next(self._chunks, None)
-        if chunk is None:
-            self._finished = True
-            return []
-        self._batch_jobs = {job.point: job for job in chunk}
-        kernels = sorted({job.point.kernel for job in chunk})
-        self._note = f"{'+'.join(kernels)}: {len(chunk)} points"
-        return [job.point for job in chunk]
-
-    def job_for(self, point: DesignPoint) -> CostJob:
-        job = self._batch_jobs.get(point)
-        return job if job is not None else self._factory(point)
+        for space in self._spaces:
+            points = space.points()
+            if points:
+                self._note = f"{space.kernel.name}: {len(points)} points"
+                return points
+        self._finished = True
+        return []
 
     def process_outcome(self, point: DesignPoint, entry: SweepEntry) -> None:
         self._observe(entry)
@@ -593,18 +552,18 @@ class _Arm:
     def __init__(self, label: str, space: DesignSpace):
         self.label = label
         self.space = space
-        self._stream = iter_jobs(space)
+        self._stream = space.iter_points()
         self.active = True
         self.exhausted = False
         self.evaluated = 0
         self.best: SweepEntry | None = None
         self.eliminated_rung: int | None = None
 
-    def take(self, n: int) -> list[CostJob]:
-        jobs = list(islice(self._stream, n))
-        if not jobs:
+    def take(self, n: int) -> list[DesignPoint]:
+        points = list(islice(self._stream, n))
+        if not points:
             self.exhausted = True
-        return jobs
+        return points
 
     @property
     def best_ekit(self) -> float:
@@ -657,7 +616,6 @@ class SuccessiveHalvingOptimizer(OptimizerBase):
             self._finished = True
         self.spent = 0
         self.rungs = 0
-        self._jobs: dict[DesignPoint, CostJob] = {}
         self._point_arm: dict[DesignPoint, _Arm] = {}
 
     def _halve(self) -> None:
@@ -681,7 +639,6 @@ class SuccessiveHalvingOptimizer(OptimizerBase):
             return []
         per_arm = self.rung_points * (self.eta ** self.rungs)
         batch: list[DesignPoint] = []
-        self._jobs = {}
         self._point_arm = {}
         survivors = []
         for arm in self._arms:
@@ -690,14 +647,13 @@ class SuccessiveHalvingOptimizer(OptimizerBase):
             allowance = min(per_arm, self.budget - self.spent - len(batch))
             if allowance <= 0:
                 break
-            jobs = arm.take(allowance)
-            if not jobs:
+            points = arm.take(allowance)
+            if not points:
                 continue
             survivors.append(arm.label)
-            for job in jobs:
-                self._jobs[job.point] = job
-                self._point_arm[job.point] = arm
-                batch.append(job.point)
+            for point in points:
+                self._point_arm[point] = arm
+            batch.extend(points)
         if not batch:
             self._finished = True
             return []
@@ -706,10 +662,6 @@ class SuccessiveHalvingOptimizer(OptimizerBase):
         self._note = (f"rung {self.rungs - 1}: {len(batch)} points across "
                       f"{len(survivors)} arms ({self.spent}/{self.budget} spent)")
         return batch
-
-    def job_for(self, point: DesignPoint) -> CostJob:
-        job = self._jobs.get(point)
-        return job if job is not None else self._factory(point)
 
     def process_outcome(self, point: DesignPoint, entry: SweepEntry) -> None:
         self._observe(entry)
@@ -753,7 +705,7 @@ class SurrogatePrunedOptimizer(OptimizerBase):
     of points as one broadcast — and keeps the top
     ``max(keep_min, ceil(keep_fraction * n))`` by feasible throughput.
     Round 1 proposes only the survivors, which the driving engine costs
-    through its scalar backend (serial or pooled), report-for-report
+    through its backend's ``run``, report-for-report
     identical to what an exhaustive sweep would have produced for those
     points.  Spaces the dense path cannot represent (not lane-separable)
     fall back to proposing every point, with the fallback recorded in the

@@ -46,7 +46,6 @@ __all__ = [
     "DenseGrid",
     "CostJob",
     "build_jobs",
-    "iter_jobs",
     "linspace_clocks",
     "clock_range",
 ]
@@ -385,8 +384,8 @@ class CostJob:
                        options=options)
 
 
-def iter_jobs(space: DesignSpace, lazy: bool = True):
-    """Lazily lower a design space into cost jobs.
+def build_jobs(space: DesignSpace, lazy: bool = True) -> list[CostJob]:
+    """Lower a design space into cost jobs, in sweep order.
 
     Modules depend only on (kernel, lanes, grid), so one module — by
     default a lazy :class:`~repro.compiler.lanescale.LaneFamilyHandle`
@@ -394,13 +393,11 @@ def iter_jobs(space: DesignSpace, lazy: bool = True):
     axes.  With ``lazy=False`` every lane count is eagerly lowered, which
     is what an N-point sweep used to pay; the estimation pipeline produces
     bit-identical reports either way.
-
-    A generator: an incremental consumer costing the grid in slices never
-    materializes jobs ahead of the round that needs them.
     """
     kernel = space.kernel
     workload = kernel.workload(tuple(space.grid), space.iterations)
     modules: dict[int, Module | LaneFamilyHandle] = {}
+    jobs = []
     for point in space.iter_points():
         module = modules.get(point.lanes)
         if module is None:
@@ -409,9 +406,5 @@ def iter_jobs(space: DesignSpace, lazy: bool = True):
             else:
                 module = kernel.build_module(lanes=point.lanes, grid=tuple(space.grid))
             modules[point.lanes] = module
-        yield CostJob(point=point, module=module, workload=workload)
-
-
-def build_jobs(space: DesignSpace, lazy: bool = True) -> list[CostJob]:
-    """Eagerly lower a design space into cost jobs (see :func:`iter_jobs`)."""
-    return list(iter_jobs(space, lazy=lazy))
+        jobs.append(CostJob(point=point, module=module, workload=workload))
+    return jobs

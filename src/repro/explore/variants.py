@@ -8,15 +8,13 @@ lanes of the SOR pipeline).
 
 from __future__ import annotations
 
-import math
-
 from repro import record
-from repro.functional.typetrans import valid_lane_counts
+from repro.explore.space import DesignSpace
 from repro.ir.functions import Module
 from repro.kernels.base import ScientificKernel
 from repro.models.execution import KernelInstance
 
-__all__ = ["VariantRecord", "generate_lane_variants", "sweep_lane_counts"]
+__all__ = ["VariantRecord", "generate_lane_variants"]
 
 
 @record
@@ -33,24 +31,6 @@ class VariantRecord:
         return self.module.name
 
 
-def sweep_lane_counts(
-    kernel: ScientificKernel,
-    grid: tuple[int, ...] | None = None,
-    max_lanes: int = 16,
-    lane_counts: list[int] | None = None,
-) -> list[int]:
-    """The lane counts to explore for a kernel on a given grid.
-
-    Only counts for which the order-preserving reshape is defined (divisors
-    of the NDRange size) are returned.
-    """
-    grid = grid or kernel.default_grid
-    size = math.prod(grid)
-    if lane_counts is not None:
-        return [l for l in lane_counts if l > 0 and size % l == 0]
-    return valid_lane_counts(size, max_lanes=max_lanes)
-
-
 def generate_lane_variants(
     kernel: ScientificKernel,
     grid: tuple[int, ...] | None = None,
@@ -60,7 +40,8 @@ def generate_lane_variants(
 ) -> list[VariantRecord]:
     """Generate the lane-variant family of a kernel as TyTra-IR modules."""
     grid = grid or kernel.default_grid
-    counts = sweep_lane_counts(kernel, grid, max_lanes, lane_counts)
+    counts = DesignSpace(kernel, grid=grid, lanes=lane_counts,
+                         max_lanes=max_lanes).lane_counts()
     workload = kernel.workload(grid, iterations)
     records = []
     for lanes in counts:

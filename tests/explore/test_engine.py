@@ -80,13 +80,18 @@ class TestDesignSpace:
 
 
 class TestEngineSerial:
-    def test_cost_many_preserves_sweep_order(self):
-        engine = ExplorationEngine()
-        sweep = engine.explore(make_space())
-        assert [e.point.lanes for e in sweep.entries] == [1, 2, 4]
-        assert sweep.evaluated == 3
+    def test_cost_many_preserves_job_order(self):
+        jobs = build_jobs(make_space(clocks_mhz=(100.0, 200.0)))[::-1]
+        sweep = ExplorationEngine().cost_many(jobs)
+        assert [e.point for e in sweep.entries] == [job.point for job in jobs]
+        assert [e.point.lanes for e in sweep.entries] == [4, 4, 2, 2, 1, 1]
+        assert sweep.evaluated == 6
         assert sweep.wall_seconds > 0
         assert sweep.variants_per_second > 0
+
+    def test_explore_keeps_sweep_order(self):
+        sweep = ExplorationEngine().explore(make_space())
+        assert [e.point.lanes for e in sweep.entries] == [1, 2, 4]
 
     def test_best_is_fastest_feasible(self):
         sweep = ExplorationEngine().explore(make_space())

@@ -6,6 +6,7 @@ from repro.compiler import CompilationOptions, TybecCompiler
 from repro.explore import (
     CaseStudyConfig,
     CostJob,
+    DesignSpace,
     ExplorationEngine,
     GuidedLaneOptimizer,
     SerialBackend,
@@ -15,7 +16,6 @@ from repro.explore import (
     generate_lane_variants,
     roofline_analysis,
     run_sor_case_study,
-    sweep_lane_counts,
 )
 from repro.kernels import SORKernel, get_kernel
 from repro.substrate import MAIA_STRATIX_V_GSD8, SMALL_EDU_DEVICE
@@ -55,13 +55,19 @@ def variants():
 
 
 class TestVariantGeneration:
-    def test_sweep_lane_counts_divisors_only(self):
-        counts = sweep_lane_counts(SORKernel(), grid=GRID, max_lanes=6)
-        assert counts == [1, 2, 4]  # 512 is divisible by 1,2,4 but not 3,5,6... wait 512%4==0
+    def test_variants_take_the_space_lane_counts(self):
+        # 8^3 = 512 points: 1, 2 and 4 divide it, 3, 5 and 6 do not
+        counts = DesignSpace(SORKernel(), grid=GRID, max_lanes=6).lane_counts()
+        assert counts == [1, 2, 4]
+        variants = generate_lane_variants(SORKernel(), grid=GRID, max_lanes=6)
+        assert [v.lanes for v in variants] == counts
 
-    def test_sweep_with_explicit_counts(self):
-        counts = sweep_lane_counts(SORKernel(), grid=GRID, lane_counts=[1, 3, 4, 16])
+    def test_explicit_counts_are_filtered_to_divisors(self):
+        counts = DesignSpace(SORKernel(), grid=GRID, lanes=[1, 3, 4, 16]).lane_counts()
         assert counts == [1, 4, 16]
+        variants = generate_lane_variants(SORKernel(), grid=GRID,
+                                          lane_counts=[1, 3, 4, 16])
+        assert [v.lanes for v in variants] == counts
 
     def test_generate_variants(self, variants):
         assert [v.lanes for v in variants] == [1, 2, 4, 8]

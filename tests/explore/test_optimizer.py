@@ -3,9 +3,9 @@
 The load-bearing property is the differential one: driving an
 :class:`ExhaustiveOptimizer` through the engine must produce canonical
 reports byte-identical to the eager path (build every job up front, run
-the backend once) — on every kernel, on every backend, for any chunking
-of the proposal stream.  Everything else (fmax brackets, halving
-budgets, surrogate prunes) builds on that equivalence.
+the backend once) and to the whole-space path — on every kernel, on
+every backend, one round per space.  Everything else (fmax brackets,
+halving budgets, surrogate prunes) builds on that equivalence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.explore import (
     SweepResult,
     build_jobs,
     drive_optimizer,
-    iter_jobs,
 )
 from repro.explore.engine import SweepEntry
 from repro.kernels import ALL_KERNELS
@@ -44,6 +43,23 @@ def make_space(kernel: str = "sor", **overrides) -> DesignSpace:
     settings_ = dict(kernel=kernel, grid=GRID, iterations=10, max_lanes=4)
     settings_.update(overrides)
     return DesignSpace(**settings_)
+
+
+#: any small space of the tiny grid (never empty: one lane always divides)
+SPACES = st.builds(
+    make_space,
+    kernel=st.sampled_from(KERNELS),
+    max_lanes=st.sampled_from([1, 2, 4, 8]),
+    clocks_mhz=st.sampled_from([(None,), (150.0,), (150.0, 200.0)]),
+    forms=st.sampled_from([("auto",), ("A",), ("A", "B")]),
+    patterns=st.sampled_from(
+        [(PatternKind.CONTIGUOUS,),
+         (PatternKind.CONTIGUOUS, PatternKind.STRIDED)]),
+)
+
+
+def two_spaces() -> list[DesignSpace]:
+    return [make_space("sor"), make_space("nw", forms=("A", "B"))]
 
 
 def eager_sweep(space: DesignSpace, backend=None) -> SweepResult:
@@ -69,12 +85,6 @@ class TestProtocol:
         ):
             assert isinstance(optimizer, Optimizer)
 
-    def test_exhaustive_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            ExhaustiveOptimizer()
-        with pytest.raises(ValueError, match="exactly one"):
-            ExhaustiveOptimizer(make_space(), jobs=build_jobs(make_space()))
-
 
 class TestExhaustiveDifferential:
     """ExhaustiveOptimizer == the eager path, byte for byte."""
@@ -94,43 +104,22 @@ class TestExhaustiveDifferential:
             ExhaustiveOptimizer(space))
         assert run.sweep().canonical_dicts() == eager
 
-    def test_engine_explore_is_the_optimizer_loop(self):
+    def test_space_path_matches_the_job_batch(self):
         space = make_space(forms=("A", "B"))
         engine = ExplorationEngine(SerialBackend())
         assert engine.explore(space).canonical_dicts() == \
             eager_sweep(space).canonical_dicts()
 
-    def test_prebuilt_jobs_round_trip(self):
-        space = make_space("nw")
-        jobs = build_jobs(space)
-        run = ExplorationEngine(SerialBackend()).run_optimizer(
-            ExhaustiveOptimizer(jobs=jobs))
-        assert run.sweep().canonical_dicts() == \
-            eager_sweep(space).canonical_dicts()
-
-    @given(
-        kernel=st.sampled_from(KERNELS),
-        max_lanes=st.sampled_from([1, 2, 4, 8]),
-        clocks=st.sampled_from([(None,), (150.0,), (150.0, 200.0)]),
-        forms=st.sampled_from([("auto",), ("A",), ("A", "B")]),
-        patterns=st.sampled_from(
-            [(PatternKind.CONTIGUOUS,),
-             (PatternKind.CONTIGUOUS, PatternKind.STRIDED)]),
-        batch_points=st.sampled_from([None, 1, 2, 3, 7]),
-    )
+    @given(a=SPACES, b=SPACES)
     @settings(max_examples=20, deadline=None)
-    def test_any_space_any_chunking_matches_eager(
-            self, kernel, max_lanes, clocks, forms, patterns, batch_points):
-        space = make_space(kernel, max_lanes=max_lanes, clocks_mhz=clocks,
-                           forms=forms, patterns=patterns)
-        if len(space) == 0:
-            return
-        eager = eager_sweep(space).canonical_dicts()
+    def test_one_round_per_space_matches_cost_space(self, a, b):
         run = ExplorationEngine(SerialBackend()).run_optimizer(
-            ExhaustiveOptimizer(space, batch_points=batch_points))
-        assert run.sweep().canonical_dicts() == eager
-        if batch_points is not None:
-            assert all(r.points <= batch_points for r in run.rounds)
+            ExhaustiveOptimizer([a, b]))
+        assert [r.points for r in run.rounds] == [len(a), len(b)]
+        backend = SerialBackend()
+        assert run.sweep().canonical_dicts() == \
+            backend.cost_space(a).canonical_dicts() + \
+            backend.cost_space(b).canonical_dicts()
 
     def test_round_provenance_names_the_kernel(self):
         run = ExplorationEngine(SerialBackend()).run_optimizer(
@@ -308,21 +297,30 @@ class TestDenseSweepPrune:
 
 class TestDriverLoop:
     def test_deadline_stops_the_loop_between_rounds(self):
-        import time
+        now = [0.0]
+        rounds = []
 
-        optimizer = ExhaustiveOptimizer(make_space(), batch_points=1)
-        deadline = Deadline(1e-4)
-        time.sleep(0.01)  # already expired by the first round check
-        with pytest.raises(DeadlineExceededError):
+        def expire(round_, entries):
+            rounds.append(round_.index)
+            now[0] = 10.0   # the budget runs out once round 0 is costed
+
+        with pytest.raises(DeadlineExceededError) as error:
             ExplorationEngine(SerialBackend()).run_optimizer(
-                optimizer, deadline=deadline)
+                ExhaustiveOptimizer(two_spaces()),
+                deadline=Deadline(1.0, clock=lambda: now[0]), on_round=expire)
+        assert rounds == [0]
+        assert error.value.what == "optimizer round 1"
 
     def test_on_round_hook_sees_every_round(self):
+        spaces = two_spaces()
         rounds = []
         run = ExplorationEngine(SerialBackend()).run_optimizer(
-            ExhaustiveOptimizer(make_space(), batch_points=1),
+            ExhaustiveOptimizer(spaces),
             on_round=lambda r, entries: rounds.append((r.index, len(entries))))
-        assert rounds == [(i, 1) for i in range(run.evaluated)]
+        assert rounds == [(0, len(spaces[0])), (1, len(spaces[1]))]
+        assert run.evaluated == sum(map(len, spaces))
+        assert [r.note for r in run.rounds] == \
+            [f"sor: {len(spaces[0])} points", f"nw: {len(spaces[1])} points"]
 
     def test_guided_optimizer_through_engine_matches_direct_drive(self):
         from repro.compiler import CompilationOptions, TybecCompiler

@@ -96,6 +96,8 @@ class TestSerialSweepTrace:
         (batch,) = sites["backend.serial.batch"]
         assert batch["attrs"]["jobs"] == 4
         assert "pipeline.cost" not in sites
+        # cost_many is one backend batch, not an optimizer loop
+        assert "optimizer.round" not in sites
         # the batch still counts one variant lookup per point
         assert sum(sweep.stats["variant"]) == sweep.evaluated
 

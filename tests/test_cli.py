@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.ir import print_module
+from repro.kernels import kernel_names
 
 from tests.conftest import build_stencil_module
 
@@ -183,6 +184,19 @@ class TestExploreCommand:
         assert payload["best_lanes"] in (1, 2)
         assert len(payload["rows"]) == 2
 
+    @pytest.mark.parametrize("kernel", kernel_names())
+    def test_lane_only_rows_are_the_space_sweep_rows(self, kernel, capsys):
+        argv = ["explore", "--kernel", kernel, "--grid", "8", "8", "8",
+                "--iterations", "10", "--max-lanes", "8", "--json"]
+        assert main(argv) == 0
+        lane_only = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--forms", "auto"]) == 0
+        space = json.loads(capsys.readouterr().out)
+        assert lane_only["rows"] == space["rows"]
+        assert [row["lanes"] for row in lane_only["rows"]] == [1, 2, 4, 8]
+        best = space["best"]
+        assert lane_only["best_lanes"] == (best["lanes"] if best else None)
+
     def test_explore_multi_axis_json(self, capsys):
         rc = main(["explore", "--kernel", "sor", "--grid", "8", "8", "8",
                    "--iterations", "10", "--max-lanes", "2",
@@ -219,6 +233,10 @@ class TestExploreCommand:
                    "--iterations", "10", "--lanes", "7", "--clocks", "100", "200"])
         assert rc == 2
         assert "no valid lane counts" in capsys.readouterr().err
+
+    def test_explore_unknown_device_fails_cleanly(self, capsys):
+        assert main(["explore", "--kernel", "sor", "--device", "bogus"]) == 2
+        assert "unknown devices ['bogus']" in capsys.readouterr().err
 
 
 class TestSuiteCommand:
