@@ -694,8 +694,8 @@ def _cmd_explore_space(args, kernel, grid) -> int:
     multi_axis = (any((args.clocks, args.forms, args.patterns, args.clock_range))
                   or args.pareto or args.dense)
     if not multi_axis and args.lanes:
-        # the lane table lists each lane count once, ascending
-        args.lanes = sorted(set(args.lanes))
+        # the lane table lists its lane counts ascending
+        args.lanes = sorted(args.lanes)
     try:
         space = _explore_config(args, kernel, grid, args.forms).space_for(
             kernel.name)

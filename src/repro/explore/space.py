@@ -188,7 +188,8 @@ class DesignSpace:
     def lane_counts(self) -> list[int]:
         size = math.prod(self.grid)
         if self.lanes is not None:
-            return [l for l in self.lanes if l > 0 and size % l == 0]
+            # a repeated lane count spells one point, kept where it first appears
+            return list(dict.fromkeys(l for l in self.lanes if l > 0 and size % l == 0))
         return valid_lane_counts(size, max_lanes=self.max_lanes)
 
     def axis_sizes(self) -> dict[str, int]:

@@ -7,7 +7,11 @@ output word and reduction against the kernel's Python reference
 (:mod:`repro.flows.refmodel`) and the cycle count against the
 :class:`~repro.substrate.pipeline_sim.PipelineSimulator` in both its
 analytic and cycle-stepping modes — closing the
-estimate ↔ cycle-sim ↔ RTL-sim triangle.
+estimate ↔ cycle-sim ↔ RTL-sim triangle.  Its front end is keyed on the
+Verilog text: each distinct kernel source is parsed, linted and
+elaborated once per process (the lane families of one kernel emit the
+same leaf module), and its netlist compiles its step function once, so
+a repeated source only simulates its own stimulus.
 
 :class:`ElaborateFlow` is the synth-side counterpart: structural lint
 plus netlist statistics for every generated file.
@@ -26,12 +30,13 @@ from pathlib import Path
 
 from repro.compiler.codegen.testbench import generate_testbench, parse_result_lines
 from repro.compiler.codegen.verilog import _sanitize
+from repro.cost.cache import BoundedCache
 from repro.flows.base import Flow, SimFlow, SynthFlow
-from repro.flows.netlist import elaborate, lint_module, lint_source
+from repro.flows.netlist import Netlist, elaborate, lint_module
 from repro.flows.refmodel import kernel_stimulus, reference_outputs
 from repro.flows.rtlsim import RTLSimOutcome, compare_outcome, simulate_stream
 from repro.flows.tools import find_tool, require_tool, run_tool
-from repro.flows.verilog import parse_module_text, parse_modules
+from repro.flows.verilog import VerilogParseError, parse_module_text, parse_modules
 from repro.substrate.pipeline_sim import PipelineSimulator, PipelineSpec
 
 __all__ = [
@@ -43,6 +48,20 @@ __all__ = [
     "FLOW_CLASSES",
     "default_sim_flow",
 ]
+
+#: kernel Verilog source -> (lint violations, netlist), per process
+_FRONT_END = BoundedCache(64, name="flows.front-end")
+
+
+def _front_end(source: str) -> tuple[tuple[str, ...], Netlist]:
+    """Parse, lint and elaborate ``source`` once per process; a source
+    that fails raises again on every call and is never stored."""
+    entry = _FRONT_END.get(source)
+    if entry is None:
+        module = parse_module_text(source)
+        entry = (tuple(lint_module(module)), elaborate(module))
+        _FRONT_END.put(source, entry)
+    return entry
 
 
 class RTLSimFlow(SimFlow):
@@ -99,9 +118,7 @@ class RTLSimFlow(SimFlow):
             geometry = self.generator.geometry(func.name)
             source = self.cached_artifacts()[f"{_sanitize(func.name)}_kernel.v"]
         with self._stage("elaborate"):
-            rtl_module = parse_module_text(source)
-            lint = lint_module(rtl_module)
-            netlist = elaborate(rtl_module)
+            lint, netlist = _front_end(source)
         n_items = self.n_items
         with self._stage("reference"):
             stimulus = kernel_stimulus(func, n_items, self.settings.seed)
@@ -132,7 +149,7 @@ class RTLSimFlow(SimFlow):
                 "latency": geometry.latency,
             },
             "netlist": netlist.stats(),
-            "lint": lint,
+            "lint": list(lint),
             "functional": functional,
             "cycles": cycles,
             "ok": not lint and functional["ok"] and cycles["ok"],
@@ -152,12 +169,15 @@ class ElaborateFlow(SynthFlow):
         for name, text in sorted(files.items()):
             if not name.endswith(".v"):
                 continue
-            problems = lint_source(text)
+            try:
+                parsed = parse_modules(text)
+            except VerilogParseError as exc:
+                parsed, problems = [], [str(exc)]
+            else:
+                problems = [p for module in parsed for p in lint_module(module)]
             clean = clean and not problems
-            modules = {}
-            if not problems:
-                for module in parse_modules(text):
-                    modules[module.name] = elaborate(module).stats()
+            modules = {} if problems else {
+                module.name: elaborate(module).stats() for module in parsed}
             report[name] = {"lint": problems, "modules": modules}
         return {"files": report, "ok": clean}
 

@@ -13,9 +13,11 @@ in program order — with widths, masks and signedness folded to
 constants and signals held in locals.  :class:`NetlistSimulator` runs
 that function one cycle per :meth:`~NetlistSimulator.step`, which is
 what lets the pure-Python RTL backend reproduce exactly what an
-event-driven simulator would print for this subset.  Each simulator
-compiles its netlist once, when it is built; the recursive interpreter
-the compiler replaced is kept under ``tests/flows`` as its test oracle.
+event-driven simulator would print for this subset.  The step function
+holds no state (it reads and writes the simulator's dicts), so a netlist
+compiles it once, when its first simulator is built, and every later
+simulator of that netlist reuses it; the recursive interpreter the
+compiler replaced is kept under ``tests/flows`` as its test oracle.
 
 :func:`lint_module` runs the structural checks the satellite tests pin
 for every generated file: legal identifiers and balanced ``begin``/``end``
@@ -90,6 +92,9 @@ class Netlist:
     assigns: list[ContinuousAssign]
     processes: list[AlwaysBlock]
     instances: list[Instance]
+    #: the compiled step function (not a field): set by the first
+    #: :class:`NetlistSimulator` of this netlist, shared by the later ones
+    compiled_step = None
 
     def stats(self) -> dict:
         """Cell-level statistics (the ``SynthFlow`` report payload)."""
@@ -735,7 +740,9 @@ class NetlistSimulator:
             name: [0] * size for name, (_, size) in netlist.arrays.items()
         }
         self._masks = {name: (1 << w) - 1 for name, w in netlist.widths.items()}
-        self._step = compile_netlist(netlist)
+        if netlist.compiled_step is None:
+            netlist.compiled_step = compile_netlist(netlist)
+        self._step = netlist.compiled_step
 
     def settle(self) -> None:
         """Propagate the continuous assignments (combinational settle)."""

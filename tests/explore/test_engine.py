@@ -36,6 +36,11 @@ class TestDesignSpace:
         space = make_space(lanes=[1, 3, 4, 7, 16])
         assert space.lane_counts() == [1, 4, 16]
 
+    def test_repeated_lanes_fold_in_first_seen_order(self):
+        space = make_space(lanes=[4, 1, 4, 2, 1])
+        assert space.lane_counts() == [4, 1, 2]
+        assert len(space) == 3
+
     def test_cartesian_product(self):
         space = make_space(
             clocks_mhz=(100.0, 200.0),

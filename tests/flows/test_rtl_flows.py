@@ -60,6 +60,39 @@ class TestRTLSimFlowPerKernel:
         assert kernel_files  # at least the kernel pipeline elaborated
 
 
+class TestElaborateFlow:
+    def test_each_file_is_parsed_once(self, monkeypatch):
+        from repro.flows import flows, netlist
+
+        parsed = []
+        parse_modules = flows.parse_modules
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_modules(text)
+
+        # lint and elaboration must share one parse of each file
+        monkeypatch.setattr(flows, "parse_modules", counting_parse)
+        monkeypatch.setattr(netlist, "parse_modules", counting_parse)
+        flow = ElaborateFlow(_tiny_module("sor"), FlowSettings(use_cache=False))
+        payload = flow.run().payload
+        assert payload["ok"] is True
+        assert sorted(parsed) == sorted(
+            text for name, text in flow.cached_artifacts().items() if name.endswith(".v"))
+
+    def test_a_file_that_fails_to_parse_is_its_one_violation(self):
+        class WithBrokenFile(ElaborateFlow):
+            def artifacts(self):
+                return {**super().artifacts(), "broken.v": "module broken ("}
+
+        payload = WithBrokenFile(_tiny_module("nw"), FlowSettings(use_cache=False)).run().payload
+        assert payload["ok"] is False
+        assert payload["files"]["broken.v"] == {
+            "lint": ["unexpected end of input"], "modules": {}}
+        clean = [report for name, report in payload["files"].items() if name != "broken.v"]
+        assert clean and all(not report["lint"] for report in clean)
+
+
 class TestLaneFamilies:
     @pytest.mark.parametrize("lanes", [1, 2, 4])
     def test_lane_replication_keeps_functional_identity(self, lanes):

@@ -224,6 +224,16 @@ class TestExploreCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [row["lanes"] for row in payload["rows"]] == [1, 4]
 
+    def test_explore_repeated_lane_prints_one_row(self, capsys):
+        args = ["explore", "--kernel", "sor", "--grid", "8", "8", "8",
+                "--iterations", "10", "--clocks", "100", "--json"]
+        assert main(args + ["--lanes", "4", "4"]) == 0
+        repeated = json.loads(capsys.readouterr().out)
+        assert main(args + ["--lanes", "4"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert repeated["rows"] == single["rows"]
+        assert [row["lanes"] for row in repeated["rows"]] == [4]
+
     def test_explore_no_valid_lanes_fails_on_both_paths(self, capsys):
         # 7 does not divide 8^3: single-axis and multi-axis paths agree
         rc = main(["explore", "--kernel", "sor", "--grid", "8", "8", "8",
@@ -338,6 +348,20 @@ class TestSuiteCommand:
         rc = main(["serve", "--port", "0", "--request-deadline", seconds])
         assert rc == 2
         assert "--request-deadline" in capsys.readouterr().err
+
+    def test_suite_run_repeated_lane_costs_one_point(self, tmp_path, capsys):
+        reports = {}
+        for name, lanes in (("repeated", ["2", "2"]), ("single", ["2"])):
+            path = tmp_path / f"{name}.json"
+            rc = main(["suite", "run", "--tiny", "--kernels", "sor",
+                       "--lanes", *lanes, "-o", str(path)])
+            assert rc == 0
+            assert "costed 1 design points" in capsys.readouterr().out
+            reports[name] = json.loads(path.read_text())
+        # only the echoed spec differs: the same one point is costed
+        assert reports["repeated"]["config"]["lanes"] == [2, 2]
+        assert reports["repeated"]["kernels"] == reports["single"]["kernels"]
+        assert reports["repeated"]["totals"] == reports["single"]["totals"]
 
     def test_suite_run_no_valid_lanes(self, capsys):
         rc = main(["suite", "run", "--tiny", "--kernels", "sor", "--lanes", "7"])
