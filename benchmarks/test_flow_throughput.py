@@ -9,11 +9,12 @@ backend's speed are visible run over run.
 
 The same grid is run once more on the two interpreters kept as test
 oracles: the recursive netlist interpreter
-(``tests/flows/netlist_oracle.py``) simulates and the per-item reference
+(``tests/flows/netlist_oracle.py``), driven one cycle at a time by the
+per-cycle testbench loop, simulates and the per-item reference
 interpreter (``tests/flows/reference_oracle.py``) computes the expected
 words.  The gates are ratios of the two runs' times, which hold on any
 machine: the ``simulate`` stage (which includes compiling each distinct
-netlist), the ``reference`` stage and the whole flow.  Every timed run
+netlist's runner), the ``reference`` stage and the whole flow.  Every timed run
 starts from a cleared front-end memo, so both sides parse, lint and
 elaborate each distinct kernel source once; one more run with the memo
 warm is recorded as ``warm_flow_seconds``, ungated.

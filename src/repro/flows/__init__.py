@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.flows.netlist": (
         "ElaborationError", "Netlist", "NetlistSimulator", "elaborate",
-        "lint_module", "lint_source",
+        "lint_module",
     ),
     "repro.flows.refmodel": (
         "ReferenceResult", "kernel_stimulus", "reference_outputs",

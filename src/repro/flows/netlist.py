@@ -5,19 +5,29 @@ Python for cycle simulation.
 into a :class:`Netlist`: a signal table with widths, the continuous
 assignments in dependency (topological) order, and the clocked processes.
 
-:func:`compile_netlist` then generates, once per netlist, one
-straight-line Python function that performs a whole clock cycle with
-Verilog semantics — continuous assigns settle combinationally, every
-process reads pre-edge state, non-blocking assignments commit together
-in program order — with widths, masks and signedness folded to
-constants and signals held in locals.  :class:`NetlistSimulator` runs
-that function one cycle per :meth:`~NetlistSimulator.step`, which is
-what lets the pure-Python RTL backend reproduce exactly what an
-event-driven simulator would print for this subset.  The step function
-holds no state (it reads and writes the simulator's dicts), so a netlist
-compiles it once, when its first simulator is built, and every later
-simulator of that netlist reuses it; the recursive interpreter the
-compiler replaced is kept under ``tests/flows`` as its test oracle.
+One compiler generates the Python code of a clock cycle with Verilog
+semantics — continuous assigns settle combinationally, every process
+reads pre-edge state, non-blocking assignments commit together in
+program order — with widths, masks and signedness folded to constants
+and signals held in locals.  That is what lets the pure-Python RTL
+backend reproduce exactly what an event-driven simulator would print
+for this subset.  It emits that cycle in two functions:
+
+* :func:`compile_runner` wraps it in one loop that drives a whole
+  stimulus — reset, the driven items, a zero-driven tail and the drain
+  — as the generated testbench does (:meth:`NetlistSimulator.stream`).
+  Signals stay in locals across cycles, and each delay line (an array
+  only ever shifted by one word at the front) is a ``deque`` that
+  shifts with one ``appendleft``.
+* :func:`compile_netlist` makes it a straight-line ``step`` function,
+  one cycle per :meth:`NetlistSimulator.step` call.
+
+Neither function holds state (both read and write the simulator's
+dicts), so a netlist compiles each at most once and every simulator of
+that netlist reuses it: the runner when its first simulator is built,
+the step on the first :meth:`~NetlistSimulator.step`.  The recursive
+interpreter the compiler replaced and the per-cycle testbench loop the
+runner replaced are kept under ``tests/flows`` as test oracles.
 
 :func:`lint_module` runs the structural checks the satellite tests pin
 for every generated file: legal identifiers and balanced ``begin``/``end``
@@ -28,6 +38,7 @@ signal is declared *before* use and that no signal has two drivers.
 from __future__ import annotations
 
 import re
+from collections import deque
 
 from repro import record
 from repro.flows.numeric import truncdiv
@@ -39,8 +50,6 @@ from repro.flows.verilog import (
     Instance,
     NetDecl,
     VerilogModule,
-    VerilogParseError,
-    parse_modules,
 )
 
 __all__ = [
@@ -48,9 +57,9 @@ __all__ = [
     "Netlist",
     "NetlistSimulator",
     "compile_netlist",
+    "compile_runner",
     "elaborate",
     "lint_module",
-    "lint_source",
 ]
 
 
@@ -92,8 +101,10 @@ class Netlist:
     assigns: list[ContinuousAssign]
     processes: list[AlwaysBlock]
     instances: list[Instance]
-    #: the compiled step function (not a field): set by the first
-    #: :class:`NetlistSimulator` of this netlist, shared by the later ones
+    #: the compiled stream runner and per-cycle step function (not
+    #: fields): each is compiled by the first :class:`NetlistSimulator`
+    #: of this netlist that needs it and shared by the later ones
+    compiled_runner = None
     compiled_step = None
 
     def stats(self) -> dict:
@@ -230,8 +241,12 @@ def _truncmod(a: int, b: int) -> int:
     return 0 if b == 0 else a - b * truncdiv(a, b)
 
 
-#: the globals every compiled step function runs against
+#: the inputs a stream drives itself (reset, then the valid strobe)
+_CONTROL = ("rst", "in_valid")
+
+#: the globals every compiled function runs against
 _RUNTIME = {
+    "_deque": deque,
     "_undriven": _undriven,
     "_fail": _fail,
     "_truncdiv": truncdiv,
@@ -276,6 +291,22 @@ def _loop_offset(expr: Expr, var: str) -> int | None:
     return None
 
 
+def _dynamic_reads(expr: Expr, out: set[str]) -> None:
+    """Add to ``out`` every name ``expr`` indexes with a non-constant index."""
+    kind = expr[0]
+    if kind == "index":
+        if expr[2][0] != "const":
+            out.add(expr[1])
+        _dynamic_reads(expr[2], out)
+    elif kind in ("concat", "call"):
+        for part in expr[-1]:
+            _dynamic_reads(part, out)
+    elif kind in ("unary", "signed", "binary", "ternary"):
+        for part in expr[1:]:
+            if type(part) is tuple:
+                _dynamic_reads(part, out)
+
+
 def _always_assigned(statements) -> set[str]:
     """Scalar NBA targets every run of ``statements`` assigns."""
     out: set[str] = set()
@@ -302,7 +333,8 @@ def _blocking_names(statements, out: dict[str, None]) -> dict[str, None]:
 
 
 class _StepCompiler:
-    """Generates the Python source of one netlist's step function.
+    """Generates the Python source of one netlist's step function or
+    stream runner.
 
     Signals live in locals ``v<i>`` and arrays in ``a<i>``, loaded from
     the simulator's dicts on entry and stored back on exit.  Every process
@@ -310,10 +342,12 @@ class _StepCompiler:
     temporary ``n<i>``, committed after every process ran.  Array writes
     with constant indices and delay-line loops at process top level
     commit statically in program order; an array written anywhere else
-    queues ``(value, index)`` pairs in ``q<i>``.
+    queues ``(value, index)`` pairs in ``q<i>``.  With ``rings``, each
+    array :meth:`_delay_lines` finds is a ``deque`` whose head write
+    commits as one ``appendleft`` and whose shift loop emits nothing.
     """
 
-    def __init__(self, netlist: Netlist):
+    def __init__(self, netlist: Netlist, rings: bool = False):
         self.netlist = netlist
         self.widths = netlist.widths
         self.arrays = netlist.arrays
@@ -337,6 +371,8 @@ class _StepCompiler:
         self.next_init = [n for n in self.next_local if n not in always]
         self.queue_local = {n: f"q{i}" for i, n in enumerate(self.arrays)
                             if n in self.queued}
+        #: delay lines held as deques (the runner keeps arrays across cycles)
+        self.rings: set[str] = self._delay_lines() if rings else set()
 
     def _scan(self, statements, top: bool) -> None:
         """Note every scalar NBA target, and every array written other than
@@ -388,6 +424,53 @@ class _StepCompiler:
                 and loop.source_start + count <= self.arrays[src][1]):
             return None
         return loop
+
+    def _delay_lines(self) -> set[str]:
+        """Arrays written only by one unconditional top-level ``a[0] <= x``
+        and one top-level loop shifting ``a[1:N] <= a[0:N-1]``, and read
+        only at constant indices: each cycle pushes one word in at the
+        front, which a ``deque(maxlen=N)`` does with one ``appendleft``."""
+        heads: dict[str, int] = {}
+        shifts: dict[str, int] = {}
+        barred: set[str] = set()
+
+        def statements(stmts, top: bool) -> None:
+            for stmt in stmts:
+                kind = stmt[0]
+                if kind == "nba":
+                    target = stmt[1]
+                    if target[0] == "index":
+                        _dynamic_reads(target[2], barred)
+                        if top and target[2][0] == "const" and target[2][1] == 0:
+                            heads[target[1]] = heads.get(target[1], 0) + 1
+                        else:
+                            barred.add(target[1])
+                    _dynamic_reads(stmt[2], barred)
+                elif kind == "blocking":
+                    _dynamic_reads(stmt[2], barred)
+                elif kind == "if":
+                    _dynamic_reads(stmt[1], barred)
+                    statements(stmt[2] + stmt[3], False)
+                elif kind == "for":
+                    loop = self._shift_loop(stmt) if top else None
+                    if loop is None:
+                        _, init, cond, update, body = stmt
+                        for expr in (init[2], cond, update[2]):
+                            _dynamic_reads(expr, barred)
+                        statements(body, False)
+                    elif (loop.source == loop.target and loop.target_start == 1
+                          and loop.source_start == 0
+                          and loop.count == self.arrays[loop.target][1] - 1):
+                        shifts[loop.target] = shifts.get(loop.target, 0) + 1
+                    else:  # a slice copy reads its source as a list
+                        barred.update((loop.source, loop.target))
+
+        for assign in self.netlist.assigns:
+            _dynamic_reads(assign.expr, barred)
+        for process in self.netlist.processes:
+            statements(process.statements, True)
+        return {name for name in self.arrays if name not in barred
+                and heads.get(name) == 1 and shifts.get(name) == 1}
 
     # -- expressions -----------------------------------------------------
     def temp(self, prefix: str = "t") -> str:
@@ -565,6 +648,11 @@ class _StepCompiler:
             return
         width, size = self.arrays[name]
         value = self.masked(rhs, width)
+        if name in self.rings:  # a delay line's head: the line shifts with it
+            t = self.temp()
+            out.append(f"{pad}{t} = {value}")
+            self.commits.append(f"{self.array_local[name]}.appendleft({t})")
+            return
         if name in self.queued:
             out.append(f"{pad}{self.queue_local[name]}.append(({value}, "
                        f"{self.expr(target[2])}))")
@@ -580,8 +668,10 @@ class _StepCompiler:
     def loop(self, stmt, depth: int, top: bool, out: list[str]) -> None:
         pad = "    " * depth
         shift = self._shift_loop(stmt) if top else None
-        if shift is not None and shift.target not in self.queued:
-            if shift.count:
+        # a delay line's shift is its head write's appendleft
+        ring = shift is not None and shift.target in self.rings
+        if ring or (shift is not None and shift.target not in self.queued):
+            if shift.count and not ring:
                 dst = (f"{self.array_local[shift.target]}[{shift.target_start}:"
                        f"{shift.target_start + shift.count}]")
                 src = (f"{self.array_local[shift.source]}[{shift.source_start}:"
@@ -667,6 +757,69 @@ class _StepCompiler:
         settle = self._function("settle", settle, self.settled)
         return "\n".join(step) + "\n", "\n".join(settle) + "\n"
 
+    def runner(self) -> tuple[str, list[str], list[str]]:
+        """The source of ``run``, the ports it drives from ``words`` and
+        the output ports it collects (see :func:`compile_runner`)."""
+        netlist, local = self.netlist, self.local
+        driven = [n for n in netlist.inputs if n not in _CONTROL]
+        collected = [n for n in netlist.outputs if n != "out_valid"]
+
+        def inputs(control: tuple[int, int], word) -> list[str]:
+            lines = [f"{local[n]} = {value & ((1 << self.widths[n]) - 1)}"
+                     for n, value in zip(_CONTROL, control) if n in netlist.inputs]
+            lines += [f"if _drive{i}: {local[n]} = {word(i, n)}"
+                      for i, n in enumerate(driven)]
+            return ["            " + line for line in lines or ["pass"]]
+
+        cycle = ["        if _cycle < 0:"]
+        cycle += inputs((1, 0), lambda i, n: 0)
+        cycle.append("        elif _cycle < n_items:")
+        cycle += inputs((0, 1), lambda i, n:
+                        f"_word{i}[_cycle] & {(1 << self.widths[n]) - 1}")
+        cycle.append("        else:")
+        cycle += inputs((0, 0), lambda i, n: 0)
+        body: list[str] = []
+        settled = self._settle(body)
+        # every cycle assigns these before reading them, and the loop
+        # runs at least the 2 reset cycles, so they are never loaded
+        assigned = {*settled, *(n for n in _CONTROL if n in netlist.inputs)}
+        if "out_valid" in netlist.outputs:
+            body.append(f"    if {self.read('out_valid')} and _cycle >= 0 "
+                        "and _got < n_items:")
+            body.append("        _hit(_cycle)")
+            body += [f"        _put{i}({self.read(n)})"
+                     for i, n in enumerate(collected)]
+            body += ["        _got += 1", "        if _got == n_items:",
+                     "            _stop = _cycle + 1 + drain"]
+        self._edge(body)
+        body.append("    _cycle += 1")
+        cycle += ["    " + line for line in body]
+
+        used = set(re.findall(r"\b[va]\d+\b", "\n".join(cycle)))
+        signals = [n for n in self.widths if local[n] in used]
+        arrays = [n for n in self.arrays if self.array_local[n] in used]
+        head = ["def run(values, arrays, words, n_items, _stop, drain):"]
+        head += [f"    {local[n]} = values[{n!r}]" for n in signals
+                 if n not in assigned]
+        for n in arrays:
+            data = f"arrays[{n!r}]"
+            if n in self.rings:
+                data = f"_deque({data}, {self.arrays[n][1]})"
+            head.append(f"    {self.array_local[n]} = {data}")
+        for i in range(len(driven)):
+            head += [f"    _word{i} = words[{i}]",
+                     f"    _drive{i} = _word{i} is not None"]
+        head += ["    _hits = []", "    _hit = _hits.append"]
+        for i in range(len(collected)):
+            head += [f"    _out{i} = []", f"    _put{i} = _out{i}.append"]
+        head += ["    _got = 0", "    _cycle = -2", "    while _cycle < _stop:"]
+        tail = [f"    values[{n!r}] = {local[n]}" for n in signals]
+        tail += [f"    arrays[{n!r}][:] = {self.array_local[n]}"
+                 for n in arrays if n in self.rings]
+        outs = "".join(f"_out{i}, " for i in range(len(collected)))
+        tail.append(f"    return _hits, ({outs})")
+        return "\n".join(head + cycle + tail) + "\n", driven, collected
+
 
 def _require_leaf(netlist: Netlist) -> None:
     if netlist.instances:
@@ -685,6 +838,16 @@ def _define(name: str, function: str, source: str):
     return namespace[function]
 
 
+def _generate(netlist: Netlist, rings: bool, emit):
+    """``emit`` applied to a fresh compiler of the leaf ``netlist``."""
+    _require_leaf(netlist)
+    try:
+        return emit(_StepCompiler(netlist, rings))
+    except RecursionError as exc:
+        raise ElaborationError(
+            f"cannot compile netlist {netlist.name!r}: {exc}") from exc
+
+
 def compile_netlist(netlist: Netlist):
     """Compile ``netlist`` to one Python function performing a full step.
 
@@ -699,12 +862,8 @@ def compile_netlist(netlist: Netlist):
     unknown functional unit, a runaway loop) still raise
     :class:`ElaborationError` when that code runs.
     """
-    _require_leaf(netlist)
     name = netlist.name
-    try:
-        source, settle_source = _StepCompiler(netlist).sources()
-    except RecursionError as exc:
-        raise ElaborationError(f"cannot compile netlist {name!r}: {exc}") from exc
+    source, settle_source = _generate(netlist, False, _StepCompiler.sources)
     step = _define(name, "step", source)
     compiled = []
 
@@ -718,6 +877,31 @@ def compile_netlist(netlist: Netlist):
     return step
 
 
+def compile_runner(netlist: Netlist):
+    """Compile ``netlist`` to one Python function that streams a whole
+    stimulus through it (what :meth:`NetlistSimulator.stream` calls).
+
+    ``run(values, arrays, words, n_items, stop, drain)`` holds reset
+    (``rst`` high) for 2 cycles, drives ``in_valid`` high for cycles
+    ``0 .. n_items-1`` with each port of its ``driven`` attribute set to
+    ``words[i][cycle]`` (or left alone where ``words[i]`` is None), then
+    drives zeros.  It samples ``out_valid`` after each settle; while
+    fewer than ``n_items`` have been seen, a high one records the cycle
+    and the word on each port of its ``collected`` attribute.  It stops
+    at cycle ``stop`` (at least 0: the reset cycles always run, which
+    the generated loads rely on), or ``drain`` cycles after the ``n_items``-th
+    output, writes every signal and array back into the dicts and
+    returns ``(cycles, words per collected port)``.  One loop holds the
+    settle-plus-edge code of :func:`compile_netlist`; signals stay in
+    locals across cycles, input masks are folded in, and each delay
+    line is a ``deque`` that shifts with one ``appendleft``.
+    """
+    source, driven, collected = _generate(netlist, True, _StepCompiler.runner)
+    run = _define(netlist.name, "run", source)
+    run.source, run.driven, run.collected = source, driven, collected
+    return run
+
+
 # ----------------------------------------------------------------------
 # Simulation
 # ----------------------------------------------------------------------
@@ -725,11 +909,14 @@ def compile_netlist(netlist: Netlist):
 
 class NetlistSimulator:
     """Two-phase (combinational settle, then clock edge) cycle simulation,
-    run by the netlist's compiled step function.
+    run by the netlist's compiled functions.
 
     Registers and delay lines power up at zero — the deterministic
     counterpart of an event-driven simulator's ``x`` state after the
-    generated testbench's reset-and-flush preamble.
+    generated testbench's reset-and-flush preamble.  Building one
+    compiles the netlist's stream runner if no earlier simulator did;
+    the per-cycle step function compiles on the first :meth:`step` or
+    :meth:`settle` of any simulator of the netlist.
     """
 
     def __init__(self, netlist: Netlist):
@@ -740,13 +927,17 @@ class NetlistSimulator:
             name: [0] * size for name, (_, size) in netlist.arrays.items()
         }
         self._masks = {name: (1 << w) - 1 for name, w in netlist.widths.items()}
-        if netlist.compiled_step is None:
-            netlist.compiled_step = compile_netlist(netlist)
-        self._step = netlist.compiled_step
+        if netlist.compiled_runner is None:
+            netlist.compiled_runner = compile_runner(netlist)
+
+    def _compiled_step(self):
+        if self.netlist.compiled_step is None:
+            self.netlist.compiled_step = compile_netlist(self.netlist)
+        return self.netlist.compiled_step
 
     def settle(self) -> None:
         """Propagate the continuous assignments (combinational settle)."""
-        self._step.settle(self.values, self.arrays)
+        self._compiled_step().settle(self.values, self.arrays)
 
     def step(self, inputs: dict[str, int]) -> dict[str, int]:
         """Advance one clock cycle.
@@ -763,7 +954,33 @@ class NetlistSimulator:
             if mask is None:
                 raise ElaborationError(f"unknown input {name!r}")
             values[name] = value & mask
-        return self._step(values, self.arrays)
+        return self._compiled_step()(values, self.arrays)
+
+    def stream(self, words: dict[str, list[int]], n_items: int, budget: int,
+               drain_cycles: int) -> tuple[list[int], dict[str, list[int]]]:
+        """Drive one stream of work items, as the generated testbench does.
+
+        Holds ``rst`` high for 2 cycles, then drives ``in_valid`` high
+        and each port of ``words`` (inputs other than ``rst`` and
+        ``in_valid``) with its word for cycles ``0 .. n_items-1``
+        (counted from reset release), then drives zeros.
+        Every cycle on which ``out_valid`` is high, until ``n_items``
+        such cycles, is collected with the word on every other output
+        port; ``drain_cycles`` idle cycles follow the last one, so
+        registers scheduled deeper than the output stage commit.
+        Returns the collected cycles and output port -> words; fewer
+        than ``n_items`` cycles means ``budget`` cycles passed first
+        (and nothing drained).
+        """
+        inputs = self.netlist.inputs
+        for name in (*_CONTROL, *words):
+            if name not in inputs:
+                raise ElaborationError(f"unknown input {name!r}")
+        run = self.netlist.compiled_runner
+        cycles, outputs = run(self.values, self.arrays,
+                              [words.get(port) for port in run.driven],
+                              n_items, max(0, budget), max(0, drain_cycles))
+        return cycles, dict(zip(run.collected, outputs))
 
 
 # ----------------------------------------------------------------------
@@ -840,16 +1057,4 @@ def lint_module(module: VerilogModule) -> list[str]:
         elif isinstance(item, Instance):
             for port, expr in item.connections:
                 check_uses(expr, f"instance {item.name!r} port .{port}")
-    return problems
-
-
-def lint_source(source: str) -> list[str]:
-    """Parse and lint Verilog source; parse errors become violations."""
-    try:
-        modules = parse_modules(source)
-    except VerilogParseError as exc:
-        return [str(exc)]
-    problems: list[str] = []
-    for module in modules:
-        problems.extend(lint_module(module))
     return problems

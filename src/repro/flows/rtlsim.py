@@ -3,7 +3,11 @@
 This is the pure-Python counterpart of the generated testbench: reset,
 stream ``n_items`` stimulus words (one per cycle, ``in_valid`` high),
 zero-drive the tail, collect every ``out_valid`` output word and the
-final reduction registers, and count cycles.  The resulting
+final reduction registers, and count cycles.  The whole stream runs in
+one call of the netlist's compiled runner
+(:meth:`~repro.flows.netlist.NetlistSimulator.stream`); the per-cycle
+loop it replaced is the test oracle's implementation of the same
+method (``tests/flows/netlist_oracle.py``).  The resulting
 :class:`RTLSimOutcome` is what the flows compare bit for bit against
 :func:`repro.flows.refmodel.reference_outputs` and cycle for cycle
 against the :class:`~repro.substrate.pipeline_sim.PipelineSimulator`.
@@ -60,7 +64,10 @@ def simulate_stream(
 
     ``drain_cycles`` idle cycles run after the last output so reduction
     registers scheduled deeper than the output stage commit their final
-    item before they are read.
+    item before they are read.  A port the kernel's streams and
+    reductions name but the netlist lacks, and ``out_valid`` not rising
+    ``n_items`` times within ``n_items + max_extra_cycles`` cycles, raise
+    :class:`RTLSimulationError`.
     """
     if n_items <= 0:
         raise ValueError("n_items must be positive")
@@ -68,52 +75,27 @@ def simulate_stream(
     stream_ports = {name: f"s_{_sanitize(name)}" for name in stimulus}
     out_ports = {name: f"s_{_sanitize(name)}" for name in output_names}
     red_ports = {name: f"g_{_sanitize(name)}" for name in reduction_names}
-    for port in list(stream_ports.values()) + list(out_ports.values()):
-        if port not in netlist.widths:
-            raise RTLSimulationError(f"netlist has no port {port!r}")
+    for ports, declared in ((stream_ports, netlist.inputs),
+                            (out_ports, netlist.outputs),
+                            (red_ports, netlist.widths)):
+        for port in ports.values():
+            if port not in declared:
+                raise RTLSimulationError(f"netlist has no port {port!r}")
 
-    # reset preamble (registers already power up at zero, but the reset
-    # path itself is part of the generated logic under test)
-    idle = {"rst": 1, "in_valid": 0, **{p: 0 for p in stream_ports.values()}}
-    for _ in range(2):
-        sim.step(idle)
-
-    outputs: dict[str, list[int]] = {name: [] for name in output_names}
-    first_cycle = -1
-    last_cycle = -1
-    collected = 0
-    cycle = 0
     budget = n_items + max_extra_cycles
-    while collected < n_items:
-        if cycle >= budget:
-            raise RTLSimulationError(
-                f"{netlist.name}: {collected}/{n_items} outputs after "
-                f"{cycle} cycles — out_valid never caught up")
-        driving = cycle < n_items
-        inputs = {"rst": 0, "in_valid": 1 if driving else 0}
-        for name, port in stream_ports.items():
-            inputs[port] = stimulus[name][cycle] if driving else 0
-        sampled = sim.step(inputs)
-        if sampled.get("out_valid"):
-            for name, port in out_ports.items():
-                outputs[name].append(sampled[port])
-            if first_cycle < 0:
-                first_cycle = cycle
-            last_cycle = cycle
-            collected += 1
-        cycle += 1
-
-    for _ in range(max(0, drain_cycles)):
-        sim.step({"rst": 0, "in_valid": 0,
-                  **{port: 0 for port in stream_ports.values()}})
-
-    reductions = {name: sim.values[port] for name, port in red_ports.items()}
+    cycles, words = sim.stream(
+        {port: stimulus[name] for name, port in stream_ports.items()},
+        n_items, budget, drain_cycles)
+    if len(cycles) < n_items:
+        raise RTLSimulationError(
+            f"{netlist.name}: {len(cycles)}/{n_items} outputs after "
+            f"{max(0, budget)} cycles — out_valid never caught up")
     return RTLSimOutcome(
         n_items=n_items,
-        first_output_cycle=first_cycle,
-        last_output_cycle=last_cycle,
-        outputs=outputs,
-        reductions=reductions,
+        first_output_cycle=cycles[0],
+        last_output_cycle=cycles[-1],
+        outputs={name: words[port] for name, port in out_ports.items()},
+        reductions={name: sim.values[port] for name, port in red_ports.items()},
     )
 
 

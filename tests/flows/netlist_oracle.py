@@ -8,6 +8,10 @@ program order.  It is slow, and it is deliberately simple, so the
 compiled simulator in :mod:`repro.flows.netlist` is checked against it
 cycle for cycle (``test_netlist_compile.py``) and timed against it
 (``benchmarks/test_flow_throughput.py``).
+
+:func:`drive_stream` is the per-cycle testbench loop the compiled stream
+runner replaced: it drives any simulator with a ``step`` method one
+cycle at a time, and is :class:`InterpretedSimulator`'s ``stream``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,41 @@ from repro.flows.netlist import _FUNCTIONAL_UNITS, ElaborationError, Netlist
 from repro.flows.numeric import as_signed, truncdiv
 from repro.flows.verilog import Expr
 
-__all__ = ["InterpretedSimulator"]
+__all__ = ["InterpretedSimulator", "drive_stream"]
+
+
+def drive_stream(sim, words: dict[str, list[int]], n_items: int, budget: int,
+                 drain_cycles: int) -> tuple[list[int], dict[str, list[int]]]:
+    """:meth:`repro.flows.netlist.NetlistSimulator.stream`, one
+    ``sim.step`` per cycle: 2 reset cycles, ``n_items`` driven cycles, a
+    zero-driven tail until ``n_items`` outputs or ``budget`` cycles, then
+    ``drain_cycles`` idle cycles after a complete stream."""
+    for name in ("rst", "in_valid", *words):
+        if name not in sim.netlist.inputs:
+            raise ElaborationError(f"unknown input {name!r}")
+    ports = [p for p in sim.netlist.outputs if p != "out_valid"]
+    idle = {"rst": 1, "in_valid": 0, **{port: 0 for port in words}}
+    for _ in range(2):
+        sim.step(idle)
+    cycles: list[int] = []
+    outputs: dict[str, list[int]] = {port: [] for port in ports}
+    cycle = 0
+    while len(cycles) < n_items and cycle < budget:
+        driving = cycle < n_items
+        inputs = {"rst": 0, "in_valid": 1 if driving else 0}
+        for port, data in words.items():
+            inputs[port] = data[cycle] if driving else 0
+        sampled = sim.step(inputs)
+        if sampled.get("out_valid"):
+            cycles.append(cycle)
+            for port in ports:
+                outputs[port].append(sampled[port])
+        cycle += 1
+    if len(cycles) == n_items:
+        idle = {"rst": 0, "in_valid": 0, **{port: 0 for port in words}}
+        for _ in range(max(0, drain_cycles)):
+            sim.step(idle)
+    return cycles, outputs
 
 
 class InterpretedSimulator:
@@ -245,4 +283,6 @@ class InterpretedSimulator:
                 if 0 <= index < len(data):
                     data[index] = value & self._array_masks[name]
         return sampled
+
+    stream = drive_stream
 

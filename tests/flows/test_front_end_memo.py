@@ -1,5 +1,6 @@
 """The per-process RTL front end: each distinct kernel Verilog source is
-parsed, linted and elaborated once, and its netlist compiles once.
+parsed, linted and elaborated once, and its netlist compiles its stream
+runner once.
 
 The lane-1/2/4 families of a kernel simulate the same leaf module, so a
 golden-grid run meets 6 distinct sources among its 18 families.  Every
@@ -52,25 +53,34 @@ def test_golden_grid_elaborates_each_distinct_source_once(memo, tmp_path):
 
 
 def test_lane_families_share_one_netlist_compiled_once(memo, monkeypatch):
-    compiles, simulated = [], []
-    compile_netlist, simulate_stream = netlist.compile_netlist, flows.simulate_stream
+    runners, steps, simulated = [], [], []
+    compile_runner, compile_step = netlist.compile_runner, netlist.compile_netlist
+    simulate_stream = flows.simulate_stream
 
-    def counting_compile(target):
-        compiles.append(target)
-        return compile_netlist(target)
+    def counting_runner(target):
+        runners.append(target)
+        return compile_runner(target)
+
+    def counting_step(target):
+        steps.append(target)
+        return compile_step(target)
 
     def recording_simulate(target, *args, **kwargs):
         simulated.append(target)
         return simulate_stream(target, *args, **kwargs)
 
-    monkeypatch.setattr(netlist, "compile_netlist", counting_compile)
+    monkeypatch.setattr(netlist, "compile_runner", counting_runner)
+    monkeypatch.setattr(netlist, "compile_netlist", counting_step)
     monkeypatch.setattr(flows, "simulate_stream", recording_simulate)
     for lanes in LANES:
         assert _family_flow("sor", lanes).run().ok
     assert len(simulated) == len(LANES)
     assert all(target is simulated[0] for target in simulated)
-    assert compiles == [simulated[0]]
-    assert simulated[0].compiled_step is not None
+    # one runner per distinct netlist; the flow path never compiles a step
+    assert runners == [simulated[0]]
+    assert steps == []
+    assert simulated[0].compiled_runner is not None
+    assert simulated[0].compiled_step is None
     assert (memo.misses, memo.hits) == (1, 2)
 
 
@@ -127,7 +137,7 @@ class TestFailuresAreNotKept:
         for _ in range(2):
             with pytest.raises(ElaborationError, match="part-select"):
                 NetlistSimulator(target)
-        assert target.compiled_step is None
+        assert target.compiled_runner is None
 
 
 def test_a_patched_simulator_class_is_still_used(memo, monkeypatch):

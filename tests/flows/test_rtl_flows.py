@@ -62,7 +62,7 @@ class TestRTLSimFlowPerKernel:
 
 class TestElaborateFlow:
     def test_each_file_is_parsed_once(self, monkeypatch):
-        from repro.flows import flows, netlist
+        from repro.flows import flows
 
         parsed = []
         parse_modules = flows.parse_modules
@@ -73,7 +73,6 @@ class TestElaborateFlow:
 
         # lint and elaboration must share one parse of each file
         monkeypatch.setattr(flows, "parse_modules", counting_parse)
-        monkeypatch.setattr(netlist, "parse_modules", counting_parse)
         flow = ElaborateFlow(_tiny_module("sor"), FlowSettings(use_cache=False))
         payload = flow.run().payload
         assert payload["ok"] is True

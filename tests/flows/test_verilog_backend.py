@@ -6,9 +6,19 @@ from repro.flows.netlist import (
     ElaborationError,
     NetlistSimulator,
     elaborate,
-    lint_source,
+    lint_module,
 )
 from repro.flows.verilog import VerilogParseError, parse_module_text, parse_modules
+
+
+def lint_text(source: str) -> list[str]:
+    """Lint as ``ElaborateFlow`` does: parse once, lint every module; a
+    parse error is the text's one violation."""
+    try:
+        modules = parse_modules(source)
+    except VerilogParseError as exc:
+        return [str(exc)]
+    return [problem for module in modules for problem in lint_module(module)]
 
 COUNTER = """
 module counter (
@@ -150,12 +160,12 @@ class TestSimulation:
 
 class TestLint:
     def test_clean_module(self):
-        assert lint_source(COUNTER) == []
-        assert lint_source(SHIFTER) == []
+        assert lint_text(COUNTER) == []
+        assert lint_text(SHIFTER) == []
 
     def test_undeclared_wire_reported(self):
         source = COUNTER.replace("assign value = count;", "assign value = missing;")
-        problems = lint_source(source)
+        problems = lint_text(source)
         assert any("missing" in p for p in problems)
 
     def test_use_before_declaration_reported(self):
@@ -165,7 +175,7 @@ class TestLint:
           wire t = 1'b1;
         endmodule
         """
-        problems = lint_source(source)
+        problems = lint_text(source)
         assert any("'t'" in p for p in problems)
 
     def test_multiple_drivers_reported(self):
@@ -176,11 +186,11 @@ class TestLint:
           assign y = t;
         endmodule
         """
-        problems = lint_source(source)
+        problems = lint_text(source)
         assert any("multiple drivers" in p for p in problems)
 
     def test_parse_error_becomes_violation(self):
-        assert lint_source("module broken (") != []
+        assert lint_text("module broken (") == ["unexpected end of input"]
 
     def test_reg_driven_from_two_processes_reported(self):
         source = """
@@ -191,9 +201,9 @@ class TestLint:
           assign y = r;
         endmodule
         """
-        problems = lint_source(source)
+        problems = lint_text(source)
         assert any("multiple drivers" in p for p in problems)
 
     def test_reset_and_else_branch_is_one_driver(self):
         # reset/else assignments inside ONE process are not a race
-        assert lint_source(COUNTER) == []
+        assert lint_text(COUNTER) == []

@@ -17,7 +17,7 @@ import pytest
 
 from repro.compiler.codegen.testbench import generate_testbench
 from repro.compiler.codegen.verilog import VerilogGenerator
-from repro.flows import kernel_verilog_bundle, lint_source, verilog_snapshot_dir
+from repro.flows import kernel_verilog_bundle, lint_module, verilog_snapshot_dir
 from repro.flows.verilog import parse_modules
 from repro.kernels import REGISTRY, get_kernel
 from repro.suite.runner import tiny_grid
@@ -52,7 +52,7 @@ class TestStructuralLint:
         for name, text in _generated_files(kernel_name).items():
             if not name.endswith(".v"):
                 continue
-            problems = lint_source(text)
+            problems = [p for module in parse_modules(text) for p in lint_module(module)]
             assert problems == [], f"{name}: {problems}"
 
     def test_identifiers_are_legal(self, kernel_name):
