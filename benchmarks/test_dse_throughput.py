@@ -8,7 +8,8 @@ axis):
   at most 25% of them may reach the scalar pipeline, and each kernel's
   best point must be exactly the one the exhaustive sweep picks.  The
   differential identity of the dense engine (BENCH_dense.json) is what
-  licenses pruning on dense scores.
+  licenses pruning on dense scores.  The same gates hold on the grid
+  with a memory-execution form axis (forms A, B and C).
 * **fmax binary search** — bracketing the highest feasible clock per
   design family must need far fewer probes than stepping a dense clock
   axis at the same resolution, and every closed bracket is re-verified:
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro import replace
 from repro.explore import (
     DenseBackend,
     DesignSpace,
@@ -35,6 +37,12 @@ from benchmarks.test_suite_throughput import FULL_GRID_CONFIG
 #: acceptance gate: fraction of grid points the surrogate may cost exactly
 MAX_SCALAR_FRACTION = 0.25
 
+#: the surrogate's inputs: report key -> suite grid
+SURROGATE_GRIDS = {
+    "surrogate": FULL_GRID_CONFIG,
+    "surrogate_forms_abc": replace(FULL_GRID_CONFIG, forms=("A", "B", "C")),
+}
+
 #: fmax search setup: bracket the bandwidth-bound forms on the full grid
 FMAX_RESOLUTION_MHZ = 2.0
 FMAX_LANES = [1, 2]
@@ -42,10 +50,9 @@ FMAX_FORMS = ("A", "B")
 FMAX_CLOCK_SPAN_MHZ = (25.0, 1600.0)
 
 
-def test_dse_optimizer_artifact(results_dir):
-    payload = {}
-    engine = ExplorationEngine()
-    spaces = WorkloadSuite(FULL_GRID_CONFIG).spaces()
+def surrogate_leg(engine, dense_backend, config) -> dict:
+    """Surrogate against exhaustive on one suite grid: the gated counts."""
+    spaces = WorkloadSuite(config).spaces()
     total_points = sum(len(space) for space in spaces.values())
     assert total_points >= 300
 
@@ -56,7 +63,6 @@ def test_dse_optimizer_artifact(results_dir):
     exhaustive_seconds = time.perf_counter() - started
 
     # -- surrogate prune: dense scores gate the scalar pipeline --------
-    dense_backend = DenseBackend()
     per_kernel = {}
     scalar_total = 0
     started = time.perf_counter()
@@ -76,24 +82,32 @@ def test_dse_optimizer_artifact(results_dir):
         }
     surrogate_seconds = time.perf_counter() - started
 
-    scalar_fraction = scalar_total / total_points
-    payload["surrogate"] = {
-        "config": FULL_GRID_CONFIG.as_dict(),
+    leg = {
+        "config": config.as_dict(),
         "grid_points": total_points,
         "scalar_points": scalar_total,
-        "scalar_fraction": scalar_fraction,
+        "scalar_fraction": scalar_total / total_points,
         "max_scalar_fraction": MAX_SCALAR_FRACTION,
         "exhaustive_seconds": exhaustive_seconds,
         "surrogate_seconds": surrogate_seconds,
         "kernels": per_kernel,
         "best_points_match_exhaustive": True,
     }
-    assert scalar_fraction <= MAX_SCALAR_FRACTION, payload["surrogate"]
+    assert leg["scalar_fraction"] <= MAX_SCALAR_FRACTION, leg
+    return leg
+
+
+def test_dse_optimizer_artifact(results_dir):
+    engine = ExplorationEngine()
+    dense_backend = DenseBackend()
+    payload = {key: surrogate_leg(engine, dense_backend, config)
+               for key, config in SURROGATE_GRIDS.items()}
+    kernels = sorted(FULL_GRID_CONFIG.resolved_kernels())
 
     # -- fmax binary search: probes vs a stepped clock axis ------------
     fmax_spaces = [DesignSpace(kernel=name, grid=(24, 24, 24), iterations=10,
                                lanes=FMAX_LANES, forms=FMAX_FORMS)
-                   for name in sorted(spaces)]
+                   for name in kernels]
     started = time.perf_counter()
     run = engine.run_optimizer(FmaxBinarySearchOptimizer(
         fmax_spaces, resolution=FMAX_RESOLUTION_MHZ,

@@ -37,8 +37,9 @@ Sub-packages
     through the ``@register_kernel`` decorator.
 ``repro.explore``
     Design-space exploration drivers built on the cost model: multi-axis
-    design spaces, the batched exploration engine (with dense selection)
-    and the exhaustive, guided and Pareto search strategies.
+    design spaces, the batched exploration engine (with dense selection
+    and Pareto frontiers) and the exhaustive, fmax and surrogate
+    optimizers.
 ``repro.suite``
     The workload suite: batch costing of every registered kernel,
     canonical version-stamped JSON reports, field-by-field diffing and

@@ -117,9 +117,9 @@ def _kernel_names() -> list[str]:
 
 
 def _optimizer_names() -> list[str]:
-    from repro.explore.optimizer import OPTIMIZERS
+    from repro.suite.runner import DSE_OPTIMIZERS
 
-    return list(OPTIMIZERS)
+    return list(DSE_OPTIMIZERS)
 
 
 def _pattern_names() -> list[str]:
@@ -206,16 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "fmax (binary-search the highest feasible "
                               "clock per design family; --forms defaults to "
                               "A B here, since form C designs are always "
-                              "feasible), halving (successive-halving race "
-                              "between forms under --budget), surrogate "
-                              "(dense numpy prune, then exact costing of "
-                              "the top --keep fraction)")
+                              "feasible), surrogate (dense numpy prune, "
+                              "then exact costing of the top --keep "
+                              "fraction)")
     explore.add_argument("--resolution", type=float, default=None, metavar="MHZ",
                          help="fmax bracket resolution in MHz "
                               "(--optimizer fmax; default: 1.0)")
-    explore.add_argument("--budget", type=int, default=None, metavar="N",
-                         help="total cost-evaluation budget "
-                              "(--optimizer halving; default: 64)")
     explore.add_argument("--keep", type=float, default=None, metavar="FRAC",
                          help="fraction of points kept by the dense prune "
                               "(--optimizer surrogate; default: 0.1)")
@@ -384,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimizer-driven design-space exploration over the suite grid "
              "(canonical repro-dse-report/1 with per-round provenance)",
         description="Instead of eagerly costing every grid point, drive an "
-                    "incremental optimizer loop per kernel (or one "
-                    "cross-kernel successive-halving race) and report what "
+                    "incremental optimizer loop per kernel and report what "
                     "each round proposed, what it cost, and what the "
                     "optimizer concluded.",
     )
@@ -397,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_dse.add_argument("--resolution", type=float, default=None,
                            metavar="MHZ",
                            help="fmax bracket resolution (--optimizer fmax)")
-    suite_dse.add_argument("--budget", type=int, default=None, metavar="N",
-                           help="cost-evaluation budget (--optimizer halving)")
     suite_dse.add_argument("--keep", type=float, default=None, metavar="FRAC",
                            help="dense-prune keep fraction "
                                 "(--optimizer surrogate)")
@@ -801,20 +794,6 @@ def _cmd_explore_optimizer(args, kernel, grid) -> int:
             fmax = "-" if fam["fmax_mhz"] is None else f"{fam['fmax_mhz']:.2f}"
             print(f"{fam['lanes']:>5} {fam['form']:>4} {fam['pattern']:>10} "
                   f"{fmax:>9} {fam['probes']:>6}  {fam['note']}")
-    elif args.optimizer == "halving":
-        for arm in result["arms"]:
-            ekit = arm["best_ekit_per_s"]
-            best_s = "-" if ekit is None else f"{ekit:.4f}/s"
-            if arm["arm"] == result["winner"]:
-                status = "winner"
-            elif arm["eliminated_rung"] is not None:
-                status = f"eliminated at rung {arm['eliminated_rung']}"
-            else:
-                status = "survived"
-            print(f"  {arm['arm']}: {arm['evaluated']} point(s), "
-                  f"best EKIT {best_s} ({status})")
-        print(f"budget spent: {result['spent']}/{result['budget']} "
-              f"over {result['rungs']} rung(s)")
     elif args.optimizer == "surrogate":
         print(f"dense prune: {result['dense_points']} point(s) -> "
               f"{result['scalar_points']} survivor(s) costed exactly "
@@ -1118,10 +1097,9 @@ def _cmd_suite_record_golden(args) -> int:
 
 
 def _dse_params(args) -> dict:
-    """The optimizer knobs an invocation's ``--resolution``, ``--budget``
-    and ``--keep`` flags name (checked by ``resolve_dse_params``)."""
-    flags = {"resolution": args.resolution, "budget": args.budget,
-             "keep_fraction": args.keep}
+    """The optimizer knobs an invocation's ``--resolution`` and ``--keep``
+    flags name (checked by ``resolve_dse_params``)."""
+    flags = {"resolution": args.resolution, "keep_fraction": args.keep}
     return {name: value for name, value in flags.items() if value is not None}
 
 

@@ -2,9 +2,9 @@
 
 This package implements the use-case the paper motivates: generate many
 design variants by type transformations, cost each one in a fraction of a
-second, and select the best feasible design — the guided optimisation
-search of §II, and the variant sweep of Figure 15 — generalised to
-multi-axis design spaces.
+second, and select the best feasible design — the optimisation search
+of §II, and the variant sweep of Figure 15 — generalised to multi-axis
+design spaces.
 
 ``space``
     Multi-axis design spaces (lanes x clock x memory-execution form x
@@ -17,10 +17,9 @@ multi-axis design spaces.
     Pareto selection (the dense backend lives in ``dense``).
 ``optimizer``
     Incremental exploration: the ``Optimizer`` protocol
-    (``next_batch``/``job_for``/``process_outcome``), the exhaustive,
-    fmax binary-search, successive-halving and surrogate-pruned
-    optimizers the engine's driver loop runs, and the guided
-    (wall-following) lane walk.
+    (``next_batch``/``process_outcome``), the ``JobFactory`` the engine
+    lowers every proposed point through, and the exhaustive, fmax
+    binary-search and surrogate-pruned optimizers its driver loop runs.
 ``variants``
     Generation of lane-count variant families for a kernel as lowered
     modules; a variant list is costed with ``ExplorationEngine.cost_many``
@@ -51,9 +50,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.explore.dense": ("DenseBackend", "DenseSweep"),
     "repro.explore.optimizer": (
-        "OPTIMIZERS", "ExhaustiveOptimizer", "FmaxBinarySearchOptimizer",
-        "GuidedLaneOptimizer", "JobFactory", "Optimizer", "OptimizerRound",
-        "OptimizerRun", "SuccessiveHalvingOptimizer",
+        "ExhaustiveOptimizer", "FmaxBinarySearchOptimizer", "JobFactory",
+        "Optimizer", "OptimizerRound", "OptimizerRun",
         "SurrogatePrunedOptimizer", "drive_optimizer",
     ),
     "repro.explore.roofline": ("RooflinePoint", "roofline_analysis"),

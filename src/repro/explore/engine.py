@@ -534,7 +534,7 @@ class ExplorationEngine:
     ``cost_space``; :meth:`cost_many` costs a list of jobs through its
     ``run``.  :meth:`run_optimizer` is the driver loop around the
     :class:`~repro.explore.optimizer.Optimizer` protocol: an optimizer
-    proposes point batches, its ``job_for`` lowers them, the backend's
+    proposes point batches, the engine lowers them to jobs, the backend's
     ``run`` costs them and the outcomes feed back.  Every path reports
     the same bytes for the same points.
     """
@@ -552,20 +552,21 @@ class ExplorationEngine:
         """Drive an optimizer to completion through this engine's backend.
 
         One loop round = one ``next_batch()`` proposed, lowered through
-        the optimizer's ``job_for``, costed in one backend batch and fed
-        back.  ``deadline`` bounds the whole loop (checked between
-        rounds, and propagated into the backend, which checks it between
-        points).  ``on_round(round, entries)`` fires after every round,
-        which is what lets the service stream round events.  Returns an
-        :class:`~repro.explore.optimizer.OptimizerRun`.
+        one :class:`~repro.explore.optimizer.JobFactory` per run (a
+        workload and a family handle shared across rounds), costed in one
+        backend batch and fed back.  ``deadline`` bounds the whole loop
+        (checked between rounds, and propagated into the backend, which
+        checks it between points).  ``on_round(round, entries)`` fires
+        after every round, which is what lets the service stream round
+        events.  Returns an :class:`~repro.explore.optimizer.OptimizerRun`.
         """
-        from repro.explore.optimizer import OptimizerRun, drive_optimizer
+        from repro.explore.optimizer import JobFactory, OptimizerRun, drive_optimizer
 
+        factory = JobFactory()
         started = time.perf_counter()
         entries, rounds = drive_optimizer(
             optimizer,
-            lambda points: self._entries([optimizer.job_for(p) for p in points],
-                                         deadline),
+            lambda points: self._entries([factory(p) for p in points], deadline),
             deadline=deadline, on_round=on_round)
         wall = time.perf_counter() - started
         return OptimizerRun(entries=entries, rounds=rounds,

@@ -5,21 +5,20 @@ the full point list existed up front and was consumed in a single pass.
 This module inverts that control flow around the :class:`Optimizer`
 protocol (the shape of xeda's ``FmaxOptimizer`` DSE loop): an optimizer
 *proposes* a batch of design points, the engine lowers each point to a
-:class:`~repro.explore.space.CostJob` through the optimizer's ``job_for``
-and costs the batch in one backend ``run`` (the serial one, which a dense
-backend inherits), and the outcomes *feed back* into the optimizer,
-which decides what to ask for next.
+:class:`~repro.explore.space.CostJob` through the one :class:`JobFactory`
+it builds per run and costs the batch in one backend ``run`` (the serial
+one, which a dense backend inherits), and the outcomes *feed back* into
+the optimizer, which decides what to ask for next.
 
+    factory = JobFactory()
     while not optimizer.finished:
         points = optimizer.next_batch()                    # propose
-        jobs = [optimizer.job_for(p) for p in points]      # lower
+        jobs = [factory(p) for p in points]                # lower
         reports = backend.run(jobs)                        # evaluate
         for job, report in zip(jobs, reports):
             optimizer.process_outcome(job.point, SweepEntry(job.point, report))
 
-Five optimizers ship on the seam; each lowers its points through the
-:class:`JobFactory` it inherits, except the guided lane walk, which costs
-prebuilt variant modules:
+Three optimizers ship on the seam:
 
 ``ExhaustiveOptimizer``
     The classic full sweep, re-expressed as the degenerate optimizer that
@@ -31,17 +30,10 @@ prebuilt variant modules:
     refine: geometric growth until infeasible, then interior probes until
     the bracket closes below a resolution.  O(log(range/resolution))
     costings per family instead of a clock axis.
-``SuccessiveHalvingOptimizer``
-    Racing labeled arms (kernels × forms) under a total costing budget:
-    every rung doubles the per-arm allowance and eliminates the worst
-    ``1 - 1/eta`` of the surviving arms by best feasible throughput.
 ``SurrogatePrunedOptimizer``
     The dense numpy engine as a *prune stage*: one broadcast pass scores
     the whole grid, only the top slice survives to full scalar costing
     (and optional cycle-accurate validation of the winner).
-``GuidedLaneOptimizer``
-    The classic wall-following lane walk: one lane count per round until
-    the design stops fitting or stops paying off.
 
 The driver loop lives in :func:`drive_optimizer` /
 :meth:`~repro.explore.engine.ExplorationEngine.run_optimizer`; it checks
@@ -51,9 +43,7 @@ retries transient per-job failures in place.
 
 from __future__ import annotations
 
-import math
 import time
-from itertools import islice
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro import field, record
@@ -76,10 +66,7 @@ __all__ = [
     "drive_optimizer",
     "ExhaustiveOptimizer",
     "FmaxBinarySearchOptimizer",
-    "SuccessiveHalvingOptimizer",
     "SurrogatePrunedOptimizer",
-    "GuidedLaneOptimizer",
-    "OPTIMIZERS",
 ]
 
 
@@ -91,16 +78,14 @@ class Optimizer(Protocol):
     batch ends the loop), ``process_outcome`` feeds one costed entry
     back, ``finished`` short-circuits the loop, and ``result`` is the
     optimizer's own JSON-able summary — what it was searching for, as
-    opposed to the raw entries the driver accumulates.  ``job_for``
-    lowers a proposed point to the :class:`~repro.explore.space.CostJob`
-    the backend costs, and ``round_note`` is a one-line provenance
-    string for the round just processed; :class:`OptimizerBase` gives
-    both (a :class:`JobFactory` lowering and the last note it set).
+    opposed to the raw entries the driver accumulates.  ``round_note``
+    is a one-line provenance string for the round just processed;
+    :class:`OptimizerBase` gives the last note it set.  Lowering a
+    proposed point to the job the backend costs is the engine's
+    (:class:`JobFactory`), not the optimizer's.
     """
 
     def next_batch(self) -> list[DesignPoint]: ...
-
-    def job_for(self, point: DesignPoint) -> CostJob: ...
 
     def round_note(self) -> str: ...
 
@@ -240,10 +225,9 @@ def drive_optimizer(
 
 
 class OptimizerBase:
-    """Shared plumbing: a job factory, a finished flag, best tracking."""
+    """Shared plumbing: a finished flag, a round note, best tracking."""
 
     def __init__(self) -> None:
-        self._factory = JobFactory()
         self._finished = False
         self._evaluated = 0
         self._best: SweepEntry | None = None
@@ -256,9 +240,6 @@ class OptimizerBase:
     @property
     def evaluated(self) -> int:
         return self._evaluated
-
-    def job_for(self, point: DesignPoint) -> CostJob:
-        return self._factory(point)
 
     def round_note(self) -> str:
         return self._note
@@ -292,8 +273,7 @@ class ExhaustiveOptimizer(OptimizerBase):
     """Propose every point of the space(s); learn nothing, miss nothing.
 
     This is the pre-loop engine re-expressed on the protocol: one round
-    per non-empty space, its points in sweep order, lowered through the
-    inherited :class:`JobFactory`, so a large product grid is never
+    per non-empty space, its points in sweep order, so a large product grid is never
     materialized ahead of the round that costs it.  Reports are
     byte-identical to the whole-space path.
     """
@@ -544,155 +524,6 @@ class FmaxBinarySearchOptimizer(OptimizerBase):
 
 
 # ----------------------------------------------------------------------
-# Successive halving: racing arms under a costing budget
-# ----------------------------------------------------------------------
-
-
-class _Arm:
-    def __init__(self, label: str, space: DesignSpace):
-        self.label = label
-        self.space = space
-        self._stream = space.iter_points()
-        self.active = True
-        self.exhausted = False
-        self.evaluated = 0
-        self.best: SweepEntry | None = None
-        self.eliminated_rung: int | None = None
-
-    def take(self, n: int) -> list[DesignPoint]:
-        points = list(islice(self._stream, n))
-        if not points:
-            self.exhausted = True
-        return points
-
-    @property
-    def best_ekit(self) -> float:
-        if self.best is None:
-            return -math.inf
-        return self.best.report.ekit
-
-    def as_dict(self) -> dict:
-        return {
-            "arm": self.label,
-            "evaluated": self.evaluated,
-            "best_ekit_per_s": None if self.best is None else self.best.report.ekit,
-            "eliminated_rung": self.eliminated_rung,
-        }
-
-
-class SuccessiveHalvingOptimizer(OptimizerBase):
-    """Race labeled design spaces under a total costing budget.
-
-    Arms are ``(label, DesignSpace)`` pairs (bare spaces label themselves
-    by kernel name) — typically kernels × memory-execution forms.  Rung
-    ``r`` gives every surviving arm an allowance of
-    ``rung_points * eta**r`` points from its (lazy) sweep stream; after
-    the rung, the arms are ranked by best feasible throughput and only
-    the top ``1/eta`` survive.  The loop ends when the budget is spent,
-    one arm remains and is exhausted, or every stream runs dry — so the
-    budget concentrates on the arms that keep winning.
-    """
-
-    def __init__(self, arms, *, budget: int = 64, eta: int = 2,
-                 rung_points: int = 2):
-        super().__init__()
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        if eta < 2:
-            raise ValueError(f"eta must be >= 2, got {eta}")
-        if rung_points < 1:
-            raise ValueError(f"rung_points must be >= 1, got {rung_points}")
-        self.budget = int(budget)
-        self.eta = int(eta)
-        self.rung_points = int(rung_points)
-        self._arms: list[_Arm] = []
-        for arm in arms:
-            if isinstance(arm, DesignSpace):
-                label, space = arm.kernel.name, arm
-            else:
-                label, space = arm
-            self._arms.append(_Arm(str(label), space))
-        if not self._arms:
-            self._finished = True
-        self.spent = 0
-        self.rungs = 0
-        self._point_arm: dict[DesignPoint, _Arm] = {}
-
-    def _halve(self) -> None:
-        active = [a for a in self._arms if a.active]
-        if len(active) <= 1:
-            return
-        ranked = sorted(active, key=lambda a: (-a.best_ekit, a.label))
-        keep = max(1, math.ceil(len(active) / self.eta))
-        for arm in ranked[keep:]:
-            arm.active = False
-            arm.eliminated_rung = self.rungs
-
-    def next_batch(self) -> list[DesignPoint]:
-        if self._finished:
-            return []
-        if self.rungs > 0:
-            self._halve()
-        if self.spent >= self.budget:
-            self._finished = True
-            self._note = "budget exhausted"
-            return []
-        per_arm = self.rung_points * (self.eta ** self.rungs)
-        batch: list[DesignPoint] = []
-        self._point_arm = {}
-        survivors = []
-        for arm in self._arms:
-            if not arm.active or arm.exhausted:
-                continue
-            allowance = min(per_arm, self.budget - self.spent - len(batch))
-            if allowance <= 0:
-                break
-            points = arm.take(allowance)
-            if not points:
-                continue
-            survivors.append(arm.label)
-            for point in points:
-                self._point_arm[point] = arm
-            batch.extend(points)
-        if not batch:
-            self._finished = True
-            return []
-        self.spent += len(batch)
-        self.rungs += 1
-        self._note = (f"rung {self.rungs - 1}: {len(batch)} points across "
-                      f"{len(survivors)} arms ({self.spent}/{self.budget} spent)")
-        return batch
-
-    def process_outcome(self, point: DesignPoint, entry: SweepEntry) -> None:
-        self._observe(entry)
-        arm = self._point_arm.get(point)
-        if arm is None:
-            return
-        arm.evaluated += 1
-        if entry.report.feasible and entry.report.ekit > arm.best_ekit:
-            arm.best = entry
-
-    def result(self) -> dict:
-        winner = None
-        if self._best is not None:
-            for arm in self._arms:
-                if arm.best is not None and arm.best.report.ekit == self._best.report.ekit:
-                    winner = arm.label
-                    break
-        return {
-            "optimizer": "halving",
-            "budget": self.budget,
-            "spent": self.spent,
-            "eta": self.eta,
-            "rungs": self.rungs,
-            "winner": winner,
-            "best": self._best_payload(),
-            "arms": [a.as_dict() for a in
-                     sorted(self._arms, key=lambda a: a.label)],
-        }
-
-
-# ----------------------------------------------------------------------
 # Surrogate prune: dense broadcast pass → scalar costing of survivors
 # ----------------------------------------------------------------------
 
@@ -800,107 +631,3 @@ class SurrogatePrunedOptimizer(OptimizerBase):
             "best": self._best_payload(),
             "validation": self._validation,
         }
-
-
-# ----------------------------------------------------------------------
-# Guided lane walk (the classic wall-following search, on the protocol)
-# ----------------------------------------------------------------------
-
-
-class GuidedLaneOptimizer(OptimizerBase):
-    """Walk lane counts upward until a wall is hit, one point per round.
-
-    The optimizer form of the classic guided search: propose the next
-    lane count, look at its report, stop on the *computation wall* (the
-    design no longer fits the device) or the *communication wall*
-    (throughput improved by less than ``min_gain`` while the limiting
-    factor is host/DRAM bandwidth — wider designs cannot pay off).
-    Works from :class:`~repro.explore.variants.VariantRecord` lists so
-    compilers with injected models keep their exact costing session.
-    """
-
-    def __init__(self, variants, *, min_gain: float = 1.05, options=None):
-        super().__init__()
-        variants = list(variants)
-        if not variants:
-            raise ValueError("no variants to explore")
-        self._ordered = sorted(variants, key=lambda v: v.lanes)
-        self.kernel = self._ordered[0].kernel
-        self._by_lanes = {v.lanes: v for v in self._ordered}
-        self._options = options
-        self._cursor = 0
-        self._previous_ekit = 0.0
-        self.min_gain = float(min_gain)
-        self.stopped_by = ""
-        self.entries: list[SweepEntry] = []
-
-    def _point(self, variant) -> DesignPoint:
-        from repro.substrate.fpga_device import MAIA_STRATIX_V_GSD8
-
-        workload = variant.workload
-        grid = tuple(workload.ndrange.dims) if workload is not None else ()
-        iterations = workload.repetitions if workload is not None else 0
-        device = getattr(self._options, "device", None) or MAIA_STRATIX_V_GSD8
-        form = getattr(self._options, "form", None) or "auto"
-        return DesignPoint(
-            kernel=variant.kernel,
-            lanes=variant.lanes,
-            grid=grid,
-            iterations=iterations,
-            clock_mhz=getattr(self._options, "clock_mhz", None),
-            form=_form_value(form),
-            device=device,
-        )
-
-    def variant_for(self, point: DesignPoint):
-        return self._by_lanes[point.lanes]
-
-    def job_for(self, point: DesignPoint) -> CostJob:
-        variant = self.variant_for(point)
-        return CostJob(point=point, module=variant.module,
-                       workload=variant.workload, options=self._options)
-
-    def next_batch(self) -> list[DesignPoint]:
-        if self._cursor >= len(self._ordered):
-            self._finished = True
-            return []
-        return [self._point(self._ordered[self._cursor])]
-
-    def process_outcome(self, point: DesignPoint, entry: SweepEntry) -> None:
-        from repro.cost.throughput import LimitingFactor
-
-        self._observe(entry)
-        self._cursor += 1
-        self.entries.append(entry)
-        report = entry.report
-        if not report.feasibility.fits_resources:
-            self.stopped_by = "computation wall"
-            self._finished = True
-            return
-        bandwidth_bound = report.limiting_factor in (
-            LimitingFactor.HOST_BANDWIDTH,
-            LimitingFactor.DRAM_BANDWIDTH,
-        )
-        if (self._previous_ekit > 0
-                and report.ekit < self._previous_ekit * self.min_gain
-                and bandwidth_bound):
-            self.stopped_by = "communication wall"
-            self._finished = True
-            return
-        self._previous_ekit = report.ekit
-        if self._cursor >= len(self._ordered):
-            self._finished = True
-            self.stopped_by = self.stopped_by or "axis exhausted"
-
-    def result(self) -> dict:
-        return {
-            "optimizer": "guided",
-            "kernel": self.kernel,
-            "evaluated": self._evaluated,
-            "stopped_by": self.stopped_by or "axis exhausted",
-            "best": self._best_payload(),
-        }
-
-
-#: the optimizers `tybec explore --optimizer` / `tybec suite dse` accept
-OPTIMIZERS = ("exhaustive", "fmax", "halving", "surrogate")

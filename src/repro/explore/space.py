@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro import field, record, replace
+from repro import field, record
 from repro.compiler.lanescale import LaneFamilyHandle
 from repro.compiler.pipeline import CompilationOptions
 from repro.cost.numerics import linspace
@@ -235,15 +235,6 @@ class DesignSpace:
     def points(self) -> list[DesignPoint]:
         """All design points, in deterministic sweep order."""
         return list(self.iter_points())
-
-    def subspace(self, **overrides) -> "DesignSpace":
-        """A copy of this space with some axes replaced.
-
-        The partial-grid helper behind arm construction (e.g. one
-        successive-halving arm per memory-execution form):
-        ``space.subspace(forms=("A",))``.
-        """
-        return replace(self, **overrides)
 
 
 def linspace_clocks(lo: float, hi: float, n: int) -> tuple[float, ...]:

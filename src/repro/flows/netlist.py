@@ -360,6 +360,9 @@ class _StepCompiler:
         self.assigned: set[str] = set()
         #: loop variables read where they may not be assigned yet
         self.read_unassigned: set[str] = set()
+        #: loop variables -> body lines storing a shift loop's final value
+        #: that nothing has read since (dropped when the process ends)
+        self.finals: dict[str, list[int]] = {}
         self.registers: dict[str, None] = {}
         self.queued: set[str] = set()
         always: set[str] = set()
@@ -516,6 +519,7 @@ class _StepCompiler:
     def read(self, name: str) -> str:
         local = self.env.get(name)
         if local is not None:
+            self.finals.pop(name, None)
             if name in self.assigned:
                 return local
             # before its assignment a loop variable reads as its signal
@@ -679,6 +683,7 @@ class _StepCompiler:
                 t = self.temp()
                 out.append(f"{pad}{t} = {src}")
                 self.commits.append(f"{dst} = {t}")
+            self.finals.setdefault(shift.var, []).append(len(out))
             out.append(f"{pad}{self.env[shift.var]} = {shift.final}")
             self.assigned.add(shift.var)
             return
@@ -716,9 +721,11 @@ class _StepCompiler:
         for index, process in enumerate(self.netlist.processes):
             self.env = {name: f"e{index}_{k}" for k, name in
                         enumerate(_blocking_names(process.statements, {}))}
-            self.assigned, self.read_unassigned = set(), set()
+            self.assigned, self.read_unassigned, self.finals = set(), set(), {}
             body: list[str] = []
             self.statements(process.statements, 1, True, body)
+            dead = {line for lines in self.finals.values() for line in lines}
+            body = [code for line, code in enumerate(body) if line not in dead]
             for name, local in self.env.items():
                 if name in self.read_unassigned:
                     initial = self.local[name] if name in self.widths else None

@@ -448,7 +448,6 @@ def stage_map(fn, items, jobs: int | None = None,
 _DSE_PARAM_DEFAULTS: dict[str, dict] = {
     "exhaustive": {},
     "fmax": {"resolution": 1.0, "probes_per_round": 3},
-    "halving": {"budget": 64, "eta": 2, "rung_points": 2},
     "surrogate": {"keep_fraction": 0.1, "keep_min": 1},
 }
 
@@ -532,30 +531,19 @@ def parse_request(endpoint: str, body) -> dict:
 
 def dse_optimizers(config: SuiteConfig, optimizer: str, params: dict,
                    backend=None) -> dict[str, object]:
-    """One named optimizer run per report slot.
-
-    Exhaustive/fmax/surrogate search each kernel independently (one run
-    per kernel); successive halving is inherently cross-kernel — its arms
-    *are* the kernels × forms — so it produces a single ``halving`` run.
-    A surrogate prune scores its grid on ``backend`` (a ``DenseBackend``,
-    or None for one of its own).
+    """One named optimizer run per kernel: every optimizer searches each
+    kernel's space independently.  A surrogate prune scores its grid on
+    ``backend`` (a ``DenseBackend``, or None for one of its own).
     """
     from repro.explore.optimizer import (
         ExhaustiveOptimizer,
         FmaxBinarySearchOptimizer,
-        SuccessiveHalvingOptimizer,
         SurrogatePrunedOptimizer,
     )
 
-    spaces = {name: config.space_for(name)
-              for name in config.resolved_kernels()}
-    if optimizer == "halving":
-        arms = [(f"{name}:{form}", space.subspace(forms=(form,)))
-                for name, space in spaces.items()
-                for form in config.forms]
-        return {"halving": SuccessiveHalvingOptimizer(arms, **params)}
     runs: dict[str, object] = {}
-    for name, space in spaces.items():
+    for name in config.resolved_kernels():
+        space = config.space_for(name)
         if optimizer == "exhaustive":
             runs[name] = ExhaustiveOptimizer(space)
         elif optimizer == "fmax":
@@ -628,8 +616,7 @@ def run_dse(config: SuiteConfig | None = None, optimizer: str = "fmax", *,
 
     The suite-level entry point behind ``tybec suite dse`` and the
     service's ``POST /dse``: resolves the optimizer's parameters, builds
-    one optimizer per report slot (per kernel, or one cross-kernel
-    halving race), drives each through an
+    one optimizer per kernel, drives each through an
     :class:`~repro.explore.engine.ExplorationEngine` on ``backend``, and
     folds the runs into a ``repro-dse-report/1``.  ``on_round(label,
     round, entries)`` fires after every loop round — the streaming hook.

@@ -1,6 +1,7 @@
 """Tests for the multi-axis design space and the exploration engine."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.explore import (
     DesignSpace,
     ExplorationEngine,
     SerialBackend,
+    SweepEntry,
+    SweepResult,
     build_jobs,
     pareto_frontier,
 )
@@ -222,3 +225,26 @@ class TestParetoFrontier:
         )
         ekits = [e.report.ekit for e in ordered]
         assert ekits == sorted(ekits)
+
+
+class TestBestSelection:
+    """``SweepResult.best()`` on scripted (ekit, feasible) reports."""
+
+    @staticmethod
+    def _best_lanes(reports: dict[int, tuple[float, bool]]) -> int | None:
+        best = SweepResult(entries=[
+            SweepEntry(DesignPoint(kernel="fake", lanes=lanes, grid=(), iterations=0),
+                       SimpleNamespace(ekit=ekit, feasible=feasible))
+            for lanes, (ekit, feasible) in reports.items()
+        ]).best()
+        return best.point.lanes if best is not None else None
+
+    def test_best_ignores_infeasible(self):
+        assert self._best_lanes({1: (1.0, True), 2: (50.0, False),
+                                 4: (10.0, True)}) == 4
+
+    def test_no_feasible_variant_leaves_best_none(self):
+        assert self._best_lanes({1: (1.0, False)}) is None
+
+    def test_ties_keep_the_first_in_sweep_order(self):
+        assert self._best_lanes({1: (5.0, True), 2: (5.0, True)}) == 1

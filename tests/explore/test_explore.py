@@ -8,16 +8,14 @@ from repro.explore import (
     CostJob,
     DesignSpace,
     ExplorationEngine,
-    GuidedLaneOptimizer,
     SerialBackend,
-    SweepEntry,
+    SurrogatePrunedOptimizer,
     SweepResult,
-    drive_optimizer,
     generate_lane_variants,
     roofline_analysis,
     run_sor_case_study,
 )
-from repro.kernels import SORKernel, get_kernel
+from repro.kernels import SORKernel
 from repro.substrate import MAIA_STRATIX_V_GSD8, SMALL_EDU_DEVICE
 
 
@@ -28,16 +26,6 @@ def exhaustive(compiler, variants) -> SweepResult:
     """Cost every variant through the compiler's own pipeline."""
     engine = ExplorationEngine(SerialBackend(pipeline=compiler))
     return engine.cost_many([CostJob.from_variant(v, compiler.options) for v in variants])
-
-
-def guided(compiler, variants) -> SweepResult:
-    """The guided lane walk, costed directly by ``compiler``."""
-    optimizer = GuidedLaneOptimizer(variants, options=compiler.options)
-    entries, _ = drive_optimizer(optimizer, lambda points: [
-        SweepEntry(p, compiler.cost(optimizer.variant_for(p).module,
-                                    optimizer.variant_for(p).workload))
-        for p in points])
-    return SweepResult(entries=entries)
 
 
 def by_lanes(result: SweepResult) -> dict:
@@ -106,19 +94,25 @@ class TestSearch:
         assert result.evaluated == 0
         assert result.best() is None
 
-    def test_guided_walk_stops_at_computation_wall(self, variants):
-        tiny = TybecCompiler(CompilationOptions(device=SMALL_EDU_DEVICE))
-        reports = by_lanes(guided(tiny, variants))
-        # the small device cannot fit many lanes, so the search stops early
-        assert len(reports) <= len(variants)
-        infeasible = [l for l, r in reports.items() if not r.feasibility.fits_resources]
-        if infeasible:
-            assert max(reports) == min(infeasible)
+    def test_small_device_sweep_stops_at_computation_wall(self, variants):
+        small = TybecCompiler(CompilationOptions(device=SMALL_EDU_DEVICE))
+        result = exhaustive(small, variants)
+        fits = [e.report.feasibility.fits_resources for e in result.entries]
+        # the small device fits a prefix of the lane axis and nothing past it
+        wall = fits.index(False)
+        assert 0 < wall and not any(fits[wall:])
+        assert result.best().point.lanes == result.entries[wall - 1].point.lanes
 
-    def test_guided_walk_matches_exhaustive_best_on_big_device(self, compiler, variants):
-        walked = guided(compiler, variants).best()
-        swept = exhaustive(compiler, variants).best()
-        assert walked.point.lanes == swept.point.lanes
+    @pytest.mark.parametrize("device", [MAIA_STRATIX_V_GSD8, SMALL_EDU_DEVICE],
+                             ids=lambda device: device.name)
+    def test_surrogate_matches_exhaustive_best_on_a_lane_only_space(self, device):
+        space = DesignSpace(SORKernel(), grid=GRID, iterations=10,
+                            max_lanes=64, devices=(device,))
+        engine = ExplorationEngine(SerialBackend())
+        swept = engine.explore(space)
+        run = engine.run_optimizer(SurrogatePrunedOptimizer(space))
+        assert run.best().point == swept.best().point
+        assert run.evaluated < swept.evaluated
 
 
 class TestRoofline:

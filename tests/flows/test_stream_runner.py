@@ -12,6 +12,7 @@ their ports, so the masks folded into the runner are exercised.
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -132,6 +133,17 @@ def test_every_kernel_input_line_is_a_ring():
             assert f"_deque(arrays[{name!r}]" in source, (kernel_name, name)
 
 
+def test_no_loop_variable_is_only_stored():
+    """A shift loop's final loop-variable value is stored only where a
+    later statement of its process reads it: no family's runner holds a
+    loop-variable local that appears once."""
+    for kernel_name, lanes in FAMILIES:
+        source = compile_runner(family_case(kernel_name, lanes)[0]).source
+        for local in set(re.findall(r"\be\d+_\d+\b", source)):
+            assert len(re.findall(rf"\b{local}\b", source)) > 1, \
+                (kernel_name, lanes, local)
+
+
 # ----------------------------------------------------------------------
 # handcrafted netlists
 # ----------------------------------------------------------------------
@@ -182,6 +194,24 @@ module queued (input wire clk, input wire [1:0] idx, input wire [7:0] din,
 endmodule
 """)
 
+#: a delay line whose loop variable is read after the shift loop
+READ_AFTER_SHIFT = streamable("""
+module after (input wire clk, input wire [7:0] din,
+              output wire [7:0] q, output wire [7:0] n);
+  reg [7:0] d [0:3];
+  reg [7:0] count;
+  integer i;
+  always @(posedge clk) begin
+    d[0] <= din;
+    for (i = 1; i < 4; i = i + 1)
+      d[i] <= d[i - 1];
+    count <= i;
+  end
+  assign q = d[3];
+  assign n = count;
+endmodule
+""")
+
 #: name -> (source, whether its array ``d`` must be a ring)
 HANDCRAFTED = {
     "shifts": (streamable(SHIFTS), None),
@@ -192,6 +222,7 @@ HANDCRAFTED = {
     "dynamic_read": (line_module("d[0] <= din;", 4,
                                  "\n  wire [7:0] qd = d[din[1:0]];"), False),
     "queued": (QUEUED, None),
+    "read_after_shift": (READ_AFTER_SHIFT, True),
 }
 
 

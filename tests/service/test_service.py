@@ -397,8 +397,13 @@ class TestServiceHTTP:
         ({"tiny": True, "deadline_seconds": "x"}, "deadline_seconds"),
         ({"tiny": True, "params": {"resolution": 0}}, "resolution"),
         ({"tiny": True, "params": {"resolution": True}}, "resolution"),
-        ({"tiny": True, "optimizer": "halving", "params": {"budget": 2.7}},
-         "budget"),
+        ({"tiny": True, "optimizer": "surrogate", "params": {"keep_min": 2.7}},
+         "keep_min"),
+        # removed optimizers and their knobs name what is accepted
+        ({"tiny": True, "optimizer": "halving"},
+         "expected one of exhaustive, fmax, surrogate"),
+        ({"tiny": True, "params": {"budget": 2}},
+         "accepted: ['probes_per_round', 'resolution']"),
         ({"tiny": True, "params": [1]}, "params"),
         ({"tiny": True, "optimizer": "annealing"}, "optimizer"),
         ({"tiny": True, "iterations": "x"}, "iterations"),

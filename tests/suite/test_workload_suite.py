@@ -145,11 +145,11 @@ class TestDseRequest:
         ("fmax", {"resolution": True}, "resolution"),
         ("fmax", {"resolution": float("nan")}, "resolution"),
         ("fmax", {"probes_per_round": 2.7}, "probes_per_round"),
-        ("halving", {"eta": 1}, "eta"),         # range: the constructor's
-        ("surrogate", {"keep_fraction": 1.5}, "keep_fraction"),
+        ("surrogate", {"keep_fraction": 1.5}, "keep_fraction"),  # ctor range
         ("surrogate", {"keep_min": "1"}, "keep_min"),
         ("fmax", [1], "params"),
         ("annealing", None, "optimizer"),
+        ("halving", None, "optimizer"),
     ])
     def test_bad_knob_is_refused_before_any_work(self, optimizer, params, field):
         body = {"tiny": True, "kernels": ["sor"], "optimizer": optimizer,

@@ -55,6 +55,18 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        *(([*command, "--optimizer", "halving"], "invalid choice: 'halving'")
+          for command in (["explore"], ["suite", "dse"])),
+        *(([*command, "--budget", "8"], "unrecognized arguments: --budget 8")
+          for command in (["explore"], ["suite", "dse"])),
+    ])
+    def test_halving_and_budget_exit_2(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err
+
     def test_suite_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite"])
