@@ -347,14 +347,17 @@ class CalibrationStage:
     def _resolve(self, memory_cache: dict, memory_key, disk_token, kind: type,
                  compute, requests: MetricFamily):
         """Memory → disk → compute, publishing upwards on the way out; a
-        stored value that is not a ``kind`` is a miss."""
+        stored value that is not a ``kind`` is a miss.  ``disk_token()``
+        builds the disk key (its ``repr(device)`` is not free), so a
+        memory hit never calls it."""
         with _CALIBRATION_LOCK:
             value = memory_cache.get(memory_key)
         if value is not None:
             return value, False
+        token = disk_token()
         disk = default_disk_cache()
         if disk is not None:
-            value = disk.get("calibration", disk_token, kind)
+            value = disk.get("calibration", token, kind)
             if value is not None:
                 requests.bump(("disk", "hit"))
                 with _CALIBRATION_LOCK:
@@ -362,13 +365,13 @@ class CalibrationStage:
                     value = memory_cache[memory_key]
                 return value, False
             requests.bump(("disk", "miss"))
-        with trace_span("pipeline.calibrate", token=disk_token[0]):
+        with trace_span("pipeline.calibrate", token=token[0]):
             value = compute()
         with _CALIBRATION_LOCK:
             memory_cache.setdefault(memory_key, value)
             value = memory_cache[memory_key]
         if disk is not None:
-            disk.put("calibration", disk_token, value)
+            disk.put("calibration", token, value)
         return value, True
 
     def run(self, options: CompilationOptions, requests: MetricFamily,
@@ -388,7 +391,7 @@ class CalibrationStage:
 
             cost_db, computed = self._resolve(
                 _COSTDB_CACHE, (device, options.synthesis_noise),
-                ("costdb", repr(device), options.synthesis_noise), DeviceCostDB,
+                lambda: ("costdb", repr(device), options.synthesis_noise), DeviceCostDB,
                 _calibrate, requests,
             )
             missed |= computed
@@ -396,7 +399,7 @@ class CalibrationStage:
         dram_bandwidth = options.dram_bandwidth
         if dram_bandwidth is None:
             dram_bandwidth, computed = self._resolve(
-                _DRAM_CACHE, device, ("dram", repr(device)), SustainedBandwidthModel,
+                _DRAM_CACHE, device, lambda: ("dram", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.from_simulator(
                     sim, name=f"{device.name}-dram"
                 ),
@@ -407,7 +410,7 @@ class CalibrationStage:
         host_bandwidth = options.host_bandwidth
         if host_bandwidth is None:
             host_bandwidth, computed = self._resolve(
-                _HOST_CACHE, device, ("host", repr(device)), SustainedBandwidthModel,
+                _HOST_CACHE, device, lambda: ("host", repr(device)), SustainedBandwidthModel,
                 lambda: SustainedBandwidthModel.host_from_simulator(
                     sim, name=f"{device.name}-host"
                 ),

@@ -10,8 +10,10 @@ analytic and cycle-stepping modes — closing the
 estimate ↔ cycle-sim ↔ RTL-sim triangle.  Its front end is keyed on the
 Verilog text: each distinct kernel source is parsed, linted and
 elaborated once per process (the lane families of one kernel emit the
-same leaf module), and its netlist compiles its step function once, so
-a repeated source only simulates its own stimulus.
+same leaf module), and its netlist compiles its stream runner once; the
+reference model likewise compiles each distinct leaf datapath once per
+process.  A repeated kernel only simulates and evaluates its own
+stimulus.
 
 :class:`ElaborateFlow` is the synth-side counterpart: structural lint
 plus netlist statistics for every generated file.

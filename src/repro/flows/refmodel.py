@@ -15,18 +15,28 @@ last stream item reads zero).
 stream, the final value of every reduction accumulator, and the item
 validity window (items whose full offset neighbourhood lies inside the
 stream) — everything a flow needs to check a simulation bit for bit.
+
+:func:`evaluate_items` compiles the datapath once per process: the IR
+function decodes to a hashable program, which renders as one
+straight-line Python function — column words, SSA values and
+accumulators in locals, each instruction one inline expression from the
+``_TEMPLATES`` table with its result mask folded in — and ``_PROGRAMS``
+keeps the compiled function under that program.  The lane families of
+one kernel share their leaf datapath, so a repeated kernel only runs its
+own stimulus.  ``tests/flows/reference_oracle.py`` keeps the per-item
+interpreter as the oracle it is checked and timed against.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from repro import record
 from repro.compiler.codegen.testbench import DEFAULT_STIMULUS_SEED, stimulus_words
+from repro.cost.cache import BoundedCache
 from repro.flows.numeric import as_signed, truncdiv
 from repro.ir.functions import IRFunction, Module, StreamDirection
-from repro.ir.instructions import Instruction, OperandKind, decode_predicate
+from repro.ir.instructions import OperandKind, decode_predicate
 
 __all__ = ["ReferenceResult", "reference_outputs", "kernel_stimulus", "evaluate_items"]
 
@@ -53,112 +63,192 @@ class ReferenceResult:
         return sum(self.interior)
 
 
-# Each evaluator takes the operand values, their defining widths and the
-# instruction's signedness, and returns the result before the result-width
-# mask, which the caller applies.  Semantics mirror the generated Verilog:
-# width-wrapped two's-complement arithmetic, zero-guarded truncating
-# division, logical shifts on unsigned values and arithmetic shifts /
-# signed compares on signed types.  The RTL applies ``$signed`` to the
-# operand *wires*, so sign interpretation happens at each operand's
-# defining width, not at the (possibly narrower) result width.
+# Each template renders one instruction's value before the result-width
+# mask, which the compiler folds in as a constant.  ``{0}``..``{2}`` are
+# the operand values and ``{s0}``/``{s1}`` the same operands, two's
+# complement at their own width when the instruction is signed.
+# Semantics mirror the generated Verilog: width-wrapped two's-complement
+# arithmetic, zero-guarded truncating division, logical shifts on
+# unsigned values and arithmetic shifts / signed compares on signed
+# types.  The RTL applies ``$signed`` to the operand *wires*, so sign
+# interpretation happens at each operand's defining width, not at the
+# (possibly narrower) result width.
 
-
-def _operand(ops, widths, signed, index: int) -> int:
-    """Operand ``index``, two's complement at its own width when signed."""
-    return as_signed(ops[index], widths[index]) if signed else ops[index]
-
-
-def _div(ops, widths, signed):
-    return truncdiv(_operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1))
-
-
-def _rem(ops, widths, signed):
-    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
-    return 0 if b == 0 else a - b * truncdiv(a, b)
-
-
-def _min(ops, widths, signed):
-    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
-    return ops[0] if a < b else ops[1]
-
-
-def _max(ops, widths, signed):
-    a, b = _operand(ops, widths, signed, 0), _operand(ops, widths, signed, 1)
-    return ops[0] if a > b else ops[1]
-
-
-def _relation(test):
-    """A compare; ``signed`` is the predicate's signedness."""
-
-    def evaluate(ops, widths, signed):
-        a, b = ops
-        if signed:
-            # sign-extend each operand at its own width (numerically
-            # identical to Verilog's extend-to-max-width signed compare)
-            a, b = as_signed(a, widths[0]), as_signed(b, widths[1])
-        return 1 if test(a, b) else 0
-
-    return evaluate
-
-
-def _mov(ops, widths, signed):
-    return ops[0]
-
+_DIV = "truncdiv({s0}, {s1})"
+_REM = "0 if {s1} == 0 else {s0} - {s1} * truncdiv({s0}, {s1})"
 
 #: opcode (or, for ``icmp``/``fcmp``, the predicate's base relation) ->
-#: evaluator; ``signed`` selects the signed variant where there is one
-_EVALUATORS = {
-    "add": lambda ops, widths, signed: ops[0] + ops[1],
-    "sub": lambda ops, widths, signed: ops[0] - ops[1],
-    "mul": lambda ops, widths, signed: ops[0] * ops[1],
-    "div": _div,
-    "udiv": lambda ops, widths, signed: _div(ops, widths, False),
-    "sdiv": lambda ops, widths, signed: _div(ops, widths, True),
-    "rem": _rem,
-    "urem": lambda ops, widths, signed: _rem(ops, widths, False),
-    "and": lambda ops, widths, signed: ops[0] & ops[1],
-    "or": lambda ops, widths, signed: ops[0] | ops[1],
-    "xor": lambda ops, widths, signed: ops[0] ^ ops[1],
-    "not": lambda ops, widths, signed: ~ops[0],
-    "shl": lambda ops, widths, signed: ops[0] << ops[1],
-    "lshr": lambda ops, widths, signed: ops[0] >> ops[1],
-    "ashr": lambda ops, widths, signed: _operand(ops, widths, signed, 0) >> ops[1],
-    "eq": _relation(operator.eq),
-    "ne": _relation(operator.ne),
-    "lt": _relation(operator.lt),
-    "le": _relation(operator.le),
-    "gt": _relation(operator.gt),
-    "ge": _relation(operator.ge),
-    "select": lambda ops, widths, signed: ops[1] if ops[0] else ops[2],
-    "min": _min,
-    "max": _max,
-    "abs": lambda ops, widths, signed: abs(_operand(ops, widths, signed, 0)),
-    "mov": _mov,
-    "trunc": _mov,
-    "zext": _mov,
-    "sext": _mov,
-    "mac": lambda ops, widths, signed: ops[0] * ops[1] + ops[2],
-    "sqrt": lambda ops, widths, signed: math.isqrt(ops[0]),
+#: (template, signedness the opcode pins, or None for the instruction's)
+_TEMPLATES = {
+    "add": ("{0} + {1}", None),
+    "sub": ("{0} - {1}", None),
+    "mul": ("{0} * {1}", None),
+    "div": (_DIV, None),
+    "udiv": (_DIV, False),
+    "sdiv": (_DIV, True),
+    "rem": (_REM, None),
+    "urem": (_REM, False),
+    "and": ("{0} & {1}", None),
+    "or": ("{0} | {1}", None),
+    "xor": ("{0} ^ {1}", None),
+    "not": ("~{0}", None),
+    "shl": ("{0} << {1}", None),
+    "lshr": ("{0} >> {1}", None),
+    "ashr": ("{s0} >> {1}", None),
+    "eq": ("1 if {s0} == {s1} else 0", None),
+    "ne": ("1 if {s0} != {s1} else 0", None),
+    "lt": ("1 if {s0} < {s1} else 0", None),
+    "le": ("1 if {s0} <= {s1} else 0", None),
+    "gt": ("1 if {s0} > {s1} else 0", None),
+    "ge": ("1 if {s0} >= {s1} else 0", None),
+    "select": ("{1} if {0} else {2}", None),
+    "min": ("{0} if {s0} < {s1} else {1}", None),
+    "max": ("{0} if {s0} > {s1} else {1}", None),
+    "abs": ("abs({s0})", None),
+    "mov": ("{0}", None),
+    "trunc": ("{0}", None),
+    "zext": ("{0}", None),
+    "sext": ("{0}", None),
+    "mac": ("{0} * {1} + {2}", None),
+    "sqrt": ("isqrt({0})", None),
 }
 # the float opcodes run the integer datapath
-_EVALUATORS.update({"f" + name: _EVALUATORS[name] for name in ("add", "sub", "mul", "div")})
+_TEMPLATES.update({"f" + name: _TEMPLATES[name] for name in ("add", "sub", "mul", "div")})
+
+#: everything a generated function reads besides its own locals: fixed
+#: helpers only, so its text alone determines what it computes
+_RUNTIME = {"as_signed": as_signed, "truncdiv": truncdiv, "isqrt": math.isqrt,
+            "ReferenceEvaluationError": ReferenceEvaluationError}
+
+#: decoded program -> its compiled reference function, per process
+_PROGRAMS = BoundedCache(64, name="flows.reference")
 
 
-def _decode_evaluator(instr: Instruction):
-    """(evaluator, signed) of one instruction.
+def _decode(func: IRFunction, out_ports: list[str],
+            accumulators: list[str]) -> tuple:
+    """Everything of ``func`` that its reference function depends on, as
+    one hashable tuple of strings and integers: the program
+    :func:`_source` renders, and so the key of its compiled function.
 
-    An opcode without integer semantics fails when the entry first runs,
-    so the instructions before it fail first, in program order."""
-    opcode, signed = instr.opcode, instr.result_type.is_signed
-    key = opcode
-    if opcode in ("icmp", "fcmp"):
-        signed, key = decode_predicate(instr.predicate, signed)
-    evaluate = _EVALUATORS.get(key)
-    if evaluate is None:
-        def evaluate(ops, widths, signed):
-            raise ReferenceEvaluationError(
-                f"opcode {opcode!r} has no integer reference semantics")
-    return evaluate, signed
+    Operands decode to their integer value (a constant), ``@name`` (a
+    global) or ``%name`` (an SSA value).  Offset amounts and the
+    stimulus are absent: they shape the columns, not the function.
+    """
+    entries = []
+    for instr in func.instructions():
+        operands = []
+        for op in instr.operands:
+            kind = op.kind
+            if kind is OperandKind.CONST:
+                value = op.value
+                operands.append(int(round(value)) if isinstance(value, float)
+                                else int(value))
+            else:
+                operands.append(("@" if kind is OperandKind.GLOBAL else "%") + op.name)
+        ty = instr.result_type
+        entries.append((instr.opcode, instr.predicate, ty.is_signed, ty.width,
+                        instr.result_is_global, instr.result, tuple(operands)))
+    return (tuple([(name, ty.width) for ty, name in func.args]),
+            tuple([(off.result, off.result_type.width) for off in func.offsets()]),
+            tuple(entries), tuple(out_ports), tuple(accumulators))
+
+
+def _source(program: tuple) -> str:
+    """The Python source of the reference function of a :func:`_decode`
+    program.
+
+    ``reference(n_items, c0, c1, ...)`` takes one word column per stream
+    argument and then per distinct offset, and makes one pass over the
+    items: the column words, SSA values and accumulators are locals, and
+    each instruction is one expression with its result mask folded in.
+    It returns the list of each distinct output port and the final value
+    of each accumulator.
+
+    An opcode without integer semantics, or a value read before it is
+    defined, raises at its own place in the body, so the instructions
+    before it fail first, in program order.
+    """
+    args, offsets, entries, out_ports, accumulators = program
+    # defining width of every named value — the RTL sign-interprets
+    # operands at their wire width, so the reference must match
+    value_widths = dict(args)
+    value_widths.update(offsets)
+    for entry in entries:
+        value_widths[entry[5]] = entry[3]
+
+    values: dict[str, str] = {}    # SSA name -> local
+    globals_: dict[str, str] = {}  # accumulator / global name -> local
+
+    def value(name: str) -> str:
+        return values.setdefault(name, f"v{len(values)}")
+
+    def accumulator(name: str) -> str:
+        return globals_.setdefault(name, f"g{len(globals_)}")
+
+    def operand(op: int | str, signed: bool, result_width: int) -> tuple[str, str]:
+        """(value, value as the instruction's signedness reads it) of one
+        operand; ``KeyError`` for an SSA value not defined yet."""
+        if isinstance(op, int):  # consts render at result width
+            return str(op), str(as_signed(op, result_width) if signed else op)
+        name = op[1:]
+        text = accumulator(name) if op[0] == "@" else values[name]
+        if signed:
+            return text, f"as_signed({text}, {value_widths.get(name, result_width)})"
+        return text, text
+
+    targets = [value(name) for name, _ in args]
+    targets += [value(name) for name in dict.fromkeys(name for name, _ in offsets)]
+    ports = list(dict.fromkeys(out_ports))
+    body = []
+    for opcode, predicate, signed, result_width, is_reduction, result, operands in entries:
+        key = opcode
+        if opcode in ("icmp", "fcmp"):
+            signed, key = decode_predicate(predicate, signed)
+        template, pinned = _TEMPLATES.get(key, (None, None))
+        if template is None:
+            message = f"opcode {opcode!r} has no integer reference semantics"
+            body.append(f"raise ReferenceEvaluationError({message!r})")
+            break
+        try:
+            rendered = [operand(op, signed if pinned is None else pinned, result_width)
+                        for op in operands]
+        except KeyError as missing:
+            body.append(f"raise KeyError({missing.args[0]!r})")
+            break
+        expression = template.format(*[text for text, _ in rendered],
+                                     **{f"s{i}": text for i, (_, text) in enumerate(rendered)})
+        target = accumulator(result) if is_reduction else value(result)
+        body.append(f"{target} = ({expression}) & {(1 << result_width) - 1}")
+    else:
+        for name in out_ports:
+            if name not in values:
+                body.append(f"raise KeyError({name!r})")
+                break
+            body.append(f"a{ports.index(name)}({values[name]})")
+
+    if not targets:
+        loop = "for _ in range(n_items):"
+    elif len(targets) == 1:
+        loop = f"for {targets[0]} in c0:"
+    else:
+        loop = (f"for {', '.join(targets)} in "
+                f"zip({', '.join(f'c{i}' for i in range(len(targets)))}):")
+    outs = "".join(f"o{k}, " for k in range(len(ports)))
+    finals = "".join(f"{accumulator(name)}, " for name in accumulators)
+    head = [f"def reference(n_items{''.join(f', c{i}' for i in range(len(targets)))}):"]
+    head += [f"    {local} = 0" for local in globals_.values()]
+    for k in range(len(ports)):
+        head += [f"    o{k} = []", f"    a{k} = o{k}.append"]
+    tail = [f"    return ({outs}), ({finals})"]
+    return "\n".join(head + ["    " + loop] + ["        " + line for line in body or ["pass"]]
+                     + tail) + "\n"
+
+
+def _compile(program: tuple):
+    """The reference function of a :func:`_decode` program."""
+    namespace = dict(_RUNTIME)
+    exec(compile(_source(program), "<reference>", "exec"), namespace)
+    return namespace["reference"]
 
 
 def kernel_stimulus(func: IRFunction, n_items: int,
@@ -170,11 +260,22 @@ def kernel_stimulus(func: IRFunction, n_items: int,
     }
 
 
-def _reader(keys: tuple[str, ...]):
-    """A function of the value table returning the operands at ``keys``."""
-    if len(keys) > 1:
-        return operator.itemgetter(*keys)
-    return lambda values: tuple(values[key] for key in keys)
+def _stream(words: list[int], n_items: int) -> list[int]:
+    """The first ``n_items`` words of a stimulus stream."""
+    if len(words) < n_items:
+        raise IndexError(f"stimulus stream has {len(words)} words, "
+                         f"{n_items} items need one each")
+    return words if len(words) == n_items else words[:n_items]
+
+
+def _shifted(words: list[int], offset: int, n_items: int) -> list[int]:
+    """The word each item reads at ``offset``: zero where the offset
+    reaches outside the stream (flushed delay lines / zero-driven tail)."""
+    if offset >= 0:
+        inside = words[offset:]
+        return inside + [0] * (n_items - len(inside))
+    lead = min(-offset, n_items)
+    return [0] * lead + words[:n_items - lead]
 
 
 def evaluate_items(
@@ -185,77 +286,40 @@ def evaluate_items(
 ):
     """Evaluate the datapath elementwise; returns (outputs, reductions, interior).
 
-    The function is decoded once into a flat program over one table of
-    values: SSA values under their names, reduction accumulators and other
-    globals under ``@name`` and constants under ``#<index>``.  An item then
-    loads its stream words and runs the program's entries in order.
+    The function decodes to a program (:func:`_decode`) that compiles to
+    one straight-line Python function (:func:`_source`), kept for the
+    process in ``_PROGRAMS``; a call builds the stream and offset columns
+    and runs it once over the items.  A program that fails raises again
+    on every call and is never stored.
     """
     resolved = {off.result: (off.source, module.resolve_offset(off.offset))
                 for off in func.offsets()}
     out_ports = [p.port for p in module.port_declarations
                  if p.function == func.name and p.direction is StreamDirection.OUTPUT]
     reductions = {r.result: 0 for r in func.reductions()}
-    outputs: dict[str, list[int]] = {name: [] for name in out_ports}
     if n_items <= 0:
-        return outputs, reductions, []
-    instructions = func.instructions()
+        return {name: [] for name in out_ports}, reductions, []
 
-    # defining width of every named value — the RTL sign-interprets
-    # operands at their wire width, so the reference must match
-    value_widths: dict[str, int] = {name: ty.width for ty, name in func.args}
-    for off in func.offsets():
-        value_widths[off.result] = off.result_type.width
-    for instr in instructions:
-        value_widths[instr.result] = instr.result_type.width
+    columns = [_stream(stimulus[name], n_items) for _, name in func.args]
+    columns += [_shifted(_stream(stimulus[source], n_items), offset, n_items)
+                for source, offset in resolved.values()]
+    program = _decode(func, out_ports, list(reductions))
+    run = _PROGRAMS.get(program)
+    if run is None:
+        run = _compile(program)
+        lists, finals = run(n_items, *columns)
+        _PROGRAMS.put(program, run)
+    else:
+        lists, finals = run(n_items, *columns)
 
-    # the stream words each item loads: its own argument words, then the
-    # offset words, zero where the offset reaches outside the stream
-    # (flushed delay lines / zero-driven tail)
-    columns = [(name, stimulus[name]) for _, name in func.args]
-    for result, (source, offset) in resolved.items():
-        words = stimulus[source]
-        columns.append((result, [words[j] if 0 <= j < n_items else 0
-                                 for j in range(offset, offset + n_items)]))
     offsets = [offset for _, offset in resolved.values()]
     low, high = min(offsets, default=0), max(offsets, default=0)
-    interior = [0 <= i + low and i + high < n_items for i in range(n_items)]
-
-    values: dict[str, int] = {"@" + name: 0 for name in reductions}
-    program = []
-    for instr in instructions:
-        result_width = instr.result_type.width
-        keys, widths = [], []
-        for op in instr.operands:
-            if op.kind is OperandKind.CONST:
-                key = f"#{len(values)}"
-                value = op.value
-                values[key] = int(round(value)) if isinstance(value, float) else int(value)
-                widths.append(result_width)  # consts render at result width
-            elif op.kind is OperandKind.GLOBAL:
-                key = "@" + op.name
-                values.setdefault(key, 0)
-                widths.append(value_widths.get(op.name, result_width))
-            else:
-                key = op.name
-                widths.append(value_widths.get(op.name, result_width))
-            keys.append(key)
-        evaluate, signed = _decode_evaluator(instr)
-        target = ("@" if instr.is_reduction else "") + instr.result
-        program.append((evaluate, _reader(tuple(keys)), widths, signed,
-                        (1 << result_width) - 1, target))
-
-    for i in range(n_items):
-        for name, words in columns:
-            values[name] = words[i]
-        for evaluate, read, widths, signed, result_mask, target in program:
-            values[target] = evaluate(read(values), widths, signed) & result_mask
-        for name in out_ports:
-            outputs[name].append(values[name])
-
-    for instr in instructions:
-        if instr.is_reduction:
-            reductions[instr.result] = values["@" + instr.result]
-    return outputs, reductions, interior
+    # item i is interior when [i + low, i + high] lies inside the stream
+    first = min(max(0, -low), n_items)
+    end = max(first, min(n_items, n_items - high))
+    interior = [False] * first + [True] * (end - first) + [False] * (n_items - end)
+    return (dict(zip(dict.fromkeys(out_ports), lists)),
+            dict(zip(reductions, finals)), interior)
 
 
 def reference_outputs(

@@ -142,6 +142,29 @@ class TestCalibrationSharing:
         assert options.host_bandwidth is None
         assert options.session_key() == key
 
+    def test_only_a_memory_miss_builds_the_disk_tokens(self, monkeypatch):
+        from repro.compiler.pipeline import clear_calibration_cache
+        from repro.substrate.fpga_device import FPGADevice
+
+        EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE)).calibrate()
+        reprs = []
+        plain = FPGADevice.__repr__
+        monkeypatch.setattr(FPGADevice, "__repr__",
+                            lambda device: reprs.append(device) or plain(device))
+
+        warm = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
+        warm.calibrate()
+        assert reprs == []
+        assert warm.cache_requests.snapshot() == {("calibration", "hit"): 1}
+
+        # a cold run still keys the disk store on the device's repr
+        clear_calibration_cache()
+        cold = EstimationPipeline(CompilationOptions(device=SMALL_EDU_DEVICE))
+        cold.calibrate()
+        assert reprs == [SMALL_EDU_DEVICE] * 3
+        assert cold.cache_requests.get(("calibration", "hit")) == 1
+        assert cold.cache_requests.get(("disk", "hit")) == 3
+
     def test_clearing_the_cache_reaches_a_calibrated_session(self):
         from repro.compiler.pipeline import clear_calibration_cache
 

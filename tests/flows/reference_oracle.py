@@ -3,7 +3,7 @@
 :func:`evaluate_items` walks the IR function's instructions for every
 work item, classifying each operand and dispatching on the opcode each
 time, straight from the RTL semantics.  It is slow, and it is
-deliberately simple, so the decoded reference in
+deliberately simple, so the compiled reference in
 :mod:`repro.flows.refmodel` is checked against it item for item
 (``test_reference_oracle.py``) and timed against it
 (``benchmarks/test_flow_throughput.py``).

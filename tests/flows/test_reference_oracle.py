@@ -1,9 +1,11 @@
-"""The decoded reference model against the per-item interpreter oracle.
+"""The compiled reference model against the per-item interpreter oracle.
 
-:func:`repro.flows.refmodel.evaluate_items` decodes an IR function once
-into a flat program and runs it per item; ``reference_oracle.py`` keeps
-the interpreter it replaced, which classifies every operand and walks an
-opcode ``if`` chain for every item.  Hypothesis holds the two to the
+:func:`repro.flows.refmodel.evaluate_items` compiles an IR function once
+per process into one straight-line Python function and runs it over the
+items; ``reference_oracle.py`` keeps the interpreter it replaced, which
+classifies every operand and walks an opcode ``if`` chain for every item.
+The compiled functions stay in the process memo across examples, so
+datapaths that differ in one field must not share one.  Hypothesis holds the two to the
 same ``outputs``, ``reductions`` and ``interior`` on every kernel family
 (including streams shorter than the offset window, where every item
 reads flushed zeros), on small random datapaths over every opcode, width
